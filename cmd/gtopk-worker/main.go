@@ -350,31 +350,19 @@ func buildAggregator(o *options, comm *collective.Comm, dim int) (agg core.Aggre
 		sp.SetShards(o.selectShards)
 		return a, sp, nil
 	case "gtopk":
+		var a *core.GTopKAggregator
 		if o.hierGroup > 0 {
-			a, err := core.NewHierarchicalAggregator(comm, dim, k, o.hierGroup)
-			if err != nil {
-				return nil, nil, err
-			}
-			if o.quorum > 0 {
-				// Per-level deadline budgets over the grouped topology; an
-				// illegal configuration for this world fails the epoch build
-				// loudly instead of wedging a round.
-				if err := a.SetQuorum(o.quorumConfig()); err != nil {
-					return nil, nil, err
-				}
-			}
-			sp = a.Sparsifier()
-			sp.SetShards(o.selectShards)
-			return a, sp, nil
+			a, err = core.NewHierarchicalAggregator(comm, dim, k, o.hierGroup)
+		} else {
+			a, err = core.NewGTopKAggregator(comm, dim, k)
 		}
-		a, err := core.NewGTopKAggregator(comm, dim, k)
 		if err != nil {
 			return nil, nil, err
 		}
 		if o.quorum > 0 {
 			// Elastic worlds first learn their size here; an illegal
-			// (quorum, world) pair fails the epoch build loudly instead of
-			// wedging a round.
+			// (quorum, group, world) combination fails the epoch build
+			// loudly instead of wedging a round.
 			if err := a.SetQuorum(o.quorumConfig()); err != nil {
 				return nil, nil, err
 			}

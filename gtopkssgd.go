@@ -97,9 +97,9 @@ type (
 	// hierarchy (Comm.ForkGroup) — what HierarchicalGTopKAllReduce runs
 	// over.
 	GroupComms = collective.GroupComms
-	// HierarchicalAggregator runs gTop-k S-SGD over the two-level
-	// hierarchical collective: intra-group gTop-k, a leader-level
-	// exchange across groups, and a broadcast back down.
+	// HierarchicalAggregator is the gTop-k aggregator constructed over
+	// groups (NewHierarchicalAggregator): intra-group gTop-k, a
+	// leader-level exchange across groups, and a broadcast back down.
 	HierarchicalAggregator = core.HierarchicalAggregator
 
 	// BucketedAggregator runs gTop-k per layer-aligned bucket with
@@ -348,32 +348,29 @@ func NewDenseAggregator(comm *Comm, dim int) Aggregator {
 	return core.NewDenseAggregator(comm, dim)
 }
 
-// NewTopKAggregator builds Top-k S-SGD aggregation (Algorithm 1).
-func NewTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
-	agg, err := core.NewTopKAggregator(comm, dim, k)
+// asAggregator widens a concrete constructor's result to the Aggregator
+// interface, keeping a failed construction an untyped nil.
+func asAggregator[T Aggregator](agg T, err error) (Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
 	return agg, nil
+}
+
+// NewTopKAggregator builds Top-k S-SGD aggregation (Algorithm 1).
+func NewTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
+	return asAggregator(core.NewTopKAggregator(comm, dim, k))
 }
 
 // NewGTopKAggregator builds gTop-k S-SGD aggregation (Algorithm 4, tree
 // based), the paper's contribution.
 func NewGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
-	agg, err := core.NewGTopKAggregator(comm, dim, k)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
+	return asAggregator(core.NewGTopKAggregator(comm, dim, k))
 }
 
 // NewPSGTopKAggregator builds the parameter-server-mode gTop-k extension.
 func NewPSGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
-	agg, err := core.NewPSGTopKAggregator(comm, dim, k)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
+	return asAggregator(core.NewPSGTopKAggregator(comm, dim, k))
 }
 
 // NewBucketedAggregator builds the bucketed, overlapped gTop-k pipeline:
@@ -405,14 +402,11 @@ func NewHierarchicalBucketedAggregator(comm *Comm, bounds []int, density float64
 // bucket bounds of roughly equal parameter mass (for NewBucketedAggregator).
 func GroupBounds(layerBounds []int, n int) []int { return core.GroupBounds(layerBounds, n) }
 
-// NewLayerwiseGTopKAggregator builds the layer-wise gTop-k extension;
-// bounds are cumulative per-layer parameter offsets.
+// NewLayerwiseGTopKAggregator builds the layer-wise gTop-k extension —
+// the bucketed pipeline with one bucket per layer; bounds are cumulative
+// per-layer parameter offsets.
 func NewLayerwiseGTopKAggregator(comm *Comm, bounds []int, density float64) (Aggregator, error) {
-	agg, err := core.NewLayerwiseGTopKAggregator(comm, bounds, density)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
+	return asAggregator(core.NewLayerwiseGTopKAggregator(comm, bounds, density))
 }
 
 // NewTrainer assembles a worker's S-SGD loop; weights must be identically

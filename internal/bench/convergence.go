@@ -267,29 +267,18 @@ func buildAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []in
 			agg.SetSchedule(schedule)
 		}
 		return agg, nil
-	case "gtopk":
-		agg, err := core.NewGTopKAggregator(comm, dim, k)
-		if err != nil {
-			return nil, err
-		}
-		if schedule != nil {
-			agg.SetSchedule(schedule)
-		}
-		if spec.DisablePutBack {
-			agg.SetPutBack(false)
-		}
-		if spec.Quorum > 0 {
-			if err := agg.SetQuorum(core.QuorumConfig{Q: spec.Quorum, Timeout: spec.RoundTimeout}); err != nil {
-				return nil, err
+	case "gtopk", "gtopk-hier":
+		var agg *core.GTopKAggregator
+		var err error
+		if spec.Algo == "gtopk" {
+			agg, err = core.NewGTopKAggregator(comm, dim, k)
+		} else {
+			group := spec.HierGroup
+			if group == 0 {
+				group = 4
 			}
+			agg, err = core.NewHierarchicalAggregator(comm, dim, k, group)
 		}
-		return agg, nil
-	case "gtopk-hier":
-		group := spec.HierGroup
-		if group == 0 {
-			group = 4
-		}
-		agg, err := core.NewHierarchicalAggregator(comm, dim, k, group)
 		if err != nil {
 			return nil, err
 		}

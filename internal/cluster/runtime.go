@@ -34,7 +34,7 @@ type Session struct {
 	// RuntimeConfig.DegradeAfter it drives degraded-rank reporting.
 	QuorumMisses func() int
 	// QuorumGroup, when non-nil, reports this rank's hierarchy group
-	// index (e.g. HierarchicalAggregator.QuorumGroup; negative for a
+	// index (e.g. GTopKAggregator.QuorumGroup; negative for a
 	// flat quorum). Degraded reports carry it so the coordinator can
 	// aggregate a wholly-missed group's members — who streak together —
 	// as one group-granular signal.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/sparse"
 )
 
 // Aggregator turns one worker's local dense gradient into the globally
@@ -124,61 +123,71 @@ func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float
 	if err != nil {
 		return nil, fmt.Errorf("core: topk aggregate: %w", err)
 	}
-	a.orig = snapshotForFold(a.comm.WireCodec(), local, a.orig)
+	// The AllGather's wire transform may pin the shipped values to the
+	// codec's lattice in place; the difference goes back to the residual.
+	// There is no global mask here — the union support keeps every sent
+	// index — so nothing is put back.
+	fold := a.comm.WireCodec().RewritesSender()
+	if fold {
+		a.orig = append(a.orig[:0], local.Values...)
+	}
 	sum, err := TopKAllReduce(ctx, a.comm, local)
 	if err != nil {
 		return nil, err
 	}
-	if a.orig != nil {
+	if fold {
 		a.sp.FoldError(local.Indices, a.orig, local.Values)
 	}
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	sum.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
+	sum.MeanInto(a.dense, a.comm.Size())
 	return a.dense, nil
 }
 
-// GTopKAggregator implements gTop-k S-SGD (Algorithm 4): local top-k
-// selection, tree-based global top-k aggregation (Algorithm 3), residual
-// put-back for locally-sent-but-globally-dropped values, average by P.
+// GTopKAggregator implements gTop-k S-SGD (Algorithm 4): one round —
+// local top-k selection with error feedback, global top-k aggregation
+// (Algorithm 3's tree, the two-level hierarchy over groups, either one's
+// straggler-tolerant quorum variant, or Algorithm 2's AllGather),
+// residual put-back for locally-sent-but-globally-dropped values,
+// average by P — over the whole gradient. The embedded round carries the
+// configuration surface (SetK, SetPutBack, SetMomentumCorrection,
+// SetQuorum, Sparsifier, Group, QuorumGroup).
 type GTopKAggregator struct {
-	comm      *collective.Comm
-	sp        *Sparsifier
-	k         int
-	naive     bool // use Algorithm 2's AllGather path instead of the tree
-	noPutBack bool
-	schedule  func(step int) int
-	step      int
-	mu        float32
-	velocity  []float32
-	dense     []float32
-	orig      []float32     // pre-transform value snapshot for FoldError (reused)
-	global    sparse.Vector // reused tree-collective result (zero steady-state allocs)
+	round
+	schedule   func(step int) int
+	step       int
+	dense      []float32
+	missStreak int // this rank's consecutive missed quorum rounds
+}
 
-	// quorum, when enabled (Q > 0), replaces the flat tree with the
-	// straggler-tolerant quorum collective; missStreak counts this rank's
-	// consecutive missed rounds for degraded-rank reporting.
-	quorum     QuorumConfig
-	missStreak int
+// HierarchicalAggregator is the GTopKAggregator constructed over groups
+// (NewHierarchicalAggregator); with group >= world (or <= 1) it runs the
+// flat tree.
+type HierarchicalAggregator = GTopKAggregator
+
+func newGTopKAggregator(comm *collective.Comm, dim, k, group int) (*GTopKAggregator, error) {
+	r, err := newRound(comm, dim, k, group)
+	if err != nil {
+		return nil, err
+	}
+	return &GTopKAggregator{round: r, dense: make([]float32, dim)}, nil
 }
 
 // NewGTopKAggregator creates a gTop-k aggregator selecting k of dim
 // gradients globally per iteration using the efficient tree algorithm.
 func NewGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	if err := validateK(dim, k); err != nil {
-		return nil, err
+	return newGTopKAggregator(comm, dim, k, 0)
+}
+
+// NewHierarchicalAggregator creates a gTop-k aggregator whose global
+// exchange runs the two-level hierarchical collective over groups of
+// `group` ranks. The group sub-communicators are forked from comm here,
+// so every rank must construct its aggregator at the same point of its
+// collective sequence (as with any Fork). With group >= world (or 1) it
+// is bit-identical to NewGTopKAggregator.
+func NewHierarchicalAggregator(comm *collective.Comm, dim, k, group int) (*HierarchicalAggregator, error) {
+	if group < 1 {
+		return nil, fmt.Errorf("core: hierarchical group size %d out of range: need >= 1", group)
 	}
-	return &GTopKAggregator{
-		comm:  comm,
-		sp:    NewSparsifier(dim),
-		k:     k,
-		dense: make([]float32, dim),
-	}, nil
+	return newGTopKAggregator(comm, dim, k, group)
 }
 
 // NewNaiveGTopKAggregator creates the Algorithm 2 variant that reaches
@@ -193,72 +202,20 @@ func NewNaiveGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregato
 	return a, nil
 }
 
-// Name implements Aggregator.
-func (a *GTopKAggregator) Name() string {
-	if a.naive {
-		return "gtopk-naive"
-	}
-	if a.quorum.Q > 0 {
-		return "gtopk-quorum"
-	}
-	return "gtopk"
-}
-
-// SetQuorum enables the straggler-tolerant quorum collective: rounds
-// close after cfg.Q of P contributions or cfg.Timeout, whichever allows
-// it first (never under quorum), and a missed rank's selected mass is
-// refunded to its residual instead of entering the round. Incompatible
-// with the naive AllGather path. A zero cfg disables quorum mode.
-func (a *GTopKAggregator) SetQuorum(cfg QuorumConfig) error {
-	if cfg == (QuorumConfig{}) {
-		a.quorum = cfg
-		return nil
-	}
-	if a.naive {
-		return fmt.Errorf("core: quorum mode requires the tree collective, not gtopk-naive")
-	}
-	if err := cfg.Validate(a.comm.Size()); err != nil {
-		return err
-	}
-	a.quorum = cfg
-	return nil
-}
+// Name implements Aggregator: "gtopk", then "-naive" or "-hier" for the
+// collective that actually runs, then "-quorum" when quorum mode is on.
+func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
 
 // QuorumMissStreak returns how many consecutive rounds this rank's
-// contribution has missed the quorum deadline (0 when participating or
+// contribution has missed a quorum deadline (0 when participating or
 // when quorum mode is off) — the signal the cluster runtime turns into
-// degraded-rank reports.
+// degraded-rank reports; with group-granular telemetry a whole missed
+// group shows up as every one of its members streaking together.
 func (a *GTopKAggregator) QuorumMissStreak() int { return a.missStreak }
-
-// SetK retunes the per-iteration selection count (warmup schedules).
-func (a *GTopKAggregator) SetK(k int) error {
-	if err := validateK(a.sp.Dim(), k); err != nil {
-		return err
-	}
-	a.k = k
-	return nil
-}
 
 // SetSchedule installs a per-step selection-count schedule; see
 // TopKAggregator.SetSchedule.
 func (a *GTopKAggregator) SetSchedule(f func(step int) int) { a.schedule = f }
-
-// SetPutBack toggles Algorithm 4 line 10 (returning globally-dropped
-// values to the residual). Disabling it isolates the contribution of
-// the extra-residual mechanism — the reproduction's residual ablation.
-func (a *GTopKAggregator) SetPutBack(enabled bool) { a.noPutBack = !enabled }
-
-// SetMomentumCorrection enables DGC-style momentum correction; see
-// TopKAggregator.SetMomentumCorrection.
-func (a *GTopKAggregator) SetMomentumCorrection(mu float32) {
-	a.mu = mu
-	if mu > 0 && a.velocity == nil {
-		a.velocity = make([]float32, a.sp.Dim())
-	}
-}
-
-// Sparsifier exposes the residual state for diagnostics.
-func (a *GTopKAggregator) Sparsifier() *Sparsifier { return a.sp }
 
 // Aggregate implements Aggregator.
 func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
@@ -268,105 +225,14 @@ func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 		}
 	}
 	a.step++
-	grad = applyMomentumCorrection(a.mu, a.velocity, grad)
-	local, err := a.sp.Select(grad, a.k)
+	missed, err := a.run(ctx, grad, a.dense)
 	if err != nil {
-		return nil, fmt.Errorf("core: gtopk aggregate: %w", err)
+		return nil, fmt.Errorf("core: %s aggregate: %w", a.Name(), err)
 	}
-	if a.quorum.Q > 0 {
-		// Quorum mode always snapshots the pre-transform values: a round
-		// this rank misses refunds the FULL selected mass, not just the
-		// codec error.
-		a.orig = append(a.orig[:0], local.Values...)
-	} else {
-		a.orig = snapshotForFold(a.comm.WireCodec(), local, a.orig)
-	}
-	var global *sparse.Vector
-	var participated = true
-	switch {
-	case a.naive:
-		global, err = NaiveGTopKAllReduce(ctx, a.comm, local, a.k)
-	case a.quorum.Q > 0:
-		participated, _, err = QuorumGTopKAllReduceInto(ctx, a.comm, local, a.k, a.quorum, &a.global)
-		global = &a.global
-	default:
-		// The result vector is owned by the aggregator and reused every
-		// iteration, keeping the whole tree collective allocation-free.
-		err = GTopKAllReduceInto(ctx, a.comm, local, a.k, ChunksFor(a.k), &a.global)
-		global = &a.global
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !participated {
-		// This rank's frame missed the round: nothing of it entered the
-		// aggregate, so the whole selected mass is refunded to the
-		// residual (conservation) and put-back must be skipped — the
-		// update below is built purely from the other ranks' verdict.
+	if missed {
 		a.missStreak++
-		a.sp.Refund(local.Indices, a.orig)
 	} else {
 		a.missStreak = 0
-		// Compound pipeline: the wire transform replaced the values this
-		// rank shipped with their lattice points in place; fold the
-		// quantization error into the residual BEFORE PutBack, so a
-		// globally-dropped index gets lattice value + error = its full
-		// original mass back, and a survivor keeps exactly the error.
-		// (In quorum mode the snapshot exists for every codec, but the
-		// fold itself only applies where the transform was lossy —
-		// otherwise orig equals the shipped values bit-for-bit and the
-		// flat path's residual bits must be preserved exactly.)
-		codec := a.comm.WireCodec()
-		if a.orig != nil && codec.WireVersion() == 3 && codec.Lossy() {
-			a.sp.FoldError(local.Indices, a.orig, local.Values)
-		}
-		// Algorithm 4 line 10: locally selected values whose index did not
-		// survive globally go back into the residual.
-		if !a.noPutBack {
-			a.sp.PutBack(local, global.Indices)
-		}
-	}
-
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	global.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
 	}
 	return a.dense, nil
-}
-
-// snapshotForFold copies local's values into buf (reusing its capacity)
-// when the codec's wire transform may rewrite them in place — lossy v3
-// codecs quantize the sender's copy so it matches what receivers decode
-// — and returns nil when no fold is needed (the caller skips FoldError).
-// The snapshot is the "orig" argument of Sparsifier.FoldError; on ranks
-// whose tree role never sends, values stay untouched and the fold adds
-// exact zeros, keeping the residual update uniform and deterministic.
-func snapshotForFold(codec sparse.Codec, local *sparse.Vector, buf []float32) []float32 {
-	if codec.WireVersion() != 3 || !codec.Lossy() {
-		return nil
-	}
-	return append(buf[:0], local.Values...)
-}
-
-// applyMomentumCorrection folds grad into the local velocity and returns
-// the velocity as the quantity to sparsify (identity when mu == 0).
-func applyMomentumCorrection(mu float32, velocity, grad []float32) []float32 {
-	if mu <= 0 {
-		return grad
-	}
-	for i, g := range grad {
-		velocity[i] = mu*velocity[i] + g
-	}
-	return velocity
-}
-
-func validateK(dim, k int) error {
-	if k < 1 || k > dim {
-		return fmt.Errorf("core: k=%d out of range [1,%d]", k, dim)
-	}
-	return nil
 }

@@ -60,7 +60,7 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	for rank, blob := range blobs {
 		// Every rank — including this one — folds in the DECODED frame,
 		// so under a lossy codec all replicas still sum identical bits.
-		v, err := decodeWireFrame(codec, blob, scratch)
+		v, err := codec.DecodeFrame(blob, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("core: topk allreduce: rank %d payload: %w", rank, err)
 		}
@@ -76,28 +76,6 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	return sum, nil
 }
 
-// decodeWireFrame parses one received sparse frame under the mesh codec:
-// v1 payloads come back as zero-copy views into blob (the PR 3 hot
-// path, unchanged), v2/v3 payloads are materialised into scratch — delta
-// codes cannot be aliased (and v3 levels dequantize as they stream) —
-// which is safe to reuse across frames and lets the caller release blob
-// immediately.
-func decodeWireFrame(codec sparse.Codec, blob []byte, scratch *sparse.Vector) (sparse.Vector, error) {
-	switch codec.WireVersion() {
-	case 1:
-		return sparse.DecodeView(blob)
-	case 3:
-		if err := sparse.DecodeV3Into(scratch, blob); err != nil {
-			return sparse.Vector{}, err
-		}
-	default:
-		if err := sparse.DecodeV2Into(scratch, blob); err != nil {
-			return sparse.Vector{}, err
-		}
-	}
-	return *scratch, nil
-}
-
 // transformForWire pins v's values to the codec's wire value precision
 // IN PLACE — the sender-side half of the replica-agreement contract: a
 // lossy codec's sender must keep exactly the bits its receivers decode.
@@ -110,10 +88,8 @@ func transformForWire(comm *collective.Comm, codec sparse.Codec, values []float3
 	if !codec.Lossy() {
 		return 0, nil
 	}
-	if codec.WireVersion() == 3 {
-		if comp := comm.Compressor(); comp != nil {
-			return comp.Transform(values)
-		}
+	if comp := comm.Compressor(); comp != nil && codec.RewritesSender() {
+		return comp.Transform(values)
 	}
 	f16.RoundSlice(values)
 	return 0, nil
@@ -270,7 +246,7 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 					return fmt.Errorf("core: gtopk round %d recv: %w", j, err)
 				}
 				moved += len(blob)
-				view, err := decodeWireFrame(codec, blob, peerScratch)
+				view, err := codec.DecodeFrame(blob, peerScratch)
 				if err != nil {
 					return fmt.Errorf("core: gtopk round %d payload: %w", j, err)
 				}
@@ -347,7 +323,7 @@ func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.C
 	// and the sender's in-memory copy stays fp32.
 	var scale float32
 	var levels []int16
-	if codec.WireVersion() == 3 && codec.Lossy() {
+	if codec.RewritesSender() {
 		scale, levels = transformForWire(comm, codec, v.Values)
 	}
 	nnz := v.NNZ()
@@ -504,7 +480,7 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 					}
 				}
 			}
-			v, err := decodeWireFrame(codec, blob, chunkScratch)
+			v, err := codec.DecodeFrame(blob, chunkScratch)
 			if err != nil {
 				return fmt.Errorf("core: gtopk bcast payload: %w", err)
 			}

@@ -46,25 +46,19 @@ type BucketStreamer interface {
 	Finish() ([]float32, error)
 }
 
-// bucketState is one bucket's long-lived pipeline state: a tag-isolated
-// sub-communicator (so its collectives never interleave with other
-// buckets'), a private error-feedback residual over the bucket's range,
-// and a private simulated clock when the parent communicator is timed.
+// bucketState is one bucket's long-lived pipeline state: its own gTop-k
+// round — a tag-isolated sub-communicator (so its collectives never
+// interleave with other buckets') and a private error-feedback residual
+// over the bucket's range — plus a private simulated clock when the
+// parent communicator is timed.
 type bucketState struct {
-	idx      int
-	comm     *collective.Comm
-	gc       *collective.GroupComms // non-nil when the pipeline is hierarchical
-	clock    *netsim.Clock          // nil when the parent is untimed
-	sp       *Sparsifier
-	velocity []float32 // DGC momentum-correction buffer (nil when disabled)
-	lo       int
-	hi       int
-	k        int
-	out      sparse.Vector // reused per-bucket collective result
+	round
+	idx    int
+	clock  *netsim.Clock // nil when the parent is untimed
+	lo, hi int
 
 	dc   *DensityController // adaptive per-bucket density (nil = static k)
 	iter int                // rounds completed by this bucket
-	orig []float32          // pre-transform value snapshot for FoldError (reused)
 
 	remaining int // uncovered elements in the current iteration
 	launched  bool
@@ -104,14 +98,9 @@ type BucketedAggregator struct {
 	bounds  []int
 	buckets []*bucketState
 	dense   []float32
-	group   int // hierarchical group size (0 or 1 = flat per-bucket gTop-k)
 
-	mu float32 // DGC momentum-correction coefficient (0 disables)
-
-	// quorum, when enabled, replaces every bucket's flat tree with the
-	// straggler-tolerant quorum collective; missStreak counts consecutive
-	// iterations in which ANY of this rank's buckets missed its round.
-	quorum     QuorumConfig
+	// missStreak counts consecutive iterations in which ANY of this
+	// rank's buckets missed its quorum round.
 	missStreak int
 
 	// Per-iteration streaming state.
@@ -169,70 +158,46 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 		bounds:   append([]int(nil), bounds...),
 		buckets:  make([]*bucketState, n),
 		dense:    make([]float32, dim),
-		group:    group,
 		done:     make(chan bucketDone, n),
 		lastComm: make([]time.Duration, n),
 	}
-	hier := group > 1 && group < comm.Size()
 	for i := 0; i < n; i++ {
 		lo, hi := bounds[i], bounds[i+1]
-		b := &bucketState{
-			idx:  i,
-			comm: kids[i],
-			sp:   NewSparsifier(hi - lo),
-			lo:   lo,
-			hi:   hi,
-			k:    DensityToK(hi-lo, density),
-		}
+		b := &bucketState{idx: i, lo: lo, hi: hi}
 		if timed {
+			// Attached before the round forks its hierarchy, whose group
+			// sub-comms then share the bucket's private clock — so the
+			// slowest-bucket accounting in Finish stays correct.
 			b.clock = &netsim.Clock{}
-			b.comm.WithClock(b.clock, model)
+			kids[i].WithClock(b.clock, model)
 		}
-		if hier {
-			gc, err := kids[i].ForkGroup(group)
-			if err != nil {
-				return nil, fmt.Errorf("core: bucketed: bucket %d hierarchy: %w", i, err)
-			}
-			// The group sub-comms share the bucket's private clock, so
-			// the slowest-bucket accounting in Finish stays correct.
-			attachHierClocks(b.comm, gc)
-			b.gc = gc
+		if b.round, err = newRound(kids[i], hi-lo, DensityToK(hi-lo, density), group); err != nil {
+			return nil, fmt.Errorf("core: bucketed: bucket %d: %w", i, err)
 		}
 		a.buckets[i] = b
 	}
 	return a, nil
 }
 
-// Name implements Aggregator.
-func (a *BucketedAggregator) Name() string {
-	if a.group > 1 && a.group < a.parent.Size() {
-		return "gtopk-bucketed-hier"
-	}
-	if a.quorum.Q > 0 {
-		return "gtopk-bucketed-quorum"
-	}
-	return "gtopk-bucketed"
-}
+// Name implements Aggregator: "gtopk-bucketed", then "-hier" and
+// "-quorum" as for GTopKAggregator.
+func (a *BucketedAggregator) Name() string { return a.buckets[0].name("gtopk-bucketed") }
 
 // SetQuorum enables the straggler-tolerant quorum collective on every
-// bucket (same Q and deadline per bucket round; see
-// GTopKAggregator.SetQuorum). A bucket this rank's frame misses refunds
-// that bucket's selected mass to its private residual. Incompatible with
-// the hierarchical pipeline — the two-level collective has no quorum
-// variant. A zero cfg disables quorum mode. Call before training, not
-// between Begin and Finish.
+// bucket (same quorums and deadline budgets per bucket round; see
+// GTopKAggregator.SetQuorum — a hierarchical pipeline takes a
+// hierarchical configuration). A bucket this rank's frame misses refunds
+// that bucket's selected mass to its private residual. A zero cfg
+// disables quorum mode. Call before training, not between Begin and
+// Finish.
 func (a *BucketedAggregator) SetQuorum(cfg QuorumConfig) error {
-	if cfg == (QuorumConfig{}) {
-		a.quorum = cfg
-		return nil
+	// Every bucket validates against the same world and group, so the
+	// first bucket rejects before anything is configured.
+	for _, b := range a.buckets {
+		if err := b.SetQuorum(cfg); err != nil {
+			return err
+		}
 	}
-	if a.group > 1 && a.group < a.parent.Size() {
-		return fmt.Errorf("core: bucketed: quorum mode is incompatible with the hierarchical pipeline")
-	}
-	if err := cfg.Validate(a.parent.Size()); err != nil {
-		return err
-	}
-	a.quorum = cfg
 	return nil
 }
 
@@ -247,11 +212,8 @@ func (a *BucketedAggregator) QuorumMissStreak() int { return a.missStreak }
 // configure the trainer with Momentum: 0. Call before training, not
 // between Begin and Finish.
 func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
-	a.mu = mu
 	for _, b := range a.buckets {
-		if mu > 0 && b.velocity == nil {
-			b.velocity = make([]float32, b.hi-b.lo)
-		}
+		b.SetMomentumCorrection(mu)
 	}
 }
 
@@ -426,52 +388,14 @@ func (a *BucketedAggregator) runBucket(ctx context.Context, b *bucketState, grad
 		b.k = b.dc.KFor(b.iter)
 	}
 
-	// Per-bucket local top-k (these selections run concurrently across
-	// buckets), then the tree collective on the bucket's own tag space.
-	seg := applyMomentumCorrection(a.mu, b.velocity, grad[b.lo:b.hi])
-	local, err := b.sp.Select(seg, b.k)
-	if err != nil {
-		out.err = fmt.Errorf("core: bucket %d select: %w", b.idx, err)
-		return out
-	}
-	codec := b.comm.WireCodec()
-	if a.quorum.Q > 0 {
-		// Quorum mode always snapshots the pre-transform values — a missed
-		// round refunds the FULL selected mass (see GTopKAggregator).
-		b.orig = append(b.orig[:0], local.Values...)
-	} else {
-		b.orig = snapshotForFold(codec, local, b.orig)
-	}
-	participated := true
-	switch {
-	case a.quorum.Q > 0:
-		participated, _, err = QuorumGTopKAllReduceInto(ctx, b.comm, local, b.k, a.quorum, &b.out)
-	case b.gc != nil:
-		err = HierarchicalGTopKAllReduceInto(ctx, b.comm, b.gc, local, b.k, ChunksFor(b.k), &b.out)
-	default:
-		err = GTopKAllReduceInto(ctx, b.comm, local, b.k, ChunksFor(b.k), &b.out)
-	}
-	if err != nil {
+	// One round over the bucket's slice, on the bucket's own tag space
+	// (the local selections run concurrently across buckets). With a
+	// hierarchy the round has already folded the group sub-comms' counters
+	// into the bucket's, so the statsDelta below captures all its traffic.
+	var err error
+	if out.missed, err = b.run(ctx, grad[b.lo:b.hi], a.dense[b.lo:b.hi]); err != nil {
 		out.err = fmt.Errorf("core: bucket %d: %w", b.idx, err)
 		return out
-	}
-	if b.gc != nil {
-		// Fold the hierarchy sub-comms' counters into the bucket's so the
-		// statsDelta below captures all of this bucket's traffic.
-		foldHierStats(b.comm, b.gc)
-	}
-	global := &b.out
-	if !participated {
-		// This bucket's frame missed its round: refund the whole selected
-		// mass and skip fold/put-back — conservation, per GTopKAggregator.
-		out.missed = true
-		b.sp.Refund(local.Indices, b.orig)
-	} else {
-		// Quantization error first, then put-back — see GTopKAggregator.
-		if b.orig != nil && codec.WireVersion() == 3 && codec.Lossy() {
-			b.sp.FoldError(local.Indices, b.orig, local.Values)
-		}
-		b.sp.PutBack(local, global.Indices)
 	}
 	if b.dc != nil {
 		// Feed the controller sizes derived from the bit-identical global
@@ -479,20 +403,11 @@ func (a *BucketedAggregator) runBucket(ctx context.Context, b *bucketState, grad
 		// it differ across ranks. raw is the v1-flat equivalent; wire is
 		// the active codec's frame size over the same support (v3 value
 		// sections depend only on nnz, so this is replica-agreed too).
-		raw := int64(sparse.EncodedSize(len(global.Indices)))
-		wire := int64(sparse.EncodedSizeCodec(codec, b.hi-b.lo, global.Indices))
+		raw := int64(sparse.EncodedSize(len(b.global.Indices)))
+		wire := int64(sparse.EncodedSizeCodec(b.comm.WireCodec(), b.hi-b.lo, b.global.Indices))
 		b.dc.Observe(b.iter, raw, wire)
 	}
 	b.iter++
-
-	dst := a.dense[b.lo:b.hi]
-	for i := range dst {
-		dst[i] = 0
-	}
-	inv := 1 / float32(b.comm.Size())
-	for i, idx := range global.Indices {
-		dst[idx] = global.Values[i] * inv
-	}
 
 	out.stats = statsDelta(statsBefore, b.comm.Stats())
 	if b.clock != nil {

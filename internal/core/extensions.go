@@ -100,105 +100,27 @@ func (a *PSGTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]fl
 	if err != nil {
 		return nil, err
 	}
+	// The star ships lossless v1 frames, so there is no transform error to
+	// fold — only Algorithm 4 line 10.
 	a.sp.PutBack(local, global.Indices)
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	global.ScatterAdd(a.dense)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.dense {
-		a.dense[i] *= inv
-	}
+	global.MeanInto(a.dense, a.comm.Size())
 	return a.dense, nil
 }
 
-// LayerwiseGTopKAggregator applies gTop-k independently per layer
+// NewLayerwiseGTopKAggregator applies gTop-k independently per layer
 // segment: each layer l with m_l parameters contributes k_l = max(1,
 // ρ·m_l) globally selected gradients. This is the layer-wise
 // sparsification of the paper's future-work section; it trades slightly
 // more selected coordinates (Σ k_l ≥ k) and logP·L communication rounds
 // for per-layer fairness (the single global top-k tends to starve
 // small-gradient layers, the effect the paper blames for AlexNet's slight
-// convergence degradation).
-type LayerwiseGTopKAggregator struct {
-	comm     *collective.Comm
-	sp       *Sparsifier
-	segments []int // cumulative offsets: layer l covers [segments[l], segments[l+1])
-	density  float64
-	dense    []float32
-}
-
-// NewLayerwiseGTopKAggregator creates the aggregator. bounds are the
+// convergence degradation). A per-segment residual, top-k, gTop-k and
+// put-back is exactly what a bucket of the bucketed pipeline runs, so
+// this is that pipeline with one bucket per layer; bounds are the
 // cumulative layer offsets (bounds[0] = 0, bounds[L] = dim, strictly
 // increasing).
-func NewLayerwiseGTopKAggregator(comm *collective.Comm, bounds []int, density float64) (*LayerwiseGTopKAggregator, error) {
-	if len(bounds) < 2 || bounds[0] != 0 {
-		return nil, fmt.Errorf("core: layerwise: bounds must start at 0 and cover >=1 layer")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("core: layerwise: bounds not strictly increasing at %d", i)
-		}
-	}
-	if density <= 0 || density > 1 {
-		return nil, fmt.Errorf("core: layerwise: density %v out of (0,1]", density)
-	}
-	dim := bounds[len(bounds)-1]
-	return &LayerwiseGTopKAggregator{
-		comm:     comm,
-		sp:       NewSparsifier(dim),
-		segments: bounds,
-		density:  density,
-		dense:    make([]float32, dim),
-	}, nil
-}
-
-// Name implements Aggregator.
-func (a *LayerwiseGTopKAggregator) Name() string { return "gtopk-layerwise" }
-
-// Aggregate implements Aggregator.
-func (a *LayerwiseGTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	dim := a.segments[len(a.segments)-1]
-	if len(grad) != dim {
-		return nil, fmt.Errorf("core: layerwise aggregate: dim %d, want %d", len(grad), dim)
-	}
-	// Accumulate into the shared residual once, then select per layer.
-	res := a.sp.Residual()
-	for i, g := range grad {
-		res[i] += g
-	}
-	for i := range a.dense {
-		a.dense[i] = 0
-	}
-	inv := 1 / float32(a.comm.Size())
-	for l := 0; l+1 < len(a.segments); l++ {
-		lo, hi := a.segments[l], a.segments[l+1]
-		k := DensityToK(hi-lo, a.density)
-		seg := res[lo:hi]
-		local := sparse.TopK(seg, k)
-		for _, idx := range local.Indices {
-			seg[idx] = 0
-		}
-		global, err := GTopKAllReduce(ctx, a.comm, local, k)
-		if err != nil {
-			return nil, fmt.Errorf("core: layerwise segment %d: %w", l, err)
-		}
-		// Put back locally-sent values that did not survive globally.
-		j := 0
-		for i, idx := range local.Indices {
-			for j < len(global.Indices) && global.Indices[j] < idx {
-				j++
-			}
-			if j < len(global.Indices) && global.Indices[j] == idx {
-				continue
-			}
-			seg[idx] += local.Values[i]
-		}
-		for i, idx := range global.Indices {
-			a.dense[lo+int(idx)] = global.Values[i] * inv
-		}
-	}
-	return a.dense, nil
+func NewLayerwiseGTopKAggregator(comm *collective.Comm, bounds []int, density float64) (*BucketedAggregator, error) {
+	return NewBucketedAggregator(comm, bounds, density)
 }
 
 // LayerBounds derives cumulative parameter offsets from per-layer counts.

@@ -207,6 +207,91 @@ func TestLayerwiseEveryLayerRepresented(t *testing.T) {
 	}
 }
 
+// nearestQ8 is a deterministic stand-in for quant.NewStack(ValueQ8, …)
+// (quant imports core, so the real stack is out of reach here):
+// round-to-nearest onto QSGD-8's 255 magnitude steps, values pinned to
+// the decoder's lattice in place through sparse.DequantLevel as the
+// Compressor contract demands.
+type nearestQ8 struct{ levels []int16 }
+
+func (q *nearestQ8) ValueCodec() sparse.ValueCodec { return sparse.ValueQ8 }
+
+func (q *nearestQ8) Fork(uint64) sparse.Compressor { return &nearestQ8{} }
+
+func (q *nearestQ8) Transform(values []float32) (float32, []int16) {
+	var scale float32
+	for _, v := range values {
+		scale = max(scale, float32(math.Abs(float64(v))))
+	}
+	q.levels = append(q.levels[:0], make([]int16, len(values))...)
+	for i, v := range values {
+		if scale > 0 {
+			q.levels[i] = int16(math.RoundToEven(float64(v / scale * 255)))
+		}
+		values[i] = sparse.DequantLevel(sparse.ValueQ8, scale, q.levels[i])
+	}
+	return scale, q.levels
+}
+
+// TestLayerwiseQuantizedResidualConservation: under a lossy v3 codec the
+// tree's wire transform rewrites a sending rank's selected values in
+// place, so the layer-wise aggregator must fold the quantization error
+// into the residual before putting dropped values back — on every rank,
+// every coordinate the update left at zero still holds its whole
+// gradient (one rounding each of orig−sent and +sent apart).
+func TestLayerwiseQuantizedResidualConservation(t *testing.T) {
+	const p, dim = 2, 100
+	bounds := []int{0, 40, dim}
+	grads, _ := makeWorkerVectors(17, p, dim, dim)
+	fab, err := transport.NewInProcWire(p, sparse.CodecV3Q8.WireVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close() //nolint:errcheck // in-process close never fails
+	var wg sync.WaitGroup
+	errs := make([]error, p)
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = func() error {
+				comm := collective.New(fab.Conn(rank))
+				comm.SetCompressor(&nearestQ8{})
+				if got := comm.WireCodec(); got != sparse.CodecV3Q8 {
+					return fmt.Errorf("mesh codec %s, want v3-qsgd8", got)
+				}
+				agg, err := NewLayerwiseGTopKAggregator(comm, bounds, 0.1)
+				if err != nil {
+					return err
+				}
+				grad := grads[rank]
+				update, err := agg.Aggregate(context.Background(), append([]float32(nil), grad...))
+				if err != nil {
+					return err
+				}
+				for _, b := range agg.buckets {
+					for i, res := range b.sp.Residual() {
+						g := grad[b.lo+i]
+						if update[b.lo+i] != 0 {
+							continue
+						}
+						if diff := math.Abs(float64(res - g)); diff > 1e-5*(1+math.Abs(float64(g))) {
+							return fmt.Errorf("coordinate %d leaked: residual %v, gradient %v", b.lo+i, res, g)
+						}
+					}
+				}
+				return nil
+			}()
+		}(r)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+		}
+	}
+}
+
 func TestScheduleChangesK(t *testing.T) {
 	// A schedule stepping k from 3 to 1 must change the nnz of the
 	// aggregated update accordingly.

@@ -371,25 +371,41 @@ func TestHierarchicalBucketedMatchesHierComposition(t *testing.T) {
 		return nil
 	})
 
-	got := make([][]float32, p)
-	spmd(t, p, func(c *collective.Comm) error {
-		agg, err := NewHierarchicalBucketedAggregator(c, bounds, density, g)
-		if err != nil {
-			return err
+	// Quorum off, then a full quorum at both levels: a round every rank
+	// makes must reproduce the full-sync bits.
+	for _, row := range []struct {
+		name   string
+		quorum QuorumConfig
+	}{
+		{"gtopk-bucketed-hier", QuorumConfig{}},
+		{"gtopk-bucketed-hier-quorum", QuorumConfig{Q: g, LeaderQ: p / g, Timeout: 30 * time.Second}},
+	} {
+		got := make([][]float32, p)
+		spmd(t, p, func(c *collective.Comm) error {
+			agg, err := NewHierarchicalBucketedAggregator(c, bounds, density, g)
+			if err != nil {
+				return err
+			}
+			if err := agg.SetQuorum(row.quorum); err != nil {
+				return err
+			}
+			if agg.Name() != row.name {
+				return fmt.Errorf("name %q, want %s", agg.Name(), row.name)
+			}
+			up, err := agg.Aggregate(context.Background(), append([]float32(nil), grads[c.Rank()]...))
+			if err != nil {
+				return err
+			}
+			if streak := agg.QuorumMissStreak(); streak != 0 {
+				return fmt.Errorf("miss streak %d in a round every rank made", streak)
+			}
+			mu.Lock()
+			got[c.Rank()] = append([]float32(nil), up...)
+			mu.Unlock()
+			return nil
+		})
+		for r := 0; r < p; r++ {
+			assertDenseEqual(t, fmt.Sprintf("%s rank %d", row.name, r), want[r], got[r])
 		}
-		if agg.Name() != "gtopk-bucketed-hier" {
-			return fmt.Errorf("name %q", agg.Name())
-		}
-		up, err := agg.Aggregate(context.Background(), append([]float32(nil), grads[c.Rank()]...))
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = append([]float32(nil), up...)
-		mu.Unlock()
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		assertDenseEqual(t, fmt.Sprintf("rank %d", r), want[r], got[r])
 	}
 }

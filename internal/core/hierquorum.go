@@ -8,12 +8,15 @@ import (
 	"gtopkssgd/internal/sparse"
 )
 
-// This file implements the hierarchical quorum gTop-k collective — the
-// straggler tolerance of the flat quorum (quorum.go) composed with the
-// two-level hierarchy (hierarchical.go), which is the regime where both
-// matter: at P >= 64 the hierarchy wins on synchronization-domain size,
-// and a per-level deadline budget keeps one slow member (or one wholly
-// partitioned group) from stalling the whole world.
+// This file implements the quorum gTop-k collective — straggler
+// tolerance (quorum.go holds its configuration and verdict format)
+// composed with the two-level hierarchy (hierarchical.go), which is the
+// regime where both matter: at P >= 64 the hierarchy wins on
+// synchronization-domain size, and a per-level deadline budget keeps one
+// slow member (or one wholly partitioned group) from stalling the whole
+// world. The flat quorum collective is its one-group case: the world is
+// the group, its leader is the root, phase 2 is skipped and the whole
+// round deadline bounds both the gather and each verdict-receive attempt.
 //
 // One round runs three phases under one deadline budget
 // (QuorumConfig.SplitLevels):
@@ -41,7 +44,7 @@ import (
 // group's participant set; a whole group that misses the leader round
 // contributes NOTHING to the aggregate, so every one of its members —
 // leader included — is absent from the verdict and refunds its full
-// selected mass to its residual (the aggregator's Refund path), which is
+// selected mass to its residual (the round's Refund path), which is
 // the conservation story that makes the miss convergence-safe.
 //
 // Determinism is inherited the way the hierarchy inherited it from the
@@ -52,20 +55,15 @@ import (
 
 // HierQuorumGTopKAllReduce wraps HierQuorumGTopKAllReduceInto with a
 // fresh result vector, forking the group sub-communicators per call
-// (aggregators that run every iteration hold a HierarchicalAggregator
-// instead). g <= 1 or g >= P degenerates to the flat quorum collective,
-// which requires a flat configuration (no LeaderQ, no Levels).
+// (aggregators that run every iteration fork once at construction
+// instead). g <= 1 or g >= P is the flat quorum collective, which
+// requires a flat configuration (no LeaderQ, no Levels).
 func HierQuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, g int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
-	out := &sparse.Vector{}
-	if g <= 1 || g >= comm.Size() {
-		participated, missed, err := QuorumGTopKAllReduceInto(ctx, comm, local, k, qc, out)
-		return out, participated, missed, err
-	}
-	gc, err := comm.ForkGroup(g)
+	gc, err := forkHier(comm, g)
 	if err != nil {
-		return nil, false, nil, fmt.Errorf("core: hierarchical quorum gtopk: %w", err)
+		return nil, false, nil, err
 	}
-	attachHierClocks(comm, gc)
+	out := &sparse.Vector{}
 	participated, missed, err := HierQuorumGTopKAllReduceInto(ctx, comm, gc, local, k, g, qc, out)
 	if err != nil {
 		return nil, false, nil, err
@@ -74,210 +72,188 @@ func HierQuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local 
 	return out, participated, missed, nil
 }
 
-// HierQuorumGTopKAllReduceInto runs one hierarchical quorum gTop-k round
-// over the caller-owned GroupComms (forked with group size g from comm,
-// clocks attached if timed). Every rank returns the verdict's global
-// top-k in out, whether its own contribution made the round, and which
-// world ranks missed. Statistics accumulate on gc's sub-communicators
-// (fold them with AddStats as HierarchicalAggregator does); simulated
-// time is charged on the parent comm as a pure function of the verdict's
-// participant set (collective.ChargeHierQuorumRound).
+// HierQuorumGTopKAllReduceInto runs one quorum gTop-k round: over the
+// caller-owned GroupComms (forked with group size g from comm, clocks
+// attached if timed), or flat over comm itself when gc is nil. Every
+// rank returns the verdict's global top-k in out, whether its own
+// contribution made the round, and which world ranks missed. The caller
+// owns the conservation step: a participant folds quantization error and
+// puts back globally-dropped values as usual; a straggler refunds its
+// entire selected mass to the residual (Sparsifier.Refund) and skips
+// put-back. Statistics accumulate on gc's sub-communicators (fold them
+// with AddStats as the aggregators' round does); simulated time is
+// charged on comm as a pure function of the verdict's participant set.
 func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, g int, qc QuorumConfig, out *sparse.Vector) (bool, []int, error) {
 	p := comm.Size()
-	if err := qc.ValidateHier(p, g); err != nil {
+	// The gather domain: the whole world under the whole deadline when
+	// flat, this rank's group under the per-level budgets otherwise.
+	mcomm, groupLo, q := comm, 0, qc.Q
+	levels := LevelTimeouts{Group: qc.Timeout, Broadcast: qc.Timeout}
+	err := qc.Validate(p)
+	if gc != nil {
+		err = qc.ValidateHier(p, g)
+		mcomm, groupLo = gc.Members, gc.Group*g
+		q, levels = groupQuorum(qc.Q, mcomm.Size()), qc.SplitLevels()
+	}
+	if err != nil {
 		return false, nil, err
 	}
-	levels := qc.SplitLevels()
-	r := comm.Rank()
-	mcomm := gc.Members
 	codec := mcomm.WireCodec()
-	groupSize := mcomm.Size()
-	groupLo := gc.Group * g
 
-	// Phase 1: intra-group quorum gather at the group leader (member rank
-	// 0). Under a lossy v3 codec the sender's values are pinned in place
-	// first, exactly like the flat quorum path — the caller snapshots
-	// originals before this collective.
+	// Phase 1: quorum gather of every member's whole local selection, one
+	// frame each, at the group leader (member rank 0). A wire transform
+	// that rewrites the sender's values pins them in place first — the
+	// caller snapshots originals before this collective, exactly like the
+	// full-sync path.
 	var scale float32
 	var lev []int16
-	if codec.WireVersion() == 3 && codec.Lossy() {
+	if codec.RewritesSender() {
 		scale, lev = transformForWire(mcomm, codec, local.Values)
 	}
 	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
 	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
-	ground, err := mcomm.QuorumGather(ctx, 0, groupQuorum(qc.Q, groupSize), levels.Group, frame)
+	ground, err := mcomm.QuorumGather(ctx, 0, q, levels.Group, frame)
 	if err != nil {
-		return false, nil, fmt.Errorf("core: hierarchical quorum group gather: %w", err)
+		return false, nil, fmt.Errorf("core: quorum gather: %w", err)
 	}
 
-	// The verdict broadcast downgrades a quantized mesh codec to
+	// A hierarchy's verdict broadcast downgrades a quantized mesh codec to
 	// lossless v3 frames, mirroring the plain hierarchy's phase 3: the
 	// fold pins the global result once, and re-quantizing it per hop
-	// would break cross-group bit-agreement.
+	// would break cross-group bit-agreement. The flat verdict has a single
+	// encoder — the root — and keeps the mesh codec.
 	bcodec := codec
-	if bcodec.Value().Quantized() {
+	if gc != nil && bcodec.Value().Quantized() {
 		bcodec = sparse.CodecV3
 	}
 
-	var verdictBlob []byte
+	var verdict []byte
 	var participants []int
-	if gc.IsLeader() {
-		verdictBlob, participants, err = hierQuorumLeader(ctx, gc, codec, bcodec, ground, k, p, g, groupLo, qc.leaderQuorum(gc.NumGroups), levels, out)
+	if mcomm.Rank() == 0 {
+		verdict, participants, err = quorumLeader(ctx, mcomm, gc, codec, bcodec, ground, k, p, groupLo, qc, levels, out)
 	} else {
-		verdictBlob, participants, err = hierQuorumMember(ctx, mcomm, bcodec, p, levels, out)
+		// Phase 3, member side: wait for the leader's verdict relay
+		// (deadline-aware, so a leader still draining a delayed gather is
+		// survived) and decode it.
+		verdict, participants, err = recvVerdict(ctx, mcomm, 0, mcomm.ClaimTags(1), bcodec, p, levels, out)
 	}
 	if err != nil {
 		return false, nil, err
 	}
 
-	participated := rankIn(participants, r)
-	missed := missedFrom(participants, p)
-	// Charge all four legs from the verdict's participant set (modelled
-	// 2k elements per gather contribution; the verdict at its modelled
-	// flat size under v1 and its measured encoded size under v2/v3), so
-	// every rank's simulated clock is a pure function of the straggler
-	// schedule.
+	// Every leg is charged from the verdict's participant set, so every
+	// rank's simulated clock is a pure function of the straggler schedule:
+	// modelled 2k elements per gather contribution, and the verdict at its
+	// modelled flat size under v1 but its MEASURED encoded size under
+	// v2/v3 — the same raw-vs-compressed rule every other codec-aware leg
+	// follows, so the clock agrees with the WireTally across codecs.
 	verdictElems := sparse.EncodedSize(out.NNZ()) / 4
-	if codec.WireVersion() != 1 {
-		verdictElems = (len(verdictBlob) + 3) / 4
+	if codec != sparse.CodecV1 {
+		verdictElems = (len(verdict) + 3) / 4
 	}
-	comm.ChargeHierQuorumRound(quorumRoot, g, participants, 2*k, verdictElems)
-	return participated, missed, nil
+	if gc == nil {
+		comm.ChargeQuorumRound(quorumRoot, participants, 2*k, verdictElems)
+	} else {
+		comm.ChargeHierQuorumRound(quorumRoot, g, participants, 2*k, verdictElems)
+	}
+	return rankIn(participants, comm.Rank()), missedFrom(participants, p), nil
 }
 
-// hierQuorumLeader is the leader side of phases 1b–3: fold the intra
-// gather, run the leader-level quorum gather, merge (or receive) the
+// quorumLeader is the group leader's side of a round after its gather
+// closed: fold the group's frames, run the leader-level quorum gather
+// (phase 2, hierarchy only), merge — on the world root — or receive the
 // world verdict, and relay it down the group. Returns the verdict blob
 // and the world participant set; out receives the global top-k.
-func hierQuorumLeader(ctx context.Context, gc *collective.GroupComms, codec, bcodec sparse.Codec, ground *collective.QuorumRound, k, p, g, groupLo, ql int, levels LevelTimeouts, out *sparse.Vector) ([]byte, []int, error) {
-	mcomm, lcomm := gc.Members, gc.Leaders
-
+func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.GroupComms, codec, bcodec sparse.Codec, ground *collective.QuorumRound, k, p, groupLo int, qc QuorumConfig, levels LevelTimeouts, out *sparse.Vector) ([]byte, []int, error) {
 	// Fold this group's participating member frames into the group
-	// aggregate (position-binomial ⊕, bit-identical to the intra gTop-k
-	// tree at full participation) and lift member ranks to world ranks —
-	// groups are contiguous, so the lifted set stays strictly ascending.
-	merged, err := quorumTreeFold(codec, ground, k)
+	// aggregate and lift member ranks to world ranks — groups are
+	// contiguous, so the lifted set stays strictly ascending.
+	merged, _, err := foldQuorumFrames(codec, ground, k, p, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	intra := make([]int, len(ground.Participants))
+	participants := make([]int, len(ground.Participants))
 	for i, mr := range ground.Participants {
-		intra[i] = groupLo + mr
+		participants[i] = groupLo + mr
 	}
 
-	// Phase 2: the leader frame reuses the verdict wire format — the
-	// group's world-rank participant set rides ahead of the aggregate, so
-	// the root learns both from one frame.
-	lcodec := lcomm.WireCodec()
-	var lscale float32
-	var llev []int16
-	if lcodec.WireVersion() == 3 && lcodec.Lossy() {
-		lscale, llev = transformForWire(lcomm, lcodec, merged.Values)
-	}
-	lframe := encodeVerdict(lcodec, intra, merged, lscale, llev)
-	lcomm.TallyWire(sparse.EncodedSize(merged.NNZ()), len(lframe))
-	sparse.PutVector(merged)
-	lround, err := lcomm.QuorumGather(ctx, quorumRoot, ql, levels.Leader, lframe)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: hierarchical quorum leader gather: %w", err)
+	root, ltag := true, 0
+	if gc != nil {
+		// Phase 2: the leader frame reuses the verdict wire format — the
+		// group's world-rank participant set rides ahead of the aggregate,
+		// so the root learns both from one frame.
+		lcomm := gc.Leaders
+		lcodec := lcomm.WireCodec()
+		var lscale float32
+		var llev []int16
+		if lcodec.RewritesSender() {
+			lscale, llev = transformForWire(lcomm, lcodec, merged.Values)
+		}
+		lframe := encodeVerdict(lcodec, participants, merged, lscale, llev)
+		lcomm.TallyWire(sparse.EncodedSize(merged.NNZ()), len(lframe))
+		sparse.PutVector(merged)
+		lround, err := lcomm.QuorumGather(ctx, quorumRoot, qc.leaderQuorum(gc.NumGroups), levels.Leader, lframe)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: quorum leader gather: %w", err)
+		}
+		ltag = lcomm.ClaimTags(1)
+		if root = lcomm.Rank() == quorumRoot; root {
+			// Fold the group aggregates over leader positions and union the
+			// participating groups' member sets into the world set.
+			if merged, participants, err = foldQuorumFrames(lcodec, lround, k, p, true); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 
-	ltag := lcomm.ClaimTags(1)
 	var verdict []byte
-	var participants []int
-	if lcomm.Rank() == quorumRoot {
-		verdict, participants, err = hierQuorumRootVerdict(ctx, lcomm, mcomm, lcodec, bcodec, lround, k, p, ltag, out)
-		if err != nil {
-			return nil, nil, err
+	if root {
+		// Pin the merged result to the broadcast precision BEFORE both the
+		// local copy and the encode, so the root keeps exactly the bits
+		// every other rank decodes.
+		var vscale float32
+		var vlevels []int16
+		if bcodec.Lossy() {
+			vscale, vlevels = transformForWire(mcomm, bcodec, merged.Values)
 		}
-	} else {
-		verdict, err = lcomm.RecvTagRetry(ctx, quorumRoot, ltag, verdictRetryPolicy(levels.Broadcast))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: hierarchical quorum verdict recv (leader): %w", err)
+		sparse.CopyInto(out, merged)
+		verdict = encodeVerdict(bcodec, participants, merged, vscale, vlevels)
+		mcomm.TallyWire(sparse.EncodedSize(out.NNZ()), len(verdict))
+		sparse.PutVector(merged)
+		if gc != nil {
+			for dst := 1; dst < gc.Leaders.Size(); dst++ {
+				if err := gc.Leaders.SendTag(ctx, dst, ltag, verdict); err != nil {
+					return nil, nil, fmt.Errorf("core: quorum verdict send to leader %d: %w", dst, err)
+				}
+			}
 		}
-		participants, err = decodeVerdict(bcodec, verdict, p, out)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: hierarchical quorum verdict: %w", err)
-		}
+	} else if verdict, participants, err = recvVerdict(ctx, gc.Leaders, quorumRoot, ltag, bcodec, p, levels, out); err != nil {
+		return nil, nil, err
 	}
 
-	// Phase 3b: relay the verdict bytes down the group unmodified, so
-	// every member decodes exactly the root's bits.
+	// Phase 3: relay the verdict bytes down the group unmodified, so every
+	// member decodes exactly the root's bits.
 	mtag := mcomm.ClaimTags(1)
 	for dst := 1; dst < mcomm.Size(); dst++ {
 		if err := mcomm.SendTag(ctx, dst, mtag, verdict); err != nil {
-			return nil, nil, fmt.Errorf("core: hierarchical quorum verdict relay to member %d: %w", dst, err)
+			return nil, nil, fmt.Errorf("core: quorum verdict relay to member %d: %w", dst, err)
 		}
 	}
 	return verdict, participants, nil
 }
 
-// hierQuorumRootVerdict is the global root's phase 2b–3a: decode the
-// participating leaders' frames, fold the group aggregates over leader
-// positions, union the group participant sets into the world set, and
-// send the encoded verdict to every other leader.
-func hierQuorumRootVerdict(ctx context.Context, lcomm, mcomm *collective.Comm, lcodec, bcodec sparse.Codec, lround *collective.QuorumRound, k, p, ltag int, out *sparse.Vector) ([]byte, []int, error) {
-	m := len(lround.Participants)
-	vecs := make([]*sparse.Vector, m)
-	owned := make([]bool, m)
-	defer func() {
-		for i, v := range vecs {
-			if owned[i] && v != nil {
-				sparse.PutVector(v)
-			}
-		}
-	}()
-	// Leader positions ascend with group index and each group's set
-	// ascends within its contiguous rank range, so concatenating in
-	// position order keeps the world participant set strictly ascending.
-	participants := make([]int, 0, p)
-	for i, lpos := range lround.Participants {
-		dst := sparse.GetVector()
-		set, err := decodeVerdict(lcodec, lround.Blobs[lpos], p, dst)
-		if err != nil {
-			sparse.PutVector(dst)
-			return nil, nil, fmt.Errorf("core: hierarchical quorum group aggregate from leader %d: %w", lpos, err)
-		}
-		vecs[i], owned[i] = dst, true
-		participants = append(participants, set...)
-	}
-	global, err := binomialPositionFold(vecs, owned, k)
+// recvVerdict waits for the verdict from src on c — each attempt sized
+// by the Broadcast budget and retried, so a late verdict is survived,
+// not lost — and decodes it into out. Returns the verdict blob and the
+// world participant set.
+func recvVerdict(ctx context.Context, c *collective.Comm, src, tag int, bcodec sparse.Codec, p int, levels LevelTimeouts, out *sparse.Vector) ([]byte, []int, error) {
+	blob, err := c.RecvTagRetry(ctx, src, tag, verdictRetryPolicy(levels.Broadcast))
 	if err != nil {
-		return nil, nil, err
-	}
-	// Pin the merged result to the broadcast precision BEFORE both the
-	// local copy and the encode (fp16 meshes; quantized meshes already
-	// downgraded bcodec to lossless v3), so the root keeps exactly the
-	// bits every other rank decodes.
-	var vscale float32
-	var vlevels []int16
-	if bcodec.Lossy() {
-		vscale, vlevels = transformForWire(mcomm, bcodec, global.Values)
-	}
-	sparse.CopyInto(out, global)
-	verdict := encodeVerdict(bcodec, participants, global, vscale, vlevels)
-	lcomm.TallyWire(sparse.EncodedSize(out.NNZ()), len(verdict))
-	sparse.PutVector(global)
-	for dst := 1; dst < lcomm.Size(); dst++ {
-		if err := lcomm.SendTag(ctx, dst, ltag, verdict); err != nil {
-			return nil, nil, fmt.Errorf("core: hierarchical quorum verdict send to leader %d: %w", dst, err)
-		}
-	}
-	return verdict, participants, nil
-}
-
-// hierQuorumMember is the non-leader side of phase 3: wait for the
-// leader's verdict relay (deadline-aware, so a leader still draining a
-// delayed intra gather is survived) and decode it.
-func hierQuorumMember(ctx context.Context, mcomm *collective.Comm, bcodec sparse.Codec, p int, levels LevelTimeouts, out *sparse.Vector) ([]byte, []int, error) {
-	mtag := mcomm.ClaimTags(1)
-	blob, err := mcomm.RecvTagRetry(ctx, 0, mtag, verdictRetryPolicy(levels.Broadcast))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: hierarchical quorum verdict recv (member): %w", err)
+		return nil, nil, fmt.Errorf("core: quorum verdict recv: %w", err)
 	}
 	participants, err := decodeVerdict(bcodec, blob, p, out)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: hierarchical quorum verdict: %w", err)
+		return nil, nil, fmt.Errorf("core: quorum verdict: %w", err)
 	}
 	return blob, participants, nil
 }

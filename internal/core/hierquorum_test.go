@@ -295,11 +295,20 @@ func TestHierarchicalSetQuorum(t *testing.T) {
 	if got := agg.QuorumMissStreak(); got != 0 {
 		t.Fatalf("initial miss streak %d, want 0", got)
 	}
+	if agg.Name() != "gtopk-hier-quorum" {
+		t.Fatalf("name %q, want gtopk-hier-quorum", agg.Name())
+	}
 	if err := agg.SetQuorum(QuorumConfig{Q: 2, Timeout: time.Second}); err == nil {
 		t.Fatal("sub-majority group quorum accepted")
 	}
 	if err := agg.SetQuorum(QuorumConfig{}); err != nil {
 		t.Fatalf("disable rejected: %v", err)
+	}
+	if agg.Name() != "gtopk-hier" {
+		t.Fatalf("name %q after disable, want gtopk-hier", agg.Name())
+	}
+	if agg.Group() != 4 || agg.QuorumGroup() != 0 {
+		t.Fatalf("group %d / quorum group %d, want 4 / 0", agg.Group(), agg.QuorumGroup())
 	}
 
 	// Degenerate flat regime (group >= world): the flat validator applies.
@@ -309,6 +318,10 @@ func TestHierarchicalSetQuorum(t *testing.T) {
 	}
 	if err := flat.SetQuorum(QuorumConfig{Q: 6, Timeout: time.Second}); err != nil {
 		t.Fatalf("legal flat quorum rejected in degenerate regime: %v", err)
+	}
+	// The name says what runs: one group spanning the world is the flat tree.
+	if flat.Name() != "gtopk-quorum" || flat.QuorumGroup() != -1 {
+		t.Fatalf("degenerate regime: name %q, quorum group %d; want gtopk-quorum, -1", flat.Name(), flat.QuorumGroup())
 	}
 	if err := flat.SetQuorum(QuorumConfig{Q: 6, LeaderQ: 2, Timeout: time.Second}); err == nil {
 		t.Fatal("leader quorum accepted in the degenerate flat regime")

@@ -103,3 +103,59 @@ func BenchmarkTopKAllReduce(b *testing.B) {
 		})
 	}
 }
+
+// poolDropsPuts reports whether sync.Pool is discarding Puts — the race
+// detector drops a quarter of them at random — which makes every
+// allocation count that leans on the vector and buffer pools
+// nondeterministic.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAggregateAllocCeiling is the aggregator-level companion of
+// sparse's TestMergeLoopZeroAlloc: one steady-state Aggregate (P=1, v1)
+// costs the three allocations of Sparsifier.Select's result vector for
+// the flat and the hierarchical aggregator, and eight for a two-bucket
+// pipeline (two selections plus the two bucket goroutines). The shared
+// round must not add a per-step allocation to any of them.
+func TestAggregateAllocCeiling(t *testing.T) {
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
+	}
+	const dim, k = 4096, 64
+	grad, _ := makeWorkerVectors(5, 1, dim, k)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		build   func(c *collective.Comm) (Aggregator, error)
+	}{
+		{"gtopk", 3, func(c *collective.Comm) (Aggregator, error) { return NewGTopKAggregator(c, dim, k) }},
+		{"hierarchical", 3, func(c *collective.Comm) (Aggregator, error) { return NewHierarchicalAggregator(c, dim, k, 1) }},
+		{"bucketed-2", 8, func(c *collective.Comm) (Aggregator, error) {
+			return NewBucketedAggregator(c, []int{0, dim / 2, dim}, float64(k)/dim)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := tc.build(newSingleRankComm(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if _, err := agg.Aggregate(context.Background(), grad[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // warm the pools and the reusable result vectors
+			if allocs := testing.AllocsPerRun(50, step); allocs > tc.ceiling {
+				t.Fatalf("Aggregate allocates %v times per step, ceiling %v", allocs, tc.ceiling)
+			}
+		})
+	}
+}

@@ -82,41 +82,38 @@ func QuorumMin(p int) int { return (p+1)/2 + 1 }
 
 // Validate checks the configuration against a P-rank world for the FLAT
 // quorum collective; the hierarchical fields must be unset.
-func (qc QuorumConfig) Validate(p int) error {
-	if qc.Timeout <= 0 {
-		return fmt.Errorf("core: quorum round timeout %v out of range: need > 0", qc.Timeout)
-	}
-	if lo := QuorumMin(p); qc.Q < lo || qc.Q > p {
-		return fmt.Errorf("core: quorum %d out of range [%d,%d] for %d workers", qc.Q, lo, p, p)
-	}
-	if qc.LeaderQ != 0 {
-		return fmt.Errorf("core: leader quorum %d set, but the collective is flat (a leader level needs a hierarchy)", qc.LeaderQ)
-	}
-	if qc.Levels != (LevelTimeouts{}) {
-		return fmt.Errorf("core: per-level deadline budgets set, but the collective is flat (levels need a hierarchy)")
-	}
-	return nil
-}
+func (qc QuorumConfig) Validate(p int) error { return qc.validate(p, p) }
 
 // ValidateHier checks the configuration against a P-rank world split
 // into contiguous groups of g for the hierarchical quorum collective.
 func (qc QuorumConfig) ValidateHier(p, g int) error {
-	if qc.Timeout <= 0 {
-		return fmt.Errorf("core: quorum round timeout %v out of range: need > 0", qc.Timeout)
-	}
 	if g <= 1 || g >= p {
 		return fmt.Errorf("core: hierarchical quorum group size %d out of range (1,%d)", g, p)
 	}
-	if lo := QuorumMin(g); qc.Q < lo || qc.Q > g {
-		return fmt.Errorf("core: group quorum %d out of range [%d,%d] for groups of %d", qc.Q, lo, g, g)
+	return qc.validate(p, g)
+}
+
+// validate checks the configuration for P ranks gathered in groups of g;
+// the flat collective is the single group g == p, which has no leader
+// level to configure.
+func (qc QuorumConfig) validate(p, g int) error {
+	if qc.Timeout <= 0 {
+		return fmt.Errorf("core: quorum round timeout %v out of range: need > 0", qc.Timeout)
 	}
-	numGroups := (p + g - 1) / g
-	if qc.LeaderQ != 0 {
-		if lo := QuorumMin(numGroups); qc.LeaderQ < lo || qc.LeaderQ > numGroups {
-			return fmt.Errorf("core: leader quorum %d out of range [%d,%d] for %d groups", qc.LeaderQ, lo, numGroups, numGroups)
-		}
+	if lo := QuorumMin(g); qc.Q < lo || qc.Q > g {
+		return fmt.Errorf("core: quorum %d out of range [%d,%d] for groups of %d (of %d workers)", qc.Q, lo, g, g, p)
 	}
 	lt := qc.Levels
+	if g == p {
+		if qc.LeaderQ != 0 || lt != (LevelTimeouts{}) {
+			return fmt.Errorf("core: leader quorum %d / per-level deadline budgets set, but the collective is flat (both need a hierarchy)", qc.LeaderQ)
+		}
+		return nil
+	}
+	numGroups := (p + g - 1) / g
+	if lo := QuorumMin(numGroups); qc.LeaderQ != 0 && (qc.LeaderQ < lo || qc.LeaderQ > numGroups) {
+		return fmt.Errorf("core: leader quorum %d out of range [%d,%d] for %d groups", qc.LeaderQ, lo, numGroups, numGroups)
+	}
 	if lt != (LevelTimeouts{}) {
 		if lt.Group <= 0 || lt.Leader <= 0 || lt.Broadcast <= 0 {
 			return fmt.Errorf("core: per-level deadline budgets must all be positive (got group %v, leader %v, broadcast %v)",
@@ -190,110 +187,20 @@ func verdictRetryPolicy(deadline time.Duration) transport.RetryPolicy {
 	}
 }
 
-// QuorumGTopKAllReduce wraps QuorumGTopKAllReduceInto with a fresh
-// result vector.
+// QuorumGTopKAllReduce runs one flat quorum gTop-k round into a fresh
+// result vector: the hierarchical collective over a single group.
 func QuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
-	out := &sparse.Vector{}
-	participated, missed, err := QuorumGTopKAllReduceInto(ctx, comm, local, k, qc, out)
-	return out, participated, missed, err
+	return HierQuorumGTopKAllReduce(ctx, comm, local, k, 0, qc)
 }
 
-// QuorumGTopKAllReduceInto runs one quorum gTop-k round: every rank
-// ships its local top-k to rank 0 in a single codec frame; the root
-// closes the gather after the deadline with at least qc.Q contributions
-// (collective.QuorumGather), merges the participants' frames with the
-// SAME binomial-tree schedule the flat collective uses — at full
-// participation the merge order, and therefore the bits, are identical
-// to GTopKAllReduceInto under a lossless wire codec — and broadcasts a
-// verdict carrying the participant set and the merged global top-k.
-//
-// Every rank returns the verdict's global top-k in out, whether its own
-// contribution made the round (participated), and which ranks missed.
-// The caller owns the conservation step: a participant folds
-// quantization error and puts back globally-dropped values as usual; a
-// straggler refunds its entire selected mass to the residual
-// (Sparsifier.Refund) and skips put-back.
+// QuorumGTopKAllReduceInto is QuorumGTopKAllReduce's reusable-state
+// form: every rank ships its local top-k to rank 0 in a single codec
+// frame, the root closes the gather after the deadline with at least
+// qc.Q contributions and broadcasts a verdict (participant set + merged
+// global top-k). At full participation the merge order, and therefore
+// the bits, are identical to GTopKAllReduceInto under a lossless codec.
 func QuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig, out *sparse.Vector) (bool, []int, error) {
-	p := comm.Size()
-	if err := qc.Validate(p); err != nil {
-		return false, nil, err
-	}
-	codec := comm.WireCodec()
-	r := comm.Rank()
-
-	// Encode the whole local selection as one frame. Under a lossy v3
-	// codec the values are pinned in place first (the caller snapshots
-	// originals before this collective, exactly like the flat path).
-	var scale float32
-	var levels []int16
-	if codec.WireVersion() == 3 && codec.Lossy() {
-		scale, levels = transformForWire(comm, codec, local.Values)
-	}
-	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, levels)
-	comm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
-
-	round, err := comm.QuorumGather(ctx, quorumRoot, qc.Q, qc.Timeout, frame)
-	if err != nil {
-		return false, nil, fmt.Errorf("core: quorum gather: %w", err)
-	}
-
-	vtag := comm.ClaimTags(1)
-	var participants []int
-	var verdictBytes int
-	if r == quorumRoot {
-		merged, err := quorumTreeFold(codec, round, k)
-		if err != nil {
-			return false, nil, err
-		}
-		participants = round.Participants
-		// Pin the merged result to the wire precision BEFORE both the
-		// local copy and the verdict encode, so the root keeps exactly
-		// the bits every other rank decodes.
-		var vscale float32
-		var vlevels []int16
-		if codec.Lossy() {
-			vscale, vlevels = transformForWire(comm, codec, merged.Values)
-		}
-		sparse.CopyInto(out, merged)
-		verdict := encodeVerdict(codec, participants, merged, vscale, vlevels)
-		sparse.PutVector(merged)
-		verdictBytes = len(verdict)
-		comm.TallyWire(sparse.EncodedSize(out.NNZ()), len(verdict))
-		for dst := 0; dst < p; dst++ {
-			if dst == quorumRoot {
-				continue
-			}
-			if err := comm.SendTag(ctx, dst, vtag, verdict); err != nil {
-				return false, nil, fmt.Errorf("core: quorum verdict send to %d: %w", dst, err)
-			}
-		}
-	} else {
-		blob, err := comm.RecvTagRetry(ctx, quorumRoot, vtag, verdictRetryPolicy(qc.Timeout))
-		if err != nil {
-			return false, nil, fmt.Errorf("core: quorum verdict recv: %w", err)
-		}
-		verdictBytes = len(blob)
-		participants, err = decodeVerdict(codec, blob, p, out)
-		if err != nil {
-			return false, nil, fmt.Errorf("core: quorum verdict: %w", err)
-		}
-	}
-
-	participated := rankIn(participants, r)
-	missed := missedFrom(participants, p)
-	// Both legs are charged from the verdict's participant set, so every
-	// rank's simulated clock is a pure function of the straggler
-	// schedule: modelled 2k elements per contribution on the gather, and
-	// on the broadcast the verdict's modelled flat size under v1 but its
-	// MEASURED encoded size under v2/v3 — the same raw-vs-compressed rule
-	// every other codec-aware leg follows, so the clock agrees with the
-	// WireTally across codecs.
-	verdictElems := sparse.EncodedSize(out.NNZ()) / 4
-	if codec.WireVersion() != 1 {
-		verdictElems = (verdictBytes + 3) / 4
-	}
-	comm.ChargeQuorumRound(quorumRoot, participants, 2*k, verdictElems)
-	return participated, missed, nil
+	return HierQuorumGTopKAllReduceInto(ctx, comm, nil, local, k, 0, qc, out)
 }
 
 // rankIn reports whether rank r is in the ascending participant set.
@@ -325,15 +232,22 @@ func missedFrom(participants []int, p int) []int {
 	return missed
 }
 
-// quorumTreeFold merges the gathered participant frames on the root with
-// the generalized binomial-tree schedule over participant POSITIONS
-// (rank-ascending): in round j, position i with i mod 2^(j+1) == 0
-// absorbs position i+2^j via the ⊕ operator of Definition 1 (top-k of
-// the sum). With all P ranks participating, positions coincide with
-// ranks and every accumulator sees the exact ⊕ sequence of the
-// distributed tree — which is what makes q=P rounds bit-identical to the
-// flat path. The returned vector is pooled; the caller releases it.
-func quorumTreeFold(codec sparse.Codec, round *collective.QuorumRound, k int) (*sparse.Vector, error) {
+// foldQuorumFrames merges a closed gather's participant frames on its
+// root with the generalized binomial-tree schedule over participant
+// POSITIONS (rank-ascending): in round j, position i with
+// i mod 2^(j+1) == 0 absorbs position i+2^j via the ⊕ operator of
+// Definition 1 (top-k of the sum). With every rank participating,
+// positions coincide with ranks and every accumulator sees the exact ⊕
+// sequence of the distributed tree — which is what makes full-quorum
+// rounds bit-identical to the full-sync collectives.
+//
+// With withSets the frames are leader frames in the verdict wire format:
+// each group's participant set rides ahead of its aggregate, and the
+// sets are returned concatenated — leader positions ascend with group
+// index and each set ascends within its contiguous rank range, so the
+// world set stays strictly ascending. The returned vector is pooled; the
+// caller releases it.
+func foldQuorumFrames(codec sparse.Codec, round *collective.QuorumRound, k, p int, withSets bool) (*sparse.Vector, []int, error) {
 	m := len(round.Participants)
 	vecs := make([]*sparse.Vector, m)
 	owned := make([]bool, m)
@@ -344,36 +258,40 @@ func quorumTreeFold(codec sparse.Codec, round *collective.QuorumRound, k int) (*
 			}
 		}
 	}()
-	for i, rank := range round.Participants {
-		blob := round.Blobs[rank]
-		switch codec.WireVersion() {
-		case 1:
-			v, err := sparse.DecodeView(blob)
+	var sets []int
+	for i, pos := range round.Participants {
+		frame := round.Blobs[pos]
+		if withSets {
+			set, rest, err := splitVerdict(frame, p)
 			if err != nil {
-				return nil, fmt.Errorf("core: quorum frame from %d: %w", rank, err)
+				return nil, nil, fmt.Errorf("core: quorum frame from %d: %w", pos, err)
 			}
-			vc := v
-			vecs[i] = &vc
-		default:
-			dst := sparse.GetVector()
-			if _, err := decodeWireFrame(codec, blob, dst); err != nil {
-				sparse.PutVector(dst)
-				return nil, fmt.Errorf("core: quorum frame from %d: %w", rank, err)
-			}
-			vecs[i], owned[i] = dst, true
+			sets, frame = append(sets, set...), rest
+		}
+		// v1 frames fold as zero-copy views of the blob; v2/v3 frames
+		// materialise into pooled vectors the deferred cleanup releases.
+		if codec != sparse.CodecV1 {
+			vecs[i], owned[i] = sparse.GetVector(), true
+		}
+		v, err := codec.DecodeFrame(frame, vecs[i])
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: quorum frame from %d: %w", pos, err)
+		}
+		if !owned[i] {
+			vecs[i] = &v
 		}
 	}
 	res, err := binomialPositionFold(vecs, owned, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// The gathered blobs are dead once merged; recycle the pooled ones
-	// (the root's own frame came from the encoder pool, received frames
-	// follow the same receiver-recycles convention as the flat tree).
-	for _, rank := range round.Participants {
-		sparse.PutBuffer(round.Blobs[rank])
+	// The gathered blobs are dead once merged; recycle them (the root's
+	// own frame came from the encoder, received frames follow the same
+	// receiver-recycles convention as the flat tree).
+	for _, pos := range round.Participants {
+		sparse.PutBuffer(round.Blobs[pos])
 	}
-	return res, nil
+	return res, sets, nil
 }
 
 // binomialPositionFold runs the position-binomial ⊕ schedule over vecs
@@ -424,36 +342,47 @@ func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, sca
 	return buf
 }
 
-// decodeVerdict parses a verdict frame into out and returns the
-// participant set. The set must be strictly ascending ranks inside
-// [0, p) — the canonical form every encoder produces and the sorted-merge
-// missed-set derivation relies on — so a frame that violates it is
-// rejected rather than silently producing a wrong missed set.
-func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) ([]int, error) {
+// splitVerdict parses a verdict frame's participant-set header and
+// returns the set plus the sparse frame behind it. The set must be
+// strictly ascending ranks inside [0, p) — the canonical form every
+// encoder produces and the sorted-merge missed-set derivation relies on —
+// so a frame that violates it is rejected rather than silently producing
+// a wrong missed set.
+func splitVerdict(blob []byte, p int) ([]int, []byte, error) {
 	if len(blob) < 4 {
-		return nil, fmt.Errorf("core: verdict truncated (%d bytes)", len(blob))
+		return nil, nil, fmt.Errorf("core: verdict truncated (%d bytes)", len(blob))
 	}
 	n := int(binary.LittleEndian.Uint32(blob))
 	if n < 1 || n > p || len(blob) < 4+4*n {
-		return nil, fmt.Errorf("core: verdict header invalid (%d participants of %d ranks, %d bytes)", n, p, len(blob))
+		return nil, nil, fmt.Errorf("core: verdict header invalid (%d participants of %d ranks, %d bytes)", n, p, len(blob))
 	}
 	participants := make([]int, n)
 	for i := range participants {
 		r := int(binary.LittleEndian.Uint32(blob[4+4*i:]))
 		if r >= p {
-			return nil, fmt.Errorf("core: verdict participant %d out of range [0,%d)", r, p)
+			return nil, nil, fmt.Errorf("core: verdict participant %d out of range [0,%d)", r, p)
 		}
 		if i > 0 && r <= participants[i-1] {
-			return nil, fmt.Errorf("core: verdict participant set not strictly ascending (%d after %d)", r, participants[i-1])
+			return nil, nil, fmt.Errorf("core: verdict participant set not strictly ascending (%d after %d)", r, participants[i-1])
 		}
 		participants[i] = r
 	}
+	return participants, blob[4+4*n:], nil
+}
+
+// decodeVerdict parses a verdict frame into out and returns the
+// participant set (see splitVerdict for what is rejected).
+func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) ([]int, error) {
+	participants, frame, err := splitVerdict(blob, p)
+	if err != nil {
+		return nil, err
+	}
 	var scratch *sparse.Vector
-	if codec.WireVersion() != 1 {
+	if codec != sparse.CodecV1 {
 		scratch = sparse.GetVector()
 		defer sparse.PutVector(scratch)
 	}
-	v, err := decodeWireFrame(codec, blob[4+4*n:], scratch)
+	v, err := codec.DecodeFrame(frame, scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -71,6 +71,32 @@ func TestSetQuorum(t *testing.T) {
 	if err := naive.SetQuorum(QuorumConfig{Q: 3, Timeout: time.Second}); err == nil {
 		t.Fatal("quorum accepted on the naive AllGather path")
 	}
+
+	// The bucketed pipeline takes the configuration its buckets' collective
+	// takes — flat here, hierarchical over groups — and names it.
+	for _, tc := range []struct {
+		group int
+		legal QuorumConfig
+		bad   QuorumConfig
+		name  string
+	}{
+		{0, QuorumConfig{Q: 3, Timeout: time.Second}, QuorumConfig{Q: 3, LeaderQ: 2, Timeout: time.Second}, "gtopk-bucketed-quorum"},
+		{2, QuorumConfig{Q: 2, LeaderQ: 2, Timeout: time.Second}, QuorumConfig{Q: 3, Timeout: time.Second}, "gtopk-bucketed-hier-quorum"},
+	} {
+		bucketed, err := newBucketedAggregator(collective.New(fab.Conn(2+tc.group/2)), []int{0, 40, 100}, 0.1, tc.group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bucketed.SetQuorum(tc.legal); err != nil {
+			t.Fatalf("group %d: legal quorum rejected: %v", tc.group, err)
+		}
+		if bucketed.Name() != tc.name {
+			t.Fatalf("group %d: name %q, want %s", tc.group, bucketed.Name(), tc.name)
+		}
+		if err := bucketed.SetQuorum(tc.bad); err == nil {
+			t.Fatalf("group %d: config %+v accepted", tc.group, tc.bad)
+		}
+	}
 }
 
 // runQuorumWorld drives one SPMD quorum round over fab, returning each

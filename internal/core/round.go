@@ -1,0 +1,210 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/sparse"
+)
+
+// round is one gTop-k round — the paper's Algorithm 4 — over one
+// contiguous gradient range, written once for every gTop-k aggregator:
+// GTopKAggregator runs one round over the whole gradient, each bucket of
+// the BucketedAggregator runs one over its slice. The round owns the
+// range's error-feedback residual and is the only code that refunds,
+// folds or puts mass back into it.
+type round struct {
+	comm  *collective.Comm
+	gc    *collective.GroupComms // non-nil: two-level hierarchy over groups of `group` ranks
+	group int
+	sp    *Sparsifier
+	k     int
+
+	naive     bool // Algorithm 2's AllGather + global re-selection instead of the tree
+	noPutBack bool
+	mu        float32   // DGC momentum-correction coefficient (0 disables)
+	velocity  []float32 // momentum-correction buffer (nil until enabled)
+	quorum    QuorumConfig
+
+	orig   []float32     // pre-transform snapshot of the selected values (reused)
+	global sparse.Vector // reused collective result (zero steady-state allocs)
+}
+
+// newRound creates the round state for a dim-element range selecting k
+// entries per iteration. group > 1 splits the world into groups of that
+// many ranks (forking the group sub-communicators from comm, so every
+// rank must construct at the same point of its collective sequence);
+// group <= 1 or >= world is the flat tree.
+func newRound(comm *collective.Comm, dim, k, group int) (round, error) {
+	if err := validateK(dim, k); err != nil {
+		return round{}, err
+	}
+	gc, err := forkHier(comm, group)
+	if err != nil {
+		return round{}, err
+	}
+	return round{comm: comm, gc: gc, group: group, sp: NewSparsifier(dim), k: k}, nil
+}
+
+// name derives the algorithm name from what the round runs: base, then
+// "-naive" or "-hier" for the collective, then "-quorum".
+func (r *round) name(base string) string {
+	switch {
+	case r.naive:
+		base += "-naive"
+	case r.gc != nil:
+		base += "-hier"
+	}
+	if r.quorum.Q > 0 {
+		base += "-quorum"
+	}
+	return base
+}
+
+// Group returns the configured hierarchy group size (0 when constructed
+// flat).
+func (r *round) Group() int { return r.group }
+
+// QuorumGroup returns this rank's hierarchy group index in the grouped
+// regime and -1 in the flat one — the group-granular handle
+// degraded-rank telemetry attaches to its reports.
+func (r *round) QuorumGroup() int {
+	if r.gc == nil {
+		return -1
+	}
+	return r.gc.Group
+}
+
+// SetK retunes the per-iteration selection count (warmup schedules).
+func (r *round) SetK(k int) error {
+	if err := validateK(r.sp.Dim(), k); err != nil {
+		return err
+	}
+	r.k = k
+	return nil
+}
+
+// SetPutBack toggles Algorithm 4 line 10 (returning globally-dropped
+// values to the residual). Disabling it isolates the contribution of
+// the extra-residual mechanism — the reproduction's residual ablation.
+func (r *round) SetPutBack(enabled bool) { r.noPutBack = !enabled }
+
+// SetMomentumCorrection enables DGC-style momentum correction; see
+// TopKAggregator.SetMomentumCorrection.
+func (r *round) SetMomentumCorrection(mu float32) {
+	r.mu = mu
+	if mu > 0 && r.velocity == nil {
+		r.velocity = make([]float32, r.sp.Dim())
+	}
+}
+
+// Sparsifier exposes the residual state for diagnostics.
+func (r *round) Sparsifier() *Sparsifier { return r.sp }
+
+// SetQuorum enables the straggler-tolerant quorum collective: rounds
+// close per level after the configured quorums or deadline budgets
+// (never under quorum), and a missed rank's selected mass — a straggling
+// member's, or every member's of a group that missed the leader round —
+// is refunded to its residual instead of entering the round. In the
+// grouped regime cfg.Q is the intra-group quorum and cfg.LeaderQ the
+// leader-level one; in the flat regime (group <= 1 or >= world) cfg must
+// be a flat configuration validated against the world. Incompatible with
+// the naive AllGather path. A zero cfg disables quorum mode.
+func (r *round) SetQuorum(cfg QuorumConfig) error {
+	if cfg != (QuorumConfig{}) {
+		if r.naive {
+			return fmt.Errorf("core: quorum mode requires the tree collective, not gtopk-naive")
+		}
+		err := cfg.Validate(r.comm.Size())
+		if r.gc != nil {
+			err = cfg.ValidateHier(r.comm.Size(), r.group)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	r.quorum = cfg
+	return nil
+}
+
+// run executes one round over grad (the range's slice of the gradient)
+// and writes the range's mean update into dst. missed reports that this
+// rank's contribution did not make a quorum round.
+func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err error) {
+	local, err := r.sp.Select(applyMomentumCorrection(r.mu, r.velocity, grad), r.k)
+	if err != nil {
+		return false, err
+	}
+	// Keep the selected values as selected where the collective may not
+	// return them intact: a lossy wire transform pins the sender's copy to
+	// its lattice points in place (on ranks whose tree role never sends,
+	// the fold below then adds exact zeros), and a quorum round this rank
+	// misses must refund the FULL mass, whatever the codec.
+	fold := r.comm.WireCodec().RewritesSender()
+	if fold || r.quorum.Q > 0 {
+		r.orig = append(r.orig[:0], local.Values...)
+	}
+	global, participated, err := r.allReduce(ctx, local)
+	if err != nil {
+		return false, err
+	}
+	if !participated {
+		// Nothing of this rank entered the aggregate: conservation refunds
+		// the whole selection, and the update below is built purely from
+		// the other ranks' verdict.
+		r.sp.Refund(local.Indices, r.orig)
+	} else {
+		// Quantization error first, then Algorithm 4 line 10: a globally
+		// dropped index gets lattice value + error = its full original
+		// mass back, a survivor keeps exactly the error.
+		if fold {
+			r.sp.FoldError(local.Indices, r.orig, local.Values)
+		}
+		if !r.noPutBack {
+			r.sp.PutBack(local, global.Indices)
+		}
+	}
+	global.MeanInto(dst, r.comm.Size())
+	return !participated, nil
+}
+
+// allReduce is the round's one way onto the wire: it picks the naive,
+// quorum (flat or hierarchical), hierarchical or flat tree collective
+// from the state the round holds.
+func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sparse.Vector, participated bool, err error) {
+	global, participated = &r.global, true
+	switch {
+	case r.naive:
+		global, err = NaiveGTopKAllReduce(ctx, r.comm, local, r.k)
+	case r.quorum.Q > 0:
+		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
+	case r.gc != nil:
+		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, ChunksFor(r.k), global)
+	default:
+		err = GTopKAllReduceInto(ctx, r.comm, local, r.k, ChunksFor(r.k), global)
+	}
+	if err == nil {
+		foldHierStats(r.comm, r.gc)
+	}
+	return global, participated, err
+}
+
+// applyMomentumCorrection folds grad into the local velocity and returns
+// the velocity as the quantity to sparsify (identity when mu == 0).
+func applyMomentumCorrection(mu float32, velocity, grad []float32) []float32 {
+	if mu <= 0 {
+		return grad
+	}
+	for i, g := range grad {
+		velocity[i] = mu*velocity[i] + g
+	}
+	return velocity
+}
+
+func validateK(dim, k int) error {
+	if k < 1 || k > dim {
+		return fmt.Errorf("core: k=%d out of range [1,%d]", k, dim)
+	}
+	return nil
+}

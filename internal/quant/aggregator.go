@@ -171,23 +171,13 @@ func (a *QuantizedGTopKAggregator) Aggregate(ctx context.Context, grad []float32
 	a.WireBytes += int64(wire)
 	// Quantization error joins the residual (error feedback applies to
 	// the compressor as a whole, not just sparsification).
-	res := a.sp.Residual()
-	for i, idx := range local.Indices {
-		res[idx] += local.Values[i] - quantized.Values[i]
-	}
+	a.sp.FoldError(local.Indices, local.Values, quantized.Values)
 	global, err := core.GTopKAllReduce(ctx, a.comm, quantized, a.k)
 	if err != nil {
 		return nil, err
 	}
 	a.sp.PutBack(quantized, global.Indices)
-	for i := range a.buf {
-		a.buf[i] = 0
-	}
-	global.ScatterAdd(a.buf)
-	inv := 1 / float32(a.comm.Size())
-	for i := range a.buf {
-		a.buf[i] *= inv
-	}
+	global.MeanInto(a.buf, a.comm.Size())
 	return a.buf, nil
 }
 

@@ -69,6 +69,35 @@ func (c Codec) WireVersion() byte {
 // Lossy reports whether encoding through c can change value bits.
 func (c Codec) Lossy() bool { return c.Value().Lossy() }
 
+// RewritesSender reports whether shipping values through c runs a wire
+// transform that rewrites the SENDER's in-memory copy (lossy v3 codecs
+// pin it to the fp16 / quantization lattice points its receivers decode).
+// A sender that must conserve gradient mass snapshots its values first
+// and folds original−shipped back into its residual. v2-fp16 rounds
+// inside the encoder and leaves the sender's copy alone.
+func (c Codec) RewritesSender() bool { return c.WireVersion() == 3 && c.Lossy() }
+
+// DecodeFrame parses one received frame under c on the hot path: a v1
+// frame comes back as a zero-copy view aliasing buf (scratch is untouched
+// and may be nil); v2/v3 frames are materialised into scratch — delta
+// codes cannot be aliased, and v3 levels dequantize as they stream — so
+// scratch can be reused across frames and buf released at once.
+func (c Codec) DecodeFrame(buf []byte, scratch *Vector) (Vector, error) {
+	var err error
+	switch c.WireVersion() {
+	case 1:
+		return DecodeView(buf)
+	case 3:
+		err = DecodeV3Into(scratch, buf)
+	default:
+		err = DecodeV2Into(scratch, buf)
+	}
+	if err != nil {
+		return Vector{}, err
+	}
+	return *scratch, nil
+}
+
 // String names the codec the way the -wire flags spell it.
 func (c Codec) String() string {
 	switch c {
@@ -341,13 +370,7 @@ func DecodeCodec(c Codec, buf []byte) (*Vector, error) {
 		return Decode(buf)
 	}
 	v := &Vector{}
-	var err error
-	if c.WireVersion() == 3 {
-		err = DecodeV3Into(v, buf)
-	} else {
-		err = DecodeV2Into(v, buf)
-	}
-	if err != nil {
+	if _, err := c.DecodeFrame(buf, v); err != nil {
 		return nil, err
 	}
 	return v, nil

@@ -68,6 +68,20 @@ func (v *Vector) ScatterAdd(dst []float32) {
 	}
 }
 
+// MeanInto overwrites dst with v/p, the dense mean update every sparse
+// aggregator ends on: zero, scatter-add, then scale the whole buffer.
+// That order is a bit-level contract — a −0 entry becomes +0 here, which
+// writing v·(1/p) straight into a zeroed dst would not reproduce — that
+// the benchmark's decomposed step replays against the real aggregators.
+func (v *Vector) MeanInto(dst []float32, p int) {
+	clear(dst)
+	v.ScatterAdd(dst)
+	inv := 1 / float32(p)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
 // Scale multiplies every stored value by alpha in place.
 func (v *Vector) Scale(alpha float32) {
 	for i := range v.Values {

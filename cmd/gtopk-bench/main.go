@@ -34,7 +34,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "random seed for all experiments")
 		jsonOut = flag.String("json", "", "hotpath/wire-codec experiments: output path for the machine-readable report (default BENCH_gtopk.json)")
 		noDelay = flag.Bool("tcp-nodelay", true, "enable TCP_NODELAY on the harness's loopback sockets (false re-enables Nagle)")
-		wire    = flag.String("wire", "v1", "sparse wire codec for the hotpath harness fabrics: v1, v2 or v2-fp16 (wire-codec sweeps all three regardless)")
+		wire    = flag.String("wire", "v1", "sparse wire codec for the hotpath harness fabrics: v1, v3 or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (wire-codec sweeps v1, v3 and v3-fp16 regardless)")
 		shards  = flag.Int("select-shards", 0, "wire-codec experiment: override the sharded-selection sweep with {1, N} (0 keeps the default {1,2,4})")
 		hierG   = flag.Int("hier-group", 0, "hierarchy experiment: override the group-size sweep with {G} (0 keeps the default {4,8,16}; 1 is flat and therefore rejected)")
 		kernels = flag.String("kernels", sparse.DefaultKernels(), "sparse kernel implementation: fast (vectorized, where the build supports it) or pure")

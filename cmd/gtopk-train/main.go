@@ -39,8 +39,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "random seed")
 		evalN     = flag.Int("eval", 0, "held-out eval batches after training (0 disables)")
 		hierGroup = flag.Int("hier-group", 0, "gtopk-hier group size G (0 picks the default of 4)")
-		wire      = flag.String("wire", "", "sparse wire codec for the simulated fabric: v1, v2, v2-fp16, v3 or v3-<value> (empty keeps v1)")
-		valueCdc  = flag.String("value-codec", "", "compound value codec (fp32|fp16|qsgd8|qsgd4|qsgd2|ternary|sign); requires -wire v3")
+		wire      = flag.String("wire", "", "sparse wire codec for the simulated fabric: v1, v3 or v3-<value> for value codec fp16|qsgd8|qsgd4|qsgd2|ternary|sign (empty keeps v1)")
 		quorum    = flag.Int("quorum", 0, "straggler-tolerant quorum size q: rounds close after q contributions under the -round-timeout deadline (0 disables; requires -algo gtopk or gtopk-hier and a strict majority; under gtopk-hier, q is the intra-group quorum q_g)")
 		leaderQ   = flag.Int("leader-quorum", 0, "hierarchical quorum's leader-level quorum q_l over the group aggregates (0 = every group; requires -quorum and -algo gtopk-hier)")
 		roundTO   = flag.Duration("round-timeout", 0, "per-round gather deadline for -quorum (must be > 0 when -quorum is set; under gtopk-hier the budget splits 1/4:1/2:1/4 across the intra, leader and broadcast levels)")
@@ -48,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	wireCodec, err := validate(*model, *algo, *workers, *batch, *epochs, *iters, *density, *lr, *evalN, *hierGroup, *wire, *valueCdc, *quorum, *leaderQ, *roundTO)
+	wireCodec, err := validate(*model, *algo, *workers, *batch, *epochs, *iters, *density, *lr, *evalN, *hierGroup, *wire, *quorum, *leaderQ, *roundTO)
 	if err == nil {
 		if kerr := sparse.SetKernels(*kernels); kerr != nil {
 			err = fmt.Errorf("-kernels: %w", kerr)
@@ -89,8 +88,8 @@ func main() {
 
 // validate rejects invocation errors up front (exit 2 with usage)
 // instead of surfacing them as a late runtime failure, and resolves the
-// -wire/-value-codec pair into the TrainSpec codec (0 = v1 default).
-func validate(model, algo string, workers, batch, epochs, iters int, density, lr float64, evalN, hierGroup int, wire, valueCodec string, quorum, leaderQuorum int, roundTimeout time.Duration) (sparse.Codec, error) {
+// -wire flag into the TrainSpec codec (0 = v1 default).
+func validate(model, algo string, workers, batch, epochs, iters int, density, lr float64, evalN, hierGroup int, wire string, quorum, leaderQuorum int, roundTimeout time.Duration) (sparse.Codec, error) {
 	if !slices.Contains(bench.Models(), model) {
 		return 0, fmt.Errorf("unknown -model %q (want %s)", model, strings.Join(bench.Models(), ", "))
 	}
@@ -171,23 +170,12 @@ func validate(model, algo string, workers, batch, epochs, iters int, density, lr
 	} else if roundTimeout != 0 {
 		return 0, fmt.Errorf("-round-timeout requires -quorum (a deadline only bounds quorum rounds)")
 	}
-	var codec sparse.Codec
-	if wire != "" {
-		c, err := sparse.ParseCodec(wire)
-		if err != nil {
-			return 0, fmt.Errorf("-wire: %w", err)
-		}
-		codec = c
+	if wire == "" {
+		return 0, nil
 	}
-	if valueCodec != "" {
-		vc, err := sparse.ParseValueCodec(valueCodec)
-		if err != nil {
-			return 0, fmt.Errorf("-value-codec: %w", err)
-		}
-		if codec.WireVersion() != 3 {
-			return 0, fmt.Errorf("-value-codec %s requires -wire v3 (got -wire %q)", vc, wire)
-		}
-		codec = sparse.CodecForWireValue(3, vc)
+	codec, err := sparse.ParseCodec(wire)
+	if err != nil {
+		return 0, fmt.Errorf("-wire: %w", err)
 	}
 	return codec, nil
 }

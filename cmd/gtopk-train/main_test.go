@@ -47,6 +47,8 @@ func TestFlagValidation(t *testing.T) {
 		{"quorum-needs-timeout", []string{"-workers", "4", "-quorum", "3"}, "-quorum requires -round-timeout > 0"},
 		{"zero-round-timeout", []string{"-workers", "4", "-quorum", "3", "-round-timeout", "0s"}, "-quorum requires -round-timeout > 0"},
 		{"round-timeout-needs-quorum", []string{"-round-timeout", "50ms"}, "-round-timeout requires -quorum"},
+		{"retired-wire-v2", []string{"-wire", "v2"}, "want v1, v3 or v3-<value codec>"},
+		{"retired-value-codec-flag", []string{"-wire", "v3", "-value-codec", "qsgd8"}, "flag provided but not defined: -value-codec"},
 		{"bad-kernels", []string{"-kernels", "bogus"}, `-kernels: sparse: unknown kernel mode "bogus"`},
 		{"unknown-flag", []string{"-warp-speed"}, "flag provided but not defined"},
 	}

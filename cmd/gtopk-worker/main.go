@@ -78,7 +78,6 @@ type options struct {
 	timeout      time.Duration
 	tcpNoDelay   bool
 	wire         string
-	valueCodec   string
 	selectShards int
 	hierGroup    int
 	quorum       int
@@ -89,7 +88,7 @@ type options struct {
 	verdictTO    time.Duration
 	kernels      string
 
-	// wireCodec is the parsed -wire flag (with -value-codec folded in).
+	// wireCodec is the parsed -wire flag.
 	wireCodec sparse.Codec
 }
 
@@ -122,8 +121,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 42, "shared model/data seed")
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "static: mesh setup + training deadline; elastic: per-epoch mesh rebuild bound")
 	flag.BoolVar(&o.tcpNoDelay, "tcp-nodelay", true, "enable TCP_NODELAY on mesh sockets (false re-enables Nagle's algorithm)")
-	flag.StringVar(&o.wire, "wire", "v2", "sparse wire codec: v1 (flat), v2 (delta/varint, lossless), v2-fp16 (half-precision values), v3 (compound, lossless) or v3-<value> for any -value-codec spelling; meshes settle on the lowest version any worker offers")
-	flag.StringVar(&o.valueCodec, "value-codec", "", "value codec for the compound v3 pipeline: fp32, fp16, qsgd8, qsgd4, qsgd2, ternary or sign (requires -wire v3; quantization error folds into the error-feedback residual)")
+	flag.StringVar(&o.wire, "wire", "v3", "sparse wire codec: v1 (flat), v3 (delta/varint indices, lossless fp32 values; non-finite values are rejected at decode) or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (lossy; the rounding/quantization error folds into the error-feedback residual); meshes settle on the lowest version any worker offers")
 	flag.IntVar(&o.selectShards, "select-shards", 0, "parallel shards for the local top-k selection (0 = one per core, 1 = serial; results are bit-identical)")
 	flag.IntVar(&o.hierGroup, "hier-group", 0, "hierarchical gTop-k group size G: workers aggregate within groups of G, leaders exchange globally (0 disables; requires -algo gtopk; G >= world degenerates to the flat tree)")
 	flag.IntVar(&o.quorum, "quorum", 0, "straggler-tolerant quorum size q: each aggregation round closes after q contributions under the -round-timeout deadline, refunding stragglers' blocks to their residuals (0 disables; requires -algo gtopk and a strict majority; with -hier-group, q is the intra-group quorum q_g over each group of G)")
@@ -180,16 +178,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("-wire: %w", err)
 	}
 	o.wireCodec = codec
-	if o.valueCodec != "" {
-		vc, err := sparse.ParseValueCodec(o.valueCodec)
-		if err != nil {
-			return fmt.Errorf("-value-codec: %w", err)
-		}
-		if o.wireCodec.WireVersion() != 3 {
-			return fmt.Errorf("-value-codec %s requires -wire v3 (got -wire %s): quantized value streams are a wire format v3 feature", vc, o.wire)
-		}
-		o.wireCodec = sparse.CodecForWireValue(3, vc)
-	}
 	if o.selectShards < 0 {
 		return fmt.Errorf("-select-shards %d out of range: need >= 0", o.selectShards)
 	}
@@ -328,15 +316,7 @@ func (o *options) quorumConfig() core.QuorumConfig {
 // -select-shards selection parallelism; sp is non-nil for the
 // sparsifying algorithms.
 func buildAggregator(o *options, comm *collective.Comm, dim int) (agg core.Aggregator, sp *core.Sparsifier, err error) {
-	comm.SetFP16Values(o.wireCodec == sparse.CodecV2F16 || o.wireCodec == sparse.CodecV3F16)
-	if o.wireCodec.Value().Quantized() {
-		// Rank-distinct stream off the shared seed: replicas need no rng
-		// agreement (receivers decode the sender's bytes, the bcast root
-		// pins its own copy), and distinct streams decorrelate the
-		// stochastic rounding noise across workers. On a mesh that
-		// negotiates below v3 the compressor degrades to lossless v2.
-		comm.SetCompressor(quant.NewStack(o.wireCodec.Value(), o.seed).Fork(uint64(comm.Rank())))
-	}
+	quant.AttachStack(comm, o.wireCodec, o.seed)
 	k := core.DensityToK(dim, o.density)
 	switch o.algo {
 	case "dense":

@@ -194,21 +194,17 @@ func MergeInto(dst, a, b *Vector, k int) error { return sparse.MergeInto(dst, a,
 // for the ownership rules.
 func DecodeView(buf []byte) (Vector, error) { return sparse.DecodeView(buf) }
 
-// Codec selects the sparse wire encoding: CodecV1 (legacy flat frames),
-// CodecV2 (sorted-index delta/varint, lossless) or CodecV2F16 (delta/
-// varint indices with half-precision values). Meshes negotiate the wire
-// version in their handshake and settle on the minimum any member
-// offers; Comm.WireCodec reports the effective codec.
+// Codec selects the sparse wire encoding: CodecV1 (flat frames) or one
+// of the v3 codecs (sorted-index delta/varint frames × a value codec,
+// lossless under CodecV3). Meshes negotiate the wire version in their
+// handshake and settle on the minimum any member offers; Comm.WireCodec
+// reports the effective codec.
 type Codec = sparse.Codec
 
 // The wire codecs (see Codec).
 const (
-	// CodecV1 is the flat 8-bytes-per-entry legacy wire format.
+	// CodecV1 is the flat 8-bytes-per-entry wire format.
 	CodecV1 = sparse.CodecV1
-	// CodecV2 is the delta/varint wire format with lossless fp32 values.
-	CodecV2 = sparse.CodecV2
-	// CodecV2F16 is the delta/varint wire format with binary16 values.
-	CodecV2F16 = sparse.CodecV2F16
 	// CodecV3 is the compound wire format with lossless fp32 values.
 	CodecV3 = sparse.CodecV3
 	// CodecV3F16 is the compound wire format with binary16 values.
@@ -225,7 +221,7 @@ const (
 	CodecV3S = sparse.CodecV3S
 )
 
-// ParseCodec parses the -wire flag spellings: v1, v2, v2-fp16, v3, or
+// ParseCodec parses the -wire flag spellings: v1, v3, or
 // v3-<value> for any ParseValueCodec spelling except fp32.
 func ParseCodec(s string) (Codec, error) { return sparse.ParseCodec(s) }
 
@@ -234,13 +230,13 @@ func ParseCodec(s string) (Codec, error) { return sparse.ParseCodec(s) }
 // top-k selection picks the support.
 type ValueCodec = sparse.ValueCodec
 
-// ParseValueCodec parses the -value-codec flag spellings: fp32, fp16,
-// qsgd8, qsgd4, qsgd2, ternary, sign.
+// ParseValueCodec parses the value-codec spellings: fp32, fp16, qsgd8,
+// qsgd4, qsgd2, ternary, sign.
 func ParseValueCodec(s string) (ValueCodec, error) { return sparse.ParseValueCodec(s) }
 
 // CodecForWireValue resolves a negotiated wire version plus a value
-// codec preference into the effective codec, degrading lossy
-// preferences losslessly on pre-v3 meshes.
+// codec preference into the effective codec: v1 (exact values) on a
+// pre-v3 mesh, whatever the preference.
 func CodecForWireValue(version byte, vc ValueCodec) Codec {
 	return sparse.CodecForWireValue(version, vc)
 }

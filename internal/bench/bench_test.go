@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"gtopkssgd/internal/netsim"
+	"gtopkssgd/internal/sparse"
+	"gtopkssgd/internal/transport"
 )
 
 func TestTable1ContainsAllAlgorithms(t *testing.T) {
@@ -237,5 +239,22 @@ func TestCurveTableAlignsRaggedCurves(t *testing.T) {
 	out := CurveTable("t", []*TrainCurve{c1, c2})
 	if !strings.Contains(out, "2.0000") {
 		t.Fatalf("missing epoch 2 for curve a:\n%s", out)
+	}
+}
+
+// TestHotPathMeasuresThePrintedCodec: a hotpath row labelled with a wire
+// codec must have moved that codec's bytes — each step down the value
+// precision ladder ships strictly fewer bytes per rank than the last.
+func TestHotPathMeasuresThePrintedCodec(t *testing.T) {
+	prev := int64(0)
+	for _, codec := range []sparse.Codec{sparse.CodecV3Q8, sparse.CodecV3F16, sparse.CodecV3, sparse.CodecV1} {
+		res, err := measureCollective("inproc", 4, 0.001, 42, transport.TCPOptions{}, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WireBytesPerRank <= prev {
+			t.Errorf("%s moved %d B/rank/round, not more than the next-smaller codec's %d", codec, res.WireBytesPerRank, prev)
+		}
+		prev = res.WireBytesPerRank
 	}
 }

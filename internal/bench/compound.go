@@ -105,9 +105,7 @@ func adaptiveRun(dim, rounds, p int, rho float64, codec sparse.Codec, budget int
 	aggs := make([]*core.BucketedAggregator, p)
 	for r := 0; r < p; r++ {
 		comms[r] = collective.New(fab.Conn(r))
-		if codec.Value().Quantized() {
-			comms[r].SetCompressor(quant.NewStack(codec.Value(), seed).Fork(uint64(r)))
-		}
+		quant.AttachStack(comms[r], codec, seed)
 		aggs[r], err = core.NewBucketedAggregator(comms[r], []int{0, dim}, rho)
 		if err != nil {
 			return nil, 0, err

@@ -247,12 +247,7 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 // buildAggregator constructs the aggregator named by spec.Algo with the
 // warmup schedule installed where supported.
 func buildAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, error) {
-	if spec.Wire != 0 {
-		comm.SetFP16Values(spec.Wire == sparse.CodecV2F16 || spec.Wire == sparse.CodecV3F16)
-		if spec.Wire.Value().Quantized() {
-			comm.SetCompressor(quant.NewStack(spec.Wire.Value(), spec.Seed).Fork(uint64(comm.Rank())))
-		}
-	}
+	quant.AttachStack(comm, spec.Wire, spec.Seed)
 	k := core.DensityToK(dim, spec.Density)
 	schedule := densitySchedule(spec, dim)
 	switch spec.Algo {

@@ -17,6 +17,7 @@ import (
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/prng"
+	"gtopkssgd/internal/quant"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
@@ -152,7 +153,7 @@ type hotPathReport struct {
 	// VsPrev reports the same configurations against Prev instead of the
 	// original pre-optimization baseline.
 	VsPrev []HotPathSpeedup `json:"vs_prev"`
-	// WireCodec is the v2-codec + sharded-selection section maintained by
+	// WireCodec is the wire-codec + sharded-selection section maintained by
 	// the wire-codec experiment; the hotpath experiment preserves it.
 	WireCodec *WireCodecSection `json:"wire_codec,omitempty"`
 	// Hierarchy is the flat-vs-hierarchical crossover sweep maintained
@@ -393,7 +394,7 @@ func measureCollective(fabric string, p int, rho float64, seed uint64, tcpOpts t
 	outs := make([]sparse.Vector, p)
 	for r := range comms {
 		comms[r] = collective.New(fab.Conn(r))
-		comms[r].SetFP16Values(codec == sparse.CodecV2F16)
+		quant.AttachStack(comms[r], codec, seed)
 	}
 	chunks := core.ChunksFor(k)
 	res, err := measureRounds(p, func(rank int) error {

@@ -191,7 +191,7 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:          "wire-codec",
-			Description: "Hot path: v1/v2/v2-fp16 wire-byte reduction + sharded selection scaling; updates BENCH_gtopk.json",
+			Description: "Hot path: v1/v3/v3-fp16 wire-byte reduction + sharded selection scaling; updates BENCH_gtopk.json",
 			Run:         WriteWireCodecJSON,
 		},
 		{

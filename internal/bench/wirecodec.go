@@ -22,7 +22,7 @@ import (
 
 // This file is the wire-codec + sharded-selection harness: it measures
 // the two iteration-time terms PR 3 left untouched — T_comm's byte
-// volume (v1 vs v2 vs v2-fp16 frames through the real collective over
+// volume (v1 vs v3 vs v3-fp16 frames through the real collective over
 // both fabrics) and T_sparsify (serial vs sharded top-k selection over a
 // VGG-16-scale gradient) — and maintains the wire_codec section of
 // BENCH_gtopk.json.
@@ -159,10 +159,7 @@ func measureWireCodec(fabric string, dim int, rho float64, codec sparse.Codec, s
 		outs := make([]sparse.Vector, p)
 		for r := range comms {
 			comms[r] = collective.New(fab.Conn(r))
-			comms[r].SetFP16Values(codec == sparse.CodecV2F16 || codec == sparse.CodecV3F16)
-			if codec.Value().Quantized() {
-				comms[r].SetCompressor(quant.NewStack(codec.Value(), seed).Fork(uint64(r)))
-			}
+			quant.AttachStack(comms[r], codec, seed)
 			comms[r].SetWireTally(tally)
 		}
 		b.ResetTimer()
@@ -285,14 +282,14 @@ func WireCodec(_ context.Context, opt Options) (string, *WireCodecSection, error
 	}
 
 	var sb strings.Builder
-	sb.WriteString("Wire codec v2 + sharded selection (real pipeline, seeded)\n")
+	sb.WriteString("Wire codec v3 + sharded selection (real pipeline, seeded)\n")
 	fmt.Fprintf(&sb, "P=%d, dim=%d, %d-layer gradient, %d CPUs\n\n", wireCodecWorkers, dim, wireCodecLayers, section.NumCPU)
 
 	codecTb := metrics.NewTable("config", "ns/op", "wire B/rank", "reduction vs v1", "tally ratio")
 	v1Bytes := map[string]int64{}
 	for _, fabric := range fabrics {
 		for _, rho := range densities {
-			for _, codec := range []sparse.Codec{sparse.CodecV1, sparse.CodecV2, sparse.CodecV2F16} {
+			for _, codec := range []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3F16} {
 				r, err := measureWireCodec(fabric, dim, rho, codec, opt.seed(), opt.TCPNagle)
 				if err != nil {
 					return "", nil, err

@@ -53,13 +53,11 @@ type Comm struct {
 	// fails loudly instead of silently bleeding into a sibling's tags.
 	tagLimit int
 
-	// fp16 opts encoders into half-precision values when the negotiated
-	// wire version supports them (see WireCodec). Inherited by Fork.
-	fp16 bool
-	// comp, when non-nil, is the compound-pipeline value transform: its
-	// ValueCodec steers WireCodec onto a v3 quantized codec and the
-	// collectives quantize hop values through it. Forked children get
-	// independent streams via Compressor.Fork.
+	// comp, when non-nil, is this communicator's value preference and the
+	// compound-pipeline value transform: its ValueCodec steers WireCodec
+	// onto the matching v3 codec and the collectives round or quantize
+	// hop values through it. Forked children get independent streams via
+	// Compressor.Fork.
 	comp sparse.Compressor
 	// tally, when non-nil, receives raw-vs-encoded byte counts for every
 	// sparse frame custom collectives move. Inherited by Fork.
@@ -241,19 +239,14 @@ func (c *Comm) ChargeRoundAmong(participants, elems int) {
 // this communicator's fabric (v1 for transports without negotiation).
 func (c *Comm) WireVersion() byte { return transport.NegotiatedWireVersion(c.conn) }
 
-// SetFP16Values opts this communicator's sparse encoders into binary16
-// values when the negotiated wire version supports them (v2). On a mesh
-// a v1 peer dragged down to v1 frames, the preference is silently
-// ineffective — v1 has no fp16 mode — which keeps mixed fleets lossless.
-func (c *Comm) SetFP16Values(on bool) { c.fp16 = on }
-
 // SetCompressor attaches a compound-pipeline value transform (see
-// sparse.Compressor, quant.NewStack). With a v3 mesh the attached
-// codec's quantized frames go on the wire; on a mesh negotiated down to
-// v2 or v1 the preference degrades losslessly (fp16 stays fp16 on v2,
-// quantized preferences fall back to exact values), so one old peer
-// never changes what the maths computes — only how many bytes it
-// costs. nil detaches. Must be set before any collective runs.
+// sparse.Compressor, quant.AttachStack) — the one place a communicator's
+// value preference lives. With a v3 mesh the attached codec's rounded or
+// quantized frames go on the wire; on a mesh a v1 peer dragged down to
+// v1 frames the preference is silently ineffective and values stay
+// exact, so one old peer never changes what the maths computes — only
+// how many bytes it costs. nil detaches. Must be set before any
+// collective runs.
 func (c *Comm) SetCompressor(comp sparse.Compressor) { c.comp = comp }
 
 // Compressor returns the attached compound-pipeline transform (nil when
@@ -261,18 +254,14 @@ func (c *Comm) SetCompressor(comp sparse.Compressor) { c.comp = comp }
 func (c *Comm) Compressor() sparse.Compressor { return c.comp }
 
 // WireCodec resolves the sparse codec custom collectives must encode
-// their frames with: the mesh-negotiated wire version combined with this
-// communicator's value-precision preference (an attached Compressor
-// wins over the plain fp16 toggle).
+// their frames with: the mesh-negotiated wire version combined with the
+// attached Compressor's value codec (fp32 when none is attached).
 func (c *Comm) WireCodec() sparse.Codec {
+	vc := sparse.ValueF32
 	if c.comp != nil {
-		vc := c.comp.ValueCodec()
-		if c.fp16 && vc == sparse.ValueF32 {
-			vc = sparse.ValueF16
-		}
-		return sparse.CodecForWireValue(c.WireVersion(), vc)
+		vc = c.comp.ValueCodec()
 	}
-	return sparse.CodecForWire(c.WireVersion(), c.fp16)
+	return sparse.CodecForWireValue(c.WireVersion(), vc)
 }
 
 // SetWireTally attaches a per-round wire-byte tally; every sparse frame

@@ -51,10 +51,11 @@ func (g *GroupComms) IsLeader() bool { return g.Leaders != nil }
 //
 // The sub-communicators share the parent's transport endpoint through
 // rank-remapping views (transport.GroupView): wire capabilities, the
-// negotiated codec and the fp16/tally preferences carry over. They
-// start untimed with fresh statistics; attach clocks with WithClock and
-// fold counters back with AddStats. Their finite tag spans cannot hold
-// nested Fork spans — fork the parent instead.
+// negotiated codec, the value preference (a forked Compressor) and the
+// tally carry over. They start untimed with fresh statistics; attach
+// clocks with WithClock and fold counters back with AddStats. Their
+// finite tag spans cannot hold nested Fork spans — fork the parent
+// instead.
 func (c *Comm) ForkGroup(g int) (*GroupComms, error) {
 	p := c.Size()
 	if g < 1 || g > p {
@@ -83,7 +84,6 @@ func (c *Comm) ForkGroup(g int) (*GroupComms, error) {
 			conn:     memberConn,
 			nextTag:  base,
 			tagLimit: base + groupTagSpan,
-			fp16:     c.fp16,
 			comp:     forkCompressor(c.comp, 0),
 			tally:    c.tally,
 		},
@@ -103,7 +103,6 @@ func (c *Comm) ForkGroup(g int) (*GroupComms, error) {
 			conn:     leaderConn,
 			nextTag:  base + groupTagSpan,
 			tagLimit: base + 2*groupTagSpan,
-			fp16:     c.fp16,
 			comp:     forkCompressor(c.comp, 1),
 			tally:    c.tally,
 		}

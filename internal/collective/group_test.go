@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gtopkssgd/internal/netsim"
+	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
 
@@ -148,25 +149,50 @@ func TestForkGroupCollectivesIsolated(t *testing.T) {
 	}
 }
 
-// TestForkGroupInheritsPreferences: fp16 preference and the parent's
-// negotiated wire version must carry into both sub-communicators.
+// qsgd8Pref is a value preference for v3-qsgd8 — quant.NewStack(ValueQ8,
+// …) without the import cycle (quant imports collective). Only its
+// ValueCodec and Fork are exercised here.
+type qsgd8Pref struct{}
+
+func (qsgd8Pref) ValueCodec() sparse.ValueCodec { return sparse.ValueQ8 }
+
+func (qsgd8Pref) Transform([]float32) (float32, []int16) { return 0, nil }
+
+func (q qsgd8Pref) Fork(uint64) sparse.Compressor { return q }
+
+// TestForkGroupInheritsPreferences: the value preference (through
+// Compressor.Fork) and the parent's negotiated wire version must carry
+// into both sub-communicators — v3-qsgd8 on an all-v3 mesh, v1 frames on
+// a mesh whose configured version is the retired 2, whatever the
+// preference says.
 func TestForkGroupInheritsPreferences(t *testing.T) {
-	fab, err := transport.NewInProcWire(4, transport.WireV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	parent := New(fab.Conn(0))
-	parent.SetFP16Values(true)
-	gc, err := parent.ForkGroup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.Members.WireCodec() != parent.WireCodec() {
-		t.Fatalf("member codec %v, parent %v", gc.Members.WireCodec(), parent.WireCodec())
-	}
-	if gc.Leaders == nil || gc.Leaders.WireCodec() != parent.WireCodec() {
-		t.Fatal("leader codec does not match parent")
+	for _, tc := range []struct {
+		wire byte
+		want sparse.Codec
+	}{
+		{transport.WireV3, sparse.CodecV3Q8},
+		{2, sparse.CodecV1},
+	} {
+		fab, err := transport.NewInProcWire(4, tc.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fab.Close()
+		parent := New(fab.Conn(0))
+		parent.SetCompressor(qsgd8Pref{})
+		if got := parent.WireCodec(); got != tc.want {
+			t.Fatalf("wire %d: parent codec %v, want %v", tc.wire, got, tc.want)
+		}
+		gc, err := parent.ForkGroup(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc.Members.WireCodec() != tc.want {
+			t.Fatalf("wire %d: member codec %v, want %v", tc.wire, gc.Members.WireCodec(), tc.want)
+		}
+		if gc.Leaders == nil || gc.Leaders.WireCodec() != tc.want {
+			t.Fatalf("wire %d: leader codec does not match parent", tc.wire)
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ func (c *Comm) Fork(n int) ([]*Comm, error) {
 			conn:     c.conn,
 			nextTag:  base + i*subcommTagSpan,
 			tagLimit: base + (i+1)*subcommTagSpan,
-			fp16:     c.fp16,
 			comp:     forkCompressor(c.comp, uint64(i)),
 			tally:    c.tally,
 			links:    c.links,

@@ -127,7 +127,7 @@ func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float
 	// codec's lattice in place; the difference goes back to the residual.
 	// There is no global mask here — the union support keeps every sent
 	// index — so nothing is put back.
-	fold := a.comm.WireCodec().RewritesSender()
+	fold := a.comm.WireCodec().Lossy()
 	if fold {
 		a.orig = append(a.orig[:0], local.Values...)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/f16"
 	"gtopkssgd/internal/sparse"
 )
 
@@ -34,17 +33,11 @@ var iovecPool = sync.Pool{New: func() any {
 // Communication cost (Eq. 6): log(P)·α + 2(P−1)k·β.
 func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector) (*sparse.Vector, error) {
 	codec := comm.WireCodec()
-	var own []byte
-	if codec.Value().Quantized() {
-		// Compound pipeline: quantize the selected values in place (the
-		// caller's copy now equals what every decoder reconstructs; the
-		// aggregator folds the difference into its residual) and ship
-		// levels instead of floats.
-		scale, levels := transformForWire(comm, codec, local.Values)
-		own = sparse.EncodeSlicesV3(codec, local.Dim, local.Indices, local.Values, scale, levels)
-	} else {
-		own = sparse.EncodeCodec(codec, local)
-	}
+	// Compound pipeline: a lossy codec pins the selected values in place
+	// (the caller's copy now equals what every decoder reconstructs; the
+	// aggregator folds the difference into its residual).
+	scale, levels := transformForWire(comm, codec, local.Values)
+	own := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, levels)
 	comm.TallyWire(sparse.EncodedSize(local.NNZ()), len(own))
 	blobs, err := comm.AllGather(ctx, own)
 	if err != nil {
@@ -76,23 +69,18 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	return sum, nil
 }
 
-// transformForWire pins v's values to the codec's wire value precision
-// IN PLACE — the sender-side half of the replica-agreement contract: a
+// transformForWire pins values to the codec's wire value precision IN
+// PLACE — the sender-side half of the replica-agreement contract: a
 // lossy codec's sender must keep exactly the bits its receivers decode.
-// Under a v3 codec with an attached Compressor the values land on the
-// quantization lattice and the returned (scale, levels) feed the v3
-// encoder; under fp16 codecs the values are rounded through binary16
-// (idempotent, so encoding afterwards changes nothing). Lossless codecs
-// leave values untouched.
+// A lossy codec only ever comes from comm's attached Compressor, whose
+// Transform lands the values on the fp16 or quantization lattice and
+// returns the (scale, levels) the v3 encoder packs for quantized codecs.
+// Lossless codecs leave values untouched.
 func transformForWire(comm *collective.Comm, codec sparse.Codec, values []float32) (float32, []int16) {
 	if !codec.Lossy() {
 		return 0, nil
 	}
-	if comp := comm.Compressor(); comp != nil && codec.RewritesSender() {
-		return comp.Transform(values)
-	}
-	f16.RoundSlice(values)
-	return 0, nil
+	return comm.Compressor().Transform(values)
 }
 
 // NaiveGTopKAllReduce implements Algorithm 2's aggregation: a full
@@ -213,8 +201,8 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 
 	// The negotiated codec shapes both the frames and the α-β byte
 	// accounting: v1 charges the paper's modelled 2k elements per round
-	// (bit-for-bit the pre-codec behaviour), v2 charges the bytes the
-	// compressed frames actually moved.
+	// (bit-for-bit the pre-codec behaviour), compressed codecs charge the
+	// bytes their frames actually moved.
 	codec := comm.WireCodec()
 	var peerScratch *sparse.Vector
 	if codec != sparse.CodecV1 {
@@ -293,9 +281,9 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 		}
 		// Every rank pays the synchronous round cost. Under v1 that is
 		// the paper's modelled bound — one message of at most 2k elements
-		// (k values + k indices) per pair; under v2 participants pay the
-		// compressed bytes they actually moved and idle ranks pay the
-		// latency term alone.
+		// (k values + k indices) per pair; under compressed codecs
+		// participants pay the bytes they actually moved and idle ranks
+		// pay the latency term alone.
 		if codec == sparse.CodecV1 {
 			comm.ChargeRound(2 * k)
 		} else {
@@ -316,16 +304,10 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 // contiguous spans of the entry list, so each is itself a valid sparse
 // encoding and their concatenation reproduces v exactly.
 func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag, chunks int) (int, error) {
-	// v3 hops quantize the whole hop vector once (in place — the sender's
-	// retained copy must equal what the receiver decodes); every chunk
-	// frame then shares the hop's scale with its own level span. v2-fp16
-	// keeps its original semantics: rounding happens inside the encoder
-	// and the sender's in-memory copy stays fp32.
-	var scale float32
-	var levels []int16
-	if codec.RewritesSender() {
-		scale, levels = transformForWire(comm, codec, v.Values)
-	}
+	// Lossy hops transform the whole hop vector once (in place — the
+	// sender's retained copy must equal what the receiver decodes); every
+	// chunk frame then shares the hop's scale with its own level span.
+	scale, levels := transformForWire(comm, codec, v.Values)
 	nnz := v.NNZ()
 	if chunks <= 1 {
 		buf := encodeSparseChunk(codec, v, 0, nnz, scale, levels)
@@ -373,8 +355,8 @@ func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale f
 // binomial tree in chunk-pipelined frames encoded with the mesh codec.
 // Simulated-time accounting matches the unchunked flat-tree broadcast
 // this replaces: every rank charges ceil(log2 P) rounds, paying the full
-// payload — modelled flat bytes under v1, actual compressed bytes under
-// v2 — from the round it first holds data (chunking is transparent to
+// payload — modelled flat bytes under v1, actual bytes under compressed
+// codecs — from the round it first holds data (chunking is transparent to
 // the α-β model; it reduces wall time by overlap, not modelled volume).
 //
 // Under a lossy codec the root first rounds its own values through the
@@ -394,7 +376,7 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 	if r == 0 {
 		var scale float32
 		var levels []int16
-		if codec.Lossy() && p > 1 {
+		if p > 1 {
 			// cur is pooled scratch owned by this collective (with p > 1
 			// rank 0 always merged in round 0), so the in-place pinning
 			// never touches the caller's input. The root keeps exactly
@@ -504,7 +486,7 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 	// monolithic payload per round — chunk framing is an implementation
 	// detail the model does not see): rounds before a rank holds data
 	// cost it nothing but the synchronisation point. v1 charges the
-	// modelled flat payload; v2 charges the measured compressed payload.
+	// modelled flat payload; compressed codecs charge the measured payload.
 	elems := sparse.EncodedSize(out.NNZ()) / 4
 	if codec != sparse.CodecV1 {
 		elems = (wireBytes + 3) / 4

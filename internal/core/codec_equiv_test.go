@@ -14,9 +14,22 @@ import (
 	"gtopkssgd/internal/transport"
 )
 
+// halfValues is the fp16 value preference — quant.NewStack(ValueF16, …)
+// without the import cycle (quant imports core).
+type halfValues struct{}
+
+func (halfValues) ValueCodec() sparse.ValueCodec { return sparse.ValueF16 }
+
+func (halfValues) Transform(values []float32) (float32, []int16) {
+	f16.RoundSlice(values)
+	return 0, nil
+}
+
+func (h halfValues) Fork(uint64) sparse.Compressor { return h }
+
 // runChunkedWire executes GTopKAllReduceInto on every rank of an
-// in-process fabric negotiated to the given wire version (with optional
-// fp16 values) and returns the per-rank results.
+// in-process fabric negotiated to the given wire version (with an
+// optional fp16 value preference) and returns the per-rank results.
 func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byte, fp16 bool) []*sparse.Vector {
 	t.Helper()
 	p := len(vecs)
@@ -33,7 +46,9 @@ func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byt
 		go func(rank int) {
 			defer wg.Done()
 			comm := collective.New(f.Conn(rank))
-			comm.SetFP16Values(fp16)
+			if fp16 {
+				comm.SetCompressor(halfValues{})
+			}
 			out := &sparse.Vector{}
 			errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, chunks, out)
 			results[rank] = out
@@ -48,12 +63,12 @@ func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byt
 	return results
 }
 
-// TestGTopKCodecV2BitEquivalence is the codec acceptance test: the
-// lossless v2 wire format must produce results bit-identical to v1
+// TestGTopKCodecV3BitEquivalence is the codec acceptance test: the
+// lossless v3 wire format must produce results bit-identical to v1
 // across the full chunk-test matrix — every world size the chunk tests
 // cover (including non-powers of two and 16), massive threshold ties,
 // and empty supports — at several chunk counts.
-func TestGTopKCodecV2BitEquivalence(t *testing.T) {
+func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 	const dim, k = 240, 12
 	for _, p := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
 		for _, mode := range []string{"gauss", "ties", "empty"} {
@@ -71,26 +86,26 @@ func TestGTopKCodecV2BitEquivalence(t *testing.T) {
 			}
 			for _, chunks := range []int{1, 3, DefaultChunks} {
 				v1 := runChunkedWire(t, vecs, k, chunks, transport.WireV1, false)
-				v2 := runChunkedWire(t, vecs, k, chunks, transport.WireV2, false)
+				v3 := runChunkedWire(t, vecs, k, chunks, transport.WireV3, false)
 				for r := range v1 {
-					assertVecEqual(t, fmt.Sprintf("p=%d %s chunks=%d rank %d v2-vs-v1", p, mode, chunks, r),
-						v1[r], v2[r])
+					assertVecEqual(t, fmt.Sprintf("p=%d %s chunks=%d rank %d v3-vs-v1", p, mode, chunks, r),
+						v1[r], v3[r])
 				}
 			}
 		}
 	}
 }
 
-// TestGTopKCodecV2OverTCP runs the collective over real loopback sockets
-// with a v2-negotiated mesh and checks bit-equivalence against the v1
-// result, plus that the v2 mesh actually moved fewer wire bytes.
-func TestGTopKCodecV2OverTCP(t *testing.T) {
+// TestGTopKCodecV3OverTCP runs the collective over real loopback sockets
+// with a v3-negotiated mesh and checks bit-equivalence against the v1
+// result, plus that the v3 mesh actually moved fewer wire bytes.
+func TestGTopKCodecV3OverTCP(t *testing.T) {
 	const p, dim, k = 4, 5000, 50
 	_, vecs := makeWorkerVectors(7, p, dim, k)
 	want := runChunkedWire(t, vecs, k, 3, transport.WireV1, false)
 
 	bytesSent := make([]int64, 2)
-	for vi, wire := range []byte{transport.WireV1, transport.WireV2} {
+	for vi, wire := range []byte{transport.WireV1, transport.WireV3} {
 		fab, err := transport.NewTCPWithOptions(p, transport.TCPOptions{WireVersion: wire})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +137,7 @@ func TestGTopKCodecV2OverTCP(t *testing.T) {
 		fab.Close() //nolint:errcheck // test teardown
 	}
 	if bytesSent[1] >= bytesSent[0] {
-		t.Errorf("v2 mesh moved %d bytes, v1 moved %d — no compression", bytesSent[1], bytesSent[0])
+		t.Errorf("v3 mesh moved %d bytes, v1 moved %d — no compression", bytesSent[1], bytesSent[0])
 	}
 }
 
@@ -134,7 +149,7 @@ func TestGTopKCodecF16ReplicaAgreement(t *testing.T) {
 	const dim, k = 300, 15
 	for _, p := range []int{2, 3, 4, 5, 8} {
 		_, vecs := makeWorkerVectors(uint64(40+p), p, dim, k)
-		results := runChunkedWire(t, vecs, k, DefaultChunks, transport.WireV2, true)
+		results := runChunkedWire(t, vecs, k, DefaultChunks, transport.WireV3, true)
 		for r := 1; r < p; r++ {
 			assertVecEqual(t, fmt.Sprintf("p=%d fp16 rank %d vs rank 0", p, r), results[0], results[r])
 		}
@@ -167,11 +182,11 @@ func TestGTopKCodecMixedMeshFallsBack(t *testing.T) {
 }
 
 // TestGTopKWireTally: the attached tally must observe every outbound
-// frame with raw >= wire under v2 and raw == wire under v1.
+// frame with raw >= wire under v3 and raw == wire under v1.
 func TestGTopKWireTally(t *testing.T) {
 	const p, dim, k = 4, 2000, 40
 	_, vecs := makeWorkerVectors(13, p, dim, k)
-	for _, wire := range []byte{transport.WireV1, transport.WireV2} {
+	for _, wire := range []byte{transport.WireV1, transport.WireV3} {
 		f, err := transport.NewInProcWire(p, wire)
 		if err != nil {
 			t.Fatal(err)
@@ -212,9 +227,9 @@ func TestGTopKWireTally(t *testing.T) {
 			if total.RawBytes != total.WireBytes {
 				t.Errorf("v1 tally: raw %d != wire %d", total.RawBytes, total.WireBytes)
 			}
-		case transport.WireV2:
+		case transport.WireV3:
 			if total.WireBytes >= total.RawBytes {
-				t.Errorf("v2 tally: wire %d not below raw %d", total.WireBytes, total.RawBytes)
+				t.Errorf("v3 tally: wire %d not below raw %d", total.WireBytes, total.RawBytes)
 			}
 		}
 	}

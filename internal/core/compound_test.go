@@ -61,8 +61,7 @@ func compoundVectors(seed uint64, p, dim, k int, mode string) []*sparse.Vector {
 
 // runCompoundWire executes GTopKAllReduceInto on every rank of an
 // in-process fabric negotiated to the codec's wire version, with each
-// rank's comm configured exactly as the CLI does it: the fp16 flag for
-// float codecs, a rank-forked Compressor for quantized ones.
+// rank's comm configured exactly as the CLI does it: quant.AttachStack.
 func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, codec sparse.Codec, seed uint64) []*sparse.Vector {
 	t.Helper()
 	p := len(vecs)
@@ -79,10 +78,7 @@ func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, codec s
 		go func(rank int) {
 			defer wg.Done()
 			comm := collective.New(f.Conn(rank))
-			comm.SetFP16Values(codec == sparse.CodecV2F16 || codec == sparse.CodecV3F16)
-			if codec.Value().Quantized() {
-				comm.SetCompressor(quant.NewStack(codec.Value(), seed).Fork(uint64(rank)))
-			}
+			quant.AttachStack(comm, codec, seed)
 			out := &sparse.Vector{}
 			errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, chunks, out)
 			results[rank] = out
@@ -231,6 +227,91 @@ func TestCompoundResidualConservation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompoundAllGatherResidualConservation pins the same identity end
+// to end on the AllGather path, which has no tree hop to transform for
+// it: one Aggregate of the top-k and the naive gTop-k aggregator (put-back
+// off, so only the fold can restore mass) at P=2 under every lossy codec.
+// The two ranks' gradients live on disjoint halves, so P·update[i] is
+// exactly the value rank r shipped for its own index i, and on every
+// shipped index that reaches the update residual[i] + P·update[i] must
+// reconstruct grad[i].
+func TestCompoundAllGatherResidualConservation(t *testing.T) {
+	const p, dim, k = 2, 400, 20
+	grads := make([][]float32, p)
+	for r := range grads {
+		rng := prng.New(321 + uint64(r))
+		grads[r] = make([]float32, dim)
+		for i := r * dim / p; i < (r+1)*dim/p; i++ {
+			grads[r][i] = float32(rng.NormFloat64())
+		}
+	}
+	type aggregator interface {
+		core.Aggregator
+		Sparsifier() *core.Sparsifier
+	}
+	builders := map[string]func(*collective.Comm) (aggregator, error){
+		"topk": func(c *collective.Comm) (aggregator, error) { return core.NewTopKAggregator(c, dim, k) },
+		"gtopk-naive": func(c *collective.Comm) (aggregator, error) {
+			a, err := core.NewNaiveGTopKAggregator(c, dim, k)
+			if err == nil {
+				a.SetPutBack(false)
+			}
+			return a, err
+		},
+	}
+	for name, build := range builders {
+		for _, codec := range compoundCodecs()[1:] {
+			t.Run(name+"/"+codec.String(), func(t *testing.T) {
+				f, err := transport.NewInProcWire(p, codec.WireVersion())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close() //nolint:errcheck // test teardown
+				aggs := make([]aggregator, p)
+				updates := make([][]float32, p)
+				errs := make([]error, p)
+				var wg sync.WaitGroup
+				for r := 0; r < p; r++ {
+					comm := collective.New(f.Conn(r))
+					quant.AttachStack(comm, codec, 17)
+					if aggs[r], err = build(comm); err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(rank int) {
+						defer wg.Done()
+						updates[rank], errs[rank] = aggs[rank].Aggregate(context.Background(), grads[rank])
+					}(r)
+				}
+				wg.Wait()
+				checked := 0
+				for r := 0; r < p; r++ {
+					if errs[r] != nil {
+						t.Fatalf("rank %d: %v", r, errs[r])
+					}
+					shipped := &sparse.Vector{}
+					sparse.TopKInto(shipped, grads[r], k)
+					res := aggs[r].Sparsifier().Residual()
+					for _, idx := range shipped.Indices {
+						if name != "topk" && updates[r][idx] == 0 {
+							continue // dropped by the global re-selection; put-back is off
+						}
+						checked++
+						recon, want := res[idx]+p*updates[r][idx], grads[r][idx]
+						if diff := math.Abs(float64(recon - want)); diff > 1e-5*(1+math.Abs(float64(want))) {
+							t.Fatalf("rank %d leak at %d: residual %v + shipped %v = %v, want %v",
+								r, idx, res[idx], p*updates[r][idx], recon, want)
+						}
+					}
+				}
+				if checked == 0 {
+					t.Fatal("no shipped index reached the update")
+				}
+			})
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, 
 	// synchronous, so every rank's clock advances through the leader
 	// phase. The modelled payload is the v1-flat 2k elements per round
 	// (k values + k indices), matching what the leaders charge under the
-	// v1 codec; under v2 the leaders charge measured compressed bytes
+	// v1 codec; under compressed codecs the leaders charge measured bytes
 	// and this mirror stays at the modelled bound.
 	leaderRounds := 2 * netsim.CeilLog2(gc.NumGroups)
 	for j := 0; j < leaderRounds; j++ {

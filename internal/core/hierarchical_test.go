@@ -172,14 +172,14 @@ func TestHierarchicalLeaderArrivalOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestHierarchicalFP16ReplicasAgree: under the lossy v2-fp16 codec every
+// TestHierarchicalFP16ReplicasAgree: under the lossy v3-fp16 codec every
 // rank must still hold bit-identical results — the broadcast roots round
 // through binary16 before encoding at both levels.
 func TestHierarchicalFP16ReplicasAgree(t *testing.T) {
 	const p, g, dim, k = 8, 4, 300, 10
 	_, vecs := makeWorkerVectors(23, p, dim, k)
 
-	fab, err := transport.NewInProcWire(p, transport.WireV2)
+	fab, err := transport.NewInProcWire(p, transport.WireV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestHierarchicalFP16ReplicasAgree(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			comm := collective.New(fab.Conn(rank))
-			comm.SetFP16Values(true)
+			comm.SetCompressor(halfValues{})
 			res, err := HierarchicalGTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k, g)
 			errs[rank], results[rank] = err, res
 		}(r)

@@ -105,11 +105,7 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	// that rewrites the sender's values pins them in place first — the
 	// caller snapshots originals before this collective, exactly like the
 	// full-sync path.
-	var scale float32
-	var lev []int16
-	if codec.RewritesSender() {
-		scale, lev = transformForWire(mcomm, codec, local.Values)
-	}
+	scale, lev := transformForWire(mcomm, codec, local.Values)
 	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
 	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
 	ground, err := mcomm.QuorumGather(ctx, 0, q, levels.Group, frame)
@@ -145,7 +141,7 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	// rank's simulated clock is a pure function of the straggler schedule:
 	// modelled 2k elements per gather contribution, and the verdict at its
 	// modelled flat size under v1 but its MEASURED encoded size under
-	// v2/v3 — the same raw-vs-compressed rule every other codec-aware leg
+	// v3 — the same raw-vs-compressed rule every other codec-aware leg
 	// follows, so the clock agrees with the WireTally across codecs.
 	verdictElems := sparse.EncodedSize(out.NNZ()) / 4
 	if codec != sparse.CodecV1 {
@@ -184,11 +180,7 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 		// so the root learns both from one frame.
 		lcomm := gc.Leaders
 		lcodec := lcomm.WireCodec()
-		var lscale float32
-		var llev []int16
-		if lcodec.RewritesSender() {
-			lscale, llev = transformForWire(lcomm, lcodec, merged.Values)
-		}
+		lscale, llev := transformForWire(lcomm, lcodec, merged.Values)
 		lframe := encodeVerdict(lcodec, participants, merged, lscale, llev)
 		lcomm.TallyWire(sparse.EncodedSize(merged.NNZ()), len(lframe))
 		sparse.PutVector(merged)
@@ -211,11 +203,7 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 		// Pin the merged result to the broadcast precision BEFORE both the
 		// local copy and the encode, so the root keeps exactly the bits
 		// every other rank decodes.
-		var vscale float32
-		var vlevels []int16
-		if bcodec.Lossy() {
-			vscale, vlevels = transformForWire(mcomm, bcodec, merged.Values)
-		}
+		vscale, vlevels := transformForWire(mcomm, bcodec, merged.Values)
 		sparse.CopyInto(out, merged)
 		verdict = encodeVerdict(bcodec, participants, merged, vscale, vlevels)
 		mcomm.TallyWire(sparse.EncodedSize(out.NNZ()), len(verdict))

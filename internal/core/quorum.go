@@ -268,7 +268,7 @@ func foldQuorumFrames(codec sparse.Codec, round *collective.QuorumRound, k, p in
 			}
 			sets, frame = append(sets, set...), rest
 		}
-		// v1 frames fold as zero-copy views of the blob; v2/v3 frames
+		// v1 frames fold as zero-copy views of the blob; v3 frames
 		// materialise into pooled vectors the deferred cleanup releases.
 		if codec != sparse.CodecV1 {
 			vecs[i], owned[i] = sparse.GetVector(), true

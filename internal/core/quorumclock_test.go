@@ -36,9 +36,7 @@ func runQuorumClockWorld(t *testing.T, codec sparse.Codec, vecs []*sparse.Vector
 			defer wg.Done()
 			var clock netsim.Clock
 			c := collective.New(fab.Conn(r)).WithClock(&clock, model)
-			if codec.Value().Quantized() {
-				c.SetCompressor(quant.NewStack(codec.Value(), 42).Fork(uint64(r)))
-			}
+			quant.AttachStack(c, codec, 42)
 			outs[r], _, _, errs[r] = core.QuorumGTopKAllReduce(context.Background(), c, vecs[r].Clone(), k, qc)
 			times[r] = clock.Now()
 		}(r)

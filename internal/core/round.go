@@ -141,7 +141,7 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 	// its lattice points in place (on ranks whose tree role never sends,
 	// the fold below then adds exact zeros), and a quorum round this rank
 	// misses must refund the FULL mass, whatever the codec.
-	fold := r.comm.WireCodec().RewritesSender()
+	fold := r.comm.WireCodec().Lossy()
 	if fold || r.quorum.Q > 0 {
 		r.orig = append(r.orig[:0], local.Values...)
 	}

@@ -1,5 +1,5 @@
 // Package f16 implements IEEE 754 binary16 (half-precision) conversion,
-// shared by the v2 sparse wire codec's fp16 value mode (internal/sparse)
+// shared by the v3 sparse wire codec's fp16 value codec (internal/sparse)
 // and the quantization baselines (internal/quant). Conversion to half
 // uses round-to-nearest-even — the rounding mode NCCL, Gloo and the DGC
 // lineage use for gradient payloads — and conversion back to float32 is

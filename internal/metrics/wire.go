@@ -57,7 +57,7 @@ type WireCounters struct {
 	// Frames is the number of distinct sparse frames this rank encoded.
 	Frames int64
 	// RawBytes is the flat v1-equivalent volume (8 bytes per entry plus
-	// headers) — what the same frames would cost before the v2 codec.
+	// headers) — what the same frames would cost under the v1 codec.
 	RawBytes int64
 	// WireBytes is the volume the negotiated codec produced for those
 	// frames (retransmissions of a frame are not re-counted; see the

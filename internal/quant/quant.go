@@ -18,8 +18,7 @@
 // sparse.Compressor interface — the transform stage of the compound
 // pipeline (select → transform → encode), whose levels the wire format
 // v3 encoder packs after gTop-k selection; see
-// internal/sparse/codecv3.go and docs/ARCHITECTURE.md §Compound
-// compression.
+// internal/sparse/codecv3.go and docs/ARCHITECTURE.md §Wire formats.
 package quant
 
 import (
@@ -35,21 +34,21 @@ import (
 // receiver reconstructs from a half-precision wire payload
 // (round-to-nearest-even; relative error ≤ 2^-11 in the half normal
 // range, overflow to ±Inf beyond ±65504). It is the same conversion
-// (internal/f16) the v2 sparse wire codec's fp16 mode uses for its
-// bytes, exposed here as the half-precision member of this package's
+// (internal/f16) the v3 sparse wire codec's fp16 value codec uses for
+// its bytes, exposed here as the half-precision member of this package's
 // quantizer family.
 func Float16(x float32) float32 { return f16.Round(x) }
 
 // RoundTripF16 quantizes every element of xs in place through binary16.
 // Idempotent, like the scalar conversion it applies. (One shared loop —
-// f16.RoundSlice — backs this and the collective's root pre-rounding.)
+// f16.RoundSlice — backs this and the Stack's fp16 transform.)
 func RoundTripF16(xs []float32) { f16.RoundSlice(xs) }
 
 // QuantizeSparseF16 compresses the VALUES of a sparse top-k vector to
 // binary16 — the half-precision sibling of QuantizeSparse's 8-bit
 // levels. Indices stay exact (they must; a wrong index corrupts an
 // unrelated parameter). Returns the quantized copy and the bytes the
-// v2-fp16 wire codec occupies for it on the wire, versus 8 bytes per
+// v3-fp16 wire codec occupies for it on the wire, versus 8 bytes per
 // entry uncompressed.
 func QuantizeSparseF16(v *sparse.Vector) (*sparse.Vector, int) {
 	out := &sparse.Vector{
@@ -58,7 +57,7 @@ func QuantizeSparseF16(v *sparse.Vector) (*sparse.Vector, int) {
 		Values:  append([]float32(nil), v.Values...),
 	}
 	RoundTripF16(out.Values)
-	return out, sparse.EncodedSizeCodec(sparse.CodecV2F16, v.Dim, v.Indices)
+	return out, sparse.EncodedSizeCodec(sparse.CodecV3F16, v.Dim, v.Indices)
 }
 
 // Sign compresses x to its element-wise sign. The returned slice holds

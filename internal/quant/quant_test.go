@@ -402,7 +402,7 @@ func TestDimValidation(t *testing.T) {
 
 // TestQuantizeSparseF16 pins the half-precision compressor: exact
 // indices, values equal to the binary16 round trip (idempotent), and a
-// wire cost matching the v2-fp16 codec's actual frame.
+// wire cost matching the v3-fp16 codec's actual frame.
 func TestQuantizeSparseF16(t *testing.T) {
 	v := &sparse.Vector{
 		Dim:     1000,
@@ -410,8 +410,8 @@ func TestQuantizeSparseF16(t *testing.T) {
 		Values:  []float32{0.333333, -1e-9, 70000, -2.5},
 	}
 	q, wire := QuantizeSparseF16(v)
-	if wire != len(sparse.EncodeCodec(sparse.CodecV2F16, v)) {
-		t.Fatalf("reported wire %d bytes, actual v2-fp16 frame %d", wire, len(sparse.EncodeCodec(sparse.CodecV2F16, v)))
+	if wire != len(sparse.EncodeCodec(sparse.CodecV3F16, v)) {
+		t.Fatalf("reported wire %d bytes, actual v3-fp16 frame %d", wire, len(sparse.EncodeCodec(sparse.CodecV3F16, v)))
 	}
 	for i, idx := range v.Indices {
 		if q.Indices[i] != idx {

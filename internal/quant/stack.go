@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 
+	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/f16"
 	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/sparse"
@@ -36,6 +37,20 @@ type Stack struct {
 // the sender's bytes rather than re-quantizing.
 func NewStack(vc sparse.ValueCodec, seed uint64) *Stack {
 	return &Stack{vc: vc, seed: seed, rng: prng.New(seed)}
+}
+
+// AttachStack is the one rule by which a caller that wants codec on the
+// wire gives comm its value preference: a lossy codec attaches a Stack
+// for the codec's value codec, a lossless one attaches nothing (and on a
+// mesh negotiated down to v1 the preference is ineffective, see
+// Comm.SetCompressor). The stream is rank-distinct off the shared seed:
+// replicas need no rng agreement (receivers decode the sender's bytes,
+// the bcast root pins its own copy), and distinct streams decorrelate
+// the stochastic rounding noise across workers.
+func AttachStack(comm *collective.Comm, codec sparse.Codec, seed uint64) {
+	if codec.Lossy() {
+		comm.SetCompressor(NewStack(codec.Value(), seed).Fork(uint64(comm.Rank())))
+	}
 }
 
 // ValueCodec names the wire representation Transform's levels use.

@@ -21,7 +21,7 @@ func codecTestVectors() []*Vector {
 		{Dim: 3, Indices: []int32{1, 2}, Values: []float32{float32(math.Inf(1)), float32(math.NaN())}},
 		{Dim: 4, Indices: []int32{2}, Values: []float32{1.1754944e-38 / 2}}, // float32 subnormal
 	}
-	// Random clustered support, the workload shape v2 is built for.
+	// Random clustered support, the workload shape delta coding is built for.
 	for _, dim := range []int{300, 100_000} {
 		g := make([]float32, dim)
 		for i := 0; i < dim/50; i++ {
@@ -33,17 +33,42 @@ func codecTestVectors() []*Vector {
 	return vecs
 }
 
-// TestCodecV2RoundTrip: encode→decode is the identity for CodecV2 (bit-
-// exact values) and the f16.Round image for CodecV2F16; EncodedSizeCodec
-// matches the produced frame exactly for all codecs.
-func TestCodecV2RoundTrip(t *testing.T) {
+// finite reports whether every value of v is a finite float32 — what the
+// v3 float sections require (non-finite values never occur in gradients,
+// and v3 rejects them at decode).
+func finite(v *Vector) bool {
+	for _, x := range v.Values {
+		if math.IsInf(float64(x), 0) || math.IsNaN(float64(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// v2Frame is a well-formed frame of the retired wire format v2 (magic
+// 0xA7, version 2, flags 0, dim 4, nnz 2, gaps 1 and 1, two fp32 values):
+// input from outside the program may still carry one, and both remaining
+// decoders must fail loudly on it.
+var v2Frame = []byte{0xA7, 2, 0, 4, 2, 1, 1, 0, 0, 0, 0xC0, 0, 0, 0, 0x3F}
+
+// TestCodecRoundTrip: encode→decode is the identity for CodecV1 and
+// CodecV3 (bit-exact values) and the f16.Round image for CodecV3F16;
+// EncodedSizeCodec matches the produced frame exactly for all codecs.
+// The v3 codecs reject the non-finite test vector at decode instead.
+func TestCodecRoundTrip(t *testing.T) {
 	for vi, v := range codecTestVectors() {
-		for _, c := range []Codec{CodecV1, CodecV2, CodecV2F16} {
+		for _, c := range []Codec{CodecV1, CodecV3, CodecV3F16} {
 			buf := EncodeCodec(c, v)
 			if want := EncodedSizeCodec(c, v.Dim, v.Indices); len(buf) != want {
 				t.Fatalf("vec %d codec %s: frame %d bytes, EncodedSizeCodec says %d", vi, c, len(buf), want)
 			}
 			got, err := DecodeCodec(c, buf)
+			if c != CodecV1 && !finite(v) {
+				if err == nil {
+					t.Fatalf("vec %d codec %s: accepted non-finite values", vi, c)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("vec %d codec %s: decode: %v", vi, c, err)
 			}
@@ -55,7 +80,7 @@ func TestCodecV2RoundTrip(t *testing.T) {
 					t.Fatalf("vec %d codec %s: index %d: %d != %d", vi, c, i, got.Indices[i], v.Indices[i])
 				}
 				want := v.Values[i]
-				if c == CodecV2F16 {
+				if c == CodecV3F16 {
 					want = f16.Round(want)
 				}
 				if math.Float32bits(got.Values[i]) != math.Float32bits(want) {
@@ -63,13 +88,18 @@ func TestCodecV2RoundTrip(t *testing.T) {
 						math.Float32bits(got.Values[i]), math.Float32bits(want))
 				}
 			}
+			// Accepted frames re-encode byte-identically (minimal
+			// varints, exact length), including fp16 frames.
+			if !bytes.Equal(EncodeCodec(c, got), buf) {
+				t.Fatalf("vec %d codec %s: re-encode differs", vi, c)
+			}
 		}
 	}
 }
 
 // TestCodecV1BytesUnchanged pins that CodecV1 through the codec-aware
 // entry points produces exactly the legacy Encode bytes — v1 peers
-// decode frames from a v1-negotiated mesh with the pre-v2 decoder.
+// decode frames from a v1-negotiated mesh with the pre-codec decoder.
 func TestCodecV1BytesUnchanged(t *testing.T) {
 	for vi, v := range codecTestVectors() {
 		if !bytes.Equal(EncodeCodec(CodecV1, v), Encode(v)) {
@@ -79,16 +109,16 @@ func TestCodecV1BytesUnchanged(t *testing.T) {
 }
 
 // TestCodecCrossVersionRejection: each decoder rejects the other
-// version's frames.
+// version's frames, and both reject a frame of the retired format v2.
 func TestCodecCrossVersionRejection(t *testing.T) {
 	for vi, v := range codecTestVectors() {
 		v1buf := Encode(v)
-		if v1buf[0] != V2Magic { // dim low byte may coincide with the magic
-			if err := DecodeV2Into(&Vector{}, v1buf); err == nil {
-				t.Fatalf("vec %d: v2 decoder accepted a v1 frame", vi)
+		if v1buf[0] != V3Magic { // dim low byte may coincide with the magic
+			if err := DecodeV3Into(&Vector{}, v1buf); err == nil {
+				t.Fatalf("vec %d: v3 decoder accepted a v1 frame", vi)
 			}
 		}
-		for _, c := range []Codec{CodecV2, CodecV2F16} {
+		for _, c := range []Codec{CodecV3, CodecV3F16} {
 			if _, err := Decode(EncodeCodec(c, v)); err == nil {
 				t.Fatalf("vec %d: v1 decoder accepted a %s frame", vi, c)
 			}
@@ -97,64 +127,55 @@ func TestCodecCrossVersionRejection(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCodecV2Canonical: accepted frames re-encode byte-identically
-// (minimal varints, exact length), including fp16 frames.
-func TestCodecV2Canonical(t *testing.T) {
-	for vi, v := range codecTestVectors() {
-		for _, c := range []Codec{CodecV2, CodecV2F16} {
-			buf := EncodeCodec(c, v)
-			got, err := DecodeCodec(c, buf)
-			if err != nil {
-				t.Fatalf("vec %d codec %s: %v", vi, c, err)
-			}
-			if !bytes.Equal(EncodeCodec(c, got), buf) {
-				t.Fatalf("vec %d codec %s: re-encode differs", vi, c)
-			}
+	if _, err := Decode(v2Frame); err == nil {
+		t.Fatal("v1 decoder accepted a v2 frame")
+	}
+	for _, c := range []Codec{CodecV1, CodecV3} {
+		if _, err := c.DecodeFrame(v2Frame, &Vector{}); err == nil {
+			t.Fatalf("%s hot-path decoder accepted a v2 frame", c)
 		}
 	}
 }
 
-// TestCodecV2RejectsCorruption walks systematic corruptions of a valid
-// frame: truncation at every length, flag garbage, padded varints,
-// out-of-range indices.
-func TestCodecV2RejectsCorruption(t *testing.T) {
+// TestCodecV3RejectsCorruption walks systematic corruptions of a valid
+// frame: truncation at every length, an unknown value codec, padded
+// varints, trailing bytes, out-of-range indices.
+func TestCodecV3RejectsCorruption(t *testing.T) {
 	v := &Vector{Dim: 1000, Indices: []int32{3, 250, 999}, Values: []float32{1, -2, 3}}
-	buf := EncodeCodec(CodecV2, v)
+	buf := EncodeCodec(CodecV3, v)
 	for cut := 0; cut < len(buf); cut++ {
-		if err := DecodeV2Into(&Vector{}, buf[:cut]); err == nil {
+		if err := DecodeV3Into(&Vector{}, buf[:cut]); err == nil {
 			t.Fatalf("accepted truncation to %d of %d bytes", cut, len(buf))
 		}
 	}
 	bad := append([]byte(nil), buf...)
-	bad[2] = 0x80 // reserved flag
-	if err := DecodeV2Into(&Vector{}, bad); err == nil {
-		t.Fatal("accepted reserved flag bits")
+	bad[2] = valueCodecCount
+	if err := DecodeV3Into(&Vector{}, bad); err == nil {
+		t.Fatal("accepted an unknown value codec byte")
 	}
 	// Padded (non-minimal) varint for dim: 0x80 0x00 still means 0.
-	padded := append([]byte{V2Magic, v2Version, 0, 0x80, 0x00}, buf[4:]...)
-	if err := DecodeV2Into(&Vector{}, padded); err == nil {
+	padded := append([]byte{V3Magic, v3Version, 0, 0x80, 0x00}, buf[4:]...)
+	if err := DecodeV3Into(&Vector{}, padded); err == nil {
 		t.Fatal("accepted non-minimal varint")
 	}
 	// Trailing garbage.
-	if err := DecodeV2Into(&Vector{}, append(append([]byte(nil), buf...), 0)); err == nil {
+	if err := DecodeV3Into(&Vector{}, append(append([]byte(nil), buf...), 0)); err == nil {
 		t.Fatal("accepted trailing byte")
 	}
 	// Index beyond dim: bump the last gap.
 	oob := &Vector{Dim: 10, Indices: []int32{9}, Values: []float32{1}}
-	oobBuf := EncodeCodec(CodecV2, oob)
+	oobBuf := EncodeCodec(CodecV3, oob)
 	oobBuf[5]++ // gap varint (dim=10 and nnz=1 are single-byte varints)
-	if err := DecodeV2Into(&Vector{}, oobBuf); err == nil {
+	if err := DecodeV3Into(&Vector{}, oobBuf); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
 }
 
-// TestCodecV2CompressionWins quantifies the point of the exercise: on a
-// clustered 0.1%-density support the lossless v2 frame is at least 1.4x
-// smaller than v1 and the fp16 frame at least 2.2x (the bench harness
-// measures the precise ratios on the realistic workload).
-func TestCodecV2CompressionWins(t *testing.T) {
+// TestCodecV3CompressionWins quantifies the point of delta/varint index
+// coding: on a clustered 0.1%-density support the lossless v3 frame is
+// at least 1.4x smaller than v1 and the fp16 frame at least 2.2x (the
+// bench harness measures the precise ratios on the realistic workload).
+func TestCodecV3CompressionWins(t *testing.T) {
 	src := prng.New(5)
 	const dim = 1 << 20
 	g := make([]float32, dim)
@@ -165,12 +186,28 @@ func TestCodecV2CompressionWins(t *testing.T) {
 	}
 	v := FromDense(g)
 	v1 := len(Encode(v))
-	v2 := len(EncodeCodec(CodecV2, v))
-	vh := len(EncodeCodec(CodecV2F16, v))
-	if r := float64(v1) / float64(v2); r < 1.4 {
-		t.Errorf("lossless v2 ratio %.2f < 1.4 (v1=%d v2=%d nnz=%d)", r, v1, v2, v.NNZ())
+	v3 := len(EncodeCodec(CodecV3, v))
+	vh := len(EncodeCodec(CodecV3F16, v))
+	if r := float64(v1) / float64(v3); r < 1.4 {
+		t.Errorf("lossless v3 ratio %.2f < 1.4 (v1=%d v3=%d nnz=%d)", r, v1, v3, v.NNZ())
 	}
 	if r := float64(v1) / float64(vh); r < 2.2 {
-		t.Errorf("fp16 v2 ratio %.2f < 2.2 (v1=%d v2fp16=%d nnz=%d)", r, v1, vh, v.NNZ())
+		t.Errorf("fp16 v3 ratio %.2f < 2.2 (v1=%d v3fp16=%d nnz=%d)", r, v1, vh, v.NNZ())
+	}
+}
+
+// TestParseCodecSpellings: every codec's String parses back to itself,
+// and the retired v2 spellings are rejected with the list of what is.
+func TestParseCodecSpellings(t *testing.T) {
+	for _, c := range []Codec{CodecV1, CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
+		got, err := ParseCodec(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseCodec(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	for _, s := range []string{"v2", "v2-fp16", "v3-fp32", ""} {
+		if _, err := ParseCodec(s); err == nil {
+			t.Errorf("ParseCodec(%q) accepted", s)
+		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"gtopkssgd/internal/f16"
 )
 
-// This file is wire format v3: the compound frame. Indices keep the v2
-// delta/varint layout — at the paper's densities the index stream is
-// what dominates — while the value stream gains a per-frame value codec,
+// This file is wire format v3: the compound frame. Sorted indices are
+// delta-coded as varint gaps — at the paper's densities the index stream
+// is what dominates — and the value stream has a per-frame value codec,
 // so gTop-k's surviving values can travel as raw fp32, rounded fp16,
 // QSGD-style stochastically quantized levels (8/4/2 bit), TernGrad-style
 // ternary codes, or signSGD-style sign bits. Sparsification compounds
@@ -41,7 +41,7 @@ import (
 //	ternary  ⌈nnz/4⌉ 2-bit codes: 0 → 0, 1 → +1, 2 → −1 (3 rejected)
 //	sign     ⌈nnz/8⌉ sign bitmap: bit set → +1, clear → −1
 //
-// The format is canonical like v2: minimal varints only, strictly
+// The format is canonical: minimal varints only, strictly
 // ascending in-range indices, exact value-section length, no trailing
 // bytes, all padding bits zero, scale finite with a clear sign bit,
 // zero magnitudes never carry a set sign bit, and a zero scale forces
@@ -56,7 +56,7 @@ import (
 // ValueCodec selects how a v3 frame's value stream is represented on
 // the wire. It rides in the third header byte of every v3 frame, so a
 // mesh negotiates only the frame version (v3) while each frame names
-// its own value codec — exactly how the v2 fp16 flag worked.
+// its own value codec.
 type ValueCodec uint8
 
 // The v3 value codecs, in the order of their wire bytes.
@@ -86,7 +86,8 @@ const (
 // valueCodecCount bounds the valid ValueCodec wire bytes.
 const valueCodecCount = 7
 
-// String names the value codec the way the -value-codec flag spells it.
+// String names the value codec the way the -wire v3-<value codec> flags
+// spell it.
 func (vc ValueCodec) String() string {
 	switch vc {
 	case ValueF32:
@@ -108,8 +109,8 @@ func (vc ValueCodec) String() string {
 	}
 }
 
-// ParseValueCodec parses the -value-codec flag spellings fp32, fp16,
-// qsgd8, qsgd4, qsgd2, ternary and sign.
+// ParseValueCodec parses the value-codec spellings fp32, fp16, qsgd8,
+// qsgd4, qsgd2, ternary and sign.
 func ParseValueCodec(s string) (ValueCodec, error) {
 	switch s {
 	case "fp32":
@@ -225,96 +226,61 @@ type Compressor interface {
 	Fork(stream uint64) Compressor
 }
 
-// The v3 wire codecs: one Codec per value codec, all sharing the v3
-// frame format and negotiating as wire version 3.
+// The v3 wire codecs: one Codec per value codec, numbered CodecV3 + the
+// value codec's wire byte, all sharing the v3 frame format and
+// negotiating as wire version 3.
 const (
 	// CodecV3 is delta/varint indices with raw float32 values. Lossless:
 	// decodes bit-identically to the encoded vector.
-	CodecV3 Codec = 4
-	// CodecV3F16 is v3 frames with binary16 values (the v3 spelling of
-	// CodecV2F16's value treatment).
-	CodecV3F16 Codec = 5
+	CodecV3 Codec = 2
+	// CodecV3F16 is v3 frames with binary16 values (round-to-nearest-
+	// even; relative value error ≤ 2^-11).
+	CodecV3F16 = CodecV3 + Codec(ValueF16)
 	// CodecV3Q8 is v3 frames with QSGD 8-bit stochastic quantization.
-	CodecV3Q8 Codec = 6
+	CodecV3Q8 = CodecV3 + Codec(ValueQ8)
 	// CodecV3Q4 is v3 frames with QSGD 4-bit stochastic quantization.
-	CodecV3Q4 Codec = 7
+	CodecV3Q4 = CodecV3 + Codec(ValueQ4)
 	// CodecV3Q2 is v3 frames with QSGD 2-bit stochastic quantization.
-	CodecV3Q2 Codec = 8
+	CodecV3Q2 = CodecV3 + Codec(ValueQ2)
 	// CodecV3T is v3 frames with TernGrad-style ternary values.
-	CodecV3T Codec = 9
+	CodecV3T = CodecV3 + Codec(ValueTernary)
 	// CodecV3S is v3 frames with signSGD-style sign-bit values.
-	CodecV3S Codec = 10
+	CodecV3S = CodecV3 + Codec(ValueSign)
 )
 
 // Value returns the value codec a wire codec carries in its frames
-// (ValueF32 for every lossless codec, including v1 and v2).
+// (ValueF32 for v1).
 func (c Codec) Value() ValueCodec {
-	switch c {
-	case CodecV2F16, CodecV3F16:
-		return ValueF16
-	case CodecV3Q8:
-		return ValueQ8
-	case CodecV3Q4:
-		return ValueQ4
-	case CodecV3Q2:
-		return ValueQ2
-	case CodecV3T:
-		return ValueTernary
-	case CodecV3S:
-		return ValueSign
-	default:
+	if c < CodecV3 {
 		return ValueF32
 	}
+	return ValueCodec(c - CodecV3)
 }
 
 // codecForValue maps a value codec onto the v3 wire codec that carries
 // it.
-func codecForValue(vc ValueCodec) Codec {
-	switch vc {
-	case ValueF16:
-		return CodecV3F16
-	case ValueQ8:
-		return CodecV3Q8
-	case ValueQ4:
-		return CodecV3Q4
-	case ValueQ2:
-		return CodecV3Q2
-	case ValueTernary:
-		return CodecV3T
-	case ValueSign:
-		return CodecV3S
-	default:
-		return CodecV3
-	}
-}
+func codecForValue(vc ValueCodec) Codec { return CodecV3 + Codec(vc) }
 
 // CodecForWireValue maps a negotiated wire version plus the sender's
-// value-codec preference onto the codec to encode with. The fallback
-// rules make mixed meshes safe: a v2 mesh honours an fp16 preference
-// (CodecV2F16 exists) but downgrades quantized preferences to lossless
-// CodecV2 — v2 frames cannot carry levels, and silently substituting a
-// different lossy format would break replica agreement with what the
-// sender's quantizer pinned. A v1 mesh is always flat lossless frames.
+// value-codec preference onto the codec to encode with. A mesh below v3
+// is always flat lossless v1 frames, whatever the preference — v1 cannot
+// carry rounded or quantized values, and the preference degrading to
+// exact values means one old peer never changes what the maths computes,
+// only how many bytes it costs. Unknown (future) versions speak v3.
 func CodecForWireValue(version byte, vc ValueCodec) Codec {
-	switch {
-	case version < 2:
+	if version < 3 {
 		return CodecV1
-	case version == 2:
-		if vc == ValueF16 {
-			return CodecV2F16
-		}
-		return CodecV2
-	default:
-		return codecForValue(vc)
 	}
+	return codecForValue(vc)
 }
 
 // v3 frame constants.
 const (
-	// V3Magic is the first byte of every v3 frame. Distinct from V2Magic
-	// and from the v2 version byte, so cross-version decoding fails
-	// loudly instead of misparsing (v1 frames have no magic; see the
-	// cross-decode fuzz target for the one residual blind spot).
+	// V3Magic is the first byte of every v3 frame. v1 frames start with
+	// the low byte of dim, so receivers on a negotiated mesh never need
+	// to sniff — the magic exists to make cross-version decoding fail
+	// loudly instead of misparsing (see the cross-decode fuzz target for
+	// the one residual blind spot).
 	V3Magic = 0xB3
 	// v3Version is the frame-format version byte.
 	v3Version = 3
@@ -447,8 +413,10 @@ func zero(b []byte) {
 // dequantizing levels through DequantLevel as it streams — no level
 // scratch is allocated. It never panics on truncated or corrupt input
 // and rejects anything outside the canonical form (see the format
-// comment), so accepted frames are structurally valid vectors. Like
-// DecodeV2Into the result never aliases buf.
+// comment), so accepted frames are structurally valid vectors. Unlike
+// DecodeView, the result never aliases buf: delta-coded indices must be
+// materialised, so the frame may be released (PutBuffer) as soon as
+// DecodeV3Into returns.
 func DecodeV3Into(dst *Vector, buf []byte) error {
 	vc, dim, nnz, scale, off, err := parseV3Prefix(buf)
 	if err != nil {

@@ -42,6 +42,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(Encode(&Vector{Dim: 4, Indices: []int32{1, 3}, Values: []float32{-2, 0.5}}))
 	f.Add(Encode(&Vector{Dim: 1, Indices: []int32{0}, Values: []float32{float32(math.Inf(1))}}))
+	f.Add(v2Frame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Decode(data)
 		if err != nil {
@@ -83,73 +84,6 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			if math.Float32bits(got.Values[i]) != math.Float32bits(v.Values[i]) {
 				t.Fatalf("value %d: %x != %x", i,
 					math.Float32bits(got.Values[i]), math.Float32bits(v.Values[i]))
-			}
-		}
-	})
-}
-
-// FuzzDecodeV2 feeds arbitrary bytes to the v2 decoder. It must never
-// panic (transport payloads are untrusted), and anything it accepts must
-// re-encode to the exact same bytes under the codec named by the frame's
-// own flags byte — minimal varints and exact framing keep v2 canonical.
-func FuzzDecodeV2(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{V2Magic, 2, 0, 4, 0})
-	f.Add(EncodeCodec(CodecV2, &Vector{Dim: 4, Indices: []int32{1, 3}, Values: []float32{-2, 0.5}}))
-	f.Add(EncodeCodec(CodecV2F16, &Vector{Dim: 300, Indices: []int32{0, 299}, Values: []float32{float32(math.Inf(1)), 1e-8}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v := &Vector{}
-		if err := DecodeV2Into(v, data); err != nil {
-			return
-		}
-		if err := v.Validate(); err != nil {
-			t.Fatalf("DecodeV2Into accepted an invalid vector: %v", err)
-		}
-		codec := CodecV2
-		if data[2]&0x01 != 0 {
-			codec = CodecV2F16
-		}
-		if !bytes.Equal(EncodeCodec(codec, v), data) {
-			t.Fatalf("re-encode of accepted v2 payload differs from input")
-		}
-	})
-}
-
-// FuzzV2RoundTrip builds structurally valid vectors from fuzzed raw
-// material and asserts the v2 encode→decode round trip: bit-exact for
-// the lossless codec, the f16.Round image for fp16 — and that
-// EncodedSizeCodec predicts the frame size exactly.
-func FuzzV2RoundTrip(f *testing.F) {
-	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
-	f.Add(uint16(1), []byte{})
-	f.Add(uint16(300), []byte{0, 0, 192, 127, 10, 0, 128, 255, 20, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, dim16 uint16, raw []byte) {
-		v := fuzzBuildVector(dim16, raw)
-		for _, codec := range []Codec{CodecV2, CodecV2F16} {
-			buf := EncodeCodec(codec, v)
-			if want := EncodedSizeCodec(codec, v.Dim, v.Indices); len(buf) != want {
-				t.Fatalf("codec %s: frame %d bytes, EncodedSizeCodec says %d", codec, len(buf), want)
-			}
-			got, err := DecodeCodec(codec, buf)
-			if err != nil {
-				t.Fatalf("codec %s round trip failed: %v", codec, err)
-			}
-			if got.Dim != v.Dim || got.NNZ() != v.NNZ() {
-				t.Fatalf("codec %s shape: dim %d nnz %d, want dim %d nnz %d",
-					codec, got.Dim, got.NNZ(), v.Dim, v.NNZ())
-			}
-			for i := range v.Indices {
-				if got.Indices[i] != v.Indices[i] {
-					t.Fatalf("codec %s index %d: %d != %d", codec, i, got.Indices[i], v.Indices[i])
-				}
-				want := v.Values[i]
-				if codec == CodecV2F16 {
-					want = f16.Round(want)
-				}
-				if math.Float32bits(got.Values[i]) != math.Float32bits(want) {
-					t.Fatalf("codec %s value %d: %x != %x", codec, i,
-						math.Float32bits(got.Values[i]), math.Float32bits(want))
-				}
 			}
 		}
 	})
@@ -197,6 +131,7 @@ func fuzzEncodeV3(c Codec, v *Vector) []byte {
 func FuzzDecodeV3(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{V3Magic, 3, 0, 1, 0})
+	f.Add(v2Frame)
 	f.Add(EncodeSlicesV3(CodecV3, 4, []int32{1, 3}, []float32{-2, 0.5}, 0, nil))
 	f.Add(EncodeSlicesV3(CodecV3F16, 300, []int32{0, 299}, []float32{0.25, 1e-4}, 0, nil))
 	f.Add(EncodeSlicesV3(CodecV3Q8, 8, []int32{0, 2, 7}, nil, 1.5, []int16{-3, 0, 255}))
@@ -306,14 +241,15 @@ func FuzzV3RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzV3CrossDecode asserts version isolation for the compound frames:
-// the v3 decoder rejects v1 frames (whenever the v1 header cannot be
-// mistaken for the v3 magic) and all v2 frames, while v3 frames of every
-// value codec are rejected by the v1 and v2 decoders.
+// FuzzV3CrossDecode asserts version isolation between the two frame
+// formats: the v3 decoder rejects v1 frames (whenever the v1 header
+// cannot be mistaken for the v3 magic), while v3 frames of every value
+// codec are rejected by both v1 decoders.
 func FuzzV3CrossDecode(f *testing.F) {
 	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
 	f.Add(uint16(0xB3), []byte{}) // dim low byte == magic: the sniffing blind spot
 	f.Add(uint16(0x3B3), []byte{0, 0, 192, 127, 10, 0, 128, 255})
+	f.Add(uint16(300), []byte{0, 0, 192, 127, 10, 0, 128, 255})
 	f.Fuzz(func(t *testing.T, dim16 uint16, raw []byte) {
 		v := fuzzBuildVector(dim16, raw)
 		v1buf := Encode(v)
@@ -322,47 +258,12 @@ func FuzzV3CrossDecode(f *testing.F) {
 				t.Fatalf("v3 decoder accepted a v1 frame (dim=%d nnz=%d)", v.Dim, v.NNZ())
 			}
 		}
-		for _, codec := range []Codec{CodecV2, CodecV2F16} {
-			if err := DecodeV3Into(&Vector{}, EncodeCodec(codec, v)); err == nil {
-				t.Fatalf("v3 decoder accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
-			}
-		}
 		for _, codec := range []Codec{CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
 			v3buf := fuzzEncodeV3(codec, v)
 			if _, err := Decode(v3buf); err == nil {
 				t.Fatalf("v1 decoder accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
 			}
 			if _, err := DecodeView(v3buf); err == nil {
-				t.Fatalf("v1 DecodeView accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
-			}
-			if err := DecodeV2Into(&Vector{}, v3buf); err == nil {
-				t.Fatalf("v2 decoder accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
-			}
-		}
-	})
-}
-
-// FuzzCodecCrossDecode asserts version isolation: v1 frames are rejected
-// by the v2 decoder (whenever the v1 header cannot be mistaken for the
-// v2 magic) and v2/v2-fp16 frames are rejected by both v1 decoders.
-func FuzzCodecCrossDecode(f *testing.F) {
-	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
-	f.Add(uint16(0xA7), []byte{}) // dim low byte == magic: the sniffing blind spot
-	f.Add(uint16(300), []byte{0, 0, 192, 127, 10, 0, 128, 255})
-	f.Fuzz(func(t *testing.T, dim16 uint16, raw []byte) {
-		v := fuzzBuildVector(dim16, raw)
-		v1buf := Encode(v)
-		if v1buf[0] != V2Magic {
-			if err := DecodeV2Into(&Vector{}, v1buf); err == nil {
-				t.Fatalf("v2 decoder accepted a v1 frame (dim=%d nnz=%d)", v.Dim, v.NNZ())
-			}
-		}
-		for _, codec := range []Codec{CodecV2, CodecV2F16} {
-			v2buf := EncodeCodec(codec, v)
-			if _, err := Decode(v2buf); err == nil {
-				t.Fatalf("v1 decoder accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
-			}
-			if _, err := DecodeView(v2buf); err == nil {
 				t.Fatalf("v1 DecodeView accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())
 			}
 		}

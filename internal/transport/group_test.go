@@ -124,7 +124,7 @@ func TestGroupViewValidation(t *testing.T) {
 // synchronous sends, inproc keeps neither, and the negotiated wire
 // version passes through.
 func TestGroupViewForwardsCapabilities(t *testing.T) {
-	inproc, err := NewInProcWire(2, WireV2)
+	inproc, err := NewInProcWire(2, WireV3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,9 +191,11 @@ func joinAllWire(t *testing.T, ctx context.Context, lns []net.Listener, addrs []
 }
 
 // TestMeshWireNegotiation checks the codec handshake: a mesh settles on
-// the minimum wire version any member offers — all-v2 meshes speak v2,
-// one v1 (or unset) peer drags everyone to v1, and unknown future
-// versions clamp to the newest this build speaks.
+// the minimum wire version any member offers — all-v3 meshes speak v3,
+// one v1 (or unset) peer drags everyone to v1, unknown future versions
+// clamp to the newest this build speaks, and an offered or configured
+// version 2 (retired: nobody encodes it) settles on v1, the newest
+// format both ends still speak.
 func TestMeshWireNegotiation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -202,10 +204,12 @@ func TestMeshWireNegotiation(t *testing.T) {
 		offers []byte
 		want   byte
 	}{
-		{"all-v2", []byte{WireV2, WireV2, WireV2}, WireV2},
-		{"one-v1-peer", []byte{WireV2, WireV1, WireV2}, WireV1},
-		{"unset-means-v1", []byte{WireV2, 0, WireV2}, WireV1},
-		{"future-version-clamps", []byte{9, WireV2, 9}, WireV2},
+		{"all-v3", []byte{WireV3, WireV3, WireV3}, WireV3},
+		{"one-v1-peer", []byte{WireV3, WireV1, WireV3}, WireV1},
+		{"unset-means-v1", []byte{WireV3, 0, WireV3}, WireV1},
+		{"future-version-clamps", []byte{9, WireV3, 9}, WireV3},
+		{"one-v2-peer", []byte{WireV3, 2, WireV3}, WireV1},
+		{"all-v2", []byte{2, 2, 2}, WireV1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,13 +228,13 @@ func TestMeshWireNegotiation(t *testing.T) {
 // TestInProcWireVersion checks the in-process fabric's configured wire
 // version and the v1 default of fabrics without the capability wiring.
 func TestInProcWireVersion(t *testing.T) {
-	f, err := NewInProcWire(2, WireV2)
+	f, err := NewInProcWire(2, WireV3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck // test teardown
-	if got := NegotiatedWireVersion(f.Conn(0)); got != WireV2 {
-		t.Fatalf("inproc wire v%d, want v2", got)
+	if got := NegotiatedWireVersion(f.Conn(0)); got != WireV3 {
+		t.Fatalf("inproc wire v%d, want v3", got)
 	}
 	f1, err := NewInProc(2)
 	if err != nil {

@@ -49,7 +49,7 @@ type TCPOptions struct {
 	// ~8M parameters.
 	WriteBufBytes int
 	// WireVersion is the sparse wire-codec version this endpoint offers
-	// (0 or WireV1 = legacy flat frames, WireV2 = delta/varint frames).
+	// (0 or WireV1 = flat frames, WireV3 = delta/varint compound frames).
 	// Meshes built by JoinMesh carry the offer in the handshake and
 	// settle on the minimum any member offers; fabrics built in-process
 	// (NewTCPWithOptions) simply adopt the configured version, since all

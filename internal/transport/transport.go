@@ -171,34 +171,30 @@ func PrivateRecv(c Conn) bool {
 }
 
 // Sparse wire-codec versions a fabric can negotiate. The version governs
-// the frame payload format of internal/sparse (v1 flat frames vs v2
-// delta/varint frames); the transport itself is agnostic to payload
-// contents and only carries the negotiated number.
+// the frame payload format of internal/sparse (v1 flat frames vs v3
+// delta/varint compound frames); the transport itself is agnostic to
+// payload contents and only carries the negotiated number.
 const (
-	// WireV1 is the legacy flat sparse frame format.
+	// WireV1 is the flat sparse frame format.
 	WireV1 byte = 1
-	// WireV2 is the delta/varint sparse frame format (optionally fp16).
-	WireV2 byte = 2
 	// WireV3 is the compound frame format: delta/varint indices plus a
 	// per-frame value codec (fp32, fp16, or quantized levels — see
-	// internal/sparse codec v3). Negotiates down like every other
-	// version: one v2 peer keeps the whole mesh on v2 frames.
+	// internal/sparse codec v3). Negotiates down like every version:
+	// one v1 peer keeps the whole mesh on v1 frames.
 	WireV3 byte = 3
 	// LatestWire is the newest wire version this build speaks.
 	LatestWire = WireV3
 )
 
-// normalizeWire clamps a configured wire-version preference: 0 (unset)
-// means v1, anything newer than this build speaks clamps to LatestWire.
+// normalizeWire maps a configured or offered wire version — an input
+// from outside the program — onto a format this build encodes: anything
+// below v3 (unset, v1, or the retired version 2) means v1, the newest
+// format both ends still speak; anything newer clamps to LatestWire.
 func normalizeWire(v byte) byte {
-	switch {
-	case v == 0:
+	if v < WireV3 {
 		return WireV1
-	case v > LatestWire:
-		return LatestWire
-	default:
-		return v
 	}
+	return LatestWire
 }
 
 // minWire returns the older of two wire versions — the negotiation rule:

@@ -8,7 +8,7 @@
 // simulated-time accounting backs the numbers. Training artifacts
 // (Figs 1, 5-7, 12-14) benchmark one full distributed S-SGD iteration of
 // the workload in question; full curves are regenerated by
-// cmd/gtopk-bench (see EXPERIMENTS.md).
+// cmd/gtopk-bench (see "Results and how to regenerate them" in README.md).
 package gtopkssgd
 
 import (

@@ -6,9 +6,12 @@
 //	gtopk-bench -exp fig9             # regenerate one artifact
 //	gtopk-bench -all                  # regenerate everything
 //	gtopk-bench -exp fig5 -quick      # smoke-test profile
-//	gtopk-bench -exp wire-codec       # codec + sharded-selection bench
+//	gtopk-bench -exp codec-bytes      # wire bytes per codec; updates BENCH_gtopk.json
 //
 // Output is text tables: one row per x-axis point of the original plot.
+// Every number is modelled (the α-β clock), counted (bytes, selected
+// entries) or a training loss; wall-clock measurements come from
+// benchmark/ and `go test -bench`, never from here.
 // Unknown -exp names (and invalid flag values) print the valid choices
 // and exit with status 2, mirroring gtopk-worker's strict validation.
 package main
@@ -22,7 +25,6 @@ import (
 	"runtime/pprof"
 
 	"gtopkssgd/internal/bench"
-	"gtopkssgd/internal/sparse"
 )
 
 func main() {
@@ -32,34 +34,17 @@ func main() {
 		all     = flag.Bool("all", false, "run every experiment")
 		quick   = flag.Bool("quick", false, "shrink training experiments to smoke-test size")
 		seed    = flag.Uint64("seed", 42, "random seed for all experiments")
-		jsonOut = flag.String("json", "", "hotpath/wire-codec experiments: output path for the machine-readable report (default BENCH_gtopk.json)")
-		noDelay = flag.Bool("tcp-nodelay", true, "enable TCP_NODELAY on the harness's loopback sockets (false re-enables Nagle)")
-		wire    = flag.String("wire", "v1", "sparse wire codec for the hotpath harness fabrics: v1, v3 or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (wire-codec sweeps v1, v3 and v3-fp16 regardless)")
-		shards  = flag.Int("select-shards", 0, "wire-codec experiment: override the sharded-selection sweep with {1, N} (0 keeps the default {1,2,4})")
+		jsonOut = flag.String("json", "", "codec-bytes/hierarchy/quorum/quorum_hier experiments: path of the artifact whose sections they update (default BENCH_gtopk.json; with -quick or -hier-group nothing is written unless this is set)")
 		hierG   = flag.Int("hier-group", 0, "hierarchy experiment: override the group-size sweep with {G} (0 keeps the default {4,8,16}; 1 is flat and therefore rejected)")
-		kernels = flag.String("kernels", sparse.DefaultKernels(), "sparse kernel implementation: fast (vectorized, where the build supports it) or pure")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 	)
 	flag.Parse()
 
-	codec, err := sparse.ParseCodec(*wire)
-	if err != nil {
-		usageError(fmt.Errorf("-wire: %w", err))
-	}
-	if err := sparse.SetKernels(*kernels); err != nil {
-		usageError(fmt.Errorf("-kernels: %w", err))
-	}
-	if *shards < 0 {
-		usageError(fmt.Errorf("-select-shards %d out of range: need >= 0", *shards))
-	}
 	if *hierG < 0 || *hierG == 1 {
 		usageError(fmt.Errorf("-hier-group %d out of range: need 0 (default sweep) or >= 2", *hierG))
 	}
-	opt := bench.Options{
-		Quick: *quick, Seed: *seed, JSONPath: *jsonOut, TCPNagle: !*noDelay,
-		Wire: codec, SelectShards: *shards, HierGroup: *hierG,
-	}
+	opt := bench.Options{Quick: *quick, Seed: *seed, JSONPath: *jsonOut, HierGroup: *hierG}
 	if !*list && !*all && *expID == "" {
 		usageError(fmt.Errorf("one of -exp, -list or -all is required"))
 	}
@@ -73,7 +58,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gtopk-bench:", err)
 			os.Exit(1)
 		}
-		defer f.Close()            //nolint:errcheck // profile already flushed
+		defer f.Close() //nolint:errcheck // profile already flushed
 		defer pprof.StopCPUProfile()
 	}
 	if *memProf != "" {

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,12 +30,14 @@ func TestFlagValidation(t *testing.T) {
 		stderr string
 	}{
 		{"no-mode", nil, "one of -exp, -list or -all is required"},
-		{"bad-wire", []string{"-exp", "hotpath", "-wire", "v0"}, "-wire"},
-		{"bad-select-shards", []string{"-exp", "wire-codec", "-select-shards", "-1"}, "-select-shards -1 out of range"},
 		{"bad-hier-group-negative", []string{"-exp", "hierarchy", "-hier-group", "-3"}, "-hier-group -3 out of range"},
 		{"bad-hier-group-one", []string{"-exp", "hierarchy", "-hier-group", "1"}, "-hier-group 1 out of range"},
-		{"bad-kernels", []string{"-exp", "hotpath", "-kernels", "bogus"}, `-kernels: sparse: unknown kernel mode "bogus"`},
 		{"unknown-flag", []string{"-frobnicate"}, "flag provided but not defined"},
+		// The four flags that only steered the deleted timing harness.
+		{"retired-wire", []string{"-exp", "codec-bytes", "-wire", "v1"}, "flag provided but not defined: -wire"},
+		{"retired-tcp-nodelay", []string{"-exp", "codec-bytes", "-tcp-nodelay"}, "flag provided but not defined: -tcp-nodelay"},
+		{"retired-select-shards", []string{"-exp", "codec-bytes", "-select-shards", "2"}, "flag provided but not defined: -select-shards"},
+		{"retired-kernels", []string{"-list", "-kernels", "pure"}, "flag provided but not defined: -kernels"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,24 +90,80 @@ func TestUnknownExperimentListsSorted(t *testing.T) {
 }
 
 // TestListEnumeratesExperiments: -list exits 0 and prints the catalogue,
-// hierarchy experiment included.
+// the artifact experiments included.
 func TestListEnumeratesExperiments(t *testing.T) {
 	res := clitest.Run(t, "-list")
 	if res.Code != 0 {
 		t.Fatalf("exit %d, want 0 (stderr: %s)", res.Code, res.Stderr)
 	}
-	for _, id := range []string{"hotpath", "wire-codec", "hierarchy", "fig9"} {
+	for _, id := range []string{"codec-bytes", "hierarchy", "fig9"} {
 		if !strings.Contains(res.Stdout, id) {
 			t.Fatalf("-list output missing %q:\n%s", id, res.Stdout)
 		}
 	}
 }
 
-// TestKernelsPureAccepted: -kernels pure is a valid mode on every build
-// (the portable reference kernels are always compiled in).
-func TestKernelsPureAccepted(t *testing.T) {
-	res := clitest.Run(t, "-kernels", "pure", "-list")
-	if res.Code != 0 {
-		t.Fatalf("exit %d, want 0 (stderr: %s)", res.Code, res.Stderr)
+// TestQuickRunNeverClobbersArtifact: a -quick run is not the committed
+// configuration, so it must not write BENCH_gtopk.json into the working
+// directory (run from the repo root, that is the committed artifact); it
+// writes only where -json points, and then exactly its own section.
+func TestQuickRunNeverClobbersArtifact(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	assertEmpty := func(t *testing.T) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("run left %s in its working directory", e.Name())
+		}
 	}
+
+	t.Run("no-json-no-file", func(t *testing.T) {
+		res := clitest.Run(t, "-exp", "quorum", "-quick")
+		if res.Code != 0 {
+			t.Fatalf("exit %d, want 0 (stderr: %s)", res.Code, res.Stderr)
+		}
+		if !strings.Contains(res.Stdout, "speedup vs q=P") || !strings.Contains(res.Stdout, "nothing written") {
+			t.Fatalf("stdout lacks the table or the nothing-written line:\n%s", res.Stdout)
+		}
+		assertEmpty(t)
+	})
+
+	t.Run("json-names-the-file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "x.json")
+		res := clitest.Run(t, "-exp", "quorum", "-quick", "-json", path)
+		if res.Code != 0 {
+			t.Fatalf("exit %d, want 0 (stderr: %s)", res.Code, res.Stderr)
+		}
+		assertEmpty(t)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		keys := slices.Sorted(maps.Keys(doc))
+		if want := []string{"go_version", "goarch", "goos", "quorum", "schema", "seed"}; !slices.Equal(keys, want) {
+			t.Fatalf("artifact keys %v, want the environment stamp plus exactly the quorum section %v", keys, want)
+		}
+		var quorum struct {
+			Kinds map[string]string `json:"kinds"`
+			Rows  []map[string]any  `json:"rows"`
+		}
+		if err := json.Unmarshal(doc["quorum"], &quorum); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{"missed_rounds": "count", "sim_us": "modelled", "speedup": "modelled"}
+		if !maps.Equal(quorum.Kinds, want) {
+			t.Fatalf("quorum kinds %v, want %v", quorum.Kinds, want)
+		}
+		if len(quorum.Rows) < 2 {
+			t.Fatalf("quorum section has %d rows, want the q=P anchor plus a q<P row", len(quorum.Rows))
+		}
+	})
 }

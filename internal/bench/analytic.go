@@ -4,15 +4,20 @@
 // per x-axis point of the original plot — so "regenerating Fig. 10" means
 // printing the exact series the paper draws.
 //
-// Experiments come in two kinds:
+// Experiments come in three kinds, none of which reads a wall clock
+// (measured step times are benchmark/'s, kernel times `go test -bench`'s):
 //
 //   - analytic (this file): communication-time results (Figs 8, 9, 10,
 //     11, Tables I, IV) driven by the α-β model the paper itself fits and
 //     uses (Eqs 5-7), evaluated with the paper's full-size model
-//     parameters; and
+//     parameters — modelled by design;
 //   - convergence (convergence.go): real distributed training runs on
 //     the CPU-scaled models and synthetic datasets (Figs 1, 5, 6, 7, 12,
-//     13, 14).
+//     13, 14); and
+//   - artifact (artifact.go): the real collectives on seeded inputs,
+//     reporting what they count (codec-bytes) or what the α-β clock
+//     charges them (hierarchy, quorum, quorum_hier) into
+//     BENCH_gtopk.json, which the tests regenerate and compare.
 package bench
 
 import (
@@ -103,7 +108,7 @@ func Fig9(model netsim.Model) string {
 	return sb.String()
 }
 
-// Effective-bandwidth calibration factors (EXPERIMENTS.md §Calibration).
+// Effective-bandwidth calibration factors.
 //
 // The α-β model prices raw point-to-point transfers, which is what the
 // paper's Fig. 8 fits. Its measured end-to-end training times (Table IV,

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"gtopkssgd/internal/netsim"
-	"gtopkssgd/internal/sparse"
-	"gtopkssgd/internal/transport"
 )
 
 func TestTable1ContainsAllAlgorithms(t *testing.T) {
@@ -242,19 +242,44 @@ func TestCurveTableAlignsRaggedCurves(t *testing.T) {
 	}
 }
 
-// TestHotPathMeasuresThePrintedCodec: a hotpath row labelled with a wire
-// codec must have moved that codec's bytes — each step down the value
-// precision ladder ships strictly fewer bytes per rank than the last.
+// TestHotPathMeasuresThePrintedCodec: a codec-bytes row labelled with a
+// wire codec must have moved that codec's bytes — at either density each
+// step along the one codec list ships strictly fewer bytes per rank than
+// the last — and the bytes are exact per seed: a second run in the same
+// process returns identical rows.
 func TestHotPathMeasuresThePrintedCodec(t *testing.T) {
-	prev := int64(0)
-	for _, codec := range []sparse.Codec{sparse.CodecV3Q8, sparse.CodecV3F16, sparse.CodecV3, sparse.CodecV1} {
-		res, err := measureCollective("inproc", 4, 0.001, 42, transport.TCPOptions{}, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.WireBytesPerRank <= prev {
-			t.Errorf("%s moved %d B/rank/round, not more than the next-smaller codec's %d", codec, res.WireBytesPerRank, prev)
-		}
-		prev = res.WireBytesPerRank
+	// Half the -quick size keeps the race-detector run short; the committed
+	// full-size rows are held to the same order by TestBenchArtifactSchema.
+	const dim = codecBytesQuickDim / 2
+	want := []string{"v1", "v3", "v3-fp16", "v3-qsgd8", "v3-qsgd4", "v3-qsgd2", "v3-ternary", "v3-sign"}
+	for _, rho := range []float64{0.001, 0.01} {
+		t.Run(fmt.Sprintf("rho=%g", rho), func(t *testing.T) {
+			rows, err := codecBytesRows(dim, rho, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != len(want) {
+				t.Fatalf("%d rows, want one per codec of %v", len(rows), want)
+			}
+			for i, r := range rows {
+				if r.Codec != want[i] || r.Rho != rho {
+					t.Fatalf("row %d is %s at rho=%g, want %s at rho=%g", i, r.Codec, r.Rho, want[i], rho)
+				}
+				if i > 0 && r.WireBytesPerRank >= rows[i-1].WireBytesPerRank {
+					t.Errorf("%s moved %d B/rank/round, not fewer than %s's %d",
+						r.Codec, r.WireBytesPerRank, rows[i-1].Codec, rows[i-1].WireBytesPerRank)
+				}
+				if got := float64(rows[0].WireBytesPerRank) / float64(r.WireBytesPerRank); r.BytesReduction != got {
+					t.Errorf("%s bytes_reduction %v is not v1/%s at this density (%v)", r.Codec, r.BytesReduction, r.Codec, got)
+				}
+			}
+			again, err := codecBytesRows(dim, rho, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rows, again) {
+				t.Fatalf("second run differs from the first\n 1st: %+v\n 2nd: %+v", rows, again)
+			}
+		})
 	}
 }

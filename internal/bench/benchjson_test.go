@@ -1,7 +1,13 @@
 package bench
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gtopkssgd/internal/core"
@@ -14,97 +20,45 @@ func benchArtifactPath() string {
 }
 
 // TestBenchArtifactSchema is the regeneration guard: the committed
-// BENCH_gtopk.json is rewritten by three different experiments (hotpath,
-// wire-codec, hierarchy), each of which must preserve the others'
-// sections — this test fails the build if any known section has been
-// silently dropped or emptied by a regeneration.
+// BENCH_gtopk.json is rewritten by four different experiments
+// (codec-bytes, hierarchy, quorum, quorum_hier), each of which must
+// preserve the others' sections — this test fails the build if any known
+// section has been silently dropped or emptied by a regeneration, or no
+// longer clears its count or model acceptance bar.
 func TestBenchArtifactSchema(t *testing.T) {
-	report, err := loadHotPathReport(benchArtifactPath())
+	report, err := loadArtifact(benchArtifactPath())
 	if err != nil {
 		t.Fatalf("checked-in artifact unreadable: %v", err)
 	}
-	if report.Schema != hotPathSchema {
-		t.Fatalf("schema %q, want %q", report.Schema, hotPathSchema)
+	if report.Schema != artifactSchema {
+		t.Fatalf("schema %q, want %q", report.Schema, artifactSchema)
 	}
-	if report.Dim <= 0 || report.Seed == 0 || report.GoVersion == "" {
-		t.Fatalf("environment stamp incomplete: dim=%d seed=%d go=%q", report.Dim, report.Seed, report.GoVersion)
-	}
-
-	// hotpath section: recorded baseline and previous-PR reference plus
-	// live measurements with speedups against both.
-	if report.Baseline.Commit == "" || len(report.Baseline.Results) == 0 {
-		t.Fatal("hotpath baseline section missing or empty")
-	}
-	if report.Prev.Commit == "" || len(report.Prev.Results) == 0 {
-		t.Fatal("hotpath prev section missing or empty")
-	}
-	if len(report.Current.Results) == 0 {
-		t.Fatal("hotpath current section empty")
-	}
-	if len(report.Speedups) == 0 {
-		t.Fatal("hotpath speedups section empty")
-	}
-	for _, r := range append(append([]HotPathResult(nil), report.Baseline.Results...), report.Prev.Results...) {
-		if r.Name == "" || r.NsPerOp <= 0 {
-			t.Fatalf("malformed hotpath result %+v", r)
-		}
-	}
-	// Every live row must carry the tail-latency summary: enough timed
-	// rounds for a meaningful p999 and monotone order statistics.
-	for _, r := range report.Current.Results {
-		if r.Name == "" || r.NsPerOp <= 0 {
-			t.Fatalf("malformed hotpath result %+v", r)
-		}
-		pct := r.Percentiles
-		if pct == nil {
-			t.Fatalf("current row %q lacks percentiles", r.Name)
-		}
-		if pct.Rounds < 200 {
-			t.Fatalf("current row %q measured only %d rounds, want >= 200", r.Name, pct.Rounds)
-		}
-		if pct.P50 <= 0 || pct.P50 > pct.P99 || pct.P99 > pct.P999 {
-			t.Fatalf("current row %q percentiles not monotone: p50=%d p99=%d p999=%d",
-				r.Name, pct.P50, pct.P99, pct.P999)
-		}
-	}
-	// The fast-kernel + vectored-I/O acceptance bar: both P=8 paper-scale
-	// aggregation rows where the kernels and vectored sends actually bite
-	// must show >= 2x over the previous PR's numbers. The inproc rho=0.001
-	// row is the pure-compute cell; the tcp rho=0.01 row is the multi-chunk
-	// cell (k=1000 -> 3 chunks per message) that exercises kernels and
-	// vectored I/O together. (tcp rho=0.001 is excluded by design: at ~100us
-	// per round it is syscall-floor-bound — 14 messages x write+read+wake —
-	// not kernel- or batching-bound, so 2x is not reachable there on this
-	// transport.)
-	vsPrev := map[string]float64{}
-	for _, s := range report.VsPrev {
-		if s.Baseline <= 0 || s.Current <= 0 || s.Speedup <= 0 {
-			t.Fatalf("malformed vs_prev row %+v", s)
-		}
-		vsPrev[s.Name] = s.Speedup
-	}
-	for _, name := range []string{"gtopk/inproc/rho=0.001/P=8", "gtopk/tcp/rho=0.01/P=8"} {
-		got, ok := vsPrev[name]
-		if !ok {
-			t.Fatalf("vs_prev lacks the %q acceptance row", name)
-		}
-		if got < 2.0 {
-			t.Fatalf("vs_prev[%q] = %.2fx, want >= 2x over commit %s", name, got, report.Prev.Commit)
-		}
+	if report.Seed == 0 || report.GoVersion == "" || report.GOOS == "" || report.GOARCH == "" {
+		t.Fatalf("environment stamp incomplete: seed=%d go=%q %s/%s", report.Seed, report.GoVersion, report.GOOS, report.GOARCH)
 	}
 
-	// wire_codec section: the codec sweep and the sharded-selection
-	// scaling rows.
-	wc := report.WireCodec
-	if wc == nil {
-		t.Fatal("wire_codec section missing (a regeneration dropped it)")
+	// codec_bytes section: one row per (rho, codec) at the full design
+	// size, every codec of the one list at both densities.
+	cb := report.CodecBytes
+	if cb == nil {
+		t.Fatal("codec_bytes section missing (a regeneration dropped it)")
 	}
-	if wc.Dim <= 0 || len(wc.Codec) == 0 || len(wc.Selection) == 0 {
-		t.Fatalf("wire_codec section malformed: dim=%d codec=%d selection=%d", wc.Dim, len(wc.Codec), len(wc.Selection))
+	if cb.Dim != codecBytesDim || cb.Workers != codecBytesWorkers || cb.Rounds != codecBytesRounds {
+		t.Fatalf("codec_bytes committed at dim=%d P=%d rounds=%d, want the default configuration %d/%d/%d (a -quick capture?)",
+			cb.Dim, cb.Workers, cb.Rounds, codecBytesDim, codecBytesWorkers, codecBytesRounds)
 	}
-	for _, c := range wc.Codec {
+	if len(cb.Rows) != 2*len(codecBytesCodecs) {
+		t.Fatalf("codec_bytes has %d rows, want %d codecs x 2 densities", len(cb.Rows), len(codecBytesCodecs))
+	}
+	for i, c := range cb.Rows {
 		if c.Name == "" || c.Codec == "" || c.WireBytesPerRank <= 0 || c.BytesReduction <= 0 {
-			t.Fatalf("malformed wire_codec row %+v", c)
+			t.Fatalf("malformed codec_bytes row %+v", c)
+		}
+		if want := codecBytesCodecs[i%len(codecBytesCodecs)].String(); c.Codec != want {
+			t.Fatalf("codec_bytes row %d is %s, want %s (one codec list, in order, per density)", i, c.Codec, want)
+		}
+		if i%len(codecBytesCodecs) > 0 && c.WireBytesPerRank >= cb.Rows[i-1].WireBytesPerRank {
+			t.Fatalf("codec_bytes: %s ships %d B, not fewer than %s's %d", c.Name, c.WireBytesPerRank, cb.Rows[i-1].Name, cb.Rows[i-1].WireBytesPerRank)
 		}
 	}
 
@@ -146,27 +100,21 @@ func TestBenchArtifactSchema(t *testing.T) {
 		t.Fatal("no (G, rho) crossover at P=64 recorded — the committed sweep must show the P>=64 regime opening")
 	}
 
-	// compound section: the codec-v3 Compressor-stack sweep plus the
-	// adaptive-density closed-loop runs.
-	cp := report.Compound
-	if cp == nil {
-		t.Fatal("compound section missing (a regeneration dropped it)")
+	// adaptive_density section: the adaptive-density closed-loop runs.
+	ad := report.AdaptiveDensity
+	if ad == nil {
+		t.Fatal("adaptive_density section missing (a regeneration dropped it)")
 	}
-	if cp.Dim <= 0 || cp.Workers < 2 || cp.Rounds <= 0 {
-		t.Fatalf("compound workload stamp malformed: %+v", cp)
+	if ad.Dim != adaptiveDim || ad.Workers < 2 || ad.Rounds <= 0 {
+		t.Fatalf("adaptive_density workload stamp malformed: %+v", ad)
 	}
-	if len(cp.Stacks) == 0 || len(cp.Adaptive) == 0 {
-		t.Fatalf("compound stacks/adaptive empty: %d/%d", len(cp.Stacks), len(cp.Adaptive))
-	}
-	for _, s := range cp.Stacks {
-		if s.Name == "" || s.Codec == "" || s.WireBytesPerRank <= 0 || s.BytesReduction <= 0 {
-			t.Fatalf("malformed compound stack row %+v", s)
-		}
+	if len(ad.Rows) == 0 {
+		t.Fatal("adaptive_density rows empty")
 	}
 	acceptance := false
-	for _, a := range cp.Adaptive {
+	for _, a := range ad.Rows {
 		if a.K0 < 1 || a.BudgetBytes < 1 || a.V1BytesPerRound <= 0 || a.SteadyBytesPerRound <= 0 || a.ReductionVsV1 <= 0 {
-			t.Fatalf("malformed compound adaptive row %+v", a)
+			t.Fatalf("malformed adaptive_density row %+v", a)
 		}
 		if a.Codec == "v3-qsgd8" && a.Rho == 0.001 && a.ReductionVsV1 >= 8 {
 			acceptance = true
@@ -270,5 +218,232 @@ func TestBenchArtifactSchema(t *testing.T) {
 	}
 	if !memberWin {
 		t.Fatal("no single-member-miss row with speedup >= 1.5 over full-sync hierarchical — the per-level budget acceptance bar")
+	}
+}
+
+// TestBenchArtifactReproduces is what makes the artifact evidence rather
+// than a recording: every committed number is a count or comes off the
+// α-β clock, i.e. is a pure function of (seed, code), so each section is
+// regenerated at the committed seed and size and must equal the
+// committed rows field for field. Editing a number in BENCH_gtopk.json
+// by hand, or changing what the code ships or charges without
+// regenerating, fails here.
+func TestBenchArtifactReproduces(t *testing.T) {
+	report, err := loadArtifact(benchArtifactPath())
+	if err != nil {
+		t.Fatalf("checked-in artifact unreadable: %v", err)
+	}
+	if report.CodecBytes == nil || report.AdaptiveDensity == nil || report.Hierarchy == nil ||
+		report.Quorum == nil || report.QuorumHier == nil {
+		t.Fatal("artifact lacks a section (see TestBenchArtifactSchema)")
+	}
+	opt := Options{Seed: report.Seed}
+	same := func(t *testing.T, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("regenerated rows differ from the committed ones\n got: %+v\nwant: %+v", got, want)
+		}
+	}
+	skipUnderRace := func(t *testing.T) {
+		t.Helper()
+		if raceEnabled {
+			t.Skip("trimmed under the race detector (see raceEnabled)")
+		}
+	}
+
+	t.Run("codec_bytes", func(t *testing.T) {
+		cb := report.CodecBytes
+		half := len(cb.Rows) / 2
+		for i, rho := range []float64{0.001, 0.01} {
+			if i > 0 && raceEnabled {
+				break
+			}
+			got, err := codecBytesRows(cb.Dim, rho, report.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, got, cb.Rows[i*half:(i+1)*half])
+		}
+	})
+	t.Run("adaptive_density", func(t *testing.T) {
+		skipUnderRace(t)
+		got, err := adaptiveDensityRows(report.AdaptiveDensity.Dim, report.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, got, report.AdaptiveDensity.Rows)
+	})
+	t.Run("hierarchy", func(t *testing.T) {
+		skipUnderRace(t)
+		// The P <= 32 cells only: the full sweep to P=256 takes 25 s, and
+		// a row depends on nothing but its own (P, G, rho).
+		var want []HierarchyResult
+		for _, r := range report.Hierarchy.Sweep {
+			if r.P <= 32 {
+				want = append(want, r)
+			}
+		}
+		got, err := hierarchySweep(report.Seed, report.Hierarchy.Dim,
+			[]int{16, 32}, []int{4, 8, 16}, []float64{0.001, 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, got, want)
+	})
+	t.Run("quorum", func(t *testing.T) {
+		skipUnderRace(t)
+		same(t, regenerateQuorum(t, Quorum, opt), report.Quorum)
+	})
+	t.Run("quorum_hier", func(t *testing.T) {
+		skipUnderRace(t)
+		same(t, regenerateQuorum(t, QuorumHier, opt), report.QuorumHier)
+	})
+
+	// The generic walk reads the file as the next tool would — with no Go
+	// types — and holds it to the artifact's contract: every section is
+	// an object whose arrays hold the result rows; every numeric field of
+	// a row is a sweep coordinate or carries a kind, count or modelled,
+	// from the section's `kind` or its per-field `kinds`; and no key of
+	// the retired wall-clock half survives anywhere.
+	t.Run("kinds", func(t *testing.T) {
+		data, err := os.ReadFile(benchArtifactPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkArtifactKinds(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// regenerateQuorum runs a quorum sweep, again if its own schedule check
+// fails. Until ROADMAP item 3 puts deadlines on a virtual clock, the
+// quorum experiments decide who missed a round with real 15-75 ms
+// timers, so a starved host can make a fast rank miss one. They check
+// every round's missed set against the intended schedule themselves and
+// return an error instead of numbers when it differs, so trying again
+// cannot let a wrong number through — only a slow host.
+func regenerateQuorum[S any](t *testing.T, sweep func(context.Context, Options) (string, S, error), opt Options) S {
+	t.Helper()
+	const attempts = 5
+	for i := 1; ; i++ {
+		_, section, err := sweep(context.Background(), opt)
+		if err == nil {
+			return section
+		}
+		if i == attempts {
+			t.Fatal(err)
+		}
+		t.Logf("attempt %d: %v", i, err)
+	}
+}
+
+// artifactCoordinates are the numeric row fields that name a sweep point
+// rather than report a result; every other number in a row needs a kind.
+var artifactCoordinates = map[string]bool{"rho": true, "p": true, "g": true, "q": true, "q_g": true, "q_l": true}
+
+// artifactRetiredKeys are the fields of the deleted wall-clock half of
+// the old harness; none may reappear at any depth.
+var artifactRetiredKeys = []string{
+	"ns_per_op", "num_cpu", "percentiles", "baseline", "prev", "current", "speedups", "vs_prev",
+	"selection", "measured_ns_per_op", "speedup_measured", "critical_path_ns_per_op",
+}
+
+// checkArtifactKinds is the generic walk of TestBenchArtifactReproduces.
+func checkArtifactKinds(doc map[string]any) error {
+	var retired func(path string, v any) error
+	retired = func(path string, v any) error {
+		switch v := v.(type) {
+		case map[string]any:
+			for _, key := range artifactRetiredKeys {
+				if _, ok := v[key]; ok {
+					return fmt.Errorf("%s carries the retired key %q", path, key)
+				}
+			}
+			for key, child := range v {
+				if err := retired(path+"."+key, child); err != nil {
+					return err
+				}
+			}
+		case []any:
+			for i, child := range v {
+				if err := retired(fmt.Sprintf("%s[%d]", path, i), child); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := retired("artifact", doc); err != nil {
+		return err
+	}
+	for name, v := range doc {
+		section, ok := v.(map[string]any)
+		if !ok {
+			continue // environment stamp
+		}
+		kinds, _ := section["kinds"].(map[string]any)
+		for field, v := range section {
+			rows, ok := v.([]any)
+			if !ok {
+				continue // workload stamp
+			}
+			for i, row := range rows {
+				obj, ok := row.(map[string]any)
+				if !ok {
+					return fmt.Errorf("%s.%s[%d] is not a result row object", name, field, i)
+				}
+				for key, val := range obj {
+					if _, numeric := val.(float64); !numeric || artifactCoordinates[key] {
+						continue
+					}
+					kind, ok := kinds[key]
+					if !ok {
+						kind, ok = section["kind"]
+					}
+					if !ok {
+						return fmt.Errorf("%s.%s[%d].%s has no kind", name, field, i, key)
+					}
+					if kind != kindCount && kind != kindModelled {
+						return fmt.Errorf("%s.%s[%d].%s has kind %v, want %s or %s", name, field, i, key, kind, kindCount, kindModelled)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestArtifactKindsWalkRejects pins the walk itself: each doctored
+// artifact breaks exactly one clause of the contract.
+func TestArtifactKindsWalkRejects(t *testing.T) {
+	doc := func(section string) map[string]any {
+		var d map[string]any
+		if err := json.Unmarshal([]byte(`{"seed": 42, "s": `+section+`}`), &d); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, tc := range []struct{ name, section, want string }{
+		{"section-kind", `{"dim": 8, "kind": "count", "rows": [{"rho": 0.1, "bytes": 3}]}`, ""},
+		{"field-kinds", `{"kinds": {"k": "count", "sim_us": "modelled"}, "rows": [{"q": 3, "k": 2, "sim_us": 9}]}`, ""},
+		{"untagged-field", `{"kinds": {"k": "count"}, "rows": [{"q": 3, "k": 2, "sim_us": 9}]}`, "s.rows[0].sim_us has no kind"},
+		{"measured-kind", `{"kind": "measured", "rows": [{"bytes": 3}]}`, "has kind measured"},
+		{"retired-key", `{"kind": "count", "rows": [{"bytes": 3, "ns_per_op": 7}]}`, `retired key "ns_per_op"`},
+		{"retired-section-stamp", `{"kind": "count", "num_cpu": 1, "rows": []}`, `retired key "num_cpu"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkArtifactKinds(doc(tc.section))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("well-formed artifact rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -19,8 +19,10 @@ import (
 
 // TrainSpec configures one distributed-training run of a convergence
 // experiment. Worker counts, densities, warmup schedules and momentum
-// follow the paper; model sizes and epoch lengths are CPU-scaled (see
-// EXPERIMENTS.md §Scaling).
+// follow the paper; model sizes and epoch lengths are CPU-scaled so a
+// full curve runs in CPU-minutes (the *Sim models of internal/nn/models
+// keep each paper model's fc- or conv-dominated character at ~100-1000x
+// fewer parameters; an epoch is a fixed ItersPerEpoch).
 type TrainSpec struct {
 	Model string // vgg16sim | resnet20sim | alexnetsim | resnet50sim | lstm | mlp
 	Algo  string // dense | topk | gtopk | gtopk-naive | gtopk-ps | gtopk-layerwise | gtopk-bucketed

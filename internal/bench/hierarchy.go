@@ -2,11 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -44,9 +41,10 @@ type HierarchyResult struct {
 	G   int     `json:"g"`
 	Rho float64 `json:"rho"`
 	K   int     `json:"k"`
-	// FlatUS/HierUS are measured on the real collectives (in-process
-	// fabric, simulated clock); ModelFlatUS/ModelHierUS are the
-	// closed-form netsim predictions for the same configuration.
+	// FlatUS/HierUS are the α-β clock charged by the real collectives
+	// (in-process fabric); ModelFlatUS/ModelHierUS are the closed-form
+	// netsim predictions for the same configuration. All four are
+	// modelled, none is a wall-clock measurement.
 	FlatUS      int64   `json:"flat_us"`
 	HierUS      int64   `json:"hier_us"`
 	ModelFlatUS int64   `json:"model_flat_us"`
@@ -69,13 +67,22 @@ type HierarchySection struct {
 	AlphaUS    float64              `json:"alpha_us"`
 	BetaNS     float64              `json:"beta_ns"`
 	SyncGamma  float64              `json:"sync_gamma"`
+	Kinds      map[string]string    `json:"kinds"` // tags every result field of Sweep and Crossovers
 	Sweep      []HierarchyResult    `json:"sweep"`
 	Crossovers []HierarchyCrossover `json:"crossovers"`
 }
 
-// hierarchyVectors builds deterministic per-rank top-k inputs for both
-// sweep densities without ever holding more than one dense gradient.
-func hierarchyVectors(seed uint64, p, dim int, ks []int) [][]*sparse.Vector {
+// hierarchyModel is the sweep's cost model: the paper's 1 GbE α-β
+// constants plus the shared synchronization-skew factor.
+func hierarchyModel() netsim.Model {
+	return netsim.Paper1GbE().WithSyncSkew(netsim.DefaultSyncGamma)
+}
+
+// gaussianTopKs builds the deterministic per-rank inputs of the
+// hierarchy and quorum experiments: rank r's top-k of one seeded
+// Gaussian gradient, for every k in ks (vecs[i][r] is rank r at ks[i]),
+// without ever holding more than one dense gradient.
+func gaussianTopKs(seed uint64, p, dim int, ks []int) [][]*sparse.Vector {
 	vecs := make([][]*sparse.Vector, len(ks))
 	for i := range vecs {
 		vecs[i] = make([]*sparse.Vector, p)
@@ -163,6 +170,47 @@ func vectorsEqualBits(a, b *sparse.Vector) bool {
 	return true
 }
 
+// hierarchySweep runs every (P, ρ, G) cell with G < P on the real
+// collectives and returns the rows in sweep order. A row depends only
+// on its own (seed, dim, P, G, ρ), so a sub-sweep reproduces the
+// matching rows of a larger one.
+func hierarchySweep(seed uint64, dim int, workers, groups []int, densities []float64) ([]HierarchyResult, error) {
+	model := hierarchyModel()
+	ks := make([]int, len(densities))
+	for i, rho := range densities {
+		ks[i] = core.DensityToK(dim, rho)
+	}
+	var sweep []HierarchyResult
+	for _, p := range workers {
+		vecs := gaussianTopKs(seed, p, dim, ks)
+		for di, rho := range densities {
+			k := ks[di]
+			flat, err := runHierarchyConfig(model, vecs[di], k, 1)
+			if err != nil {
+				return nil, fmt.Errorf("flat P=%d rho=%g: %w", p, rho, err)
+			}
+			for _, g := range groups {
+				if g >= p {
+					continue
+				}
+				hier, err := runHierarchyConfig(model, vecs[di], k, g)
+				if err != nil {
+					return nil, fmt.Errorf("hier P=%d G=%d rho=%g: %w", p, g, rho, err)
+				}
+				sweep = append(sweep, HierarchyResult{
+					P: p, G: g, Rho: rho, K: k,
+					FlatUS:      flat.Microseconds(),
+					HierUS:      hier.Microseconds(),
+					ModelFlatUS: model.GTopKTree(p, k).Microseconds(),
+					ModelHierUS: model.HierGTopK(p, g, k).Microseconds(),
+					Speedup:     float64(flat) / float64(hier),
+				})
+			}
+		}
+	}
+	return sweep, nil
+}
+
 // Hierarchy runs the sweep and returns the rendered table plus the
 // section. Quick mode shrinks to two worker counts, one group size and
 // one density.
@@ -180,46 +228,23 @@ func Hierarchy(_ context.Context, opt Options) (string, *HierarchySection, error
 	if opt.HierGroup > 1 {
 		groups = []int{opt.HierGroup}
 	}
-	model := netsim.Paper1GbE().WithSyncSkew(netsim.DefaultSyncGamma)
+	model := hierarchyModel()
 
 	section := &HierarchySection{
 		Dim:       dim,
 		AlphaUS:   float64(model.Alpha) / float64(time.Microsecond),
 		BetaNS:    float64(model.Beta) / float64(time.Nanosecond),
 		SyncGamma: model.SyncGamma,
+		Kinds: map[string]string{
+			"k":       kindCount,
+			"flat_us": kindModelled, "hier_us": kindModelled,
+			"model_flat_us": kindModelled, "model_hier_us": kindModelled,
+			"speedup": kindModelled, "cross_p": kindModelled,
+		},
 	}
-
-	ks := make([]int, len(densities))
-	for i, rho := range densities {
-		ks[i] = core.DensityToK(dim, rho)
-	}
-
-	for _, p := range workers {
-		vecs := hierarchyVectors(opt.seed(), p, dim, ks)
-		for di, rho := range densities {
-			k := ks[di]
-			flat, err := runHierarchyConfig(model, vecs[di], k, 1)
-			if err != nil {
-				return "", nil, fmt.Errorf("flat P=%d rho=%g: %w", p, rho, err)
-			}
-			for _, g := range groups {
-				if g >= p {
-					continue
-				}
-				hier, err := runHierarchyConfig(model, vecs[di], k, g)
-				if err != nil {
-					return "", nil, fmt.Errorf("hier P=%d G=%d rho=%g: %w", p, g, rho, err)
-				}
-				section.Sweep = append(section.Sweep, HierarchyResult{
-					P: p, G: g, Rho: rho, K: k,
-					FlatUS:      flat.Microseconds(),
-					HierUS:      hier.Microseconds(),
-					ModelFlatUS: model.GTopKTree(p, k).Microseconds(),
-					ModelHierUS: model.HierGTopK(p, g, k).Microseconds(),
-					Speedup:     float64(flat) / float64(hier),
-				})
-			}
-		}
+	var err error
+	if section.Sweep, err = hierarchySweep(opt.seed(), dim, workers, groups, densities); err != nil {
+		return "", nil, err
 	}
 
 	// Crossovers: smallest swept P where the hierarchy wins, per (G, ρ).
@@ -258,46 +283,4 @@ func Hierarchy(_ context.Context, opt Options) (string, *HierarchySection, error
 	}
 	sb.WriteString("\nThe hierarchy pays ceil(log2 G) extra broadcast rounds (every member holds\nits group aggregate — the leader-failure story) and buys group-sized\nsynchronization domains; it wins where alpha-skew dominates (low rho,\nlarge P) and loses where the extra payload volume does (rho=0.01).\n")
 	return sb.String(), section, nil
-}
-
-// WriteHierarchyJSON runs the sweep and folds the hierarchy section into
-// BENCH_gtopk.json (or opt.JSONPath), preserving the other experiments'
-// sections.
-func WriteHierarchyJSON(ctx context.Context, opt Options) (string, error) {
-	out, section, err := Hierarchy(ctx, opt)
-	if err != nil {
-		return "", err
-	}
-	path := opt.JSONPath
-	if path == "" {
-		path = "BENCH_gtopk.json"
-	}
-	report, err := loadHotPathReport(path)
-	if err != nil {
-		// No (or unreadable) artifact: start a minimal report carrying
-		// just this section plus the environment stamp.
-		report = &hotPathReport{
-			Schema:      hotPathSchema,
-			GeneratedBy: "gtopk-bench -exp hierarchy",
-			Seed:        opt.seed(),
-			Dim:         hotPathDim,
-			GoVersion:   runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			NumCPU:      runtime.NumCPU(),
-		}
-		report.Baseline.Commit = baselineCommit
-		report.Baseline.Results = baselineHotPath
-		report.Prev.Commit = prevCommit
-		report.Prev.Results = prevHotPath
-	}
-	report.Hierarchy = section
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return out + fmt.Sprintf("\nwrote %s (%d sweep cells)\n", path, len(section.Sweep)), nil
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
-	"gtopkssgd/internal/data"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/nn/models"
@@ -16,9 +14,10 @@ import (
 
 // This file evaluates the bucketed, overlapped aggregation pipeline
 // (core.BucketedAggregator): an analytic wait-free-backpropagation
-// schedule over the paper's full-size models, and a measured section that
-// runs the real pipeline on an in-process cluster and reads the simulated
-// clocks.
+// schedule over the paper's full-size models (modelled, by design), and
+// the bucketed-vs-single-bucket convergence comparison. What streaming
+// buckets hide on a real clock is benchmark/'s model-overlap workload
+// (core.overlap_hidden_share).
 
 // overlapBuckets is the bucket count used by the analytic schedule; eight
 // buckets is the ballpark deep-learning frameworks use for gradient
@@ -100,124 +99,6 @@ func BucketedOverlap(model netsim.Model) string {
 	sb.WriteString("back by hiding communication behind the backward pass and running\n")
 	sb.WriteString("bucket collectives concurrently on tag-isolated sub-communicators.\n")
 	return sb.String()
-}
-
-// MeasuredOverlap runs the REAL bucketed pipeline on an in-process
-// cluster (P=4, MLP) next to the single-bucket gTop-k aggregator and
-// reports the simulated communication clocks: the bucketed aggregator
-// advances its rank's clock by the slowest bucket per iteration
-// (concurrent sub-communicators), the serialized baseline by the full
-// collective.
-func MeasuredOverlap(ctx context.Context, opt Options) (string, error) {
-	const (
-		workers = 4
-		batch   = 8
-		density = 0.01
-	)
-	steps := 12
-	if opt.Quick {
-		steps = 4
-	}
-	ds, err := data.NewImages(opt.seed()+2000, 10, 3, 8, 8, 0.4)
-	if err != nil {
-		return "", err
-	}
-	simModel := netsim.Paper1GbE()
-
-	type runResult struct {
-		simPerIter  time.Duration
-		bytesSent   int64
-		buckets     int
-		bucketTimes []time.Duration
-		finalLoss   float64
-	}
-	run := func(bucketed bool) (*runResult, error) {
-		var rank0Agg *core.BucketedAggregator
-		results, err := core.RunCluster(ctx, core.ClusterConfig{
-			Workers: workers, Steps: steps, Model: &simModel,
-		}, func(rank int, comm *collective.Comm) (*core.Trainer, error) {
-			cls := models.MLP(ds.Dim(), 64, 10)
-			cls.Net.Init(opt.seed())
-			dim := cls.Net.ParamCount()
-			var agg core.Aggregator
-			if bucketed {
-				bounds := core.GroupBounds(cls.Net.LayerBounds(), 4)
-				ba, err := core.NewBucketedAggregator(comm, bounds, density)
-				if err != nil {
-					return nil, err
-				}
-				if rank == 0 {
-					rank0Agg = ba
-				}
-				agg = ba
-			} else {
-				k := core.DensityToK(dim, density)
-				ga, err := core.NewGTopKAggregator(comm, dim, k)
-				if err != nil {
-					return nil, err
-				}
-				agg = ga
-			}
-			tr, err := core.NewTrainer(core.TrainConfig{LR: 0.05},
-				agg, cls.Net.Parameters(), models.GradFn(cls, ds, rank, workers, batch))
-			if err != nil {
-				return nil, err
-			}
-			if bucketed {
-				if err := tr.SetStreamGradFn(models.StreamGradFn(cls, ds, rank, workers, batch)); err != nil {
-					return nil, err
-				}
-			}
-			return tr, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rr := &runResult{
-			simPerIter: results[0].SimulatedTime / time.Duration(steps),
-			bytesSent:  results[0].CommStats.BytesSent,
-			finalLoss:  results[0].Losses[len(results[0].Losses)-1],
-		}
-		if rank0Agg != nil {
-			rr.buckets = rank0Agg.NumBuckets()
-			rr.bucketTimes = rank0Agg.LastBucketTimes()
-		}
-		return rr, nil
-	}
-
-	baseline, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	bucketed, err := run(true)
-	if err != nil {
-		return "", err
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Measured: real bucketed pipeline vs serialized gTop-k (MLP, P=%d, rho=%g)\n\n", workers, density)
-	tb := metrics.NewTable("aggregation", "sim comm/iter", "sent KiB/worker", "final loss")
-	tb.AddRow("gtopk (serialized)", fmt.Sprint(baseline.simPerIter),
-		fmt.Sprintf("%.1f", float64(baseline.bytesSent)/1024), fmt.Sprintf("%.4f", baseline.finalLoss))
-	tb.AddRow(fmt.Sprintf("gtopk-bucketed (%d buckets, overlapped)", bucketed.buckets),
-		fmt.Sprint(bucketed.simPerIter),
-		fmt.Sprintf("%.1f", float64(bucketed.bytesSent)/1024), fmt.Sprintf("%.4f", bucketed.finalLoss))
-	sb.WriteString(tb.String())
-
-	var sum, slowest time.Duration
-	for _, d := range bucketed.bucketTimes {
-		sum += d
-		if d > slowest {
-			slowest = d
-		}
-	}
-	fmt.Fprintf(&sb, "\nLast iteration per-bucket comm: %v\n", bucketed.bucketTimes)
-	fmt.Fprintf(&sb, "overlapped (slowest bucket): %v   serialized (sum of buckets): %v   speedup: %.2fx\n",
-		slowest, sum, float64(sum)/float64(slowest))
-	if slowest >= sum && len(bucketed.bucketTimes) > 1 {
-		sb.WriteString("WARNING: overlap did not beat serialized bucket execution\n")
-	}
-	return sb.String(), nil
 }
 
 // bucketedConvergence compares single-bucket gTop-k with the bucketed

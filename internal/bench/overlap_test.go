@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -52,21 +50,6 @@ func TestBucketedOverlapBeatsSerialized(t *testing.T) {
 		}
 		if overlapped >= bd.Total() {
 			t.Errorf("%s: overlapped %v >= unbucketed serial iteration %v", pm.Name, overlapped, bd.Total())
-		}
-	}
-}
-
-func TestMeasuredOverlapRuns(t *testing.T) {
-	out, err := MeasuredOverlap(context.Background(), Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "WARNING") {
-		t.Fatalf("measured overlap regressed:\n%s", out)
-	}
-	for _, want := range []string{"gtopk-bucketed", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 }

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -30,9 +27,11 @@ import (
 // (bitwise) and the expected participant sets are verified on every
 // round before a row is recorded.
 
-// Quorum workload shape: the hotpath dimension at the paper's denser
-// setting keeps k large enough that verdict frames dominate headers.
+// Quorum workload shape (shared with quorumhier.go): ρ=0.01 of a
+// 100 000-element gradient keeps k large enough that verdict frames
+// dominate headers while a P=64 sweep still runs in seconds.
 const (
+	quorumDim = 100_000
 	quorumRho = 0.01
 	// quorumDelay is the injected delay on the slow rank's outgoing
 	// links; quorumTimeout is the per-round gather deadline. The 4x gap
@@ -66,19 +65,20 @@ type QuorumResult struct {
 
 // QuorumSection is the quorum section of BENCH_gtopk.json.
 type QuorumSection struct {
-	Dim          int            `json:"dim"`
-	Rho          float64        `json:"rho"`
-	K            int            `json:"k"`
-	P            int            `json:"p"`
-	SlowRank     int            `json:"slow_rank"`
-	Rounds       int            `json:"rounds"`
-	TimeoutMS    int64          `json:"timeout_ms"`
-	DelayMS      int64          `json:"delay_ms"`
-	IntraAlphaUS float64        `json:"intra_alpha_us"`
-	IntraBetaNS  float64        `json:"intra_beta_ns"`
-	InterAlphaUS float64        `json:"inter_alpha_us"`
-	InterBetaNS  float64        `json:"inter_beta_ns"`
-	Rows         []QuorumResult `json:"rows"`
+	Dim          int               `json:"dim"`
+	Rho          float64           `json:"rho"`
+	K            int               `json:"k"`
+	P            int               `json:"p"`
+	SlowRank     int               `json:"slow_rank"`
+	Rounds       int               `json:"rounds"`
+	TimeoutMS    int64             `json:"timeout_ms"`
+	DelayMS      int64             `json:"delay_ms"`
+	IntraAlphaUS float64           `json:"intra_alpha_us"`
+	IntraBetaNS  float64           `json:"intra_beta_ns"`
+	InterAlphaUS float64           `json:"inter_alpha_us"`
+	InterBetaNS  float64           `json:"inter_beta_ns"`
+	Kinds        map[string]string `json:"kinds"` // tags every result field of Rows
+	Rows         []QuorumResult    `json:"rows"`
 }
 
 // quorumSweep returns the deduplicated quorum sizes {P, P−1, ⌈0.75·P⌉},
@@ -190,9 +190,9 @@ func runQuorumConfig(vecs []*sparse.Vector, k, q, rounds, slow int, lm *netsim.L
 // Quorum runs the sweep and returns the rendered table plus the
 // section. Quick mode shrinks the world and the round count.
 func Quorum(_ context.Context, opt Options) (string, *QuorumSection, error) {
-	p, rounds, dim := 8, 3, hotPathDim
+	p, rounds, dim := 8, 3, quorumDim
 	if opt.Quick {
-		p, rounds, dim = 4, 2, hotPathDim/4
+		p, rounds, dim = 4, 2, quorumDim/4
 	}
 	k := core.DensityToK(dim, quorumRho)
 	slow := p - 1
@@ -205,7 +205,7 @@ func Quorum(_ context.Context, opt Options) (string, *QuorumSection, error) {
 		return "", nil, err
 	}
 	plan := transport.FaultPlan{Seed: opt.seed(), Delay: quorumDelay, SlowRanks: []int{slow}}
-	vecs := hotPathVectors(opt.seed(), p, dim, k)
+	vecs := gaussianTopKs(opt.seed(), p, dim, []int{k})[0]
 
 	section := &QuorumSection{
 		Dim: dim, Rho: quorumRho, K: k, P: p, SlowRank: slow, Rounds: rounds,
@@ -215,6 +215,11 @@ func Quorum(_ context.Context, opt Options) (string, *QuorumSection, error) {
 		IntraBetaNS:  float64(intra.Beta) / float64(time.Nanosecond),
 		InterAlphaUS: float64(inter.Alpha) / float64(time.Microsecond),
 		InterBetaNS:  float64(inter.Beta) / float64(time.Nanosecond),
+		// Misses are counted from the verdicts; the time and the speedup
+		// derived from it come off the per-link α-β clock.
+		Kinds: map[string]string{
+			"missed_rounds": kindCount, "sim_us": kindModelled, "speedup": kindModelled,
+		},
 	}
 
 	var fullSync time.Duration
@@ -251,46 +256,4 @@ func Quorum(_ context.Context, opt Options) (string, *QuorumSection, error) {
 	sb.WriteString(tb.String())
 	sb.WriteString("\nAt q=P the deadline only guards liveness: the round waits for the WAN rank and\npays its links on both legs. Any q<P closes the gather at the deadline with the\ndatacenter ranks only — the straggler's block is refunded to its residual, the\nverdict still reaches it, and the fast ranks stop paying the WAN gather leg.\n")
 	return sb.String(), section, nil
-}
-
-// WriteQuorumJSON runs the sweep and folds the quorum section into
-// BENCH_gtopk.json (or opt.JSONPath), preserving the other experiments'
-// sections.
-func WriteQuorumJSON(ctx context.Context, opt Options) (string, error) {
-	out, section, err := Quorum(ctx, opt)
-	if err != nil {
-		return "", err
-	}
-	path := opt.JSONPath
-	if path == "" {
-		path = "BENCH_gtopk.json"
-	}
-	report, err := loadHotPathReport(path)
-	if err != nil {
-		// No (or unreadable) artifact: start a minimal report carrying
-		// just this section plus the environment stamp.
-		report = &hotPathReport{
-			Schema:      hotPathSchema,
-			GeneratedBy: "gtopk-bench -exp quorum",
-			Seed:        opt.seed(),
-			Dim:         hotPathDim,
-			GoVersion:   runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			NumCPU:      runtime.NumCPU(),
-		}
-		report.Baseline.Commit = baselineCommit
-		report.Baseline.Results = baselineHotPath
-		report.Prev.Commit = prevCommit
-		report.Prev.Results = prevHotPath
-	}
-	report.Quorum = section
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return out + fmt.Sprintf("\nwrote %s (%d quorum rows)\n", path, len(section.Rows)), nil
 }

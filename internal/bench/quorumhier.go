@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -94,6 +91,7 @@ type QuorumHierSection struct {
 	IntraBetaNS  float64            `json:"intra_beta_ns"`
 	InterAlphaUS float64            `json:"inter_alpha_us"`
 	InterBetaNS  float64            `json:"inter_beta_ns"`
+	Kinds        map[string]string  `json:"kinds"` // tags every result field of Rows
 	Rows         []QuorumHierResult `json:"rows"`
 }
 
@@ -179,9 +177,9 @@ func runQuorumHierConfig(vecs []*sparse.Vector, k, g int, qc core.QuorumConfig, 
 // QuorumHier runs the sweep and returns the rendered table plus the
 // section. Quick mode shrinks the world and the round count.
 func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, error) {
-	p, g, rounds, dim := quorumHierP, quorumHierG, quorumHierRounds, hotPathDim
+	p, g, rounds, dim := quorumHierP, quorumHierG, quorumHierRounds, quorumDim
 	if opt.Quick {
-		p, rounds, dim = 16, 2, hotPathDim/4
+		p, rounds, dim = 16, 2, quorumDim/4
 	}
 	numGroups := (p + g - 1) / g
 	k := core.DensityToK(dim, quorumRho)
@@ -198,7 +196,7 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 		return "", nil, err
 	}
 	plan := transport.FaultPlan{Seed: opt.seed(), Delay: quorumDelay, SlowRanks: []int{slow}}
-	vecs := hotPathVectors(opt.seed(), p, dim, k)
+	vecs := gaussianTopKs(opt.seed(), p, dim, []int{k})[0]
 	levels := quorumHierLevels()
 
 	section := &QuorumHierSection{
@@ -213,6 +211,10 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 		IntraBetaNS:  float64(intra.Beta) / float64(time.Nanosecond),
 		InterAlphaUS: float64(inter.Alpha) / float64(time.Microsecond),
 		InterBetaNS:  float64(inter.Beta) / float64(time.Nanosecond),
+		Kinds: map[string]string{
+			"missed_ranks": kindCount, "missed_rounds": kindCount,
+			"sim_us": kindModelled, "speedup": kindModelled,
+		},
 	}
 
 	// The slow member's whole group, missed as a unit when its leader —
@@ -279,46 +281,4 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 	sb.WriteString(tb.String())
 	sb.WriteString("\nAt q_g=G, q_l=all the budgets only guard liveness: the slow member's group waits\nfor its WAN frame and every rank pays that link. Dropping EITHER quorum by one\ncloses the affected level at its budget — the slow member (or its whole group)\nis refunded to residual and the fast ranks' rounds never touch a WAN link.\n")
 	return sb.String(), section, nil
-}
-
-// WriteQuorumHierJSON runs the sweep and folds the quorum_hier section
-// into BENCH_gtopk.json (or opt.JSONPath), preserving the other
-// experiments' sections.
-func WriteQuorumHierJSON(ctx context.Context, opt Options) (string, error) {
-	out, section, err := QuorumHier(ctx, opt)
-	if err != nil {
-		return "", err
-	}
-	path := opt.JSONPath
-	if path == "" {
-		path = "BENCH_gtopk.json"
-	}
-	report, err := loadHotPathReport(path)
-	if err != nil {
-		// No (or unreadable) artifact: start a minimal report carrying
-		// just this section plus the environment stamp.
-		report = &hotPathReport{
-			Schema:      hotPathSchema,
-			GeneratedBy: "gtopk-bench -exp quorum_hier",
-			Seed:        opt.seed(),
-			Dim:         hotPathDim,
-			GoVersion:   runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			NumCPU:      runtime.NumCPU(),
-		}
-		report.Baseline.Commit = baselineCommit
-		report.Baseline.Results = baselineHotPath
-		report.Prev.Commit = prevCommit
-		report.Prev.Results = prevHotPath
-	}
-	report.QuorumHier = section
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return out + fmt.Sprintf("\nwrote %s (%d quorum_hier rows)\n", path, len(section.Rows)), nil
 }

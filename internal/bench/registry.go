@@ -8,7 +8,6 @@ import (
 
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/netsim"
-	"gtopkssgd/internal/sparse"
 )
 
 // Options tunes experiment execution.
@@ -16,36 +15,18 @@ type Options struct {
 	// Quick shrinks training-based experiments to smoke-test size
 	// (seconds instead of minutes). Analytic experiments are unaffected.
 	Quick bool
-	// Seed drives all randomness; the default 42 reproduces the numbers
-	// committed in EXPERIMENTS.md.
+	// Seed drives all randomness; the default 42 reproduces the committed
+	// BENCH_gtopk.json and the README's results ledger.
 	Seed uint64
-	// JSONPath overrides where the hotpath experiment writes its
-	// machine-readable report (default BENCH_gtopk.json in the working
-	// directory — run from the repo root to refresh the committed
-	// artifact).
+	// JSONPath overrides where the artifact experiments (codec-bytes,
+	// hierarchy, quorum, quorum_hier) write their sections (default
+	// BENCH_gtopk.json in the working directory — run from the repo root
+	// to refresh the committed artifact). A Quick or HierGroup run writes
+	// only when this is set (see updateArtifact).
 	JSONPath string
-	// TCPNagle disables TCP_NODELAY on the harness's loopback fabrics,
-	// re-enabling Nagle's algorithm (the gtopk-bench -tcp-nodelay=false
-	// escape hatch for bandwidth-bound what-ifs).
-	TCPNagle bool
-	// Wire selects the sparse wire codec the hotpath harness's fabrics
-	// negotiate (zero value = v1, the recorded-baseline configuration).
-	// The wire-codec experiment sweeps all codecs regardless.
-	Wire sparse.Codec
-	// SelectShards, when > 0, overrides the wire-codec experiment's
-	// sharded-selection sweep with {1, SelectShards}.
-	SelectShards int
 	// HierGroup, when > 1, overrides the hierarchy experiment's group
 	// sweep with just {HierGroup}.
 	HierGroup int
-}
-
-// wire returns the configured hotpath codec, defaulting to v1.
-func (o Options) wire() sparse.Codec {
-	if o.Wire == 0 {
-		return sparse.CodecV1
-	}
-	return o.Wire
 }
 
 func (o Options) seed() uint64 {
@@ -170,13 +151,9 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:          "bucketed-overlap",
-			Description: "Extension: bucketed gTop-k pipeline, overlapped vs serialized (analytic + measured)",
-			Run: func(ctx context.Context, opt Options) (string, error) {
-				measured, err := MeasuredOverlap(ctx, opt)
-				if err != nil {
-					return "", err
-				}
-				return BucketedOverlap(netsim.Paper1GbE()) + "\n" + measured, nil
+			Description: "Extension: bucketed gTop-k pipeline, overlapped vs serialized (analytic WFBP schedule)",
+			Run: func(_ context.Context, _ Options) (string, error) {
+				return BucketedOverlap(netsim.Paper1GbE()), nil
 			},
 		},
 		{
@@ -185,34 +162,24 @@ func Experiments() []Experiment {
 			Run:         bucketedConvergence,
 		},
 		{
-			ID:          "hotpath",
-			Description: "Hot path: zero-alloc gTop-k aggregation benchmarks; writes BENCH_gtopk.json",
-			Run:         WriteHotPathJSON,
-		},
-		{
-			ID:          "wire-codec",
-			Description: "Hot path: v1/v3/v3-fp16 wire-byte reduction + sharded selection scaling; updates BENCH_gtopk.json",
-			Run:         WriteWireCodecJSON,
-		},
-		{
-			ID:          "compound",
-			Description: "Hot path: compound v3 stacks (gTop-k x quantized values) + adaptive density; updates BENCH_gtopk.json",
-			Run:         WriteCompoundJSON,
+			ID:          "codec-bytes",
+			Description: "Wire bytes per round for every codec (v1, v3, v3 x value codec) + adaptive density; counts; updates BENCH_gtopk.json",
+			Run:         codecBytes,
 		},
 		{
 			ID:          "hierarchy",
-			Description: "Extension: two-level hierarchical gTop-k vs flat tree crossover sweep; updates BENCH_gtopk.json",
-			Run:         WriteHierarchyJSON,
+			Description: "Extension: two-level hierarchical gTop-k vs flat tree crossover sweep; modelled; updates BENCH_gtopk.json",
+			Run:         artifactExperiment(Hierarchy, func(a *artifact, s *HierarchySection) { a.Hierarchy = s }),
 		},
 		{
 			ID:          "quorum",
-			Description: "Extension: straggler-tolerant quorum gTop-k under a WAN straggler; updates BENCH_gtopk.json",
-			Run:         WriteQuorumJSON,
+			Description: "Extension: straggler-tolerant quorum gTop-k under a WAN straggler; modelled; updates BENCH_gtopk.json",
+			Run:         artifactExperiment(Quorum, func(a *artifact, s *QuorumSection) { a.Quorum = s }),
 		},
 		{
 			ID:          "quorum_hier",
-			Description: "Extension: hierarchical quorum with per-level deadline budgets at P=64; updates BENCH_gtopk.json",
-			Run:         WriteQuorumHierJSON,
+			Description: "Extension: hierarchical quorum with per-level deadline budgets at P=64; modelled; updates BENCH_gtopk.json",
+			Run:         artifactExperiment(QuorumHier, func(a *artifact, s *QuorumHierSection) { a.QuorumHier = s }),
 		},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })

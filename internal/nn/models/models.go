@@ -227,8 +227,10 @@ type PaperModel struct {
 	BatchPerWorker int
 	// TfTb is the per-iteration forward+backward time on one worker.
 	// Calibrated so the compute/communication ratios (and therefore the
-	// scaling-efficiency shapes of Fig. 10) match the paper's cluster;
-	// see EXPERIMENTS.md §Calibration.
+	// scaling-efficiency shapes of Fig. 10) match the paper's cluster —
+	// together with the effective-bandwidth factors in
+	// internal/bench/analytic.go, which state the rationale and the
+	// resulting fit (within ~25% of every Table IV speedup).
 	TfTbMs float64
 	// CompressMs is the local top-k selection time t_compr. (the paper
 	// measures GPU top-k to be expensive, comparable to compute for the

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"testing"
 
 	"gtopkssgd/internal/prng"
@@ -139,6 +140,27 @@ func BenchmarkAccumulator(b *testing.B) {
 			}
 		}
 		acc.CompactInto(sum)
+	}
+}
+
+// BenchmarkShardSelector is the sharded selection engine's micro
+// evidence (ROADMAP 5(c)): the concurrent path at 1, 2 and 4 shards over
+// one Gaussian vector of 128 x minShardElems, so all four shards are
+// effective, selecting dim/1000 like BenchmarkTopK1M. A shard count
+// above the free cores cannot win; compare across -cpu settings.
+func BenchmarkShardSelector(b *testing.B) {
+	x := randDense(prng.New(1), 128*minShardElems)
+	k := len(x) / 1000
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			sel := NewShardSelector(shards)
+			dst := &Vector{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel.TopKInto(dst, x, k)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package sparse
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
 // This file is the parallel sharded selection engine: the paper's
@@ -40,11 +39,6 @@ type ShardSelector struct {
 	shards int
 	parts  []Vector
 	cand   Vector
-
-	timed      bool
-	sequential bool
-	shardDur   []time.Duration
-	mergeDur   time.Duration
 }
 
 // NewShardSelector creates a selector with the given shard count;
@@ -53,39 +47,7 @@ func NewShardSelector(shards int) *ShardSelector {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return &ShardSelector{
-		shards:   shards,
-		parts:    make([]Vector, shards),
-		shardDur: make([]time.Duration, shards),
-	}
-}
-
-// Shards returns the configured shard count.
-func (s *ShardSelector) Shards() int { return s.shards }
-
-// SetTimed toggles per-shard wall-clock instrumentation (see Timings).
-// Off by default; the two time.Now calls per shard are negligible next
-// to a millisecond-scale select but pure overhead for tiny inputs.
-func (s *ShardSelector) SetTimed(on bool) { s.timed = on }
-
-// SetSequential makes TopKInto run its shards one after another in the
-// calling goroutine instead of concurrently. The result is identical;
-// the point is measurement: on a machine with fewer cores than shards,
-// concurrent shards time-slice the cores and each shard's wall clock
-// absorbs its neighbours' work, whereas sequential execution times every
-// shard in isolation — which is what makes Timings' critical path an
-// honest model of the multicore wall time. The bench harness uses it;
-// production selection stays concurrent.
-func (s *ShardSelector) SetSequential(on bool) { s.sequential = on }
-
-// Timings reports the last timed TopKInto: one duration per shard's
-// selection plus the serial merge. max(perShard)+merge is the critical
-// path — the wall time of the call given at least Shards() cores
-// (measure under SetSequential on machines with fewer cores; see
-// there). Valid only after a TopKInto with SetTimed(true); the slice is
-// reused.
-func (s *ShardSelector) Timings() (perShard []time.Duration, merge time.Duration) {
-	return s.shardDur[:], s.mergeDur
+	return &ShardSelector{shards: shards, parts: make([]Vector, shards)}
 }
 
 // TopK is TopKInto into a fresh vector.
@@ -104,40 +66,21 @@ func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
 		shards = max
 	}
 	if shards <= 1 || k <= 0 || k >= n {
-		start := time.Now()
 		TopKInto(dst, x, k)
-		if s.timed {
-			s.shardDur = s.shardDur[:1]
-			s.shardDur[0] = time.Since(start)
-			s.mergeDur = 0
-		}
 		return
 	}
-	if s.timed {
-		s.shardDur = s.shardDur[:shards]
-	}
 
-	if s.sequential {
-		for i := 0; i < shards; i++ {
-			s.runShard(i, i*n/shards, (i+1)*n/shards, x, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			lo, hi := i*n/shards, (i+1)*n/shards
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				s.runShard(i, lo, hi, x, k)
-			}(i, lo, hi)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for i := 0; i < shards; i++ {
+		lo, hi := i*n/shards, (i+1)*n/shards
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			defer wg.Done()
+			s.runShard(i, lo, hi, x, k)
+		}(i, lo, hi)
 	}
+	wg.Wait()
 
-	var start time.Time
-	if s.timed {
-		start = time.Now()
-	}
 	// Concatenate shard winners — ascending within each shard, shards in
 	// index order, so the union is globally ascending — and re-select.
 	total := 0
@@ -155,18 +98,11 @@ func (s *ShardSelector) TopKInto(dst *Vector, x []float32, k int) {
 		o += copy(s.cand.Values[o:], s.parts[i].Values)
 	}
 	TopKSparseInto(dst, &s.cand, k)
-	if s.timed {
-		s.mergeDur = time.Since(start)
-	}
 }
 
 // runShard selects shard i's candidates — the existing threshold-
 // quickselect over x[lo:hi] with indices rebased to the global space.
 func (s *ShardSelector) runShard(i, lo, hi int, x []float32, k int) {
-	var start time.Time
-	if s.timed {
-		start = time.Now()
-	}
 	part := &s.parts[i]
 	if shardLen := hi - lo; k >= shardLen {
 		// Short shard: every entry is a candidate, zeros included
@@ -183,7 +119,4 @@ func (s *ShardSelector) runShard(i, lo, hi int, x []float32, k int) {
 		}
 	}
 	part.Dim = len(x)
-	if s.timed {
-		s.shardDur[i] = time.Since(start)
-	}
 }

@@ -104,45 +104,3 @@ func TestShardSelectorSmallInputFallback(t *testing.T) {
 		}
 	}
 }
-
-// TestShardSelectorTimings checks the instrumentation contract: timed
-// runs expose one duration per effective shard plus a merge duration.
-func TestShardSelectorTimings(t *testing.T) {
-	n := 4 * minShardElems
-	x := shardInputs(t, n)["gauss"]
-	sel := NewShardSelector(4)
-	sel.SetTimed(true)
-	sel.TopKInto(&Vector{}, x, n/100)
-	per, _ := sel.Timings()
-	if len(per) != 4 {
-		t.Fatalf("got %d shard timings, want 4", len(per))
-	}
-	for i, d := range per {
-		if d <= 0 {
-			t.Fatalf("shard %d duration %v not positive", i, d)
-		}
-	}
-}
-
-// TestShardSelectorSequentialBitIdentical: the sequential measurement
-// mode must produce exactly the concurrent (and serial) result.
-func TestShardSelectorSequentialBitIdentical(t *testing.T) {
-	n := 4 * minShardElems
-	for name, x := range shardInputs(t, n) {
-		k := n / 200
-		want := TopK(x, k)
-		sel := NewShardSelector(4)
-		sel.SetSequential(true)
-		sel.SetTimed(true)
-		got := sel.TopK(x, k)
-		if got.NNZ() != want.NNZ() {
-			t.Fatalf("%s: nnz %d vs %d", name, want.NNZ(), got.NNZ())
-		}
-		for i := range want.Indices {
-			if got.Indices[i] != want.Indices[i] ||
-				math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
-				t.Fatalf("%s: entry %d differs in sequential mode", name, i)
-			}
-		}
-	}
-}

@@ -12,11 +12,26 @@ import (
 // they communicate; all return the same length-dim dense update vector
 // (the MEAN gradient contribution, i.e. already divided by P) and must
 // produce bit-identical updates on every rank so replicas never diverge.
+//
+// The returned update buffer belongs to the aggregator and is valid until
+// its next Aggregate. A caller may rewrite entries in place (the trainer
+// clips them) but must leave a zero entry zero: the sparse aggregators
+// keep the buffer zero outside the support of the last update and rebuild
+// it in O(nnz), re-zeroing only what they wrote.
 type Aggregator interface {
 	// Aggregate consumes grad (not retained) and returns the dense update.
 	Aggregate(ctx context.Context, grad []float32) ([]float32, error)
 	// Name identifies the algorithm in logs and experiment tables.
 	Name() string
+}
+
+// SparseUpdater is the optional face of an Aggregator whose update is
+// sparse: UpdateSupport returns the ascending dense indices outside which
+// the update returned by the last Aggregate is zero (valid until the next
+// one), so the optimizer tail can clip and apply k entries instead of
+// sweeping the whole buffer.
+type SparseUpdater interface {
+	UpdateSupport() []int32
 }
 
 // DenseAggregator implements classic S-SGD: ring AllReduce over the full
@@ -60,6 +75,7 @@ type TopKAggregator struct {
 	velocity []float32
 	dense    []float32
 	orig     []float32 // pre-transform value snapshot for FoldError (reused)
+	support  []int32   // where dense is non-zero (reused)
 }
 
 // NewTopKAggregator creates a Top-k aggregator selecting k of dim
@@ -110,6 +126,10 @@ func (a *TopKAggregator) SetMomentumCorrection(mu float32) {
 // Sparsifier exposes the residual state for diagnostics.
 func (a *TopKAggregator) Sparsifier() *Sparsifier { return a.sp }
 
+// UpdateSupport implements SparseUpdater: the union of the ranks' top-k
+// supports.
+func (a *TopKAggregator) UpdateSupport() []int32 { return a.support }
+
 // Aggregate implements Aggregator.
 func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
 	if a.schedule != nil {
@@ -118,8 +138,7 @@ func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float
 		}
 	}
 	a.step++
-	grad = applyMomentumCorrection(a.mu, a.velocity, grad)
-	local, err := a.sp.Select(grad, a.k)
+	local, err := a.sp.SelectMomentum(a.mu, a.velocity, grad, a.k)
 	if err != nil {
 		return nil, fmt.Errorf("core: topk aggregate: %w", err)
 	}
@@ -138,7 +157,7 @@ func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float
 	if fold {
 		a.sp.FoldError(local.Indices, a.orig, local.Values)
 	}
-	sum.MeanInto(a.dense, a.comm.Size())
+	a.support = sum.MeanIntoSparse(a.dense, a.comm.Size(), a.support)
 	return a.dense, nil
 }
 

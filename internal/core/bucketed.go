@@ -98,6 +98,7 @@ type BucketedAggregator struct {
 	bounds  []int
 	buckets []*bucketState
 	dense   []float32
+	support []int32 // UpdateSupport's result (reused)
 
 	// missStreak counts consecutive iterations in which ANY of this
 	// rank's buckets missed its quorum round.
@@ -269,6 +270,18 @@ func (a *BucketedAggregator) Bounds() []int { return append([]int(nil), a.bounds
 // the most recent iteration (all zero when the communicator is untimed).
 func (a *BucketedAggregator) LastBucketTimes() []time.Duration {
 	return append([]time.Duration(nil), a.lastComm...)
+}
+
+// UpdateSupport implements SparseUpdater: the buckets' supports, each
+// offset by its bucket's start — ascending, because buckets are.
+func (a *BucketedAggregator) UpdateSupport() []int32 {
+	a.support = a.support[:0]
+	for _, b := range a.buckets {
+		for _, idx := range b.round.support {
+			a.support = append(a.support, idx+int32(b.lo))
+		}
+	}
+	return a.support
 }
 
 // Aggregate implements Aggregator: the serial facade over the pipeline.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
@@ -104,6 +105,36 @@ func BenchmarkTopKAllReduce(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectStep1M is one rank's local half of a sel-inproc step —
+// momentum fold, residual add and top-k select at dim 10^6, k = 1000 —
+// through Sparsifier.SelectMomentum, with a put-back of every other
+// selected entry so the residual evolves as it does in training. The
+// dense-selection kernel alone is sparse's BenchmarkTopK1M.
+func BenchmarkSelectStep1M(b *testing.B) {
+	const dim, k, mu = 1_000_000, 1000, 0.9
+	src := prng.New(1)
+	grad := make([]float32, dim)
+	for i := range grad {
+		grad[i] = float32(src.NormFloat64())
+	}
+	sp := NewSparsifier(dim)
+	velocity := make([]float32, dim)
+	var global []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel, err := sp.SelectMomentum(mu, velocity, grad, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		global = global[:0]
+		for j := 0; j < sel.NNZ(); j += 2 {
+			global = append(global, sel.Indices[j])
+		}
+		sp.PutBack(sel, global)
+	}
+}
+
 // poolDropsPuts reports whether sync.Pool is discarding Puts — the race
 // detector drops a quarter of them at random — which makes every
 // allocation count that leans on the vector and buffer pools
@@ -121,10 +152,11 @@ func poolDropsPuts() bool {
 
 // TestAggregateAllocCeiling is the aggregator-level companion of
 // sparse's TestMergeLoopZeroAlloc: one steady-state Aggregate (P=1, v1)
-// costs the three allocations of Sparsifier.Select's result vector for
-// the flat and the hierarchical aggregator, and eight for a two-bucket
-// pipeline (two selections plus the two bucket goroutines). The shared
-// round must not add a per-step allocation to any of them.
+// allocates nothing for the flat and the hierarchical aggregator — the
+// selection lands in the sparsifier's reused result vector, the mean
+// update is rebuilt in place — and twice for a two-bucket pipeline (the
+// two bucket goroutines). The shared round must not add a per-step
+// allocation to any of them.
 func TestAggregateAllocCeiling(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
@@ -136,9 +168,9 @@ func TestAggregateAllocCeiling(t *testing.T) {
 		ceiling float64
 		build   func(c *collective.Comm) (Aggregator, error)
 	}{
-		{"gtopk", 3, func(c *collective.Comm) (Aggregator, error) { return NewGTopKAggregator(c, dim, k) }},
-		{"hierarchical", 3, func(c *collective.Comm) (Aggregator, error) { return NewHierarchicalAggregator(c, dim, k, 1) }},
-		{"bucketed-2", 8, func(c *collective.Comm) (Aggregator, error) {
+		{"gtopk", 0, func(c *collective.Comm) (Aggregator, error) { return NewGTopKAggregator(c, dim, k) }},
+		{"hierarchical", 0, func(c *collective.Comm) (Aggregator, error) { return NewHierarchicalAggregator(c, dim, k, 1) }},
+		{"bucketed-2", 2, func(c *collective.Comm) (Aggregator, error) {
 			return NewBucketedAggregator(c, []int{0, dim / 2, dim}, float64(k)/dim)
 		}},
 	} {

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"gtopkssgd/internal/tensor"
 )
 
 // PipelinedTrainer implements the paper's Section VII future-work idea —
@@ -70,9 +68,7 @@ func (t *PipelinedTrainer) Iter() int { return t.iter }
 // iteration's aggregated update (if any), and launches this gradient's
 // aggregation in the background. Returns the local mini-batch loss.
 func (t *PipelinedTrainer) Step(ctx context.Context) (float64, error) {
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
+	clear(t.grad)
 	loss := t.gradFn(t.iter, t.weights, t.grad)
 
 	// Overlap point: the previous aggregation ran while gradFn computed.
@@ -114,16 +110,6 @@ func (t *PipelinedTrainer) applyPending() error {
 	if res.err != nil {
 		return res.err
 	}
-	if t.cfg.GradClip > 0 {
-		tensor.Clip(res.update, t.cfg.GradClip)
-	}
-	if t.cfg.Momentum > 0 {
-		for i, u := range res.update {
-			t.velocity[i] = t.cfg.Momentum*t.velocity[i] + u
-		}
-		tensor.AxpyInto(t.weights, -t.cfg.LR, t.velocity)
-	} else {
-		tensor.AxpyInto(t.weights, -t.cfg.LR, res.update)
-	}
+	t.cfg.applyDense(t.weights, t.velocity, res.update)
 	return nil
 }

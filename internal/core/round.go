@@ -27,8 +27,9 @@ type round struct {
 	velocity  []float32 // momentum-correction buffer (nil until enabled)
 	quorum    QuorumConfig
 
-	orig   []float32     // pre-transform snapshot of the selected values (reused)
-	global sparse.Vector // reused collective result (zero steady-state allocs)
+	orig    []float32     // pre-transform snapshot of the selected values (reused)
+	global  sparse.Vector // reused collective result (zero steady-state allocs)
+	support []int32       // where the last run left dst non-zero (reused)
 }
 
 // newRound creates the round state for a dim-element range selecting k
@@ -128,11 +129,17 @@ func (r *round) SetQuorum(cfg QuorumConfig) error {
 	return nil
 }
 
+// UpdateSupport implements SparseUpdater for the aggregator that embeds
+// one round over the whole gradient.
+func (r *round) UpdateSupport() []int32 { return r.support }
+
 // run executes one round over grad (the range's slice of the gradient)
-// and writes the range's mean update into dst. missed reports that this
-// rank's contribution did not make a quorum round.
+// and writes the range's mean update into dst, which must be the same
+// buffer every time and written by nobody else outside r.support: the
+// round re-zeroes only what its previous run wrote. missed reports that
+// this rank's contribution did not make a quorum round.
 func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err error) {
-	local, err := r.sp.Select(applyMomentumCorrection(r.mu, r.velocity, grad), r.k)
+	local, err := r.sp.SelectMomentum(r.mu, r.velocity, grad, r.k)
 	if err != nil {
 		return false, err
 	}
@@ -165,7 +172,7 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 			r.sp.PutBack(local, global.Indices)
 		}
 	}
-	global.MeanInto(dst, r.comm.Size())
+	r.support = global.MeanIntoSparse(dst, r.comm.Size(), r.support)
 	return !participated, nil
 }
 
@@ -188,18 +195,6 @@ func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sp
 		foldHierStats(r.comm, r.gc)
 	}
 	return global, participated, err
-}
-
-// applyMomentumCorrection folds grad into the local velocity and returns
-// the velocity as the quantity to sparsify (identity when mu == 0).
-func applyMomentumCorrection(mu float32, velocity, grad []float32) []float32 {
-	if mu <= 0 {
-		return grad
-	}
-	for i, g := range grad {
-		velocity[i] = mu*velocity[i] + g
-	}
-	return velocity
 }
 
 func validateK(dim, k int) error {

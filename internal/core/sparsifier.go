@@ -22,6 +22,7 @@ import (
 type Sparsifier struct {
 	dim      int
 	residual []float32
+	selected sparse.Vector // the last selection, reused by the next one
 	// sel, when non-nil, runs the top-k selection in parallel over
 	// per-core shards (bit-identical to the serial path; see SetShards).
 	sel *sparse.ShardSelector
@@ -59,16 +60,30 @@ func (s *Sparsifier) ResidualNorm() float64 { return tensor.L2Norm(s.residual) }
 
 // Select accumulates grad into the residual, extracts the k
 // largest-magnitude entries as a sparse vector, and leaves everything
-// else in the residual. The returned vector aliases no internal state.
+// else in the residual. The returned vector is owned by the sparsifier
+// and valid until its next Select or SelectMomentum; Clone it to keep it
+// longer. Callers may rewrite its Values in place (wire transforms do).
 func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
-	if len(grad) != s.dim {
-		return nil, fmt.Errorf("core: gradient dim %d, sparsifier dim %d", len(grad), s.dim)
+	return s.SelectMomentum(0, nil, grad, k)
+}
+
+// SelectMomentum is Select with DGC momentum correction folded into the
+// accumulate pass: velocity ← mu·velocity + grad and residual += velocity
+// in one read-modify-write of the three arrays, then the selection. With
+// mu <= 0 it accumulates grad itself and velocity is not touched.
+func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int) (*sparse.Vector, error) {
+	if len(grad) != s.dim || (mu > 0 && len(velocity) != s.dim) {
+		return nil, fmt.Errorf("core: gradient dim %d, velocity dim %d, sparsifier dim %d", len(grad), len(velocity), s.dim)
 	}
 	if k < 0 || k > s.dim {
 		return nil, fmt.Errorf("core: k=%d out of range [0,%d]", k, s.dim)
 	}
-	tensor.AddInto(s.residual, grad)
-	selected := &sparse.Vector{}
+	if mu > 0 {
+		tensor.MomentumAddInto(s.residual, velocity, mu, grad)
+	} else {
+		tensor.AddInto(s.residual, grad)
+	}
+	selected := &s.selected
 	if s.sel != nil {
 		s.sel.TopKInto(selected, s.residual, k)
 	} else {

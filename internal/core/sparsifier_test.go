@@ -97,6 +97,61 @@ func TestSparsifierDimMismatch(t *testing.T) {
 	}
 }
 
+// TestSelectMomentum pins the accumulate-and-select entry: the fused pass
+// leaves the velocity, the residual and the selection exactly where the
+// two separate passes (fold, then Select over the velocity) leave them,
+// a velocity of the wrong length is an error, and the result vector is
+// the sparsifier's own — the next select overwrites it without allocating.
+func TestSelectMomentum(t *testing.T) {
+	const dim, k, mu = 200, 9, 0.9
+	fused, split := NewSparsifier(dim), NewSparsifier(dim)
+	fv, sv := make([]float32, dim), make([]float32, dim)
+	src := prng.New(77)
+	grad := make([]float32, dim)
+	var last *sparse.Vector
+	for step := 0; step < 20; step++ {
+		for i := range grad {
+			grad[i] = float32(src.NormFloat64())
+		}
+		got, err := fused.SelectMomentum(mu, fv, grad, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range grad {
+			sv[i] = mu*sv[i] + g
+		}
+		want, err := split.Select(sv, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Indices {
+			if want.Indices[i] != got.Indices[i] || math.Float32bits(want.Values[i]) != math.Float32bits(got.Values[i]) {
+				t.Fatalf("step %d entry %d: fused (%d,%v), split (%d,%v)", step, i, got.Indices[i], got.Values[i], want.Indices[i], want.Values[i])
+			}
+		}
+		for i := range sv {
+			if math.Float32bits(sv[i]) != math.Float32bits(fv[i]) ||
+				math.Float32bits(split.Residual()[i]) != math.Float32bits(fused.Residual()[i]) {
+				t.Fatalf("step %d index %d: velocity or residual diverged", step, i)
+			}
+		}
+		if last != nil && last != got {
+			t.Fatalf("step %d: select returned a fresh vector; it must reuse the sparsifier's", step)
+		}
+		last = got
+	}
+	if _, err := fused.SelectMomentum(mu, fv[:dim-1], grad, k); err == nil {
+		t.Error("short velocity accepted")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := fused.SelectMomentum(mu, fv, grad, k); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 && !poolDropsPuts() {
+		t.Errorf("SelectMomentum allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestPutBack(t *testing.T) {
 	sp := NewSparsifier(8)
 	local := &sparse.Vector{

@@ -140,24 +140,38 @@ func (t *Trainer) SetLR(lr float32) error {
 
 // Step runs one S-SGD iteration and returns the local mini-batch loss.
 // With a streaming gradient function installed (SetStreamGradFn), the
-// aggregator receives gradient buckets while the backward pass is still
-// running, overlapping communication with computation.
+// aggregation pipeline opens before the gradient computation starts,
+// buckets launch from inside the backward pass via the ready callback,
+// and Finish only waits out communication the overlap could not hide.
 func (t *Trainer) Step(ctx context.Context) (float64, error) {
+	var bs BucketStreamer
 	if t.streamFn != nil {
-		if bs, ok := t.agg.(BucketStreamer); ok {
-			return t.stepStreamed(ctx, bs)
+		bs, _ = t.agg.(BucketStreamer)
+	}
+	clear(t.grad)
+	var (
+		pt     PhaseTimes
+		loss   float64
+		update []float32
+		err    error
+	)
+	start := time.Now()
+	if bs != nil {
+		if err := bs.Begin(ctx, t.grad); err != nil {
+			return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
 		}
+		loss = t.streamFn(t.iter, t.weights, t.grad, bs.Ready)
+	} else {
+		loss = t.gradFn(t.iter, t.weights, t.grad)
 	}
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
-	var pt PhaseTimes
-	start := time.Now()
-	loss := t.gradFn(t.iter, t.weights, t.grad)
 	pt.Compute = time.Since(start)
 
 	start = time.Now()
-	update, err := t.agg.Aggregate(ctx, t.grad)
+	if bs != nil {
+		update, err = bs.Finish()
+	} else {
+		update, err = t.agg.Aggregate(ctx, t.grad)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
 	}
@@ -171,51 +185,34 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// stepStreamed is the overlapped variant of Step: the aggregation
-// pipeline opens before the gradient computation starts, buckets launch
-// from inside the backward pass via the ready callback, and Finish only
-// waits out communication the overlap could not hide.
-func (t *Trainer) stepStreamed(ctx context.Context, bs BucketStreamer) (float64, error) {
-	for i := range t.grad {
-		t.grad[i] = 0
-	}
-	var pt PhaseTimes
-	start := time.Now()
-	if err := bs.Begin(ctx, t.grad); err != nil {
-		return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
-	}
-	loss := t.streamFn(t.iter, t.weights, t.grad, bs.Ready)
-	pt.Compute = time.Since(start)
-
-	start = time.Now()
-	update, err := bs.Finish()
-	if err != nil {
-		return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
-	}
-	pt.Aggregate = time.Since(start)
-
-	t.applyUpdate(update, &pt)
-	if t.onPhases != nil {
-		t.onPhases(t.iter, pt)
-	}
-	t.iter++
-	return loss, nil
-}
-
-// applyUpdate runs the optimizer tail (clip, momentum, weight update)
-// shared by the serial and streamed step paths.
+// applyUpdate runs the optimizer tail. Without trainer momentum (the
+// paper's setting once momentum correction runs inside the aggregator) an
+// update with a known sparse support is clipped and applied at those
+// entries only — every other weight would receive w + -lr·0, which is w.
+// Momentum decays the velocity at every coordinate, so it keeps the dense
+// tail, as does an aggregator whose update is dense.
 func (t *Trainer) applyUpdate(update []float32, pt *PhaseTimes) {
 	start := time.Now()
-	if t.cfg.GradClip > 0 {
-		tensor.Clip(update, t.cfg.GradClip)
-	}
-	if t.cfg.Momentum > 0 {
-		for i, u := range update {
-			t.velocity[i] = t.cfg.Momentum*t.velocity[i] + u
-		}
-		tensor.AxpyInto(t.weights, -t.cfg.LR, t.velocity)
+	if su, ok := t.agg.(SparseUpdater); ok && t.cfg.Momentum == 0 {
+		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, update, su.UpdateSupport(), t.cfg.GradClip)
 	} else {
-		tensor.AxpyInto(t.weights, -t.cfg.LR, update)
+		t.cfg.applyDense(t.weights, t.velocity, update)
 	}
 	pt.Update = time.Since(start)
+}
+
+// applyDense is the dense optimizer tail — clip, momentum, weight update,
+// each a pass over the whole buffer — shared by Trainer and
+// PipelinedTrainer. update is clipped in place.
+func (c TrainConfig) applyDense(weights, velocity, update []float32) {
+	if c.GradClip > 0 {
+		tensor.Clip(update, c.GradClip)
+	}
+	if c.Momentum > 0 {
+		for i, u := range update {
+			velocity[i] = c.Momentum*velocity[i] + u
+		}
+		update = velocity
+	}
+	tensor.AxpyInto(weights, -c.LR, update)
 }

@@ -20,8 +20,6 @@ import (
 
 const fastKernelsAvailable = true
 
-const signMask32 = uint32(1) << 31
-
 func absIntoFast(dst, src []float32) {
 	n := len(src)
 	if n == 0 {
@@ -124,10 +122,6 @@ func mergeAddFast(dstIdx []int32, dstVal []float32, a, b *Vector) int {
 
 // u32Scratch pools the survivor buffers of the radix threshold descent.
 var u32Scratch = sync.Pool{New: func() any { return new([]uint32) }}
-
-// infBits is the bit pattern of +Inf; sign-free magnitudes above it are
-// NaN payloads, whose float ordering disagrees with the bit ordering.
-const infBits = uint32(0x7f800000)
 
 // radixMinN is the input size below which the radix descent loses to
 // quickselect: each byte level zeroes and walks a 256-bin histogram, a
@@ -333,6 +327,37 @@ func emitTopKFast(dstIdx []int32, dstVal []float32, srcIdx []int32, srcVal []flo
 		tq -= t & s
 	}
 	return o
+}
+
+// collectAtLeastFast tests two elements per 64-bit load: with the sign
+// bits masked off each 32-bit lane holds a magnitude below 2^31, so adding
+// 2^31-tau to both lanes at once cannot carry across them and sets a
+// lane's top bit exactly when that lane is >= tau. Eight words (sixteen
+// elements) are OR-ed per branch; candidates are a fraction of a percent
+// of x, so the branch is almost never taken and the rare group that holds
+// one is re-scanned by the reference loop — same predicate, same order.
+// The word view starts at the first 8-byte-aligned element (one element
+// is peeled when x is not), so every load is an aligned one.
+func collectAtLeastFast(dstIdx []int32, dstVal []float32, x []float32, tau uint32) int {
+	const lanes, tops = 0x7fffffff7fffffff, 0x8000000080000000
+	at := 0 // dense position of the next unscanned element
+	if len(x) > 0 && uintptr(unsafe.Pointer(&x[0]))&7 != 0 {
+		at = 1
+	}
+	o := collectAtLeastPure(dstIdx, dstVal, 0, x[:at], 0, tau)
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(x[at:]))), (len(x)-at)/2)
+	add := uint64(signMask32 - tau)
+	add |= add << 32
+	for ; len(words) >= 8; words, at = words[8:], at+16 {
+		hit := (words[0]&lanes + add) | (words[1]&lanes + add) | (words[2]&lanes + add) | (words[3]&lanes + add) |
+			(words[4]&lanes + add) | (words[5]&lanes + add) | (words[6]&lanes + add) | (words[7]&lanes + add)
+		if hit&tops != 0 {
+			if o = collectAtLeastPure(dstIdx, dstVal, o, x[at:at+16], at, tau); o < 0 {
+				return -1
+			}
+		}
+	}
+	return collectAtLeastPure(dstIdx, dstVal, o, x[at:], at, tau)
 }
 
 func scatterAddFast(dense []float32, mark []bool, touched []int32, indices []int32, values []float32) []int32 {

@@ -34,6 +34,10 @@ func checkIndicesFast(indices []int32, dim int) error { return checkIndicesPure(
 
 func radixSelectKthLargest(mags []float32, k int) (float32, int, bool) { return 0, 0, false }
 
+func collectAtLeastFast(dstIdx []int32, dstVal []float32, x []float32, tau uint32) int {
+	return collectAtLeastPure(dstIdx, dstVal, 0, x, 0, tau)
+}
+
 func emitTopKFast(dstIdx []int32, dstVal []float32, srcIdx []int32, srcVal []float32, thr float32, tieQuota, k int) int {
 	return emitTopKPure(dstIdx, dstVal, srcIdx, srcVal, thr, tieQuota, k)
 }

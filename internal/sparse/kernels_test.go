@@ -256,20 +256,36 @@ func fuzzFloats(raw []byte, maxN int) []float32 {
 // FuzzKernelsEquiv asserts fast/pure bit-equivalence on arbitrary inputs:
 // for any bit pattern (finite, Inf, NaN), selection, merge, scatter-add,
 // and wire encoding must produce identical bits in both kernel modes.
-// This is the contract that makes -kernels a pure speed knob.
+// This is the contract that makes -kernels a pure speed knob. It runs
+// with the candidate path's size gate lowered to 1, so the dense
+// selections below go through the sampled-threshold path wherever k <=
+// n/32, and each is also compared with the radix/quickselect path alone
+// in the same mode — the contract that makes the candidate path a pure
+// speed-up. A build without fast kernels still checks that half.
 func FuzzKernelsEquiv(f *testing.F) {
-	if !FastKernelsAvailable() {
-		f.Skip("fast kernels unavailable in this build")
-	}
 	f.Add(uint8(3), []byte{1, 0, 0, 63, 0, 0, 128, 191, 0, 0, 192, 127})
 	f.Add(uint8(1), []byte{0, 0, 128, 127, 0, 0, 128, 255, 1, 0, 0, 0})
 	f.Add(uint8(7), bytes.Repeat([]byte{0xff}, 64))
+	// 256 floats the candidate path admits (k2 <= 8): distinct finite
+	// magnitudes, the same with a NaN and an Inf planted, and a heavy tie.
+	ramp := make([]byte, 1024)
+	for i := 0; i < 256; i++ {
+		bits := math.Float32bits(float32(1+(i*89)%256) * float32(1-2*(i%2)))
+		ramp[4*i], ramp[4*i+1], ramp[4*i+2], ramp[4*i+3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
+	}
+	f.Add(uint8(2), ramp)
+	wild := bytes.Clone(ramp)
+	copy(wild[4*77:], []byte{0, 0, 192, 127}) // NaN
+	copy(wild[4*78:], []byte{0, 0, 128, 255}) // -Inf
+	f.Add(uint8(4), wild)
+	f.Add(uint8(5), bytes.Repeat([]byte{0, 0, 128, 63, 0, 0, 128, 191, 0, 0, 0, 63, 0, 0, 0, 0}, 64))
 	f.Fuzz(func(t *testing.T, kRaw uint8, raw []byte) {
 		x := fuzzFloats(raw, 256)
 		if len(x) == 0 {
 			return
 		}
 		k := int(kRaw)%len(x) + 1
+		k2 := int(kRaw)%max(len(x)/candMaxShare, 1) + 1 // inside the candidate gate when n >= 32
 		half := len(x) / 2
 		av, bv := FromDense(x[:half]), FromDense(x[:half])
 		if half > 0 {
@@ -277,21 +293,36 @@ func FuzzKernelsEquiv(f *testing.F) {
 				bv.Values[i] = x[len(x)-1-i%len(x)]
 			}
 		}
-		run := func() (topk, sum, stopk *Vector, thr float32, wire []byte) {
-			topk, sum, stopk = &Vector{}, &Vector{}, &Vector{}
-			TopKInto(topk, x, k)
-			thr = Threshold(x, min(k, len(x)))
+		setCandMinN(t, 1)
+		type outputs struct {
+			topk, topk2, sum, stopk *Vector
+			thr                     float32
+			wire                    []byte
+		}
+		run := func() outputs {
+			o := outputs{topk: &Vector{}, topk2: &Vector{}, sum: &Vector{}, stopk: &Vector{}}
+			TopKInto(o.topk, x, k)
+			TopKInto(o.topk2, x, k2)
+			for _, c := range []struct {
+				got *Vector
+				k   int
+			}{{o.topk, k}, {o.topk2, k2}} {
+				if !vectorsEqualBits(fullPathTopK(x, c.k), c.got) {
+					t.Fatalf("%s k=%d: TopKInto with the candidate path differs from the full path", Kernels(), c.k)
+				}
+			}
+			o.thr = Threshold(x, min(k, len(x)))
 			if half > 0 {
-				if err := AddInto(sum, av, bv); err != nil {
+				if err := AddInto(o.sum, av, bv); err != nil {
 					t.Fatal(err)
 				}
 				// Sparse re-selection over the merged sum: the gTop-k tree's
 				// ⊕ step, covering the sparse emit scan and the radix/
 				// quickselect threshold on sparse magnitudes.
-				TopKSparseInto(stopk, sum, min(k, sum.NNZ()))
+				TopKSparseInto(o.stopk, o.sum, min(k, o.sum.NNZ()))
 			}
-			wire = bytes.Clone(Encode(topk))
-			return topk, sum, stopk, thr, wire
+			o.wire = bytes.Clone(Encode(o.topk))
+			return o
 		}
 		prev := Kernels()
 		defer func() {
@@ -302,24 +333,27 @@ func FuzzKernelsEquiv(f *testing.F) {
 		if err := SetKernels(KernelsPure); err != nil {
 			t.Fatal(err)
 		}
-		ptopk, psum, pstopk, pthr, pwire := run()
+		p := run()
+		if !FastKernelsAvailable() {
+			return
+		}
 		if err := SetKernels(KernelsFast); err != nil {
 			t.Fatal(err)
 		}
-		ftopk, fsum, fstopk, fthr, fwire := run()
-		if math.Float32bits(pthr) != math.Float32bits(fthr) {
-			t.Fatalf("Threshold pure %x fast %x", math.Float32bits(pthr), math.Float32bits(fthr))
+		f := run()
+		if math.Float32bits(p.thr) != math.Float32bits(f.thr) {
+			t.Fatalf("Threshold pure %x fast %x", math.Float32bits(p.thr), math.Float32bits(f.thr))
 		}
-		if !vectorsEqualBits(ptopk, ftopk) {
+		if !vectorsEqualBits(p.topk, f.topk) || !vectorsEqualBits(p.topk2, f.topk2) {
 			t.Fatal("TopKInto differs between modes")
 		}
-		if !vectorsEqualBits(psum, fsum) {
+		if !vectorsEqualBits(p.sum, f.sum) {
 			t.Fatal("AddInto differs between modes")
 		}
-		if !vectorsEqualBits(pstopk, fstopk) {
+		if !vectorsEqualBits(p.stopk, f.stopk) {
 			t.Fatal("TopKSparseInto differs between modes")
 		}
-		if !bytes.Equal(pwire, fwire) {
+		if !bytes.Equal(p.wire, f.wire) {
 			t.Fatal("Encode bytes differ between modes")
 		}
 	})

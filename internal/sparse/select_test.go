@@ -99,36 +99,40 @@ func TestTopKSparseMatchesSortReference(t *testing.T) {
 }
 
 // TestTopKConcurrent hammers the pooled-scratch selection from many
-// goroutines; run with -race in CI to verify pool safety.
+// goroutines; run with -race in CI to verify pool safety. Under the
+// default gate the 2000-element inputs pool the full path's magnitude
+// scratch, under the lowered one the candidate vectors.
 func TestTopKConcurrent(t *testing.T) {
-	const workers = 8
-	doneCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			src := prng.New(uint64(w) + 9)
-			for rep := 0; rep < 200; rep++ {
-				x := make([]float32, 200)
-				for i := range x {
-					x[i] = float32(src.NormFloat64())
+	bothCandGates(t, func() {
+		const workers = 8
+		doneCh := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				src := prng.New(uint64(w) + 9)
+				for rep := 0; rep < 100; rep++ {
+					x := make([]float32, 2000)
+					for i := range x {
+						x[i] = float32(src.NormFloat64())
+					}
+					v := TopK(x, 10)
+					if err := v.Validate(); err != nil {
+						doneCh <- err
+						return
+					}
+					if v.NNZ() != 10 {
+						doneCh <- ErrDimension
+						return
+					}
 				}
-				v := TopK(x, 10)
-				if err := v.Validate(); err != nil {
-					doneCh <- err
-					return
-				}
-				if v.NNZ() != 10 {
-					doneCh <- ErrDimension
-					return
-				}
-			}
-			doneCh <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-doneCh; err != nil {
-			t.Fatal(err)
+				doneCh <- nil
+			}(w)
 		}
-	}
+		for w := 0; w < workers; w++ {
+			if err := <-doneCh; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestEncodeToRoundTrip covers the zero-allocation encode entry point.

@@ -82,6 +82,26 @@ func (v *Vector) MeanInto(dst []float32, p int) {
 	}
 }
 
+// MeanIntoSparse is MeanInto in O(nnz) for a dst the caller keeps zero
+// outside prev, the support the previous call on dst returned: it zeroes
+// dst at prev, writes (0 + v)·(1/p) at v's indices — the additions and
+// the multiplication MeanInto performs there, so a −0 entry still becomes
+// +0 — and returns v's support, copied into prev's storage. Everywhere
+// else dst holds the +0 that MeanInto's 0·(1/p) would leave.
+func (v *Vector) MeanIntoSparse(dst []float32, p int, prev []int32) []int32 {
+	if len(dst) != v.Dim {
+		panic(fmt.Sprintf("sparse: MeanIntoSparse into %d-dim buffer, vector dim %d", len(dst), v.Dim))
+	}
+	for _, idx := range prev {
+		dst[idx] = 0
+	}
+	inv := 1 / float32(p)
+	for i, idx := range v.Indices {
+		dst[idx] = (0 + v.Values[i]) * inv
+	}
+	return append(prev[:0], v.Indices...)
+}
+
 // Scale multiplies every stored value by alpha in place.
 func (v *Vector) Scale(alpha float32) {
 	for i := range v.Values {
@@ -132,8 +152,10 @@ func Merge(a, b *Vector, k int) (*Vector, error) {
 // make identical selections from identical inputs).
 //
 // This is exactly Algorithm 1 lines 5-7 of the paper: find the k-th
-// largest |x_i| (quickselect, expected O(n)), then mask everything below
-// it in one ascending scan — which also yields the indices pre-sorted.
+// largest |x_i|, then mask everything below it in one ascending scan —
+// which also yields the indices pre-sorted. Large sparse selections first
+// narrow x to the few entries above a sampled threshold (candidates.go)
+// and run the same two steps over those; the result is the same bits.
 func TopK(x []float32, k int) *Vector {
 	out := &Vector{}
 	TopKInto(out, x, k)
@@ -165,12 +187,16 @@ func TopKInto(dst *Vector, x []float32, k int) {
 		dst.Values = dst.Values[:o]
 		return
 	}
-	// The radix fast path reads the dense values directly (it masks the
-	// sign bit in its own scan) and yields the strict-winner count as a
-	// by-product; the fallback inlines Threshold so the count comes from
-	// the same magnitude scratch (quickselect permutes it, which preserves
-	// the multiset) without recomputing any magnitudes. The remaining tie
-	// quota goes to the lowest-index entries at the threshold.
+	if topKCandidates(dst, x, k) {
+		return
+	}
+	// The full selection. The radix fast path reads the dense values
+	// directly (it masks the sign bit in its own scan) and yields the
+	// strict-winner count as a by-product; the fallback inlines Threshold so
+	// the count comes from the same magnitude scratch (quickselect permutes
+	// it, which preserves the multiset) without recomputing any magnitudes.
+	// The remaining tie quota goes to the lowest-index entries at the
+	// threshold.
 	thr, strict, ok := selectThresholdVals(x, k)
 	if !ok {
 		sp := getMagScratch(len(x))

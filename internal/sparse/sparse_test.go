@@ -63,38 +63,61 @@ func referenceTopK(x []float32, k int) map[int32]float32 {
 }
 
 func TestTopKMatchesReference(t *testing.T) {
-	src := prng.New(1)
-	for _, n := range []int{1, 5, 64, 257} {
-		for _, k := range []int{0, 1, 2, n / 2, n, n + 3} {
-			x := randDense(src, n)
-			got := TopK(x, k)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("n=%d k=%d: invalid result: %v", n, k, err)
-			}
-			want := referenceTopK(x, k)
-			if got.NNZ() != len(want) {
-				t.Fatalf("n=%d k=%d: got %d entries, want %d", n, k, got.NNZ(), len(want))
-			}
-			for i, idx := range got.Indices {
-				wv, ok := want[idx]
-				if !ok {
-					t.Fatalf("n=%d k=%d: unexpected index %d", n, k, idx)
+	bothCandGates(t, func() {
+		src := prng.New(1)
+		for _, n := range []int{1, 5, 64, 257, 5000} {
+			for _, k := range []int{0, 1, 2, n / 100, n / 2, n, n + 3} {
+				x := randDense(src, n)
+				got := TopK(x, k)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("n=%d k=%d: invalid result: %v", n, k, err)
 				}
-				if got.Values[i] != wv {
-					t.Fatalf("n=%d k=%d idx=%d: value %v want %v", n, k, idx, got.Values[i], wv)
+				want := referenceTopK(x, k)
+				if got.NNZ() != len(want) {
+					t.Fatalf("n=%d k=%d: got %d entries, want %d", n, k, got.NNZ(), len(want))
+				}
+				for i, idx := range got.Indices {
+					wv, ok := want[idx]
+					if !ok {
+						t.Fatalf("n=%d k=%d: unexpected index %d", n, k, idx)
+					}
+					if got.Values[i] != wv {
+						t.Fatalf("n=%d k=%d idx=%d: value %v want %v", n, k, idx, got.Values[i], wv)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestTopKDeterministicTieBreak(t *testing.T) {
-	// Five equal magnitudes: selection must pick the lowest indices.
-	x := []float32{1, -1, 1, -1, 1}
-	got := TopK(x, 2)
-	if got.NNZ() != 2 || got.Indices[0] != 0 || got.Indices[1] != 1 {
-		t.Fatalf("tie break: got indices %v, want [0 1]", got.Indices)
-	}
+	bothCandGates(t, func() {
+		// Five equal magnitudes: selection must pick the lowest indices.
+		x := []float32{1, -1, 1, -1, 1}
+		got := TopK(x, 2)
+		if got.NNZ() != 2 || got.Indices[0] != 0 || got.Indices[1] != 1 {
+			t.Fatalf("tie break: got indices %v, want [0 1]", got.Indices)
+		}
+		// The same rule at a size the candidate path takes: every 16th
+		// entry ties at magnitude 1 above a floor of 0.5, and k asks for
+		// fewer than there are.
+		x = make([]float32, 8192)
+		for i := range x {
+			x[i] = 0.5
+			if i%16 == 7 {
+				x[i] = float32(1 - 2*(i/16%2))
+			}
+		}
+		got = TopK(x, 100)
+		if got.NNZ() != 100 {
+			t.Fatalf("tie break at n=%d: %d entries, want 100", len(x), got.NNZ())
+		}
+		for i, idx := range got.Indices {
+			if want := int32(16*i + 7); idx != want {
+				t.Fatalf("tie break at n=%d: entry %d is index %d, want %d", len(x), i, idx, want)
+			}
+		}
+	})
 }
 
 func TestTopKZeroVector(t *testing.T) {
@@ -313,9 +336,18 @@ func TestEncodeDecodeDenseRoundTrip(t *testing.T) {
 // Property: TopK output always validates, has min(k, n) entries, and its
 // smallest magnitude is >= the largest magnitude it excluded.
 func TestQuickTopKInvariants(t *testing.T) {
+	bothCandGates(t, func() { quickTopKInvariants(t) })
+}
+
+func quickTopKInvariants(t *testing.T) {
 	f := func(seed uint64, nRaw, kRaw uint8) bool {
 		n := int(nRaw%128) + 1
 		k := int(kRaw % 130)
+		if seed%4 == 0 {
+			// A quarter of the draws at a shape the candidate path admits
+			// once its gate is lowered: k <= n/32.
+			n, k = 32*(n+1), k%(n+1)+1
+		}
 		x := randDense(prng.New(seed), n)
 		v := TopK(x, k)
 		if v.Validate() != nil {
@@ -410,4 +442,3 @@ func BenchmarkTopK1M(b *testing.B) {
 		_ = TopK(x, k)
 	}
 }
-

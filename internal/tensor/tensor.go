@@ -181,6 +181,22 @@ func AddInto(dst, x []float32) {
 	}
 }
 
+// MomentumAddInto folds x into the momentum buffer vel and adds the
+// folded value into dst, reading and writing each of the three arrays
+// once: v = mu*vel[i] + x[i]; vel[i] = v; dst[i] += v. The float32
+// operations are those of the two separate loops it replaces (fold, then
+// AddInto(dst, vel)), in the same order per element.
+func MomentumAddInto(dst, vel []float32, mu float32, x []float32) {
+	if len(dst) != len(x) || len(vel) != len(x) {
+		panic(fmt.Sprintf("tensor: MomentumAddInto length mismatch: %d, %d vs %d", len(dst), len(vel), len(x)))
+	}
+	for i, g := range x {
+		v := mu*vel[i] + g
+		vel[i] = v
+		dst[i] += v
+	}
+}
+
 // SubInto computes dst -= x element-wise.
 func SubInto(dst, x []float32) {
 	if len(dst) != len(x) {
@@ -252,5 +268,28 @@ func Clip(x []float32, limit float32) {
 		} else if v < -limit {
 			x[i] = -limit
 		}
+	}
+}
+
+// ClipAxpyAt is Clip(x, limit) followed by AxpyInto(dst, alpha, x),
+// restricted to the positions listed in at: x is clipped in place there
+// (limit <= 0 disables clipping) and dst[i] += alpha*x[i]. When x is zero
+// everywhere else, dst ends bit-identical to the two dense passes, because
+// w + alpha*0 == w for every w.
+func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit float32) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d vs %d", len(dst), len(x)))
+	}
+	for _, i := range at {
+		v := x[i]
+		if limit > 0 {
+			if v > limit {
+				v = limit
+			} else if v < -limit {
+				v = -limit
+			}
+			x[i] = v
+		}
+		dst[i] += alpha * v
 	}
 }

@@ -24,8 +24,12 @@ type Conv2D struct {
 	gw, gb []float32
 
 	// forward cache (per batch)
-	cols []*tensor.Matrix // im2col matrices, one per sample
+	cols []float32 // im2col matrices, one (OH·OW)×(InC·K·K) block per sample
 	rows int
+
+	// workspaces: layer output and input gradient, and the per-sample
+	// product, output gradient, patch gradient and weight gradient
+	out, din, prod, doutM, dcols, gwLocal *tensor.Matrix
 }
 
 // NewConv2D creates a convolution layer. Pad/Stride follow the usual
@@ -70,9 +74,9 @@ func (c *Conv2D) Init(src *prng.Source) {
 	}
 }
 
-// im2col lowers one sample into a (OH·OW)×(InC·K·K) patch matrix.
-func (c *Conv2D) im2col(img []float32) *tensor.Matrix {
-	cols := tensor.NewMatrix(c.OH*c.OW, c.InC*c.K*c.K)
+// im2col lowers one sample into cols, a (OH·OW)×(InC·K·K) patch matrix,
+// writing every element (padding as 0).
+func (c *Conv2D) im2col(cols *tensor.Matrix, img []float32) {
 	for oy := 0; oy < c.OH; oy++ {
 		for ox := 0; ox < c.OW; ox++ {
 			row := cols.Row(oy*c.OW + ox)
@@ -83,16 +87,23 @@ func (c *Conv2D) im2col(img []float32) *tensor.Matrix {
 					iy := oy*c.Stride + ky - c.Pad
 					for kx := 0; kx < c.K; kx++ {
 						ix := ox*c.Stride + kx - c.Pad
+						var v float32
 						if iy >= 0 && iy < c.H && ix >= 0 && ix < c.W {
-							row[p] = img[base+iy*c.W+ix]
+							v = img[base+iy*c.W+ix]
 						}
+						row[p] = v
 						p++
 					}
 				}
 			}
 		}
 	}
-	return cols
+}
+
+// patches returns sample i's block of the im2col cache.
+func (c *Conv2D) patches(i int) []float32 {
+	n := c.OH * c.OW * c.InC * c.K * c.K
+	return c.cols[i*n : (i+1)*n]
 }
 
 // col2im scatters patch-space gradients back into image space.
@@ -124,33 +135,35 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: conv forward: %d cols, want %d", x.Cols, c.InC*c.H*c.W))
 	}
 	c.rows = x.Rows
-	c.cols = make([]*tensor.Matrix, x.Rows)
-	out := tensor.NewMatrix(x.Rows, c.OutC*c.OH*c.OW)
+	c.cols = grow(c.cols, x.Rows*c.OH*c.OW*c.InC*c.K*c.K)
+	c.out = workspace(c.out, x.Rows, c.OutC*c.OH*c.OW)
+	c.prod = workspace(c.prod, c.OH*c.OW, c.OutC)
 	w := tensor.FromSlice(c.InC*c.K*c.K, c.OutC, c.w)
-	prod := tensor.NewMatrix(c.OH*c.OW, c.OutC)
 	for i := 0; i < x.Rows; i++ {
-		cols := c.im2col(x.Row(i))
-		c.cols[i] = cols
-		tensor.MatMul(prod, cols, w) // (OH·OW)×OutC
-		orow := out.Row(i)
+		cols := tensor.FromSlice(c.OH*c.OW, c.InC*c.K*c.K, c.patches(i))
+		c.im2col(cols, x.Row(i))
+		tensor.MatMul(c.prod, cols, w) // (OH·OW)×OutC
+		orow := c.out.Row(i)
 		for yx := 0; yx < c.OH*c.OW; yx++ {
-			prow := prod.Row(yx)
+			prow := c.prod.Row(yx)
 			for f := 0; f < c.OutC; f++ {
 				orow[f*c.OH*c.OW+yx] = prow[f] + c.b[f]
 			}
 		}
 	}
-	return out
+	return c.out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	w := tensor.FromSlice(c.InC*c.K*c.K, c.OutC, c.w)
 	gw := tensor.FromSlice(c.InC*c.K*c.K, c.OutC, c.gw)
-	din := tensor.NewMatrix(c.rows, c.InC*c.H*c.W)
-	doutM := tensor.NewMatrix(c.OH*c.OW, c.OutC)
-	dcols := tensor.NewMatrix(c.OH*c.OW, c.InC*c.K*c.K)
-	gwLocal := tensor.NewMatrix(c.InC*c.K*c.K, c.OutC)
+	c.din = workspace(c.din, c.rows, c.InC*c.H*c.W)
+	c.din.Zero() // col2im accumulates
+	c.doutM = workspace(c.doutM, c.OH*c.OW, c.OutC)
+	c.dcols = workspace(c.dcols, c.OH*c.OW, c.InC*c.K*c.K)
+	c.gwLocal = workspace(c.gwLocal, c.InC*c.K*c.K, c.OutC)
+	din, doutM, dcols, gwLocal := c.din, c.doutM, c.dcols, c.gwLocal
 	for i := 0; i < c.rows; i++ {
 		drow := dout.Row(i)
 		for yx := 0; yx < c.OH*c.OW; yx++ {
@@ -160,7 +173,8 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 				c.gb[f] += mrow[f]
 			}
 		}
-		tensor.MatMulTransA(gwLocal, c.cols[i], doutM) // dW = colsᵀ·dout
+		cols := tensor.FromSlice(c.OH*c.OW, c.InC*c.K*c.K, c.patches(i))
+		tensor.MatMulTransA(gwLocal, cols, doutM) // dW = colsᵀ·dout
 		tensor.AddInto(gw.Data, gwLocal.Data)
 		tensor.MatMulTransB(dcols, doutM, w) // dcols = dout·Wᵀ
 		c.col2im(dcols, din.Row(i))
@@ -176,6 +190,8 @@ type MaxPool2 struct {
 
 	argmax []int32 // flat index chosen per output element, per batch
 	rows   int
+
+	out, din *tensor.Matrix // workspaces
 }
 
 // NewMaxPool2 creates the pooling layer for C×H×W inputs.
@@ -205,8 +221,9 @@ func (m *MaxPool2) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	m.rows = x.Rows
 	outCols := m.C * m.OH * m.OW
-	out := tensor.NewMatrix(x.Rows, outCols)
-	m.argmax = make([]int32, x.Rows*outCols)
+	m.out = workspace(m.out, x.Rows, outCols)
+	out := m.out
+	m.argmax = grow(m.argmax, x.Rows*outCols)
 	for i := 0; i < x.Rows; i++ {
 		xr, or := x.Row(i), out.Row(i)
 		for ch := 0; ch < m.C; ch++ {
@@ -234,7 +251,9 @@ func (m *MaxPool2) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (m *MaxPool2) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	din := tensor.NewMatrix(m.rows, m.C*m.H*m.W)
+	m.din = workspace(m.din, m.rows, m.C*m.H*m.W)
+	m.din.Zero() // only the argmax positions are written
+	din := m.din
 	outCols := m.C * m.OH * m.OW
 	for i := 0; i < m.rows; i++ {
 		dr, ir := dout.Row(i), din.Row(i)
@@ -250,6 +269,8 @@ func (m *MaxPool2) Backward(dout *tensor.Matrix) *tensor.Matrix {
 type GlobalAvgPool struct {
 	C, H, W int
 	rows    int
+
+	out, din *tensor.Matrix // workspaces
 }
 
 // NewGlobalAvgPool creates the pooling layer for C×H×W inputs.
@@ -276,7 +297,8 @@ func (g *GlobalAvgPool) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	g.rows = x.Rows
 	hw := g.H * g.W
-	out := tensor.NewMatrix(x.Rows, g.C)
+	g.out = workspace(g.out, x.Rows, g.C)
+	out := g.out
 	for i := 0; i < x.Rows; i++ {
 		xr, or := x.Row(i), out.Row(i)
 		for ch := 0; ch < g.C; ch++ {
@@ -293,7 +315,8 @@ func (g *GlobalAvgPool) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	hw := g.H * g.W
-	din := tensor.NewMatrix(g.rows, g.C*g.H*g.W)
+	g.din = workspace(g.din, g.rows, g.C*g.H*g.W)
+	din := g.din
 	inv := 1 / float32(hw)
 	for i := 0; i < g.rows; i++ {
 		dr, ir := dout.Row(i), din.Row(i)

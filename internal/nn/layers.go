@@ -15,6 +15,8 @@ type Dense struct {
 	w, b   []float32 // views into the network's flat parameter buffer
 	gw, gb []float32 // matching gradient views
 	x      *tensor.Matrix
+
+	out, din *tensor.Matrix // workspaces
 }
 
 // NewDense creates a fully connected in→out layer.
@@ -54,10 +56,10 @@ func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: dense forward: input %d cols, want %d", x.Cols, d.In))
 	}
 	d.x = x
-	out := tensor.NewMatrix(x.Rows, d.Out)
-	tensor.MatMul(out, x, tensor.FromSlice(d.In, d.Out, d.w))
-	tensor.AddBiasRows(out, d.b)
-	return out
+	d.out = workspace(d.out, x.Rows, d.Out)
+	tensor.MatMul(d.out, x, tensor.FromSlice(d.In, d.Out, d.w))
+	tensor.AddBiasRows(d.out, d.b)
+	return d.out
 }
 
 // Backward implements Layer.
@@ -66,14 +68,14 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	gw := tensor.FromSlice(d.In, d.Out, d.gw)
 	tensor.MatMulTransA(gw, d.x, dout) // dW = xᵀ·dout
 	tensor.SumRowsInto(d.gb, dout)     // db = Σ rows
-	din := tensor.NewMatrix(dout.Rows, d.In)
-	tensor.MatMulTransB(din, dout, w) // dx = dout·Wᵀ
-	return din
+	d.din = workspace(d.din, dout.Rows, d.In)
+	tensor.MatMulTransB(d.din, dout, w) // dx = dout·Wᵀ
+	return d.din
 }
 
 // ReLU is the rectified linear activation, applied element-wise.
 type ReLU struct {
-	mask []bool
+	out, din *tensor.Matrix // workspaces; Backward reads out as the mask
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -93,36 +95,42 @@ func (r *ReLU) Init(_ *prng.Source) {}
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return out
+	r.out = workspace(r.out, x.Rows, x.Cols)
+	relu(r.out.Data, x.Data)
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	din := dout.Clone()
-	for i := range din.Data {
-		if !r.mask[i] {
-			din.Data[i] = 0
+	r.din = workspace(r.din, dout.Rows, dout.Cols)
+	reluGrad(r.din.Data, dout.Data, r.out.Data)
+	return r.din
+}
+
+// relu writes x into out with +0 wherever x <= 0 (a NaN passes through).
+func relu(out, x []float32) {
+	for i, v := range x {
+		if v <= 0 {
+			v = 0
 		}
+		out[i] = v
 	}
-	return din
+}
+
+// reluGrad writes dout into din with 0 wherever relu's output out is +0:
+// out <= 0 there exactly where its input was.
+func reluGrad(din, dout, out []float32) {
+	for i, v := range dout {
+		if out[i] <= 0 {
+			v = 0
+		}
+		din[i] = v
+	}
 }
 
 // Tanh is the hyperbolic tangent activation, applied element-wise.
 type Tanh struct {
-	y *tensor.Matrix
+	out, din *tensor.Matrix // workspaces; Backward reads out
 }
 
 // NewTanh creates a tanh activation layer.
@@ -142,21 +150,20 @@ func (t *Tanh) Init(_ *prng.Source) {}
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	out := x.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = float32(math.Tanh(float64(v)))
+	t.out = workspace(t.out, x.Rows, x.Cols)
+	for i, v := range x.Data {
+		t.out.Data[i] = float32(math.Tanh(float64(v)))
 	}
-	t.y = out
-	return out
+	return t.out
 }
 
 // Backward implements Layer.
 func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	din := dout.Clone()
-	for i, v := range t.y.Data {
-		din.Data[i] *= 1 - v*v
+	t.din = workspace(t.din, dout.Rows, dout.Cols)
+	for i, v := range t.out.Data {
+		t.din.Data[i] = dout.Data[i] * (1 - v*v)
 	}
-	return din
+	return t.din
 }
 
 // BatchNorm normalises each feature over the batch during training and

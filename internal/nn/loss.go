@@ -9,13 +9,27 @@ import (
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
 // against integer labels and the gradient dL/dlogits (softmax − one-hot,
-// divided by the batch size). Numerically stabilised by the max-logit
-// shift; loss is accumulated in float64.
+// divided by the batch size), in a newly allocated matrix. Numerically
+// stabilised by the max-logit shift; loss is accumulated in float64.
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
+	grad := tensor.NewMatrix(logits.Rows, logits.Cols)
+	return softmaxCrossEntropy(grad, logits, labels), grad
+}
+
+// SoftmaxCrossEntropy is the package function with the gradient written
+// to a workspace the network keeps: like a layer's output, it is valid
+// until the next call. A training loop uses this one.
+func (n *Network) SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
+	n.dloss = workspace(n.dloss, logits.Rows, logits.Cols)
+	return softmaxCrossEntropy(n.dloss, logits, labels), n.dloss
+}
+
+// softmaxCrossEntropy returns the loss and overwrites grad, which has the
+// shape of logits, with the gradient.
+func softmaxCrossEntropy(grad, logits *tensor.Matrix, labels []int) float64 {
 	if len(labels) != logits.Rows {
 		panic(fmt.Sprintf("nn: %d labels for %d logit rows", len(labels), logits.Rows))
 	}
-	grad := tensor.NewMatrix(logits.Rows, logits.Cols)
 	var loss float64
 	invN := 1 / float32(logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
@@ -45,7 +59,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.
 			grow[j] = p * invN
 		}
 	}
-	return loss / float64(logits.Rows), grad
+	return loss / float64(logits.Rows)
 }
 
 // Accuracy returns the fraction of rows whose arg-max logit matches the

@@ -151,7 +151,7 @@ func GradFn(cls *Classifier, ds *data.Images, rank, workers, batch int) core.Gra
 		x, labels := ds.Batch(iter, rank, workers, batch)
 		cls.Net.ZeroGrad()
 		logits := cls.Net.Forward(x, true)
-		loss, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
+		loss, dlogits := cls.Net.SoftmaxCrossEntropy(logits, labels)
 		cls.Net.Backward(dlogits)
 		copy(grad, cls.Net.Gradients())
 		return loss
@@ -174,7 +174,7 @@ func StreamGradFn(cls *Classifier, ds *data.Images, rank, workers, batch int) co
 		x, labels := ds.Batch(iter, rank, workers, batch)
 		cls.Net.ZeroGrad()
 		logits := cls.Net.Forward(x, true)
-		loss, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
+		loss, dlogits := cls.Net.SoftmaxCrossEntropy(logits, labels)
 		cls.Net.BackwardWithHook(dlogits, func(lo, hi int) {
 			copy(grad[lo:hi], grads[lo:hi])
 			ready(lo, hi)

@@ -209,3 +209,31 @@ func avg(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// TestForwardBackwardAllocCeiling pins the steady state of the compute
+// layer: once the workspaces have the batch's shape, a step — ZeroGrad,
+// Forward, SoftmaxCrossEntropy, Backward — allocates nothing. Drawing the
+// batch is outside the measured step: data.Images.Batch allocates a new
+// input matrix, a label slice and one pixel slice per sample on every
+// call (19 allocations at batch 16), which is the data pipeline's cost,
+// not the network's.
+func TestForwardBackwardAllocCeiling(t *testing.T) {
+	ds, err := data.NewImages(5, 10, 3, 8, 8, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cls := range []*Classifier{VGG16Sim(), ResNet20Sim()} {
+		cls.Net.Init(42)
+		x, labels := ds.Batch(0, 0, 1, 16)
+		step := func() {
+			cls.Net.ZeroGrad()
+			logits := cls.Net.Forward(x, true)
+			_, dlogits := cls.Net.SoftmaxCrossEntropy(logits, labels)
+			cls.Net.Backward(dlogits)
+		}
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+			t.Errorf("%s: %v allocations per forward+backward step, want 0", cls.Name, allocs)
+		}
+	}
+}

@@ -22,12 +22,23 @@ import (
 
 // Layer is one differentiable stage of a sequential network operating on
 // row-major batches (rows = samples).
+//
+// Ownership: a layer keeps the matrices it returns, and its scratch, as
+// workspaces it writes again on its next call, so a steady training loop
+// allocates nothing here. The matrix Forward returns is valid until that
+// layer's next Forward, the one Backward returns until its next Backward;
+// a caller that needs one longer copies it. A layer never writes into a
+// matrix it was handed, and Forward may keep its argument (not a copy)
+// for the Backward that follows. The batch size may change from call to
+// call (evaluation between training steps); workspaces grow to the
+// largest batch seen.
 type Layer interface {
 	// Forward consumes a (batch × in) matrix and returns (batch × out).
 	// train toggles training-time behaviour (batch-norm statistics).
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	// Backward consumes dL/dout and returns dL/din, accumulating
-	// parameter gradients into the bound gradient views.
+	// Backward consumes dL/dout for the batch of the last Forward and
+	// returns dL/din, accumulating parameter gradients into the bound
+	// gradient views.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// ParamCount returns the number of scalar parameters.
 	ParamCount() int
@@ -47,6 +58,27 @@ type Network struct {
 	layers []Layer
 	params []float32
 	grads  []float32
+	dloss  *tensor.Matrix // SoftmaxCrossEntropy's workspace
+}
+
+// workspace returns m reshaped to rows×cols, on m's own backing array
+// when that is large enough and on a new one otherwise. The contents are
+// unspecified: whatever an earlier call left there.
+func workspace(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil {
+		m = &tensor.Matrix{}
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, grow(m.Data, rows*cols)
+	return m
+}
+
+// grow returns s with length n, reallocated only when its capacity is
+// smaller; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NewNetwork assembles layers and binds their parameters into flat
@@ -91,11 +123,7 @@ func (n *Network) Gradients() []float32 { return n.grads }
 func (n *Network) ParamCount() int { return len(n.params) }
 
 // ZeroGrad clears the accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for i := range n.grads {
-		n.grads[i] = 0
-	}
-}
+func (n *Network) ZeroGrad() { clear(n.grads) }
 
 // Forward runs the batch through every layer.
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {

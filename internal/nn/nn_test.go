@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -287,4 +288,57 @@ func TestResidualRequiresShapePreservingBody(t *testing.T) {
 	net := NewNetwork(r)
 	net.Init(1)
 	r.Forward(tensor.NewMatrix(1, 4), true)
+}
+
+// TestWorkspacesFollowBatchSize drives one network through batch sizes
+// 4 → 9 → 2 (train, evaluate, train again, as a training loop with
+// held-out evaluation does) and holds every output and the final
+// gradient to those of a fresh copy of the network that only ever saw
+// that one batch: a reused workspace must not leak a stale row, a stale
+// zero-padding cell or a stale pooling gradient into a later call.
+func TestWorkspacesFollowBatchSize(t *testing.T) {
+	build := func() *Network {
+		net := NewNetwork(
+			NewConv2D(2, 6, 6, 4, 3, 1, 1),
+			NewReLU(),
+			NewMaxPool2(4, 6, 6), // 4×3×3
+			NewResidual(NewConv2D(4, 3, 3, 4, 3, 1, 1), NewTanh(), NewConv2D(4, 3, 3, 4, 3, 1, 1)),
+			NewGlobalAvgPool(4, 3, 3),
+			NewDense(4, 3),
+		)
+		net.Init(5)
+		return net
+	}
+	reused := build()
+	sameBits := func(what string, got, want []float32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d = %v, a fresh network gives %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for step, batch := range []int{4, 9, 2} {
+		train := batch != 9
+		x, labels := randInput(uint64(10+step), batch, 2*6*6)
+		fresh := build()
+		got, want := reused.Forward(x, train), fresh.Forward(x, train)
+		if got.Rows != batch || got.Cols != 3 {
+			t.Fatalf("batch %d: output %dx%d", batch, got.Rows, got.Cols)
+		}
+		sameBits(fmt.Sprintf("batch %d output", batch), got.Data, want.Data)
+		if !train {
+			continue
+		}
+		reused.ZeroGrad()
+		_, dGot := reused.SoftmaxCrossEntropy(got, labels)
+		_, dWant := SoftmaxCrossEntropy(want, labels)
+		sameBits(fmt.Sprintf("batch %d loss gradient", batch), dGot.Data, dWant.Data)
+		reused.Backward(dGot)
+		fresh.Backward(dWant)
+		sameBits(fmt.Sprintf("batch %d gradient", batch), reused.Gradients(), fresh.Gradients())
+	}
 }

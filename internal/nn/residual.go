@@ -12,8 +12,11 @@ import (
 // (as the 3×3 same-padded convolutions in the ResNet models do).
 type Residual struct {
 	body []Layer
-	mask []bool
 	n    int
+
+	// workspaces: output (which Backward reads as the ReLU mask),
+	// gradient at the sum, input gradient
+	out, dsum, din *tensor.Matrix
 }
 
 // NewResidual creates a residual block around body.
@@ -58,36 +61,25 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: residual body changed shape %dx%d → %dx%d",
 			x.Rows, x.Cols, y.Rows, y.Cols))
 	}
-	out := y.Clone()
-	tensor.AddInto(out.Data, x.Data)
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	r.out = workspace(r.out, y.Rows, y.Cols)
+	for i, v := range y.Data {
+		r.out.Data[i] = v + x.Data[i]
 	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return out
+	relu(r.out.Data, r.out.Data)
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dsum := dout.Clone()
-	for i := range dsum.Data {
-		if !r.mask[i] {
-			dsum.Data[i] = 0
-		}
-	}
-	dbody := dsum
+	r.dsum = workspace(r.dsum, dout.Rows, dout.Cols)
+	reluGrad(r.dsum.Data, dout.Data, r.out.Data)
+	dbody := r.dsum
 	for i := len(r.body) - 1; i >= 0; i-- {
 		dbody = r.body[i].Backward(dbody)
 	}
-	din := dbody.Clone()
-	tensor.AddInto(din.Data, dsum.Data) // skip path
-	return din
+	r.din = workspace(r.din, dbody.Rows, dbody.Cols)
+	for i, v := range dbody.Data {
+		r.din.Data[i] = v + r.dsum.Data[i] // skip path
+	}
+	return r.din
 }

@@ -26,12 +26,20 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps data (not copied) as a rows x cols matrix.
+// FromSlice wraps data (not copied) as a rows x cols matrix. It inlines
+// (the panic is kept out of line for that), so a header that goes no
+// further than a call into this package stays on the caller's stack —
+// which nn/models' TestForwardBackwardAllocCeiling relies on.
 func FromSlice(rows, cols int, data []float32) *Matrix {
 	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice(%d, %d) with %d elements", rows, cols, len(data)))
+		panicFromSlice(rows, cols, len(data))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+//go:noinline
+func panicFromSlice(rows, cols, n int) {
+	panic(fmt.Sprintf("tensor: FromSlice(%d, %d) with %d elements", rows, cols, n))
 }
 
 // At returns element (i, j).
@@ -51,70 +59,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// MatMul computes dst = a * b. dst must be preallocated with shape
-// (a.Rows, b.Cols) and must not alias a or b. The k-loop is hoisted into
-// an axpy over rows of b, which vectorises well and is cache friendly for
-// the tall-skinny shapes produced by mini-batch training.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch: (%dx%d)*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			AxpyInto(drow, aik, brow)
-		}
-	}
-}
-
-// MatMulTransB computes dst = a * bᵀ. dst must have shape (a.Rows, b.Rows).
-func MatMulTransB(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch: (%dx%d)*(%dx%d)T->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = Dot(arow, b.Row(j))
-		}
-	}
-}
-
-// MatMulTransA computes dst = aᵀ * b. dst must have shape (a.Cols, b.Cols).
-func MatMulTransA(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch: (%dx%d)T*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Row(r)
-		brow := b.Row(r)
-		for i := 0; i < a.Cols; i++ {
-			ari := arow[i]
-			if ari == 0 {
-				continue
-			}
-			AxpyInto(dst.Row(i), ari, brow)
-		}
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // AddBiasRows adds bias to every row of m in place.
 func AddBiasRows(m *Matrix, bias []float32) {

@@ -92,6 +92,156 @@ func TestMatMulTransAMatchesNaive(t *testing.T) {
 	matricesClose(t, dst, naiveMatMul(a, b, true, false), 1e-3)
 }
 
+// refMatMul, refMatMulTransB and refMatMulTransA are the loops the blocked
+// kernels replaced, kept verbatim: they define, bit for bit, what MatMul,
+// MatMulTransB and MatMulTransA must return.
+func refMatMul(dst, a, b *Matrix) {
+	dst.Zero()
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for k := 0; k < a.Cols; k++ {
+			aik := arow[k]
+			if aik == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			AxpyInto(drow, aik, brow)
+		}
+	}
+}
+
+func refMatMulTransB(dst, a, b *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			drow[j] = Dot(arow, b.Row(j))
+		}
+	}
+}
+
+func refMatMulTransA(dst, a, b *Matrix) {
+	dst.Zero()
+	for r := 0; r < a.Rows; r++ {
+		arow := a.Row(r)
+		brow := b.Row(r)
+		for i := 0; i < a.Cols; i++ {
+			ari := arow[i]
+			if ari == 0 {
+				continue
+			}
+			AxpyInto(dst.Row(i), ari, brow)
+		}
+	}
+}
+
+// gemmSpecials are the values a product must survive unchanged in its
+// bits: both zeros (the skip predicate), denormals, infinities and NaN.
+var gemmSpecials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0x1p-130,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32,
+}
+
+// gemmMatrix is Gaussian with a share of exact zeros (as after a ReLU)
+// and a share of gemmSpecials.
+func gemmMatrix(src *prng.Source, rows, cols int, zeros, specials float64) *Matrix {
+	m := randMatrix(src, rows, cols)
+	for i := range m.Data {
+		switch u := src.Float64(); {
+		case u < zeros:
+			m.Data[i] = 0
+		case u < zeros+specials:
+			m.Data[i] = gemmSpecials[src.Intn(len(gemmSpecials))]
+		}
+	}
+	return m
+}
+
+// checkGEMMEquiv runs the three kernels and their references on one
+// (m×k)·(k×n) problem, every dst pre-filled with garbage, and compares
+// bits. A NaN must be a NaN in the same place, but not the same NaN: whose
+// sign and payload an add of two NaNs (or of +Inf and -Inf) yields depends
+// on the operand order of the instruction the compiler picked, which Go
+// does not define, for the reference loops no more than for the kernels.
+func checkGEMMEquiv(t *testing.T, src *prng.Source, m, k, n int, zeros, specials float64) {
+	t.Helper()
+	garbage := func(rows, cols int) (got, want *Matrix) {
+		got, want = NewMatrix(rows, cols), NewMatrix(rows, cols)
+		Fill(got.Data, float32(math.NaN()))
+		Fill(want.Data, 12345)
+		return got, want
+	}
+	same := func(name string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) && !(v != v && want.Data[i] != want.Data[i]) {
+				t.Fatalf("%s (%dx%dx%d, zeros %v, specials %v): element (%d,%d) = %v (%#08x), reference %v (%#08x)",
+					name, m, k, n, zeros, specials, i/max(got.Cols, 1), i%max(got.Cols, 1),
+					v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+	a := gemmMatrix(src, m, k, zeros, specials)
+	b := gemmMatrix(src, k, n, zeros/4, specials)
+	got, want := garbage(m, n)
+	MatMul(got, a, b)
+	refMatMul(want, a, b)
+	same("MatMul", got, want)
+
+	at := gemmMatrix(src, k, m, zeros, specials) // aᵀ·b with a stored k×m
+	got, want = garbage(m, n)
+	MatMulTransA(got, at, b)
+	refMatMulTransA(want, at, b)
+	same("MatMulTransA", got, want)
+
+	bt := gemmMatrix(src, n, k, zeros/4, specials) // a·bᵀ with b stored n×k
+	got, want = garbage(m, n)
+	MatMulTransB(got, a, bt)
+	refMatMulTransB(want, a, bt)
+	same("MatMulTransB", got, want)
+}
+
+// TestGEMMBitIdentical is the wall behind the blocked kernels: over
+// every remainder path of the 4-term and 2×2 blocking and both sides of
+// each tile edge, with clean, ReLU-like and special-value-laden
+// operands, the result is the reference loops' result bit for bit.
+func TestGEMMBitIdentical(t *testing.T) {
+	src := prng.New(7)
+	sizes := []int{0, 1, 2, 3, 5, 16, 17, 127, 128, 129}
+	for _, m := range sizes {
+		for _, k := range sizes {
+			for _, n := range sizes {
+				checkGEMMEquiv(t, src, m, k, n, 0.5, 0.02)
+			}
+		}
+	}
+	shapes := [][3]int{
+		{16, 128, 1024}, {16, 1024, 64}, {64, 27, 8}, // VGG16Sim at batch 16
+		{128, 16, 1024}, {1024, 16, 64}, {27, 64, 8}, // ... and its weight gradients
+		{3, 2*gemmTileK + 1, 2*gemmTileCols + 3},
+	}
+	for _, s := range shapes {
+		for _, mix := range [][2]float64{{0, 0}, {0.5, 0}, {0.5, 0.01}, {0.97, 0.02}} {
+			checkGEMMEquiv(t, src, s[0], s[1], s[2], mix[0], mix[1])
+		}
+	}
+}
+
+// FuzzGEMMEquiv lets the fuzzer pick the shape, the operands' seed, the
+// share of zeros and where a few special values land.
+func FuzzGEMMEquiv(f *testing.F) {
+	f.Add(uint8(16), uint8(128), uint16(1024), uint64(1), uint8(128), uint8(2))
+	f.Add(uint8(5), uint8(3), uint16(7), uint64(2), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(255), uint16(513), uint64(3), uint8(250), uint8(40))
+	f.Fuzz(func(t *testing.T, m, k uint8, n uint16, seed uint64, zeros, specials uint8) {
+		checkGEMMEquiv(t, prng.New(seed), int(m), int(k), int(n%1100),
+			float64(zeros)/256, float64(specials)/1024)
+	})
+}
+
 func TestMatMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -236,13 +386,50 @@ func TestQuickAxpyLinearity(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B) {
-	src := prng.New(1)
-	a := randMatrix(src, 64, 64)
-	c := randMatrix(src, 64, 64)
-	dst := NewMatrix(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, c)
+// BenchmarkGEMM times the three GEMMs at the shapes one VGG16Sim step
+// at batch 16 runs them: dense1 and dense2 are Dense(128→1024) and
+// Dense(1024→64) (x·W forward, xᵀ·dout and dout·Wᵀ backward), conv is one
+// sample of the 3×3 convolution after im2col. MatMul and TransA see an a
+// that is half zeros, as after a ReLU. Bytes per op are the three
+// matrices touched once.
+func BenchmarkGEMM(b *testing.B) {
+	shapes := []struct {
+		name           string
+		batch, in, out int
+	}{
+		{"dense1", 16, 128, 1024},
+		{"dense2", 16, 1024, 64},
+		{"conv", 64, 27, 8},
+	}
+	relu := func(m *Matrix) *Matrix {
+		for i, v := range m.Data {
+			if v < 0 {
+				m.Data[i] = 0
+			}
+		}
+		return m
+	}
+	for _, s := range shapes {
+		src := prng.New(1)
+		x := relu(randMatrix(src, s.batch, s.in))
+		w := randMatrix(src, s.in, s.out)
+		dout := randMatrix(src, s.batch, s.out)
+		kernels := []struct {
+			name      string
+			run       func(dst, a, b *Matrix)
+			dst, a, b *Matrix
+		}{
+			{"MatMul", MatMul, NewMatrix(s.batch, s.out), x, w},
+			{"TransA", MatMulTransA, NewMatrix(s.in, s.out), x, dout},
+			{"TransB", MatMulTransB, NewMatrix(s.batch, s.in), dout, w},
+		}
+		for _, k := range kernels {
+			b.Run(k.name+"/"+s.name, func(b *testing.B) {
+				b.SetBytes(int64(4 * (len(k.dst.Data) + len(k.a.Data) + len(k.b.Data))))
+				for i := 0; i < b.N; i++ {
+					k.run(k.dst, k.a, k.b)
+				}
+			})
+		}
 	}
 }

@@ -252,8 +252,10 @@ type Compressor = sparse.Compressor
 
 // NewCompressor builds the standard Compressor stack for a value codec
 // (stochastic QSGD rounding, Bernoulli ternary, deterministic sign).
-// Fork rank-distinct streams off one seeded stack rather than mixing
-// the rank into the seed.
+// The seed must be the same on every rank — the broadcast roots draw
+// their shared stream (Compressor.Shared) from it — and each rank
+// attaches its own stream, NewCompressor(vc, seed).Fork(rank), rather
+// than mixing the rank into the seed.
 func NewCompressor(vc ValueCodec, seed uint64) Compressor { return quant.NewStack(vc, seed) }
 
 // DensityController adapts a bucket's selection count toward a
@@ -296,8 +298,9 @@ func DensityToK(dim int, density float64) int { return core.DensityToK(dim, dens
 func NewSparsifier(dim int) *Sparsifier { return core.NewSparsifier(dim) }
 
 // GTopKAllReduce runs the paper's Algorithm 3: tree-reduce the workers'
-// sparse vectors with ⊕ and broadcast the global top-k, in 2·log2(P)
-// rounds. Requires power-of-two worker counts.
+// sparse vectors with ⊕ and broadcast the global top-k, in
+// 2·⌈log₂P⌉−1 rounds (the top reduce round and the first broadcast
+// round are one pairwise swap), at any worker count.
 func GTopKAllReduce(ctx context.Context, comm *Comm, local *Vector, k int) (*Vector, error) {
 	return core.GTopKAllReduce(ctx, comm, local, k)
 }
@@ -324,10 +327,9 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *Comm, local *Vector, k int) 
 }
 
 // HierarchicalGTopKAllReduce runs the two-level hierarchical gTop-k for
-// large worlds: groups of g ranks aggregate internally with the tree
-// collective, group leaders run a second gTop-k over the g-fold smaller
-// leader world, and the global top-k broadcasts back down through the
-// leaders. g <= 1 or g >= world is bit-identical to GTopKAllReduce.
+// large worlds: groups of g ranks reduce to their leader along the
+// tree, group leaders run a gTop-k over the g-fold smaller leader
+// world, and the global top-k broadcasts back down from every leader. g <= 1 or g >= world is bit-identical to GTopKAllReduce.
 func HierarchicalGTopKAllReduce(ctx context.Context, comm *Comm, local *Vector, k, g int) (*Vector, error) {
 	return core.HierarchicalGTopKAllReduce(ctx, comm, local, k, g)
 }

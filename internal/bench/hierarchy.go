@@ -281,6 +281,6 @@ func Hierarchy(_ context.Context, opt Options) (string, *HierarchySection, error
 			fmt.Fprintf(&sb, "  G=%-3d rho=%-6g P>=%d\n", c.G, c.Rho, c.CrossP)
 		}
 	}
-	sb.WriteString("\nThe hierarchy pays ceil(log2 G) extra broadcast rounds (every member holds\nits group aggregate — the leader-failure story) and buys group-sized\nsynchronization domains; it wins where alpha-skew dominates (low rho,\nlarge P) and loses where the extra payload volume does (rho=0.01).\n")
+	sb.WriteString("\nThe hierarchy runs as many rounds as the flat tree (a reduce-only group\nphase, the leaders' swapped tree, the group broadcast) and buys group-sized\nsynchronization domains, so under alpha-skew it wins from the smallest\nworld it applies to, most where alpha dominates (low rho, large P).\n")
 	return sb.String(), section, nil
 }

@@ -33,7 +33,7 @@ import (
 
 const (
 	// quorumHierP/quorumHierG are the committed world shape: the P >= 64
-	// regime the hierarchy crossover sweep shows opening, split G ways.
+	// regime, where the hierarchy sweep shows it winning, split G ways.
 	quorumHierP = 64
 	quorumHierG = 4
 	// quorumHierRounds is the number of consecutive rounds each row runs

@@ -216,13 +216,6 @@ func (c *Comm) RecvTag(ctx context.Context, src, tag int) ([]byte, error) {
 // must never be recycled once forwarded.
 func (c *Comm) RecvIsPrivate() bool { return transport.PrivateRecv(c.conn) }
 
-// SendConsumedOnReturn reports whether a plain SendTag fully consumes
-// the payload before returning (true over TCP, false in-process, where
-// the receiver gets the sender's slice). Only then may a sender recycle
-// a buffer it passed to SendTag; recycling a payload that was also
-// received additionally requires RecvIsPrivate.
-func (c *Comm) SendConsumedOnReturn() bool { return transport.SendConsumedOnReturn(c.conn) }
-
 // ChargeRound lets custom collectives account one synchronous
 // communication round moving elems float32-sized elements.
 func (c *Comm) ChargeRound(elems int) { c.chargeRound(elems) }

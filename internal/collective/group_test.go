@@ -160,6 +160,8 @@ func (qsgd8Pref) Transform([]float32) (float32, []int16) { return 0, nil }
 
 func (q qsgd8Pref) Fork(uint64) sparse.Compressor { return q }
 
+func (q qsgd8Pref) Shared(uint64) sparse.Compressor { return q }
+
 // TestForkGroupInheritsPreferences: the value preference (through
 // Compressor.Fork) and the parent's negotiated wire version must carry
 // into both sub-communicators — v3-qsgd8 on an all-v3 mesh, v1 frames on

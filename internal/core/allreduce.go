@@ -126,17 +126,20 @@ func ChunksFor(k int) int {
 }
 
 // GTopKAllReduce is the paper's Algorithm 3: an efficient global top-k
-// aggregation in 2·ceil(log2(P)) communication rounds. It wraps
+// aggregation in 2·ceil(log2(P))−1 communication rounds. It wraps
 // GTopKAllReduceInto with ChunksFor(k) and a fresh result vector.
 //
 // Phase 1 (tree reduction): ceil(log2(P)) rounds. In round j, every
 // rank whose index has j+1 low zero bits receives its partner's sparse
 // vector and merges it with the ⊕ operator of Definition 1 (top-k of
-// the sum); the partner goes idle. After the last round rank 0 holds
-// G̃ = G̃¹ ⊕ G̃² ⊕ … ⊕ G̃ᴾ.
+// the sum); the partner goes idle. The last round is a swap: rank 0 and
+// rank h = 2^(ceil(log2(P))−1) send each other their partials and both
+// run the same merge (float addition commutes bitwise and top-k ties
+// break by index), so both hold G̃ = G̃¹ ⊕ G̃² ⊕ … ⊕ G̃ᴾ.
 //
-// Phase 2 (broadcast): rank 0 broadcasts G̃ to all ranks along a binomial
-// tree (the "flat-tree" of the paper), ceil(log2(P)) more rounds.
+// Phase 2 (broadcast): ranks 0 and h broadcast G̃ down binomial trees
+// (the "flat-tree" of the paper) over their halves of the world,
+// ceil(log2(P))−1 more rounds.
 //
 // The returned vector holds the k largest-magnitude entries of the
 // element-wise sum as selected greedily by the tree (identical on every
@@ -146,10 +149,13 @@ func ChunksFor(k int) int {
 // generalises the binomial tree to any P ≥ 1 — a receiver whose partner
 // index falls outside [0, P) simply idles that round — so an elastic
 // job that loses a worker (say 4 → 3) keeps aggregating with the same
-// algorithm. For power-of-two P the schedule, and therefore the merge
-// order and the resulting bits, are unchanged.
+// algorithm. For power-of-two P the merge order, and therefore the
+// resulting bits, are the paper's.
 //
-// Communication cost (Eq. 7): 2·log(P)·α + 4k·log(P)·β.
+// Communication cost: 2(P−1) messages of at most k entries over
+// 2·ceil(log2(P))−1 sequential rounds — (2·log(P)−1)·α +
+// (4k·log(P)−2k)·β, one α + 2kβ below the paper's Eq. 7
+// (netsim.Model.GTopKAllReduce prices the unswapped tree).
 func GTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
 	if err := GTopKAllReduceInto(ctx, comm, local, k, ChunksFor(k), out); err != nil {
@@ -171,6 +177,15 @@ func GTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Ve
 // ping-pongs between pooled scratch vectors, and dead frames return to
 // the shared buffer pool.
 func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
+	return gtopkTree(ctx, comm, local, k, chunks, true, out)
+}
+
+// gtopkTree runs the tree over comm. With swap it is the whole
+// collective above. Without it the last round is a plain reduce and
+// nothing is broadcast: rank 0 receives the reduction in out and every
+// other rank leaves out untouched — the hierarchy's group phase, whose
+// only reader is the group leader.
+func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, swap bool, out *sparse.Vector) error {
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -214,22 +229,31 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 	for j := 0; j < rounds; j++ {
 		stride := 1 << j
 		group := 1 << (j + 1)
+		swapping := swap && j == rounds-1
 		moved := 0
 		switch {
-		case r%group == 0 && r+stride < p:
-			// Receiver: partner r+stride streams its live vector as chunk
-			// frames. Since the vectored sender flushes all of a round's
-			// chunks together, chunk-granular folding would re-scan the
-			// running sum once per chunk for no overlap gain; instead the
-			// chunks — contiguous ascending entry spans — are reassembled
-			// into the peer vector with cheap appends and folded with ONE
-			// union merge plus one top-k re-selection. Every output index
-			// still receives exactly the same (running, peer) value pair,
-			// so the result stays bit-identical to per-chunk folding and
-			// to the unchunked merge.
+		case r%group == 0 && r+stride < p, swapping && r == stride:
+			// Receiver — or one side of the swap, which first pins and
+			// ships its own partial exactly as a sender does, then merges
+			// the partner's: both sides sum the same two pinned vectors.
+			partner := r ^ stride
+			if swapping {
+				if _, err := sendSparseChunks(ctx, comm, codec, cur, partner, base+j, chunks); err != nil {
+					return fmt.Errorf("core: gtopk round %d send: %w", j, err)
+				}
+			}
+			// The partner streams its live vector as chunk frames. Since
+			// the vectored sender flushes all of a round's chunks together,
+			// chunk-granular folding would re-scan the running sum once per
+			// chunk for no overlap gain; instead the chunks — contiguous
+			// ascending entry spans — are reassembled into the peer vector
+			// with cheap appends and folded with ONE union merge plus one
+			// top-k re-selection. Every output index still receives exactly
+			// the same (running, peer) value pair, so the result stays
+			// bit-identical to per-chunk folding and to the unchunked merge.
 			var peer *sparse.Vector
 			for i := 0; i < chunks; i++ {
-				blob, err := comm.RecvTag(ctx, r+stride, base+j)
+				blob, err := comm.RecvTag(ctx, partner, base+j)
 				if err != nil {
 					return fmt.Errorf("core: gtopk round %d recv: %w", j, err)
 				}
@@ -282,8 +306,8 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 		// Every rank pays the synchronous round cost. Under v1 that is
 		// the paper's modelled bound — one message of at most 2k elements
 		// (k values + k indices) per pair; under compressed codecs
-		// participants pay the bytes they actually moved and idle ranks
-		// pay the latency term alone.
+		// participants pay the bytes they actually moved (a swap side, the
+		// bytes it received) and idle ranks pay the latency term alone.
 		if codec == sparse.CodecV1 {
 			comm.ChargeRound(2 * k)
 		} else {
@@ -291,11 +315,17 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 		}
 	}
 
-	// Phase 2: broadcast the global top-k from rank 0 (Algorithm 3 line
-	// 19), chunk-pipelined down the same binomial tree: a rank forwards
-	// chunk i to its subtree before receiving chunk i+1, so the levels of
-	// the tree work on consecutive chunks concurrently.
-	return bcastSparseChunks(ctx, comm, codec, cur, k, chunks, out)
+	if !swap {
+		if cur != nil { // rank 0: every other rank sent its partial
+			sparse.CopyInto(out, cur)
+		}
+		return nil
+	}
+	// Phase 2: broadcast the global top-k from both swap sides (Algorithm
+	// 3 line 19), chunk-pipelined down the binomial trees below them: a
+	// rank forwards chunk i to its subtree before receiving chunk i+1, so
+	// the levels of the tree work on consecutive chunks concurrently.
+	return bcastSparseChunks(ctx, comm, codec, cur, k, chunks, max(rounds-1, 0), out)
 }
 
 // sendSparseChunks streams v to dst as `chunks` wire frames under one
@@ -333,11 +363,7 @@ func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.C
 		frames = append(frames, buf)
 	}
 	err := comm.SendTagVecPooled(ctx, dst, tag, frames)
-	for i := range frames {
-		frames[i] = nil
-	}
-	*fp = frames[:0]
-	iovecPool.Put(fp)
+	releaseIovec(fp, frames)
 	return sent, err
 }
 
@@ -351,42 +377,45 @@ func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale f
 	return sparse.EncodeSlicesCodec(codec, v.Dim, v.Indices[lo:hi], v.Values[lo:hi])
 }
 
-// bcastSparseChunks distributes rank 0's cur to every rank's out along a
-// binomial tree in chunk-pipelined frames encoded with the mesh codec.
-// Simulated-time accounting matches the unchunked flat-tree broadcast
-// this replaces: every rank charges ceil(log2 P) rounds, paying the full
-// payload — modelled flat bytes under v1, actual bytes under compressed
-// codecs — from the round it first holds data (chunking is transparent to
-// the α-β model; it reduces wall time by overlap, not modelled volume).
+// bcastSparseChunks distributes the roots' cur to every rank's out along
+// binomial trees `rounds` deep, in chunk-pipelined frames encoded with
+// the mesh codec. The roots are the ranks whose low `rounds` bits are
+// zero — rank 0 alone when 2^rounds >= P, ranks 0 and 2^rounds after the
+// tree's swap — and each holds the same cur. Simulated-time accounting
+// matches the unchunked flat-tree broadcast: every rank charges `rounds`
+// rounds, paying the full payload — modelled flat bytes under v1, actual
+// bytes under compressed codecs — from the round it first holds data
+// (chunking is transparent to the α-β model; it reduces wall time by
+// overlap, not modelled volume).
 //
-// Under a lossy codec the root first rounds its own values through the
-// codec's value precision, so the bits it keeps equal the bits every
-// other rank decodes off the wire — the broadcast stays replica-exact.
-func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, cur *sparse.Vector, k, chunks int, out *sparse.Vector) error {
+// Under a lossy codec every root first pins its values with the
+// compressor's Shared stream for this broadcast, so the roots keep the
+// same bits, and those are the bits every other rank decodes off the
+// wire — the broadcast stays replica-exact.
+//
+// Every frame has one owner on every fabric: a root sends its last
+// child the frames it encoded and every other child a pooled copy, a
+// relay forwards pooled copies, and each receiver recycles its frames
+// once decoded.
+func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, cur *sparse.Vector, k, chunks, rounds int, out *sparse.Vector) error {
 	p := comm.Size()
 	r := comm.Rank()
-	rounds := 0
-	for 1<<rounds < p {
-		rounds++
-	}
 	base := comm.ClaimTags(rounds)
+	pos := r & (1<<rounds - 1) // position in this rank's root's tree
 
 	recvRound := 0 // the round in which this rank first holds data
 	wireBytes := 0 // actual encoded payload volume (one payload's worth)
-	if r == 0 {
+	if pos == 0 {
 		var scale float32
 		var levels []int16
-		if p > 1 {
-			// cur is pooled scratch owned by this collective (with p > 1
-			// rank 0 always merged in round 0), so the in-place pinning
-			// never touches the caller's input. The root keeps exactly
-			// the bits every other rank decodes off the wire — rounded
-			// binary16 or the quantizer's lattice points — so the
-			// broadcast stays replica-exact under every lossy codec.
-			scale, levels = transformForWire(comm, codec, cur.Values)
+		if p > 1 && codec.Lossy() {
+			// cur is pooled scratch owned by this collective (with p > 1 a
+			// root always merged in the tree), so the in-place pinning
+			// never touches the caller's input.
+			scale, levels = comm.Compressor().Shared(uint64(base)).Transform(cur.Values)
 		}
 		sparse.CopyInto(out, cur)
-		if p > 1 {
+		if rounds > 0 && r+1 < p {
 			// Encode the whole payload's chunk frames up front, then ship
 			// the complete list to each child with one vectored send —
 			// child-major order: one flush per child instead of one per
@@ -406,38 +435,26 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 				comm.TallyWire(sparse.EncodedSize(hi-lo), len(buf))
 				frames = append(frames, buf)
 			}
-			for j := 0; j < rounds; j++ {
-				if child := 1 << j; child < p {
-					if err := comm.SendTagVec(ctx, child, base+j, frames); err != nil {
-						return fmt.Errorf("core: gtopk bcast send: %w", err)
-					}
+			var err error
+			for j := 0; j < rounds && r+1<<j < p && err == nil; j++ {
+				if j+1 == rounds || r+2<<j >= p {
+					err = comm.SendTagVecPooled(ctx, r+1<<j, base+j, frames)
+				} else {
+					err = sendCopies(ctx, comm, r+1<<j, base+j, frames)
 				}
 			}
-			// All children received (or aliased, in-process) every frame;
-			// recycling is safe only where plain sends consume the
-			// payload before returning.
-			if comm.SendConsumedOnReturn() {
-				for _, buf := range frames {
-					sparse.PutBuffer(buf)
-				}
+			releaseIovec(fp, frames)
+			if err != nil {
+				return fmt.Errorf("core: gtopk bcast send: %w", err)
 			}
-			for i := range frames {
-				frames[i] = nil
-			}
-			*fp = frames[:0]
-			iovecPool.Put(fp)
 		}
-	} else if p > 1 {
-		recvRound = bits.Len(uint(r)) - 1 // 2^recvRound <= r < 2^(recvRound+1)
+	} else {
+		recvRound = bits.Len(uint(pos)) - 1 // 2^recvRound <= pos < 2^(recvRound+1)
 		parent := r - 1<<recvRound
 		// out is rebuilt from the incoming chunk frames; every frame
 		// carries dim, and chunks >= 1, so out.Dim is always set below.
 		out.Indices = out.Indices[:0]
 		out.Values = out.Values[:0]
-		// A forwarded frame may be recycled only if our received copy is
-		// private AND our plain sends to the subtree consumed it before
-		// returning (both true over TCP, both false in-process).
-		canRecycle := comm.RecvIsPrivate() && comm.SendConsumedOnReturn()
 		var chunkScratch *sparse.Vector
 		if codec != sparse.CodecV1 {
 			chunkScratch = sparse.GetVector()
@@ -455,11 +472,9 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 			// same payload regardless of codec, and a relay is not a new
 			// codec event, so nothing is tallied here (Stats.BytesSent
 			// still counts the transmission).
-			for j := recvRound + 1; j < rounds; j++ {
-				if child := r + 1<<j; child < p {
-					if err := comm.SendTag(ctx, child, base+j, blob); err != nil {
-						return fmt.Errorf("core: gtopk bcast forward: %w", err)
-					}
+			for j := recvRound + 1; j < rounds && r+1<<j < p; j++ {
+				if err := comm.SendTagPooled(ctx, r+1<<j, base+j, pooledCopy(blob)); err != nil {
+					return fmt.Errorf("core: gtopk bcast forward: %w", err)
 				}
 			}
 			v, err := codec.DecodeFrame(blob, chunkScratch)
@@ -469,17 +484,11 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 			out.Dim = v.Dim
 			out.Indices = append(out.Indices, v.Indices...)
 			out.Values = append(out.Values, v.Values...)
-			if canRecycle {
-				// Private copy: our sends were consumed synchronously and
-				// the entries are copied out, so the frame is dead here.
-				sparse.PutBuffer(blob)
-			}
+			sparse.PutBuffer(blob)
 		}
 		if err := out.Validate(); err != nil {
 			return fmt.Errorf("core: gtopk bcast result: %w", err)
 		}
-	} else {
-		sparse.CopyInto(out, cur)
 	}
 
 	// α-β accounting, mirroring the flat-tree broadcast exactly (one
@@ -492,11 +501,41 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 		elems = (wireBytes + 3) / 4
 	}
 	for j := 0; j < rounds; j++ {
-		if r == 0 || j >= recvRound {
+		if pos == 0 || j >= recvRound {
 			comm.ChargeRound(elems)
 		} else {
 			comm.ChargeRound(0)
 		}
 	}
 	return nil
+}
+
+// sendCopies sends dst a pooled copy of every frame under one tag, for a
+// sender that still needs the frames afterwards.
+func sendCopies(ctx context.Context, comm *collective.Comm, dst, tag int, frames [][]byte) error {
+	fp := iovecPool.Get().(*[][]byte)
+	copies := (*fp)[:0]
+	for _, f := range frames {
+		copies = append(copies, pooledCopy(f))
+	}
+	err := comm.SendTagVecPooled(ctx, dst, tag, copies)
+	releaseIovec(fp, copies)
+	return err
+}
+
+// pooledCopy returns a copy of frame in a buffer from the wire pool.
+func pooledCopy(frame []byte) []byte {
+	c := sparse.GetBuffer(len(frame))
+	copy(c, frame)
+	return c
+}
+
+// releaseIovec returns a frame-pointer slice to iovecPool, nilling every
+// element first so the pooled slice pins no frame.
+func releaseIovec(fp *[][]byte, frames [][]byte) {
+	for i := range frames {
+		frames[i] = nil
+	}
+	*fp = frames[:0]
+	iovecPool.Put(fp)
 }

@@ -27,6 +27,8 @@ func (halfValues) Transform(values []float32) (float32, []int16) {
 
 func (h halfValues) Fork(uint64) sparse.Compressor { return h }
 
+func (h halfValues) Shared(uint64) sparse.Compressor { return h }
+
 // runChunkedWire executes GTopKAllReduceInto on every rank of an
 // in-process fabric negotiated to the given wire version (with an
 // optional fp16 value preference) and returns the per-rank results.

@@ -218,6 +218,8 @@ func (q *nearestQ8) ValueCodec() sparse.ValueCodec { return sparse.ValueQ8 }
 
 func (q *nearestQ8) Fork(uint64) sparse.Compressor { return &nearestQ8{} }
 
+func (q *nearestQ8) Shared(uint64) sparse.Compressor { return q }
+
 func (q *nearestQ8) Transform(values []float32) (float32, []int16) {
 	var scale float32
 	for _, v := range values {

@@ -11,27 +11,26 @@ import (
 
 // This file implements the two-level hierarchical gTop-k collective for
 // large worlds: ranks are partitioned into contiguous groups of G, each
-// group runs the chunk-pipelined gTop-k tree (GTopKAllReduceInto) over
-// its members, the group leaders run a second gTop-k over the G-fold
-// smaller leader world, and the merged global top-k broadcasts back down
-// through the leaders. Every phase reuses the pinned flat collective as
-// a black box, so the hierarchical result inherits its determinism:
-// replicas are bitwise-consistent on every fabric, and the merge order —
-// hence the bits — depends only on (P, G, k), never on goroutine or
-// leader arrival order.
+// group reduces its members to the group leader along the gTop-k tree
+// (reduce only — nothing reads a member's group aggregate), the group
+// leaders run the full gTop-k over the G-fold smaller leader world, and
+// the merged global top-k broadcasts back down from every leader. Every
+// phase reuses the pinned flat tree, so the hierarchical result
+// inherits its determinism: replicas are bitwise-consistent on every
+// fabric, and the merge order — hence the bits — depends only on
+// (P, G, k), never on goroutine or leader arrival order.
 //
-// Cost shape (netsim.Model.HierGTopK): the intra-group phase runs a FULL
-// gTop-k (reduce + broadcast), so every member — not just the leader —
-// holds its group's aggregate. That costs ⌈log₂G⌉ broadcast rounds the
-// flat tree does not pay, and buys the leader-failure story: any member
-// can stand in for a dead leader without re-running the group exchange
-// (docs/ARCHITECTURE.md, "The hierarchical collective"). What the
-// hierarchy saves is synchronization-domain size — its rounds
+// Cost shape (netsim.Model.HierGTopK): ⌈log₂G⌉ reduce rounds, the
+// leaders' 2⌈log₂⌈P/G⌉⌉−1 rounds and ⌈log₂G⌉ broadcast rounds — at γ=0
+// and power-of-two sizes exactly the flat tree's 2⌈log₂P⌉−1. What the
+// hierarchy buys is synchronization-domain size — its rounds
 // synchronize G or ⌈P/G⌉ ranks instead of all P — which is worth
 // nothing under the paper's pure α-β model (γ=0) and increasingly much
 // under straggler skew (netsim.Model.SyncGamma), where the flat tree's
 // world-sized rounds inflate with log₂P. The hierarchy bench records
-// the resulting flat-vs-hierarchical crossover.
+// the resulting flat-vs-hierarchical crossover. A failed rank or leader
+// is not patched up inside a round: the elastic runtime tears the epoch
+// down, re-forks the groups and resumes from the checkpoint.
 
 // HierarchicalGTopKAllReduce runs the two-level gTop-k over groups of
 // size g, forking the group sub-communicators per call. Aggregators
@@ -108,12 +107,11 @@ func foldHierStats(parent *collective.Comm, gc *collective.GroupComms) {
 // from; it is used only for the non-leaders' simulated-time mirror of
 // the leader exchange (ChargeRoundAmong), never for wire traffic.
 func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
-	// Phase 1: intra-group gTop-k. Every member of group i ends up with
-	// the group's top-k aggregate (the full tree collective: reduce to
-	// the group leader, broadcast back down).
+	// Phase 1: intra-group reduce to the group leader (member rank 0),
+	// the only rank that reads the group aggregate.
 	groupRes := sparse.GetVector()
 	defer sparse.PutVector(groupRes)
-	if err := GTopKAllReduceInto(ctx, gc.Members, local, k, chunks, groupRes); err != nil {
+	if err := gtopkTree(ctx, gc.Members, local, k, chunks, false, groupRes); err != nil {
 		return fmt.Errorf("core: hierarchical gtopk group phase: %w", err)
 	}
 
@@ -121,44 +119,38 @@ func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, 
 	if codec.Value().Quantized() {
 		// The leader phase pins the global result to the quantizer's
 		// lattice, identical bits on every leader. Re-quantizing in the
-		// member-level broadcast would run each group leader's
-		// INDEPENDENT stochastic rounding over those same values and
-		// break cross-group bit-agreement, so phase 3 ships the pinned
-		// values in lossless v3 frames instead (v3 frames are
-		// self-describing — the value codec rides in every frame — so
-		// receivers decode them without any extra negotiation).
+		// member-level broadcast would put each group's own draws on
+		// those values, so phase 3 ships the pinned values in lossless v3
+		// frames instead (v3 frames are self-describing — the value codec
+		// rides in every frame — so receivers decode them without any
+		// extra negotiation).
 		codec = sparse.CodecV3
 	}
+	var glob *sparse.Vector // the global result; nil until phase 3 on non-leaders
 	if gc.Leaders != nil {
 		// Phase 2 (leaders): gTop-k over the leader world merges the
 		// per-group aggregates into the global top-k, identical bits on
 		// every leader.
-		glob := sparse.GetVector()
+		glob = sparse.GetVector()
 		defer sparse.PutVector(glob)
 		if err := GTopKAllReduceInto(ctx, gc.Leaders, groupRes, k, chunks, glob); err != nil {
 			return fmt.Errorf("core: hierarchical gtopk leader phase: %w", err)
 		}
-		// Phase 3: broadcast the global result down the group's binomial
-		// tree (member rank 0 is the leader).
-		if err := bcastSparseChunks(ctx, gc.Members, codec, glob, k, chunks, out); err != nil {
-			return fmt.Errorf("core: hierarchical gtopk broadcast phase: %w", err)
+	} else {
+		// Phase 2 (non-leaders): idle in wall time while the leaders
+		// exchange, but pay the same simulated rounds — the collective is
+		// synchronous, so every rank's clock advances through the leader
+		// phase. The modelled payload is the v1-flat 2k elements per round
+		// (k values + k indices), matching what the leaders charge under
+		// the v1 codec; under compressed codecs the leaders charge measured
+		// bytes and this mirror stays at the modelled bound.
+		for j := 0; j < 2*netsim.CeilLog2(gc.NumGroups)-1; j++ {
+			comm.ChargeRoundAmong(gc.NumGroups, 2*k)
 		}
-		return nil
 	}
-
-	// Phase 2 (non-leaders): idle in wall time while the leaders
-	// exchange, but pay the same simulated rounds — the collective is
-	// synchronous, so every rank's clock advances through the leader
-	// phase. The modelled payload is the v1-flat 2k elements per round
-	// (k values + k indices), matching what the leaders charge under the
-	// v1 codec; under compressed codecs the leaders charge measured bytes
-	// and this mirror stays at the modelled bound.
-	leaderRounds := 2 * netsim.CeilLog2(gc.NumGroups)
-	for j := 0; j < leaderRounds; j++ {
-		comm.ChargeRoundAmong(gc.NumGroups, 2*k)
-	}
-	// Phase 3: receive the global result from the group leader.
-	if err := bcastSparseChunks(ctx, gc.Members, codec, nil, k, chunks, out); err != nil {
+	// Phase 3: broadcast the global result down the group's binomial tree
+	// from the leader (member rank 0).
+	if err := bcastSparseChunks(ctx, gc.Members, codec, glob, k, chunks, netsim.CeilLog2(gc.Members.Size()), out); err != nil {
 		return fmt.Errorf("core: hierarchical gtopk broadcast phase: %w", err)
 	}
 	return nil

@@ -217,7 +217,6 @@ func TestHierarchicalSimulatedTime(t *testing.T) {
 	_, vecs := makeWorkerVectors(67, p, dim, k)
 	model := netsim.Paper1GbE().WithSyncSkew(netsim.DefaultSyncGamma)
 
-	groupWant := serialTreeMerge(t, vecs[:g], k)
 	globalWant := hierOracle(t, vecs, k, g)
 	leaders := (p + g - 1) / g
 
@@ -230,17 +229,18 @@ func TestHierarchicalSimulatedTime(t *testing.T) {
 		return err
 	})
 
-	// Rank 0's charge sequence: intra reduce + intra bcast (group result
-	// payload), leader reduce + leader bcast (global payload), final
-	// intra bcast (global payload). Payload element counts follow the
-	// flat collective's v1 accounting: 2k modelled elements per reduce
-	// round, EncodedSize(nnz)/4 per broadcast round.
+	// Rank 0's charge sequence: intra reduce (no group broadcast), the
+	// leader tree (reduce rounds, the last one the swap, then broadcast
+	// rounds of the global payload), final intra bcast (global payload).
+	// Payload element counts follow the flat collective's v1 accounting:
+	// 2k modelled elements per reduce round, EncodedSize(nnz)/4 per
+	// broadcast round. 2·lgG + 2·lgL − 1 rounds in all.
 	lgG, lgL := netsim.CeilLog2(g), netsim.CeilLog2(leaders)
+	bcast := sparse.EncodedSize(globalWant.NNZ()) / 4
 	want := time.Duration(lgG)*model.Round(g, 2*k) +
-		time.Duration(lgG)*model.Round(g, sparse.EncodedSize(groupWant.NNZ())/4) +
 		time.Duration(lgL)*model.Round(leaders, 2*k) +
-		time.Duration(lgL)*model.Round(leaders, sparse.EncodedSize(globalWant.NNZ())/4) +
-		time.Duration(lgG)*model.Round(g, sparse.EncodedSize(globalWant.NNZ())/4)
+		time.Duration(lgL-1)*model.Round(leaders, bcast) +
+		time.Duration(lgG)*model.Round(g, bcast)
 	if got := clocks[0].Now(); got != want {
 		t.Fatalf("rank 0 simulated time %v, want %v", got, want)
 	}

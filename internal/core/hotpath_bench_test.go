@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 
 // Benchmarks for the aggregation collectives over the in-process fabric.
 // All report allocations: with reused result vectors (the *Into entry
-// point) the tree collective's per-rank allocations amortise to the
-// handful of phase-2 frames the in-process fabric cannot recycle.
+// point) the tree collective allocates nothing in steady state (pinned
+// by TestCollectiveAllocFree).
 
 func benchRankVectors(p, dim, k int) []*sparse.Vector {
 	vecs, _ := benchVectorsAndSum(p, dim, k)
@@ -187,6 +188,80 @@ func TestAggregateAllocCeiling(t *testing.T) {
 			step() // warm the pools and the reusable result vectors
 			if allocs := testing.AllocsPerRun(50, step); allocs > tc.ceiling {
 				t.Fatalf("Aggregate allocates %v times per step, ceiling %v", allocs, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestCollectiveAllocFree pins the steady state of the whole flat
+// collective at zero allocations on both fabrics: reduce frames go back
+// to the pool at their receiver, and so does every broadcast frame — a
+// root ships its last child the frames it encoded and each other child a
+// pooled copy, a relay forwards pooled copies. P=8 with three chunks per
+// payload exercises the swap, both roots, a root with several children
+// and a relay.
+func TestCollectiveAllocFree(t *testing.T) {
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
+	}
+	const p, dim, k, chunks = 8, 4096, 300, 3
+	_, vecs := makeWorkerVectors(9, p, dim, k)
+	for _, fabric := range []string{"inproc", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			var f transport.Fabric
+			var err error
+			if fabric == "tcp" {
+				f, err = transport.NewTCP(p)
+			} else {
+				f, err = transport.NewInProc(p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			// Persistent rank goroutines, so the measured step spawns
+			// nothing.
+			start := make([]chan struct{}, p)
+			errs := make([]error, p)
+			var wg sync.WaitGroup
+			for r := range start {
+				start[r] = make(chan struct{})
+				go func(rank int) {
+					comm, out := collective.New(f.Conn(rank)), &sparse.Vector{}
+					for range start[rank] {
+						if err := GTopKAllReduceInto(context.Background(), comm, vecs[rank], k, chunks, out); err != nil {
+							errs[rank] = err
+						}
+						wg.Done()
+					}
+				}(r)
+			}
+			step := func() {
+				wg.Add(p)
+				for _, c := range start {
+					c <- struct{}{}
+				}
+				wg.Wait()
+			}
+			// Warm the pools and the reusable result vectors under the one
+			// P AllocsPerRun measures on: which frames are live at once
+			// depends on the interleaving, and the pools grow to the
+			// largest such set once.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for i := 0; i < 50; i++ {
+				step()
+			}
+			allocs := testing.AllocsPerRun(50, step)
+			for _, c := range start {
+				close(c)
+			}
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", rank, err)
+				}
+			}
+			if allocs > 0 {
+				t.Fatalf("a steady-state P=%d collective allocates %v times", p, allocs)
 			}
 		})
 	}

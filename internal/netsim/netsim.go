@@ -134,7 +134,9 @@ func (m Model) TopKAllReduce(p, k int) time.Duration {
 //
 // Each of the logP reduction rounds moves 2k elements (values+indices) to
 // the surviving worker, and the flat-tree broadcast of the global top-k
-// costs the same again.
+// costs the same again. This is the paper's equation, kept for the
+// Table I / Fig. 9 reproductions; the implemented tree swaps its top
+// round and costs one round less (GTopKTree).
 func (m Model) GTopKAllReduce(p, k int) time.Duration {
 	if p < 2 {
 		return 0
@@ -145,38 +147,38 @@ func (m Model) GTopKAllReduce(p, k int) time.Duration {
 	return alphaTerm + betaTerm
 }
 
-// GTopKTree returns the discrete (integer-round) flat-tree gTop-k cost
-// with the synchronization-skew term applied: 2·⌈log₂P⌉ rounds, each
-// moving at most 2k elements and synchronizing all P ranks:
+// GTopKTree returns the discrete (integer-round) cost of the implemented
+// flat gTop-k tree (core.GTopKAllReduce) with the synchronization-skew
+// term applied: its top reduce round and first broadcast round are one
+// pairwise swap, so it runs 2·⌈log₂P⌉−1 rounds, each moving at most 2k
+// elements and synchronizing all P ranks:
 //
-//	t = 2·⌈log₂P⌉·Round(P, 2k)
+//	t = (2·⌈log₂P⌉−1)·Round(P, 2k)
 //
-// With SyncGamma = 0 and power-of-two P this equals GTopKAllReduce
-// (Eq. 7) exactly; the hierarchy experiment compares it against
+// With SyncGamma = 0 and power-of-two P this is Eq. 7 (GTopKAllReduce)
+// minus one α + 2kβ; the hierarchy experiment compares it against
 // HierGTopK under one shared γ.
 func (m Model) GTopKTree(p, k int) time.Duration {
 	if p < 2 {
 		return 0
 	}
-	return time.Duration(2*CeilLog2(p)) * m.Round(p, 2*k)
+	return time.Duration(2*CeilLog2(p)-1) * m.Round(p, 2*k)
 }
 
 // HierGTopK returns the modelled cost of the two-level hierarchical
-// gTop-k over groups of g (core.HierarchicalGTopKAllReduce): a full
-// intra-group gTop-k (2·⌈log₂g⌉ rounds among g ranks), the leader-level
-// gTop-k over the ⌈P/g⌉ group leaders (2·⌈log₂⌈P/g⌉⌉ rounds), and the
-// intra-group broadcast of the global result (⌈log₂g⌉ more rounds):
+// gTop-k over groups of g (core.HierarchicalGTopKAllReduce): an
+// intra-group reduce to the leader (⌈log₂g⌉ rounds among g ranks), the
+// leader-level gTop-k tree over the ⌈P/g⌉ group leaders
+// (2·⌈log₂⌈P/g⌉⌉−1 rounds), and the intra-group broadcast of the
+// global result (⌈log₂g⌉ more rounds):
 //
-//	t = 3·⌈log₂g⌉·Round(g, 2k) + 2·⌈log₂⌈P/g⌉⌉·Round(⌈P/g⌉, 2k)
+//	t = 2·⌈log₂g⌉·Round(g, 2k) + (2·⌈log₂⌈P/g⌉⌉−1)·Round(⌈P/g⌉, 2k)
 //
-// The ⌈log₂g⌉ extra broadcast rounds relative to the flat tree are the
-// price of every member holding its group's aggregate (which is what
-// lets any member stand in for a dead leader); the smaller
-// synchronization domains (g and P/g instead of P) are what the
-// hierarchy buys. Under γ = 0 the two terms tie exactly with the flat
-// tree's round count plus the ⌈log₂g⌉ overhead — the crossover only
-// opens once straggler skew makes world-sized rounds more expensive
-// than group-sized ones.
+// Under γ = 0 and power-of-two sizes that is exactly the flat tree's
+// round count — the two tie — so the smaller synchronization domains
+// (g and P/g instead of P) are all the hierarchy buys: it wins once
+// straggler skew makes world-sized rounds more expensive than
+// group-sized ones.
 func (m Model) HierGTopK(p, g, k int) time.Duration {
 	if p < 2 {
 		return 0
@@ -188,8 +190,8 @@ func (m Model) HierGTopK(p, g, k int) time.Duration {
 		return m.GTopKTree(p, k)
 	}
 	leaders := (p + g - 1) / g
-	intra := time.Duration(3*CeilLog2(g)) * m.Round(g, 2*k)
-	inter := time.Duration(2*CeilLog2(leaders)) * m.Round(leaders, 2*k)
+	intra := time.Duration(2*CeilLog2(g)) * m.Round(g, 2*k)
+	inter := time.Duration(2*CeilLog2(leaders)-1) * m.Round(leaders, 2*k)
 	return intra + inter
 }
 

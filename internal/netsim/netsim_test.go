@@ -192,8 +192,8 @@ func TestHierGTopKClosedForm(t *testing.T) {
 	m := Paper1GbE().WithSyncSkew(DefaultSyncGamma)
 	const p, g, k = 64, 4, 1000
 	leaders := p / g
-	want := 3*time.Duration(CeilLog2(g))*m.Round(g, 2*k) +
-		2*time.Duration(CeilLog2(leaders))*m.Round(leaders, 2*k)
+	want := 2*time.Duration(CeilLog2(g))*m.Round(g, 2*k) +
+		time.Duration(2*CeilLog2(leaders)-1)*m.Round(leaders, 2*k)
 	if got := m.HierGTopK(p, g, k); got != want {
 		t.Fatalf("HierGTopK(%d,%d,%d) = %v, want %v", p, g, k, got, want)
 	}
@@ -204,20 +204,36 @@ func TestHierGTopKClosedForm(t *testing.T) {
 	if m.HierGTopK(1, 1, k) != 0 {
 		t.Fatal("single-rank world should cost nothing")
 	}
-	// With gamma=0 the hierarchy is the flat tree plus ceil(log2 g)
-	// extra broadcast rounds -- never cheaper (the crossover needs skew).
+	// With gamma=0 the hierarchy runs exactly the flat tree's rounds at
+	// power-of-two sizes, so the two tie (the crossover needs skew).
 	flat0 := Paper1GbE()
-	extra := time.Duration(CeilLog2(g)) * flat0.Round(g, 2*k)
-	if got, want := flat0.HierGTopK(p, g, k), flat0.GTopKTree(p, k)+extra; got != want {
-		t.Fatalf("gamma=0 HierGTopK = %v, want flat+extra = %v", got, want)
+	for _, pg := range [][2]int{{8, 4}, {64, 4}, {256, 16}} {
+		if got, want := flat0.HierGTopK(pg[0], pg[1], k), flat0.GTopKTree(pg[0], k); got != want {
+			t.Fatalf("gamma=0 P=%d G=%d: HierGTopK = %v, want the flat tree's %v", pg[0], pg[1], got, want)
+		}
 	}
-	// With skew, the crossover the bench records: hierarchy wins at
-	// P=64, G=4, k=1049 (rho=0.001 of 2^20), and loses at P=16.
+	// With skew, the crossover the bench records: hierarchy wins from
+	// P=16, G=4, k=1049 (rho=0.001 of 2^20) — smaller domains, same rounds.
 	k1 := 1049
-	if m.HierGTopK(64, 4, k1) >= m.GTopKTree(64, k1) {
-		t.Fatalf("no crossover at P=64: hier %v vs flat %v", m.HierGTopK(64, 4, k1), m.GTopKTree(64, k1))
+	for _, pp := range []int{16, 64} {
+		if m.HierGTopK(pp, 4, k1) >= m.GTopKTree(pp, k1) {
+			t.Fatalf("no crossover at P=%d: hier %v vs flat %v", pp, m.HierGTopK(pp, 4, k1), m.GTopKTree(pp, k1))
+		}
 	}
-	if m.HierGTopK(16, 4, k1) <= m.GTopKTree(16, k1) {
-		t.Fatalf("hierarchy should not win at P=16: hier %v vs flat %v", m.HierGTopK(16, 4, k1), m.GTopKTree(16, k1))
+}
+
+// TestGTopKTreeIsEq7LessOneRound pins the implemented tree's price
+// against the paper's: at power-of-two P, γ = 0, the swap saves exactly
+// one α + 2kβ.
+func TestGTopKTreeIsEq7LessOneRound(t *testing.T) {
+	m := Paper1GbE()
+	const k = 1000
+	for _, p := range []int{2, 4, 8, 32, 128} {
+		if got, want := m.GTopKTree(p, k), m.GTopKAllReduce(p, k)-m.PointToPoint(2*k); got != want {
+			t.Fatalf("P=%d: GTopKTree = %v, want Eq. 7 - (alpha + 2k beta) = %v", p, got, want)
+		}
+	}
+	if m.GTopKTree(1, k) != 0 {
+		t.Fatal("single-rank world should cost nothing")
 	}
 }

@@ -24,15 +24,21 @@ type Source struct {
 // well-mixed internal state even for small consecutive seeds.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed resets s to the stream New(seed) returns, in place — for callers
+// that restart a reused generator without allocating a new one.
+func (s *Source) Seed(seed uint64) {
 	sm := seed
-	for i := range src.s {
+	for i := range s.s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
+		s.s[i] = z ^ (z >> 31)
 	}
-	return &src
 }
 
 // Split derives an independent child stream. The child is seeded from the

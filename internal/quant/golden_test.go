@@ -249,3 +249,48 @@ func TestStackFork(t *testing.T) {
 	eqI16(t, "forked levels", la, lb)
 	eqF32(t, "forked values", va, vb)
 }
+
+// TestStackShared pins the Shared contract: every rank's stack — forked
+// per rank, then per sub-communicator — yields the same draws for one
+// key, a different key draws differently, no draw replays a rank stream,
+// and a steady-state Shared + Transform allocates nothing.
+func TestStackShared(t *testing.T) {
+	src := make([]float32, 256)
+	rng := prng.New(3)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	input := func() []float32 { return append([]float32(nil), src...) }
+	root := NewStack(sparse.ValueQ8, 99)
+	rank0 := root.Fork(0).Fork(1)
+	rank5 := root.Fork(5).Fork(1)
+	rank5.Transform(input()) // rank draws must not perturb Shared
+	va, vb := input(), input()
+	sa, la := rank0.Shared(42).Transform(va)
+	la = append([]int16(nil), la...)
+	sb, lb := rank5.Shared(42).Transform(vb)
+	if sa != sb {
+		t.Fatalf("shared scales differ: %v vs %v", sa, sb)
+	}
+	eqI16(t, "shared levels", la, lb)
+	eqF32(t, "shared values", va, vb)
+
+	for name, c := range map[string]sparse.Compressor{"Shared(43)": rank0.Shared(43), "Fork(42)": root.Fork(42)} {
+		_, l := c.Transform(input())
+		same := true
+		for i := range l {
+			same = same && l[i] == la[i]
+		}
+		if same {
+			t.Fatalf("%s draws the same levels as Shared(42)", name)
+		}
+	}
+
+	vals := input()
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(vals, src)
+		rank0.Shared(7).Transform(vals)
+	}); allocs != 0 {
+		t.Fatalf("Shared + Transform allocates %v times", allocs)
+	}
+}

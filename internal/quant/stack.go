@@ -26,27 +26,30 @@ import (
 type Stack struct {
 	vc     sparse.ValueCodec
 	seed   uint64
+	root   uint64 // NewStack's seed; kept through Fork, drawn on by Shared
 	rng    *prng.Source
 	levels []int16
+	shared *Stack // Shared's reused compressor (nil until first asked for)
 }
 
 // NewStack builds a Compressor for one value codec. The seed drives the
-// stochastic rounding (QSGD) and Bernoulli sampling (ternary); give
-// each rank its own seed — unbiasedness wants independent draws, and
-// replica agreement never depends on the rng because receivers decode
-// the sender's bytes rather than re-quantizing.
+// stochastic rounding (QSGD) and Bernoulli sampling (ternary) and must
+// be the SAME on every rank: the gTop-k broadcast roots quantize the
+// global result with Shared, whose draws come from this seed. Each rank
+// then transforms its own hops with NewStack(vc, seed).Fork(rank) —
+// unbiasedness wants independent draws, and the rank streams give them.
 func NewStack(vc sparse.ValueCodec, seed uint64) *Stack {
-	return &Stack{vc: vc, seed: seed, rng: prng.New(seed)}
+	return &Stack{vc: vc, seed: seed, root: seed, rng: prng.New(seed)}
 }
 
 // AttachStack is the one rule by which a caller that wants codec on the
 // wire gives comm its value preference: a lossy codec attaches a Stack
 // for the codec's value codec, a lossless one attaches nothing (and on a
 // mesh negotiated down to v1 the preference is ineffective, see
-// Comm.SetCompressor). The stream is rank-distinct off the shared seed:
-// replicas need no rng agreement (receivers decode the sender's bytes,
-// the bcast root pins its own copy), and distinct streams decorrelate
-// the stochastic rounding noise across workers.
+// Comm.SetCompressor). seed must be the same on every rank (see
+// NewStack); the attached stream is Fork(rank) of it, so each worker's
+// stochastic rounding noise is its own while the broadcast roots share
+// one Shared stream.
 func AttachStack(comm *collective.Comm, codec sparse.Codec, seed uint64) {
 	if codec.Lossy() {
 		comm.SetCompressor(NewStack(codec.Value(), seed).Fork(uint64(comm.Rank())))
@@ -61,7 +64,22 @@ func (s *Stack) ValueCodec() sparse.ValueCodec { return s.vc }
 // how many draws the parent has made — so concurrently launched buckets
 // transform deterministically regardless of goroutine scheduling.
 func (s *Stack) Fork(stream uint64) sparse.Compressor {
-	return NewStack(s.vc, forkSeed(s.seed, stream))
+	c := NewStack(s.vc, forkSeed(s.seed, stream))
+	c.root = s.root
+	return c
+}
+
+// Shared implements sparse.Compressor: the reused child is reseeded from
+// (root seed, key) on every call, in a stream family apart from Fork's
+// (the root is complemented first), so a key never replays a rank's
+// stream.
+func (s *Stack) Shared(key uint64) sparse.Compressor {
+	if s.shared == nil {
+		s.shared = &Stack{vc: s.vc, root: s.root, rng: new(prng.Source)}
+	}
+	s.shared.seed = forkSeed(^s.root, key)
+	s.shared.rng.Seed(s.shared.seed)
+	return s.shared
 }
 
 // forkSeed mixes a stream number into a seed (splitmix64 finalizer —

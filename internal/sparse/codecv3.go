@@ -224,6 +224,15 @@ type Compressor interface {
 	// draws the parent has made — so concurrently launched buckets
 	// stay deterministic.
 	Fork(stream uint64) Compressor
+	// Shared returns the compressor every rank derives for key: its
+	// randomness is a pure function of the seed the rank's root compressor
+	// was built from (the same on every rank) and of key — never of the
+	// rank, the Fork path or earlier draws — so several ranks quantizing
+	// the same values under the same key land on the same lattice points.
+	// The gTop-k broadcast roots pin the global result with it. The
+	// result is reused: it is valid until the next Shared call on the
+	// same Compressor, and steady-state calls allocate nothing.
+	Shared(key uint64) Compressor
 }
 
 // The v3 wire codecs: one Codec per value codec, numbered CodecV3 + the

@@ -205,6 +205,19 @@ type peerLink struct {
 	mu   sync.Mutex
 	sock net.Conn
 	w    *bufio.Writer
+	hdr  [8]byte // frame-header scratch, guarded by mu: a stack array escapes into w.Write
+}
+
+// writeFrame buffers one frame — tag, length, payload — on the link's
+// writer; the caller holds l.mu and flushes.
+func (l *peerLink) writeFrame(tag int, payload []byte) error {
+	binary.LittleEndian.PutUint32(l.hdr[0:4], uint32(tag))
+	binary.LittleEndian.PutUint32(l.hdr[4:8], uint32(len(payload)))
+	if _, err := l.w.Write(l.hdr[:]); err != nil {
+		return err
+	}
+	_, err := l.w.Write(payload)
+	return err
 }
 
 type tcpConn struct {
@@ -323,15 +336,8 @@ func (c *tcpConn) Send(ctx context.Context, dst, tag int, payload []byte) error 
 	// explicit flush bounds Send ("delivered to the fabric") while
 	// coalescing header+payload — and back-to-back chunk frames — into
 	// single socket writes.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tag))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-
 	link.mu.Lock()
-	_, err := link.w.Write(hdr[:])
-	if err == nil {
-		_, err = link.w.Write(payload)
-	}
+	err := link.writeFrame(tag, payload)
 	if err == nil {
 		err = link.w.Flush()
 	}
@@ -365,16 +371,10 @@ func (c *tcpConn) SendVec(ctx context.Context, dst, tag int, frames [][]byte) er
 		return fmt.Errorf("transport: rank %d has no link to %d", c.rank, dst)
 	}
 
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tag))
 	link.mu.Lock()
 	var err error
 	for _, payload := range frames {
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-		if _, err = link.w.Write(hdr[:]); err != nil {
-			break
-		}
-		if _, err = link.w.Write(payload); err != nil {
+		if err = link.writeFrame(tag, payload); err != nil {
 			break
 		}
 	}

@@ -38,9 +38,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/checkpoint"
 	"gtopkssgd/internal/cluster"
 	"gtopkssgd/internal/collective"
@@ -48,7 +50,6 @@ import (
 	"gtopkssgd/internal/data"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/nn/models"
-	"gtopkssgd/internal/quant"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/trace"
 	"gtopkssgd/internal/transport"
@@ -113,7 +114,7 @@ func main() {
 	flag.StringVar(&o.addrList, "addrs", "", "comma-separated host:port per rank (static mode)")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "checkpoint file: resume if present, save at end (static mode)")
 	flag.StringVar(&o.traceCSV, "trace", "", "write per-iteration phase timings CSV to this file (static mode)")
-	flag.StringVar(&o.algo, "algo", "gtopk", "dense|topk|gtopk")
+	flag.StringVar(&o.algo, "algo", "gtopk", "algorithm: "+strings.Join(algo.Names(), "|")+" (gtopk-quant8 is gtopk over -wire v3-qsgd8, which it forces; elastic mode rejects the AllGather-based topk, gtopk-naive, signsgd and terngrad)")
 	flag.IntVar(&o.steps, "steps", 50, "training steps")
 	flag.IntVar(&o.batch, "batch", 16, "mini-batch size per worker")
 	flag.Float64Var(&o.density, "density", 0.01, "gradient density rho in (0,1]")
@@ -153,10 +154,8 @@ func main() {
 // validate rejects nonsensical flag combinations up front with a usage
 // message instead of a late panic deep inside the training loop.
 func (o *options) validate() error {
-	switch o.algo {
-	case "dense", "topk", "gtopk":
-	default:
-		return fmt.Errorf("unknown -algo %q (want dense, topk or gtopk)", o.algo)
+	if !slices.Contains(algo.Names(), o.algo) {
+		return fmt.Errorf("unknown -algo %q (want %s)", o.algo, strings.Join(algo.Names(), ", "))
 	}
 	if o.steps < 1 {
 		return fmt.Errorf("-steps %d out of range: need >= 1", o.steps)
@@ -177,22 +176,25 @@ func (o *options) validate() error {
 	if err != nil {
 		return fmt.Errorf("-wire: %w", err)
 	}
-	o.wireCodec = codec
+	o.wireCodec = algo.Spec{Algo: o.algo, Wire: codec}.Codec()
 	if o.selectShards < 0 {
 		return fmt.Errorf("-select-shards %d out of range: need >= 0", o.selectShards)
 	}
 	if o.hierGroup < 0 {
 		return fmt.Errorf("-hier-group %d out of range: need >= 0", o.hierGroup)
 	}
-	if o.hierGroup > 0 && o.algo != "gtopk" {
-		return fmt.Errorf("-hier-group requires -algo gtopk (hierarchical aggregation is a gTop-k topology)")
+	if o.algo == "gtopk-hier" && o.hierGroup == 0 {
+		o.hierGroup = algo.Spec{Algo: o.algo}.Group()
+	}
+	if o.hierGroup > 0 && !algo.Tree(o.algo) {
+		return fmt.Errorf("-hier-group requires -algo gtopk, gtopk-hier or gtopk-quant8 (hierarchical aggregation is a gTop-k topology)")
 	}
 	if o.quorum < 0 {
 		return fmt.Errorf("-quorum %d out of range: need >= 0", o.quorum)
 	}
 	if o.quorum > 0 {
-		if o.algo != "gtopk" {
-			return fmt.Errorf("-quorum requires -algo gtopk (quorum rounds are a gTop-k collective mode)")
+		if !algo.Tree(o.algo) {
+			return fmt.Errorf("-quorum requires -algo gtopk, gtopk-hier or gtopk-quant8 (quorum rounds are a gTop-k collective mode)")
 		}
 		if o.roundTimeout <= 0 {
 			return fmt.Errorf("-quorum requires -round-timeout > 0 (got %v): a quorum without a deadline never closes early", o.roundTimeout)
@@ -233,11 +235,12 @@ func (o *options) validate() error {
 		if o.ckptEvery < 1 {
 			return fmt.Errorf("-checkpoint-every %d out of range: need >= 1", o.ckptEvery)
 		}
-		if o.algo == "topk" {
-			// topk's AllGather still requires power-of-two worlds, so the
-			// first shrink (4 -> 3) would kill the job elasticity exists
-			// to save. dense and gtopk work at any world size.
-			return fmt.Errorf("-algo topk is not elastic-safe (AllGather needs power-of-two worlds); use gtopk or dense")
+		switch o.algo {
+		case "topk", "gtopk-naive", "signsgd", "terngrad":
+			// AllGather still requires power-of-two worlds, so the first
+			// shrink (4 -> 3) would kill the job elasticity exists to
+			// save. Every other algorithm works at any world size.
+			return fmt.Errorf("-algo %s is not elastic-safe (AllGather needs power-of-two worlds); use gtopk or dense", o.algo)
 		}
 		if o.addrList != "" {
 			return fmt.Errorf("-addrs conflicts with -coordinator: elastic membership comes from the coordinator")
@@ -267,91 +270,41 @@ func (o *options) validate() error {
 	// Static mode knows the world size at parse time, so the quorum range
 	// checks happen here; elastic mode defers them to Build, where the
 	// coordinator's epoch world is known (SetQuorum validates).
-	if o.quorum > 0 {
-		world := len(addrs)
-		if o.hierGroup > 1 && o.hierGroup < world {
-			// Hierarchical regime: -quorum is the intra-group quorum q_g.
-			if lo := core.QuorumMin(o.hierGroup); o.quorum < lo || o.quorum > o.hierGroup {
-				return fmt.Errorf("-quorum %d out of range [%d,%d] for -hier-group %d (the intra-group quorum must be a strict majority of one group)",
-					o.quorum, lo, o.hierGroup, o.hierGroup)
-			}
-			numGroups := (world + o.hierGroup - 1) / o.hierGroup
-			if o.leaderQuorum > 0 {
-				if lo := core.QuorumMin(numGroups); o.leaderQuorum < lo || o.leaderQuorum > numGroups {
-					return fmt.Errorf("-leader-quorum %d out of range [%d,%d] for %d groups of -hier-group %d",
-						o.leaderQuorum, lo, numGroups, numGroups, o.hierGroup)
-				}
-			}
-		} else {
-			if o.leaderQuorum > 0 || o.groupTO != 0 {
-				return fmt.Errorf("-hier-group %d does not split a %d-entry -addrs world into groups (it degenerates to the flat tree), so -leader-quorum and per-level budgets do not apply",
-					o.hierGroup, world)
-			}
-			if lo := core.QuorumMin(world); o.quorum < lo || o.quorum > world {
-				return fmt.Errorf("-quorum %d out of range [%d,%d] for %d-entry -addrs (a quorum must be a strict majority)",
-					o.quorum, lo, world, world)
-			}
-		}
-	}
-	return nil
+	return o.spec().CheckQuorum(len(addrs), "-hier-group")
 }
 
-// quorumConfig assembles the parsed quorum flags into the core
-// configuration (zero level budgets select the default split).
-func (o *options) quorumConfig() core.QuorumConfig {
-	return core.QuorumConfig{
-		Q:       o.quorum,
-		LeaderQ: o.leaderQuorum,
-		Timeout: o.roundTimeout,
-		Levels: core.LevelTimeouts{
-			Group:     o.groupTO,
-			Leader:    o.leaderTO,
-			Broadcast: o.verdictTO,
+// spec assembles the parsed flags into the aggregator specification.
+// Zero level budgets select the default split, and without -quorum the
+// quorum configuration is zero. The worker keeps momentum in its
+// trainer, so no momentum correction is requested.
+func (o *options) spec() algo.Spec {
+	return algo.Spec{
+		Algo: o.algo, Density: o.density, HierGroup: o.hierGroup, Wire: o.wireCodec, Seed: o.seed,
+		Quorum: core.QuorumConfig{
+			Q:       o.quorum,
+			LeaderQ: o.leaderQuorum,
+			Timeout: o.roundTimeout,
+			Levels:  core.LevelTimeouts{Group: o.groupTO, Leader: o.leaderTO, Broadcast: o.verdictTO},
 		},
 	}
 }
 
 // buildAggregator assembles the configured aggregation algorithm over a
-// communicator, applying the -wire value-precision preference and the
-// -select-shards selection parallelism; sp is non-nil for the
-// sparsifying algorithms.
-func buildAggregator(o *options, comm *collective.Comm, dim int) (agg core.Aggregator, sp *core.Sparsifier, err error) {
-	quant.AttachStack(comm, o.wireCodec, o.seed)
-	k := core.DensityToK(dim, o.density)
-	switch o.algo {
-	case "dense":
-		return core.NewDenseAggregator(comm, dim), nil, nil
-	case "topk":
-		a, err := core.NewTopKAggregator(comm, dim, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		sp = a.Sparsifier()
-		sp.SetShards(o.selectShards)
-		return a, sp, nil
-	case "gtopk":
-		var a *core.GTopKAggregator
-		if o.hierGroup > 0 {
-			a, err = core.NewHierarchicalAggregator(comm, dim, k, o.hierGroup)
-		} else {
-			a, err = core.NewGTopKAggregator(comm, dim, k)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if o.quorum > 0 {
-			// Elastic worlds first learn their size here; an illegal
-			// (quorum, group, world) combination fails the epoch build
-			// loudly instead of wedging a round.
-			if err := a.SetQuorum(o.quorumConfig()); err != nil {
-				return nil, nil, err
-			}
-		}
-		sp = a.Sparsifier()
-		sp.SetShards(o.selectShards)
-		return a, sp, nil
+// communicator through algo.Build, applying the -select-shards
+// selection parallelism; sp is the residual checkpoints carry, nil for
+// the algorithms without one whole-gradient sparsifier.
+func buildAggregator(o *options, comm *collective.Comm, cls *models.Classifier) (agg core.Aggregator, sp *core.Sparsifier, err error) {
+	// Elastic worlds first learn their size here; an illegal (quorum,
+	// group, world) combination fails the epoch build loudly instead of
+	// wedging a round.
+	if agg, _, err = algo.Build(o.spec(), comm, cls.Net.ParamCount(), cls.Net.LayerBounds()); err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("unknown algorithm %q", o.algo)
+	if s, ok := agg.(interface{ Sparsifier() *core.Sparsifier }); ok {
+		sp = s.Sparsifier()
+		sp.SetShards(o.selectShards)
+	}
+	return agg, sp, nil
 }
 
 // degradeAfter is the consecutive-missed-round streak at which an
@@ -394,7 +347,7 @@ func runElastic(o *options) error {
 			comm.SetWireTally(tally)
 			cls := models.MLP(ds.Dim(), 64, 10)
 			cls.Net.Init(o.seed)
-			agg, sp, err := buildAggregator(o, comm, cls.Net.ParamCount())
+			agg, sp, err := buildAggregator(o, comm, cls)
 			if err != nil {
 				return nil, err
 			}
@@ -450,7 +403,7 @@ func runStatic(o *options) error {
 	cls := models.MLP(ds.Dim(), 64, 10)
 	cls.Net.Init(o.seed)
 
-	agg, sp, err := buildAggregator(o, comm, cls.Net.ParamCount())
+	agg, sp, err := buildAggregator(o, comm, cls)
 	if err != nil {
 		return err
 	}

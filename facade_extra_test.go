@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"gtopkssgd/internal/prng"
+	"gtopkssgd/internal/sparse"
+	"gtopkssgd/internal/transport"
 )
 
 func TestPublicQuantAggregators(t *testing.T) {
@@ -27,8 +29,17 @@ func TestPublicQuantAggregators(t *testing.T) {
 	}
 	for _, algo := range []string{"signsgd", "terngrad", "gtopk-quant8"} {
 		t.Run(algo, func(t *testing.T) {
-			results, err := RunCluster(context.Background(),
-				ClusterConfig{Workers: p, Steps: 150},
+			cfg := ClusterConfig{Workers: p, Steps: 150}
+			if algo == "gtopk-quant8" {
+				// gtopk-quant8 is gtopk over the v3-qsgd8 codec.
+				fab, err := transport.NewInProcWire(p, transport.WireV3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fab.Close() //nolint:errcheck // in-process close never fails
+				cfg.Fabric = fab
+			}
+			results, err := RunCluster(context.Background(), cfg,
 				func(rank int, comm *Comm) (*Trainer, error) {
 					var (
 						agg Aggregator
@@ -40,7 +51,8 @@ func TestPublicQuantAggregators(t *testing.T) {
 					case "terngrad":
 						agg = NewTernGradAggregator(comm, dim, 9)
 					case "gtopk-quant8":
-						agg, err = NewQuantizedGTopKAggregator(comm, dim, 4, 9)
+						comm.SetCompressor(NewCompressor(sparse.ValueQ8, 9).Fork(uint64(rank)))
+						agg, err = NewGTopKAggregator(comm, dim, 4)
 					}
 					if err != nil {
 						return nil, err

@@ -355,7 +355,8 @@ func asAggregator[T Aggregator](agg T, err error) (Aggregator, error) {
 	return agg, nil
 }
 
-// NewTopKAggregator builds Top-k S-SGD aggregation (Algorithm 1).
+// NewTopKAggregator builds Top-k S-SGD aggregation (Algorithm 1): the
+// gTop-k round over TopKAllReduce's union, with nothing put back.
 func NewTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
 	return asAggregator(core.NewTopKAggregator(comm, dim, k))
 }
@@ -366,7 +367,8 @@ func NewGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
 	return asAggregator(core.NewGTopKAggregator(comm, dim, k))
 }
 
-// NewPSGTopKAggregator builds the parameter-server-mode gTop-k extension.
+// NewPSGTopKAggregator builds the parameter-server-mode gTop-k extension:
+// the gTop-k round over PSGTopKAllReduce's star.
 func NewPSGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
 	return asAggregator(core.NewPSGTopKAggregator(comm, dim, k))
 }
@@ -460,16 +462,6 @@ func NewSignSGDAggregator(comm *Comm, dim int) Aggregator {
 // independent streams from it.
 func NewTernGradAggregator(comm *Comm, dim int, seed uint64) Aggregator {
 	return quant.NewTernGradAggregator(comm, dim, seed)
-}
-
-// NewQuantizedGTopKAggregator builds the combined compressor: gTop-k
-// sparsification with 8-bit quantized values (DGC-style).
-func NewQuantizedGTopKAggregator(comm *Comm, dim, k int, seed uint64) (Aggregator, error) {
-	agg, err := quant.NewQuantizedGTopKAggregator(comm, dim, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
 }
 
 // SaveCheckpoint atomically persists a training-state snapshot to path.

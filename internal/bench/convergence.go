@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/data"
@@ -12,7 +13,6 @@ import (
 	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/nn"
 	"gtopkssgd/internal/nn/models"
-	"gtopkssgd/internal/quant"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
@@ -25,7 +25,7 @@ import (
 // fewer parameters; an epoch is a fixed ItersPerEpoch).
 type TrainSpec struct {
 	Model string // vgg16sim | resnet20sim | alexnetsim | resnet50sim | lstm | mlp
-	Algo  string // dense | topk | gtopk | gtopk-naive | gtopk-ps | gtopk-layerwise | gtopk-bucketed
+	Algo  string // one of algo.Names()
 
 	Workers       int
 	Batch         int
@@ -46,10 +46,10 @@ type TrainSpec struct {
 	// (classifier models only).
 	EvalBatches int
 	// DisablePutBack turns off Algorithm 4 line 10 for the residual
-	// ablation (gtopk only).
+	// ablation.
 	DisablePutBack bool
-	// HierGroup is the group size of the gtopk-hier algorithm (0 picks
-	// the default of 4; ignored by every other algorithm).
+	// HierGroup is the gTop-k hierarchy's group size (see
+	// algo.Spec.HierGroup).
 	HierGroup int
 	// Wire, when non-zero, selects the sparse wire codec the simulated
 	// cluster's fabric negotiates (e.g. sparse.CodecV3Q8 trains through
@@ -101,13 +101,6 @@ func PaperWarmup() []float64 { return []float64{0.25, 0.0725, 0.015, 0.004} }
 // its implementation).
 func Models() []string {
 	return []string{"vgg16sim", "resnet20sim", "alexnetsim", "resnet50sim", "lstm", "mlp"}
-}
-
-// Algos lists the algorithm names buildAggregator accepts — the
-// authoritative registry CLI validation must consult.
-func Algos() []string {
-	return []string{"dense", "topk", "gtopk", "gtopk-hier", "gtopk-naive", "gtopk-ps",
-		"gtopk-layerwise", "gtopk-bucketed", "signsgd", "terngrad", "gtopk-quant8"}
 }
 
 // RunTraining executes the distributed training run described by spec and
@@ -183,19 +176,9 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 			bounds = st.cls.Net.LayerBounds()
 		}
 
-		agg, err := buildAggregator(spec, comm, dim, bounds)
+		agg, cfg, err := newAggregator(spec, comm, dim, bounds)
 		if err != nil {
 			return nil, err
-		}
-		cfg := core.TrainConfig{LR: spec.LR, Momentum: spec.Momentum, GradClip: spec.GradClip}
-		// Sparsified algorithms use DGC-style momentum correction (local
-		// momentum before selection) instead of global momentum on the
-		// spiky sparse updates, which is unstable — the problem the
-		// paper's reference [12] identifies and fixes.
-		type momentumCorrector interface{ SetMomentumCorrection(mu float32) }
-		if mc, ok := agg.(momentumCorrector); ok && spec.Momentum > 0 {
-			mc.SetMomentumCorrection(spec.Momentum)
-			cfg.Momentum = 0
 		}
 		return core.NewTrainer(cfg, agg, params, gradFn)
 	}
@@ -205,8 +188,7 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 		Steps:   steps,
 		Model:   &simModel,
 	}
-	if spec.Wire != 0 || spec.FaultDelay > 0 {
-		wire := spec.Wire
+	if wire := spec.algoSpec().Codec(); wire != 0 || spec.FaultDelay > 0 {
 		if wire == 0 {
 			wire = sparse.CodecV1
 		}
@@ -246,86 +228,26 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 	return curve, nil
 }
 
-// buildAggregator constructs the aggregator named by spec.Algo with the
-// warmup schedule installed where supported.
-func buildAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, error) {
-	quant.AttachStack(comm, spec.Wire, spec.Seed)
-	k := core.DensityToK(dim, spec.Density)
-	schedule := densitySchedule(spec, dim)
-	switch spec.Algo {
-	case "dense":
-		return core.NewDenseAggregator(comm, dim), nil
-	case "topk":
-		agg, err := core.NewTopKAggregator(comm, dim, k)
-		if err != nil {
-			return nil, err
-		}
-		if schedule != nil {
-			agg.SetSchedule(schedule)
-		}
-		return agg, nil
-	case "gtopk", "gtopk-hier":
-		var agg *core.GTopKAggregator
-		var err error
-		if spec.Algo == "gtopk" {
-			agg, err = core.NewGTopKAggregator(comm, dim, k)
-		} else {
-			group := spec.HierGroup
-			if group == 0 {
-				group = 4
-			}
-			agg, err = core.NewHierarchicalAggregator(comm, dim, k, group)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if schedule != nil {
-			agg.SetSchedule(schedule)
-		}
-		if spec.DisablePutBack {
-			agg.SetPutBack(false)
-		}
-		if spec.Quorum > 0 {
-			if err := agg.SetQuorum(core.QuorumConfig{Q: spec.Quorum, LeaderQ: spec.LeaderQuorum, Timeout: spec.RoundTimeout}); err != nil {
-				return nil, err
-			}
-		}
-		return agg, nil
-	case "gtopk-naive":
-		return core.NewNaiveGTopKAggregator(comm, dim, k)
-	case "gtopk-ps":
-		return core.NewPSGTopKAggregator(comm, dim, k)
-	case "gtopk-layerwise":
-		return core.NewLayerwiseGTopKAggregator(comm, bounds, spec.Density)
-	case "gtopk-bucketed":
-		return core.NewBucketedAggregator(comm, core.GroupBounds(bounds, 4), spec.Density)
-	case "signsgd":
-		return quant.NewSignSGDAggregator(comm, dim), nil
-	case "terngrad":
-		return quant.NewTernGradAggregator(comm, dim, spec.Seed), nil
-	case "gtopk-quant8":
-		return quant.NewQuantizedGTopKAggregator(comm, dim, k, spec.Seed)
-	default:
-		return nil, fmt.Errorf("bench: unknown algorithm %q", spec.Algo)
-	}
+// newAggregator builds spec's aggregator through algo.Build, together
+// with the trainer configuration that goes with it: sparse algorithms
+// correct momentum locally (global momentum on their spiky sparse
+// updates is unstable — the problem the paper's reference [12]
+// identifies and fixes), so their trainer runs without it.
+func newAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, core.TrainConfig, error) {
+	agg, momentum, err := algo.Build(spec.algoSpec(), comm, dim, bounds)
+	return agg, core.TrainConfig{LR: spec.LR, Momentum: momentum, GradClip: spec.GradClip}, err
 }
 
-// densitySchedule converts the warmup densities into a per-step k
-// schedule (nil when no warmup is configured).
-func densitySchedule(spec TrainSpec, dim int) func(step int) int {
-	if len(spec.WarmupDensities) == 0 {
-		return nil
+// algoSpec is the aggregator half of the spec.
+func (s TrainSpec) algoSpec() algo.Spec {
+	spec := algo.Spec{
+		Algo: s.Algo, Density: s.Density, WarmupDensities: s.WarmupDensities, ItersPerEpoch: s.ItersPerEpoch,
+		Momentum: s.Momentum, HierGroup: s.HierGroup, DisablePutBack: s.DisablePutBack, Wire: s.Wire, Seed: s.Seed,
 	}
-	warm := append([]float64(nil), spec.WarmupDensities...)
-	target := spec.Density
-	iters := spec.ItersPerEpoch
-	return func(step int) int {
-		epoch := step / iters
-		if epoch < len(warm) {
-			return core.DensityToK(dim, warm[epoch])
-		}
-		return core.DensityToK(dim, target)
+	if s.Quorum > 0 {
+		spec.Quorum = core.QuorumConfig{Q: s.Quorum, LeaderQ: s.LeaderQuorum, Timeout: s.RoundTimeout}
 	}
+	return spec
 }
 
 // CurveTable renders several training curves side by side, one row per

@@ -404,7 +404,8 @@ func ablationQuant(ctx context.Context, opt Options) (string, error) {
 		"  terngrad       ~m/4 bytes + scale (~16x; caps at 32x for 1-bit)\n" +
 		"  signsgd        m/8 bytes          (32x, the quantization ceiling)\n" +
 		"  gtopk          8*rho*m bytes      (~50x at rho=0.01, ~500x at 0.001)\n" +
-		"  gtopk-quant8   5*rho*m bytes      (~80x at rho=0.01, ~800x at 0.001)\n"
+		"  gtopk-quant8   gtopk over the v3-qsgd8 codec: counted bytes in the\n" +
+		"                 codec-bytes experiment's gtopk/.../v3-qsgd8 rows\n"
 	return CurveTable("Baselines: sparsification vs quantization families (MLP, P=4)", curves) + note, nil
 }
 

@@ -62,117 +62,18 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 	return a.buf, nil
 }
 
-// TopKAggregator implements Top-k S-SGD (Algorithm 1): local top-k
-// selection with error feedback, AllGather-based aggregation, average of
-// the union support.
-type TopKAggregator struct {
-	comm     *collective.Comm
-	sp       *Sparsifier
-	k        int
-	schedule func(step int) int
-	step     int
-	mu       float32
-	velocity []float32
-	dense    []float32
-	orig     []float32 // pre-transform value snapshot for FoldError (reused)
-	support  []int32   // where dense is non-zero (reused)
-}
-
-// NewTopKAggregator creates a Top-k aggregator selecting k of dim
-// gradients per iteration.
-func NewTopKAggregator(comm *collective.Comm, dim, k int) (*TopKAggregator, error) {
-	if err := validateK(dim, k); err != nil {
-		return nil, err
-	}
-	return &TopKAggregator{
-		comm:  comm,
-		sp:    NewSparsifier(dim),
-		k:     k,
-		dense: make([]float32, dim),
-	}, nil
-}
-
-// Name implements Aggregator.
-func (a *TopKAggregator) Name() string { return "topk" }
-
-// SetK retunes the per-iteration selection count (warmup schedules).
-func (a *TopKAggregator) SetK(k int) error {
-	if err := validateK(a.sp.Dim(), k); err != nil {
-		return err
-	}
-	a.k = k
-	return nil
-}
-
-// SetSchedule installs a per-step selection-count schedule (the paper's
-// warmup uses per-epoch densities [0.25, 0.0725, 0.015, 0.004] before the
-// target density). The schedule overrides the static k; it must return
-// values in [1, dim] and must be identical on every rank.
-func (a *TopKAggregator) SetSchedule(f func(step int) int) { a.schedule = f }
-
-// SetMomentumCorrection enables DGC-style momentum correction (Lin et
-// al., cited as [12]): momentum is accumulated LOCALLY before
-// sparsification (u ← µ·u + g; the residual accumulates u), so deferred
-// coordinates carry their momentum history instead of having a global
-// momentum term amplify spiky sparse updates. When enabled, configure
-// the trainer with Momentum: 0.
-func (a *TopKAggregator) SetMomentumCorrection(mu float32) {
-	a.mu = mu
-	if mu > 0 && a.velocity == nil {
-		a.velocity = make([]float32, a.sp.Dim())
-	}
-}
-
-// Sparsifier exposes the residual state for diagnostics.
-func (a *TopKAggregator) Sparsifier() *Sparsifier { return a.sp }
-
-// UpdateSupport implements SparseUpdater: the union of the ranks' top-k
-// supports.
-func (a *TopKAggregator) UpdateSupport() []int32 { return a.support }
-
-// Aggregate implements Aggregator.
-func (a *TopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	if a.schedule != nil {
-		if err := a.SetK(a.schedule(a.step)); err != nil {
-			return nil, fmt.Errorf("core: topk schedule: %w", err)
-		}
-	}
-	a.step++
-	local, err := a.sp.SelectMomentum(a.mu, a.velocity, grad, a.k)
-	if err != nil {
-		return nil, fmt.Errorf("core: topk aggregate: %w", err)
-	}
-	// The AllGather's wire transform may pin the shipped values to the
-	// codec's lattice in place; the difference goes back to the residual.
-	// There is no global mask here — the union support keeps every sent
-	// index — so nothing is put back.
-	fold := a.comm.WireCodec().Lossy()
-	if fold {
-		a.orig = append(a.orig[:0], local.Values...)
-	}
-	sum, err := TopKAllReduce(ctx, a.comm, local)
-	if err != nil {
-		return nil, err
-	}
-	if fold {
-		a.sp.FoldError(local.Indices, a.orig, local.Values)
-	}
-	a.support = sum.MeanIntoSparse(a.dense, a.comm.Size(), a.support)
-	return a.dense, nil
-}
-
-// GTopKAggregator implements gTop-k S-SGD (Algorithm 4): one round —
-// local top-k selection with error feedback, global top-k aggregation
-// (Algorithm 3's tree, the two-level hierarchy over groups, either one's
-// straggler-tolerant quorum variant, or Algorithm 2's AllGather),
-// residual put-back for locally-sent-but-globally-dropped values,
-// average by P — over the whole gradient. The embedded round carries the
-// configuration surface (SetK, SetPutBack, SetMomentumCorrection,
+// GTopKAggregator implements gTop-k S-SGD (Algorithm 4) and, over other
+// collectives, Top-k S-SGD (Algorithm 1) and PS-mode gTop-k: one round —
+// local top-k selection with error feedback, aggregation (Algorithm 3's
+// tree, the two-level hierarchy over groups, either one's
+// straggler-tolerant quorum variant, Algorithm 2's AllGather, the
+// parameter-server star, or Algorithm 1's union AllGather), residual
+// put-back for locally-sent-but-globally-dropped values, average by P —
+// over the whole gradient. The embedded round carries the configuration
+// surface (SetK, SetSchedule, SetPutBack, SetMomentumCorrection,
 // SetQuorum, Sparsifier, Group, QuorumGroup).
 type GTopKAggregator struct {
 	round
-	schedule   func(step int) int
-	step       int
 	dense      []float32
 	missStreak int // this rank's consecutive missed quorum rounds
 }
@@ -182,18 +83,26 @@ type GTopKAggregator struct {
 // flat tree.
 type HierarchicalAggregator = GTopKAggregator
 
-func newGTopKAggregator(comm *collective.Comm, dim, k, group int) (*GTopKAggregator, error) {
+func newGTopKAggregator(comm *collective.Comm, dim, k, group int, kind collectiveKind) (*GTopKAggregator, error) {
 	r, err := newRound(comm, dim, k, group)
 	if err != nil {
 		return nil, err
 	}
+	r.kind = kind
 	return &GTopKAggregator{round: r, dense: make([]float32, dim)}, nil
 }
 
 // NewGTopKAggregator creates a gTop-k aggregator selecting k of dim
 // gradients globally per iteration using the efficient tree algorithm.
 func NewGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	return newGTopKAggregator(comm, dim, k, 0)
+	return newGTopKAggregator(comm, dim, k, 0, treeKind)
+}
+
+// NewTopKAggregator creates the Top-k S-SGD aggregator (Algorithm 1):
+// each rank's k selected gradients are AllGathered and the update is the
+// mean over the union of the supports, so nothing is ever put back.
+func NewTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
+	return newGTopKAggregator(comm, dim, k, 0, unionKind)
 }
 
 // NewHierarchicalAggregator creates a gTop-k aggregator whose global
@@ -206,23 +115,27 @@ func NewHierarchicalAggregator(comm *collective.Comm, dim, k, group int) (*Hiera
 	if group < 1 {
 		return nil, fmt.Errorf("core: hierarchical group size %d out of range: need >= 1", group)
 	}
-	return newGTopKAggregator(comm, dim, k, group)
+	return newGTopKAggregator(comm, dim, k, group, treeKind)
 }
 
 // NewNaiveGTopKAggregator creates the Algorithm 2 variant that reaches
 // the same global top-k selection through a full AllGather — used for
 // Fig. 1 and for tree-vs-naive equivalence experiments.
 func NewNaiveGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	a, err := NewGTopKAggregator(comm, dim, k)
-	if err != nil {
-		return nil, err
-	}
-	a.naive = true
-	return a, nil
+	return newGTopKAggregator(comm, dim, k, 0, naiveKind)
 }
 
-// Name implements Aggregator: "gtopk", then "-naive" or "-hier" for the
-// collective that actually runs, then "-quorum" when quorum mode is on.
+// NewPSGTopKAggregator creates the parameter-server variant (footnote 2):
+// the same global top-k selection reached through PSGTopKAllReduce's
+// star, rank 0 doubling as server and worker as in colocated PS
+// deployments.
+func NewPSGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
+	return newGTopKAggregator(comm, dim, k, 0, psKind)
+}
+
+// Name implements Aggregator: "topk" for the union, else "gtopk", then
+// "-naive", "-ps" or "-hier" for the collective that actually runs, then
+// "-quorum" when quorum mode is on.
 func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
 
 // QuorumMissStreak returns how many consecutive rounds this rank's
@@ -232,18 +145,8 @@ func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
 // group shows up as every one of its members streaking together.
 func (a *GTopKAggregator) QuorumMissStreak() int { return a.missStreak }
 
-// SetSchedule installs a per-step selection-count schedule; see
-// TopKAggregator.SetSchedule.
-func (a *GTopKAggregator) SetSchedule(f func(step int) int) { a.schedule = f }
-
 // Aggregate implements Aggregator.
 func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	if a.schedule != nil {
-		if err := a.SetK(a.schedule(a.step)); err != nil {
-			return nil, fmt.Errorf("core: gtopk schedule: %w", err)
-		}
-	}
-	a.step++
 	missed, err := a.run(ctx, grad, a.dense)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s aggregate: %w", a.Name(), err)

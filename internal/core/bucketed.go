@@ -208,13 +208,24 @@ func (a *BucketedAggregator) SetQuorum(cfg QuorumConfig) error {
 func (a *BucketedAggregator) QuorumMissStreak() int { return a.missStreak }
 
 // SetMomentumCorrection enables DGC-style momentum correction (see
-// TopKAggregator.SetMomentumCorrection), maintained per bucket so each
+// GTopKAggregator.SetMomentumCorrection), maintained per bucket so each
 // bucket goroutine owns its slice of the velocity. When enabled,
 // configure the trainer with Momentum: 0. Call before training, not
 // between Begin and Finish.
 func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
 	for _, b := range a.buckets {
 		b.SetMomentumCorrection(mu)
+	}
+}
+
+// SetDensitySchedule installs a per-step density schedule (warmup): at
+// step s every bucket selects DensityToK(size, density(s)). It must be
+// identical on every rank, and it overrides SetAdaptiveDensity's k. Call
+// before training, not between Begin and Finish.
+func (a *BucketedAggregator) SetDensitySchedule(density func(step int) float64) {
+	for _, b := range a.buckets {
+		size := b.hi - b.lo
+		b.SetSchedule(func(step int) int { return DensityToK(size, density(step)) })
 	}
 }
 

@@ -24,39 +24,25 @@ import (
 // 2·logP rounds — the ablation quantifies exactly that gap.
 func PSGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
 	const server = 0
-	p := comm.Size()
-	base := comm.ClaimTags(1)
-	var global *sparse.Vector
+	// Gather charges the server one sequential round per worker, and each
+	// worker waits through all P−1 of them.
+	blobs, err := comm.Gather(ctx, server, sparse.Encode(local))
+	if err != nil {
+		return nil, fmt.Errorf("core: ps gtopk: %w", err)
+	}
+	var payload []byte
 	if comm.Rank() == server {
-		sum := local.Clone()
-		for src := 1; src < p; src++ {
-			blob, err := comm.RecvTag(ctx, src, base)
-			if err != nil {
-				return nil, fmt.Errorf("core: ps gtopk recv from %d: %w", src, err)
-			}
-			v, err := sparse.Decode(blob)
+		sum := local
+		for src := 1; src < len(blobs); src++ {
+			v, err := sparse.Decode(blobs[src])
 			if err != nil {
 				return nil, fmt.Errorf("core: ps gtopk payload from %d: %w", src, err)
 			}
 			if sum, err = sparse.Add(sum, v); err != nil {
 				return nil, fmt.Errorf("core: ps gtopk sum: %w", err)
 			}
-			// The server pays one sequential round per worker.
-			comm.ChargeRound(2 * k)
 		}
-		global = sparse.TopKSparse(sum, k)
-	} else {
-		if err := comm.SendTag(ctx, server, base, sparse.Encode(local)); err != nil {
-			return nil, fmt.Errorf("core: ps gtopk send: %w", err)
-		}
-		// Workers wait while the server drains all P−1 uploads in turn.
-		for i := 0; i < p-1; i++ {
-			comm.ChargeRound(2 * k)
-		}
-	}
-	var payload []byte
-	if comm.Rank() == server {
-		payload = sparse.Encode(global)
+		payload = sparse.Encode(sparse.TopKSparse(sum, k))
 	}
 	blob, err := comm.Bcast(ctx, server, payload)
 	if err != nil {
@@ -67,44 +53,6 @@ func PSGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.
 		return nil, fmt.Errorf("core: ps gtopk bcast payload: %w", err)
 	}
 	return out, nil
-}
-
-// PSGTopKAggregator runs gTop-k S-SGD through PSGTopKAllReduce. Rank 0
-// doubles as server and worker, as in classic PS deployments where the
-// server is colocated.
-type PSGTopKAggregator struct {
-	comm  *collective.Comm
-	sp    *Sparsifier
-	k     int
-	dense []float32
-}
-
-// NewPSGTopKAggregator creates the PS-mode aggregator.
-func NewPSGTopKAggregator(comm *collective.Comm, dim, k int) (*PSGTopKAggregator, error) {
-	if err := validateK(dim, k); err != nil {
-		return nil, err
-	}
-	return &PSGTopKAggregator{comm: comm, sp: NewSparsifier(dim), k: k, dense: make([]float32, dim)}, nil
-}
-
-// Name implements Aggregator.
-func (a *PSGTopKAggregator) Name() string { return "gtopk-ps" }
-
-// Aggregate implements Aggregator.
-func (a *PSGTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	local, err := a.sp.Select(grad, a.k)
-	if err != nil {
-		return nil, fmt.Errorf("core: ps aggregate: %w", err)
-	}
-	global, err := PSGTopKAllReduce(ctx, a.comm, local, a.k)
-	if err != nil {
-		return nil, err
-	}
-	// The star ships lossless v1 frames, so there is no transform error to
-	// fold — only Algorithm 4 line 10.
-	a.sp.PutBack(local, global.Indices)
-	global.MeanInto(a.dense, a.comm.Size())
-	return a.dense, nil
 }
 
 // NewLayerwiseGTopKAggregator applies gTop-k independently per layer

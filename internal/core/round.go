@@ -8,12 +8,26 @@ import (
 	"gtopkssgd/internal/sparse"
 )
 
-// round is one gTop-k round — the paper's Algorithm 4 — over one
-// contiguous gradient range, written once for every gTop-k aggregator:
-// GTopKAggregator runs one round over the whole gradient, each bucket of
-// the BucketedAggregator runs one over its slice. The round owns the
-// range's error-feedback residual and is the only code that refunds,
-// folds or puts mass back into it.
+// collectiveKind names the wire a round aggregates over. The paper's
+// Algorithm 1 (Top-k), Algorithm 4 (gTop-k) and footnote 2's
+// parameter-server variant are the same round over different
+// collectives.
+type collectiveKind uint8
+
+const (
+	treeKind  collectiveKind = iota // Algorithm 3's tree: flat, hierarchical (gc != nil) or quorum
+	naiveKind                       // Algorithm 2: AllGather + global re-selection
+	psKind                          // footnote 2: star through rank 0 + global re-selection
+	unionKind                       // Algorithm 1: AllGather, the union of the local supports
+)
+
+// round is one sparse round — select with error feedback, aggregate,
+// put back, take the mean — over one contiguous gradient range, written
+// once for every sparse aggregator: GTopKAggregator runs one round over
+// the whole gradient (Top-k, gTop-k or PS), each bucket of the
+// BucketedAggregator runs one over its slice. The round owns the range's
+// error-feedback residual and is the only code that refunds, folds or
+// puts mass back into it.
 type round struct {
 	comm  *collective.Comm
 	gc    *collective.GroupComms // non-nil: two-level hierarchy over groups of `group` ranks
@@ -21,7 +35,9 @@ type round struct {
 	sp    *Sparsifier
 	k     int
 
-	naive     bool // Algorithm 2's AllGather + global re-selection instead of the tree
+	kind      collectiveKind
+	schedule  func(step int) int
+	step      int
 	noPutBack bool
 	mu        float32   // DGC momentum-correction coefficient (0 disables)
 	velocity  []float32 // momentum-correction buffer (nil until enabled)
@@ -48,12 +64,17 @@ func newRound(comm *collective.Comm, dim, k, group int) (round, error) {
 	return round{comm: comm, gc: gc, group: group, sp: NewSparsifier(dim), k: k}, nil
 }
 
-// name derives the algorithm name from what the round runs: base, then
-// "-naive" or "-hier" for the collective, then "-quorum".
+// name derives the algorithm name from what the round runs: "topk" for
+// the union, else base, then "-naive", "-ps" or "-hier" for the
+// collective, then "-quorum".
 func (r *round) name(base string) string {
 	switch {
-	case r.naive:
+	case r.kind == unionKind:
+		return "topk"
+	case r.kind == naiveKind:
 		base += "-naive"
+	case r.kind == psKind:
+		base += "-ps"
 	case r.gc != nil:
 		base += "-hier"
 	}
@@ -86,13 +107,23 @@ func (r *round) SetK(k int) error {
 	return nil
 }
 
+// SetSchedule installs a per-step selection-count schedule (the paper's
+// warmup uses per-epoch densities [0.25, 0.0725, 0.015, 0.004] before the
+// target density). The schedule overrides the static k; it must return
+// values in [1, dim] and must be identical on every rank.
+func (r *round) SetSchedule(f func(step int) int) { r.schedule = f }
+
 // SetPutBack toggles Algorithm 4 line 10 (returning globally-dropped
 // values to the residual). Disabling it isolates the contribution of
 // the extra-residual mechanism — the reproduction's residual ablation.
 func (r *round) SetPutBack(enabled bool) { r.noPutBack = !enabled }
 
-// SetMomentumCorrection enables DGC-style momentum correction; see
-// TopKAggregator.SetMomentumCorrection.
+// SetMomentumCorrection enables DGC-style momentum correction (Lin et
+// al., cited as [12]): momentum is accumulated LOCALLY before
+// sparsification (u ← µ·u + g; the residual accumulates u), so deferred
+// coordinates carry their momentum history instead of having a global
+// momentum term amplify spiky sparse updates. When enabled, configure
+// the trainer with Momentum: 0.
 func (r *round) SetMomentumCorrection(mu float32) {
 	r.mu = mu
 	if mu > 0 && r.velocity == nil {
@@ -111,11 +142,11 @@ func (r *round) Sparsifier() *Sparsifier { return r.sp }
 // grouped regime cfg.Q is the intra-group quorum and cfg.LeaderQ the
 // leader-level one; in the flat regime (group <= 1 or >= world) cfg must
 // be a flat configuration validated against the world. Incompatible with
-// the naive AllGather path. A zero cfg disables quorum mode.
+// the AllGather and star collectives. A zero cfg disables quorum mode.
 func (r *round) SetQuorum(cfg QuorumConfig) error {
 	if cfg != (QuorumConfig{}) {
-		if r.naive {
-			return fmt.Errorf("core: quorum mode requires the tree collective, not gtopk-naive")
+		if r.kind != treeKind {
+			return fmt.Errorf("core: quorum mode requires the tree collective, not %s", r.name("gtopk"))
 		}
 		err := cfg.Validate(r.comm.Size())
 		if r.gc != nil {
@@ -139,6 +170,12 @@ func (r *round) UpdateSupport() []int32 { return r.support }
 // round re-zeroes only what its previous run wrote. missed reports that
 // this rank's contribution did not make a quorum round.
 func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err error) {
+	if r.schedule != nil {
+		if err := r.SetK(r.schedule(r.step)); err != nil {
+			return false, fmt.Errorf("schedule: %w", err)
+		}
+	}
+	r.step++
 	local, err := r.sp.SelectMomentum(r.mu, r.velocity, grad, r.k)
 	if err != nil {
 		return false, err
@@ -164,11 +201,13 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 	} else {
 		// Quantization error first, then Algorithm 4 line 10: a globally
 		// dropped index gets lattice value + error = its full original
-		// mass back, a survivor keeps exactly the error.
+		// mass back, a survivor keeps exactly the error. The union keeps
+		// every sent index (CompactInto keeps touched zeros), so there
+		// put-back would add nothing.
 		if fold {
 			r.sp.FoldError(local.Indices, r.orig, local.Values)
 		}
-		if !r.noPutBack {
+		if !r.noPutBack && r.kind != unionKind {
 			r.sp.PutBack(local, global.Indices)
 		}
 	}
@@ -176,14 +215,18 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 	return !participated, nil
 }
 
-// allReduce is the round's one way onto the wire: it picks the naive,
-// quorum (flat or hierarchical), hierarchical or flat tree collective
-// from the state the round holds.
+// allReduce is the round's one way onto the wire: it picks the union,
+// naive, PS, quorum (flat or hierarchical), hierarchical or flat tree
+// collective from the state the round holds.
 func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sparse.Vector, participated bool, err error) {
 	global, participated = &r.global, true
 	switch {
-	case r.naive:
+	case r.kind == unionKind:
+		global, err = TopKAllReduce(ctx, r.comm, local)
+	case r.kind == naiveKind:
 		global, err = NaiveGTopKAllReduce(ctx, r.comm, local, r.k)
+	case r.kind == psKind:
+		global, err = PSGTopKAllReduce(ctx, r.comm, local, r.k)
 	case r.quorum.Q > 0:
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
 	case r.gc != nil:

@@ -18,7 +18,7 @@ import (
 // twice: as the real aggregator (fused accumulate-and-select, mean rebuilt
 // in O(k), support reported to the trainer) and as refAggregator below.
 type updateSpec struct {
-	kind     string // "flat", "naive", "hier", "quorum", "topk", "bucketed"
+	kind     string // "flat", "naive", "hier", "quorum", "topk", "ps", "bucketed"
 	dim      int
 	k        func(step int) int // per-step selection count ("bucketed": density below)
 	group    int                // "hier"
@@ -67,6 +67,8 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 		global, err = NaiveGTopKAllReduce(ctx, r.comm, local, k)
 	case "topk":
 		global, err = TopKAllReduce(ctx, r.comm, local)
+	case "ps":
+		global, err = PSGTopKAllReduce(ctx, r.comm, local, k)
 	case "quorum":
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, nil, local, k, 0, r.spec.quorum, global)
 	case "hier":
@@ -170,18 +172,14 @@ func newRealAggregator(c *collective.Comm, spec updateSpec) (Aggregator, []*Spar
 			sps = append(sps, b.sp)
 		}
 		return a, sps, nil
-	case "topk":
-		a, err := NewTopKAggregator(c, spec.dim, spec.k(0))
-		if err != nil {
-			return nil, nil, err
-		}
-		a.SetSchedule(spec.k)
-		a.SetMomentumCorrection(spec.mu)
-		return a, []*Sparsifier{a.sp}, nil
 	}
 	var a *GTopKAggregator
 	var err error
 	switch spec.kind {
+	case "topk":
+		a, err = NewTopKAggregator(c, spec.dim, spec.k(0))
+	case "ps":
+		a, err = NewPSGTopKAggregator(c, spec.dim, spec.k(0))
 	case "naive":
 		a, err = NewNaiveGTopKAggregator(c, spec.dim, spec.k(0))
 	case "hier":
@@ -374,6 +372,13 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 		// others' verdict and its own selection is refunded.
 		{"quorum", []int{4}, updateSpec{kind: "quorum", dim: 600, mu: 0.9, k: constK(12), quorum: qc}},
 		{"topk", []int{4}, updateSpec{kind: "topk", dim: 600, mu: 0.9, k: constK(12)}},
+		// The star with a shrinking k, as under a warmup schedule.
+		{"ps", []int{4}, updateSpec{kind: "ps", dim: 600, mu: 0.9, k: func(step int) int {
+			if step < 25 {
+				return 24
+			}
+			return 6
+		}}},
 		// Supports are bucket-local and must come back offset by bucket.
 		{"bucketed", []int{1, 4}, updateSpec{kind: "bucketed", dim: 600, mu: 0.9, bounds: []int{0, 150, 310, 600}, density: 0.02}},
 		// Trainer momentum decays the velocity at every coordinate: the

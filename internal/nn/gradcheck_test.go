@@ -102,13 +102,6 @@ func TestGradCheckTanh(t *testing.T) {
 	gradCheck(t, net, x, labels, 1e-2)
 }
 
-func TestGradCheckBatchNorm(t *testing.T) {
-	net := NewNetwork(NewDense(4, 6), NewBatchNorm(6), NewReLU(), NewDense(6, 3))
-	net.Init(7)
-	x, labels := randInput(8, 8, 4)
-	gradCheck(t, net, x, labels, 2e-2)
-}
-
 func TestGradCheckConv(t *testing.T) {
 	// 2-channel 4x4 images, 3 filters, 3x3 kernel, same padding.
 	conv := NewConv2D(2, 4, 4, 3, 3, 1, 1)

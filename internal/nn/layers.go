@@ -165,162 +165,3 @@ func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	}
 	return t.din
 }
-
-// BatchNorm normalises each feature over the batch during training and
-// with running statistics at evaluation time:
-//
-//	y = γ·(x−μ)/√(σ²+ε) + β
-type BatchNorm struct {
-	Features int
-	Momentum float32 // running-statistics EMA coefficient
-	Eps      float32
-
-	gamma, beta   []float32
-	gGamma, gBeta []float32
-
-	runMean, runVar []float32
-
-	// forward cache
-	xhat    *tensor.Matrix
-	std     []float32
-	rows    int
-	trained bool
-}
-
-// NewBatchNorm creates a batch-normalisation layer over features.
-func NewBatchNorm(features int) *BatchNorm {
-	return &BatchNorm{
-		Features: features,
-		Momentum: 0.9,
-		Eps:      1e-5,
-		runMean:  make([]float32, features),
-		runVar:   onesSlice(features),
-	}
-}
-
-// Name implements Layer.
-func (b *BatchNorm) Name() string { return fmt.Sprintf("batchnorm %d", b.Features) }
-
-// ParamCount implements Layer.
-func (b *BatchNorm) ParamCount() int { return 2 * b.Features }
-
-// Bind implements Layer.
-func (b *BatchNorm) Bind(params, grads []float32) {
-	b.gamma, b.beta = params[:b.Features], params[b.Features:]
-	b.gGamma, b.gBeta = grads[:b.Features], grads[b.Features:]
-}
-
-// Init implements Layer: γ=1, β=0.
-func (b *BatchNorm) Init(_ *prng.Source) {
-	for i := range b.gamma {
-		b.gamma[i] = 1
-		b.beta[i] = 0
-	}
-}
-
-// Forward implements Layer.
-func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != b.Features {
-		panic(fmt.Sprintf("nn: batchnorm forward: %d cols, want %d", x.Cols, b.Features))
-	}
-	out := tensor.NewMatrix(x.Rows, x.Cols)
-	if !train {
-		for i := 0; i < x.Rows; i++ {
-			xr, or := x.Row(i), out.Row(i)
-			for j := range xr {
-				inv := 1 / float32(math.Sqrt(float64(b.runVar[j]+b.Eps)))
-				or[j] = b.gamma[j]*(xr[j]-b.runMean[j])*inv + b.beta[j]
-			}
-		}
-		b.trained = false
-		return out
-	}
-
-	n := float32(x.Rows)
-	mean := make([]float32, b.Features)
-	variance := make([]float32, b.Features)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
-	for j := range variance {
-		variance[j] /= n
-	}
-
-	b.std = make([]float32, b.Features)
-	for j := range b.std {
-		b.std[j] = float32(math.Sqrt(float64(variance[j] + b.Eps)))
-	}
-	b.xhat = tensor.NewMatrix(x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		xr, hr, or := x.Row(i), b.xhat.Row(i), out.Row(i)
-		for j := range xr {
-			hr[j] = (xr[j] - mean[j]) / b.std[j]
-			or[j] = b.gamma[j]*hr[j] + b.beta[j]
-		}
-	}
-	for j := range mean {
-		b.runMean[j] = b.Momentum*b.runMean[j] + (1-b.Momentum)*mean[j]
-		b.runVar[j] = b.Momentum*b.runVar[j] + (1-b.Momentum)*variance[j]
-	}
-	b.rows = x.Rows
-	b.trained = true
-	return out
-}
-
-// Backward implements Layer (training-mode batch statistics gradient).
-func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if !b.trained {
-		// Evaluation mode: normalisation is a fixed affine map.
-		din := dout.Clone()
-		for i := 0; i < din.Rows; i++ {
-			row := din.Row(i)
-			for j := range row {
-				inv := 1 / float32(math.Sqrt(float64(b.runVar[j]+b.Eps)))
-				row[j] *= b.gamma[j] * inv
-			}
-		}
-		return din
-	}
-	n := float32(b.rows)
-	sumDy := make([]float32, b.Features)
-	sumDyXhat := make([]float32, b.Features)
-	for i := 0; i < dout.Rows; i++ {
-		dr, hr := dout.Row(i), b.xhat.Row(i)
-		for j := range dr {
-			sumDy[j] += dr[j]
-			sumDyXhat[j] += dr[j] * hr[j]
-		}
-	}
-	for j := range sumDy {
-		b.gBeta[j] += sumDy[j]
-		b.gGamma[j] += sumDyXhat[j]
-	}
-	din := tensor.NewMatrix(dout.Rows, dout.Cols)
-	for i := 0; i < dout.Rows; i++ {
-		dr, hr, or := dout.Row(i), b.xhat.Row(i), din.Row(i)
-		for j := range dr {
-			or[j] = b.gamma[j] / (n * b.std[j]) *
-				(n*dr[j] - sumDy[j] - hr[j]*sumDyXhat[j])
-		}
-	}
-	return din
-}
-
-func onesSlice(n int) []float32 {
-	s := make([]float32, n)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
-}

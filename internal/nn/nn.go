@@ -34,7 +34,7 @@ import (
 // largest batch seen.
 type Layer interface {
 	// Forward consumes a (batch × in) matrix and returns (batch × out).
-	// train toggles training-time behaviour (batch-norm statistics).
+	// train marks a training pass; evaluation passes call with false.
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward consumes dL/dout for the batch of the last Forward and
 	// returns dL/din, accumulating parameter gradients into the bound

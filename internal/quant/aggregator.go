@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/prng"
 )
 
@@ -121,63 +120,6 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) ([]f
 	for i := range a.buf {
 		a.buf[i] *= inv
 	}
-	return a.buf, nil
-}
-
-// QuantizedGTopKAggregator is the combined compressor (DGC-style, cited
-// as [12]): gTop-k sparsification with 8-bit quantized values. Every
-// worker quantizes its local top-k BEFORE the tree reduction; all
-// replicas therefore agree on the (already-quantized) values flowing
-// through ⊕ and produce identical updates.
-type QuantizedGTopKAggregator struct {
-	comm *collective.Comm
-	sp   *core.Sparsifier
-	k    int
-	rng  *prng.Source
-	buf  []float32
-
-	// WireBytes accumulates the modelled wire footprint of the quantized
-	// local payloads, for compression-ratio reporting.
-	WireBytes int64
-}
-
-// NewQuantizedGTopKAggregator creates the combined aggregator.
-func NewQuantizedGTopKAggregator(comm *collective.Comm, dim, k int, seed uint64) (*QuantizedGTopKAggregator, error) {
-	if k < 1 || k > dim {
-		return nil, fmt.Errorf("quant: k=%d out of range [1,%d]", k, dim)
-	}
-	return &QuantizedGTopKAggregator{
-		comm: comm,
-		sp:   core.NewSparsifier(dim),
-		k:    k,
-		rng:  prng.New(seed ^ uint64(comm.Rank())*0xd1342543de82ef95),
-		buf:  make([]float32, dim),
-	}, nil
-}
-
-// Name implements core.Aggregator.
-func (a *QuantizedGTopKAggregator) Name() string { return "gtopk-quant8" }
-
-// Aggregate implements core.Aggregator.
-func (a *QuantizedGTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	local, err := a.sp.Select(grad, a.k)
-	if err != nil {
-		return nil, fmt.Errorf("quant: gtopk-quant aggregate: %w", err)
-	}
-	quantized, wire, err := QuantizeSparse(local, a.rng)
-	if err != nil {
-		return nil, fmt.Errorf("quant: gtopk-quant aggregate: %w", err)
-	}
-	a.WireBytes += int64(wire)
-	// Quantization error joins the residual (error feedback applies to
-	// the compressor as a whole, not just sparsification).
-	a.sp.FoldError(local.Indices, local.Values, quantized.Values)
-	global, err := core.GTopKAllReduce(ctx, a.comm, quantized, a.k)
-	if err != nil {
-		return nil, err
-	}
-	a.sp.PutBack(quantized, global.Indices)
-	global.MeanInto(a.buf, a.comm.Size())
 	return a.buf, nil
 }
 

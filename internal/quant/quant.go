@@ -45,8 +45,7 @@ func Float16(x float32) float32 { return f16.Round(x) }
 func RoundTripF16(xs []float32) { f16.RoundSlice(xs) }
 
 // QuantizeSparseF16 compresses the VALUES of a sparse top-k vector to
-// binary16 — the half-precision sibling of QuantizeSparse's 8-bit
-// levels. Indices stay exact (they must; a wrong index corrupts an
+// binary16. Indices stay exact (they must; a wrong index corrupts an
 // unrelated parameter). Returns the quantized copy and the bytes the
 // v3-fp16 wire codec occupies for it on the wire, versus 8 bytes per
 // entry uncompressed.
@@ -184,26 +183,6 @@ func DequantizeUniform(scale float32, levels []int16, bits int) []float32 {
 		out[i] = scale * float32(l) / steps
 	}
 	return out
-}
-
-// QuantizeSparse applies 8-bit uniform quantization to the VALUES of a
-// sparse top-k vector — the DGC-style combined compressor. Indices stay
-// exact (they must; a wrong index corrupts an unrelated parameter).
-// Returns the quantized copy and the bytes it would occupy on the wire
-// (4-byte index + 1-byte level per entry + scale), versus 8 bytes per
-// entry uncompressed.
-func QuantizeSparse(v *sparse.Vector, rng *prng.Source) (*sparse.Vector, int, error) {
-	scale, levels, err := Uniform(v.Values, 8, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := &sparse.Vector{
-		Dim:     v.Dim,
-		Indices: append([]int32(nil), v.Indices...),
-		Values:  DequantizeUniform(scale, levels, 8),
-	}
-	wire := 4 + v.NNZ()*(4+1) // scale + per-entry index+level
-	return out, wire, nil
 }
 
 // CompressionRatio reports the dense-gradient-to-wire compression ratio

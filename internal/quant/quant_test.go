@@ -3,7 +3,6 @@ package quant
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -121,22 +120,6 @@ func TestUniformValidatesBits(t *testing.T) {
 	}
 }
 
-func TestQuantizeSparsePreservesIndices(t *testing.T) {
-	v := &sparse.Vector{Dim: 100, Indices: []int32{3, 50, 99}, Values: []float32{1, -2, 0.5}}
-	q, wire, err := QuantizeSparse(v, prng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v.Indices {
-		if q.Indices[i] != v.Indices[i] {
-			t.Fatal("indices changed by quantization")
-		}
-	}
-	if wire >= sparse.EncodedSize(v.NNZ()) {
-		t.Fatalf("quantized wire %d not smaller than raw %d", wire, sparse.EncodedSize(v.NNZ()))
-	}
-}
-
 func TestCompressionRatio(t *testing.T) {
 	// Dense m=1000 floats = 4000 bytes; 40-byte wire -> 100x.
 	if got := CompressionRatio(1000, 40); got != 100 {
@@ -208,65 +191,6 @@ func TestTernGradConvergesOnQuadratic(t *testing.T) {
 	if last > first/5 {
 		t.Fatalf("TernGrad did not converge: %v -> %v", first, last)
 	}
-}
-
-func TestQuantizedGTopKConvergesAndCompresses(t *testing.T) {
-	const dim = 64
-	var wireBytes int64
-	var mu sync.Mutex
-	results := runAggCluster(t, 4, dim, 400, 0.05,
-		func(rank int, comm *collective.Comm) (core.Aggregator, error) {
-			agg, err := NewQuantizedGTopKAggregator(comm, dim, 6, 13)
-			if err != nil {
-				return nil, err
-			}
-			if rank == 0 {
-				// Capture rank 0's wire accounting after training via a
-				// wrapper that updates the shared counter per step.
-				return aggregatorFunc{agg: agg, after: func() {
-					mu.Lock()
-					wireBytes = agg.WireBytes
-					mu.Unlock()
-				}}, nil
-			}
-			return agg, nil
-		})
-	first, last := results[0].Losses[0], results[0].Losses[399]
-	if last > first/5 {
-		t.Fatalf("quantized gTop-k did not converge: %v -> %v", first, last)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if wireBytes == 0 {
-		t.Fatal("no wire bytes recorded")
-	}
-	perStep := wireBytes / 400
-	ratio := CompressionRatio(dim, int(perStep))
-	if ratio < 5 {
-		t.Fatalf("combined compression ratio %v too low (per-step wire %d)", ratio, perStep)
-	}
-	for r := 1; r < 4; r++ {
-		for i := range results[0].FinalWeights {
-			if results[r].FinalWeights[i] != results[0].FinalWeights[i] {
-				t.Fatalf("quantized replicas diverged at %d", i)
-			}
-		}
-	}
-}
-
-// aggregatorFunc wraps an aggregator with a post-step hook.
-type aggregatorFunc struct {
-	agg   core.Aggregator
-	after func()
-}
-
-func (a aggregatorFunc) Name() string { return a.agg.Name() }
-func (a aggregatorFunc) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	out, err := a.agg.Aggregate(ctx, grad)
-	if a.after != nil {
-		a.after()
-	}
-	return out, err
 }
 
 func TestTernGradDifferentSeedsPerRank(t *testing.T) {
@@ -371,16 +295,6 @@ func TestAggregatorNames(t *testing.T) {
 	}
 	if got := NewTernGradAggregator(comm, 4, 1).Name(); got != "terngrad" {
 		t.Errorf("name = %q", got)
-	}
-	q, err := NewQuantizedGTopKAggregator(comm, 4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Name() != "gtopk-quant8" {
-		t.Errorf("name = %q", q.Name())
-	}
-	if _, err := NewQuantizedGTopKAggregator(comm, 4, 0, 1); err == nil {
-		t.Error("k=0 accepted")
 	}
 }
 

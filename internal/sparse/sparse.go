@@ -68,11 +68,11 @@ func (v *Vector) ScatterAdd(dst []float32) {
 	}
 }
 
-// MeanInto overwrites dst with v/p, the dense mean update every sparse
-// aggregator ends on: zero, scatter-add, then scale the whole buffer.
-// That order is a bit-level contract — a −0 entry becomes +0 here, which
-// writing v·(1/p) straight into a zeroed dst would not reproduce — that
-// the benchmark's decomposed step replays against the real aggregators.
+// MeanInto overwrites dst with v/p: zero, scatter-add, then scale the
+// whole buffer — the dense reference the tests hold MeanIntoSparse, which
+// every sparse aggregator ends on, to. That order is a bit-level
+// contract: a −0 entry becomes +0 here, which writing v·(1/p) straight
+// into a zeroed dst would not reproduce.
 func (v *Vector) MeanInto(dst []float32, p int) {
 	clear(dst)
 	v.ScatterAdd(dst)

@@ -79,7 +79,6 @@ type options struct {
 	timeout      time.Duration
 	tcpNoDelay   bool
 	wire         string
-	selectShards int
 	hierGroup    int
 	quorum       int
 	leaderQuorum int
@@ -123,7 +122,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "static: mesh setup + training deadline; elastic: per-epoch mesh rebuild bound")
 	flag.BoolVar(&o.tcpNoDelay, "tcp-nodelay", true, "enable TCP_NODELAY on mesh sockets (false re-enables Nagle's algorithm)")
 	flag.StringVar(&o.wire, "wire", "v3", "sparse wire codec: v1 (flat), v3 (delta/varint indices, lossless fp32 values; non-finite values are rejected at decode) or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (lossy; the rounding/quantization error folds into the error-feedback residual); meshes settle on the lowest version any worker offers")
-	flag.IntVar(&o.selectShards, "select-shards", 0, "parallel shards for the local top-k selection (0 = one per core, 1 = serial; results are bit-identical)")
 	flag.IntVar(&o.hierGroup, "hier-group", 0, "hierarchical gTop-k group size G: workers aggregate within groups of G, leaders exchange globally (0 disables; requires -algo gtopk; G >= world degenerates to the flat tree)")
 	flag.IntVar(&o.quorum, "quorum", 0, "straggler-tolerant quorum size q: each aggregation round closes after q contributions under the -round-timeout deadline, refunding stragglers' blocks to their residuals (0 disables; requires -algo gtopk and a strict majority; with -hier-group, q is the intra-group quorum q_g over each group of G)")
 	flag.IntVar(&o.leaderQuorum, "leader-quorum", 0, "hierarchical quorum's leader-level quorum q_l over the group aggregates: a wholly slow group misses the round as a unit and refunds to residual (0 = wait for every group; requires -quorum and -hier-group)")
@@ -177,9 +175,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("-wire: %w", err)
 	}
 	o.wireCodec = algo.Spec{Algo: o.algo, Wire: codec}.Codec()
-	if o.selectShards < 0 {
-		return fmt.Errorf("-select-shards %d out of range: need >= 0", o.selectShards)
-	}
 	if o.hierGroup < 0 {
 		return fmt.Errorf("-hier-group %d out of range: need >= 0", o.hierGroup)
 	}
@@ -290,9 +285,8 @@ func (o *options) spec() algo.Spec {
 }
 
 // buildAggregator assembles the configured aggregation algorithm over a
-// communicator through algo.Build, applying the -select-shards
-// selection parallelism; sp is the residual checkpoints carry, nil for
-// the algorithms without one whole-gradient sparsifier.
+// communicator through algo.Build; sp is the residual checkpoints carry,
+// nil for the algorithms without one whole-gradient sparsifier.
 func buildAggregator(o *options, comm *collective.Comm, cls *models.Classifier) (agg core.Aggregator, sp *core.Sparsifier, err error) {
 	// Elastic worlds first learn their size here; an illegal (quorum,
 	// group, world) combination fails the epoch build loudly instead of
@@ -302,7 +296,6 @@ func buildAggregator(o *options, comm *collective.Comm, cls *models.Classifier) 
 	}
 	if s, ok := agg.(interface{ Sparsifier() *core.Sparsifier }); ok {
 		sp = s.Sparsifier()
-		sp.SetShards(o.selectShards)
 	}
 	return agg, sp, nil
 }

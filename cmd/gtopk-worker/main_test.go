@@ -39,7 +39,6 @@ func TestFlagValidation(t *testing.T) {
 		{"bad-wire", []string{"-addrs", "a:1", "-wire", "v9"}, "-wire"},
 		{"retired-wire-v2", []string{"-addrs", "a:1", "-wire", "v2-fp16"}, "want v1, v3 or v3-<value codec>"},
 		{"retired-value-codec-flag", []string{"-addrs", "a:1", "-wire", "v3", "-value-codec", "qsgd8"}, "flag provided but not defined: -value-codec"},
-		{"bad-select-shards", []string{"-addrs", "a:1", "-select-shards", "-2"}, "-select-shards -2 out of range"},
 		{"bad-hier-group", []string{"-addrs", "a:1", "-hier-group", "-1"}, "-hier-group -1 out of range"},
 		{"hier-group-needs-gtopk", []string{"-addrs", "a:1", "-algo", "dense", "-hier-group", "4"}, "-hier-group requires -algo gtopk"},
 		{"negative-quorum", []string{"-addrs", "a:1", "-quorum", "-1"}, "-quorum -1 out of range"},

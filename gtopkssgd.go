@@ -270,17 +270,6 @@ func NewDensityController(k0, kMin, kMax int, budgetBytes int64, seed uint64) (*
 	return core.NewDensityController(k0, kMin, kMax, budgetBytes, seed)
 }
 
-// ShardSelector is the parallel sharded top-k selection engine: the
-// dense gradient splits into per-core shards, each runs the threshold
-// quickselect concurrently, and the shard winners merge into the exact
-// global top-k — bit-identical to serial selection for every shard
-// count. Sparsifier.SetShards wires it into the training loop.
-type ShardSelector = sparse.ShardSelector
-
-// NewShardSelector creates a selection engine with the given shard count
-// (shards < 1 selects one shard per schedulable core).
-func NewShardSelector(shards int) *ShardSelector { return sparse.NewShardSelector(shards) }
-
 // WireTally accumulates raw-vs-encoded wire-byte counters for the sparse
 // frames a communicator sends (attach with Comm.SetWireTally), making
 // codec compression observable in real runs.

@@ -22,29 +22,14 @@ import (
 type Sparsifier struct {
 	dim      int
 	residual []float32
-	selected sparse.Vector // the last selection, reused by the next one
-	// sel, when non-nil, runs the top-k selection in parallel over
-	// per-core shards (bit-identical to the serial path; see SetShards).
-	sel *sparse.ShardSelector
+	selected sparse.Vector     // the last selection, reused by the next one
+	hint     sparse.SelectHint // the last selection's threshold and candidate buffer
 }
 
 // NewSparsifier creates a sparsifier for a dim-parameter model with a
-// zeroed residual (Algorithm 1 line 1: G^g_0 = 0) and serial selection.
+// zeroed residual (Algorithm 1 line 1: G^g_0 = 0).
 func NewSparsifier(dim int) *Sparsifier {
 	return &Sparsifier{dim: dim, residual: make([]float32, dim)}
-}
-
-// SetShards configures the local top-k selection — the T_sparsify term
-// of the paper's iteration model — to run over n parallel shards:
-// 1 restores the serial path, 0 selects one shard per schedulable core
-// (GOMAXPROCS). The selection result is bit-identical for every shard
-// count; only the wall time changes.
-func (s *Sparsifier) SetShards(n int) {
-	if n == 1 {
-		s.sel = nil
-		return
-	}
-	s.sel = sparse.NewShardSelector(n)
 }
 
 // Dim returns the dense gradient dimension.
@@ -69,8 +54,10 @@ func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
 
 // SelectMomentum is Select with DGC momentum correction folded into the
 // accumulate pass: velocity ← mu·velocity + grad and residual += velocity
-// in one read-modify-write of the three arrays, then the selection. With
-// mu <= 0 it accumulates grad itself and velocity is not touched.
+// in one read-modify-write of the three arrays, which also collects the
+// selection's candidates at the threshold the previous selection left
+// (sparse.TopKAccumulateInto). With mu <= 0 it accumulates grad itself
+// and velocity is not touched.
 func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int) (*sparse.Vector, error) {
 	if len(grad) != s.dim || (mu > 0 && len(velocity) != s.dim) {
 		return nil, fmt.Errorf("core: gradient dim %d, velocity dim %d, sparsifier dim %d", len(grad), len(velocity), s.dim)
@@ -78,17 +65,8 @@ func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int)
 	if k < 0 || k > s.dim {
 		return nil, fmt.Errorf("core: k=%d out of range [0,%d]", k, s.dim)
 	}
-	if mu > 0 {
-		tensor.MomentumAddInto(s.residual, velocity, mu, grad)
-	} else {
-		tensor.AddInto(s.residual, grad)
-	}
 	selected := &s.selected
-	if s.sel != nil {
-		s.sel.TopKInto(selected, s.residual, k)
-	} else {
-		sparse.TopKInto(selected, s.residual, k)
-	}
+	sparse.TopKAccumulateInto(selected, s.residual, velocity, mu, grad, k, &s.hint)
 	for _, idx := range selected.Indices {
 		s.residual[idx] = 0
 	}

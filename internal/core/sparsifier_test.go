@@ -240,45 +240,73 @@ func TestQuickSelectConservation(t *testing.T) {
 	}
 }
 
-// TestSparsifierShardedSelectBitIdentical: a sharded sparsifier must
-// walk the exact same residual/selection trajectory as a serial one
-// across iterations, for several shard counts.
-func TestSparsifierShardedSelectBitIdentical(t *testing.T) {
-	// dim must comfortably exceed the engine's minimum per-shard span
-	// (32768 elements) times the largest tested shard count, or the
-	// selector silently clamps to the serial fallback and the test
-	// compares serial against serial.
-	const dim, k, iters = 4 * 32768, 131, 4
-	for _, shards := range []int{0, 2, 4} {
-		serial := NewSparsifier(dim)
-		sharded := NewSparsifier(dim)
-		sharded.SetShards(shards)
-		src := prng.New(321)
-		grad := make([]float32, dim)
-		for it := 0; it < iters; it++ {
+// momentumAddRef is the accumulate loop SelectMomentum fused into its
+// candidate scan, kept as the reference: v = mu·vel[i] + x[i];
+// vel[i] = v; dst[i] += v.
+func momentumAddRef(dst, vel []float32, mu float32, x []float32) {
+	for i, g := range x {
+		v := mu*vel[i] + g
+		vel[i] = v
+		dst[i] += v
+	}
+}
+
+// TestSelectMomentumMatchesReference trains 200 steps of a noisy
+// quadratic through SelectMomentum and through the reference select —
+// momentumAddRef (or the plain add at mu = 0), sparse.TopKInto, zero the
+// selected entries — with a k that shrinks from dim/32 to 4: weights,
+// residual, velocity and every selection stay bit-identical.
+func TestSelectMomentumMatchesReference(t *testing.T) {
+	const dim, steps, lr = 3*4096 + 5, 200, 0.05
+	for _, mu := range []float32{0, 0.9} {
+		sp := NewSparsifier(dim)
+		vel, refVel := make([]float32, dim), make([]float32, dim)
+		refRes := make([]float32, dim)
+		w, refW := make([]float32, dim), make([]float32, dim)
+		src := prng.New(99)
+		target := make([]float32, dim)
+		for i := range target {
+			target[i] = float32(src.NormFloat64())
+		}
+		grad, refGrad := make([]float32, dim), make([]float32, dim)
+		var want sparse.Vector
+		for step := 0; step < steps; step++ {
+			k := max(dim/32-2*step, 4)
 			for i := range grad {
-				grad[i] = float32(src.NormFloat64())
+				noise := 0.1 * float32(src.NormFloat64())
+				grad[i] = w[i] - target[i] + noise
+				refGrad[i] = refW[i] - target[i] + noise
 			}
-			want, err := serial.Select(grad, k)
+			got, err := sp.SelectMomentum(mu, vel, grad, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Select(grad, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.NNZ() != got.NNZ() {
-				t.Fatalf("shards=%d iter %d: nnz %d vs %d", shards, it, want.NNZ(), got.NNZ())
-			}
-			for i := range want.Indices {
-				if want.Indices[i] != got.Indices[i] ||
-					math.Float32bits(want.Values[i]) != math.Float32bits(got.Values[i]) {
-					t.Fatalf("shards=%d iter %d entry %d differs", shards, it, i)
+			if mu > 0 {
+				momentumAddRef(refRes, refVel, mu, refGrad)
+			} else {
+				for i, g := range refGrad {
+					refRes[i] += g
 				}
 			}
-			for i := range serial.Residual() {
-				if math.Float32bits(serial.Residual()[i]) != math.Float32bits(sharded.Residual()[i]) {
-					t.Fatalf("shards=%d iter %d: residual diverged at %d", shards, it, i)
+			sparse.TopKInto(&want, refRes, k)
+			for _, idx := range want.Indices {
+				refRes[idx] = 0
+			}
+			if got.NNZ() != want.NNZ() {
+				t.Fatalf("mu=%v step %d: nnz %d, want %d", mu, step, got.NNZ(), want.NNZ())
+			}
+			for i, idx := range want.Indices {
+				if got.Indices[i] != idx || math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
+					t.Fatalf("mu=%v step %d entry %d: (%d,%v), want (%d,%v)", mu, step, i, got.Indices[i], got.Values[i], idx, want.Values[i])
+				}
+				w[got.Indices[i]] -= lr * got.Values[i]
+				refW[idx] -= lr * want.Values[i]
+			}
+			for i := range w {
+				if math.Float32bits(w[i]) != math.Float32bits(refW[i]) ||
+					math.Float32bits(sp.Residual()[i]) != math.Float32bits(refRes[i]) ||
+					math.Float32bits(vel[i]) != math.Float32bits(refVel[i]) {
+					t.Fatalf("mu=%v step %d index %d: weights, residual or velocity diverged", mu, step, i)
 				}
 			}
 		}

@@ -119,7 +119,13 @@ func (s *Stack) Transform(values []float32) (float32, []int16) {
 }
 
 // transformUniform is Uniform's QSGD stochastic rounding, writing into
-// reusable scratch and pinning values to the decoder's lattice.
+// reusable scratch and pinning values to the decoder's lattice. Its loop
+// takes no data-dependent branch, and produces Uniform's levels and
+// DequantLevel's values bit for bit: t = |v|/scale·steps lies in
+// [0, steps], where truncation is floor; the round-up compare selects
+// 0 or 1; the sign goes back on the integer level, where -0 cannot
+// arise; and the value is DequantLevel's QSGD expression. A non-finite
+// input makes t NaN and its level 0, as before.
 func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 	var scale float32
 	for _, v := range values {
@@ -134,18 +140,19 @@ func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 		return 0
 	}
 	steps := float32(s.steps())
+	levels = levels[:len(values)]
 	for i, v := range values {
-		t := abs32(v) / scale * steps
-		lo := float32(math.Floor(float64(t)))
-		level := lo
-		if s.rng.Float32() < t-lo {
-			level = lo + 1
+		u := math.Float32bits(v)
+		t := math.Float32frombits(u&^(1<<31)) / scale * steps
+		lo := int32(t)
+		up := int32(0)
+		if s.rng.Float32() < t-float32(lo) {
+			up = 1
 		}
-		if v < 0 {
-			level = -level
-		}
-		levels[i] = int16(level)
-		values[i] = sparse.DequantLevel(s.vc, scale, levels[i])
+		neg := int32(u) >> 31 // -1 when the sign bit is set, else 0
+		level := int16(((lo + up) ^ neg) - neg)
+		levels[i] = level
+		values[i] = scale * float32(level) / steps
 	}
 	return scale
 }

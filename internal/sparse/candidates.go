@@ -1,27 +1,37 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"sync"
 )
 
-// This file is the sampled-threshold front end of the dense top-k (DGC's
+// This file is the candidate front end of the dense top-k (DGC's
 // "hierarchical threshold selection", made exact): instead of running the
-// full radix/quickselect descent over all n magnitudes, estimate from a
-// small strided sample a threshold τ that about 2.5·k entries reach,
-// collect EVERY entry with |x| >= τ in one sequential scan, and
-// select the exact top-k among those few candidates.
+// full radix/quickselect descent over all n magnitudes, pick a threshold
+// τ that a few more than k entries reach, collect EVERY entry with
+// |x| >= τ, and select the exact top-k among those few candidates. There
+// are two ways to the candidates:
 //
-// Why the result is exact, whatever the sample said: if at least k
+//   - TopKAccumulateInto, the training step's selection, collects them
+//     inside the pass that accumulates the gradient into the residual, at
+//     a τ carried over from the previous selection of the same residual
+//     (its k-th magnitude times a factor that adapts to the declines);
+//   - TopKInto estimates τ from a small strided sample, as the rank that
+//     about 2.5·k entries reach, and collects in a second, read-only scan.
+//     It serves every other caller, the first step of a residual and
+//     every decline of the accumulate pass.
+//
+// Why the result is exact, whatever τ was: if at least k
 // entries have magnitude >= τ, the k-th largest magnitude of x is >= τ,
 // so every entry the full selection would pick — strict winners and
 // threshold ties alike — is a candidate, and no candidate outranks a
 // non-candidate differently than it would in x. The candidates are
 // collected in ascending index order, so TopKSparseInto applies the same
 // (magnitude descending, index ascending) rule to them that the dense
-// emit scan applies to x: same indices, same value bits. The sample only
-// decides how much work that costs. Whenever the argument does not apply
-// the path declines and the caller runs the full selection:
+// emit scan applies to x: same indices, same value bits. τ only decides
+// how much work that costs. Whenever the argument does not apply the path
+// declines and the caller runs the full selection:
 //
 //   - fewer than k candidates (τ came out too high),
 //   - more candidates than the cap (τ too low, or a heavy tie at τ),
@@ -32,6 +42,9 @@ import (
 //     NaN behaviour), or a NaN τ,
 //   - (n, k) outside the gate: n below candMinN, or k above
 //     n/candMaxShare, where the candidates stop being few.
+//
+// Both ways share the gate and candPlan's cap; only where τ comes from
+// differs.
 
 // candMinN is the smallest input the candidate path takes: below it a
 // whole selection costs a few microseconds on either path and the cap (at
@@ -121,6 +134,167 @@ func topKCandidates(dst *Vector, x []float32, k int) bool {
 	}
 	TopKSparseInto(dst, cand, k)
 	return true
+}
+
+const (
+	// hintFrac is the factor a fresh SelectHint starts at: τ sits a tenth
+	// below the last k-th magnitude, so a residual whose top moves a little
+	// between steps still yields at least k candidates.
+	hintFrac = 0.9
+	// hintShrink multiplies the factor after a "fewer than k" decline; a
+	// cap overflow moves it halfway to 1 instead.
+	hintShrink = 0.9
+	// noCollect is a threshold no sign-free bit pattern reaches: with it
+	// the accumulate pass only accumulates.
+	noCollect = signMask32
+)
+
+// SelectHint is what one TopKAccumulateInto leaves for the next over the
+// same residual: the threshold its accumulate pass collects at and the
+// buffer it collects into. The zero value is ready (its first call takes
+// the sampled path). It never changes a result, only what one costs. A
+// hint belongs to one residual and is not safe for concurrent use.
+type SelectHint struct {
+	tau  uint32  // sign-free bit pattern to collect at; 0 = none yet
+	frac float32 // τ = frac · the last selection's k-th magnitude
+	cand Vector  // the collected candidates, reused
+}
+
+// TopKAccumulateInto accumulates grad into residual and writes the k
+// largest-magnitude entries of the updated residual into dst, exactly
+// what TopKInto(dst, residual, k) would write. With mu > 0 the gradient
+// first folds into the momentum buffer vel (DGC's momentum correction):
+// v = mu·vel[i] + grad[i]; vel[i] = v; residual[i] += v — the float32
+// operations, in the same order, of the separate fold and add. With
+// mu <= 0 it is residual[i] += grad[i] and vel is not touched.
+//
+// The same pass collects every updated entry at or above the hint's τ as
+// a candidate; it reports whether the candidates sufficed. When they do
+// not, or the hint has no τ yet, the selection runs TopKInto over the
+// updated residual instead. Either way the hint then takes its τ from
+// the new selection.
+func TopKAccumulateInto(dst *Vector, residual, vel []float32, mu float32, grad []float32, k int, h *SelectHint) bool {
+	n := len(grad)
+	if len(residual) != n || (mu > 0 && len(vel) != n) {
+		panic(fmt.Sprintf("sparse: TopKAccumulateInto length mismatch: residual %d, velocity %d, gradient %d", len(residual), len(vel), n))
+	}
+	if h.frac == 0 {
+		h.frac = hintFrac
+	}
+	tau, limit := h.tau, 0
+	if n < candMinN || k < 1 || k > n/candMaxShare || tau == 0 || tau > infBits {
+		tau = noCollect
+	} else if _, _, limit = candPlan(n, k); limit >= n {
+		tau, limit = noCollect, 0
+	} else {
+		ensureVec(&h.cand, limit)
+	}
+	idx, val := h.cand.Indices[:limit], h.cand.Values[:limit]
+	var c int
+	if mu > 0 {
+		c = accumulateMomentum(idx, val, residual, vel, mu, grad, tau)
+	} else {
+		c = accumulate(idx, val, residual, grad, tau)
+	}
+
+	taken := false
+	switch {
+	case tau == noCollect:
+	case c < k:
+		h.frac *= hintShrink
+	case c > limit:
+		h.frac = (h.frac + 1) / 2
+	default:
+		taken = true
+		for _, v := range val[:c] {
+			if v != v {
+				taken = false
+				break
+			}
+		}
+	}
+	if taken {
+		h.cand.Indices, h.cand.Values, h.cand.Dim = idx[:c], val[:c], n
+		TopKSparseInto(dst, &h.cand, k)
+	} else {
+		TopKInto(dst, residual, k)
+	}
+
+	// τ for the next pass: the k-th magnitude is the smallest selected one.
+	kth := uint32(math.MaxUint32)
+	for _, v := range dst.Values {
+		kth = min(kth, math.Float32bits(v)&^signMask32)
+	}
+	h.tau = 0
+	if len(dst.Values) > 0 {
+		h.tau = math.Float32bits(math.Float32frombits(kth) * h.frac)
+	}
+	return taken
+}
+
+// accumulate is TopKAccumulateInto's pass without momentum: residual +=
+// grad, collecting each updated entry whose sign-free bits are >= tau
+// into (idx, val) while they have room. It returns how many entries
+// reached tau — more than len(idx) when they did not all fit.
+func accumulate(idx []int32, val []float32, residual, grad []float32, tau uint32) int {
+	residual = residual[:len(grad)]
+	val = val[:len(idx)]
+	o := 0
+	for i, g := range grad {
+		r := residual[i] + g
+		residual[i] = r
+		if math.Float32bits(r)&^signMask32 >= tau {
+			if o < len(idx) {
+				idx[o] = int32(i)
+				val[o] = r
+			}
+			o++
+		}
+	}
+	return o
+}
+
+// accumulateMomentum is accumulate with the momentum fold in front.
+func accumulateMomentum(idx []int32, val []float32, residual, vel []float32, mu float32, grad []float32, tau uint32) int {
+	residual, vel = residual[:len(grad)], vel[:len(grad)]
+	val = val[:len(idx)]
+	o := 0
+	for i, g := range grad {
+		v := mu*vel[i] + g
+		vel[i] = v
+		r := residual[i] + v
+		residual[i] = r
+		if math.Float32bits(r)&^signMask32 >= tau {
+			if o < len(idx) {
+				idx[o] = int32(i)
+				val[o] = r
+			}
+			o++
+		}
+	}
+	return o
+}
+
+// collectAtLeast copies every entry of x whose sign-free bit pattern is
+// >= tau into the dst slices — dense positions as indices, signed values
+// as found, ascending — and returns how many it wrote, or -1 as soon as
+// they would not fit in len(dstIdx). tau must be in [1, infBits]: for
+// finite magnitudes bit order is float order, and every NaN pattern is
+// above it, so NaNs are always collected (the caller rejects them).
+func collectAtLeast(dstIdx []int32, dstVal []float32, x []float32, tau uint32) int {
+	dstVal = dstVal[:len(dstIdx)]
+	o := 0
+	for i, v := range x {
+		if math.Float32bits(v)&^signMask32 >= tau {
+			if o == len(dstIdx) {
+				return -1
+			}
+			dstIdx[o] = int32(i)
+			dstVal[o] = v
+			o++
+		}
+	}
+	return o
 }
 
 // sampleRank returns the rank-th largest magnitude bit pattern among

@@ -7,9 +7,9 @@ import (
 
 // This file is the kernel dispatch layer: every per-element hot loop of
 // the selection/merge/encode machinery (magnitude fill, quickselect
-// partition, threshold counting, candidate scan, sorted merge, dense
-// scatter-add, wire word moves, index validation) exists in two
-// pinned-bit-identical variants — a portable pure-Go one (kernels_pure.go, always compiled)
+// partition, threshold counting, sorted merge, dense scatter-add, wire
+// word moves, index validation) exists in two pinned-bit-identical
+// variants — a portable pure-Go one (kernels_pure.go, always compiled)
 // and a word-batched/bounds-check-eliminated one (kernels_fast.go,
 // compiled on little-endian 64-bit targets unless the `purego` build tag
 // is set). Most fast variants replay exactly the same comparison sequence
@@ -19,13 +19,13 @@ import (
 // the one algorithmic substitution, and it computes a value (the k-th
 // largest of a multiset) that no algorithm can disagree on, falling back
 // to the quickselect reference whenever NaNs make float ordering and bit
-// ordering diverge. In front of both sits the sampled-threshold candidate
-// path of candidates.go, which is exact for the same reason — it changes
-// which entries are looked at, never which are selected — and declines to
-// the radix/quickselect path whenever its argument does not hold. The
-// active variant is a process-wide mode, selectable at startup via
-// SetKernels (the CLI -kernels flag) and defaulting to fast where
-// available.
+// ordering diverge. In front of both sits the candidate path of
+// candidates.go (one implementation in both modes), which is exact for
+// the same reason — it changes which entries are looked at, never which
+// are selected — and declines to the radix/quickselect path whenever its
+// argument does not hold. The active variant is a process-wide mode,
+// selectable at startup via SetKernels (the CLI -kernels flag) and
+// defaulting to fast where available.
 
 // Kernel mode names accepted by SetKernels.
 const (
@@ -150,21 +150,6 @@ func selectThresholdVals(vals []float32, k int) (thr float32, strict int, ok boo
 		return radixSelectKthLargest(vals, k)
 	}
 	return 0, 0, false
-}
-
-// collectAtLeast appends every entry of x whose magnitude bit pattern
-// (sign bit cleared) is >= tau to the dst slices — dense positions as
-// indices, signed values as found, ascending — and returns how many it
-// wrote, or -1 as soon as they would not fit in len(dstIdx). tau must be
-// in [1, infBits]: for finite magnitudes bit order is float order, and
-// every NaN pattern is above it, so NaNs are always collected (the caller
-// rejects them). Both variants test the same predicate on every element
-// in the same order; the fast one tests two elements per 64-bit word.
-func collectAtLeast(dstIdx []int32, dstVal []float32, x []float32, tau uint32) int {
-	if fastEnabled.Load() {
-		return collectAtLeastFast(dstIdx, dstVal, x, tau)
-	}
-	return collectAtLeastPure(dstIdx, dstVal, 0, x, 0, tau)
 }
 
 // emitTopK scans srcVal (paired with srcIdx, or dense positions when

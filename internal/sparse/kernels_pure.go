@@ -95,27 +95,6 @@ func emitTopKPure(dstIdx []int32, dstVal []float32, srcIdx []int32, srcVal []flo
 	return o
 }
 
-// collectAtLeastPure is the reference candidate scan over x, whose first
-// element sits at dense position base, continuing at output slot o (the
-// fast variant hands it the few 16-element groups that hold a candidate).
-// It returns the next free slot, or -1 when dst is full. Not inlined: the
-// fast variant's word loop keeps its registers only if this stays a call.
-//
-//go:noinline
-func collectAtLeastPure(dstIdx []int32, dstVal []float32, o int, x []float32, base int, tau uint32) int {
-	for i, v := range x {
-		if math.Float32bits(v)&^signMask32 >= tau {
-			if o == len(dstIdx) {
-				return -1
-			}
-			dstIdx[o] = int32(base + i)
-			dstVal[o] = v
-			o++
-		}
-	}
-	return o
-}
-
 func scatterAddPure(dense []float32, mark []bool, touched []int32, indices []int32, values []float32) []int32 {
 	for i, idx := range indices {
 		if !mark[idx] {

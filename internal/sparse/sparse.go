@@ -163,8 +163,7 @@ func TopK(x []float32, k int) *Vector {
 }
 
 // TopKInto is TopK writing into a caller-owned destination, reusing its
-// capacity. Selection order and tie-breaking are identical to TopK; the
-// sharded selection engine runs it per shard.
+// capacity. Selection order and tie-breaking are identical to TopK.
 func TopKInto(dst *Vector, x []float32, k int) {
 	dst.Dim = len(x)
 	if k <= 0 {

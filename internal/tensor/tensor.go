@@ -126,22 +126,6 @@ func AddInto(dst, x []float32) {
 	}
 }
 
-// MomentumAddInto folds x into the momentum buffer vel and adds the
-// folded value into dst, reading and writing each of the three arrays
-// once: v = mu*vel[i] + x[i]; vel[i] = v; dst[i] += v. The float32
-// operations are those of the two separate loops it replaces (fold, then
-// AddInto(dst, vel)), in the same order per element.
-func MomentumAddInto(dst, vel []float32, mu float32, x []float32) {
-	if len(dst) != len(x) || len(vel) != len(x) {
-		panic(fmt.Sprintf("tensor: MomentumAddInto length mismatch: %d, %d vs %d", len(dst), len(vel), len(x)))
-	}
-	for i, g := range x {
-		v := mu*vel[i] + g
-		vel[i] = v
-		dst[i] += v
-	}
-}
-
 // SubInto computes dst -= x element-wise.
 func SubInto(dst, x []float32) {
 	if len(dst) != len(x) {

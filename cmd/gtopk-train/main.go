@@ -44,16 +44,10 @@ func main() {
 		quorum    = flag.Int("quorum", 0, "straggler-tolerant quorum size q: rounds close after q contributions under the -round-timeout deadline (0 disables; requires -algo gtopk, gtopk-hier or gtopk-quant8 and a strict majority; under gtopk-hier, q is the intra-group quorum q_g)")
 		leaderQ   = flag.Int("leader-quorum", 0, "hierarchical quorum's leader-level quorum q_l over the group aggregates (0 = every group; requires -quorum and -algo gtopk-hier)")
 		roundTO   = flag.Duration("round-timeout", 0, "per-round gather deadline for -quorum (must be > 0 when -quorum is set; under gtopk-hier the budget splits 1/4:1/2:1/4 across the intra, leader and broadcast levels)")
-		kernels   = flag.String("kernels", sparse.DefaultKernels(), "sparse kernel implementation: fast (vectorized, where the build supports it) or pure; results are bit-identical")
 	)
 	flag.Parse()
 
 	wireCodec, err := validate(*model, *algoFlag, *workers, *batch, *epochs, *iters, *density, *lr, *evalN, *hierGroup, *wire, *quorum, *leaderQ, *roundTO)
-	if err == nil {
-		if kerr := sparse.SetKernels(*kernels); kerr != nil {
-			err = fmt.Errorf("-kernels: %w", kerr)
-		}
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gtopk-train: %v\n\n", err)
 		flag.Usage()

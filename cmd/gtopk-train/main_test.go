@@ -49,7 +49,7 @@ func TestFlagValidation(t *testing.T) {
 		{"round-timeout-needs-quorum", []string{"-round-timeout", "50ms"}, "-round-timeout requires -quorum"},
 		{"retired-wire-v2", []string{"-wire", "v2"}, "want v1, v3 or v3-<value codec>"},
 		{"retired-value-codec-flag", []string{"-wire", "v3", "-value-codec", "qsgd8"}, "flag provided but not defined: -value-codec"},
-		{"bad-kernels", []string{"-kernels", "bogus"}, `-kernels: sparse: unknown kernel mode "bogus"`},
+		{"retired-kernels", []string{"-kernels", "pure"}, "flag provided but not defined: -kernels"},
 		{"unknown-flag", []string{"-warp-speed"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

@@ -86,7 +86,6 @@ type options struct {
 	groupTO      time.Duration
 	leaderTO     time.Duration
 	verdictTO    time.Duration
-	kernels      string
 
 	// wireCodec is the parsed -wire flag.
 	wireCodec sparse.Codec
@@ -129,7 +128,6 @@ func main() {
 	flag.DurationVar(&o.groupTO, "group-timeout", 0, "hierarchical quorum's intra-group gather budget (set all three level budgets or none; zero = the default 1/4:1/2:1/4 split of -round-timeout; requires -quorum and -hier-group)")
 	flag.DurationVar(&o.leaderTO, "leader-timeout", 0, "hierarchical quorum's leader-level gather budget (see -group-timeout)")
 	flag.DurationVar(&o.verdictTO, "verdict-timeout", 0, "hierarchical quorum's per-attempt verdict broadcast budget (see -group-timeout)")
-	flag.StringVar(&o.kernels, "kernels", sparse.DefaultKernels(), "sparse kernel implementation: fast (vectorized, where the build supports it) or pure; results are bit-identical")
 	flag.Parse()
 
 	if err := o.validate(); err != nil {
@@ -215,10 +213,6 @@ func (o *options) validate() error {
 			return fmt.Errorf("per-level budgets %v + %v + %v = %v exceed -round-timeout %v", o.groupTO, o.leaderTO, o.verdictTO, sum, o.roundTimeout)
 		}
 	}
-	if err := sparse.SetKernels(o.kernels); err != nil {
-		return fmt.Errorf("-kernels: %w", err)
-	}
-
 	if o.coordinator != "" {
 		// Elastic mode.
 		if o.name == "" {

@@ -60,7 +60,7 @@ func TestFlagValidation(t *testing.T) {
 		{"coordinator-needs-ckptdir", []string{"-coordinator", "h:1", "-name", "w0"}, "-coordinator requires -checkpoint-dir"},
 		{"elastic-topk-rejected", []string{"-coordinator", "h:1", "-name", "w0", "-checkpoint-dir", "/tmp/x", "-algo", "topk"}, "not elastic-safe"},
 		{"addrs-conflicts-coordinator", []string{"-coordinator", "h:1", "-name", "w0", "-checkpoint-dir", "/tmp/x", "-addrs", "a:1"}, "-addrs conflicts with -coordinator"},
-		{"bad-kernels", []string{"-addrs", "a:1", "-kernels", "bogus"}, `-kernels: sparse: unknown kernel mode "bogus"`},
+		{"retired-kernels", []string{"-addrs", "a:1", "-kernels", "pure"}, "flag provided but not defined: -kernels"},
 		{"unknown-flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

@@ -302,8 +302,8 @@ func collectAtLeast(dstIdx []int32, dstVal []float32, x []float32, tau uint32) i
 // rank non-zero magnitudes. It streams the sample through a small sorted
 // buffer of the largest patterns seen (kept[0] the smallest of them): an
 // insertion costs O(rank) but happens only about rank·ln(samples/rank)
-// times. Working on bit patterns keeps NaNs ordinary (large) values, so
-// the result does not depend on the kernel mode.
+// times. Working on bit patterns keeps NaNs ordinary (large) values:
+// they land above every finite τ and the collect scan rejects them.
 func sampleRank(x []float32, stride, rank int) uint32 {
 	var buf [candRank + 1]uint32
 	kept := buf[:rank]

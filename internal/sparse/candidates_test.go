@@ -28,14 +28,6 @@ func bothCandGates(t *testing.T, body func()) {
 	body()
 }
 
-// kernelModes lists the kernel modes this build can run.
-func kernelModes() []string {
-	if FastKernelsAvailable() {
-		return []string{KernelsPure, KernelsFast}
-	}
-	return []string{KernelsPure}
-}
-
 // fullPathTopK is TopK with the candidate path switched off: the
 // radix/quickselect reference every candidate result is compared with.
 func fullPathTopK(x []float32, k int) *Vector {
@@ -117,36 +109,25 @@ func candidateWall(n int) []candCase {
 }
 
 // TestCandidatePathBitIdentical is the candidate path's acceptance wall:
-// on every input family and both slice alignments, in every kernel mode
-// this build has, TopKInto with the path on returns the same indices and
-// value bits as the radix/quickselect path alone — and the path really
-// was taken, or really declined, where the case says so.
+// on every input family and both slice alignments, TopKInto with the
+// path on returns the same indices and value bits as the radix/quickselect
+// path alone — and the path really was taken, or really declined, where
+// the case says so.
 func TestCandidatePathBitIdentical(t *testing.T) {
-	prev := Kernels()
-	t.Cleanup(func() {
-		if err := SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	})
 	for _, n := range []int{candMinN, 3*candMinN + 7} {
 		for _, tc := range candidateWall(n) {
 			for _, off := range []int{0, 1} { // 8-byte aligned, and not
 				buf := make([]float32, n+off)
 				x := buf[off:]
 				copy(x, tc.x)
-				for _, mode := range kernelModes() {
-					label := fmt.Sprintf("n=%d %s off=%d %s", n, tc.name, off, mode)
-					if err := SetKernels(mode); err != nil {
-						t.Fatal(err)
-					}
-					want := fullPathTopK(x, tc.k)
-					got := TopK(x, tc.k)
-					if !vectorsEqualBits(want, got) {
-						t.Fatalf("%s: candidate path differs from the full path", label)
-					}
-					if taken := topKCandidates(&Vector{}, x, tc.k); taken != tc.taken {
-						t.Fatalf("%s: candidate path taken=%v, want %v", label, taken, tc.taken)
-					}
+				label := fmt.Sprintf("n=%d %s off=%d", n, tc.name, off)
+				want := fullPathTopK(x, tc.k)
+				got := TopK(x, tc.k)
+				if !vectorsEqualBits(want, got) {
+					t.Fatalf("%s: candidate path differs from the full path", label)
+				}
+				if taken := topKCandidates(&Vector{}, x, tc.k); taken != tc.taken {
+					t.Fatalf("%s: candidate path taken=%v, want %v", label, taken, tc.taken)
 				}
 			}
 		}

@@ -142,59 +142,31 @@ func BenchmarkAccumulator(b *testing.B) {
 	}
 }
 
-// benchKernelModes runs one benchmark body under each available kernel
-// mode (fast first when the build has it), restoring the prior mode.
-// This is the per-kernel fast-vs-pure comparison harness: identical
-// inputs, identical outputs (pinned by the kernels_test equivalence
-// suite), only the implementation differs.
-func benchKernelModes(b *testing.B, run func(b *testing.B)) {
-	modes := []string{KernelsPure}
-	if FastKernelsAvailable() {
-		modes = []string{KernelsFast, KernelsPure}
-	}
-	prev := Kernels()
-	defer func() {
-		if err := SetKernels(prev); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	for _, mode := range modes {
-		b.Run(mode, func(b *testing.B) {
-			if err := SetKernels(mode); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			run(b)
-		})
-	}
-}
-
-// BenchmarkKernelThreshold isolates the magnitude-fill + quickselect
-// kernels (absInto, partitionGreater) on a dense 100k-element input.
+// BenchmarkKernelThreshold isolates the threshold kernel (kthLargest:
+// the radix descent) on a dense 100k-element input.
 func BenchmarkKernelThreshold(b *testing.B) {
 	src := prng.New(21)
 	x := make([]float32, 100_000)
 	for i := range x {
 		x[i] = float32(src.NormFloat64())
 	}
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = Threshold(x, 100)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = kthLargest(x, 100)
+	}
 }
 
 // BenchmarkKernelTopKSparseInto covers the full sparse re-selection unit
-// (absInto + partitionGreater + countGreater + emit scan).
+// (kthLargest + emit scan).
 func BenchmarkKernelTopKSparseInto(b *testing.B) {
 	v := benchVector(22, 100_000, 2000)
 	dst := &Vector{}
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			TopKSparseInto(dst, v, 1000)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TopKSparseInto(dst, v, 1000)
+	}
 }
 
 // BenchmarkKernelAddInto isolates the sorted-merge kernel (mergeAdd).
@@ -202,13 +174,13 @@ func BenchmarkKernelAddInto(b *testing.B) {
 	x := benchVector(23, 100_000, 1000)
 	y := benchVector(24, 100_000, 1000)
 	dst := &Vector{}
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := AddInto(dst, x, y); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := AddInto(dst, x, y); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // BenchmarkKernelScatterAdd isolates the dense scatter-add kernel behind
@@ -222,39 +194,39 @@ func BenchmarkKernelScatterAdd(b *testing.B) {
 	acc := GetAccumulator(100_000)
 	defer acc.Release()
 	sum := &Vector{}
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, v := range vecs {
-				if err := acc.Add(v); err != nil {
-					b.Fatal(err)
-				}
-			}
-			acc.CompactInto(sum)
-		}
-	})
-}
-
-// BenchmarkKernelEncode isolates the wire word-move kernel (putWords:
-// two memcpys in fast mode, per-element PutUint32 loops in pure mode).
-func BenchmarkKernelEncode(b *testing.B) {
-	v := benchVector(25, 100_000, 1000)
-	buf := make([]byte, EncodedSize(v.NNZ()))
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = EncodeTo(buf, v)
-		}
-	})
-}
-
-// BenchmarkKernelValidate isolates the index-validation kernel
-// (checkIndices: one compare per element in fast mode on valid input).
-func BenchmarkKernelValidate(b *testing.B) {
-	v := benchVector(26, 100_000, 1000)
-	benchKernelModes(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := v.Validate(); err != nil {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range vecs {
+			if err := acc.Add(v); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+		acc.CompactInto(sum)
+	}
+}
+
+// BenchmarkKernelEncode isolates the wire word-move kernel (putWords:
+// two memcpys on a little-endian host).
+func BenchmarkKernelEncode(b *testing.B) {
+	v := benchVector(25, 100_000, 1000)
+	buf := make([]byte, EncodedSize(v.NNZ()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = EncodeTo(buf, v)
+	}
+}
+
+// BenchmarkKernelValidate isolates the index-validation kernel
+// (checkIndices: one compare per element on valid input).
+func BenchmarkKernelValidate(b *testing.B) {
+	v := benchVector(26, 100_000, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,67 +2,15 @@ package sparse
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"gtopkssgd/internal/prng"
 )
-
-// withKernels runs fn under the named kernel mode, restoring the prior
-// mode afterwards. Skips when the mode is not available in this build
-// (fast under -tags purego).
-func withKernels(t *testing.T, mode string, fn func()) {
-	t.Helper()
-	if mode == KernelsFast && !FastKernelsAvailable() {
-		t.Skipf("fast kernels unavailable in this build")
-	}
-	prev := Kernels()
-	if err := SetKernels(mode); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	fn()
-}
-
-func TestKernelsModeAPI(t *testing.T) {
-	prev := Kernels()
-	defer func() {
-		if err := SetKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	if got := DefaultKernels(); FastKernelsAvailable() != (got == KernelsFast) {
-		t.Fatalf("DefaultKernels()=%q with FastKernelsAvailable()=%v", got, FastKernelsAvailable())
-	}
-	if err := SetKernels(KernelsPure); err != nil {
-		t.Fatal(err)
-	}
-	if got := Kernels(); got != KernelsPure {
-		t.Fatalf("Kernels()=%q after SetKernels(pure)", got)
-	}
-	if err := SetKernels("bogus"); err == nil {
-		t.Fatal("SetKernels(bogus) did not error")
-	}
-	if got := Kernels(); got != KernelsPure {
-		t.Fatalf("failed SetKernels changed the mode to %q", got)
-	}
-	err := SetKernels(KernelsFast)
-	if FastKernelsAvailable() {
-		if err != nil {
-			t.Fatalf("SetKernels(fast) on a fast-capable build: %v", err)
-		}
-		if got := Kernels(); got != KernelsFast {
-			t.Fatalf("Kernels()=%q after SetKernels(fast)", got)
-		}
-	} else if err == nil {
-		t.Fatal("SetKernels(fast) succeeded in a build without fast kernels")
-	}
-}
 
 // kernelInputFamilies generates the input classes the equivalence suite
 // sweeps: normal random, tie-heavy quantized, all-zero, magnitude-skewed
@@ -96,19 +44,97 @@ func kernelInputFamilies(seed uint64, n int) map[string][]float32 {
 	}
 }
 
-// runSelectionUnderMode captures every observable output of the dense and
-// sparse selection paths for one input under the active kernel mode.
-func runSelectionUnderMode(t *testing.T, x []float32, k int) (dense, sprs *Vector, thr float32) {
-	t.Helper()
-	dense = &Vector{}
-	TopKInto(dense, x, k)
-	sv := FromDense(x)
-	sprs = &Vector{}
-	TopKSparseInto(sprs, sv, min(k, max(sv.NNZ(), 1)))
-	if k >= 1 && k <= len(x) {
-		thr = Threshold(x, k)
+// radixWallInputs adds the edge classes of the radix ≡ quickselect wall
+// to the kernelInputFamilies: infinities of both signs at the top, ±0
+// ties, denormal magnitudes only, and one repeated value.
+func radixWallInputs(seed uint64, n int) map[string][]float32 {
+	in := kernelInputFamilies(seed, n)
+	src := prng.New(seed + 1)
+	inf := make([]float32, n)
+	signedZeros := make([]float32, n)
+	denormal := make([]float32, n)
+	equal := make([]float32, n)
+	for i := 0; i < n; i++ {
+		inf[i] = float32(src.NormFloat64())
+		if i%3 == 0 {
+			inf[i] = float32(math.Inf(1 - 2*(i/3%2)))
+		}
+		signedZeros[i] = float32(math.Copysign(0, float64(1-2*(i%2))))
+		if i%50 == 7 {
+			signedZeros[i] = float32(src.NormFloat64())
+		}
+		denormal[i] = math.Float32frombits(uint32(src.Uint64()%0x7fffff+1) | uint32(i%2)<<31)
+		equal[i] = -1.5
 	}
-	return dense, sprs, thr
+	in["inf"], in["signed-zeros"], in["denormal"], in["all-equal"] = inf, signedZeros, denormal, equal
+	return in
+}
+
+// quickselectRef is kthLargest's quickselect route on its own, over a
+// fresh magnitude copy: the reference the radix descent must reproduce.
+func quickselectRef(vals []float32, k int) (thr float32, strict int) {
+	mags := make([]float32, len(vals))
+	absInto(mags, vals)
+	thr = selectKthLargest(mags, k)
+	return thr, countGreater(mags, thr)
+}
+
+func hasNaN(x []float32) bool {
+	return slices.ContainsFunc(x, func(v float32) bool { return v != v })
+}
+
+// checkRadixAgainstQuickselect asserts the radix descent's contract on
+// one input: it declines below radixMinN or on NaN input, and otherwise
+// returns the quickselect route's threshold bits and strict count.
+// kthLargest must return the reference either way.
+func checkRadixAgainstQuickselect(t *testing.T, label string, x []float32, k int) {
+	t.Helper()
+	wantThr, wantStrict := quickselectRef(x, k)
+	thr, strict, ok := radixSelectKthLargest(x, k)
+	switch {
+	case len(x) < radixMinN || hasNaN(x):
+		if ok {
+			t.Fatalf("%s k=%d: radix accepted an input it must decline", label, k)
+		}
+	case !ok:
+		t.Fatalf("%s k=%d: radix declined a NaN-free input of %d", label, k, len(x))
+	case math.Float32bits(thr) != math.Float32bits(wantThr) || strict != wantStrict:
+		t.Fatalf("%s k=%d: radix (%#x, %d), quickselect (%#x, %d)", label, k,
+			math.Float32bits(thr), strict, math.Float32bits(wantThr), wantStrict)
+	}
+	thr, strict = kthLargest(x, k)
+	if math.Float32bits(thr) != math.Float32bits(wantThr) || strict != wantStrict {
+		t.Fatalf("%s k=%d: kthLargest (%#x, %d), quickselect (%#x, %d)", label, k,
+			math.Float32bits(thr), strict, math.Float32bits(wantThr), wantStrict)
+	}
+}
+
+// TestRadixMatchesQuickselect is the threshold kernel's wall: on both
+// sides of the radix size gate, over every input family and edge class,
+// the radix descent returns the same threshold bits and strict count as
+// quickselect, and NaN input declines to quickselect.
+func TestRadixMatchesQuickselect(t *testing.T) {
+	for _, n := range []int{radixMinN - 1, radixMinN, radixMinN + 1, 4096} {
+		for name, x := range radixWallInputs(uint64(n), n) {
+			for _, k := range []int{1, n / 2, n - 1} {
+				checkRadixAgainstQuickselect(t, fmt.Sprintf("n=%d %s", n, name), x, k)
+			}
+		}
+	}
+}
+
+// refTopK is TopKInto's full selection with the threshold taken from the
+// quickselect route and the winners from the branchy emit loop alone.
+func refTopK(dst *Vector, idx []int32, vals []float32, dim, k int) {
+	if k >= len(vals) {
+		dst.Dim, dst.Indices, dst.Values = dim, slices.Clone(idx), slices.Clone(vals)
+		return
+	}
+	thr, strict := quickselectRef(vals, k)
+	ensureVec(dst, k)
+	dst.Dim = dim
+	o := emitTopKBranchy(dst.Indices, dst.Values, idx, vals, thr, k-strict, k)
+	dst.Indices, dst.Values = dst.Indices[:o], dst.Values[:o]
 }
 
 func vectorsEqualBits(a, b *Vector) bool {
@@ -124,115 +150,134 @@ func vectorsEqualBits(a, b *Vector) bool {
 	return true
 }
 
-// TestKernelsSelectionEquivalence pins fast-mode selection bit-identical
-// to pure mode across the input families — including NaN/Inf-spiked
-// slices, where identity holds because the fast partition replays the
-// pure partition's exact swap sequence.
+// TestKernelsSelectionEquivalence pins TopKInto and TopKSparseInto to
+// the same selection with the threshold from quickselect and the winners
+// from the branchy emit loop, across the input families, on both sides
+// of the radix size gate and of the branchless emit's shape gate —
+// including NaN/Inf-spiked slices.
 func TestKernelsSelectionEquivalence(t *testing.T) {
-	if !FastKernelsAvailable() {
-		t.Skip("fast kernels unavailable in this build")
-	}
-	for name, x := range kernelInputFamilies(42, 501) {
-		for _, k := range []int{1, 2, 50, 250, 500, 501} {
-			var pd, ps *Vector
-			var pthr float32
-			withKernels(t, KernelsPure, func() { pd, ps, pthr = runSelectionUnderMode(t, x, k) })
-			var fd, fs *Vector
-			var fthr float32
-			withKernels(t, KernelsFast, func() { fd, fs, fthr = runSelectionUnderMode(t, x, k) })
-			if math.Float32bits(pthr) != math.Float32bits(fthr) {
-				t.Fatalf("%s k=%d: Threshold pure %x fast %x", name, k,
-					math.Float32bits(pthr), math.Float32bits(fthr))
-			}
-			if !vectorsEqualBits(pd, fd) {
-				t.Fatalf("%s k=%d: TopKInto differs between modes", name, k)
-			}
-			if !vectorsEqualBits(ps, fs) {
-				t.Fatalf("%s k=%d: TopKSparseInto differs between modes", name, k)
+	for _, n := range []int{501, 2 * radixMinN} {
+		for name, x := range kernelInputFamilies(42, n) {
+			sv := FromDense(x)
+			for _, k := range []int{1, 2, 50, n / 2, n - 1} {
+				got, want := &Vector{}, &Vector{}
+				TopKInto(got, x, k)
+				refTopK(want, nil, x, n, k)
+				if !vectorsEqualBits(want, got) {
+					t.Fatalf("n=%d %s k=%d: TopKInto differs from the quickselect route", n, name, k)
+				}
+				ks := min(k, max(sv.NNZ(), 1))
+				TopKSparseInto(got, sv, ks)
+				refTopK(want, sv.Indices, sv.Values, n, ks)
+				if !vectorsEqualBits(want, got) {
+					t.Fatalf("n=%d %s k=%d: TopKSparseInto differs from the quickselect route", n, name, ks)
+				}
 			}
 		}
 	}
 }
 
-// TestKernelsMergeEquivalence pins AddInto, MergeInto, the Accumulator
-// scatter-add, and the wire encoding bit-identical across modes.
-func TestKernelsMergeEquivalence(t *testing.T) {
-	if !FastKernelsAvailable() {
-		t.Skip("fast kernels unavailable in this build")
+// refAdd is the sparse sum written out from the definition: the union
+// support ascending, a+b where both hold an index, the lone value where
+// one does.
+func refAdd(a, b *Vector) *Vector {
+	sum := map[int32]float32{}
+	for i, idx := range a.Indices {
+		sum[idx] = a.Values[i]
 	}
+	for i, idx := range b.Indices {
+		if v, ok := sum[idx]; ok {
+			sum[idx] = v + b.Values[i]
+		} else {
+			sum[idx] = b.Values[i]
+		}
+	}
+	out := &Vector{Dim: a.Dim}
+	for _, idx := range slices.Sorted(maps.Keys(sum)) {
+		out.Indices = append(out.Indices, idx)
+		out.Values = append(out.Values, sum[idx])
+	}
+	return out
+}
+
+// refPutWords is putWords' portable route on its own: one PutUint32 per
+// word.
+func refPutWords(buf []byte, indices []int32, values []float32) {
+	for i, idx := range indices {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(idx))
+	}
+	for i, val := range values {
+		binary.LittleEndian.PutUint32(buf[4*(len(indices)+i):], math.Float32bits(val))
+	}
+}
+
+// TestKernelsMergeEquivalence pins AddInto to the sum's definition,
+// MergeInto to the sort-based selection over it, and the wire encoding
+// to per-word little-endian stores.
+func TestKernelsMergeEquivalence(t *testing.T) {
 	const dim = 512
 	a := randomSparse(7, dim, 96, false)
 	b := randomSparse(8, dim, 96, true)
-	c := randomSparse(9, dim, 33, false)
-	run := func() (sum, merged, acc *Vector, wire []byte) {
-		sum, merged, acc = &Vector{}, &Vector{}, &Vector{}
-		if err := AddInto(sum, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := MergeInto(merged, a, b, 40); err != nil {
-			t.Fatal(err)
-		}
-		ac := GetAccumulator(dim)
-		for _, v := range []*Vector{a, b, c, b} {
-			if err := ac.Add(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ac.CompactInto(acc)
-		ac.Release()
-		wire = bytes.Clone(EncodeTo(make([]byte, EncodedSize(sum.NNZ())), sum))
-		return sum, merged, acc, wire
+	sum, merged := &Vector{}, &Vector{}
+	if err := AddInto(sum, a, b); err != nil {
+		t.Fatal(err)
 	}
-	var psum, pmerged, pacc *Vector
-	var pwire []byte
-	withKernels(t, KernelsPure, func() { psum, pmerged, pacc, pwire = run() })
-	var fsum, fmerged, facc *Vector
-	var fwire []byte
-	withKernels(t, KernelsFast, func() { fsum, fmerged, facc, fwire = run() })
-	if !vectorsEqualBits(psum, fsum) {
-		t.Fatal("AddInto differs between modes")
+	if !vectorsEqualBits(refAdd(a, b), sum) {
+		t.Fatal("AddInto differs from the definition")
 	}
-	if !vectorsEqualBits(pmerged, fmerged) {
-		t.Fatal("MergeInto differs between modes")
+	if err := MergeInto(merged, a, b, 40); err != nil {
+		t.Fatal(err)
 	}
-	if !vectorsEqualBits(pacc, facc) {
-		t.Fatal("Accumulator differs between modes")
+	if !vectorsEqualBits(referenceTopKSparse(sum, 40), merged) {
+		t.Fatal("MergeInto differs from the sort-based selection")
 	}
-	if !bytes.Equal(pwire, fwire) {
-		t.Fatal("EncodeTo bytes differ between modes")
+	want := make([]byte, EncodedSize(sum.NNZ()))
+	binary.LittleEndian.PutUint32(want[0:], uint32(sum.Dim))
+	binary.LittleEndian.PutUint32(want[4:], uint32(sum.NNZ()))
+	refPutWords(want[headerBytes:], sum.Indices, sum.Values)
+	if got := EncodeTo(make([]byte, len(want)), sum); !bytes.Equal(want, got) {
+		t.Fatal("EncodeTo bytes differ from per-word stores")
 	}
 }
 
-// TestKernelsValidateEquivalence pins Validate verdicts AND error text
-// across modes: the fast path's quick scan must fall back to the pure
-// diagnostics on every malformed shape.
+// checkIndicesAgainstScan asserts checkIndices' quick accept gives the
+// full scan's verdict and error text.
+func checkIndicesAgainstScan(t *testing.T, label string, indices []int32, dim int) {
+	t.Helper()
+	msg := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	if got, want := msg(checkIndices(indices, dim)), msg(indexError(indices, dim)); got != want {
+		t.Fatalf("%s: checkIndices %q, full scan %q", label, got, want)
+	}
+}
+
+// TestKernelsValidateEquivalence pins checkIndices' verdicts and error
+// text to the full scan's on every malformed shape.
 func TestKernelsValidateEquivalence(t *testing.T) {
-	if !FastKernelsAvailable() {
-		t.Skip("fast kernels unavailable in this build")
+	cases := [][]int32{
+		{0, 3, 7},
+		{},
+		{-1, 3, 7},
+		{0, 3, 8},
+		{0, 3, 3},
+		{5, 3, 7},
+		{0, -2, 7},
+		{0, 9, 7},
 	}
-	cases := []*Vector{
-		{Dim: 8, Indices: []int32{0, 3, 7}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{}, Values: []float32{}},
-		{Dim: 8, Indices: []int32{-1, 3, 7}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{0, 3, 8}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{0, 3, 3}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{5, 3, 7}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{0, -2, 7}, Values: []float32{1, 2, 3}},
-		{Dim: 8, Indices: []int32{0, 9, 7}, Values: []float32{1, 2, 3}},
+	for i, idx := range cases {
+		checkIndicesAgainstScan(t, fmt.Sprintf("case %d", i), idx, 8)
 	}
-	for i, v := range cases {
-		var perr, ferr error
-		withKernels(t, KernelsPure, func() { perr = v.Validate() })
-		withKernels(t, KernelsFast, func() { ferr = v.Validate() })
-		pmsg, fmsg := "", ""
-		if perr != nil {
-			pmsg = perr.Error()
-		}
-		if ferr != nil {
-			fmsg = ferr.Error()
-		}
-		if pmsg != fmsg {
-			t.Fatalf("case %d: Validate pure=%q fast=%q", i, pmsg, fmsg)
+	// A repeat or a descent at every position of a slice long enough for
+	// the four-wide loop and its tail.
+	for pos := 1; pos < 11; pos++ {
+		for _, step := range []int32{0, -1} {
+			idx := []int32{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+			idx[pos] = idx[pos-1] + step
+			checkIndicesAgainstScan(t, fmt.Sprintf("pos %d step %d", pos, step), idx, 21)
 		}
 	}
 }
@@ -253,15 +298,15 @@ func fuzzFloats(raw []byte, maxN int) []float32 {
 	return out
 }
 
-// FuzzKernelsEquiv asserts fast/pure bit-equivalence on arbitrary inputs:
-// for any bit pattern (finite, Inf, NaN), selection, merge, scatter-add,
-// and wire encoding must produce identical bits in both kernel modes.
-// This is the contract that makes -kernels a pure speed knob. It runs
-// with the candidate path's size gate lowered to 1, so the dense
-// selections below go through the sampled-threshold path wherever k <=
-// n/32, and each is also compared with the radix/quickselect path alone
-// in the same mode — the contract that makes the candidate path a pure
-// speed-up. A build without fast kernels still checks that half.
+// FuzzKernelsEquiv holds each kernel with a second route to that route on
+// arbitrary bit patterns (finite, Inf, NaN): the radix descent to
+// quickselect and the branchless emit to the branchy loop (over the
+// input tiled past their size gates), the memcpy putWords to per-word
+// stores, and checkIndices' quick accept to the full scan. It runs with the candidate path's size gate lowered to
+// 1, so the dense selections go through the sampled-threshold path
+// wherever k <= n/32, and each is compared with the radix/quickselect
+// path alone — the contract that makes the candidate path a pure
+// speed-up.
 func FuzzKernelsEquiv(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 0, 0, 63, 0, 0, 128, 191, 0, 0, 192, 127})
 	f.Add(uint8(1), []byte{0, 0, 128, 127, 0, 0, 128, 255, 1, 0, 0, 0})
@@ -284,77 +329,52 @@ func FuzzKernelsEquiv(f *testing.F) {
 		if len(x) == 0 {
 			return
 		}
-		k := int(kRaw)%len(x) + 1
-		k2 := int(kRaw)%max(len(x)/candMaxShare, 1) + 1 // inside the candidate gate when n >= 32
-		half := len(x) / 2
-		av, bv := FromDense(x[:half]), FromDense(x[:half])
-		if half > 0 {
-			for i := range bv.Values {
-				bv.Values[i] = x[len(x)-1-i%len(x)]
-			}
-		}
+		n := len(x)
+		k := int(kRaw)%n + 1
+		k2 := int(kRaw)%max(n/candMaxShare, 1) + 1 // inside the candidate gate when n >= 32
 		setCandMinN(t, 1)
-		type outputs struct {
-			topk, topk2, sum, stopk *Vector
-			thr                     float32
-			wire                    []byte
-		}
-		run := func() outputs {
-			o := outputs{topk: &Vector{}, topk2: &Vector{}, sum: &Vector{}, stopk: &Vector{}}
-			TopKInto(o.topk, x, k)
-			TopKInto(o.topk2, x, k2)
-			for _, c := range []struct {
-				got *Vector
-				k   int
-			}{{o.topk, k}, {o.topk2, k2}} {
-				if !vectorsEqualBits(fullPathTopK(x, c.k), c.got) {
-					t.Fatalf("%s k=%d: TopKInto with the candidate path differs from the full path", Kernels(), c.k)
-				}
+		for _, kk := range []int{k, k2} {
+			got := &Vector{}
+			TopKInto(got, x, kk)
+			if !vectorsEqualBits(fullPathTopK(x, kk), got) {
+				t.Fatalf("k=%d: TopKInto with the candidate path differs from the full path", kk)
 			}
-			o.thr = Threshold(x, min(k, len(x)))
-			if half > 0 {
-				if err := AddInto(o.sum, av, bv); err != nil {
-					t.Fatal(err)
-				}
-				// Sparse re-selection over the merged sum: the gTop-k tree's
-				// ⊕ step, covering the sparse emit scan and the radix/
-				// quickselect threshold on sparse magnitudes.
-				TopKSparseInto(o.stopk, o.sum, min(k, o.sum.NNZ()))
+		}
+
+		tiled := slices.Repeat(x, radixMinN/n+1)
+		kt := int(kRaw)*len(tiled)/256 + 1
+		checkRadixAgainstQuickselect(t, "tiled", tiled, kt)
+		if sv := FromDense(tiled); kt < sv.NNZ() {
+			got, want := &Vector{}, &Vector{}
+			TopKSparseInto(got, sv, kt)
+			refTopK(want, sv.Indices, sv.Values, sv.Dim, kt)
+			if !vectorsEqualBits(want, got) {
+				t.Fatalf("tiled k=%d: TopKSparseInto differs from the quickselect route and branchy emit", kt)
 			}
-			o.wire = bytes.Clone(Encode(o.topk))
-			return o
 		}
-		prev := Kernels()
-		defer func() {
-			if err := SetKernels(prev); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		if err := SetKernels(KernelsPure); err != nil {
-			t.Fatal(err)
+		checkRadixAgainstQuickselect(t, "raw", x, k)
+
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(math.Float32bits(x[i]))
 		}
-		p := run()
-		if !FastKernelsAvailable() {
-			return
+		got, want := make([]byte, 8*n), make([]byte, 8*n)
+		putWords(got, idx, x)
+		refPutWords(want, idx, x)
+		if !bytes.Equal(got, want) {
+			t.Fatal("putWords differs from per-word stores")
 		}
-		if err := SetKernels(KernelsFast); err != nil {
-			t.Fatal(err)
+
+		asc := FromDense(x).Indices
+		repeat := slices.Clone(asc)
+		if len(repeat) > 1 {
+			j := int(kRaw)%(len(repeat)-1) + 1
+			repeat[j] = repeat[j-1]
 		}
-		f := run()
-		if math.Float32bits(p.thr) != math.Float32bits(f.thr) {
-			t.Fatalf("Threshold pure %x fast %x", math.Float32bits(p.thr), math.Float32bits(f.thr))
-		}
-		if !vectorsEqualBits(p.topk, f.topk) || !vectorsEqualBits(p.topk2, f.topk2) {
-			t.Fatal("TopKInto differs between modes")
-		}
-		if !vectorsEqualBits(p.sum, f.sum) {
-			t.Fatal("AddInto differs between modes")
-		}
-		if !vectorsEqualBits(p.stopk, f.stopk) {
-			t.Fatal("TopKSparseInto differs between modes")
-		}
-		if !bytes.Equal(p.wire, f.wire) {
-			t.Fatal("Encode bytes differ between modes")
+		for _, dim := range []int{n, k, int(kRaw)} {
+			checkIndicesAgainstScan(t, fmt.Sprintf("raw dim=%d", dim), idx, dim)
+			checkIndicesAgainstScan(t, fmt.Sprintf("ascending dim=%d", dim), asc, dim)
+			checkIndicesAgainstScan(t, fmt.Sprintf("repeat dim=%d", dim), repeat, dim)
 		}
 	})
 }

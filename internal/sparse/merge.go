@@ -54,12 +54,11 @@ func AddInto(dst, a, b *Vector) error {
 // dst, reusing dst's capacity. dst must not alias v. Selection order and
 // tie-breaking are identical to TopKSparse.
 //
-// The selection mirrors the dense TopK: quickselect the k-th largest
-// magnitude (expected O(n), over a pooled scratch of plain float32s —
-// no position indirection), then emit winners in one ascending scan.
-// Because stored entries are already in ascending index order, the scan
-// yields the output pre-sorted AND breaks threshold ties toward the
-// lower dense index — no sort of the winners at all.
+// The selection mirrors the dense TopK: find the k-th largest magnitude
+// (kthLargest), then emit winners in one ascending scan. Because stored
+// entries are already in ascending index order, the scan yields the
+// output pre-sorted AND breaks threshold ties toward the lower dense
+// index — no sort of the winners at all.
 func TopKSparseInto(dst, v *Vector, k int) {
 	n := v.NNZ()
 	switch {
@@ -70,21 +69,8 @@ func TopKSparseInto(dst, v *Vector, k int) {
 	case k >= n:
 		CopyInto(dst, v)
 	default:
-		// The radix fast path reads the signed values directly (it masks
-		// the sign bit in its own scan), pairing the k-th largest with the
-		// strict-winner count as a by-product; only the fallback — pure
-		// mode, NaNs, small n — pays for a magnitude scratch fill.
-		thr, strict, ok := selectThresholdVals(v.Values, k)
-		if !ok {
-			sp := getMagScratch(n)
-			mags := *sp
-			absInto(mags, v.Values)
-			thr, strict = selectThreshold(mags, k)
-			magScratch.Put(sp)
-		}
-		// One slot of emit slack for the branchless fast scan's rejected-
-		// entry stores; the result is truncated to the k winners.
-		ensureVec(dst, k+1)
+		thr, strict := kthLargest(v.Values, k)
+		ensureVec(dst, k+1) // emitTopK's slack slot
 		dst.Dim = v.Dim
 		o := emitTopK(dst.Indices, dst.Values, v.Indices, v.Values, thr, k-strict, k)
 		dst.Indices = dst.Indices[:o]

@@ -189,24 +189,11 @@ func TopKInto(dst *Vector, x []float32, k int) {
 	if topKCandidates(dst, x, k) {
 		return
 	}
-	// The full selection. The radix fast path reads the dense values
-	// directly (it masks the sign bit in its own scan) and yields the
-	// strict-winner count as a by-product; the fallback inlines Threshold so
-	// the count comes from the same magnitude scratch (quickselect permutes
-	// it, which preserves the multiset) without recomputing any magnitudes.
-	// The remaining tie quota goes to the lowest-index entries at the
-	// threshold.
-	thr, strict, ok := selectThresholdVals(x, k)
-	if !ok {
-		sp := getMagScratch(len(x))
-		mags := *sp
-		absInto(mags, x)
-		thr, strict = selectThreshold(mags, k)
-		magScratch.Put(sp)
-	}
-	// One slot of emit slack: the branchless fast scan stores rejected
-	// entries into the slot one past the last winner before truncation.
-	ensureVec(dst, k+1)
+	// The full selection: the k-th largest magnitude and the count of
+	// strict winners above it; the remaining tie quota goes to the
+	// lowest-index entries at the threshold.
+	thr, strict := kthLargest(x, k)
+	ensureVec(dst, k)
 	o := emitTopK(dst.Indices, dst.Values, nil, x, thr, k-strict, k)
 	dst.Indices = dst.Indices[:o]
 	dst.Values = dst.Values[:o]
@@ -220,11 +207,9 @@ func TopKSparse(v *Vector, k int) *Vector {
 	return out
 }
 
-// Scratch pool for the selection hot path. Every training iteration of
-// every worker runs at least one top-k selection over the full residual,
-// so the magnitude scratch vectors are recycled instead of reallocated
-// per call. The pool is safe for the concurrent per-bucket selections of
-// the bucketed aggregation pipeline.
+// Scratch pool for kthLargest's quickselect route, which partitions a
+// magnitude copy in place. The pool is safe for the concurrent
+// per-bucket selections of the bucketed aggregation pipeline.
 var magScratch = sync.Pool{New: func() any { return new([]float32) }}
 
 func getMagScratch(n int) *[]float32 {
@@ -236,26 +221,10 @@ func getMagScratch(n int) *[]float32 {
 	return sp
 }
 
-// Threshold returns the k-th largest absolute value of x (the selection
-// threshold "thr" of Algorithm 1 line 5). k must be in [1, len(x)].
-// Expected O(n) quickselect over a pooled scratch buffer; x is not
-// modified.
-func Threshold(x []float32, k int) float32 {
-	if k < 1 || k > len(x) {
-		panic(fmt.Sprintf("sparse: Threshold k=%d with %d elements", k, len(x)))
-	}
-	sp := getMagScratch(len(x))
-	defer magScratch.Put(sp)
-	mags := *sp
-	absInto(mags, x)
-	thr, _ := selectThreshold(mags, k)
-	return thr
-}
-
 // selectKthLargest returns the k-th largest element of mags, reordering
 // mags freely (callers pass pooled scratch). Expected O(n) quickselect
-// over plain float32s — the hottest loop in the aggregation path, so it
-// swaps values directly instead of going through position indirection.
+// over plain float32s, swapping values directly instead of going through
+// position indirection — kthLargest's route for small or NaN input.
 func selectKthLargest(mags []float32, k int) float32 {
 	lo, hi, want := 0, len(mags)-1, k-1
 	state := uint64(0x9e3779b97f4a7c15)
@@ -281,9 +250,9 @@ func selectKthLargest(mags []float32, k int) float32 {
 }
 
 // abs32 is mask-abs: clearing the sign bit, branch-free, is |v| for
-// every float32 including -0 and NaN payloads — and exactly what the
-// word-batched absInto kernel does four lanes at a time, so scalar and
-// batched magnitude computations agree bit for bit.
+// every float32 including -0 and NaN payloads — the same sign-bit clear
+// the radix descent applies to the bit patterns, so both routes of
+// kthLargest see the same magnitudes.
 func abs32(v float32) float32 {
 	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 }

@@ -132,6 +132,9 @@ func TestThresholdMatchesSorted(t *testing.T) {
 	src := prng.New(4)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + src.Intn(200)
+		if trial%2 == 1 {
+			n += radixMinN // the radix route
+		}
 		x := randDense(src, n)
 		mags := make([]float64, n)
 		for i, v := range x {
@@ -139,8 +142,12 @@ func TestThresholdMatchesSorted(t *testing.T) {
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(mags)))
 		k := 1 + src.Intn(n)
-		if got := float64(Threshold(x, k)); got != mags[k-1] {
-			t.Fatalf("n=%d k=%d: Threshold=%v want %v", n, k, got, mags[k-1])
+		thr, strict := kthLargest(x, k)
+		if float64(thr) != mags[k-1] {
+			t.Fatalf("n=%d k=%d: threshold=%v want %v", n, k, thr, mags[k-1])
+		}
+		if want := sort.Search(n, func(i int) bool { return mags[i] <= mags[k-1] }); strict != want {
+			t.Fatalf("n=%d k=%d: strict=%d want %d", n, k, strict, want)
 		}
 	}
 }

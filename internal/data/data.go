@@ -94,48 +94,49 @@ func gauss(r2 float64) float64 {
 // Dim returns the flattened sample dimension C·H·W.
 func (d *Images) Dim() int { return d.C * d.H * d.W }
 
-// Sample deterministically generates sample idx: its label is idx mod
-// Classes, its pixels the class mean plus Gaussian noise keyed by idx.
-func (d *Images) Sample(idx uint64) ([]float32, int) {
+// sampleInto writes sample idx into x (Dim() floats) and returns its
+// label: the label is idx mod Classes, the pixels the class mean plus
+// Gaussian noise keyed by idx.
+func (d *Images) sampleInto(x []float32, idx uint64) int {
 	label := int(idx % uint64(d.Classes))
-	src := prng.New(d.seed ^ (idx+1)*0x9e3779b97f4a7c15)
-	x := make([]float32, d.Dim())
-	mean := d.means[label]
+	var src prng.Source
+	src.Seed(d.seed ^ (idx+1)*0x9e3779b97f4a7c15)
+	mean := d.means[label][:len(x)]
 	for i := range x {
 		x[i] = mean[i] + d.Noise*float32(src.NormFloat64())
 	}
-	return x, label
+	return label
 }
 
-// Batch assembles the mini-batch for (iter, rank) under data parallelism:
-// worker rank of workers takes batch consecutive samples from the global
-// sample stream, so no two workers ever see the same sample in the same
-// iteration (the paper's D_i^g partitioning).
-func (d *Images) Batch(iter, rank, workers, batch int) (*tensor.Matrix, []int) {
-	x := tensor.NewMatrix(batch, d.Dim())
-	labels := make([]int, batch)
-	base := uint64(iter)*uint64(workers)*uint64(batch) + uint64(rank)*uint64(batch)
-	for i := 0; i < batch; i++ {
-		sample, label := d.Sample(base + uint64(i))
-		copy(x.Row(i), sample)
-		labels[i] = label
-	}
-	return x, labels
+// BatchInto writes the mini-batch for (iter, rank) under data parallelism
+// into a batch the caller owns: x has len(labels) rows of Dim() columns,
+// and len(labels) is the batch size. Worker rank of workers takes batch
+// consecutive samples from the global sample stream, so no two workers
+// ever see the same sample in the same iteration (the paper's D_i^g
+// partitioning). It allocates nothing, so a training loop draws every
+// step into one batch.
+func (d *Images) BatchInto(x *tensor.Matrix, labels []int, iter, rank, workers int) {
+	batch := len(labels)
+	d.fill(x, labels, uint64(iter)*uint64(workers)*uint64(batch)+uint64(rank)*uint64(batch))
 }
 
-// EvalBatch returns a held-out batch disjoint from every training batch
-// (indices offset into a far region of the sample stream).
-func (d *Images) EvalBatch(iter, batch int) (*tensor.Matrix, []int) {
+// EvalBatchInto writes a held-out batch, disjoint from every training
+// batch, into a batch the caller owns, shaped as for BatchInto: its
+// samples come from a far region of the sample stream.
+func (d *Images) EvalBatchInto(x *tensor.Matrix, labels []int, iter int) {
 	const evalOffset = 1 << 40
-	x := tensor.NewMatrix(batch, d.Dim())
-	labels := make([]int, batch)
-	base := uint64(evalOffset) + uint64(iter)*uint64(batch)
-	for i := 0; i < batch; i++ {
-		sample, label := d.Sample(base + uint64(i))
-		copy(x.Row(i), sample)
-		labels[i] = label
+	d.fill(x, labels, evalOffset+uint64(iter)*uint64(len(labels)))
+}
+
+// fill writes samples base, base+1, ... into the rows of x and labels.
+func (d *Images) fill(x *tensor.Matrix, labels []int, base uint64) {
+	if x.Rows != len(labels) || x.Cols != d.Dim() {
+		panic(fmt.Sprintf("data: a batch of %d labels and a %dx%d matrix, want %d columns",
+			len(labels), x.Rows, x.Cols, d.Dim()))
 	}
-	return x, labels
+	for i := range labels {
+		labels[i] = d.sampleInto(x.Row(i), base+uint64(i))
+	}
 }
 
 // Text is a synthetic language-modelling corpus: a first-order Markov
@@ -200,7 +201,7 @@ func (t *Text) Sequence(idx uint64, n int) (inputs, targets []int) {
 }
 
 // Batch assembles the (inputs, targets) mini-batch for (iter, rank) with
-// the same disjoint partitioning as Images.Batch.
+// the same disjoint partitioning as Images.BatchInto.
 func (t *Text) Batch(iter, rank, workers, batch, seqLen int) (inputs, targets [][]int) {
 	inputs = make([][]int, batch)
 	targets = make([][]int, batch)

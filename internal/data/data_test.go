@@ -1,8 +1,30 @@
 package data
 
 import (
+	"math"
 	"testing"
+
+	"gtopkssgd/internal/tensor"
 )
+
+// sample returns sample idx in a new slice, with its label.
+func sample(d *Images, idx uint64) ([]float32, int) {
+	x := make([]float32, d.Dim())
+	return x, d.sampleInto(x, idx)
+}
+
+// batch and evalBatch draw a batch of n into a new matrix.
+func batch(d *Images, iter, rank, workers, n int) (*tensor.Matrix, []int) {
+	x, labels := tensor.NewMatrix(n, d.Dim()), make([]int, n)
+	d.BatchInto(x, labels, iter, rank, workers)
+	return x, labels
+}
+
+func evalBatch(d *Images, iter, n int) (*tensor.Matrix, []int) {
+	x, labels := tensor.NewMatrix(n, d.Dim()), make([]int, n)
+	d.EvalBatchInto(x, labels, iter)
+	return x, labels
+}
 
 func TestImagesDeterministic(t *testing.T) {
 	a, err := NewImages(7, 10, 3, 8, 8, 0.5)
@@ -14,8 +36,8 @@ func TestImagesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, idx := range []uint64{0, 1, 999, 1 << 40} {
-		xa, la := a.Sample(idx)
-		xb, lb := b.Sample(idx)
+		xa, la := sample(a, idx)
+		xb, lb := sample(b, idx)
 		if la != lb {
 			t.Fatalf("idx %d: labels differ", idx)
 		}
@@ -33,7 +55,7 @@ func TestImagesLabelsCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx := uint64(0); idx < 30; idx++ {
-		_, label := d.Sample(idx)
+		_, label := sample(d, idx)
 		if label != int(idx%10) {
 			t.Fatalf("idx %d: label %d", idx, label)
 		}
@@ -50,7 +72,7 @@ func TestImagesClassSeparation(t *testing.T) {
 	correct := 0
 	const n = 100
 	for idx := uint64(0); idx < n; idx++ {
-		x, label := d.Sample(idx)
+		x, label := sample(d, idx)
 		best, bestDist := -1, 0.0
 		for cls := 0; cls < d.Classes; cls++ {
 			var dist float64
@@ -78,9 +100,9 @@ func TestImagesBatchPartitioning(t *testing.T) {
 	}
 	// Workers 0 and 1 at the same iteration see disjoint samples; the
 	// same worker at the same iteration sees identical ones.
-	x0, l0 := d.Batch(3, 0, 2, 4)
-	x0b, _ := d.Batch(3, 0, 2, 4)
-	x1, _ := d.Batch(3, 1, 2, 4)
+	x0, l0 := batch(d, 3, 0, 2, 4)
+	x0b, _ := batch(d, 3, 0, 2, 4)
+	x1, _ := batch(d, 3, 1, 2, 4)
 	for i := range x0.Data {
 		if x0.Data[i] != x0b.Data[i] {
 			t.Fatal("same (iter,rank) batch not deterministic")
@@ -106,8 +128,8 @@ func TestImagesEvalDisjointFromTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainX, _ := d.Batch(0, 0, 1, 4)
-	evalX, _ := d.EvalBatch(0, 4)
+	trainX, _ := batch(d, 0, 0, 1, 4)
+	evalX, _ := evalBatch(d, 0, 4)
 	same := true
 	for i := range trainX.Data {
 		if trainX.Data[i] != evalX.Data[i] {
@@ -227,4 +249,44 @@ func TestTextValidation(t *testing.T) {
 	if _, err := NewText(1, 1); err == nil {
 		t.Error("vocab 1 accepted")
 	}
+}
+
+// TestImagesBatchIntoWritesItsSamples: BatchInto and EvalBatchInto
+// write, over whatever the caller's batch held before, exactly the
+// samples their partitioning names — the ones a fresh sample draws, bit
+// for bit — and allocate nothing.
+func TestImagesBatchIntoWritesItsSamples(t *testing.T) {
+	d, err := NewImages(5, 10, 3, 4, 4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, labels := tensor.NewMatrix(6, d.Dim()), make([]int, 6)
+	same := func(what string, base uint64) {
+		t.Helper()
+		for i, l := range labels {
+			want, wantL := sample(d, base+uint64(i))
+			if l != wantL {
+				t.Fatalf("%s: label %d = %d, want %d", what, i, l, wantL)
+			}
+			for j, v := range x.Row(i) {
+				if math.Float32bits(v) != math.Float32bits(want[j]) {
+					t.Fatalf("%s: row %d pixel %d = %v, want %v", what, i, j, v, want[j])
+				}
+			}
+		}
+	}
+	tensor.Fill(x.Data, float32(math.NaN()))
+	d.BatchInto(x, labels, 7, 1, 3)
+	same("BatchInto", (7*3+1)*6)
+	d.EvalBatchInto(x, labels, 2)
+	same("EvalBatchInto", 1<<40+2*6)
+	if allocs := testing.AllocsPerRun(10, func() { d.BatchInto(x, labels, 8, 0, 3) }); allocs != 0 {
+		t.Fatalf("BatchInto: %v allocations, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BatchInto with 6 rows and 5 labels did not panic")
+		}
+	}()
+	d.BatchInto(x, labels[:5], 0, 0, 1)
 }

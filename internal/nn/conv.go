@@ -12,6 +12,8 @@ import (
 // input row is a C×H×W volume stored as [c][y][x]; each output row is an
 // OutC×OH×OW volume in the same layout. Implemented with im2col so the
 // inner loop is a dense matrix multiplication, the standard CPU strategy.
+// Placed first in a Network, it builds no input gradient: no dout·Wᵀ, no
+// col2im.
 type Conv2D struct {
 	InC, H, W int
 	OutC      int
@@ -26,6 +28,8 @@ type Conv2D struct {
 	// forward cache (per batch)
 	cols []float32 // im2col matrices, one (OH·OW)×(InC·K·K) block per sample
 	rows int
+
+	first bool // first in its network: Backward skips dx and returns nil
 
 	// workspaces: layer output and input gradient, and the per-sample
 	// product, output gradient, patch gradient and weight gradient
@@ -154,16 +158,22 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	return c.out
 }
 
+func (c *Conv2D) skipInputGrad() { c.first = true }
+
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	w := tensor.FromSlice(c.InC*c.K*c.K, c.OutC, c.w)
 	gw := tensor.FromSlice(c.InC*c.K*c.K, c.OutC, c.gw)
-	c.din = workspace(c.din, c.rows, c.InC*c.H*c.W)
-	c.din.Zero() // col2im accumulates
+	var din *tensor.Matrix
+	if !c.first {
+		c.din = workspace(c.din, c.rows, c.InC*c.H*c.W)
+		c.din.Zero() // col2im accumulates
+		c.dcols = workspace(c.dcols, c.OH*c.OW, c.InC*c.K*c.K)
+		din = c.din
+	}
 	c.doutM = workspace(c.doutM, c.OH*c.OW, c.OutC)
-	c.dcols = workspace(c.dcols, c.OH*c.OW, c.InC*c.K*c.K)
 	c.gwLocal = workspace(c.gwLocal, c.InC*c.K*c.K, c.OutC)
-	din, doutM, dcols, gwLocal := c.din, c.doutM, c.dcols, c.gwLocal
+	doutM, dcols, gwLocal := c.doutM, c.dcols, c.gwLocal
 	for i := 0; i < c.rows; i++ {
 		drow := dout.Row(i)
 		for yx := 0; yx < c.OH*c.OW; yx++ {
@@ -176,8 +186,10 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		cols := tensor.FromSlice(c.OH*c.OW, c.InC*c.K*c.K, c.patches(i))
 		tensor.MatMulTransA(gwLocal, cols, doutM) // dW = colsᵀ·dout
 		tensor.AddInto(gw.Data, gwLocal.Data)
-		tensor.MatMulTransB(dcols, doutM, w) // dcols = dout·Wᵀ
-		c.col2im(dcols, din.Row(i))
+		if din != nil {
+			tensor.MatMulTransB(dcols, doutM, w) // dcols = dout·Wᵀ
+			c.col2im(dcols, din.Row(i))
+		}
 	}
 	return din
 }

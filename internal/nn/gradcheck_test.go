@@ -218,3 +218,54 @@ func TestGradCheckLSTM(t *testing.T) {
 		t.Fatalf("%d/%d LSTM parameters failed gradient check", len(failures), probed)
 	}
 }
+
+// inputGradCheck checks a layer used on its own — bound to its own
+// buffers, in no network — against central differences on its input:
+// for L = Σ out ⊙ r with a fixed random r, Backward(r) must return dL/dx.
+func inputGradCheck(t *testing.T, l Layer, rows, cols int, seed uint64) {
+	t.Helper()
+	params := make([]float32, l.ParamCount())
+	l.Bind(params, make([]float32, len(params)))
+	src := prng.New(seed)
+	l.Init(src)
+	x, _ := randInput(seed+1, rows, cols)
+	out := l.Forward(x, true)
+	r := tensor.NewMatrix(out.Rows, out.Cols)
+	for i := range r.Data {
+		r.Data[i] = float32(src.NormFloat64())
+	}
+	din := l.Backward(r)
+	if din == nil || din.Rows != rows || din.Cols != cols {
+		t.Fatalf("%s on its own: input gradient %v, want %dx%d", l.Name(), din, rows, cols)
+	}
+	analytic := append([]float32(nil), din.Data...)
+	loss := func() float64 {
+		var s float64
+		for i, v := range l.Forward(x, true).Data {
+			s += float64(v) * float64(r.Data[i])
+		}
+		return s
+	}
+	const eps = 1e-2
+	for i := range x.Data {
+		orig := x.Data[i]
+		x.Data[i] = orig + eps
+		lp := loss()
+		x.Data[i] = orig - eps
+		lm := loss()
+		x.Data[i] = orig
+		numeric := (lp - lm) / (2 * eps)
+		if diff := math.Abs(numeric - float64(analytic[i])); diff > 1e-2*math.Max(1, math.Abs(numeric)) {
+			t.Fatalf("%s: input %d: analytic %v, numeric %v", l.Name(), i, analytic[i], numeric)
+		}
+	}
+}
+
+// TestGradCheckInputDenseConv: Dense and Conv2D used on their own build
+// their input gradient, and it is right. (A network skips it only for
+// its first layer; see TestFirstLayerRule.)
+func TestGradCheckInputDenseConv(t *testing.T) {
+	inputGradCheck(t, NewDense(5, 4), 3, 5, 31)
+	inputGradCheck(t, NewConv2D(2, 4, 4, 3, 3, 1, 1), 2, 2*4*4, 33)
+	inputGradCheck(t, NewConv2D(1, 6, 6, 2, 3, 2, 0), 2, 36, 35)
+}

@@ -9,12 +9,14 @@ import (
 )
 
 // Dense is a fully connected layer: y = xW + b with W ∈ R^{in×out}.
+// Placed first in a Network, it builds no input gradient.
 type Dense struct {
 	In, Out int
 
 	w, b   []float32 // views into the network's flat parameter buffer
 	gw, gb []float32 // matching gradient views
 	x      *tensor.Matrix
+	first  bool // first in its network: Backward skips dx and returns nil
 
 	out, din *tensor.Matrix // workspaces
 }
@@ -62,14 +64,18 @@ func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	return d.out
 }
 
+func (d *Dense) skipInputGrad() { d.first = true }
+
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	w := tensor.FromSlice(d.In, d.Out, d.w)
 	gw := tensor.FromSlice(d.In, d.Out, d.gw)
 	tensor.MatMulTransA(gw, d.x, dout) // dW = xᵀ·dout
 	tensor.SumRowsInto(d.gb, dout)     // db = Σ rows
+	if d.first {
+		return nil
+	}
 	d.din = workspace(d.din, dout.Rows, d.In)
-	tensor.MatMulTransB(d.din, dout, w) // dx = dout·Wᵀ
+	tensor.MatMulTransB(d.din, dout, tensor.FromSlice(d.In, d.Out, d.w)) // dx = dout·Wᵀ
 	return d.din
 }
 

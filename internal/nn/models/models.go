@@ -18,6 +18,7 @@ import (
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/data"
 	"gtopkssgd/internal/nn"
+	"gtopkssgd/internal/tensor"
 )
 
 // Classifier couples a network with the input geometry it expects.
@@ -135,8 +136,9 @@ func LSTMPTBSim() *nn.LSTMLM {
 }
 
 // GradFn adapts a classifier + dataset into the core.GradFn the
-// distributed trainer consumes: each call draws the (iter, rank) batch,
-// runs forward/backward and copies the flat gradient out.
+// distributed trainer consumes: each call draws the (iter, rank) batch
+// into the one batch the closure owns, runs forward/backward and copies
+// the flat gradient out. A warmed-up call allocates nothing.
 //
 // The weights slice passed by the trainer MUST alias the network's
 // parameter buffer (pass cls.Net.Parameters() to core.NewTrainer); the
@@ -144,11 +146,12 @@ func LSTMPTBSim() *nn.LSTMLM {
 // the next forward pass.
 func GradFn(cls *Classifier, ds *data.Images, rank, workers, batch int) core.GradFn {
 	params := cls.Net.Parameters()
+	x, labels := tensor.NewMatrix(batch, ds.Dim()), make([]int, batch)
 	return func(iter int, weights, grad []float32) float64 {
 		if len(weights) == 0 || len(params) == 0 || &weights[0] != &params[0] {
 			panic("models: trainer weights must alias Net.Parameters()")
 		}
-		x, labels := ds.Batch(iter, rank, workers, batch)
+		ds.BatchInto(x, labels, iter, rank, workers)
 		cls.Net.ZeroGrad()
 		logits := cls.Net.Forward(x, true)
 		loss, dlogits := cls.Net.SoftmaxCrossEntropy(logits, labels)
@@ -163,15 +166,17 @@ func GradFn(cls *Classifier, ds *data.Images, rank, workers, batch int) core.Gra
 // announces each layer's flat-gradient range the moment it is final
 // (tail-first, the wait-free backpropagation order), letting the trainer
 // hand gradient buckets to the aggregator while earlier layers are still
-// computing. Same aliasing contract as GradFn.
+// computing. Same aliasing contract, and the same reused batch, as
+// GradFn.
 func StreamGradFn(cls *Classifier, ds *data.Images, rank, workers, batch int) core.StreamGradFn {
 	params := cls.Net.Parameters()
 	grads := cls.Net.Gradients()
+	x, labels := tensor.NewMatrix(batch, ds.Dim()), make([]int, batch)
 	return func(iter int, weights, grad []float32, ready func(lo, hi int)) float64 {
 		if len(weights) == 0 || len(params) == 0 || &weights[0] != &params[0] {
 			panic("models: trainer weights must alias Net.Parameters()")
 		}
-		x, labels := ds.Batch(iter, rank, workers, batch)
+		ds.BatchInto(x, labels, iter, rank, workers)
 		cls.Net.ZeroGrad()
 		logits := cls.Net.Forward(x, true)
 		loss, dlogits := cls.Net.SoftmaxCrossEntropy(logits, labels)
@@ -202,14 +207,16 @@ func LSTMGradFn(m *nn.LSTMLM, corpus *data.Text, rank, workers, batch, seqLen in
 	}
 }
 
-// EvalAccuracy measures held-out top-1 accuracy over batches mini-batches.
+// EvalAccuracy measures held-out top-1 accuracy over batches mini-batches,
+// drawn one after another into one batch.
 func EvalAccuracy(cls *Classifier, ds *data.Images, batches, batch int) float64 {
 	if batches < 1 {
 		return 0
 	}
 	var total float64
+	x, labels := tensor.NewMatrix(batch, ds.Dim()), make([]int, batch)
 	for i := 0; i < batches; i++ {
-		x, labels := ds.EvalBatch(i, batch)
+		ds.EvalBatchInto(x, labels, i)
 		logits := cls.Net.Forward(x, false)
 		total += nn.Accuracy(logits, labels)
 	}

@@ -8,6 +8,7 @@ import (
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/data"
 	"gtopkssgd/internal/nn"
+	"gtopkssgd/internal/tensor"
 )
 
 func TestModelShapesAndForward(t *testing.T) {
@@ -35,7 +36,8 @@ func TestModelShapesAndForward(t *testing.T) {
 			if tt.cls.Net.ParamCount() < 100 {
 				t.Fatalf("suspiciously few params: %d", tt.cls.Net.ParamCount())
 			}
-			x, labels := tt.ds.Batch(0, 0, 1, 4)
+			x, labels := tensor.NewMatrix(4, tt.ds.Dim()), make([]int, 4)
+			tt.ds.BatchInto(x, labels, 0, 0, 1)
 			logits := tt.cls.Net.Forward(x, true)
 			if logits.Rows != 4 || logits.Cols != tt.cls.Classes {
 				t.Fatalf("logits %dx%d", logits.Rows, logits.Cols)
@@ -213,10 +215,8 @@ func avg(xs []float64) float64 {
 // TestForwardBackwardAllocCeiling pins the steady state of the compute
 // layer: once the workspaces have the batch's shape, a step — ZeroGrad,
 // Forward, SoftmaxCrossEntropy, Backward — allocates nothing. Drawing the
-// batch is outside the measured step: data.Images.Batch allocates a new
-// input matrix, a label slice and one pixel slice per sample on every
-// call (19 allocations at batch 16), which is the data pipeline's cost,
-// not the network's.
+// batch is outside the measured step here; TestGradFnStepAllocFree pins
+// the whole step, batch included.
 func TestForwardBackwardAllocCeiling(t *testing.T) {
 	ds, err := data.NewImages(5, 10, 3, 8, 8, 0.4)
 	if err != nil {
@@ -224,7 +224,8 @@ func TestForwardBackwardAllocCeiling(t *testing.T) {
 	}
 	for _, cls := range []*Classifier{VGG16Sim(), ResNet20Sim()} {
 		cls.Net.Init(42)
-		x, labels := ds.Batch(0, 0, 1, 16)
+		x, labels := tensor.NewMatrix(16, ds.Dim()), make([]int, 16)
+		ds.BatchInto(x, labels, 0, 0, 1)
 		step := func() {
 			cls.Net.ZeroGrad()
 			logits := cls.Net.Forward(x, true)
@@ -234,6 +235,35 @@ func TestForwardBackwardAllocCeiling(t *testing.T) {
 		step()
 		if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
 			t.Errorf("%s: %v allocations per forward+backward step, want 0", cls.Name, allocs)
+		}
+	}
+}
+
+// TestGradFnStepAllocFree pins a whole warmed-up step of the trainer's
+// gradient functions — drawing the batch into the one the closure owns,
+// forward, loss, backward, copying the gradient out — at zero
+// allocations, for the plain and the streamed form.
+func TestGradFnStepAllocFree(t *testing.T) {
+	ds, err := data.NewImages(5, 10, 3, 8, 8, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := VGG16Sim()
+	cls.Net.Init(42)
+	w := cls.Net.Parameters()
+	g := make([]float32, len(w))
+	grad := GradFn(cls, ds, 1, 4, 16)
+	stream := StreamGradFn(cls, ds, 1, 4, 16)
+	ready := func(lo, hi int) {}
+	iter := 0
+	steps := map[string]func(){
+		"GradFn":       func() { grad(iter, w, g); iter++ },
+		"StreamGradFn": func() { stream(iter, w, g, ready); iter++ },
+	}
+	for name, step := range steps {
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("%s: %v allocations per warmed-up step, want 0", name, allocs)
 		}
 	}
 }

@@ -38,7 +38,9 @@ type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward consumes dL/dout for the batch of the last Forward and
 	// returns dL/din, accumulating parameter gradients into the bound
-	// gradient views.
+	// gradient views. The one exception is a network's first layer: when
+	// it can skip building dL/din (Dense and Conv2D can), the Network
+	// tells it to, and its Backward then returns nil.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// ParamCount returns the number of scalar parameters.
 	ParamCount() int
@@ -54,6 +56,13 @@ type Layer interface {
 
 // Network is a sequential container owning flat parameter/gradient
 // buffers that all layers alias.
+//
+// The first-layer rule: nothing reads the input gradient of a network's
+// first layer — the batch is data, not a parameter — so NewNetwork tells
+// a first layer that can skip it (inputGradSkipper) not to build it.
+// Its parameter gradients are the same bits either way; only its
+// Backward's return value, which Network discards, becomes nil. A layer
+// used on its own, or anywhere but first, builds its input gradient.
 type Network struct {
 	layers []Layer
 	params []float32
@@ -81,8 +90,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// inputGradSkipper is a layer that can leave out its input gradient;
+// NewNetwork calls skipInputGrad on its first layer.
+type inputGradSkipper interface {
+	skipInputGrad()
+}
+
 // NewNetwork assembles layers and binds their parameters into flat
-// buffers, in declaration order.
+// buffers, in declaration order, and applies the first-layer rule.
 func NewNetwork(layers ...Layer) *Network {
 	total := 0
 	for _, l := range layers {
@@ -98,6 +113,11 @@ func NewNetwork(layers ...Layer) *Network {
 		c := l.ParamCount()
 		l.Bind(n.params[off:off+c], n.grads[off:off+c])
 		off += c
+	}
+	if len(layers) > 0 {
+		if first, ok := layers[0].(inputGradSkipper); ok {
+			first.skipInputGrad()
+		}
 	}
 	return n
 }
@@ -134,7 +154,8 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward propagates dL/dlogits back through every layer, accumulating
-// parameter gradients.
+// parameter gradients. The input gradient of the first layer is not
+// built (the first-layer rule).
 func (n *Network) Backward(dout *tensor.Matrix) {
 	n.BackwardWithHook(dout, nil)
 }

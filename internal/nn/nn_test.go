@@ -312,3 +312,67 @@ func TestWorkspacesFollowBatchSize(t *testing.T) {
 		sameBits(fmt.Sprintf("batch %d gradient", batch), reused.Gradients(), fresh.Gradients())
 	}
 }
+
+// TestFirstLayerRule: a network's first Dense or Conv2D builds no input
+// gradient — nothing reads it — and every parameter gradient is the same
+// bits as when it does. The second network of each pair is told the
+// opposite after NewNetwork, as if the rule did not exist.
+func TestFirstLayerRule(t *testing.T) {
+	builds := []struct {
+		name  string
+		cols  int
+		build func() (*Network, Layer)
+	}{
+		{"dense first", 12, func() (*Network, Layer) {
+			first := NewDense(12, 16)
+			return NewNetwork(first, NewReLU(), NewDense(16, 8), NewReLU(), NewDense(8, 3)), first
+		}},
+		{"conv first", 2 * 4 * 4, func() (*Network, Layer) {
+			first := NewConv2D(2, 4, 4, 3, 3, 1, 1)
+			return NewNetwork(first, NewReLU(), NewMaxPool2(3, 4, 4), NewDense(3*2*2, 3)), first
+		}},
+	}
+	inputGrad := func(l Layer) *tensor.Matrix {
+		switch l := l.(type) {
+		case *Dense:
+			return l.din
+		case *Conv2D:
+			return l.din
+		}
+		panic("not a Dense or Conv2D")
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			skipping, skipper := b.build()
+			building, builder := b.build()
+			switch l := builder.(type) {
+			case *Dense:
+				l.first = false
+			case *Conv2D:
+				l.first = false
+			}
+			skipping.Init(3)
+			building.Init(3)
+			for step := 0; step < 3; step++ {
+				x, labels := randInput(uint64(40+step), 5, b.cols)
+				for _, net := range []*Network{skipping, building} {
+					net.ZeroGrad()
+					_, d := net.SoftmaxCrossEntropy(net.Forward(x, true), labels)
+					net.Backward(d)
+				}
+				for i, g := range skipping.Gradients() {
+					if math.Float32bits(g) != math.Float32bits(building.Gradients()[i]) {
+						t.Fatalf("step %d: gradient %d = %v without the input gradient, %v with it",
+							step, i, g, building.Gradients()[i])
+					}
+				}
+			}
+			if inputGrad(skipper) != nil {
+				t.Fatal("the first layer built an input gradient")
+			}
+			if inputGrad(builder) == nil {
+				t.Fatal("the layer told to build its input gradient did not")
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -230,15 +231,189 @@ func TestGEMMBitIdentical(t *testing.T) {
 	}
 }
 
+// checkGEMMRoutes runs the two backward products of a Dense(in→out)
+// layer at one batch — dW = xᵀ·dout (MatMulTransA) and dx = dout·Wᵀ
+// (MatMulTransB) — on an input x with a share xZeros of exact zeros, a
+// weight matrix W and an output gradient dout with a share doutZeros of
+// zeros (as after a ReLU), each with a share of gemmSpecials. It asserts
+// which route each product takes — the one the operands' zero counts and
+// finiteness call for — and compares the product with its reference bit
+// for bit; when every operand is finite it also runs every route of each
+// product directly against the reference, so a route is checked whether
+// or not the dispatcher picks it. It returns the routes taken.
+func checkGEMMRoutes(t *testing.T, src *prng.Source, batch, in, out int, xZeros, doutZeros, specials float64) (route int, skip bool) {
+	t.Helper()
+	x := gemmMatrix(src, batch, in, xZeros, specials)
+	w := gemmMatrix(src, in, out, 0, specials)
+	dout := gemmMatrix(src, batch, out, doutZeros, specials)
+	finite := func(m *Matrix) bool {
+		for _, v := range m.Data {
+			if math.IsInf(float64(v), 0) || v != v {
+				return false
+			}
+		}
+		return true
+	}
+	nonzero := func(m *Matrix) int {
+		n := 0
+		for _, v := range m.Data {
+			if v != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	allFin := finite(x) && finite(w) && finite(dout)
+	nz := nonzero(dout)
+	route, skip = transARoute(x, dout), transBSkips(dout, w)
+	wantRoute := transAFromA
+	if finite(x) && finite(dout) && 5*nz < 3*len(dout.Data) {
+		wantRoute = transAOuter
+		if in*out <= transTile {
+			wantRoute = transATile
+		}
+	}
+	if route != wantRoute {
+		t.Fatalf("MatMulTransA (%dx%dx%d, dout %d of %d non-zero, x and dout finite %v): route %d, want %d",
+			batch, in, out, nz, len(dout.Data), finite(x) && finite(dout), route, wantRoute)
+	}
+	if want := finite(w) && 2*nz <= len(dout.Data); skip != want {
+		t.Fatalf("MatMulTransB (%dx%dx%d, dout %d of %d non-zero, W finite %v): skip route %v, want %v",
+			batch, in, out, nz, len(dout.Data), finite(w), skip, want)
+	}
+	same := func(name string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) && !(v != v && want.Data[i] != want.Data[i]) {
+				t.Fatalf("%s (batch %d, %d→%d, zeros %v/%v, specials %v): element %d = %v (%#08x), reference %v (%#08x)",
+					name, batch, in, out, xZeros, doutZeros, specials, i,
+					v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+	run := func(name string, product func(dst *Matrix), ref *Matrix) {
+		t.Helper()
+		got := NewMatrix(ref.Rows, ref.Cols)
+		Fill(got.Data, float32(math.NaN()))
+		product(got)
+		same(name, got, ref)
+	}
+	refA := NewMatrix(in, out)
+	refMatMulTransA(refA, x, dout)
+	run("MatMulTransA", func(dst *Matrix) { MatMulTransA(dst, x, dout) }, refA)
+	refB := NewMatrix(batch, in)
+	refMatMulTransB(refB, dout, w)
+	run("MatMulTransB", func(dst *Matrix) { MatMulTransB(dst, dout, w) }, refB)
+	if allFin {
+		run("outerAdd", func(dst *Matrix) { outerAdd(dst, x, dout) }, refA)
+		run("mulAdd (TransA)", func(dst *Matrix) { mulAdd(dst, x.Data, 1, x.Cols, dout) }, refA)
+		if in*out <= transTile {
+			run("mulAddT", func(dst *Matrix) { mulAddT(dst, x, dout) }, refA)
+		}
+		run("transBSparse", func(dst *Matrix) { transBSparse(dst, dout, w) }, refB)
+		run("transBDense", func(dst *Matrix) { transBDense(dst, dout, w) }, refB)
+	}
+	return route, skip
+}
+
+// TestGEMMRoutesBitIdentical is the wall behind the backward products'
+// zero-skipping routes: with finite operands and output gradients as
+// sparse as VGG16Sim's (54 % zeros at the 1024-wide layer, 82 % at the
+// 64-wide one, and nearly all), over the remainder paths of the 4-wide
+// blocking, the edges of the listing runs (transBChunk, transBRows,
+// len(nzList)) and the model's own backward shapes, each route is the
+// reference loop bit for bit, and every route of both products is
+// taken.
+func TestGEMMRoutesBitIdentical(t *testing.T) {
+	src := prng.New(11)
+	taken := map[string]int{}
+	count := func(route int, skip bool) {
+		taken[fmt.Sprintf("route=%d", route)]++
+		taken[fmt.Sprintf("skip=%v", skip)]++
+	}
+	sizes := []int{1, 3, 5, 17, 128, 129}
+	for _, batch := range sizes {
+		for _, in := range sizes {
+			for _, out := range sizes {
+				for _, z := range []float64{0.54, 0.82, 0.97} {
+					count(checkGEMMRoutes(t, src, batch, in, out, 0.5, z, 0))
+				}
+			}
+		}
+	}
+	shapes := []struct {
+		batch, in, out int
+		xZeros         float64
+	}{
+		{16, 128, 1024, 0.25}, {16, 1024, 64, 0.56}, {16, 64, 10, 0.82}, // VGG16Sim's Dense layers at batch 16
+		{64, 27, 8, 0}, // one sample of its convolution
+		{17, len(nzList{}) + 1, transBChunk + 3, 0.3}, // past one listing run each way
+	}
+	for _, s := range shapes {
+		for _, z := range []float64{0, 0.3, 0.54, 0.82, 0.97} {
+			count(checkGEMMRoutes(t, src, s.batch, s.in, s.out, s.xZeros, z, 0))
+		}
+		// Special values: checkGEMMRoutes asserts that a non-finite
+		// operand sends a product down the reference's own route.
+		route, skip := checkGEMMRoutes(t, src, s.batch, s.in, s.out, s.xZeros, 0.82, 0.02)
+		if route == transAFromA {
+			taken["route=0 with specials"]++
+		}
+		if !skip {
+			taken["skip=false with specials"]++
+		}
+	}
+	for _, route := range []string{"route=0", "route=1", "route=2", "skip=true", "skip=false",
+		"route=0 with specials", "skip=false with specials"} {
+		if taken[route] == 0 {
+			t.Errorf("no case took route %s: %v", route, taken)
+		}
+	}
+}
+
+// TestAllFinite holds the word-at-a-time finite gate to math.IsInf and
+// IsNaN: every special value at every position of short slices, at both
+// alignments of the first element.
+func TestAllFinite(t *testing.T) {
+	buf := make([]float32, 12)
+	for _, special := range gemmSpecials {
+		for off := 0; off < 2; off++ {
+			for n := 0; n <= len(buf)-off; n++ {
+				for at := -1; at < n; at++ {
+					x := buf[off : off+n]
+					Fill(x, 1.5)
+					if at >= 0 {
+						x[at] = special
+					}
+					want := at < 0 || !(math.IsInf(float64(special), 0) || special != special)
+					if got := allFinite(x); got != want {
+						t.Fatalf("allFinite(len %d, offset %d, %v at %d) = %v, want %v", n, off, special, at, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzGEMMEquiv lets the fuzzer pick the shape, the operands' seed, the
-// share of zeros and where a few special values land.
+// share of zeros and where a few special values land; each input also
+// drives the backward products' routes (checkGEMMRoutes).
 func FuzzGEMMEquiv(f *testing.F) {
 	f.Add(uint8(16), uint8(128), uint16(1024), uint64(1), uint8(128), uint8(2))
 	f.Add(uint8(5), uint8(3), uint16(7), uint64(2), uint8(0), uint8(0))
 	f.Add(uint8(1), uint8(255), uint16(513), uint64(3), uint8(250), uint8(40))
+	// Zero-heavy output gradients: VGG16Sim's dense1, dense2 and conv.
+	f.Add(uint8(16), uint8(128), uint16(1024), uint64(4), uint8(138), uint8(0))
+	f.Add(uint8(16), uint8(255), uint16(64), uint64(5), uint8(210), uint8(0))
+	f.Add(uint8(64), uint8(27), uint16(8), uint64(6), uint8(248), uint8(0))
+	f.Add(uint8(16), uint8(64), uint16(10), uint64(7), uint8(210), uint8(3))
 	f.Fuzz(func(t *testing.T, m, k uint8, n uint16, seed uint64, zeros, specials uint8) {
 		checkGEMMEquiv(t, prng.New(seed), int(m), int(k), int(n%1100),
 			float64(zeros)/256, float64(specials)/1024)
+		// The backward products of a Dense(k→n) layer at batch m, dout
+		// with the chosen share of zeros and x with half of it.
+		checkGEMMRoutes(t, prng.New(^seed), int(m), int(k), int(n%1100),
+			float64(zeros)/512, float64(zeros)/256, float64(specials)/1024)
 	})
 }
 
@@ -389,31 +564,31 @@ func TestQuickAxpyLinearity(t *testing.T) {
 // BenchmarkGEMM times the three GEMMs at the shapes one VGG16Sim step
 // at batch 16 runs them: dense1 and dense2 are Dense(128→1024) and
 // Dense(1024→64) (x·W forward, xᵀ·dout and dout·Wᵀ backward), conv is one
-// sample of the 3×3 convolution after im2col. MatMul and TransA see an a
-// that is half zeros, as after a ReLU. Bytes per op are the three
-// matrices touched once.
+// sample of the 3×3 convolution after im2col. The operands carry the
+// exact-zero shares VGG16Sim's backward pass sees. The post-ReLU output
+// gradients, dout, are 54 % zeros at dense1 and 82 % at dense2, as
+// measured on the model-overlap benchmark workload (seed 42). The inputs
+// x — 25 % zeros at dense1 (a max-pool of a ReLU), 56 % at dense2 — and
+// the convolution's dout, 82 %, are from 200 single-rank steps of
+// VGG16Sim on that workload's data (seed 42, batch 16, SGD at 0.05); the
+// convolution's input, an image, has none. Zeros sit at random
+// positions, so the listing loops see no pattern a branch predictor could
+// learn. Bytes per op are the three matrices touched once.
 func BenchmarkGEMM(b *testing.B) {
 	shapes := []struct {
-		name           string
-		batch, in, out int
+		name              string
+		batch, in, out    int
+		xZeros, doutZeros float64
 	}{
-		{"dense1", 16, 128, 1024},
-		{"dense2", 16, 1024, 64},
-		{"conv", 64, 27, 8},
-	}
-	relu := func(m *Matrix) *Matrix {
-		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
-		}
-		return m
+		{"dense1", 16, 128, 1024, 0.25, 0.54},
+		{"dense2", 16, 1024, 64, 0.56, 0.82},
+		{"conv", 64, 27, 8, 0, 0.82},
 	}
 	for _, s := range shapes {
 		src := prng.New(1)
-		x := relu(randMatrix(src, s.batch, s.in))
+		x := gemmMatrix(src, s.batch, s.in, s.xZeros, 0)
 		w := randMatrix(src, s.in, s.out)
-		dout := randMatrix(src, s.batch, s.out)
+		dout := gemmMatrix(src, s.batch, s.out, s.doutZeros, 0)
 		kernels := []struct {
 			name      string
 			run       func(dst, a, b *Matrix)

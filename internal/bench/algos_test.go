@@ -52,14 +52,15 @@ func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 				grad[i] = float32(i + 1)
 			}
 			for _, density := range []float64{0.25, spec.Density} {
-				if _, err := agg.Aggregate(context.Background(), grad); err != nil {
+				upd, err := agg.(core.SparseUpdater).AggregateSparse(context.Background(), grad)
+				if err != nil {
 					t.Fatal(err)
 				}
 				want := 0
 				for b := 1; b < len(buckets); b++ {
 					want += core.DensityToK(buckets[b]-buckets[b-1], density)
 				}
-				if got := len(agg.(core.SparseUpdater).UpdateSupport()); got != want {
+				if got := upd.NNZ(); got != want {
 					t.Fatalf("density %v: update support %d entries, want %d", density, got, want)
 				}
 			}

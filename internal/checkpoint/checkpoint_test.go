@@ -85,6 +85,30 @@ func TestEmptyVectorsAndMeta(t *testing.T) {
 	}
 }
 
+// TestEmptyVelocityRoundTrip: a trainer without momentum holds no
+// velocity, and its snapshot carries an empty one between full weights
+// and residual.
+func TestEmptyVelocityRoundTrip(t *testing.T) {
+	s := sampleState(3, 64)
+	s.Velocity = nil
+	got, err := Load(bytes.NewReader(saved(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Velocity) != 0 || !statesEqual(s, got) {
+		t.Fatalf("round trip of an empty velocity: %d entries back, state equal %v", len(got.Velocity), statesEqual(s, got))
+	}
+}
+
+func saved(t *testing.T, s *State) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestDeterministicBytes(t *testing.T) {
 	// Same state must serialise to identical bytes (metadata sorted).
 	s := sampleState(2, 50)

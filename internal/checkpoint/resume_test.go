@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -16,8 +17,17 @@ import (
 // TestResumeBitExact is the integration contract of checkpointing:
 // training N steps equals training N/2 steps, snapshotting (weights,
 // velocity, per-rank residuals, iteration), restoring into fresh
-// trainers, and training the remaining steps — bit for bit.
+// trainers, and training the remaining steps — bit for bit. A trainer
+// without momentum snapshots an empty velocity and resumes from it.
 func TestResumeBitExact(t *testing.T) {
+	for _, momentum := range []float32{0.9, 0} {
+		t.Run(fmt.Sprintf("momentum=%v", momentum), func(t *testing.T) {
+			testResumeBitExact(t, core.TrainConfig{LR: 0.1, Momentum: momentum})
+		})
+	}
+}
+
+func testResumeBitExact(t *testing.T, cfg core.TrainConfig) {
 	const (
 		p     = 4
 		dim   = 40
@@ -46,7 +56,6 @@ func TestResumeBitExact(t *testing.T) {
 			return loss
 		}
 	}
-	cfg := core.TrainConfig{LR: 0.1, Momentum: 0.9}
 
 	// Uninterrupted reference run.
 	reference := trainSegment(t, p, dim, k, cfg, gradFn, total, nil)
@@ -55,6 +64,10 @@ func TestResumeBitExact(t *testing.T) {
 	mid := trainSegment(t, p, dim, k, cfg, gradFn, half, nil)
 
 	// ...snapshot every rank through the checkpoint codec...
+	velocityDim := 0
+	if cfg.Momentum > 0 {
+		velocityDim = dim
+	}
 	states := make([]*checkpoint.State, p)
 	for r := 0; r < p; r++ {
 		s := &checkpoint.State{
@@ -67,6 +80,9 @@ func TestResumeBitExact(t *testing.T) {
 		// Round-trip through the binary format so the test covers the
 		// codec, not just in-memory copying.
 		roundTripped := roundTrip(t, s)
+		if len(roundTripped.Velocity) != velocityDim {
+			t.Fatalf("rank %d snapshot velocity has %d entries, want %d", r, len(roundTripped.Velocity), velocityDim)
+		}
 		states[r] = roundTripped
 	}
 

@@ -40,7 +40,12 @@ func elasticDataset(t *testing.T) *data.Images {
 // elasticBuild returns the BuildFn every elastic worker uses: an MLP +
 // gTop-k aggregator + momentum trainer, sharded by the epoch's
 // (rank, world).
-func elasticBuild(ds *data.Images) BuildFn {
+func elasticBuild(ds *data.Images) BuildFn { return elasticBuildWith(ds, elMom) }
+
+// elasticBuildWith is elasticBuild with the trainer momentum mom; at 0
+// the trainer holds no velocity, and its snapshots and donor broadcasts
+// carry an empty one.
+func elasticBuildWith(ds *data.Images, mom float32) BuildFn {
 	return func(rank, world int, comm *collective.Comm) (*Session, error) {
 		cls := models.MLP(ds.Dim(), elHidden, 10)
 		cls.Net.Init(elSeed)
@@ -49,7 +54,7 @@ func elasticBuild(ds *data.Images) BuildFn {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := core.NewTrainer(core.TrainConfig{LR: elLR, Momentum: elMom},
+		tr, err := core.NewTrainer(core.TrainConfig{LR: elLR, Momentum: mom},
 			agg, cls.Net.Parameters(), models.GradFn(cls, ds, rank, world, elBatch))
 		if err != nil {
 			return nil, err
@@ -72,13 +77,13 @@ type refState struct {
 // final weights.
 func refRun(t *testing.T, ds *data.Images, workers, steps int, restore []*refState, fromIter int) ([][]float64, []*refState) {
 	t.Helper()
-	return refRunOn(t, ds, workers, steps, restore, fromIter, nil)
+	return refRunOn(t, ds, workers, steps, restore, fromIter, nil, elMom)
 }
 
 // refRunOn is refRun on an explicit fabric (nil means the default
 // in-process one) — bit-identity claims are checked against references
-// on both inproc and real TCP transports.
-func refRunOn(t *testing.T, ds *data.Images, workers, steps int, restore []*refState, fromIter int, fabric transport.Fabric) ([][]float64, []*refState) {
+// on both inproc and real TCP transports — with trainer momentum mom.
+func refRunOn(t *testing.T, ds *data.Images, workers, steps int, restore []*refState, fromIter int, fabric transport.Fabric, mom float32) ([][]float64, []*refState) {
 	t.Helper()
 	type rankRefs struct {
 		cls *models.Classifier
@@ -96,7 +101,7 @@ func refRunOn(t *testing.T, ds *data.Images, workers, steps int, restore []*refS
 			if err != nil {
 				return nil, err
 			}
-			tr, err := core.NewTrainer(core.TrainConfig{LR: elLR, Momentum: elMom},
+			tr, err := core.NewTrainer(core.TrainConfig{LR: elLR, Momentum: mom},
 				agg, cls.Net.Parameters(), models.GradFn(cls, ds, rank, workers, elBatch))
 			if err != nil {
 				return nil, err

@@ -27,7 +27,16 @@ import (
 // "w2"), so admission exercises the hard part of the deterministic
 // re-shard: a surviving worker (w2) has its rank shifted (2 -> 3) and
 // its data shard moved by a join it had nothing to do with.
+//
+// At trainer momentum 0 the donor's velocity is empty: the broadcast
+// carries nothing and the joiner restores from nothing.
 func TestElasticGrowMatchesFreshRun(t *testing.T) {
+	for _, mom := range []float32{elMom, 0} {
+		t.Run(fmt.Sprintf("momentum=%v", mom), func(t *testing.T) { testElasticGrow(t, mom) })
+	}
+}
+
+func testElasticGrow(t *testing.T, mom float32) {
 	const (
 		initial   = 3
 		maxWorld  = 4
@@ -69,7 +78,7 @@ func TestElasticGrowMatchesFreshRun(t *testing.T) {
 				Steps:           steps,
 				CheckpointPath:  filepath.Join(dir, name+".gtkc"),
 				CheckpointEvery: ckptEvery,
-				Build:           elasticBuild(ds),
+				Build:           elasticBuildWith(ds, mom),
 				OnStep: func(info StepInfo) error {
 					recMu.Lock()
 					records[name] = append(records[name], stepRecord{
@@ -169,7 +178,14 @@ func TestElasticGrowMatchesFreshRun(t *testing.T) {
 	// exactly what syncResume hands it. A fresh 4-rank run restored from
 	// those states must reproduce the elastic run bit for bit, whether
 	// the reference talks over in-process channels or real TCP sockets.
-	_, statesAtResume := refRun(t, ds, initial, resumeIter, nil, 0)
+	_, statesAtResume := refRunOn(t, ds, initial, resumeIter, nil, 0, nil, mom)
+	wantVelocity := len(statesAtResume[0].weights)
+	if mom == 0 {
+		wantVelocity = 0
+	}
+	if got := len(statesAtResume[0].velocity); got != wantVelocity {
+		t.Fatalf("the donor's velocity has %d entries, want %d", got, wantVelocity)
+	}
 	dim := len(statesAtResume[0].weights)
 	restore4 := []*refState{
 		statesAtResume[0], // w0
@@ -189,7 +205,7 @@ func TestElasticGrowMatchesFreshRun(t *testing.T) {
 	fabrics["tcp"] = tcpFab
 
 	for fabName, fabric := range fabrics {
-		refLosses, refStates := refRunOn(t, ds, maxWorld, steps-resumeIter, restore4, resumeIter, fabric)
+		refLosses, refStates := refRunOn(t, ds, maxWorld, steps-resumeIter, restore4, resumeIter, fabric, mom)
 		for newRank, name := range all {
 			var got []stepRecord
 			for _, rec := range records[name] {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/sparse"
 )
 
 // Aggregator turns one worker's local dense gradient into the globally
@@ -17,7 +18,9 @@ import (
 // its next Aggregate. A caller may rewrite entries in place (the trainer
 // clips them) but must leave a zero entry zero: the sparse aggregators
 // keep the buffer zero outside the support of the last update and rebuild
-// it in O(nnz), re-zeroing only what they wrote.
+// it in O(nnz), re-zeroing only what they wrote. A sparse aggregator
+// allocates that buffer on its first Aggregate: a trainer takes the
+// compact update (SparseUpdater) and never asks for it.
 type Aggregator interface {
 	// Aggregate consumes grad (not retained) and returns the dense update.
 	Aggregate(ctx context.Context, grad []float32) ([]float32, error)
@@ -25,13 +28,39 @@ type Aggregator interface {
 	Name() string
 }
 
-// SparseUpdater is the optional face of an Aggregator whose update is
-// sparse: UpdateSupport returns the ascending dense indices outside which
-// the update returned by the last Aggregate is zero (valid until the next
-// one), so the optimizer tail can clip and apply k entries instead of
-// sweeping the whole buffer.
+// SparseUpdater is the face of an Aggregator whose update is sparse.
+// AggregateSparse runs the same step as Aggregate but returns the update
+// compact, as k (index, mean) pairs: the ascending dense support and the
+// values (0 + v)·(1/P) aligned with it — the bits Aggregate scatters
+// into its dense view, which is zero everywhere else. The vector belongs
+// to the aggregator and is valid until its next step; the caller may
+// rewrite values in place (the trainer clips them). The optimizer tail
+// then touches k entries, and no dim-length update buffer exists.
 type SparseUpdater interface {
-	UpdateSupport() []int32
+	Aggregator
+	AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error)
+}
+
+// denseView is a sparse aggregator's dense update, built only for the
+// callers of the dense Aggregate: allocated on the first call, then
+// rebuilt in O(k) by MeanIntoSparse, which re-zeroes the previous call's
+// support. The values are already means, so the scatter runs at p = 1,
+// where (0 + v)·1 leaves their bits unchanged.
+type denseView struct {
+	buf     []float32
+	support []int32
+}
+
+// of returns u scattered into the view, or err when the step failed.
+func (d *denseView) of(u *sparse.Vector, err error) ([]float32, error) {
+	if err != nil {
+		return nil, err
+	}
+	if d.buf == nil {
+		d.buf = make([]float32, u.Dim)
+	}
+	d.support = u.MeanIntoSparse(d.buf, 1, d.support)
+	return d.buf, nil
 }
 
 // DenseAggregator implements classic S-SGD: ring AllReduce over the full
@@ -69,13 +98,14 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 // straggler-tolerant quorum variant, Algorithm 2's AllGather, the
 // parameter-server star, or Algorithm 1's union AllGather), residual
 // put-back for locally-sent-but-globally-dropped values, average by P —
-// over the whole gradient. The embedded round carries the configuration
+// over the whole gradient, ending on the k (index, mean) pairs
+// AggregateSparse returns. The embedded round carries the configuration
 // surface (SetK, SetSchedule, SetPutBack, SetMomentumCorrection,
 // SetQuorum, Sparsifier, Group, QuorumGroup).
 type GTopKAggregator struct {
 	round
-	dense      []float32
-	missStreak int // this rank's consecutive missed quorum rounds
+	view       denseView // Aggregate's dense update (nil until first asked for)
+	missStreak int       // this rank's consecutive missed quorum rounds
 }
 
 // HierarchicalAggregator is the GTopKAggregator constructed over groups
@@ -89,7 +119,7 @@ func newGTopKAggregator(comm *collective.Comm, dim, k, group int, kind collectiv
 		return nil, err
 	}
 	r.kind = kind
-	return &GTopKAggregator{round: r, dense: make([]float32, dim)}, nil
+	return &GTopKAggregator{round: r}, nil
 }
 
 // NewGTopKAggregator creates a gTop-k aggregator selecting k of dim
@@ -145,9 +175,15 @@ func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
 // group shows up as every one of its members streaking together.
 func (a *GTopKAggregator) QuorumMissStreak() int { return a.missStreak }
 
-// Aggregate implements Aggregator.
+// Aggregate implements Aggregator: AggregateSparse scattered into the
+// dense view.
 func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	missed, err := a.run(ctx, grad, a.dense)
+	return a.view.of(a.AggregateSparse(ctx, grad))
+}
+
+// AggregateSparse implements SparseUpdater.
+func (a *GTopKAggregator) AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error) {
+	update, missed, err := a.run(ctx, grad)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s aggregate: %w", a.Name(), err)
 	}
@@ -156,5 +192,5 @@ func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 	} else {
 		a.missStreak = 0
 	}
-	return a.dense, nil
+	return update, nil
 }

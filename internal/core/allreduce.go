@@ -186,9 +186,7 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 // other rank leaves out untouched — the hierarchy's group phase, whose
 // only reader is the group leader.
 func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, swap bool, out *sparse.Vector) error {
-	if chunks < 1 {
-		chunks = 1
-	}
+	chunks = max(chunks, 1)
 	p := comm.Size()
 	r := comm.Rank()
 

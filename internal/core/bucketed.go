@@ -29,12 +29,13 @@ import (
 // treats anything not announced as ready at return.
 type StreamGradFn func(iter int, weights, grad []float32, ready func(lo, hi int)) float64
 
-// BucketStreamer is the streaming aggregation contract: an Aggregator
-// that can start communicating gradient buckets before the whole gradient
-// exists. One iteration is Begin → any number of Ready calls → Finish;
-// Aggregate remains the serial facade (Begin + Finish back to back).
+// BucketStreamer is the streaming aggregation contract: a sparse
+// Aggregator that can start communicating gradient buckets before the
+// whole gradient exists. One iteration is Begin → any number of Ready
+// calls → Finish; AggregateSparse remains the serial facade (Begin +
+// Finish back to back), and Aggregate scatters that into a dense view.
 type BucketStreamer interface {
-	Aggregator
+	SparseUpdater
 	// Begin starts an iteration over grad. The aggregator reads grad
 	// slices only after they are covered by Ready (or at Finish).
 	Begin(ctx context.Context, grad []float32) error
@@ -42,8 +43,11 @@ type BucketStreamer interface {
 	// becomes fully covered its pipeline launches immediately.
 	Ready(lo, hi int)
 	// Finish launches any buckets not yet announced, waits for the whole
-	// pipeline to drain, and returns the dense update (mean over ranks).
-	Finish() ([]float32, error)
+	// pipeline to drain, and returns the update compact, as
+	// AggregateSparse does: the buckets' supports, each offset by its
+	// bucket's start (ascending, because buckets are), and their mean
+	// values concatenated in the same order.
+	Finish() (*sparse.Vector, error)
 }
 
 // bucketState is one bucket's long-lived pipeline state: its own gTop-k
@@ -62,6 +66,8 @@ type bucketState struct {
 
 	remaining int // uncovered elements in the current iteration
 	launched  bool
+
+	update *sparse.Vector // the last run's compact update, bucket-local
 }
 
 // bucketDone reports one bucket's completed collective back to Finish.
@@ -95,10 +101,9 @@ type bucketDone struct {
 // also price stricter schedules (e.g. a single shared NIC).
 type BucketedAggregator struct {
 	parent  *collective.Comm
-	bounds  []int
 	buckets []*bucketState
-	dense   []float32
-	support []int32 // UpdateSupport's result (reused)
+	update  sparse.Vector // Finish's compact update (reused)
+	view    denseView     // Aggregate's dense update (nil until first asked for)
 
 	// missStreak counts consecutive iterations in which ANY of this
 	// rank's buckets missed its quorum round.
@@ -156,9 +161,8 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 	dim := bounds[n]
 	a := &BucketedAggregator{
 		parent:   comm,
-		bounds:   append([]int(nil), bounds...),
 		buckets:  make([]*bucketState, n),
-		dense:    make([]float32, dim),
+		update:   sparse.Vector{Dim: dim},
 		done:     make(chan bucketDone, n),
 		lastComm: make([]time.Duration, n),
 	}
@@ -242,13 +246,10 @@ func (a *BucketedAggregator) SetAdaptiveDensity(budgetBytes int64, seed uint64) 
 	if budgetBytes < 1 {
 		return fmt.Errorf("core: bucketed: adaptive density budget %d bytes; need >= 1", budgetBytes)
 	}
-	dim := int64(a.bounds[len(a.bounds)-1])
+	dim := int64(a.update.Dim)
 	for _, b := range a.buckets {
 		size := int64(b.hi - b.lo)
-		budget := budgetBytes * size / dim
-		if budget < 1 {
-			budget = 1
-		}
+		budget := max(budgetBytes*size/dim, 1)
 		dc, err := NewDensityController(b.k, 1, b.hi-b.lo, budget, seed^mixRound(b.idx))
 		if err != nil {
 			return fmt.Errorf("core: bucketed: bucket %d: %w", b.idx, err)
@@ -258,9 +259,6 @@ func (a *BucketedAggregator) SetAdaptiveDensity(budgetBytes int64, seed uint64) 
 	}
 	return nil
 }
-
-// NumBuckets returns the number of buckets in the pipeline.
-func (a *BucketedAggregator) NumBuckets() int { return len(a.buckets) }
 
 // BucketKs returns each bucket's current selection count — the adaptive
 // controller's latest resolved k when SetAdaptiveDensity is active, the
@@ -274,31 +272,22 @@ func (a *BucketedAggregator) BucketKs() []int {
 	return ks
 }
 
-// Bounds returns the cumulative bucket offsets.
-func (a *BucketedAggregator) Bounds() []int { return append([]int(nil), a.bounds...) }
-
 // LastBucketTimes returns each bucket's simulated communication time of
 // the most recent iteration (all zero when the communicator is untimed).
 func (a *BucketedAggregator) LastBucketTimes() []time.Duration {
 	return append([]time.Duration(nil), a.lastComm...)
 }
 
-// UpdateSupport implements SparseUpdater: the buckets' supports, each
-// offset by its bucket's start — ascending, because buckets are.
-func (a *BucketedAggregator) UpdateSupport() []int32 {
-	a.support = a.support[:0]
-	for _, b := range a.buckets {
-		for _, idx := range b.round.support {
-			a.support = append(a.support, idx+int32(b.lo))
-		}
-	}
-	return a.support
+// Aggregate implements Aggregator: AggregateSparse scattered into the
+// dense view.
+func (a *BucketedAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+	return a.view.of(a.AggregateSparse(ctx, grad))
 }
 
-// Aggregate implements Aggregator: the serial facade over the pipeline.
-// Buckets still communicate concurrently with each other; only the
-// overlap with gradient computation is given up.
-func (a *BucketedAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+// AggregateSparse implements SparseUpdater: the serial facade over the
+// pipeline. Buckets still communicate concurrently with each other; only
+// the overlap with gradient computation is given up.
+func (a *BucketedAggregator) AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error) {
 	if err := a.Begin(ctx, grad); err != nil {
 		return nil, err
 	}
@@ -310,8 +299,8 @@ func (a *BucketedAggregator) Begin(ctx context.Context, grad []float32) error {
 	if a.grad != nil {
 		return fmt.Errorf("core: bucketed: Begin before previous Finish")
 	}
-	if len(grad) != len(a.dense) {
-		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), len(a.dense))
+	if len(grad) != a.update.Dim {
+		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.update.Dim)
 	}
 	a.ctx = ctx
 	a.grad = grad
@@ -338,7 +327,7 @@ func (a *BucketedAggregator) Ready(lo, hi int) {
 }
 
 // Finish implements BucketStreamer.
-func (a *BucketedAggregator) Finish() ([]float32, error) {
+func (a *BucketedAggregator) Finish() (*sparse.Vector, error) {
 	if a.grad == nil {
 		return nil, fmt.Errorf("core: bucketed: Finish without Begin")
 	}
@@ -360,9 +349,7 @@ func (a *BucketedAggregator) Finish() ([]float32, error) {
 			anyMissed = true
 		}
 		a.lastComm[d.idx] = d.comm
-		if d.comm > slowest {
-			slowest = d.comm
-		}
+		slowest = max(slowest, d.comm)
 		a.parent.AddStats(d.stats)
 	}
 	a.grad = nil
@@ -381,23 +368,31 @@ func (a *BucketedAggregator) Finish() ([]float32, error) {
 	if clock := a.parent.Clock(); clock != nil {
 		clock.Advance(slowest)
 	}
-	return a.dense, nil
+	u := &a.update
+	u.Indices, u.Values = u.Indices[:0], u.Values[:0]
+	for _, b := range a.buckets {
+		for _, idx := range b.update.Indices {
+			u.Indices = append(u.Indices, idx+int32(b.lo))
+		}
+		u.Values = append(u.Values, b.update.Values...)
+	}
+	return u, nil
 }
 
 // launch hands one fully-covered bucket to its pipeline goroutine. The
 // goroutine exclusively owns the bucket's sub-communicator, residual and
-// output slice until it reports on a.done, so buckets proceed in parallel
+// compact update until it reports on a.done, so buckets proceed in parallel
 // without shared mutable state.
 func (a *BucketedAggregator) launch(b *bucketState) {
 	b.launched = true
 	a.inFlight++
 	ctx, grad := a.ctx, a.grad
 	go func() {
-		a.done <- a.runBucket(ctx, b, grad)
+		a.done <- b.runBucket(ctx, grad)
 	}()
 }
 
-func (a *BucketedAggregator) runBucket(ctx context.Context, b *bucketState, grad []float32) bucketDone {
+func (b *bucketState) runBucket(ctx context.Context, grad []float32) bucketDone {
 	out := bucketDone{idx: b.idx}
 	statsBefore := b.comm.Stats()
 	var clockBefore time.Duration
@@ -417,7 +412,7 @@ func (a *BucketedAggregator) runBucket(ctx context.Context, b *bucketState, grad
 	// hierarchy the round has already folded the group sub-comms' counters
 	// into the bucket's, so the statsDelta below captures all its traffic.
 	var err error
-	if out.missed, err = b.run(ctx, grad[b.lo:b.hi], a.dense[b.lo:b.hi]); err != nil {
+	if b.update, out.missed, err = b.run(ctx, grad[b.lo:b.hi]); err != nil {
 		out.err = fmt.Errorf("core: bucket %d: %w", b.idx, err)
 		return out
 	}
@@ -459,9 +454,7 @@ func GroupBounds(layerBounds []int, n int) []int {
 	if last < 1 {
 		return append([]int(nil), layerBounds...)
 	}
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	if n >= last {
 		return append([]int(nil), layerBounds...)
 	}

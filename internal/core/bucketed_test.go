@@ -202,7 +202,7 @@ func TestBucketedStreamedMatchesSerial(t *testing.T) {
 				return fmt.Errorf("iter %d: %w", it, err)
 			}
 			if c.Rank() == 0 {
-				streamed[it] = append([]float32(nil), upd...)
+				streamed[it] = upd.Dense()
 			}
 		}
 		return nil

@@ -87,9 +87,7 @@ func (c *DensityController) Observe(r int, rawBytes, wireBytes int64) {
 // Memoized: the full schedule up to r is computed on first use, so the
 // cost of T rounds is O(T) total.
 func (c *DensityController) KFor(r int) int {
-	if r < 0 {
-		r = 0
-	}
+	r = max(r, 0)
 	for len(c.memo) <= r {
 		c.memo = append(c.memo, c.next(len(c.memo)))
 	}
@@ -108,13 +106,7 @@ func (c *DensityController) next(r int) int {
 	if r < ControlLag || !ok || o.wire <= 0 {
 		return prev
 	}
-	factor := float64(c.budget) / float64(o.wire)
-	if factor < densityFactorMin {
-		factor = densityFactorMin
-	}
-	if factor > densityFactorMax {
-		factor = densityFactorMax
-	}
+	factor := min(max(float64(c.budget)/float64(o.wire), densityFactorMin), densityFactorMax)
 	target := float64(prev) * factor
 	k := int(math.Floor(target))
 	// Seeded stochastic rounding keeps the EXPECTED k on target while
@@ -123,13 +115,7 @@ func (c *DensityController) next(r int) int {
 	if prng.New(c.seed^mixRound(r)).Float64() < target-float64(k) {
 		k++
 	}
-	if k < c.kMin {
-		k = c.kMin
-	}
-	if k > c.kMax {
-		k = c.kMax
-	}
-	return k
+	return min(max(k, c.kMin), c.kMax)
 }
 
 // mixRound spreads a round number across 64 bits (splitmix64 finalizer)

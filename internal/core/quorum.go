@@ -156,19 +156,10 @@ func (qc QuorumConfig) leaderQuorum(numGroups int) int {
 // the quorum shrinks with it but never below that group's own strict
 // majority.
 func groupQuorum(q, groupSize int) int {
-	if q > groupSize {
-		q = groupSize
-	}
-	lo := QuorumMin(groupSize)
-	if lo > groupSize {
-		// A group of 1 or 2 has no strict majority above its own size:
-		// the whole group is the quorum.
-		lo = groupSize
-	}
-	if q < lo {
-		q = lo
-	}
-	return q
+	// A group of 1 or 2 has no strict majority above its own size: the
+	// whole group is the quorum.
+	lo := min(QuorumMin(groupSize), groupSize)
+	return max(min(q, groupSize), lo)
 }
 
 // verdictRetryPolicy sizes the deadline-aware verdict receive: each
@@ -176,14 +167,10 @@ func groupQuorum(q, groupSize int) int {
 // gathering before it merges and forwards), retried with a backoff of a
 // quarter deadline clamped to minVerdictBackoff.
 func verdictRetryPolicy(deadline time.Duration) transport.RetryPolicy {
-	backoff := deadline / 4
-	if backoff < minVerdictBackoff {
-		backoff = minVerdictBackoff
-	}
 	return transport.RetryPolicy{
 		Timeout:  2 * deadline,
 		Attempts: verdictAttempts,
-		Backoff:  backoff,
+		Backoff:  max(deadline/4, minVerdictBackoff),
 	}
 }
 
@@ -191,16 +178,6 @@ func verdictRetryPolicy(deadline time.Duration) transport.RetryPolicy {
 // result vector: the hierarchical collective over a single group.
 func QuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
 	return HierQuorumGTopKAllReduce(ctx, comm, local, k, 0, qc)
-}
-
-// QuorumGTopKAllReduceInto is QuorumGTopKAllReduce's reusable-state
-// form: every rank ships its local top-k to rank 0 in a single codec
-// frame, the root closes the gather after the deadline with at least
-// qc.Q contributions and broadcasts a verdict (participant set + merged
-// global top-k). At full participation the merge order, and therefore
-// the bits, are identical to GTopKAllReduceInto under a lossless codec.
-func QuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig, out *sparse.Vector) (bool, []int, error) {
-	return HierQuorumGTopKAllReduceInto(ctx, comm, nil, local, k, 0, qc, out)
 }
 
 // rankIn reports whether rank r is in the ascending participant set.

@@ -43,9 +43,8 @@ type round struct {
 	velocity  []float32 // momentum-correction buffer (nil until enabled)
 	quorum    QuorumConfig
 
-	orig    []float32     // pre-transform snapshot of the selected values (reused)
-	global  sparse.Vector // reused collective result (zero steady-state allocs)
-	support []int32       // where the last run left dst non-zero (reused)
+	orig   []float32     // pre-transform snapshot of the selected values (reused)
+	global sparse.Vector // reused collective result (zero steady-state allocs)
 }
 
 // newRound creates the round state for a dim-element range selecting k
@@ -160,25 +159,21 @@ func (r *round) SetQuorum(cfg QuorumConfig) error {
 	return nil
 }
 
-// UpdateSupport implements SparseUpdater for the aggregator that embeds
-// one round over the whole gradient.
-func (r *round) UpdateSupport() []int32 { return r.support }
-
 // run executes one round over grad (the range's slice of the gradient)
-// and writes the range's mean update into dst, which must be the same
-// buffer every time and written by nobody else outside r.support: the
-// round re-zeroes only what its previous run wrote. missed reports that
-// this rank's contribution did not make a quorum round.
-func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err error) {
+// and returns the range's mean update compact: the ascending global
+// support and the values (0 + v)·(1/P) aligned with it, valid until the
+// next run. missed reports that this rank's contribution did not make a
+// quorum round.
+func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector, missed bool, err error) {
 	if r.schedule != nil {
 		if err := r.SetK(r.schedule(r.step)); err != nil {
-			return false, fmt.Errorf("schedule: %w", err)
+			return nil, false, fmt.Errorf("schedule: %w", err)
 		}
 	}
 	r.step++
 	local, err := r.sp.SelectMomentum(r.mu, r.velocity, grad, r.k)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	// Keep the selected values as selected where the collective may not
 	// return them intact: a lossy wire transform pins the sender's copy to
@@ -191,7 +186,7 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 	}
 	global, participated, err := r.allReduce(ctx, local)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if !participated {
 		// Nothing of this rank entered the aggregate: conservation refunds
@@ -211,8 +206,14 @@ func (r *round) run(ctx context.Context, grad, dst []float32) (missed bool, err 
 			r.sp.PutBack(local, global.Indices)
 		}
 	}
-	r.support = global.MeanIntoSparse(dst, r.comm.Size(), r.support)
-	return !participated, nil
+	// The mean in place, with the additions and the multiplication
+	// MeanInto performs at the support (so a −0 becomes +0): the result is
+	// what the collective returned, and nothing reads it as a sum again.
+	inv := 1 / float32(r.comm.Size())
+	for i, v := range global.Values {
+		global.Values[i] = (0 + v) * inv
+	}
+	return global, !participated, nil
 }
 
 // allReduce is the round's one way onto the wire: it picks the union,

@@ -15,8 +15,9 @@ import (
 )
 
 // updateSpec describes one aggregator of the sparse-update wall, built
-// twice: as the real aggregator (fused accumulate-and-select, mean rebuilt
-// in O(k), support reported to the trainer) and as refAggregator below.
+// twice: as the real aggregator (fused accumulate-and-select, mean taken
+// at the k global entries, handed to the trainer compact) and as
+// refAggregator below.
 type updateSpec struct {
 	kind     string // "flat", "naive", "hier", "quorum", "topk", "ps", "bucketed"
 	dim      int
@@ -29,6 +30,7 @@ type updateSpec struct {
 	negZero  bool               // plant −0 at residual[0] before the first step
 	sparseG  bool               // gradient non-zero at three coordinates only
 	momentum float32            // trainer momentum: > 0 must keep the dense tail
+	streamed bool               // "bucketed": buckets launch from inside the gradient function
 }
 
 // refRound is one round composed the way it ran before the passes were
@@ -202,7 +204,7 @@ func newRealAggregator(c *collective.Comm, spec updateSpec) (Aggregator, []*Spar
 type updateWorld struct {
 	weights, velocity, residual [][]float32
 	streaks                     [][]int // "quorum": QuorumMissStreak after every step
-	sparseTail                  bool    // the trainer's aggregator reports a support
+	sparseTail                  bool    // the trainer takes a compact update
 }
 
 var negZero = float32(math.Copysign(0, -1))
@@ -292,6 +294,18 @@ func runUpdateWorld(t *testing.T, spec updateSpec, p, steps int, ref bool) updat
 				if err != nil {
 					return err
 				}
+				if spec.streamed && !ref {
+					err := tr.SetStreamGradFn(func(iter int, w, grad []float32, ready func(lo, hi int)) float64 {
+						loss := gradFn(iter, w, grad)
+						for b := len(spec.bounds) - 2; b >= 0; b-- {
+							ready(spec.bounds[b], spec.bounds[b+1])
+						}
+						return loss
+					})
+					if err != nil {
+						return err
+					}
+				}
 				for step := 0; step < steps; step++ {
 					if spec.kind == "quorum" && step == stallStep+1 {
 						// Let the stalled frame drain off the FIFO link before the
@@ -338,9 +352,9 @@ func requireSameBits(t *testing.T, label string, want, got [][]float32) {
 }
 
 // TestSparseUpdateMatchesDense pins the O(k) tail of a step — fused
-// momentum/residual accumulate, mean rebuilt at the support, clip and
-// weight update at the support — against the dense composition it
-// replaced: after 60 trainer steps the weights, the trainer velocity and
+// momentum/residual accumulate, mean taken at the k global entries and
+// handed over compact, clip and weight update at the support — against
+// the dense composition it replaced: after 60 trainer steps the weights, the trainer velocity and
 // every residual are bit-identical to a reference that selects over a
 // separately folded velocity, rebuilds the mean with MeanInto and applies
 // it with tensor.Clip and tensor.AxpyInto over the full buffer.
@@ -381,6 +395,9 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 		}}},
 		// Supports are bucket-local and must come back offset by bucket.
 		{"bucketed", []int{1, 4}, updateSpec{kind: "bucketed", dim: 600, mu: 0.9, bounds: []int{0, 150, 310, 600}, density: 0.02}},
+		// The same, with the buckets launched from inside the gradient
+		// function as a backward pass retires them (Finish's compact update).
+		{"bucketed/streamed", []int{1, 4}, updateSpec{kind: "bucketed", dim: 600, mu: 0.9, bounds: []int{0, 150, 310, 600}, density: 0.02, streamed: true}},
 		// Trainer momentum decays the velocity at every coordinate: the
 		// dense tail must run although the aggregator reports a support.
 		{"flat/trainer-momentum", []int{1, 4}, updateSpec{kind: "flat", dim: 600, k: constK(12), momentum: 0.9}},

@@ -129,21 +129,12 @@ func (s *Sparsifier) RestoreResidual(residual []float32) error {
 
 // Reset zeroes the residual (used between experiment repetitions).
 func (s *Sparsifier) Reset() {
-	for i := range s.residual {
-		s.residual[i] = 0
-	}
+	clear(s.residual)
 }
 
 // DensityToK converts a density ρ into the per-worker selection count
 // k = ρ·m, clamped to [1, m] (the paper always selects at least one
 // gradient; ρ=0.001 on small test models must not round down to zero).
 func DensityToK(dim int, density float64) int {
-	k := int(density * float64(dim))
-	if k < 1 {
-		k = 1
-	}
-	if k > dim {
-		k = dim
-	}
-	return k
+	return min(max(int(density*float64(dim)), 1), dim)
 }

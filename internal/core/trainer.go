@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/tensor"
 )
 
@@ -50,13 +51,19 @@ type PhaseTimes struct {
 // every replica. Because the aggregated update is bit-identical across
 // ranks (all aggregators guarantee this), replicas never diverge and no
 // parameter re-synchronisation is needed.
+//
+// Besides the weights a trainer holds the gradient and, only when it
+// applies momentum itself, the velocity: under momentum correction the
+// sparse aggregator keeps the velocity (TrainConfig.Momentum is 0) and
+// hands over its update as k (index, mean) pairs.
 type Trainer struct {
 	cfg      TrainConfig
 	agg      Aggregator
 	gradFn   GradFn
 	streamFn StreamGradFn
 	weights  []float32
-	velocity []float32
+	velocity []float32 // nil unless cfg.Momentum > 0
+	view     denseView // a compact update scattered for the momentum tail
 	grad     []float32
 	iter     int
 	onPhases func(iter int, pt PhaseTimes)
@@ -72,14 +79,17 @@ func NewTrainer(cfg TrainConfig, agg Aggregator, weights []float32, gradFn GradF
 	if agg == nil || gradFn == nil {
 		return nil, fmt.Errorf("core: trainer needs an aggregator and a gradient function")
 	}
-	return &Trainer{
-		cfg:      cfg,
-		agg:      agg,
-		gradFn:   gradFn,
-		weights:  weights,
-		velocity: make([]float32, len(weights)),
-		grad:     make([]float32, len(weights)),
-	}, nil
+	t := &Trainer{
+		cfg:     cfg,
+		agg:     agg,
+		gradFn:  gradFn,
+		weights: weights,
+		grad:    make([]float32, len(weights)),
+	}
+	if cfg.Momentum > 0 {
+		t.velocity = make([]float32, len(weights))
+	}
+	return t, nil
 }
 
 // Weights exposes the current parameters (mutated by Step).
@@ -92,18 +102,26 @@ func (t *Trainer) Iter() int { return t.iter }
 // wall-clock phase durations (e.g. a trace.Recorder). Pass nil to remove.
 func (t *Trainer) SetPhaseHook(fn func(iter int, pt PhaseTimes)) { t.onPhases = fn }
 
-// Velocity exposes the momentum buffer (for checkpointing).
+// Velocity exposes the momentum buffer (for checkpointing): dim entries
+// when the trainer applies momentum, empty when it does not.
 func (t *Trainer) Velocity() []float32 { return t.velocity }
 
 // Restore resets the iteration counter and momentum buffer from a
 // checkpoint. The weights are restored by the caller (they alias the
-// model's parameter buffer); velocity length must match.
+// model's parameter buffer). With momentum the velocity must have the
+// model's dimension. Without it the trainer has no velocity to restore:
+// it accepts an empty one or a dim-length all-zero one (what such a
+// trainer saved while it still allocated the buffer) and rejects a
+// non-zero one, which it could only drop — a wrong resume.
 func (t *Trainer) Restore(iter int, velocity []float32) error {
 	if iter < 0 {
 		return fmt.Errorf("core: restore with negative iteration %d", iter)
 	}
+	if t.cfg.Momentum == 0 && len(velocity) == len(t.weights) && tensor.L2Norm(velocity) == 0 {
+		velocity = nil // zeros: all a trainer without momentum ever saved
+	}
 	if len(velocity) != len(t.velocity) {
-		return fmt.Errorf("core: restore velocity dim %d, want %d", len(velocity), len(t.velocity))
+		return fmt.Errorf("core: restore velocity dim %d, want %d (a trainer without momentum takes none, or zeros)", len(velocity), len(t.velocity))
 	}
 	t.iter = iter
 	copy(t.velocity, velocity)
@@ -152,7 +170,8 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	var (
 		pt     PhaseTimes
 		loss   float64
-		update []float32
+		u      *sparse.Vector // a SparseUpdater's update
+		update []float32      // a dense update (nil: apply u)
 		err    error
 	)
 	start := time.Now()
@@ -167,38 +186,41 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	pt.Compute = time.Since(start)
 
 	start = time.Now()
-	if bs != nil {
-		update, err = bs.Finish()
-	} else {
+	su, compact := t.agg.(SparseUpdater)
+	switch {
+	case bs != nil:
+		u, err = bs.Finish()
+	case compact:
+		u, err = su.AggregateSparse(ctx, t.grad)
+	default:
 		update, err = t.agg.Aggregate(ctx, t.grad)
+	}
+	if compact && t.cfg.Momentum > 0 {
+		// Momentum decays the velocity at every coordinate: the dense tail
+		// runs over the compact update scattered into the trainer's view.
+		update, err = t.view.of(u, err)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
 	}
 	pt.Aggregate = time.Since(start)
 
-	t.applyUpdate(update, &pt)
+	// The optimizer tail. Without trainer momentum — the paper's setting
+	// once momentum correction runs inside the aggregator — a compact
+	// update is clipped and applied at its support only: every other
+	// weight would receive w + -lr·0, which is w.
+	start = time.Now()
+	if update == nil {
+		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, u.Values, u.Indices, t.cfg.GradClip)
+	} else {
+		t.cfg.applyDense(t.weights, t.velocity, update)
+	}
+	pt.Update = time.Since(start)
 	if t.onPhases != nil {
 		t.onPhases(t.iter, pt)
 	}
 	t.iter++
 	return loss, nil
-}
-
-// applyUpdate runs the optimizer tail. Without trainer momentum (the
-// paper's setting once momentum correction runs inside the aggregator) an
-// update with a known sparse support is clipped and applied at those
-// entries only — every other weight would receive w + -lr·0, which is w.
-// Momentum decays the velocity at every coordinate, so it keeps the dense
-// tail, as does an aggregator whose update is dense.
-func (t *Trainer) applyUpdate(update []float32, pt *PhaseTimes) {
-	start := time.Now()
-	if su, ok := t.agg.(SparseUpdater); ok && t.cfg.Momentum == 0 {
-		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, update, su.UpdateSupport(), t.cfg.GradClip)
-	} else {
-		t.cfg.applyDense(t.weights, t.velocity, update)
-	}
-	pt.Update = time.Since(start)
 }
 
 // applyDense is the dense optimizer tail — clip, momentum, weight update,

@@ -372,3 +372,60 @@ func TestAggregatorKValidation(t *testing.T) {
 		t.Errorf("SetK(3) rejected: %v", err)
 	}
 }
+
+// TestRestoreWithoutMomentum pins the checkpoint face of a trainer that
+// applies no momentum: it holds no velocity, resumes from an empty one
+// or from the dim-length zeros such a trainer used to save, and refuses
+// a velocity it could only drop — non-zero or of the wrong length —
+// instead of resuming wrongly. A momentum trainer still wants dim
+// entries.
+func TestRestoreWithoutMomentum(t *testing.T) {
+	const dim = 8
+	c := newSingleRankComm(t)
+	agg, err := NewGTopKAggregator(c, dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, dim), quadGrad(makeTarget(dim), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := tr.Velocity(); len(v) != 0 {
+		t.Fatalf("a trainer without momentum holds a %d-entry velocity", len(v))
+	}
+	zeros := make([]float32, dim)
+	zeros[3] = float32(math.Copysign(0, -1))
+	for i, ok := range [][]float32{nil, {}, zeros} {
+		if err := tr.Restore(10+i, ok); err != nil {
+			t.Fatalf("restore from a %d-entry zero velocity: %v", len(ok), err)
+		}
+		if tr.Iter() != 10+i || len(tr.Velocity()) != 0 {
+			t.Fatalf("after restore: iter %d, %d-entry velocity", tr.Iter(), len(tr.Velocity()))
+		}
+	}
+	nonZero := make([]float32, dim)
+	nonZero[dim-1] = 1e-30
+	notANumber := make([]float32, dim)
+	notANumber[0] = float32(math.NaN())
+	for name, bad := range map[string][]float32{
+		"non-zero": nonZero, "NaN": notANumber, "short zeros": make([]float32, dim-1), "long zeros": make([]float32, dim+1),
+	} {
+		if err := tr.Restore(20, bad); err == nil {
+			t.Fatalf("restore from a %s velocity accepted", name)
+		}
+		if tr.Iter() != 12 {
+			t.Fatalf("a rejected %s restore moved the iteration to %d", name, tr.Iter())
+		}
+	}
+
+	mom, err := NewTrainer(TrainConfig{LR: 0.1, Momentum: 0.9}, NewDenseAggregator(c, dim), make([]float32, dim), quadGrad(makeTarget(dim), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mom.Restore(1, nil); err == nil {
+		t.Fatal("a momentum trainer restored from an empty velocity")
+	}
+	if err := mom.Restore(1, nonZero); err != nil || mom.Velocity()[dim-1] != 1e-30 {
+		t.Fatalf("momentum trainer restore: %v, velocity %v", err, mom.Velocity())
+	}
+}

@@ -200,24 +200,25 @@ func Clip(x []float32, limit float32) {
 	}
 }
 
-// ClipAxpyAt is Clip(x, limit) followed by AxpyInto(dst, alpha, x),
-// restricted to the positions listed in at: x is clipped in place there
-// (limit <= 0 disables clipping) and dst[i] += alpha*x[i]. When x is zero
-// everywhere else, dst ends bit-identical to the two dense passes, because
-// w + alpha*0 == w for every w.
+// ClipAxpyAt applies a compact vector — x[j] at position at[j] — as
+// Clip followed by AxpyInto over its dense scatter: x is clipped in place
+// (limit <= 0 disables clipping) and dst[at[j]] += alpha*x[j]. Every
+// position outside at would receive w + alpha*0, which is w, so dst ends
+// bit-identical to the two dense passes over a buffer that is zero
+// everywhere else.
 func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit float32) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d vs %d", len(dst), len(x)))
+	if len(at) != len(x) {
+		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d positions, %d values", len(at), len(x)))
 	}
-	for _, i := range at {
-		v := x[i]
+	for j, i := range at {
+		v := x[j]
 		if limit > 0 {
 			if v > limit {
 				v = limit
 			} else if v < -limit {
 				v = -limit
 			}
-			x[i] = v
+			x[j] = v
 		}
 		dst[i] += alpha * v
 	}

@@ -508,6 +508,38 @@ func TestClip(t *testing.T) {
 	}
 }
 
+// TestClipAxpyAtMatchesDense holds the compact update to Clip followed by
+// AxpyInto over its dense scatter, bit for bit: −0 weights outside and
+// inside the support, clipped and unclipped values, and limit 0.
+func TestClipAxpyAtMatchesDense(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	at := []int32{0, 2, 5, 6}
+	for _, limit := range []float32{0, 0.5} {
+		values := []float32{3, -0.25, negZero, -7}
+		weights := []float32{negZero, 1, negZero, 2, 3, 4, 5, 6}
+		dense := make([]float32, len(weights))
+		for j, i := range at {
+			dense[i] = values[j]
+		}
+		want := append([]float32(nil), weights...)
+		if limit > 0 {
+			Clip(dense, limit)
+		}
+		AxpyInto(want, -0.1, dense)
+		ClipAxpyAt(weights, -0.1, values, at, limit)
+		for i := range want {
+			if math.Float32bits(weights[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("limit %v: weights[%d] = %v, dense passes give %v", limit, i, weights[i], want[i])
+			}
+		}
+		for j, i := range at {
+			if math.Float32bits(values[j]) != math.Float32bits(dense[i]) {
+				t.Fatalf("limit %v: values[%d] = %v, clipped dense %v", limit, j, values[j], dense[i])
+			}
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	m := FromSlice(1, 2, []float32{1, 2})
 	c := m.Clone()

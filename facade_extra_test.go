@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/prng"
+	"gtopkssgd/internal/quant"
 	"gtopkssgd/internal/sparse"
+	"gtopkssgd/internal/trace"
 	"gtopkssgd/internal/transport"
 )
 
@@ -47,11 +50,11 @@ func TestPublicQuantAggregators(t *testing.T) {
 					)
 					switch algo {
 					case "signsgd":
-						agg = NewSignSGDAggregator(comm, dim)
+						agg = quant.NewSignSGDAggregator(comm, dim)
 					case "terngrad":
-						agg = NewTernGradAggregator(comm, dim, 9)
+						agg = quant.NewTernGradAggregator(comm, dim, 9)
 					case "gtopk-quant8":
-						comm.SetCompressor(NewCompressor(sparse.ValueQ8, 9).Fork(uint64(rank)))
+						comm.SetCompressor(quant.NewStack(sparse.ValueQ8, 9).Fork(uint64(rank)))
 						agg, err = NewGTopKAggregator(comm, dim, 4)
 					}
 					if err != nil {
@@ -95,36 +98,6 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicPipelinedTrainer(t *testing.T) {
-	fabric, err := NewInProcFabric(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fabric.Close()
-	agg := NewDenseAggregator(NewComm(fabric.Conn(0)), 2)
-	tr, err := NewPipelinedTrainer(TrainConfig{LR: 0.5}, agg, make([]float32, 2),
-		func(_ int, weights, grad []float32) float64 {
-			grad[0] = weights[0] - 1
-			grad[1] = weights[1] + 1
-			return 0
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := tr.Step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	w := tr.Weights()
-	if w[0] < 0.9 || w[0] > 1.1 || w[1] > -0.9 && w[1] < -1.1 {
-		t.Fatalf("pipelined trainer did not converge: %v", w)
-	}
-}
-
 func TestPublicTraceRecorderViaHook(t *testing.T) {
 	fabric, err := NewInProcFabric(1)
 	if err != nil {
@@ -137,8 +110,8 @@ func TestPublicTraceRecorderViaHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder()
-	tr.SetPhaseHook(func(iter int, pt PhaseTimes) {
+	rec := trace.NewRecorder()
+	tr.SetPhaseHook(func(iter int, pt core.PhaseTimes) {
 		rec.Record(iter, "compute", pt.Compute)
 		rec.Record(iter, "aggregate", pt.Aggregate)
 	})
@@ -158,7 +131,7 @@ func TestPublicTraceRecorderViaHook(t *testing.T) {
 
 func TestPublicMultiProcessWorkerAPI(t *testing.T) {
 	// Single-rank worker mesh is a degenerate but valid deployment.
-	conn, err := NewTCPWorker(context.Background(), 0, []string{"127.0.0.1:0"})
+	conn, err := transport.NewTCPWorker(context.Background(), 0, []string{"127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +142,7 @@ func TestPublicMultiProcessWorkerAPI(t *testing.T) {
 }
 
 // TestPublicHierarchicalSurface drives the hierarchical collective and
-// aggregator through the facade: the G=P degenerate must match
+// aggregator over facade-built communicators: the G=P degenerate must match
 // GTopKAllReduce bit for bit, and the real two-level regime must keep
 // replicas identical.
 func TestPublicHierarchicalSurface(t *testing.T) {
@@ -198,7 +171,7 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 			go func(rank int) {
 				defer func() { done <- struct{}{} }()
 				comm := NewComm(fabric.Conn(rank))
-				out[rank], errs[rank] = HierarchicalGTopKAllReduce(
+				out[rank], errs[rank] = core.HierarchicalGTopKAllReduce(
 					context.Background(), comm, locals[rank].Clone(), k, group)
 			}(r)
 		}
@@ -228,10 +201,10 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 		}
 	}
 
-	if _, err := NewHierarchicalAggregator(NewComm(fabric.Conn(0)), dim, k, 0); err == nil {
+	if _, err := core.NewHierarchicalAggregator(NewComm(fabric.Conn(0)), dim, k, 0); err == nil {
 		t.Fatal("group 0 accepted")
 	}
-	if _, err := NewHierarchicalBucketedAggregator(NewComm(fabric.Conn(0)), []int{0, dim}, 0.05, 0); err == nil {
+	if _, err := core.NewHierarchicalBucketedAggregator(NewComm(fabric.Conn(0)), []int{0, dim}, 0.05, 0); err == nil {
 		t.Fatal("bucketed group 0 accepted")
 	}
 }

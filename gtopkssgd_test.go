@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gtopkssgd/internal/prng"
+	"gtopkssgd/internal/sparse"
 )
 
 // TestPublicAPIEndToEnd exercises the whole public surface the way the
@@ -107,7 +108,7 @@ func TestPublicCollectives(t *testing.T) {
 func TestPublicMergeAndSelect(t *testing.T) {
 	a := TopKSelect([]float32{5, 0, -3, 1}, 2)
 	bv := TopKSelect([]float32{0, 4, -3, 0}, 2)
-	m, err := Merge(a, bv, 2)
+	m, err := sparse.Merge(a, bv, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +132,17 @@ func TestPublicAggregatorConstructorsValidate(t *testing.T) {
 	}
 	defer fabric.Close()
 	comm := NewComm(fabric.Conn(0))
-	if _, err := NewTopKAggregator(comm, 10, 0); err == nil {
+	if _, err := NewGTopKAggregator(comm, 10, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewGTopKAggregator(comm, 10, 11); err == nil {
-		t.Error("k>dim accepted")
+	if agg, err := NewGTopKAggregator(comm, 10, 11); err == nil || agg != nil {
+		t.Errorf("k>dim: got (%v, %v), want an error and an untyped nil Aggregator", agg, err)
 	}
-	if _, err := NewLayerwiseGTopKAggregator(comm, []int{0, 5, 3}, 0.1); err == nil {
+	if _, err := NewBucketedAggregator(comm, []int{0, 5, 3}, 0.1); err == nil {
 		t.Error("bad bounds accepted")
 	}
-	if _, err := NewPSGTopKAggregator(comm, 10, 2); err != nil {
-		t.Errorf("valid PS aggregator rejected: %v", err)
+	if _, err := NewBucketedAggregator(comm, GroupBounds([]int{0, 4, 10}, 2), 0.2); err != nil {
+		t.Errorf("valid bucketed aggregator rejected: %v", err)
 	}
 	if agg := NewDenseAggregator(comm, 10); agg.Name() != "dense" {
 		t.Errorf("dense aggregator name %q", agg.Name())
@@ -149,8 +150,21 @@ func TestPublicAggregatorConstructorsValidate(t *testing.T) {
 }
 
 func TestPublicSparsifier(t *testing.T) {
-	sp := NewSparsifier(4)
-	sel, err := sp.Select([]float32{1, -9, 2, 0}, 1)
+	fabric, err := NewInProcFabric(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fabric.Close()
+	agg, err := NewGTopKAggregator(NewComm(fabric.Conn(0)), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same interface examples/faulttolerant reaches the residual by.
+	hs, ok := agg.(interface{ Sparsifier() *Sparsifier })
+	if !ok {
+		t.Fatal("the gTop-k aggregator exposes no Sparsifier")
+	}
+	sel, err := hs.Sparsifier().Select([]float32{1, -9, 2, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

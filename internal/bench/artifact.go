@@ -10,8 +10,8 @@ import (
 
 // This file owns BENCH_gtopk.json, the committed artifact of the four
 // experiments whose output is a pure function of (seed, code): codec
-// byte counts, adaptive-density byte counts, and the α-β-priced
-// hierarchy and quorum sweeps. No field in it comes from a wall clock —
+// byte counts and the α-β-priced hierarchy, quorum and hierarchical
+// quorum sweeps. No field in it comes from a wall clock —
 // measured numbers live in benchmark/ (the whole step) and in
 // `go test -bench` (the kernels) — so TestBenchArtifactReproduces
 // regenerates every section and compares it with the committed one.
@@ -46,11 +46,10 @@ type artifact struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 
-	CodecBytes      *codecBytesSection      `json:"codec_bytes,omitempty"`
-	AdaptiveDensity *adaptiveDensitySection `json:"adaptive_density,omitempty"`
-	Hierarchy       *HierarchySection       `json:"hierarchy,omitempty"`
-	Quorum          *QuorumSection          `json:"quorum,omitempty"`
-	QuorumHier      *QuorumHierSection      `json:"quorum_hier,omitempty"`
+	CodecBytes *codecBytesSection `json:"codec_bytes,omitempty"`
+	Hierarchy  *HierarchySection  `json:"hierarchy,omitempty"`
+	Quorum     *QuorumSection     `json:"quorum,omitempty"`
+	QuorumHier *QuorumHierSection `json:"quorum_hier,omitempty"`
 }
 
 // loadArtifact parses an artifact file.

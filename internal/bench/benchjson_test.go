@@ -102,30 +102,6 @@ func TestBenchArtifactSchema(t *testing.T) {
 		}
 	}
 
-	// adaptive_density section: the adaptive-density closed-loop runs.
-	ad := report.AdaptiveDensity
-	if ad == nil {
-		t.Fatal("adaptive_density section missing (a regeneration dropped it)")
-	}
-	if ad.Dim != adaptiveDim || ad.Workers < 2 || ad.Rounds <= 0 {
-		t.Fatalf("adaptive_density workload stamp malformed: %+v", ad)
-	}
-	if len(ad.Rows) == 0 {
-		t.Fatal("adaptive_density rows empty")
-	}
-	acceptance := false
-	for _, a := range ad.Rows {
-		if a.K0 < 1 || a.BudgetBytes < 1 || a.V1BytesPerRound <= 0 || a.SteadyBytesPerRound <= 0 || a.ReductionVsV1 <= 0 {
-			t.Fatalf("malformed adaptive_density row %+v", a)
-		}
-		if a.Codec == "v3-qsgd8" && a.Rho == 0.001 && a.ReductionVsV1 >= 8 {
-			acceptance = true
-		}
-	}
-	if !acceptance {
-		t.Fatal("no adaptive v3-qsgd8 rho=0.001 row with >= 8x wire-byte reduction over v1 — the compound acceptance bar")
-	}
-
 	// quorum section: the straggler-tolerant sweep under a WAN straggler.
 	qu := report.Quorum
 	if qu == nil {
@@ -235,7 +211,7 @@ func TestBenchArtifactReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checked-in artifact unreadable: %v", err)
 	}
-	if report.CodecBytes == nil || report.AdaptiveDensity == nil || report.Hierarchy == nil ||
+	if report.CodecBytes == nil || report.Hierarchy == nil ||
 		report.Quorum == nil || report.QuorumHier == nil {
 		t.Fatal("artifact lacks a section (see TestBenchArtifactSchema)")
 	}
@@ -266,14 +242,6 @@ func TestBenchArtifactReproduces(t *testing.T) {
 			}
 			same(t, got, cb.Rows[i*half:(i+1)*half])
 		}
-	})
-	t.Run("adaptive_density", func(t *testing.T) {
-		skipUnderRace(t)
-		got, err := adaptiveDensityRows(report.AdaptiveDensity.Dim, report.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same(t, got, report.AdaptiveDensity.Rows)
 	})
 	t.Run("hierarchy", func(t *testing.T) {
 		skipUnderRace(t)

@@ -163,7 +163,7 @@ func Experiments() []Experiment {
 		},
 		{
 			ID:          "codec-bytes",
-			Description: "Wire bytes per round for every codec (v1, v3, v3 x value codec) + adaptive density; counts; updates BENCH_gtopk.json",
+			Description: "Wire bytes per round for every codec (v1, v3, v3 x value codec); counts; updates BENCH_gtopk.json",
 			Run:         codecBytes,
 		},
 		{

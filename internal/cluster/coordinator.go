@@ -143,11 +143,11 @@ type Coordinator struct {
 	// together, and this is where that shows up as one group-granular
 	// signal instead of G unrelated slow ranks.
 	degradedGroups map[int]int
-	epoch    uint64
-	started  bool
-	done     bool
-	abortErr error
-	finished chan struct{}
+	epoch          uint64
+	started        bool
+	done           bool
+	abortErr       error
+	finished       chan struct{}
 }
 
 // NewCoordinator creates a coordinator for a cfg.World-worker job.
@@ -167,7 +167,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			full.HeartbeatTimeout, full.HeartbeatInterval)
 	}
 	return &Coordinator{
-		cfg:      full,
+		cfg:            full,
 		members:        make(map[string]*memberState, cfg.World),
 		pending:        make(map[string]*memberState),
 		degraded:       make(map[string]int),
@@ -330,7 +330,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				// Declared dead earlier (e.g. a heartbeat gap) but still
 				// talking: tell it to stop; the job moved on without it.
 				m.send(&message{T: msgAbort, Reason: "declared dead; rejoin is not supported"}) //nolint:errcheck // best-effort
-				conn.Close()                                                                   //nolint:errcheck // zombie member
+				conn.Close()                                                                    //nolint:errcheck // zombie member
 				return
 			}
 		case msgDegraded:

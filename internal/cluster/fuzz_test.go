@@ -25,7 +25,7 @@ func FuzzControlDecode(f *testing.F) {
 		[]byte(`{"t":"hb"}` + "\n" + `{"t":"leave","done":true}` + "\n"),
 		[]byte(`{"t":"config","config":{"epoch":0,"rank":9,"world":-2}}` + "\n"),
 		[]byte(`{"t":"config","config":{"epoch":1,"rank":0,"world":3,"names":["a"],"addrs":[]}}` + "\n"),
-		[]byte(`{"t":"join","name":"w0"`),       // truncated mid-message
+		[]byte(`{"t":"join","name":"w0"`),                                // truncated mid-message
 		[]byte(`{"t":"join","name":"w0","name":"w1","addr":"x"}` + "\n"), // duplicate field
 		[]byte("\x00\xff\xfe garbage\n{}\n"),
 		[]byte(`{"t":"abort","reason":"boom"}`),

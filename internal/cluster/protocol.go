@@ -41,18 +41,18 @@ const (
 // message is the single envelope exchanged on the control plane; the T
 // tag selects which optional fields are meaningful.
 type message struct {
-	T      string  `json:"t"`
-	Name   string  `json:"name,omitempty"`
-	Addr   string  `json:"addr,omitempty"`
-	Done   bool    `json:"done,omitempty"`
-	Reason string  `json:"reason,omitempty"`
+	T      string `json:"t"`
+	Name   string `json:"name,omitempty"`
+	Addr   string `json:"addr,omitempty"`
+	Done   bool   `json:"done,omitempty"`
+	Reason string `json:"reason,omitempty"`
 	// Group, on degraded messages, carries the reporter's hierarchy group
 	// index PLUS ONE (0 means "flat quorum, no group"), so group-granular
 	// telemetry — a whole partitioned group streaking together — survives
 	// the wire without a mandatory field on every other message.
-	Group  int     `json:"group,omitempty"`
-	HBMs   int64   `json:"hb_ms,omitempty"`
-	DeadMs int64   `json:"dead_ms,omitempty"`
+	Group  int   `json:"group,omitempty"`
+	HBMs   int64 `json:"hb_ms,omitempty"`
+	DeadMs int64 `json:"dead_ms,omitempty"`
 	// Parked marks a welcome to a late joiner: the join is accepted but
 	// the worker is held outside the running epoch until the autoscaler
 	// admits it at the next epoch boundary (its first config message).

@@ -61,9 +61,6 @@ type bucketState struct {
 	clock  *netsim.Clock // nil when the parent is untimed
 	lo, hi int
 
-	dc   *DensityController // adaptive per-bucket density (nil = static k)
-	iter int                // rounds completed by this bucket
-
 	remaining int // uncovered elements in the current iteration
 	launched  bool
 
@@ -224,52 +221,13 @@ func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
 
 // SetDensitySchedule installs a per-step density schedule (warmup): at
 // step s every bucket selects DensityToK(size, density(s)). It must be
-// identical on every rank, and it overrides SetAdaptiveDensity's k. Call
-// before training, not between Begin and Finish.
+// identical on every rank. Call before training, not between Begin and
+// Finish.
 func (a *BucketedAggregator) SetDensitySchedule(density func(step int) float64) {
 	for _, b := range a.buckets {
 		size := b.hi - b.lo
 		b.SetSchedule(func(step int) int { return DensityToK(size, density(step)) })
 	}
-}
-
-// SetAdaptiveDensity replaces every bucket's static selection count with
-// a DensityController steering that bucket's encoded frame size toward
-// its share of budgetBytes (split proportionally to bucket size, ≥ 1
-// byte). Each bucket's controller is seeded from seed mixed with the
-// bucket index — pass the SAME seed on every rank (never mix the rank
-// in): the controllers' observations come from the bit-identical global
-// result, so identical seeds make the per-round k schedule identical on
-// every replica, which the determinism tests pin. Call before training,
-// not between Begin and Finish.
-func (a *BucketedAggregator) SetAdaptiveDensity(budgetBytes int64, seed uint64) error {
-	if budgetBytes < 1 {
-		return fmt.Errorf("core: bucketed: adaptive density budget %d bytes; need >= 1", budgetBytes)
-	}
-	dim := int64(a.update.Dim)
-	for _, b := range a.buckets {
-		size := int64(b.hi - b.lo)
-		budget := max(budgetBytes*size/dim, 1)
-		dc, err := NewDensityController(b.k, 1, b.hi-b.lo, budget, seed^mixRound(b.idx))
-		if err != nil {
-			return fmt.Errorf("core: bucketed: bucket %d: %w", b.idx, err)
-		}
-		b.dc = dc
-		b.iter = 0
-	}
-	return nil
-}
-
-// BucketKs returns each bucket's current selection count — the adaptive
-// controller's latest resolved k when SetAdaptiveDensity is active, the
-// static DensityToK value otherwise. Call between iterations, not while
-// buckets are in flight.
-func (a *BucketedAggregator) BucketKs() []int {
-	ks := make([]int, len(a.buckets))
-	for i, b := range a.buckets {
-		ks[i] = b.k
-	}
-	return ks
 }
 
 // LastBucketTimes returns each bucket's simulated communication time of
@@ -400,13 +358,6 @@ func (b *bucketState) runBucket(ctx context.Context, grad []float32) bucketDone 
 		clockBefore = b.clock.Now()
 	}
 
-	// Adaptive density: the controller's schedule is a pure function of
-	// the (replica-agreed) observation trace, so every rank resolves the
-	// same k for the same bucket round and selections stay aligned.
-	if b.dc != nil {
-		b.k = b.dc.KFor(b.iter)
-	}
-
 	// One round over the bucket's slice, on the bucket's own tag space
 	// (the local selections run concurrently across buckets). With a
 	// hierarchy the round has already folded the group sub-comms' counters
@@ -416,18 +367,6 @@ func (b *bucketState) runBucket(ctx context.Context, grad []float32) bucketDone 
 		out.err = fmt.Errorf("core: bucket %d: %w", b.idx, err)
 		return out
 	}
-	if b.dc != nil {
-		// Feed the controller sizes derived from the bit-identical global
-		// result — never a rank's local WireTally, whose tree role makes
-		// it differ across ranks. raw is the v1-flat equivalent; wire is
-		// the active codec's frame size over the same support (v3 value
-		// sections depend only on nnz, so this is replica-agreed too).
-		raw := int64(sparse.EncodedSize(len(b.global.Indices)))
-		wire := int64(sparse.EncodedSizeCodec(b.comm.WireCodec(), b.hi-b.lo, b.global.Indices))
-		b.dc.Observe(b.iter, raw, wire)
-	}
-	b.iter++
-
 	out.stats = statsDelta(statsBefore, b.comm.Stats())
 	if b.clock != nil {
 		out.comm = b.clock.Now() - clockBefore

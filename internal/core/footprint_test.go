@@ -121,6 +121,11 @@ func TestSparseStepHoldsOnlyModelState(t *testing.T) {
 	})
 
 	t.Run("dense-view-built-once", func(t *testing.T) {
+		// sync.Pool keeps one private slot per P that other Ps cannot
+		// take: a goroutine that moves to another P between calls misses
+		// the pooled selection scratch and allocates a fresh one. One P
+		// keeps the three measured calls on the same slot.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		c := newSingleRankComm(t)
 		flat, err := NewGTopKAggregator(c, dim, 1000)
 		if err != nil {

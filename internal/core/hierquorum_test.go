@@ -28,12 +28,12 @@ func TestHierQuorumConfigValidation(t *testing.T) {
 		}
 	}
 	bad := []QuorumConfig{
-		{Q: 2, Timeout: time.Second},            // below the group's strict majority
-		{Q: 5, Timeout: time.Second},            // above the group size
-		{Q: 3, Timeout: 0},                      // no deadline
-		{Q: 3, Timeout: time.Second, LeaderQ: 1}, // below the leader-level majority
-		{Q: 3, Timeout: time.Second, LeaderQ: 3}, // above the group count
-		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{Group: time.Second}},        // partial budgets
+		{Q: 2, Timeout: time.Second},                                            // below the group's strict majority
+		{Q: 5, Timeout: time.Second},                                            // above the group size
+		{Q: 3, Timeout: 0},                                                      // no deadline
+		{Q: 3, Timeout: time.Second, LeaderQ: 1},                                // below the leader-level majority
+		{Q: 3, Timeout: time.Second, LeaderQ: 3},                                // above the group count
+		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{Group: time.Second}}, // partial budgets
 		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{Group: -1, Leader: 1, Broadcast: 1}}, // negative budget
 		{Q: 3, Timeout: 100 * time.Millisecond, Levels: LevelTimeouts{ // budgets exceed the round deadline
 			Group: 50 * time.Millisecond, Leader: 50 * time.Millisecond, Broadcast: 50 * time.Millisecond}},
@@ -82,11 +82,11 @@ func TestSplitLevels(t *testing.T) {
 
 func TestGroupQuorumClamp(t *testing.T) {
 	for _, tc := range []struct{ q, size, want int }{
-		{3, 4, 3},  // full group, configured quorum
-		{4, 4, 4},  // full sync
-		{3, 2, 2},  // tail group of 2: clamped to its size (= its majority)
-		{3, 3, 3},  // tail group of 3: QuorumMin(3)=3
-		{4, 1, 1},  // tail group of 1: the leader alone is the whole group
+		{3, 4, 3}, // full group, configured quorum
+		{4, 4, 4}, // full sync
+		{3, 2, 2}, // tail group of 2: clamped to its size (= its majority)
+		{3, 3, 3}, // tail group of 3: QuorumMin(3)=3
+		{4, 1, 1}, // tail group of 1: the leader alone is the whole group
 	} {
 		if got := groupQuorum(tc.q, tc.size); got != tc.want {
 			t.Errorf("groupQuorum(%d, %d) = %d, want %d", tc.q, tc.size, got, tc.want)

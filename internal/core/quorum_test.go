@@ -394,10 +394,10 @@ func TestQuorumAggregatorResidualConservation(t *testing.T) {
 		return g // round 2: all zeros — only residual mass competes
 	}
 
-	updates := make([][3][]float32, p)  // per rank, per round dense update
-	streaks := make([][3]int, p)        // per rank, per round miss streak
-	var slowResidualBefore []float32    // slow rank residual entering round 2
-	var slowResidualAfter []float32     // ... and leaving it
+	updates := make([][3][]float32, p) // per rank, per round dense update
+	streaks := make([][3]int, p)       // per rank, per round miss streak
+	var slowResidualBefore []float32   // slow rank residual entering round 2
+	var slowResidualAfter []float32    // ... and leaving it
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {

@@ -223,9 +223,9 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// applyDense is the dense optimizer tail — clip, momentum, weight update,
-// each a pass over the whole buffer — shared by Trainer and
-// PipelinedTrainer. update is clipped in place.
+// applyDense is the trainer's dense optimizer tail — clip, momentum,
+// weight update, each a pass over the whole buffer. update is clipped
+// in place.
 func (c TrainConfig) applyDense(weights, velocity, update []float32) {
 	if c.GradClip > 0 {
 		tensor.Clip(update, c.GradClip)

@@ -34,8 +34,10 @@ type Event struct {
 	Duration time.Duration
 }
 
-// Recorder accumulates events. It is safe for concurrent use (the
-// pipelined trainer reports from two goroutines).
+// Recorder accumulates events. It is safe for concurrent use: in an
+// in-process cluster every rank's trainer runs its phase hook on its own
+// goroutine, so one recorder shared by several ranks' hooks records
+// concurrently, and a reader may take Totals while training records.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event

@@ -171,8 +171,12 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 			go func(rank int) {
 				defer func() { done <- struct{}{} }()
 				comm := NewComm(fabric.Conn(rank))
-				out[rank], errs[rank] = core.HierarchicalGTopKAllReduce(
-					context.Background(), comm, locals[rank].Clone(), k, group)
+				out[rank] = &Vector{}
+				gc, err := core.ForkHier(comm, group)
+				if err == nil {
+					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, locals[rank].Clone(), k, core.ChunksFor(k), out[rank])
+				}
+				errs[rank] = err
 			}(r)
 		}
 		for i := 0; i < p; i++ {
@@ -203,8 +207,5 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 
 	if _, err := core.NewHierarchicalAggregator(NewComm(fabric.Conn(0)), dim, k, 0); err == nil {
 		t.Fatal("group 0 accepted")
-	}
-	if _, err := core.NewHierarchicalBucketedAggregator(NewComm(fabric.Conn(0)), []int{0, dim}, 0.05, 0); err == nil {
-		t.Fatal("bucketed group 0 accepted")
 	}
 }

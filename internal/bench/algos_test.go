@@ -52,15 +52,18 @@ func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 				grad[i] = float32(i + 1)
 			}
 			for _, density := range []float64{0.25, spec.Density} {
-				upd, err := agg.(core.SparseUpdater).AggregateSparse(context.Background(), grad)
+				upd, err := agg.Aggregate(context.Background(), grad)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if upd.At == nil {
+					t.Fatal("a sparse algorithm returned a dense update")
 				}
 				want := 0
 				for b := 1; b < len(buckets); b++ {
 					want += core.DensityToK(buckets[b]-buckets[b-1], density)
 				}
-				if got := upd.NNZ(); got != want {
+				if got := len(upd.At); got != want {
 					t.Fatalf("density %v: update support %d entries, want %d", density, got, want)
 				}
 			}

@@ -124,12 +124,10 @@ func runHierarchyConfig(model netsim.Model, vecs []*sparse.Vector, k, g int) (ti
 			defer wg.Done()
 			var clock netsim.Clock
 			comm := collective.New(fab.Conn(rank)).WithClock(&clock, model)
-			var res *sparse.Vector
-			var err error
-			if g <= 1 {
-				res, err = core.GTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k)
-			} else {
-				res, err = core.HierarchicalGTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k, g)
+			res := &sparse.Vector{}
+			gc, err := core.ForkHier(comm, g) // nil: the flat tree
+			if err == nil {
+				err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, core.ChunksFor(k), res)
 			}
 			if err != nil {
 				errs[rank] = err

@@ -128,13 +128,15 @@ func runQuorumHierConfig(vecs []*sparse.Vector, k, g int, qc core.QuorumConfig, 
 			var clock netsim.Clock
 			comm := collective.New(fab.Conn(rank)).WithClock(&clock, lm.Intra).WithLinks(lm)
 			for rd := 0; rd < rounds; rd++ {
-				out, _, miss, err := core.HierQuorumGTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k, g, qc)
+				outs[rd][rank] = &sparse.Vector{}
+				gc, err := core.ForkHier(comm, g) // each round forks its own groups
+				if err == nil {
+					_, missed[rd][rank], err = core.HierQuorumGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, g, qc, outs[rd][rank])
+				}
 				if err != nil {
 					errs[rank] = fmt.Errorf("round %d: %w", rd, err)
 					return
 				}
-				outs[rd][rank] = out
-				missed[rd][rank] = miss
 			}
 			clocks[rank] = clock.Now()
 		}(r)

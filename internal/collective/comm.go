@@ -172,26 +172,13 @@ func (c *Comm) SendTagPooled(ctx context.Context, dst, tag int, payload []byte) 
 	return nil
 }
 
-// SendTagVec sends a batch of frames to dst in order under one tag —
-// the scatter-gather counterpart of SendTag, with the same plain-Send
-// ownership rule per frame. On fabrics with a vectored capability the
-// whole batch coalesces into one wire operation; elsewhere it degrades
-// to per-frame sends with identical delivery order. Statistics count
-// each frame as one message.
-func (c *Comm) SendTagVec(ctx context.Context, dst, tag int, frames [][]byte) error {
-	if err := transport.SendVec(ctx, c.conn, dst, tag, frames); err != nil {
-		return err
-	}
-	c.stats.MsgsSent += len(frames)
-	for _, payload := range frames {
-		c.stats.BytesSent += int64(len(payload))
-	}
-	return nil
-}
-
-// SendTagVecPooled is SendTagVec for frames drawn from the shared
-// wire-buffer pool: the caller relinquishes every frame, and each is
+// SendTagVecPooled sends a batch of frames drawn from the shared
+// wire-buffer pool to dst in order under one tag: on fabrics with a
+// vectored capability the whole batch coalesces into one wire
+// operation, elsewhere it degrades to per-frame sends with identical
+// delivery order. The caller relinquishes every frame, and each is
 // recycled at the earliest safe point (see transport.SendVecPooled).
+// Statistics count each frame as one message.
 func (c *Comm) SendTagVecPooled(ctx context.Context, dst, tag int, frames [][]byte) error {
 	var bytes int64
 	for _, payload := range frames {

@@ -5,60 +5,6 @@ import (
 	"fmt"
 )
 
-// This file completes the collective library with the operations a
-// downstream user of the transport layer would expect from an MPI-like
-// substrate (Reduce, Gather, Scatter, AllToAll). The paper's algorithms
-// only need the primitives in primitives.go; these exist so the library
-// stands alone as a communication package and so the PS-mode extension
-// has idiomatic building blocks.
-
-// Reduce sums x element-wise across all ranks onto root using a binomial
-// tree (log2(P) rounds). Non-root ranks' x buffers are left with partial
-// sums; only root's buffer holds the final result.
-func (c *Comm) Reduce(ctx context.Context, root int, x []float32) error {
-	p := c.Size()
-	if root < 0 || root >= p {
-		return fmt.Errorf("collective: reduce root %d out of range [0,%d)", root, p)
-	}
-	rounds := log2(p)
-	if 1<<rounds < p {
-		rounds++
-	}
-	base := c.claimTags(rounds)
-	if p == 1 {
-		return nil
-	}
-	vrank := (c.Rank() - root + p) % p
-	// Mirror of the binomial broadcast: in round j (counting down), ranks
-	// with vrank in [span, 2span) send their partial sum to vrank-span.
-	active := true
-	for j := rounds - 1; j >= 0; j-- {
-		span := 1 << j
-		switch {
-		case active && vrank >= span && vrank < 2*span:
-			dst := ((vrank - span) + root) % p
-			if err := c.send(ctx, dst, base+j, encodeF32(x)); err != nil {
-				return fmt.Errorf("reduce round %d: %w", j, err)
-			}
-			active = false
-		case active && vrank < span:
-			peer := vrank + span
-			if peer < p {
-				src := (peer + root) % p
-				blob, err := c.recv(ctx, src, base+j)
-				if err != nil {
-					return fmt.Errorf("reduce round %d: %w", j, err)
-				}
-				if err := addDecodedF32(x, blob); err != nil {
-					return fmt.Errorf("reduce round %d: %w", j, err)
-				}
-			}
-		}
-		c.chargeRound(len(x))
-	}
-	return nil
-}
-
 // BcastFloat32s broadcasts root's float32 vector to every rank along
 // the binomial Bcast tree and returns the received vector (the root's
 // own slice is returned as-is). Non-root ranks pass nil. It exists for
@@ -117,85 +63,6 @@ func (c *Comm) Gather(ctx context.Context, root int, payload []byte) ([][]byte, 
 		}
 		out[src] = blob
 		c.chargeRound(len(blob) / 4)
-	}
-	return out, nil
-}
-
-// Scatter distributes root's per-rank payloads: rank r receives
-// payloads[r]. Non-root ranks pass nil payloads.
-func (c *Comm) Scatter(ctx context.Context, root int, payloads [][]byte) ([]byte, error) {
-	p := c.Size()
-	if root < 0 || root >= p {
-		return nil, fmt.Errorf("collective: scatter root %d out of range [0,%d)", root, p)
-	}
-	base := c.claimTags(1)
-	if c.Rank() == root {
-		if len(payloads) != p {
-			return nil, fmt.Errorf("collective: scatter needs %d payloads, got %d", p, len(payloads))
-		}
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.send(ctx, dst, base, payloads[dst]); err != nil {
-				return nil, fmt.Errorf("scatter to %d: %w", dst, err)
-			}
-			c.chargeRound(len(payloads[dst]) / 4)
-		}
-		return payloads[root], nil
-	}
-	blob, err := c.recv(ctx, root, base)
-	if err != nil {
-		return nil, fmt.Errorf("scatter: %w", err)
-	}
-	for i := 0; i < p-1; i++ {
-		c.chargeRound(len(blob) / 4)
-	}
-	return blob, nil
-}
-
-// AllToAll performs a personalized exchange: rank r sends payloads[d] to
-// every d and receives one payload from every rank (its own entry passes
-// through untouched). Pairwise-exchange schedule, P−1 rounds.
-func (c *Comm) AllToAll(ctx context.Context, payloads [][]byte) ([][]byte, error) {
-	p := c.Size()
-	if len(payloads) != p {
-		return nil, fmt.Errorf("collective: alltoall needs %d payloads, got %d", p, len(payloads))
-	}
-	base := c.claimTags(p)
-	r := c.Rank()
-	out := make([][]byte, p)
-	out[r] = payloads[r]
-	for step := 1; step < p; step++ {
-		// XOR schedule pairs ranks cleanly when P is a power of two and
-		// degrades to a valid (if unbalanced) schedule otherwise.
-		peer := r ^ step
-		if peer >= p {
-			c.chargeRound(0)
-			continue
-		}
-		var got []byte
-		if r < peer {
-			if err := c.send(ctx, peer, base+step, payloads[peer]); err != nil {
-				return nil, fmt.Errorf("alltoall step %d: %w", step, err)
-			}
-			blob, err := c.recv(ctx, peer, base+step)
-			if err != nil {
-				return nil, fmt.Errorf("alltoall step %d: %w", step, err)
-			}
-			got = blob
-		} else {
-			blob, err := c.recv(ctx, peer, base+step)
-			if err != nil {
-				return nil, fmt.Errorf("alltoall step %d: %w", step, err)
-			}
-			got = blob
-			if err := c.send(ctx, peer, base+step, payloads[peer]); err != nil {
-				return nil, fmt.Errorf("alltoall step %d: %w", step, err)
-			}
-		}
-		out[peer] = got
-		c.chargeRound(len(payloads[peer]) / 4)
 	}
 	return out, nil
 }

@@ -3,49 +3,12 @@ package collective
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"gtopkssgd/internal/prng"
 )
 
-func TestReduceAllRootsAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 8} {
-		for root := 0; root < p; root++ {
-			t.Run(fmt.Sprintf("p=%d/root=%d", p, root), func(t *testing.T) {
-				const n = 37
-				inputs := make([][]float32, p)
-				want := make([]float64, n)
-				src := prng.New(uint64(p*100 + root))
-				for r := range inputs {
-					inputs[r] = make([]float32, n)
-					for i := range inputs[r] {
-						inputs[r][i] = float32(src.NormFloat64())
-						want[i] += float64(inputs[r][i])
-					}
-				}
-				rootBuf := make([]float32, n)
-				runSPMD(t, p, func(c *Comm) error {
-					x := append([]float32(nil), inputs[c.Rank()]...)
-					if err := c.Reduce(context.Background(), root, x); err != nil {
-						return err
-					}
-					if c.Rank() == root {
-						copy(rootBuf, x)
-					}
-					return nil
-				})
-				for i := range want {
-					if math.Abs(float64(rootBuf[i])-want[i]) > 1e-4 {
-						t.Fatalf("elem %d: got %v want %v", i, rootBuf[i], want[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestGatherAndScatterRoundTrip(t *testing.T) {
+func TestGatherRoundTrip(t *testing.T) {
 	const p = 4
 	runSPMD(t, p, func(c *Comm) error {
 		ctx := context.Background()
@@ -63,81 +26,8 @@ func TestGatherAndScatterRoundTrip(t *testing.T) {
 		} else if gathered != nil {
 			return fmt.Errorf("non-root received gather output")
 		}
-		// Scatter the gathered payloads back from root 1.
-		var outbound [][]byte
-		if c.Rank() == 1 {
-			outbound = gathered
-		}
-		got, err := c.Scatter(ctx, 1, outbound)
-		if err != nil {
-			return err
-		}
-		if want := fmt.Sprintf("payload-from-%d", c.Rank()); string(got) != want {
-			return fmt.Errorf("scatter returned %q, want %q", got, want)
-		}
-		return nil
-	})
-}
-
-func TestScatterValidation(t *testing.T) {
-	runSPMD(t, 2, func(c *Comm) error {
-		ctx := context.Background()
-		if c.Rank() == 0 {
-			if _, err := c.Scatter(ctx, 0, [][]byte{{1}}); err == nil {
-				return fmt.Errorf("short payload list accepted")
-			}
-			// Rank 1 is now blocked waiting for a scatter that failed on
-			// the root; send it the message it expects so the test ends
-			// cleanly (tags advanced identically on both ranks).
-			return c.SendTag(ctx, 1, c.nextTag-1, []byte{9})
-		}
-		got, err := c.Scatter(ctx, 0, nil)
-		if err != nil {
-			return err
-		}
-		if len(got) != 1 || got[0] != 9 {
-			return fmt.Errorf("unexpected scatter payload %v", got)
-		}
-		return nil
-	})
-}
-
-func TestAllToAllPersonalizedExchange(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			runSPMD(t, p, func(c *Comm) error {
-				payloads := make([][]byte, p)
-				for d := range payloads {
-					payloads[d] = []byte{byte(c.Rank()), byte(d)}
-				}
-				out, err := c.AllToAll(context.Background(), payloads)
-				if err != nil {
-					return err
-				}
-				for src, blob := range out {
-					if len(blob) != 2 || int(blob[0]) != src || int(blob[1]) != c.Rank() {
-						return fmt.Errorf("out[%d] = %v", src, blob)
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestAllToAllValidatesPayloadCount(t *testing.T) {
-	runSPMD(t, 2, func(c *Comm) error {
-		if _, err := c.AllToAll(context.Background(), [][]byte{{1}}); err == nil {
-			return fmt.Errorf("wrong payload count accepted")
-		}
-		return nil
-	})
-}
-
-func TestReduceInvalidRoot(t *testing.T) {
-	runSPMD(t, 2, func(c *Comm) error {
-		if err := c.Reduce(context.Background(), 9, make([]float32, 3)); err == nil {
-			return fmt.Errorf("invalid root accepted")
+		if _, err := c.Gather(ctx, p, mine); err == nil {
+			return fmt.Errorf("gather root %d accepted", p)
 		}
 		return nil
 	})

@@ -5,62 +5,38 @@ import (
 	"fmt"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/sparse"
 )
+
+// Update is one iteration's globally agreed model update: the MEAN
+// gradient contribution (already divided by P), Values[j] belonging to
+// model position At[j], positions ascending. At == nil means dense:
+// Values holds all dim entries. A sparse aggregator's At is never nil —
+// every round agrees on at least one position — so its update is the
+// round's k (index, mean) pairs and no dim-length buffer exists. The
+// trainer applies a compact update at its positions alone, except under
+// trainer momentum, which decays the whole velocity; that compact
+// momentum branch goes once the sparse aggregators correct momentum for
+// every caller.
+type Update struct {
+	At     []int32
+	Values []float32
+}
 
 // Aggregator turns one worker's local dense gradient into the globally
 // agreed model update for this iteration. Implementations differ in what
-// they communicate; all return the same length-dim dense update vector
-// (the MEAN gradient contribution, i.e. already divided by P) and must
-// produce bit-identical updates on every rank so replicas never diverge.
+// they communicate; all must produce bit-identical updates on every rank
+// so replicas never diverge: the dense, signSGD and TernGrad aggregators
+// return their whole buffer (At == nil), the sparse ones the round's
+// compact update.
 //
-// The returned update buffer belongs to the aggregator and is valid until
-// its next Aggregate. A caller may rewrite entries in place (the trainer
-// clips them) but must leave a zero entry zero: the sparse aggregators
-// keep the buffer zero outside the support of the last update and rebuild
-// it in O(nnz), re-zeroing only what they wrote. A sparse aggregator
-// allocates that buffer on its first Aggregate: a trainer takes the
-// compact update (SparseUpdater) and never asks for it.
+// The update belongs to the aggregator and is valid until its next
+// Aggregate. A caller may rewrite values in place (the trainer clips
+// them).
 type Aggregator interface {
-	// Aggregate consumes grad (not retained) and returns the dense update.
-	Aggregate(ctx context.Context, grad []float32) ([]float32, error)
+	// Aggregate consumes grad (not retained) and returns the update.
+	Aggregate(ctx context.Context, grad []float32) (Update, error)
 	// Name identifies the algorithm in logs and experiment tables.
 	Name() string
-}
-
-// SparseUpdater is the face of an Aggregator whose update is sparse.
-// AggregateSparse runs the same step as Aggregate but returns the update
-// compact, as k (index, mean) pairs: the ascending dense support and the
-// values (0 + v)·(1/P) aligned with it — the bits Aggregate scatters
-// into its dense view, which is zero everywhere else. The vector belongs
-// to the aggregator and is valid until its next step; the caller may
-// rewrite values in place (the trainer clips them). The optimizer tail
-// then touches k entries, and no dim-length update buffer exists.
-type SparseUpdater interface {
-	Aggregator
-	AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error)
-}
-
-// denseView is a sparse aggregator's dense update, built only for the
-// callers of the dense Aggregate: allocated on the first call, then
-// rebuilt in O(k) by MeanIntoSparse, which re-zeroes the previous call's
-// support. The values are already means, so the scatter runs at p = 1,
-// where (0 + v)·1 leaves their bits unchanged.
-type denseView struct {
-	buf     []float32
-	support []int32
-}
-
-// of returns u scattered into the view, or err when the step failed.
-func (d *denseView) of(u *sparse.Vector, err error) ([]float32, error) {
-	if err != nil {
-		return nil, err
-	}
-	if d.buf == nil {
-		d.buf = make([]float32, u.Dim)
-	}
-	d.support = u.MeanIntoSparse(d.buf, 1, d.support)
-	return d.buf, nil
 }
 
 // DenseAggregator implements classic S-SGD: ring AllReduce over the full
@@ -80,15 +56,15 @@ func NewDenseAggregator(comm *collective.Comm, dim int) *DenseAggregator {
 func (a *DenseAggregator) Name() string { return "dense" }
 
 // Aggregate implements Aggregator.
-func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update, error) {
 	if len(grad) != len(a.buf) {
-		return nil, fmt.Errorf("core: dense aggregate: dim %d, want %d", len(grad), len(a.buf))
+		return Update{}, fmt.Errorf("core: dense aggregate: dim %d, want %d", len(grad), len(a.buf))
 	}
 	copy(a.buf, grad)
 	if err := a.comm.RingAllReduceMean(ctx, a.buf); err != nil {
-		return nil, fmt.Errorf("core: dense aggregate: %w", err)
+		return Update{}, fmt.Errorf("core: dense aggregate: %w", err)
 	}
-	return a.buf, nil
+	return Update{Values: a.buf}, nil
 }
 
 // GTopKAggregator implements gTop-k S-SGD (Algorithm 4) and, over other
@@ -99,13 +75,12 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) ([]floa
 // parameter-server star, or Algorithm 1's union AllGather), residual
 // put-back for locally-sent-but-globally-dropped values, average by P —
 // over the whole gradient, ending on the k (index, mean) pairs
-// AggregateSparse returns. The embedded round carries the configuration
+// Aggregate returns. The embedded round carries the configuration
 // surface (SetK, SetSchedule, SetPutBack, SetMomentumCorrection,
 // SetQuorum, Sparsifier, Group, QuorumGroup).
 type GTopKAggregator struct {
 	round
-	view       denseView // Aggregate's dense update (nil until first asked for)
-	missStreak int       // this rank's consecutive missed quorum rounds
+	missStreak int // this rank's consecutive missed quorum rounds
 }
 
 // HierarchicalAggregator is the GTopKAggregator constructed over groups
@@ -175,22 +150,16 @@ func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
 // group shows up as every one of its members streaking together.
 func (a *GTopKAggregator) QuorumMissStreak() int { return a.missStreak }
 
-// Aggregate implements Aggregator: AggregateSparse scattered into the
-// dense view.
-func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	return a.view.of(a.AggregateSparse(ctx, grad))
-}
-
-// AggregateSparse implements SparseUpdater.
-func (a *GTopKAggregator) AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error) {
+// Aggregate implements Aggregator.
+func (a *GTopKAggregator) Aggregate(ctx context.Context, grad []float32) (Update, error) {
 	update, missed, err := a.run(ctx, grad)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s aggregate: %w", a.Name(), err)
+		return Update{}, fmt.Errorf("core: %s aggregate: %w", a.Name(), err)
 	}
 	if missed {
 		a.missStreak++
 	} else {
 		a.missStreak = 0
 	}
-	return update, nil
+	return Update{At: update.Indices, Values: update.Values}, nil
 }

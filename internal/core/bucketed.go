@@ -32,10 +32,10 @@ type StreamGradFn func(iter int, weights, grad []float32, ready func(lo, hi int)
 // BucketStreamer is the streaming aggregation contract: a sparse
 // Aggregator that can start communicating gradient buckets before the
 // whole gradient exists. One iteration is Begin → any number of Ready
-// calls → Finish; AggregateSparse remains the serial facade (Begin +
-// Finish back to back), and Aggregate scatters that into a dense view.
+// calls → Finish; Aggregate remains the serial facade (Begin + Finish
+// back to back).
 type BucketStreamer interface {
-	SparseUpdater
+	Aggregator
 	// Begin starts an iteration over grad. The aggregator reads grad
 	// slices only after they are covered by Ready (or at Finish).
 	Begin(ctx context.Context, grad []float32) error
@@ -43,11 +43,11 @@ type BucketStreamer interface {
 	// becomes fully covered its pipeline launches immediately.
 	Ready(lo, hi int)
 	// Finish launches any buckets not yet announced, waits for the whole
-	// pipeline to drain, and returns the update compact, as
-	// AggregateSparse does: the buckets' supports, each offset by its
-	// bucket's start (ascending, because buckets are), and their mean
-	// values concatenated in the same order.
-	Finish() (*sparse.Vector, error)
+	// pipeline to drain, and returns the update Aggregate returns: the
+	// buckets' supports, each offset by its bucket's start (ascending,
+	// because buckets are), and their mean values concatenated in the
+	// same order.
+	Finish() (Update, error)
 }
 
 // bucketState is one bucket's long-lived pipeline state: its own gTop-k
@@ -99,8 +99,8 @@ type bucketDone struct {
 type BucketedAggregator struct {
 	parent  *collective.Comm
 	buckets []*bucketState
-	update  sparse.Vector // Finish's compact update (reused)
-	view    denseView     // Aggregate's dense update (nil until first asked for)
+	dim     int
+	update  Update // Finish's update (reused)
 
 	// missStreak counts consecutive iterations in which ANY of this
 	// rank's buckets missed its quorum round.
@@ -118,26 +118,12 @@ var _ BucketStreamer = (*BucketedAggregator)(nil)
 
 // NewBucketedAggregator creates the bucketed pipeline. bounds are
 // cumulative bucket offsets (bounds[0] = 0, bounds[B] = dim, strictly
-// increasing) — derive them from a model's layer bounds with GroupBounds.
-// Each bucket selects DensityToK(size, density) gradients per iteration.
+// increasing) — derive them from a model's layer bounds with GroupBounds,
+// or pass the layer bounds themselves for layer-wise sparsification (the
+// paper's Section VII future work): a bucket per layer, each with its own
+// residual, top-k, gTop-k and put-back. Each bucket selects
+// DensityToK(size, density) gradients per iteration.
 func NewBucketedAggregator(comm *collective.Comm, bounds []int, density float64) (*BucketedAggregator, error) {
-	return newBucketedAggregator(comm, bounds, density, 0)
-}
-
-// NewHierarchicalBucketedAggregator is NewBucketedAggregator with every
-// bucket's collective replaced by the two-level hierarchical gTop-k over
-// groups of `group` ranks: each bucket's tag-isolated sub-communicator
-// forks its own member/leader hierarchy, so buckets still overlap
-// freely. group <= 1 or group >= world degenerates to the flat bucketed
-// pipeline, bit-identically.
-func NewHierarchicalBucketedAggregator(comm *collective.Comm, bounds []int, density float64, group int) (*BucketedAggregator, error) {
-	if group < 1 {
-		return nil, fmt.Errorf("core: bucketed: group size %d out of range: need >= 1", group)
-	}
-	return newBucketedAggregator(comm, bounds, density, group)
-}
-
-func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64, group int) (*BucketedAggregator, error) {
 	if len(bounds) < 2 || bounds[0] != 0 {
 		return nil, fmt.Errorf("core: bucketed: bounds must start at 0 and cover >= 1 bucket")
 	}
@@ -159,7 +145,7 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 	a := &BucketedAggregator{
 		parent:   comm,
 		buckets:  make([]*bucketState, n),
-		update:   sparse.Vector{Dim: dim},
+		dim:      dim,
 		done:     make(chan bucketDone, n),
 		lastComm: make([]time.Duration, n),
 	}
@@ -167,13 +153,12 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 		lo, hi := bounds[i], bounds[i+1]
 		b := &bucketState{idx: i, lo: lo, hi: hi}
 		if timed {
-			// Attached before the round forks its hierarchy, whose group
-			// sub-comms then share the bucket's private clock — so the
-			// slowest-bucket accounting in Finish stays correct.
+			// A private clock per bucket keeps the slowest-bucket
+			// accounting in Finish correct.
 			b.clock = &netsim.Clock{}
 			kids[i].WithClock(b.clock, model)
 		}
-		if b.round, err = newRound(kids[i], hi-lo, DensityToK(hi-lo, density), group); err != nil {
+		if b.round, err = newRound(kids[i], hi-lo, DensityToK(hi-lo, density), 0); err != nil {
 			return nil, fmt.Errorf("core: bucketed: bucket %d: %w", i, err)
 		}
 		a.buckets[i] = b
@@ -181,20 +166,20 @@ func newBucketedAggregator(comm *collective.Comm, bounds []int, density float64,
 	return a, nil
 }
 
-// Name implements Aggregator: "gtopk-bucketed", then "-hier" and
-// "-quorum" as for GTopKAggregator.
+// Name implements Aggregator: "gtopk-bucketed", then "-quorum" as for
+// GTopKAggregator.
 func (a *BucketedAggregator) Name() string { return a.buckets[0].name("gtopk-bucketed") }
 
 // SetQuorum enables the straggler-tolerant quorum collective on every
 // bucket (same quorums and deadline budgets per bucket round; see
-// GTopKAggregator.SetQuorum — a hierarchical pipeline takes a
-// hierarchical configuration). A bucket this rank's frame misses refunds
+// GTopKAggregator.SetQuorum — every bucket runs the flat tree, so cfg is
+// a flat configuration). A bucket this rank's frame misses refunds
 // that bucket's selected mass to its private residual. A zero cfg
 // disables quorum mode. Call before training, not between Begin and
 // Finish.
 func (a *BucketedAggregator) SetQuorum(cfg QuorumConfig) error {
-	// Every bucket validates against the same world and group, so the
-	// first bucket rejects before anything is configured.
+	// Every bucket validates against the same world, so the first
+	// bucket rejects before anything is configured.
 	for _, b := range a.buckets {
 		if err := b.SetQuorum(cfg); err != nil {
 			return err
@@ -236,18 +221,12 @@ func (a *BucketedAggregator) LastBucketTimes() []time.Duration {
 	return append([]time.Duration(nil), a.lastComm...)
 }
 
-// Aggregate implements Aggregator: AggregateSparse scattered into the
-// dense view.
-func (a *BucketedAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
-	return a.view.of(a.AggregateSparse(ctx, grad))
-}
-
-// AggregateSparse implements SparseUpdater: the serial facade over the
-// pipeline. Buckets still communicate concurrently with each other; only
-// the overlap with gradient computation is given up.
-func (a *BucketedAggregator) AggregateSparse(ctx context.Context, grad []float32) (*sparse.Vector, error) {
+// Aggregate implements Aggregator: the serial facade over the pipeline.
+// Buckets still communicate concurrently with each other; only the
+// overlap with gradient computation is given up.
+func (a *BucketedAggregator) Aggregate(ctx context.Context, grad []float32) (Update, error) {
 	if err := a.Begin(ctx, grad); err != nil {
-		return nil, err
+		return Update{}, err
 	}
 	return a.Finish()
 }
@@ -257,8 +236,8 @@ func (a *BucketedAggregator) Begin(ctx context.Context, grad []float32) error {
 	if a.grad != nil {
 		return fmt.Errorf("core: bucketed: Begin before previous Finish")
 	}
-	if len(grad) != a.update.Dim {
-		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.update.Dim)
+	if len(grad) != a.dim {
+		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.dim)
 	}
 	a.ctx = ctx
 	a.grad = grad
@@ -285,9 +264,9 @@ func (a *BucketedAggregator) Ready(lo, hi int) {
 }
 
 // Finish implements BucketStreamer.
-func (a *BucketedAggregator) Finish() (*sparse.Vector, error) {
+func (a *BucketedAggregator) Finish() (Update, error) {
 	if a.grad == nil {
-		return nil, fmt.Errorf("core: bucketed: Finish without Begin")
+		return Update{}, fmt.Errorf("core: bucketed: Finish without Begin")
 	}
 	for _, b := range a.buckets {
 		if !b.launched {
@@ -313,7 +292,7 @@ func (a *BucketedAggregator) Finish() (*sparse.Vector, error) {
 	a.grad = nil
 	a.ctx = nil
 	if firstErr != nil {
-		return nil, firstErr
+		return Update{}, firstErr
 	}
 	if anyMissed {
 		a.missStreak++
@@ -327,14 +306,14 @@ func (a *BucketedAggregator) Finish() (*sparse.Vector, error) {
 		clock.Advance(slowest)
 	}
 	u := &a.update
-	u.Indices, u.Values = u.Indices[:0], u.Values[:0]
+	u.At, u.Values = u.At[:0], u.Values[:0]
 	for _, b := range a.buckets {
 		for _, idx := range b.update.Indices {
-			u.Indices = append(u.Indices, idx+int32(b.lo))
+			u.At = append(u.At, idx+int32(b.lo))
 		}
 		u.Values = append(u.Values, b.update.Values...)
 	}
-	return u, nil
+	return *u, nil
 }
 
 // launch hands one fully-covered bucket to its pipeline goroutine. The
@@ -359,9 +338,9 @@ func (b *bucketState) runBucket(ctx context.Context, grad []float32) bucketDone 
 	}
 
 	// One round over the bucket's slice, on the bucket's own tag space
-	// (the local selections run concurrently across buckets). With a
-	// hierarchy the round has already folded the group sub-comms' counters
-	// into the bucket's, so the statsDelta below captures all its traffic.
+	// (the local selections run concurrently across buckets). Its flat
+	// tree sends only on the bucket's sub-communicator, so the statsDelta
+	// below captures all its traffic.
 	var err error
 	if b.update, out.missed, err = b.run(ctx, grad[b.lo:b.hi]); err != nil {
 		out.err = fmt.Errorf("core: bucket %d: %w", b.idx, err)

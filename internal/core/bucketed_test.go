@@ -42,7 +42,7 @@ func runAggStream(t *testing.T, p, dim, iters int, build func(c *collective.Comm
 				return fmt.Errorf("iter %d: %w", it, err)
 			}
 			if c.Rank() == 0 {
-				updates[it] = append([]float32(nil), upd...)
+				updates[it] = DenseUpdate(upd, dim)
 			}
 		}
 		return nil
@@ -126,16 +126,16 @@ func newPerBucketReference(c *collective.Comm, bounds []int, density float64) (*
 
 func (r *perBucketReference) Name() string { return "per-bucket-reference" }
 
-func (r *perBucketReference) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+func (r *perBucketReference) Aggregate(ctx context.Context, grad []float32) (Update, error) {
 	for i, agg := range r.aggs {
 		lo, hi := r.bounds[i], r.bounds[i+1]
 		upd, err := agg.Aggregate(ctx, grad[lo:hi])
 		if err != nil {
-			return nil, err
+			return Update{}, err
 		}
-		copy(r.dense[lo:hi], upd)
+		copy(r.dense[lo:hi], DenseUpdate(upd, hi-lo))
 	}
-	return r.dense, nil
+	return Update{Values: r.dense}, nil
 }
 
 // TestBucketedMomentumCorrectionMatchesComposition: DGC momentum
@@ -202,7 +202,7 @@ func TestBucketedStreamedMatchesSerial(t *testing.T) {
 				return fmt.Errorf("iter %d: %w", it, err)
 			}
 			if c.Rank() == 0 {
-				streamed[it] = upd.Dense()
+				streamed[it] = DenseUpdate(upd, dim)
 			}
 		}
 		return nil

@@ -283,7 +283,8 @@ func TestCompoundAllGatherResidualConservation(t *testing.T) {
 					wg.Add(1)
 					go func(rank int) {
 						defer wg.Done()
-						updates[rank], errs[rank] = aggs[rank].Aggregate(context.Background(), grads[rank])
+						u, err := aggs[rank].Aggregate(context.Background(), grads[rank])
+						updates[rank], errs[rank] = core.DenseUpdate(u, dim), err
 					}(r)
 				}
 				wg.Wait()

@@ -11,9 +11,10 @@ import (
 // This file implements the two extensions the paper sketches but does not
 // evaluate: gTop-k under a Parameter-Server topology (footnote 2: "it is
 // also applicable to the Parameter Server based distributed SGD") and
-// layer-wise sparsification (Section VII: "we would like to investigate
-// layer-wise sparsification"). Both are exercised by dedicated ablation
-// experiments in internal/bench.
+// the bounds of layer-wise sparsification (Section VII: "we would like to
+// investigate layer-wise sparsification"), which is the bucketed
+// pipeline with one bucket per layer. Both are exercised by dedicated
+// ablation experiments in internal/bench.
 
 // PSGTopKAllReduce aggregates sparse gradients through a star topology:
 // every worker ships its top-k to rank 0 (the parameter server), which
@@ -53,22 +54,6 @@ func PSGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.
 		return nil, fmt.Errorf("core: ps gtopk bcast payload: %w", err)
 	}
 	return out, nil
-}
-
-// NewLayerwiseGTopKAggregator applies gTop-k independently per layer
-// segment: each layer l with m_l parameters contributes k_l = max(1,
-// ρ·m_l) globally selected gradients. This is the layer-wise
-// sparsification of the paper's future-work section; it trades slightly
-// more selected coordinates (Σ k_l ≥ k) and logP·L communication rounds
-// for per-layer fairness (the single global top-k tends to starve
-// small-gradient layers, the effect the paper blames for AlexNet's slight
-// convergence degradation). A per-segment residual, top-k, gTop-k and
-// put-back is exactly what a bucket of the bucketed pipeline runs, so
-// this is that pipeline with one bucket per layer; bounds are the
-// cumulative layer offsets (bounds[0] = 0, bounds[L] = dim, strictly
-// increasing).
-func NewLayerwiseGTopKAggregator(comm *collective.Comm, bounds []int, density float64) (*BucketedAggregator, error) {
-	return NewBucketedAggregator(comm, bounds, density)
 }
 
 // LayerBounds derives cumulative parameter offsets from per-layer counts.

@@ -93,7 +93,7 @@ func TestPSAggregatorTrainsQuadratic(t *testing.T) {
 func TestLayerwiseBoundsValidation(t *testing.T) {
 	f := func(bounds []int) error {
 		fab := newSingleRankComm(t)
-		_, err := NewLayerwiseGTopKAggregator(fab, bounds, 0.1)
+		_, err := NewBucketedAggregator(fab, bounds, 0.1)
 		return err
 	}
 	if err := f([]int{0, 10, 30}); err != nil {
@@ -105,7 +105,7 @@ func TestLayerwiseBoundsValidation(t *testing.T) {
 		}
 	}
 	fab := newSingleRankComm(t)
-	if _, err := NewLayerwiseGTopKAggregator(fab, []int{0, 10}, 0); err == nil {
+	if _, err := NewBucketedAggregator(fab, []int{0, 10}, 0); err == nil {
 		t.Error("zero density accepted")
 	}
 }
@@ -140,7 +140,7 @@ func TestLayerwiseAggregatorConvergesAndAgreesAcrossRanks(t *testing.T) {
 	target := makeTarget(dim)
 	results, err := RunCluster(context.Background(), ClusterConfig{Workers: p, Steps: steps},
 		func(rank int, comm *collective.Comm) (*Trainer, error) {
-			agg, err := NewLayerwiseGTopKAggregator(comm, bounds, 0.1)
+			agg, err := NewBucketedAggregator(comm, bounds, 0.1)
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +171,7 @@ func TestLayerwiseEveryLayerRepresented(t *testing.T) {
 	var mu sync.Mutex
 	layerHit := make([]bool, 3)
 	spmd(t, p, func(c *collective.Comm) error {
-		agg, err := NewLayerwiseGTopKAggregator(c, bounds, 0.05)
+		agg, err := NewBucketedAggregator(c, bounds, 0.05)
 		if err != nil {
 			return err
 		}
@@ -184,10 +184,11 @@ func TestLayerwiseEveryLayerRepresented(t *testing.T) {
 		for i := 30; i < 90; i++ {
 			grad[i] = 0.01
 		}
-		update, err := agg.Aggregate(context.Background(), grad)
+		u, err := agg.Aggregate(context.Background(), grad)
 		if err != nil {
 			return err
 		}
+		update := DenseUpdate(u, len(grad))
 		mu.Lock()
 		defer mu.Unlock()
 		for l := 0; l < 3; l++ {
@@ -262,15 +263,16 @@ func TestLayerwiseQuantizedResidualConservation(t *testing.T) {
 				if got := comm.WireCodec(); got != sparse.CodecV3Q8 {
 					return fmt.Errorf("mesh codec %s, want v3-qsgd8", got)
 				}
-				agg, err := NewLayerwiseGTopKAggregator(comm, bounds, 0.1)
+				agg, err := NewBucketedAggregator(comm, bounds, 0.1)
 				if err != nil {
 					return err
 				}
 				grad := grads[rank]
-				update, err := agg.Aggregate(context.Background(), append([]float32(nil), grad...))
+				u, err := agg.Aggregate(context.Background(), append([]float32(nil), grad...))
 				if err != nil {
 					return err
 				}
+				update := DenseUpdate(u, dim)
 				for _, b := range agg.buckets {
 					for i, res := range b.sp.Residual() {
 						g := grad[b.lo+i]
@@ -333,7 +335,7 @@ func TestScheduleChangesK(t *testing.T) {
 					return
 				}
 				nnz := 0
-				for _, v := range update {
+				for _, v := range update.Values {
 					if v != 0 {
 						nnz++
 					}

@@ -120,46 +120,6 @@ func TestSparseStepHoldsOnlyModelState(t *testing.T) {
 		}
 	})
 
-	t.Run("dense-view-built-once", func(t *testing.T) {
-		// sync.Pool keeps one private slot per P that other Ps cannot
-		// take: a goroutine that moves to another P between calls misses
-		// the pooled selection scratch and allocates a fresh one. One P
-		// keeps the three measured calls on the same slot.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		c := newSingleRankComm(t)
-		flat, err := NewGTopKAggregator(c, dim, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bucketed, err := NewBucketedAggregator(c, bounds, 0.001)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grad := make([]float32, dim)
-		for name, agg := range map[string]Aggregator{"flat": flat, "bucketed": bucketed} {
-			var allocated [3]uint64
-			var views [3]*float32
-			for i := range allocated {
-				var before, after runtime.MemStats
-				footprintGrad(0)(i, nil, grad)
-				runtime.ReadMemStats(&before)
-				view, err := agg.Aggregate(context.Background(), grad)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
-				allocated[i], views[i] = after.TotalAlloc-before.TotalAlloc, &view[0]
-			}
-			// Under the race detector sync.Pool drops puts, so pooled
-			// dim-sized selection scratch is allocated afresh on any call.
-			if !poolDropsPuts() && (allocated[0] < 4*dim || allocated[1] >= 4*dim || allocated[2] >= 4*dim) {
-				t.Fatalf("%s: Aggregate allocated %v bytes on its first three calls; want the %d-byte view on the first only", name, allocated, 4*dim)
-			}
-			if views[1] != views[0] || views[2] != views[0] {
-				t.Fatalf("%s: the dense view moved between calls", name)
-			}
-		}
-	})
 }
 
 // trainedHeapGrowth builds a trainer on each of p in-process ranks, runs

@@ -32,40 +32,15 @@ import (
 // is not patched up inside a round: the elastic runtime tears the epoch
 // down, re-forks the groups and resumes from the checkpoint.
 
-// HierarchicalGTopKAllReduce runs the two-level gTop-k over groups of
-// size g, forking the group sub-communicators per call. Aggregators
-// that run every iteration should hold a HierarchicalAggregator (or
-// fork once themselves) instead — each call consumes a slice of the
-// parent's tag space.
-//
-// g <= 1 or g >= P degenerates to the flat GTopKAllReduce, bit-identical
-// to it. Like all collectives, every rank must call with the same g and
-// k.
-func HierarchicalGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, g int) (*sparse.Vector, error) {
-	gc, err := forkHier(comm, g)
-	if err != nil {
-		return nil, err
-	}
-	out := &sparse.Vector{}
-	if gc == nil {
-		err = GTopKAllReduceInto(ctx, comm, local, k, ChunksFor(k), out)
-	} else {
-		err = HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, k, ChunksFor(k), out)
-	}
-	if err != nil {
-		return nil, err
-	}
-	foldHierStats(comm, gc)
-	return out, nil
-}
-
-// forkHier forks the group sub-communicators for a hierarchy over groups
+// ForkHier forks the group sub-communicators for a hierarchy over groups
 // of g ranks and points them at the parent's simulated clock and model:
 // the hierarchy phases run sequentially on each rank, so sharing the
-// parent clock keeps the accounting automatic (the bucketed pipeline's
-// concurrent buckets give each bucket comm a private clock first). It
-// returns nil in the flat regime, g <= 1 or g >= P.
-func forkHier(parent *collective.Comm, g int) (*collective.GroupComms, error) {
+// parent clock keeps the accounting automatic. It returns nil in the
+// flat regime, g <= 1 or g >= P. Every rank must fork at the same point
+// of its collective sequence, and each fork consumes a slice of the
+// parent's tag space: a caller that runs the collective every iteration
+// forks once (the aggregators do it at construction).
+func ForkHier(parent *collective.Comm, g int) (*collective.GroupComms, error) {
 	if g <= 1 || g >= parent.Size() {
 		return nil, nil
 	}
@@ -97,16 +72,21 @@ func foldHierStats(parent *collective.Comm, gc *collective.GroupComms) {
 	}
 }
 
-// HierarchicalGTopKAllReduceInto is the reusable-state core of the
-// hierarchical collective: the caller owns the forked GroupComms (with
-// clocks already attached if timed) and the result vector. Statistics
+// HierarchicalGTopKAllReduceInto runs the two-level gTop-k over the
+// caller-owned GroupComms (ForkHier) into the caller-owned result
+// vector; a nil gc — ForkHier's flat regime — runs the flat
+// GTopKAllReduceInto over comm, bit-identical to it. Statistics
 // accumulate on gc's sub-communicators; fold them into the parent with
 // foldHierStats-style AddStats calls, as the aggregators' round does.
 //
-// The comm argument is the parent communicator the groups were forked
-// from; it is used only for the non-leaders' simulated-time mirror of
-// the leader exchange (ChargeRoundAmong), never for wire traffic.
+// Otherwise comm is the parent communicator the groups were forked from;
+// it is used only for the non-leaders' simulated-time mirror of the
+// leader exchange (ChargeRoundAmong), never for wire traffic. Like all
+// collectives, every rank must call with the same group size and k.
 func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
+	if gc == nil {
+		return GTopKAllReduceInto(ctx, comm, local, k, chunks, out)
+	}
 	// Phase 1: intra-group reduce to the group leader (member rank 0),
 	// the only rank that reads the group aggregate.
 	groupRes := sparse.GetVector()

@@ -30,14 +30,37 @@ func hierOracle(t *testing.T, vecs []*sparse.Vector, k, g int) *sparse.Vector {
 	return serialTreeMerge(t, groupRes, k)
 }
 
-// runHierarchical executes HierarchicalGTopKAllReduce on every rank of a
+// hierOnce runs one hierarchical collective over groups of g ranks forked
+// for this call — the quorum form when qc is set, the plain one
+// otherwise — into a fresh vector, and folds the groups' counters into
+// comm as an aggregator's round does. g <= 1 or g >= P is the flat
+// collective.
+func hierOnce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, g int, qc QuorumConfig) (out *sparse.Vector, participated bool, missed []int, err error) {
+	gc, err := ForkHier(comm, g)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	out, participated = &sparse.Vector{}, true
+	if qc.Q > 0 {
+		participated, missed, err = HierQuorumGTopKAllReduceInto(ctx, comm, gc, local, k, g, qc, out)
+	} else {
+		err = HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, k, ChunksFor(k), out)
+	}
+	if err != nil {
+		return nil, false, nil, err
+	}
+	foldHierStats(comm, gc)
+	return out, participated, missed, nil
+}
+
+// runHierarchical executes the hierarchical collective on every rank of a
 // fresh in-process fabric and returns the per-rank results.
 func runHierarchical(t *testing.T, vecs []*sparse.Vector, k, g int) []*sparse.Vector {
 	t.Helper()
 	results := make([]*sparse.Vector, len(vecs))
 	var mu sync.Mutex
 	spmd(t, len(vecs), func(c *collective.Comm) error {
-		out, err := HierarchicalGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k, g)
+		out, _, _, err := hierOnce(context.Background(), c, vecs[c.Rank()].Clone(), k, g, QuorumConfig{})
 		if err != nil {
 			return err
 		}
@@ -111,8 +134,8 @@ func TestHierarchicalOverTCPMatchesInproc(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			res, err := HierarchicalGTopKAllReduce(context.Background(),
-				collective.New(fab.Conn(rank)), vecs[rank].Clone(), k, g)
+			res, _, _, err := hierOnce(context.Background(),
+				collective.New(fab.Conn(rank)), vecs[rank].Clone(), k, g, QuorumConfig{})
 			errs[rank], results[rank] = err, res
 		}(r)
 	}
@@ -154,8 +177,8 @@ func TestHierarchicalLeaderArrivalOrderInvariance(t *testing.T) {
 				} else {
 					time.Sleep(time.Duration(20+rank) * time.Millisecond)
 				}
-				res, err := HierarchicalGTopKAllReduce(context.Background(),
-					collective.New(fab.Conn(rank)), vecs[rank].Clone(), k, g)
+				res, _, _, err := hierOnce(context.Background(),
+					collective.New(fab.Conn(rank)), vecs[rank].Clone(), k, g, QuorumConfig{})
 				errs[rank], results[rank] = err, res
 			}(r)
 		}
@@ -193,7 +216,7 @@ func TestHierarchicalFP16ReplicasAgree(t *testing.T) {
 			defer wg.Done()
 			comm := collective.New(fab.Conn(rank))
 			comm.SetCompressor(halfValues{})
-			res, err := HierarchicalGTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k, g)
+			res, _, _, err := hierOnce(context.Background(), comm, vecs[rank].Clone(), k, g, QuorumConfig{})
 			errs[rank], results[rank] = err, res
 		}(r)
 	}
@@ -225,7 +248,7 @@ func TestHierarchicalSimulatedTime(t *testing.T) {
 		clock := &netsim.Clock{}
 		clocks[c.Rank()] = clock
 		c.WithClock(clock, model)
-		_, err := HierarchicalGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k, g)
+		_, _, _, err := hierOnce(context.Background(), c, vecs[c.Rank()].Clone(), k, g, QuorumConfig{})
 		return err
 	})
 
@@ -310,7 +333,7 @@ func aggregatorTrajectory(t *testing.T, p, dim, iters int, build func(c *collect
 			if err != nil {
 				return err
 			}
-			cp := append([]float32(nil), up...)
+			cp := DenseUpdate(up, dim)
 			mu.Lock()
 			updates[it][c.Rank()] = cp
 			mu.Unlock()
@@ -328,84 +351,6 @@ func assertDenseEqual(t *testing.T, label string, want, got []float32) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("%s: elem %d: %v vs %v", label, i, want[i], got[i])
-		}
-	}
-}
-
-// TestHierarchicalBucketedMatchesHierComposition: the hierarchical
-// bucketed pipeline must equal, bucket by bucket, the hierarchical
-// collective applied to each bucket's slice independently — and its
-// degenerate group must equal the flat bucketed pipeline bitwise.
-func TestHierarchicalBucketedMatchesHierComposition(t *testing.T) {
-	const p, g, dim = 8, 4, 200
-	bounds := []int{0, 80, 200}
-	const density = 0.05
-
-	grads, _ := makeWorkerVectors(91, p, dim, dim)
-
-	// Reference: per-bucket hierarchical aggregators over each slice.
-	type sliceRef struct{ lo, hi, k int }
-	var slices []sliceRef
-	for i := 0; i+1 < len(bounds); i++ {
-		slices = append(slices, sliceRef{bounds[i], bounds[i+1], DensityToK(bounds[i+1]-bounds[i], density)})
-	}
-	want := make([][]float32, p)
-	for r := range want {
-		want[r] = make([]float32, dim)
-	}
-	var mu sync.Mutex
-	spmd(t, p, func(c *collective.Comm) error {
-		for _, s := range slices {
-			agg, err := NewHierarchicalAggregator(c, s.hi-s.lo, s.k, g)
-			if err != nil {
-				return err
-			}
-			up, err := agg.Aggregate(context.Background(), grads[c.Rank()][s.lo:s.hi])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			copy(want[c.Rank()][s.lo:s.hi], up)
-			mu.Unlock()
-		}
-		return nil
-	})
-
-	// Quorum off, then a full quorum at both levels: a round every rank
-	// makes must reproduce the full-sync bits.
-	for _, row := range []struct {
-		name   string
-		quorum QuorumConfig
-	}{
-		{"gtopk-bucketed-hier", QuorumConfig{}},
-		{"gtopk-bucketed-hier-quorum", QuorumConfig{Q: g, LeaderQ: p / g, Timeout: 30 * time.Second}},
-	} {
-		got := make([][]float32, p)
-		spmd(t, p, func(c *collective.Comm) error {
-			agg, err := NewHierarchicalBucketedAggregator(c, bounds, density, g)
-			if err != nil {
-				return err
-			}
-			if err := agg.SetQuorum(row.quorum); err != nil {
-				return err
-			}
-			if agg.Name() != row.name {
-				return fmt.Errorf("name %q, want %s", agg.Name(), row.name)
-			}
-			up, err := agg.Aggregate(context.Background(), append([]float32(nil), grads[c.Rank()]...))
-			if err != nil {
-				return err
-			}
-			if streak := agg.QuorumMissStreak(); streak != 0 {
-				return fmt.Errorf("miss streak %d in a round every rank made", streak)
-			}
-			mu.Lock()
-			got[c.Rank()] = append([]float32(nil), up...)
-			mu.Unlock()
-			return nil
-		})
-		for r := 0; r < p; r++ {
-			assertDenseEqual(t, fmt.Sprintf("%s rank %d", row.name, r), want[r], got[r])
 		}
 	}
 }

@@ -49,34 +49,16 @@ import (
 //
 // Determinism is inherited the way the hierarchy inherited it from the
 // flat tree: at q_g = G and q_l = ⌈P/G⌉ every fold sees the exact ⊕
-// sequence of HierarchicalGTopKAllReduce, so full-quorum rounds are
+// sequence of HierarchicalGTopKAllReduceInto, so full-quorum rounds are
 // bit-identical to it under lossless codecs on every fabric, and any
 // partial round's bits are a pure function of the straggler schedule.
 
-// HierQuorumGTopKAllReduce wraps HierQuorumGTopKAllReduceInto with a
-// fresh result vector, forking the group sub-communicators per call
-// (aggregators that run every iteration fork once at construction
-// instead). g <= 1 or g >= P is the flat quorum collective, which
-// requires a flat configuration (no LeaderQ, no Levels).
-func HierQuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, g int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
-	gc, err := forkHier(comm, g)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	out := &sparse.Vector{}
-	participated, missed, err := HierQuorumGTopKAllReduceInto(ctx, comm, gc, local, k, g, qc, out)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	foldHierStats(comm, gc)
-	return out, participated, missed, nil
-}
-
 // HierQuorumGTopKAllReduceInto runs one quorum gTop-k round: over the
-// caller-owned GroupComms (forked with group size g from comm, clocks
-// attached if timed), or flat over comm itself when gc is nil. Every
-// rank returns the verdict's global top-k in out, whether its own
-// contribution made the round, and which world ranks missed. The caller
+// caller-owned GroupComms (ForkHier with group size g from comm), or flat
+// over comm itself when gc is nil, which requires a flat configuration
+// (no LeaderQ, no Levels). Every rank returns the verdict's global top-k
+// in out, whether its own contribution made the round, and which world
+// ranks missed. The caller
 // owns the conservation step: a participant folds quantization error and
 // puts back globally-dropped values as usual; a straggler refunds its
 // entire selected mass to the residual (Sparsifier.Refund) and skips

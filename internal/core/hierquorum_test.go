@@ -111,7 +111,7 @@ func runHierQuorumWorld(t *testing.T, fab transport.Fabric, vecs []*sparse.Vecto
 			defer wg.Done()
 			c := collective.New(fab.Conn(r))
 			outs[r], parts[r], missed[r], errs[r] =
-				HierQuorumGTopKAllReduce(context.Background(), c, vecs[r].Clone(), k, g, qc)
+				hierOnce(context.Background(), c, vecs[r].Clone(), k, g, qc)
 		}(r)
 	}
 	wg.Wait()
@@ -154,7 +154,7 @@ func serialHierMerge(t *testing.T, vecs []*sparse.Vector, k, g int, participants
 
 // TestHierQuorumFullSyncBitIdenticalToHier: at q_g = G and q_l = all
 // leaders every level is a deadline-guarded full synchronization, so the
-// result must reproduce HierarchicalGTopKAllReduce's bits exactly — on
+// result must reproduce the hierarchical collective's bits exactly — on
 // the in-process mailboxes AND the TCP mesh — which is how the
 // hierarchical quorum inherits the hierarchy's determinism.
 func TestHierQuorumFullSyncBitIdenticalToHier(t *testing.T) {
@@ -166,7 +166,7 @@ func TestHierQuorumFullSyncBitIdenticalToHier(t *testing.T) {
 		hier := make([]*sparse.Vector, p)
 		var mu sync.Mutex
 		spmd(t, p, func(c *collective.Comm) error {
-			got, err := HierarchicalGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k, g)
+			got, _, _, err := hierOnce(context.Background(), c, vecs[c.Rank()].Clone(), k, g, QuorumConfig{})
 			if err != nil {
 				return err
 			}
@@ -433,7 +433,7 @@ func TestChaosHierQuorumRefundConservation(t *testing.T) {
 					errs[r] = fmt.Errorf("round %d: %w", round, err)
 					return
 				}
-				updates[r][round] = append([]float32(nil), up...)
+				updates[r][round] = DenseUpdate(up, dim)
 				streaks[r][round] = agg.QuorumMissStreak()
 				if isSlow(r) && round == 1 {
 					resAfter[r] = append([]float32(nil), agg.Sparsifier().Residual()...)

@@ -177,7 +177,12 @@ func verdictRetryPolicy(deadline time.Duration) transport.RetryPolicy {
 // QuorumGTopKAllReduce runs one flat quorum gTop-k round into a fresh
 // result vector: the hierarchical collective over a single group.
 func QuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
-	return HierQuorumGTopKAllReduce(ctx, comm, local, k, 0, qc)
+	out := &sparse.Vector{}
+	participated, missed, err := HierQuorumGTopKAllReduceInto(ctx, comm, nil, local, k, 0, qc, out)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	return out, participated, missed, nil
 }
 
 // rankIn reports whether rank r is in the ascending participant set.

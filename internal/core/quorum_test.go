@@ -72,30 +72,20 @@ func TestSetQuorum(t *testing.T) {
 		t.Fatal("quorum accepted on the naive AllGather path")
 	}
 
-	// The bucketed pipeline takes the configuration its buckets' collective
-	// takes — flat here, hierarchical over groups — and names it.
-	for _, tc := range []struct {
-		group int
-		legal QuorumConfig
-		bad   QuorumConfig
-		name  string
-	}{
-		{0, QuorumConfig{Q: 3, Timeout: time.Second}, QuorumConfig{Q: 3, LeaderQ: 2, Timeout: time.Second}, "gtopk-bucketed-quorum"},
-		{2, QuorumConfig{Q: 2, LeaderQ: 2, Timeout: time.Second}, QuorumConfig{Q: 3, Timeout: time.Second}, "gtopk-bucketed-hier-quorum"},
-	} {
-		bucketed, err := newBucketedAggregator(collective.New(fab.Conn(2+tc.group/2)), []int{0, 40, 100}, 0.1, tc.group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bucketed.SetQuorum(tc.legal); err != nil {
-			t.Fatalf("group %d: legal quorum rejected: %v", tc.group, err)
-		}
-		if bucketed.Name() != tc.name {
-			t.Fatalf("group %d: name %q, want %s", tc.group, bucketed.Name(), tc.name)
-		}
-		if err := bucketed.SetQuorum(tc.bad); err == nil {
-			t.Fatalf("group %d: config %+v accepted", tc.group, tc.bad)
-		}
+	// The bucketed pipeline takes the flat configuration its buckets'
+	// collective takes, and names it.
+	bucketed, err := NewBucketedAggregator(collective.New(fab.Conn(2)), []int{0, 40, 100}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bucketed.SetQuorum(QuorumConfig{Q: 3, Timeout: time.Second}); err != nil {
+		t.Fatalf("legal quorum rejected: %v", err)
+	}
+	if bucketed.Name() != "gtopk-bucketed-quorum" {
+		t.Fatalf("name %q, want gtopk-bucketed-quorum", bucketed.Name())
+	}
+	if bad := (QuorumConfig{Q: 3, LeaderQ: 2, Timeout: time.Second}); bucketed.SetQuorum(bad) == nil {
+		t.Fatalf("config %+v accepted", bad)
 	}
 }
 
@@ -265,7 +255,7 @@ func runBucketedQuorumIters(t *testing.T, fab transport.Fabric, bounds []int, de
 					errs[r] = fmt.Errorf("iter %d: %w", it, err)
 					return
 				}
-				updates[r][it] = append([]float32(nil), up...)
+				updates[r][it] = DenseUpdate(up, bounds[len(bounds)-1])
 				streaks[r][it] = agg.QuorumMissStreak()
 			}
 		}(r)
@@ -430,7 +420,7 @@ func TestQuorumAggregatorResidualConservation(t *testing.T) {
 					errs[r] = fmt.Errorf("round %d: %w", round, err)
 					return
 				}
-				updates[r][round] = append([]float32(nil), up...)
+				updates[r][round] = DenseUpdate(up, dim)
 				streaks[r][round] = agg.QuorumMissStreak()
 				if r == slow && round == 1 {
 					slowResidualAfter = append([]float32(nil), agg.Sparsifier().Residual()...)

@@ -56,7 +56,7 @@ func newRound(comm *collective.Comm, dim, k, group int) (round, error) {
 	if err := validateK(dim, k); err != nil {
 		return round{}, err
 	}
-	gc, err := forkHier(comm, group)
+	gc, err := ForkHier(comm, group)
 	if err != nil {
 		return round{}, err
 	}
@@ -217,8 +217,8 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 }
 
 // allReduce is the round's one way onto the wire: it picks the union,
-// naive, PS, quorum (flat or hierarchical), hierarchical or flat tree
-// collective from the state the round holds.
+// naive, PS, quorum (flat or hierarchical) or tree (flat or
+// hierarchical) collective from the state the round holds.
 func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sparse.Vector, participated bool, err error) {
 	global, participated = &r.global, true
 	switch {
@@ -230,10 +230,8 @@ func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sp
 		global, err = PSGTopKAllReduce(ctx, r.comm, local, r.k)
 	case r.quorum.Q > 0:
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
-	case r.gc != nil:
-		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, ChunksFor(r.k), global)
 	default:
-		err = GTopKAllReduceInto(ctx, r.comm, local, r.k, ChunksFor(r.k), global)
+		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, ChunksFor(r.k), global)
 	}
 	if err == nil {
 		foldHierStats(r.comm, r.gc)

@@ -92,9 +92,9 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 }
 
 // refAggregator runs one refRound per bucket, back to back (a single
-// round over the whole gradient for the unbucketed kinds). It does not
-// implement SparseUpdater, so a Trainer over it runs the dense tail:
-// tensor.Clip, then tensor.AxpyInto, over the full buffer.
+// round over the whole gradient for the unbucketed kinds). Its update is
+// dense, so a Trainer over it runs the dense tail: tensor.Clip, then
+// tensor.AxpyInto, over the full buffer.
 type refAggregator struct {
 	bounds     []int
 	rounds     []*refRound
@@ -121,7 +121,7 @@ func newRefAggregator(c *collective.Comm, spec updateSpec) (*refAggregator, erro
 		}
 		if spec.kind == "hier" {
 			var err error
-			if r.gc, err = forkHier(bc, spec.group); err != nil {
+			if r.gc, err = ForkHier(bc, spec.group); err != nil {
 				return nil, err
 			}
 		}
@@ -132,13 +132,13 @@ func newRefAggregator(c *collective.Comm, spec updateSpec) (*refAggregator, erro
 
 func (a *refAggregator) Name() string { return "reference" }
 
-func (a *refAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+func (a *refAggregator) Aggregate(ctx context.Context, grad []float32) (Update, error) {
 	anyMissed := false
 	for i, r := range a.rounds {
 		lo, hi := a.bounds[i], a.bounds[i+1]
 		missed, err := r.run(ctx, grad[lo:hi], a.dense[lo:hi])
 		if err != nil {
-			return nil, err
+			return Update{}, err
 		}
 		anyMissed = anyMissed || missed
 	}
@@ -146,7 +146,7 @@ func (a *refAggregator) Aggregate(ctx context.Context, grad []float32) ([]float3
 	if !anyMissed {
 		a.missStreak = 0
 	}
-	return a.dense, nil
+	return Update{Values: a.dense}, nil
 }
 
 func (a *refAggregator) QuorumMissStreak() int { return a.missStreak }
@@ -200,11 +200,58 @@ func newRealAggregator(c *collective.Comm, spec updateSpec) (Aggregator, []*Spar
 	return a, []*Sparsifier{a.sp}, nil
 }
 
+// DenseUpdate returns u as a fresh dim-length vector: a dense update's
+// values as they are, a compact one scattered by MeanInto at p = 1 —
+// (0 + v)·1 at its positions, +0 everywhere else. It is exported for the
+// external test package.
+func DenseUpdate(u Update, dim int) []float32 {
+	if u.At == nil {
+		return append([]float32(nil), u.Values...)
+	}
+	dst := make([]float32, dim)
+	(&sparse.Vector{Dim: dim, Indices: u.At, Values: u.Values}).MeanInto(dst, 1)
+	return dst
+}
+
+// UpdateRecorder stands between a Trainer and its aggregator and hands
+// every update to Keep before the trainer clips its values in place. It
+// streams when the aggregator does. It is exported for the external
+// test package.
+type UpdateRecorder struct {
+	Aggregator
+	Keep func(Update)
+}
+
+func (r *UpdateRecorder) keep(u Update, err error) (Update, error) {
+	if err == nil {
+		r.Keep(u)
+	}
+	return u, err
+}
+
+// Aggregate implements Aggregator.
+func (r *UpdateRecorder) Aggregate(ctx context.Context, grad []float32) (Update, error) {
+	return r.keep(r.Aggregator.Aggregate(ctx, grad))
+}
+
+// Begin implements BucketStreamer.
+func (r *UpdateRecorder) Begin(ctx context.Context, grad []float32) error {
+	return r.Aggregator.(BucketStreamer).Begin(ctx, grad)
+}
+
+// Ready implements BucketStreamer.
+func (r *UpdateRecorder) Ready(lo, hi int) { r.Aggregator.(BucketStreamer).Ready(lo, hi) }
+
+// Finish implements BucketStreamer.
+func (r *UpdateRecorder) Finish() (Update, error) {
+	return r.keep(r.Aggregator.(BucketStreamer).Finish())
+}
+
 // updateWorld is what one run of a spec leaves behind, per rank.
 type updateWorld struct {
 	weights, velocity, residual [][]float32
 	streaks                     [][]int // "quorum": QuorumMissStreak after every step
-	sparseTail                  bool    // the trainer takes a compact update
+	compact                     int     // rank 0's steps whose update was compact (At != nil)
 }
 
 var negZero = float32(math.Copysign(0, -1))
@@ -261,10 +308,6 @@ func runUpdateWorld(t *testing.T, spec updateSpec, p, steps int, ref bool) updat
 						return err
 					}
 				}
-				_, sparseTail := agg.(SparseUpdater)
-				if r == 0 {
-					w.sparseTail = sparseTail
-				}
 				if spec.negZero {
 					res := make([]float32, sps[0].Dim())
 					res[0] = negZero
@@ -290,7 +333,12 @@ func runUpdateWorld(t *testing.T, spec updateSpec, p, steps int, ref bool) updat
 				}
 				weights := make([]float32, spec.dim)
 				weights[0] = negZero // −0 + −lr·(+0) stays −0; + −lr·(−0) would not
-				tr, err := NewTrainer(TrainConfig{LR: 0.05, GradClip: 0.02, Momentum: spec.momentum}, agg, weights, gradFn)
+				rec := &UpdateRecorder{Aggregator: agg, Keep: func(u Update) {
+					if r == 0 && u.At != nil {
+						w.compact++
+					}
+				}}
+				tr, err := NewTrainer(TrainConfig{LR: 0.05, GradClip: 0.02, Momentum: spec.momentum}, rec, weights, gradFn)
 				if err != nil {
 					return err
 				}
@@ -378,6 +426,10 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 		// A −0 rides the residual into the selection as a zero tie-filler
 		// (three non-zero coordinates, k = 6): the mean must turn it into +0.
 		{"flat/negzero", []int{1, 4}, updateSpec{kind: "flat", dim: 64, k: constK(6), negZero: true, sparseG: true}},
+		// The same under trainer momentum: the compact update reaches the
+		// velocity as 0 + v at its support and +0 elsewhere, where a −0
+		// weight must stay −0.
+		{"flat/negzero/trainer-momentum", []int{1, 4}, updateSpec{kind: "flat", dim: 64, k: constK(6), negZero: true, sparseG: true, momentum: 0.9}},
 		// Large enough that every select takes the candidate path.
 		{"flat/8192", []int{1}, updateSpec{kind: "flat", dim: 8192, mu: 0.9, k: constK(80)}},
 		{"naive", []int{4}, updateSpec{kind: "naive", dim: 600, mu: 0.9, k: constK(12)}},
@@ -406,8 +458,8 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/P=%d", tc.name, p), func(t *testing.T) {
 				want := runUpdateWorld(t, tc.spec, p, steps, true)
 				got := runUpdateWorld(t, tc.spec, p, steps, false)
-				if want.sparseTail || !got.sparseTail {
-					t.Fatalf("SparseUpdater: reference %v, real %v — the comparison is not dense vs sparse", want.sparseTail, got.sparseTail)
+				if want.compact != 0 || got.compact != steps {
+					t.Fatalf("compact updates: reference %d, real %d of %d steps — the comparison is not dense vs sparse", want.compact, got.compact, steps)
 				}
 				requireSameBits(t, "weights", want.weights, got.weights)
 				requireSameBits(t, "trainer velocity", want.velocity, got.velocity)
@@ -420,7 +472,7 @@ func TestSparseUpdateMatchesDense(t *testing.T) {
 				if tc.spec.kind == "quorum" && got.streaks[3][stallStep] != 1 {
 					t.Fatalf("rank 3 did not miss round %d: streaks %v", stallStep, got.streaks[3])
 				}
-				if tc.spec.momentum > 0 {
+				if tc.spec.momentum > 0 && !tc.spec.sparseG {
 					// Decay keeps every slot a past update reached alive, so the
 					// velocity's support outgrows any single update's 12 entries.
 					moving := 0

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/tensor"
 )
 
@@ -55,7 +54,7 @@ type PhaseTimes struct {
 // Besides the weights a trainer holds the gradient and, only when it
 // applies momentum itself, the velocity: under momentum correction the
 // sparse aggregator keeps the velocity (TrainConfig.Momentum is 0) and
-// hands over its update as k (index, mean) pairs.
+// its k (index, mean) pairs are applied at their positions alone.
 type Trainer struct {
 	cfg      TrainConfig
 	agg      Aggregator
@@ -63,7 +62,6 @@ type Trainer struct {
 	streamFn StreamGradFn
 	weights  []float32
 	velocity []float32 // nil unless cfg.Momentum > 0
-	view     denseView // a compact update scattered for the momentum tail
 	grad     []float32
 	iter     int
 	onPhases func(iter int, pt PhaseTimes)
@@ -147,15 +145,6 @@ func (t *Trainer) SetStreamGradFn(fn StreamGradFn) error {
 	return nil
 }
 
-// SetLR updates the learning rate (for decay schedules).
-func (t *Trainer) SetLR(lr float32) error {
-	if lr <= 0 {
-		return fmt.Errorf("core: learning rate %v must be positive", lr)
-	}
-	t.cfg.LR = lr
-	return nil
-}
-
 // Step runs one S-SGD iteration and returns the local mini-batch loss.
 // With a streaming gradient function installed (SetStreamGradFn), the
 // aggregation pipeline opens before the gradient computation starts,
@@ -168,11 +157,10 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	}
 	clear(t.grad)
 	var (
-		pt     PhaseTimes
-		loss   float64
-		u      *sparse.Vector // a SparseUpdater's update
-		update []float32      // a dense update (nil: apply u)
-		err    error
+		pt   PhaseTimes
+		loss float64
+		u    Update
+		err  error
 	)
 	start := time.Now()
 	if bs != nil {
@@ -186,19 +174,10 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	pt.Compute = time.Since(start)
 
 	start = time.Now()
-	su, compact := t.agg.(SparseUpdater)
-	switch {
-	case bs != nil:
+	if bs != nil {
 		u, err = bs.Finish()
-	case compact:
-		u, err = su.AggregateSparse(ctx, t.grad)
-	default:
-		update, err = t.agg.Aggregate(ctx, t.grad)
-	}
-	if compact && t.cfg.Momentum > 0 {
-		// Momentum decays the velocity at every coordinate: the dense tail
-		// runs over the compact update scattered into the trainer's view.
-		update, err = t.view.of(u, err)
+	} else {
+		u, err = t.agg.Aggregate(ctx, t.grad)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("core: step %d: %w", t.iter, err)
@@ -206,14 +185,14 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	pt.Aggregate = time.Since(start)
 
 	// The optimizer tail. Without trainer momentum — the paper's setting
-	// once momentum correction runs inside the aggregator — a compact
-	// update is clipped and applied at its support only: every other
-	// weight would receive w + -lr·0, which is w.
+	// once momentum correction runs inside the aggregator — the update is
+	// clipped and applied where it has values: every other weight would
+	// receive w + -lr·0, which is w.
 	start = time.Now()
-	if update == nil {
-		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, u.Values, u.Indices, t.cfg.GradClip)
+	if t.velocity == nil {
+		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, u.Values, u.At, t.cfg.GradClip)
 	} else {
-		t.cfg.applyDense(t.weights, t.velocity, update)
+		t.momentumStep(u)
 	}
 	pt.Update = time.Since(start)
 	if t.onPhases != nil {
@@ -223,18 +202,32 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// applyDense is the trainer's dense optimizer tail — clip, momentum,
-// weight update, each a pass over the whole buffer. update is clipped
-// in place.
-func (c TrainConfig) applyDense(weights, velocity, update []float32) {
-	if c.GradClip > 0 {
-		tensor.Clip(update, c.GradClip)
+// momentumStep is the tail under trainer momentum, which decays the
+// velocity at every coordinate: v ← µ·v + g, then w ← w − lr·v, with u's
+// values clipped in place first. A dense update gives g = u; a compact
+// one gives 0 + u at its positions and +0 everywhere else — the values of
+// the zero buffer it would scatter into. The compact branch serves only
+// trainer momentum over a sparse aggregator, and goes once the sparse
+// aggregators correct momentum for every caller.
+func (t *Trainer) momentumStep(u Update) {
+	if t.cfg.GradClip > 0 {
+		tensor.Clip(u.Values, t.cfg.GradClip)
 	}
-	if c.Momentum > 0 {
-		for i, u := range update {
-			velocity[i] = c.Momentum*velocity[i] + u
+	mu, v := t.cfg.Momentum, t.velocity
+	if u.At == nil {
+		for i, g := range u.Values {
+			v[i] = mu*v[i] + g
 		}
-		update = velocity
+	} else {
+		j := 0
+		for i := range v {
+			var g float32
+			if j < len(u.At) && int(u.At[j]) == i {
+				g = 0 + u.Values[j]
+				j++
+			}
+			v[i] = mu*v[i] + g
+		}
 	}
-	tensor.AxpyInto(weights, -c.LR, update)
+	tensor.AxpyInto(t.weights, -t.cfg.LR, v)
 }

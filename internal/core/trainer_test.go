@@ -9,6 +9,7 @@ import (
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/prng"
+	"gtopkssgd/internal/tensor"
 	"gtopkssgd/internal/transport"
 )
 
@@ -289,29 +290,52 @@ func TestGradClip(t *testing.T) {
 	}
 }
 
-func TestSetLR(t *testing.T) {
-	f, err := transport.NewInProc(1)
+// fixedAggregator hands the trainer a fresh copy of the same update on
+// every step.
+type fixedAggregator struct{ u Update }
+
+func (a *fixedAggregator) Name() string { return "fixed" }
+
+func (a *fixedAggregator) Aggregate(context.Context, []float32) (Update, error) {
+	return Update{At: a.u.At, Values: append([]float32(nil), a.u.Values...)}, nil
+}
+
+// TestMomentumTailCompactScatters pins the compact branch of the momentum
+// tail bit for bit against its dense reference — the update scattered by
+// MeanInto at p = 1, then Clip, the momentum loop and AxpyInto over the
+// whole buffer: the velocity takes 0 + v at the support (a −0 value
+// arrives as +0) and +0 everywhere else, so −0 velocity entries turn +0
+// on and off the support alike and −0 weights stay −0.
+func TestMomentumTailCompactScatters(t *testing.T) {
+	const dim, lr, mu, clip = 6, 0.1, 0.5, 1
+	negZero := float32(math.Copysign(0, -1))
+	u := Update{At: []int32{1, 3, 4}, Values: []float32{negZero, 2, -5e-45}}
+	weights := []float32{negZero, negZero, 1, negZero, 2, negZero}
+	velocity := []float32{negZero, negZero, 1, negZero, 1e-45, 3}
+	tr, err := NewTrainer(TrainConfig{LR: lr, Momentum: mu, GradClip: clip}, &fixedAggregator{u},
+		append([]float32(nil), weights...), func(int, []float32, []float32) float64 { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	agg := NewDenseAggregator(collective.New(f.Conn(0)), 1)
-	tr, err := NewTrainer(TrainConfig{LR: 1}, agg, []float32{0},
-		func(_ int, _, grad []float32) float64 { grad[0] = 1; return 0 })
-	if err != nil {
+	if err := tr.Restore(0, velocity); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SetLR(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetLR(0); err == nil {
-		t.Error("SetLR(0) accepted")
-	}
-	if _, err := tr.Step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Weights()[0]; got != -0.25 {
-		t.Fatalf("weight = %v, want -0.25", got)
+	for step := 0; step < 2; step++ {
+		g := DenseUpdate(u, dim)
+		tensor.Clip(g, clip)
+		for i := range velocity {
+			velocity[i] = mu*velocity[i] + g[i]
+		}
+		tensor.AxpyInto(weights, -lr, velocity)
+		if _, err := tr.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i := range weights {
+			if math.Float32bits(tr.Velocity()[i]) != math.Float32bits(velocity[i]) || math.Float32bits(tr.Weights()[i]) != math.Float32bits(weights[i]) {
+				t.Fatalf("step %d index %d: velocity %v weight %v, reference %v and %v",
+					step, i, tr.Velocity()[i], tr.Weights()[i], velocity[i], weights[i])
+			}
+		}
 	}
 }
 

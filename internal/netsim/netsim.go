@@ -166,7 +166,7 @@ func (m Model) GTopKTree(p, k int) time.Duration {
 }
 
 // HierGTopK returns the modelled cost of the two-level hierarchical
-// gTop-k over groups of g (core.HierarchicalGTopKAllReduce): an
+// gTop-k over groups of g (core.HierarchicalGTopKAllReduceInto): an
 // intra-group reduce to the leader (⌈log₂g⌉ rounds among g ranks), the
 // leader-level gTop-k tree over the ⌈P/g⌉ group leaders
 // (2·⌈log₂⌈P/g⌉⌉−1 rounds), and the intra-group broadcast of the

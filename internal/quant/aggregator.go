@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/prng"
 )
 
@@ -30,20 +31,20 @@ func NewSignSGDAggregator(comm *collective.Comm, dim int) *SignSGDAggregator {
 func (a *SignSGDAggregator) Name() string { return "signsgd" }
 
 // Aggregate implements core.Aggregator.
-func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) (core.Update, error) {
 	if len(grad) != a.dim {
-		return nil, fmt.Errorf("quant: signsgd aggregate: dim %d, want %d", len(grad), a.dim)
+		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: dim %d, want %d", len(grad), a.dim)
 	}
 	packed := PackSigns(grad)
 	blobs, err := a.comm.AllGather(ctx, packed)
 	if err != nil {
-		return nil, fmt.Errorf("quant: signsgd aggregate: %w", err)
+		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: %w", err)
 	}
 	votes := make([]int, a.dim)
 	for rank, blob := range blobs {
 		signs, err := UnpackSigns(blob, a.dim)
 		if err != nil {
-			return nil, fmt.Errorf("quant: signsgd rank %d: %w", rank, err)
+			return core.Update{}, fmt.Errorf("quant: signsgd rank %d: %w", rank, err)
 		}
 		for i, s := range signs {
 			if s > 0 {
@@ -64,7 +65,7 @@ func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) ([]fl
 			a.buf[i] = 0
 		}
 	}
-	return a.buf, nil
+	return core.Update{Values: a.buf}, nil
 }
 
 // TernGradAggregator implements TernGrad-style aggregation (cited as
@@ -94,15 +95,15 @@ func NewTernGradAggregator(comm *collective.Comm, dim int, seed uint64) *TernGra
 func (a *TernGradAggregator) Name() string { return "terngrad" }
 
 // Aggregate implements core.Aggregator.
-func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) ([]float32, error) {
+func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (core.Update, error) {
 	if len(grad) != a.dim {
-		return nil, fmt.Errorf("quant: terngrad aggregate: dim %d, want %d", len(grad), a.dim)
+		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: dim %d, want %d", len(grad), a.dim)
 	}
 	scale, levels := Ternary(grad, a.rng)
 	payload := encodeTernary(scale, levels)
 	blobs, err := a.comm.AllGather(ctx, payload)
 	if err != nil {
-		return nil, fmt.Errorf("quant: terngrad aggregate: %w", err)
+		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: %w", err)
 	}
 	for i := range a.buf {
 		a.buf[i] = 0
@@ -110,7 +111,7 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) ([]f
 	for rank, blob := range blobs {
 		s, lv, err := decodeTernary(blob, a.dim)
 		if err != nil {
-			return nil, fmt.Errorf("quant: terngrad rank %d: %w", rank, err)
+			return core.Update{}, fmt.Errorf("quant: terngrad rank %d: %w", rank, err)
 		}
 		for i, l := range lv {
 			a.buf[i] += s * float32(l)
@@ -120,7 +121,7 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) ([]f
 	for i := range a.buf {
 		a.buf[i] *= inv
 	}
-	return a.buf, nil
+	return core.Update{Values: a.buf}, nil
 }
 
 // encodeTernary packs (scale, int8 levels) for the wire.

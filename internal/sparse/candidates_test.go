@@ -169,32 +169,3 @@ func TestCandidatePath1M(t *testing.T) {
 		}
 	}
 }
-
-// TestMeanIntoSparseMatchesMeanInto replays a sequence of vectors through
-// both mean kernels on long-lived buffers: same bits everywhere, −0
-// entries included, with the support of each round replacing the last.
-func TestMeanIntoSparseMatchesMeanInto(t *testing.T) {
-	const dim, p = 64, 4
-	negZero := float32(math.Copysign(0, -1))
-	rounds := []*Vector{
-		{Dim: dim, Indices: []int32{1, 5, 9}, Values: []float32{2, negZero, -3}},
-		{Dim: dim, Indices: []int32{0, 5, 63}, Values: []float32{1e-30, 7, negZero}},
-		{Dim: dim},
-		{Dim: dim, Indices: []int32{9}, Values: []float32{float32(math.Inf(-1))}},
-	}
-	dense, sparse := make([]float32, dim), make([]float32, dim)
-	var support []int32
-	for r, v := range rounds {
-		v.MeanInto(dense, p)
-		support = v.MeanIntoSparse(sparse, p, support)
-		for i := range dense {
-			if math.Float32bits(dense[i]) != math.Float32bits(sparse[i]) {
-				t.Fatalf("round %d index %d: dense %x sparse %x", r, i,
-					math.Float32bits(dense[i]), math.Float32bits(sparse[i]))
-			}
-		}
-		if len(support) != v.NNZ() {
-			t.Fatalf("round %d: support %v, vector indices %v", r, support, v.Indices)
-		}
-	}
-}

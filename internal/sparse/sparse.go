@@ -70,9 +70,10 @@ func (v *Vector) ScatterAdd(dst []float32) {
 
 // MeanInto overwrites dst with v/p: zero, scatter-add, then scale the
 // whole buffer — the dense reference the tests hold the sparse
-// aggregators' mean (taken at the k global entries) and MeanIntoSparse
-// to. That order is a bit-level contract: a −0 entry becomes +0 here,
-// which writing v·(1/p) straight into a zeroed dst would not reproduce.
+// aggregators' mean (taken at the k global entries) and the trainer's
+// compact tail to. That order is a bit-level contract: a −0 entry
+// becomes +0 here, which writing v·(1/p) straight into a zeroed dst
+// would not reproduce.
 func (v *Vector) MeanInto(dst []float32, p int) {
 	clear(dst)
 	v.ScatterAdd(dst)
@@ -80,26 +81,6 @@ func (v *Vector) MeanInto(dst []float32, p int) {
 	for i := range dst {
 		dst[i] *= inv
 	}
-}
-
-// MeanIntoSparse is MeanInto in O(nnz) for a dst the caller keeps zero
-// outside prev, the support the previous call on dst returned: it zeroes
-// dst at prev, writes (0 + v)·(1/p) at v's indices — the additions and
-// the multiplication MeanInto performs there, so a −0 entry still becomes
-// +0 — and returns v's support, copied into prev's storage. Everywhere
-// else dst holds the +0 that MeanInto's 0·(1/p) would leave.
-func (v *Vector) MeanIntoSparse(dst []float32, p int, prev []int32) []int32 {
-	if len(dst) != v.Dim {
-		panic(fmt.Sprintf("sparse: MeanIntoSparse into %d-dim buffer, vector dim %d", len(dst), v.Dim))
-	}
-	for _, idx := range prev {
-		dst[idx] = 0
-	}
-	inv := 1 / float32(p)
-	for i, idx := range v.Indices {
-		dst[idx] = (0 + v.Values[i]) * inv
-	}
-	return append(prev[:0], v.Indices...)
 }
 
 // Scale multiplies every stored value by alpha in place.

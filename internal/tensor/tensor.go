@@ -126,16 +126,6 @@ func AddInto(dst, x []float32) {
 	}
 }
 
-// SubInto computes dst -= x element-wise.
-func SubInto(dst, x []float32) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("tensor: SubInto length mismatch: %d vs %d", len(dst), len(x)))
-	}
-	for i, v := range x {
-		dst[i] -= v
-	}
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float32, v float32) {
 	for i := range x {
@@ -150,29 +140,6 @@ func L2Norm(x []float32) float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the float64 sum of x.
-func Sum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute value in x (0 for empty input).
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the largest element of x (-1 for empty x).
@@ -205,8 +172,16 @@ func Clip(x []float32, limit float32) {
 // (limit <= 0 disables clipping) and dst[at[j]] += alpha*x[j]. Every
 // position outside at would receive w + alpha*0, which is w, so dst ends
 // bit-identical to the two dense passes over a buffer that is zero
-// everywhere else.
+// everywhere else. A nil at means x is dense: it runs those two passes,
+// and len(x) must equal len(dst).
 func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit float32) {
+	if at == nil {
+		if limit > 0 {
+			Clip(x, limit)
+		}
+		AxpyInto(dst, alpha, x)
+		return
+	}
 	if len(at) != len(x) {
 		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d positions, %d values", len(at), len(x)))
 	}

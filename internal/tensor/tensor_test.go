@@ -463,12 +463,11 @@ func TestDotAxpyScale(t *testing.T) {
 	}
 }
 
-func TestAddSubFill(t *testing.T) {
+func TestAddFill(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	AddInto(dst, []float32{1, 1, 1})
-	SubInto(dst, []float32{2, 2, 2})
-	if dst[0] != 0 || dst[1] != 1 || dst[2] != 2 {
-		t.Fatalf("Add/Sub = %v, want [0 1 2]", dst)
+	if dst[0] != 2 || dst[1] != 3 || dst[2] != 4 {
+		t.Fatalf("AddInto = %v, want [2 3 4]", dst)
 	}
 	Fill(dst, 7)
 	for _, v := range dst {
@@ -482,12 +481,6 @@ func TestNormsAndStats(t *testing.T) {
 	x := []float32{3, -4}
 	if got := L2Norm(x); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("L2Norm = %v, want 5", got)
-	}
-	if got := Sum(x); got != -1 {
-		t.Fatalf("Sum = %v, want -1", got)
-	}
-	if got := MaxAbs(x); got != 4 {
-		t.Fatalf("MaxAbs = %v, want 4", got)
 	}
 	if got := ArgMax([]float32{0, 9, 2}); got != 1 {
 		t.Fatalf("ArgMax = %v, want 1", got)
@@ -510,7 +503,9 @@ func TestClip(t *testing.T) {
 
 // TestClipAxpyAtMatchesDense holds the compact update to Clip followed by
 // AxpyInto over its dense scatter, bit for bit: −0 weights outside and
-// inside the support, clipped and unclipped values, and limit 0.
+// inside the support, clipped and unclipped values, and limit 0. A nil
+// at runs the two passes over a dense x, and panics when x is not as
+// long as dst.
 func TestClipAxpyAtMatchesDense(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	at := []int32{0, 2, 5, 6}
@@ -537,7 +532,28 @@ func TestClipAxpyAtMatchesDense(t *testing.T) {
 				t.Fatalf("limit %v: values[%d] = %v, clipped dense %v", limit, j, values[j], dense[i])
 			}
 		}
+		// A nil at takes x as dense: the same two passes, over all of it.
+		x := []float32{3, negZero, -0.25, 0, 1e-3, negZero, -7, 0.5}
+		clipped := append([]float32(nil), x...)
+		if limit > 0 {
+			Clip(clipped, limit)
+		}
+		want = []float32{negZero, 1, negZero, 2, 3, 4, 5, 6}
+		weights = append([]float32(nil), want...)
+		AxpyInto(want, -0.1, clipped)
+		ClipAxpyAt(weights, -0.1, x, nil, limit)
+		for i := range want {
+			if math.Float32bits(weights[i]) != math.Float32bits(want[i]) || math.Float32bits(x[i]) != math.Float32bits(clipped[i]) {
+				t.Fatalf("limit %v, dense: weights[%d] = %v and x = %v, dense passes give %v and %v", limit, i, weights[i], x[i], want[i], clipped[i])
+			}
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ClipAxpyAt applied a 3-entry dense vector to 4 weights")
+		}
+	}()
+	ClipAxpyAt(make([]float32, 4), 1, make([]float32, 3), nil, 0)
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -264,8 +264,9 @@ func (o *options) validate() error {
 
 // spec assembles the parsed flags into the aggregator specification.
 // Zero level budgets select the default split, and without -quorum the
-// quorum configuration is zero. The worker keeps momentum in its
-// trainer, so no momentum correction is requested.
+// quorum configuration is zero. Momentum is not the spec's: the trainer
+// runs at TrainConfig.Momentum 0.9, which a sparse aggregator corrects
+// (DGC) in the velocity the trainer lends it.
 func (o *options) spec() algo.Spec {
 	return algo.Spec{
 		Algo: o.algo, Density: o.density, HierGroup: o.hierGroup, Wire: o.wireCodec, Seed: o.seed,
@@ -279,13 +280,14 @@ func (o *options) spec() algo.Spec {
 }
 
 // buildAggregator assembles the configured aggregation algorithm over a
-// communicator through algo.Build; sp is the residual checkpoints carry,
-// nil for the algorithms without one whole-gradient sparsifier.
+// communicator through algo.Build; sp is the residual checkpoints carry
+// (every sparse algorithm's, the bucketed ones' across all buckets), nil
+// for the dense, signSGD and TernGrad baselines.
 func buildAggregator(o *options, comm *collective.Comm, cls *models.Classifier) (agg core.Aggregator, sp *core.Sparsifier, err error) {
 	// Elastic worlds first learn their size here; an illegal (quorum,
 	// group, world) combination fails the epoch build loudly instead of
 	// wedging a round.
-	if agg, _, err = algo.Build(o.spec(), comm, cls.Net.ParamCount(), cls.Net.LayerBounds()); err != nil {
+	if agg, err = algo.Build(o.spec(), comm, cls.Net.ParamCount(), cls.Net.LayerBounds()); err != nil {
 		return nil, nil, err
 	}
 	if s, ok := agg.(interface{ Sparsifier() *core.Sparsifier }); ok {

@@ -2,7 +2,9 @@
 // aggregator. gtopk-train and every experiment (through
 // internal/bench) and gtopk-worker build through Build, so every binary
 // accepts the same names and configures them the same way: a sparse
-// algorithm always gets the warmup schedule and DGC momentum correction.
+// algorithm always gets the warmup schedule, and it corrects momentum
+// (DGC) in the velocity core.NewTrainer lends it at
+// core.TrainConfig.Momentum.
 package algo
 
 import (
@@ -36,10 +38,6 @@ type Spec struct {
 	// 0.015, 0.004]).
 	WarmupDensities []float64
 	ItersPerEpoch   int
-	// Momentum > 0 becomes DGC momentum correction inside every sparse
-	// aggregator, which then needs no trainer momentum; the dense
-	// baselines keep it in the trainer. Build returns which.
-	Momentum float32
 	// HierGroup is the gTop-k hierarchy's group size: gtopk-hier takes 4
 	// when it is 0, and gtopk or gtopk-quant8 run the hierarchy when it
 	// is > 0.
@@ -118,37 +116,35 @@ func (s Spec) densityAt() func(step int) float64 {
 
 // Build constructs the aggregator spec names over comm for a
 // dim-parameter model whose cumulative layer offsets are bounds, after
-// attaching the spec's codec compressor to comm. trainerMomentum is the
-// momentum the trainer must apply itself: spec.Momentum for the dense
-// baselines, 0 for the sparse algorithms, which correct it locally.
-func Build(spec Spec, comm *collective.Comm, dim int, bounds []int) (agg core.Aggregator, trainerMomentum float32, err error) {
+// attaching the spec's codec compressor to comm.
+func Build(spec Spec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, error) {
 	quant.AttachStack(comm, spec.Codec(), spec.Seed)
 	k := core.DensityToK(dim, spec.Density)
 	density := spec.densityAt()
 	var a *core.GTopKAggregator
+	var err error
 	switch spec.Algo {
 	case "dense":
-		return core.NewDenseAggregator(comm, dim), spec.Momentum, nil
+		return core.NewDenseAggregator(comm, dim), nil
 	case "signsgd":
-		return quant.NewSignSGDAggregator(comm, dim), spec.Momentum, nil
+		return quant.NewSignSGDAggregator(comm, dim), nil
 	case "terngrad":
-		return quant.NewTernGradAggregator(comm, dim, spec.Seed), spec.Momentum, nil
+		return quant.NewTernGradAggregator(comm, dim, spec.Seed), nil
 	case "gtopk-layerwise", "gtopk-bucketed":
 		if spec.Algo == "gtopk-bucketed" {
 			bounds = core.GroupBounds(bounds, 4)
 		}
 		b, err := core.NewBucketedAggregator(comm, bounds, spec.Density)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if density != nil {
 			b.SetDensitySchedule(density)
 		}
-		b.SetMomentumCorrection(spec.Momentum)
 		if err := b.SetQuorum(spec.Quorum); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return b, 0, nil
+		return b, nil
 	case "topk":
 		a, err = core.NewTopKAggregator(comm, dim, k)
 	case "gtopk-naive":
@@ -162,18 +158,17 @@ func Build(spec Spec, comm *collective.Comm, dim int, bounds []int) (agg core.Ag
 			a, err = core.NewGTopKAggregator(comm, dim, k)
 		}
 	default:
-		return nil, 0, fmt.Errorf("algo: unknown algorithm %q", spec.Algo)
+		return nil, fmt.Errorf("algo: unknown algorithm %q", spec.Algo)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if density != nil {
 		a.SetSchedule(func(step int) int { return core.DensityToK(dim, density(step)) })
 	}
-	a.SetMomentumCorrection(spec.Momentum)
 	a.SetPutBack(!spec.DisablePutBack)
 	if err := a.SetQuorum(spec.Quorum); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return a, 0, nil
+	return a, nil
 }

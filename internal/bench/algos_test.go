@@ -10,11 +10,12 @@ import (
 	"gtopkssgd/internal/transport"
 )
 
-// TestSparseAlgorithmsCorrectMomentumAndFollowWarmup: every sparse
-// algorithm a training run builds moves momentum into the aggregator (its
-// trainer runs with none) and follows the warmup schedule — the update
-// support has DensityToK entries per bucket at the warmup density, then
-// at the target density. The dense baselines keep trainer momentum.
+// TestSparseAlgorithmsCorrectMomentumAndFollowWarmup: every algorithm a
+// training run builds trains at the spec's momentum, and a sparse one
+// takes it into its select — the trainer's velocity is what the select
+// accumulates into the residual — and follows the warmup schedule: the
+// weights move at DensityToK entries per bucket at the warmup density,
+// then at the target density.
 func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 	const dim = 400
 	layers := []int{0, 100, 250, 400}
@@ -26,19 +27,25 @@ func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fab.Close() //nolint:errcheck // in-process close never fails
-			spec := TrainSpec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.25}, ItersPerEpoch: 1, Momentum: 0.9, Seed: 1}
+			spec := TrainSpec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.25}, ItersPerEpoch: 1, LR: 0.01, Momentum: 0.9, Seed: 1}
 			agg, cfg, err := newAggregator(spec, collective.New(fab.Conn(0)), dim, layers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dense[name] {
-				if cfg.Momentum != spec.Momentum {
-					t.Fatalf("trainer momentum %v, want %v", cfg.Momentum, spec.Momentum)
-				}
-				return
+			if cfg.Momentum != spec.Momentum {
+				t.Fatalf("trainer momentum %v, want %v", cfg.Momentum, spec.Momentum)
 			}
-			if cfg.Momentum != 0 {
-				t.Fatalf("trainer momentum %v: momentum was not moved into the aggregator", cfg.Momentum)
+			grad := make([]float32, dim)
+			for i := range grad {
+				grad[i] = float32(i + 1)
+			}
+			w := make([]float32, dim)
+			tr, err := core.NewTrainer(cfg, agg, w, func(_ int, _, g []float32) float64 { copy(g, grad); return 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dense[name] {
+				return
 			}
 			buckets := []int{0, dim}
 			switch name {
@@ -47,25 +54,43 @@ func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 			case "gtopk-bucketed":
 				buckets = core.GroupBounds(layers, 4)
 			}
-			grad := make([]float32, dim)
-			for i := range grad {
-				grad[i] = float32(i + 1)
-			}
+			prev := make([]float32, dim)
 			for _, density := range []float64{0.25, spec.Density} {
-				upd, err := agg.Aggregate(context.Background(), grad)
-				if err != nil {
+				copy(prev, w)
+				if _, err := tr.Step(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				if upd.At == nil {
-					t.Fatal("a sparse algorithm returned a dense update")
+				moved := 0
+				for i := range w {
+					if w[i] != prev[i] {
+						moved++
+					}
 				}
 				want := 0
 				for b := 1; b < len(buckets); b++ {
 					want += core.DensityToK(buckets[b]-buckets[b-1], density)
 				}
-				if got := len(upd.At); got != want {
-					t.Fatalf("density %v: update support %d entries, want %d", density, got, want)
+				if moved != want {
+					t.Fatalf("density %v: %d weights moved, want %d", density, moved, want)
 				}
+			}
+			// Two steps of the same gradient: the velocity is 0.9·g + g, and
+			// where no step selected the residual holds g + that velocity.
+			v, res := tr.Velocity(), agg.(interface{ Sparsifier() *core.Sparsifier }).Sparsifier().Residual()
+			checked := 0
+			for i := range v {
+				if v[i] <= grad[i] {
+					t.Fatalf("velocity[%d] = %v after two steps of gradient %v: the select did not accumulate momentum in it", i, v[i], grad[i])
+				}
+				if w[i] == 0 {
+					checked++
+					if res[i] != grad[i]+v[i] {
+						t.Fatalf("residual[%d] = %v, want gradient %v + velocity %v", i, res[i], grad[i], v[i])
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("every coordinate was selected: the residual went unchecked")
 			}
 		})
 	}

@@ -229,20 +229,20 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 }
 
 // newAggregator builds spec's aggregator through algo.Build, together
-// with the trainer configuration that goes with it: sparse algorithms
-// correct momentum locally (global momentum on their spiky sparse
-// updates is unstable — the problem the paper's reference [12]
-// identifies and fixes), so their trainer runs without it.
+// with the trainer configuration that goes with it. A sparse aggregator
+// corrects the momentum locally, in the velocity the trainer lends it
+// (global momentum on spiky sparse updates is unstable — the problem the
+// paper's reference [12] identifies and fixes).
 func newAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, core.TrainConfig, error) {
-	agg, momentum, err := algo.Build(spec.algoSpec(), comm, dim, bounds)
-	return agg, core.TrainConfig{LR: spec.LR, Momentum: momentum, GradClip: spec.GradClip}, err
+	agg, err := algo.Build(spec.algoSpec(), comm, dim, bounds)
+	return agg, core.TrainConfig{LR: spec.LR, Momentum: spec.Momentum, GradClip: spec.GradClip}, err
 }
 
 // algoSpec is the aggregator half of the spec.
 func (s TrainSpec) algoSpec() algo.Spec {
 	spec := algo.Spec{
 		Algo: s.Algo, Density: s.Density, WarmupDensities: s.WarmupDensities, ItersPerEpoch: s.ItersPerEpoch,
-		Momentum: s.Momentum, HierGroup: s.HierGroup, DisablePutBack: s.DisablePutBack, Wire: s.Wire, Seed: s.Seed,
+		HierGroup: s.HierGroup, DisablePutBack: s.DisablePutBack, Wire: s.Wire, Seed: s.Seed,
 	}
 	if s.Quorum > 0 {
 		spec.Quorum = core.QuorumConfig{Q: s.Quorum, LeaderQ: s.LeaderQuorum, Timeout: s.RoundTimeout}

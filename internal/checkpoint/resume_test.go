@@ -18,16 +18,25 @@ import (
 // training N steps equals training N/2 steps, snapshotting (weights,
 // velocity, per-rank residuals, iteration), restoring into fresh
 // trainers, and training the remaining steps — bit for bit. A trainer
-// without momentum snapshots an empty velocity and resumes from it.
+// without momentum snapshots an empty velocity and resumes from it. The
+// residual is found the way a worker finds it, through the aggregator's
+// Sparsifier method, so the bucketed pipeline must expose its whole
+// residual there.
 func TestResumeBitExact(t *testing.T) {
-	for _, momentum := range []float32{0.9, 0} {
-		t.Run(fmt.Sprintf("momentum=%v", momentum), func(t *testing.T) {
-			testResumeBitExact(t, core.TrainConfig{LR: 0.1, Momentum: momentum})
-		})
+	for _, name := range []string{"gtopk", "gtopk-bucketed"} {
+		for _, momentum := range []float32{0.9, 0} {
+			label := fmt.Sprintf("momentum=%v", momentum)
+			if name != "gtopk" {
+				label = name + "/" + label
+			}
+			t.Run(label, func(t *testing.T) {
+				testResumeBitExact(t, name, core.TrainConfig{LR: 0.1, Momentum: momentum})
+			})
+		}
 	}
 }
 
-func testResumeBitExact(t *testing.T, cfg core.TrainConfig) {
+func testResumeBitExact(t *testing.T, name string, cfg core.TrainConfig) {
 	const (
 		p     = 4
 		dim   = 40
@@ -58,10 +67,10 @@ func testResumeBitExact(t *testing.T, cfg core.TrainConfig) {
 	}
 
 	// Uninterrupted reference run.
-	reference := trainSegment(t, p, dim, k, cfg, gradFn, total, nil)
+	reference := trainSegment(t, p, dim, k, name, cfg, gradFn, total, nil)
 
 	// Interrupted run: first half...
-	mid := trainSegment(t, p, dim, k, cfg, gradFn, half, nil)
+	mid := trainSegment(t, p, dim, k, name, cfg, gradFn, half, nil)
 
 	// ...snapshot every rank through the checkpoint codec...
 	velocityDim := 0
@@ -75,7 +84,7 @@ func testResumeBitExact(t *testing.T, cfg core.TrainConfig) {
 			Weights:  mid.weights[r],
 			Velocity: mid.velocity[r],
 			Residual: mid.residual[r],
-			Meta:     map[string]string{"algo": "gtopk"},
+			Meta:     map[string]string{"algo": name},
 		}
 		// Round-trip through the binary format so the test covers the
 		// codec, not just in-memory copying.
@@ -87,7 +96,7 @@ func testResumeBitExact(t *testing.T, cfg core.TrainConfig) {
 	}
 
 	// ...and resume for the second half.
-	resumed := trainSegment(t, p, dim, k, cfg, gradFn, total-half, states)
+	resumed := trainSegment(t, p, dim, k, name, cfg, gradFn, total-half, states)
 
 	for r := 0; r < p; r++ {
 		for i := range reference.weights[r] {
@@ -105,7 +114,10 @@ type segmentResult struct {
 	residual [][]float32
 }
 
-func trainSegment(t *testing.T, p, dim, k int, cfg core.TrainConfig,
+// trainSegment trains name — gtopk selecting k of dim, or gtopk-bucketed
+// over three buckets at density k/dim — on p ranks for steps iterations,
+// from restore when it is non-nil.
+func trainSegment(t *testing.T, p, dim, k int, name string, cfg core.TrainConfig,
 	gradFn func(rank int) core.GradFn, steps int, restore []*checkpoint.State) *segmentResult {
 	t.Helper()
 	f, err := transport.NewInProc(p)
@@ -126,10 +138,20 @@ func trainSegment(t *testing.T, p, dim, k int, cfg core.TrainConfig,
 		go func(rank int) {
 			defer wg.Done()
 			comm := collective.New(f.Conn(rank))
-			agg, err := core.NewGTopKAggregator(comm, dim, k)
+			var agg core.Aggregator
+			var err error
+			if name == "gtopk" {
+				agg, err = core.NewGTopKAggregator(comm, dim, k)
+			} else {
+				agg, err = core.NewBucketedAggregator(comm, []int{0, dim / 4, dim / 2, dim}, float64(k)/float64(dim))
+			}
 			if err != nil {
 				errs[rank] = err
 				return
+			}
+			var sp *core.Sparsifier
+			if s, ok := agg.(interface{ Sparsifier() *core.Sparsifier }); ok {
+				sp = s.Sparsifier()
 			}
 			weights := make([]float32, dim)
 			tr, err := core.NewTrainer(cfg, agg, weights, gradFn(rank))
@@ -143,9 +165,11 @@ func trainSegment(t *testing.T, p, dim, k int, cfg core.TrainConfig,
 					errs[rank] = err
 					return
 				}
-				if err := agg.Sparsifier().RestoreResidual(restore[rank].Residual); err != nil {
-					errs[rank] = err
-					return
+				if sp != nil {
+					if err := sp.RestoreResidual(restore[rank].Residual); err != nil {
+						errs[rank] = err
+						return
+					}
 				}
 			}
 			for s := 0; s < steps; s++ {
@@ -156,7 +180,9 @@ func trainSegment(t *testing.T, p, dim, k int, cfg core.TrainConfig,
 			}
 			out.weights[rank] = append([]float32(nil), tr.Weights()...)
 			out.velocity[rank] = append([]float32(nil), tr.Velocity()...)
-			out.residual[rank] = append([]float32(nil), agg.Sparsifier().Residual()...)
+			if sp != nil {
+				out.residual[rank] = append([]float32(nil), sp.Residual()...)
+			}
 		}(r)
 	}
 	wg.Wait()

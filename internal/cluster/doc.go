@@ -5,7 +5,10 @@
 // survivors re-form the mesh at the smaller world size and resume
 // training from the last checkpoint — momentum and error-feedback
 // residual intact, so gTop-k convergence behaviour is preserved across
-// the shrink. The job is elastic in both directions: a worker joining
+// the shrink. The momentum is the trainer's velocity, which a sparse
+// aggregator corrects in place (core.TrainConfig.Momentum), and the
+// residual is the aggregator's whole Sparsifier, the bucketed
+// pipeline's included, so both reach snapshots and donor broadcasts. The job is elastic in both directions: a worker joining
 // a running job is parked and admitted at the next epoch boundary (up
 // to CoordinatorConfig.MaxWorld, gated by a pluggable AutoscalePolicy),
 // adopting the cluster's weights and momentum from a donor rank.
@@ -54,7 +57,8 @@
 // Members behind the resume point — an admitted joiner with no
 // checkpoint, a rejoiner with a stale one — adopt the donor's weights
 // and momentum over two broadcasts and restart their error-feedback
-// residual at zero. Rank assignment is a pure function of the
+// residual at zero (a sparse aggregator's momentum is per rank, like the
+// residual, so the donor's is a warm start). Rank assignment is a pure function of the
 // name-sorted member set (Reshard), so every member independently
 // derives the same data shard (ShardRange) regardless of arrival
 // order.

@@ -536,10 +536,11 @@ func (r *runtime) syncResume(ctx context.Context, comm *collective.Comm, conf *C
 		return resume, nil
 	}
 
-	// Someone needs the cluster state. Weights and momentum are
-	// bit-identical on every up-to-date rank under synchronous training,
-	// so any donor yields the same bytes; the lowest rank is chosen only
-	// to make the broadcast root deterministic.
+	// Someone needs the cluster state. Weights are bit-identical on every
+	// up-to-date rank under synchronous training, and so is the velocity
+	// of a dense aggregator; a sparse one corrects momentum per rank, and
+	// a laggard takes the donor's as a warm start. The lowest rank is
+	// chosen only to make the broadcast root deterministic.
 	weights, err := comm.BcastFloat32s(ctx, donor, sess.Params)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: epoch %d state sync (weights): %w", conf.Epoch, err)

@@ -13,10 +13,8 @@ import (
 // Values holds all dim entries. A sparse aggregator's At is never nil —
 // every round agrees on at least one position — so its update is the
 // round's k (index, mean) pairs and no dim-length buffer exists. The
-// trainer applies a compact update at its positions alone, except under
-// trainer momentum, which decays the whole velocity; that compact
-// momentum branch goes once the sparse aggregators correct momentum for
-// every caller.
+// trainer applies a compact update at its positions alone: its momentum
+// was already corrected in the velocity the trainer lent the round.
 type Update struct {
 	At     []int32
 	Values []float32
@@ -27,7 +25,9 @@ type Update struct {
 // they communicate; all must produce bit-identical updates on every rank
 // so replicas never diverge: the dense, signSGD and TernGrad aggregators
 // return their whole buffer (At == nil), the sparse ones the round's
-// compact update.
+// compact update. Under momentum the trainer lends its velocity to a
+// sparse aggregator of this package and runs momentum over a dense
+// update itself; it refuses a compact update from any other aggregator.
 //
 // The update belongs to the aggregator and is valid until its next
 // Aggregate. A caller may rewrite values in place (the trainer clips
@@ -77,7 +77,7 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update
 // over the whole gradient, ending on the k (index, mean) pairs
 // Aggregate returns. The embedded round carries the configuration
 // surface (SetK, SetSchedule, SetPutBack, SetMomentumCorrection,
-// SetQuorum, Sparsifier, Group, QuorumGroup).
+// SetQuorum, Sparsifier, QuorumGroup).
 type GTopKAggregator struct {
 	round
 	missStreak int // this rank's consecutive missed quorum rounds
@@ -89,7 +89,7 @@ type GTopKAggregator struct {
 type HierarchicalAggregator = GTopKAggregator
 
 func newGTopKAggregator(comm *collective.Comm, dim, k, group int, kind collectiveKind) (*GTopKAggregator, error) {
-	r, err := newRound(comm, dim, k, group)
+	r, err := newRound(comm, NewSparsifier(dim), k, group)
 	if err != nil {
 		return nil, err
 	}

@@ -52,9 +52,9 @@ type BucketStreamer interface {
 
 // bucketState is one bucket's long-lived pipeline state: its own gTop-k
 // round — a tag-isolated sub-communicator (so its collectives never
-// interleave with other buckets') and a private error-feedback residual
-// over the bucket's range — plus a private simulated clock when the
-// parent communicator is timed.
+// interleave with other buckets') and a sparsifier over the bucket's
+// range of the aggregator's residual — plus a private simulated clock
+// when the parent communicator is timed.
 type bucketState struct {
 	round
 	idx    int
@@ -99,8 +99,8 @@ type bucketDone struct {
 type BucketedAggregator struct {
 	parent  *collective.Comm
 	buckets []*bucketState
-	dim     int
-	update  Update // Finish's update (reused)
+	sp      *Sparsifier // the whole gradient's residual; bucket b's sparsifier holds its [lo, hi)
+	update  Update      // Finish's update (reused)
 
 	// missStreak counts consecutive iterations in which ANY of this
 	// rank's buckets missed its quorum round.
@@ -121,7 +121,7 @@ var _ BucketStreamer = (*BucketedAggregator)(nil)
 // increasing) — derive them from a model's layer bounds with GroupBounds,
 // or pass the layer bounds themselves for layer-wise sparsification (the
 // paper's Section VII future work): a bucket per layer, each with its own
-// residual, top-k, gTop-k and put-back. Each bucket selects
+// range of the residual, top-k, gTop-k and put-back. Each bucket selects
 // DensityToK(size, density) gradients per iteration.
 func NewBucketedAggregator(comm *collective.Comm, bounds []int, density float64) (*BucketedAggregator, error) {
 	if len(bounds) < 2 || bounds[0] != 0 {
@@ -141,11 +141,10 @@ func NewBucketedAggregator(comm *collective.Comm, bounds []int, density float64)
 		return nil, fmt.Errorf("core: bucketed: %w", err)
 	}
 	model, timed := comm.Model()
-	dim := bounds[n]
 	a := &BucketedAggregator{
 		parent:   comm,
 		buckets:  make([]*bucketState, n),
-		dim:      dim,
+		sp:       NewSparsifier(bounds[n]),
 		done:     make(chan bucketDone, n),
 		lastComm: make([]time.Duration, n),
 	}
@@ -158,7 +157,7 @@ func NewBucketedAggregator(comm *collective.Comm, bounds []int, density float64)
 			b.clock = &netsim.Clock{}
 			kids[i].WithClock(b.clock, model)
 		}
-		if b.round, err = newRound(kids[i], hi-lo, DensityToK(hi-lo, density), 0); err != nil {
+		if b.round, err = newRound(kids[i], &Sparsifier{residual: a.sp.residual[lo:hi]}, DensityToK(hi-lo, density), 0); err != nil {
 			return nil, fmt.Errorf("core: bucketed: bucket %d: %w", i, err)
 		}
 		a.buckets[i] = b
@@ -174,7 +173,7 @@ func (a *BucketedAggregator) Name() string { return a.buckets[0].name("gtopk-buc
 // bucket (same quorums and deadline budgets per bucket round; see
 // GTopKAggregator.SetQuorum — every bucket runs the flat tree, so cfg is
 // a flat configuration). A bucket this rank's frame misses refunds
-// that bucket's selected mass to its private residual. A zero cfg
+// that bucket's selected mass to its range of the residual. A zero cfg
 // disables quorum mode. Call before training, not between Begin and
 // Finish.
 func (a *BucketedAggregator) SetQuorum(cfg QuorumConfig) error {
@@ -193,10 +192,20 @@ func (a *BucketedAggregator) SetQuorum(cfg QuorumConfig) error {
 // participating or when quorum mode is off).
 func (a *BucketedAggregator) QuorumMissStreak() int { return a.missStreak }
 
-// SetMomentumCorrection enables DGC-style momentum correction (see
-// GTopKAggregator.SetMomentumCorrection), maintained per bucket so each
-// bucket goroutine owns its slice of the velocity. When enabled,
-// configure the trainer with Momentum: 0. Call before training, not
+// Sparsifier returns the whole gradient's error-feedback residual, the
+// one checkpoints carry; each bucket's sparsifier aliases its range.
+func (a *BucketedAggregator) Sparsifier() *Sparsifier { return a.sp }
+
+// lendVelocity hands each bucket its range of the trainer's velocity, so
+// each bucket goroutine corrects momentum in its own slice.
+func (a *BucketedAggregator) lendVelocity(mu float32, v []float32) {
+	for _, b := range a.buckets {
+		b.lendVelocity(mu, v[b.lo:b.hi])
+	}
+}
+
+// SetMomentumCorrection gives every bucket a velocity of its own (see
+// GTopKAggregator.SetMomentumCorrection). Call before training, not
 // between Begin and Finish.
 func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
 	for _, b := range a.buckets {
@@ -236,8 +245,8 @@ func (a *BucketedAggregator) Begin(ctx context.Context, grad []float32) error {
 	if a.grad != nil {
 		return fmt.Errorf("core: bucketed: Begin before previous Finish")
 	}
-	if len(grad) != a.dim {
-		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.dim)
+	if len(grad) != a.sp.Dim() {
+		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.sp.Dim())
 	}
 	a.ctx = ctx
 	a.grad = grad
@@ -317,9 +326,9 @@ func (a *BucketedAggregator) Finish() (Update, error) {
 }
 
 // launch hands one fully-covered bucket to its pipeline goroutine. The
-// goroutine exclusively owns the bucket's sub-communicator, residual and
-// compact update until it reports on a.done, so buckets proceed in parallel
-// without shared mutable state.
+// goroutine exclusively owns the bucket's sub-communicator, its ranges of
+// the residual and the velocity, and its compact update until it reports
+// on a.done, so buckets proceed in parallel without shared mutable state.
 func (a *BucketedAggregator) launch(b *bucketState) {
 	b.launched = true
 	a.inFlight++

@@ -55,12 +55,3 @@ func PSGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.
 	}
 	return out, nil
 }
-
-// LayerBounds derives cumulative parameter offsets from per-layer counts.
-func LayerBounds(counts []int) []int {
-	bounds := make([]int, len(counts)+1)
-	for i, c := range counts {
-		bounds[i+1] = bounds[i] + c
-	}
-	return bounds
-}

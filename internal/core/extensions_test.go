@@ -120,19 +120,6 @@ func newSingleRankComm(t *testing.T) *collective.Comm {
 	return collective.New(f.Conn(0))
 }
 
-func TestLayerBounds(t *testing.T) {
-	got := LayerBounds([]int{3, 5, 2})
-	want := []int{0, 3, 8, 10}
-	if len(got) != len(want) {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bounds = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestLayerwiseAggregatorConvergesAndAgreesAcrossRanks(t *testing.T) {
 	const p, steps = 4, 150
 	bounds := []int{0, 20, 50, 64}

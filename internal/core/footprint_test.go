@@ -36,11 +36,12 @@ func footprintGrad(rank int) GradFn {
 
 // TestSparseStepHoldsOnlyModelState pins what a sparse rank holds after
 // it has trained: its weights, its gradient and its error-feedback
-// residual — plus the velocity when the aggregator corrects momentum —
-// and nothing else of the model's size. No dense update buffer and no
-// trainer velocity exist under a momentum-0 trainer. The heap is
-// measured across all P in-process ranks and the bound applied per rank,
-// with 1 MiB of slack for O(k) buffers and the runtime.
+// residual — plus one velocity under momentum, whether the trainer lends
+// it (TrainConfig.Momentum) or the aggregator's setter allocates it — and
+// nothing else of the model's size. No dense update buffer and no second
+// velocity exist. The heap is measured across all P in-process ranks and
+// the bound applied per rank, with 1 MiB of slack for O(k) buffers and
+// the runtime.
 func TestSparseStepHoldsOnlyModelState(t *testing.T) {
 	const dim = 1 << 20
 	bounds := []int{0, dim / 8, dim / 2, dim}
@@ -72,10 +73,17 @@ func TestSparseStepHoldsOnlyModelState(t *testing.T) {
 			return a, a.SetMomentumCorrection, err
 		}},
 	} {
-		for _, mu := range []float32{0, 0.9} {
-			t.Run(fmt.Sprintf("%s/mu=%v", tc.name, mu), func(t *testing.T) {
+		for _, row := range []struct {
+			mu   float32
+			lent bool // the trainer lends its velocity; no setter call
+		}{{0, false}, {0.9, false}, {0.9, true}} {
+			name := fmt.Sprintf("%s/mu=%v", tc.name, row.mu)
+			if row.lent {
+				name = fmt.Sprintf("%s/lent/mu=%v", tc.name, row.mu)
+			}
+			t.Run(name, func(t *testing.T) {
 				buffers := uint64(3)
-				if mu > 0 {
+				if row.mu > 0 {
 					buffers++
 				}
 				grown := trainedHeapGrowth(t, tc.p, func(c *collective.Comm) (*Trainer, error) {
@@ -83,8 +91,13 @@ func TestSparseStepHoldsOnlyModelState(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					correct(mu)
-					tr, err := NewTrainer(TrainConfig{LR: 0.01, GradClip: 1}, agg, make([]float32, dim), footprintGrad(c.Rank()))
+					cfg := TrainConfig{LR: 0.01, GradClip: 1}
+					if row.lent {
+						cfg.Momentum = row.mu
+					} else {
+						correct(row.mu)
+					}
+					tr, err := NewTrainer(cfg, agg, make([]float32, dim), footprintGrad(c.Rank()))
 					if err != nil || !tc.streamed {
 						return tr, err
 					}

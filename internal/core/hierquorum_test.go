@@ -307,8 +307,8 @@ func TestHierarchicalSetQuorum(t *testing.T) {
 	if agg.Name() != "gtopk-hier" {
 		t.Fatalf("name %q after disable, want gtopk-hier", agg.Name())
 	}
-	if agg.Group() != 4 || agg.QuorumGroup() != 0 {
-		t.Fatalf("group %d / quorum group %d, want 4 / 0", agg.Group(), agg.QuorumGroup())
+	if agg.QuorumGroup() != 0 {
+		t.Fatalf("quorum group %d, want 0", agg.QuorumGroup())
 	}
 
 	// Degenerate flat regime (group >= world): the flat validator applies.

@@ -7,54 +7,34 @@ import (
 	"gtopkssgd/internal/collective"
 )
 
-// TestMomentumCorrectionStabilisesSparseTraining reproduces the failure
-// mode that motivates DGC-style momentum correction: global momentum on
-// sparse aggregated updates amplifies the spiky, residual-accumulated
-// coordinates, while local (pre-selection) momentum stays stable.
+// TestMomentumCorrectionStabilisesSparseTraining: a sparse aggregator
+// under trainer momentum corrects it locally (DGC), before selection, in
+// the velocity the trainer lends it, and the run converges — global
+// momentum on the spiky sparse updates, which amplifies the
+// residual-accumulated coordinates, is no longer reachable.
 func TestMomentumCorrectionStabilisesSparseTraining(t *testing.T) {
 	// LR chosen so the corrected run is stable: with k=3/64 a coordinate
 	// waits ~21 steps and momentum contributes ~10x, so lr must stay
 	// well under 2/(21*10) ≈ 0.01.
 	const dim, p, steps, k = 64, 4, 600, 3
 	target := makeTarget(dim)
-
-	run := func(corrected bool) float64 {
-		results, err := RunCluster(context.Background(), ClusterConfig{Workers: p, Steps: steps},
-			func(rank int, comm *collective.Comm) (*Trainer, error) {
-				agg, err := NewGTopKAggregator(comm, dim, k)
-				if err != nil {
-					return nil, err
-				}
-				cfg := TrainConfig{LR: 0.004, Momentum: 0.9}
-				if corrected {
-					agg.SetMomentumCorrection(0.9)
-					cfg.Momentum = 0
-				}
-				return NewTrainer(cfg, agg, make([]float32, dim), quadGrad(target, uint64(rank)))
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Mean of the last 20 losses (robust to single-step spikes).
-		var s float64
-		for _, l := range results[0].Losses[steps-20:] {
-			s += l
-		}
-		return s / 20
+	results, err := RunCluster(context.Background(), ClusterConfig{Workers: p, Steps: steps},
+		func(rank int, comm *collective.Comm) (*Trainer, error) {
+			agg, err := NewGTopKAggregator(comm, dim, k)
+			if err != nil {
+				return nil, err
+			}
+			return NewTrainer(TrainConfig{LR: 0.004, Momentum: 0.9}, agg, make([]float32, dim), quadGrad(target, uint64(rank)))
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// In the stable-LR regime both variants converge to the same basin;
-	// the correction's advantage appears at aggressive LRs on real models
-	// (exercised by the bench experiments). Here we assert the corrected
-	// variant converges and is never materially worse.
-	corrected := run(true)
-	uncorrected := run(false)
-	if corrected > 2*uncorrected+1e-6 {
-		t.Fatalf("momentum correction materially worse: corrected %v vs global-momentum %v",
-			corrected, uncorrected)
+	// Mean of the last 20 losses (robust to single-step spikes).
+	var corrected float64
+	for _, l := range results[0].Losses[steps-20:] {
+		corrected += l / 20
 	}
-	first := quadFirstLoss(t, target)
-	if corrected > first/3 {
+	if first := quadFirstLoss(t, target); corrected > first/3 {
 		t.Fatalf("corrected run failed to converge: %v (initial %v)", corrected, first)
 	}
 }

@@ -25,9 +25,9 @@ const (
 // put back, take the mean — over one contiguous gradient range, written
 // once for every sparse aggregator: GTopKAggregator runs one round over
 // the whole gradient (Top-k, gTop-k or PS), each bucket of the
-// BucketedAggregator runs one over its slice. The round owns the range's
-// error-feedback residual and is the only code that refunds, folds or
-// puts mass back into it.
+// BucketedAggregator runs one over its slice. The round is the only code
+// that refunds, folds or puts mass back into the range's error-feedback
+// residual, and it corrects momentum in the velocity it is lent.
 type round struct {
 	comm  *collective.Comm
 	gc    *collective.GroupComms // non-nil: two-level hierarchy over groups of `group` ranks
@@ -40,27 +40,28 @@ type round struct {
 	step      int
 	noPutBack bool
 	mu        float32   // DGC momentum-correction coefficient (0 disables)
-	velocity  []float32 // momentum-correction buffer (nil until enabled)
+	velocity  []float32 // the lent momentum-correction buffer (nil while mu is 0)
 	quorum    QuorumConfig
 
 	orig   []float32     // pre-transform snapshot of the selected values (reused)
 	global sparse.Vector // reused collective result (zero steady-state allocs)
 }
 
-// newRound creates the round state for a dim-element range selecting k
-// entries per iteration. group > 1 splits the world into groups of that
-// many ranks (forking the group sub-communicators from comm, so every
-// rank must construct at the same point of its collective sequence);
-// group <= 1 or >= world is the flat tree.
-func newRound(comm *collective.Comm, dim, k, group int) (round, error) {
-	if err := validateK(dim, k); err != nil {
+// newRound creates the round state for the range whose error-feedback
+// residual sp holds, selecting k entries per iteration. group > 1
+// splits the world into groups of that many ranks (forking the group
+// sub-communicators from comm, so every rank must construct at the same
+// point of its collective sequence); group <= 1 or >= world is the flat
+// tree.
+func newRound(comm *collective.Comm, sp *Sparsifier, k, group int) (round, error) {
+	if err := validateK(sp.Dim(), k); err != nil {
 		return round{}, err
 	}
 	gc, err := ForkHier(comm, group)
 	if err != nil {
 		return round{}, err
 	}
-	return round{comm: comm, gc: gc, group: group, sp: NewSparsifier(dim), k: k}, nil
+	return round{comm: comm, gc: gc, group: group, sp: sp, k: k}, nil
 }
 
 // name derives the algorithm name from what the round runs: "topk" for
@@ -82,10 +83,6 @@ func (r *round) name(base string) string {
 	}
 	return base
 }
-
-// Group returns the configured hierarchy group size (0 when constructed
-// flat).
-func (r *round) Group() int { return r.group }
 
 // QuorumGroup returns this rank's hierarchy group index in the grouped
 // regime and -1 in the flat one — the group-granular handle
@@ -117,17 +114,24 @@ func (r *round) SetSchedule(f func(step int) int) { r.schedule = f }
 // the extra-residual mechanism — the reproduction's residual ablation.
 func (r *round) SetPutBack(enabled bool) { r.noPutBack = !enabled }
 
-// SetMomentumCorrection enables DGC-style momentum correction (Lin et
-// al., cited as [12]): momentum is accumulated LOCALLY before
-// sparsification (u ← µ·u + g; the residual accumulates u), so deferred
-// coordinates carry their momentum history instead of having a global
-// momentum term amplify spiky sparse updates. When enabled, configure
-// the trainer with Momentum: 0.
+// lendVelocity is how the round learns the momentum: DGC-style
+// correction (Lin et al., cited as [12]) accumulates it LOCALLY before
+// sparsification (v ← µ·v + g; the residual accumulates v) in the
+// range's slice v of the trainer's velocity, so deferred coordinates
+// carry their momentum history instead of a global momentum term
+// amplifying spiky sparse updates. NewTrainer lends it when
+// TrainConfig.Momentum > 0.
+func (r *round) lendVelocity(mu float32, v []float32) { r.mu, r.velocity = mu, v }
+
+// SetMomentumCorrection is momentum correction for a trainer without
+// momentum: it lends the round a velocity of its own when mu > 0, which
+// no checkpoint carries. Set TrainConfig.Momentum instead.
 func (r *round) SetMomentumCorrection(mu float32) {
-	r.mu = mu
-	if mu > 0 && r.velocity == nil {
-		r.velocity = make([]float32, r.sp.Dim())
+	var v []float32
+	if mu > 0 {
+		v = make([]float32, r.sp.Dim())
 	}
+	r.lendVelocity(mu, v)
 }
 
 // Sparsifier exposes the residual state for diagnostics.

@@ -20,7 +20,6 @@ import (
 //	G̃^g_i  = G^g_i ⊙ Mask                  (selected top-k)
 //	G^g_i   = G^g_i ⊙ ¬Mask                 (keep the rest as residual)
 type Sparsifier struct {
-	dim      int
 	residual []float32
 	selected sparse.Vector     // the last selection, reused by the next one
 	hint     sparse.SelectHint // the last selection's threshold and candidate buffer
@@ -29,11 +28,11 @@ type Sparsifier struct {
 // NewSparsifier creates a sparsifier for a dim-parameter model with a
 // zeroed residual (Algorithm 1 line 1: G^g_0 = 0).
 func NewSparsifier(dim int) *Sparsifier {
-	return &Sparsifier{dim: dim, residual: make([]float32, dim)}
+	return &Sparsifier{residual: make([]float32, dim)}
 }
 
 // Dim returns the dense gradient dimension.
-func (s *Sparsifier) Dim() int { return s.dim }
+func (s *Sparsifier) Dim() int { return len(s.residual) }
 
 // Residual exposes the residual buffer (read-only by convention; tests
 // use it to verify mass conservation).
@@ -59,11 +58,11 @@ func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
 // (sparse.TopKAccumulateInto). With mu <= 0 it accumulates grad itself
 // and velocity is not touched.
 func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int) (*sparse.Vector, error) {
-	if len(grad) != s.dim || (mu > 0 && len(velocity) != s.dim) {
-		return nil, fmt.Errorf("core: gradient dim %d, velocity dim %d, sparsifier dim %d", len(grad), len(velocity), s.dim)
+	if len(grad) != s.Dim() || (mu > 0 && len(velocity) != len(grad)) {
+		return nil, fmt.Errorf("core: gradient dim %d, velocity dim %d, sparsifier dim %d", len(grad), len(velocity), s.Dim())
 	}
-	if k < 0 || k > s.dim {
-		return nil, fmt.Errorf("core: k=%d out of range [0,%d]", k, s.dim)
+	if k < 0 || k > len(grad) {
+		return nil, fmt.Errorf("core: k=%d out of range [0,%d]", k, len(grad))
 	}
 	selected := &s.selected
 	sparse.TopKAccumulateInto(selected, s.residual, velocity, mu, grad, k, &s.hint)
@@ -120,16 +119,11 @@ func (s *Sparsifier) Refund(indices []int32, values []float32) {
 
 // RestoreResidual overwrites the residual from a checkpoint.
 func (s *Sparsifier) RestoreResidual(residual []float32) error {
-	if len(residual) != s.dim {
-		return fmt.Errorf("core: restore residual dim %d, want %d", len(residual), s.dim)
+	if len(residual) != s.Dim() {
+		return fmt.Errorf("core: restore residual dim %d, want %d", len(residual), s.Dim())
 	}
 	copy(s.residual, residual)
 	return nil
-}
-
-// Reset zeroes the residual (used between experiment repetitions).
-func (s *Sparsifier) Reset() {
-	clear(s.residual)
 }
 
 // DensityToK converts a density ρ into the per-worker selection count

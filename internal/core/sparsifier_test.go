@@ -179,17 +179,6 @@ func TestPutBackEmptyGlobal(t *testing.T) {
 	}
 }
 
-func TestSparsifierReset(t *testing.T) {
-	sp := NewSparsifier(3)
-	if _, err := sp.Select([]float32{1, 2, 3}, 1); err != nil {
-		t.Fatal(err)
-	}
-	sp.Reset()
-	if sp.ResidualNorm() != 0 {
-		t.Fatalf("Reset left residual norm %v", sp.ResidualNorm())
-	}
-}
-
 func TestDensityToK(t *testing.T) {
 	cases := []struct {
 		dim  int

@@ -18,8 +18,12 @@ type GradFn func(iter int, weights, grad []float32) float64
 // variants. The paper uses momentum SGD with momentum 0.9 for every model
 // (Section IV-A).
 type TrainConfig struct {
-	LR       float32 // learning rate η
-	Momentum float32 // momentum coefficient (0 disables)
+	LR float32 // learning rate η
+	// Momentum is the momentum coefficient µ (0 disables) and the only
+	// momentum setting: a sparse aggregator of this package corrects it
+	// locally before selection (DGC), in the velocity the trainer lends
+	// it; over a dense update the trainer runs it itself.
+	Momentum float32
 	GradClip float32 // per-element clip applied to the aggregated update (0 disables)
 }
 
@@ -51,10 +55,11 @@ type PhaseTimes struct {
 // ranks (all aggregators guarantee this), replicas never diverge and no
 // parameter re-synchronisation is needed.
 //
-// Besides the weights a trainer holds the gradient and, only when it
-// applies momentum itself, the velocity: under momentum correction the
-// sparse aggregator keeps the velocity (TrainConfig.Momentum is 0) and
-// its k (index, mean) pairs are applied at their positions alone.
+// Besides the weights a trainer holds the gradient and, only under
+// momentum, the one velocity buffer. It lends that buffer to a sparse
+// aggregator, whose fused select corrects momentum in it, and applies
+// the k (index, mean) pairs at their positions alone; Velocity and
+// Restore read and write the same buffer, so checkpoints carry it.
 type Trainer struct {
 	cfg      TrainConfig
 	agg      Aggregator
@@ -62,9 +67,16 @@ type Trainer struct {
 	streamFn StreamGradFn
 	weights  []float32
 	velocity []float32 // nil unless cfg.Momentum > 0
+	lent     bool      // the aggregator corrects momentum in velocity
 	grad     []float32
 	iter     int
 	onPhases func(iter int, pt PhaseTimes)
+}
+
+// velocityBorrower is a sparse aggregator of this package: the round, or
+// the bucketed pipeline, which hands each bucket its range.
+type velocityBorrower interface {
+	lendVelocity(mu float32, v []float32)
 }
 
 // NewTrainer assembles a trainer. The weights slice is owned by the
@@ -86,6 +98,10 @@ func NewTrainer(cfg TrainConfig, agg Aggregator, weights []float32, gradFn GradF
 	}
 	if cfg.Momentum > 0 {
 		t.velocity = make([]float32, len(weights))
+		if b, ok := agg.(velocityBorrower); ok {
+			b.lendVelocity(cfg.Momentum, t.velocity)
+			t.lent = true
+		}
 	}
 	return t, nil
 }
@@ -101,7 +117,7 @@ func (t *Trainer) Iter() int { return t.iter }
 func (t *Trainer) SetPhaseHook(fn func(iter int, pt PhaseTimes)) { t.onPhases = fn }
 
 // Velocity exposes the momentum buffer (for checkpointing): dim entries
-// when the trainer applies momentum, empty when it does not.
+// under momentum — lent or not — and empty without it.
 func (t *Trainer) Velocity() []float32 { return t.velocity }
 
 // Restore resets the iteration counter and momentum buffer from a
@@ -184,15 +200,17 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	}
 	pt.Aggregate = time.Since(start)
 
-	// The optimizer tail. Without trainer momentum — the paper's setting
-	// once momentum correction runs inside the aggregator — the update is
-	// clipped and applied where it has values: every other weight would
-	// receive w + -lr·0, which is w.
+	// The optimizer tail. Without momentum, or with it corrected in the
+	// lent velocity, the update is clipped and applied where it has
+	// values: every other weight would receive w + -lr·0, which is w.
 	start = time.Now()
-	if t.velocity == nil {
+	switch {
+	case t.velocity == nil || t.lent:
 		tensor.ClipAxpyAt(t.weights, -t.cfg.LR, u.Values, u.At, t.cfg.GradClip)
-	} else {
-		t.momentumStep(u)
+	case u.At != nil:
+		return 0, fmt.Errorf("core: step %d: %s returned a compact update, but trainer momentum runs over dense ones only: build the trainer over the sparse aggregator itself, which corrects the momentum", t.iter, t.agg.Name())
+	default:
+		t.momentumStep(u.Values)
 	}
 	pt.Update = time.Since(start)
 	if t.onPhases != nil {
@@ -202,32 +220,15 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// momentumStep is the tail under trainer momentum, which decays the
-// velocity at every coordinate: v ← µ·v + g, then w ← w − lr·v, with u's
-// values clipped in place first. A dense update gives g = u; a compact
-// one gives 0 + u at its positions and +0 everywhere else — the values of
-// the zero buffer it would scatter into. The compact branch serves only
-// trainer momentum over a sparse aggregator, and goes once the sparse
-// aggregators correct momentum for every caller.
-func (t *Trainer) momentumStep(u Update) {
+// momentumStep is the tail over a dense update g under momentum:
+// v ← µ·v + g, then w ← w − lr·v, with g clipped in place first.
+func (t *Trainer) momentumStep(g []float32) {
 	if t.cfg.GradClip > 0 {
-		tensor.Clip(u.Values, t.cfg.GradClip)
+		tensor.Clip(g, t.cfg.GradClip)
 	}
 	mu, v := t.cfg.Momentum, t.velocity
-	if u.At == nil {
-		for i, g := range u.Values {
-			v[i] = mu*v[i] + g
-		}
-	} else {
-		j := 0
-		for i := range v {
-			var g float32
-			if j < len(u.At) && int(u.At[j]) == i {
-				g = 0 + u.Values[j]
-				j++
-			}
-			v[i] = mu*v[i] + g
-		}
+	for i, x := range g {
+		v[i] = mu*v[i] + x
 	}
 	tensor.AxpyInto(t.weights, -t.cfg.LR, v)
 }

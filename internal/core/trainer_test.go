@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gtopkssgd/internal/collective"
@@ -300,42 +301,51 @@ func (a *fixedAggregator) Aggregate(context.Context, []float32) (Update, error) 
 	return Update{At: a.u.At, Values: append([]float32(nil), a.u.Values...)}, nil
 }
 
-// TestMomentumTailCompactScatters pins the compact branch of the momentum
-// tail bit for bit against its dense reference — the update scattered by
-// MeanInto at p = 1, then Clip, the momentum loop and AxpyInto over the
-// whole buffer: the velocity takes 0 + v at the support (a −0 value
-// arrives as +0) and +0 everywhere else, so −0 velocity entries turn +0
-// on and off the support alike and −0 weights stay −0.
-func TestMomentumTailCompactScatters(t *testing.T) {
-	const dim, lr, mu, clip = 6, 0.1, 0.5, 1
-	negZero := float32(math.Copysign(0, -1))
-	u := Update{At: []int32{1, 3, 4}, Values: []float32{negZero, 2, -5e-45}}
-	weights := []float32{negZero, negZero, 1, negZero, 2, negZero}
-	velocity := []float32{negZero, negZero, 1, negZero, 1e-45, 3}
-	tr, err := NewTrainer(TrainConfig{LR: lr, Momentum: mu, GradClip: clip}, &fixedAggregator{u},
-		append([]float32(nil), weights...), func(int, []float32, []float32) float64 { return 0 })
+// TestTrainerRefusesCompactUpdateUnderItsMomentum: trainer momentum runs
+// over dense updates only. A compact update from an aggregator the
+// trainer could not lend its velocity to — one outside this package, or
+// a wrapper hiding a sparse aggregator of this package — fails the step
+// with the aggregator's name and leaves weights and velocity untouched;
+// the same sparse aggregator built in directly borrows the velocity and
+// steps.
+func TestTrainerRefusesCompactUpdateUnderItsMomentum(t *testing.T) {
+	const dim = 6
+	c := newSingleRankComm(t)
+	inner, err := NewGTopKAggregator(c, dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Restore(0, velocity); err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 2; step++ {
-		g := DenseUpdate(u, dim)
-		tensor.Clip(g, clip)
-		for i := range velocity {
-			velocity[i] = mu*velocity[i] + g[i]
+	grad := func(_ int, _, g []float32) float64 {
+		for i := range g {
+			g[i] = float32(i + 1)
 		}
-		tensor.AxpyInto(weights, -lr, velocity)
-		if _, err := tr.Step(context.Background()); err != nil {
+		return 0
+	}
+	for name, agg := range map[string]Aggregator{
+		"fixed": &fixedAggregator{Update{At: []int32{1, 3}, Values: []float32{2, -1}}},
+		"gtopk": struct{ Aggregator }{inner},
+	} {
+		tr, err := NewTrainer(TrainConfig{LR: 0.1, Momentum: 0.9}, agg, make([]float32, dim), grad)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range weights {
-			if math.Float32bits(tr.Velocity()[i]) != math.Float32bits(velocity[i]) || math.Float32bits(tr.Weights()[i]) != math.Float32bits(weights[i]) {
-				t.Fatalf("step %d index %d: velocity %v weight %v, reference %v and %v",
-					step, i, tr.Velocity()[i], tr.Weights()[i], velocity[i], weights[i])
-			}
+		_, err = tr.Step(context.Background())
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: step error %v, want a refusal naming the aggregator", name, err)
 		}
+		if tensor.L2Norm(tr.Weights()) != 0 || tensor.L2Norm(tr.Velocity()) != 0 {
+			t.Fatalf("%s: a refused step moved weights %v or velocity %v", name, tr.Weights(), tr.Velocity())
+		}
+	}
+	tr, err := NewTrainer(TrainConfig{LR: 0.1, Momentum: 0.9}, inner, make([]float32, dim), grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Step(context.Background()); err != nil {
+		t.Fatalf("the sparse aggregator itself: %v", err)
+	}
+	if tr.Velocity()[dim-1] != dim {
+		t.Fatalf("velocity %v after one step: the select did not accumulate the gradient into it", tr.Velocity())
 	}
 }
 

@@ -14,17 +14,19 @@ import (
 	"gtopkssgd/internal/transport"
 )
 
-// TestSparseUpdateViewsMatchEveryAlgorithm holds the trainer's one tail
-// to the dense optimizer step, step by step, for every algorithm
-// algo.Build makes (momentum correction on in the sparse ones, a warmup
-// whose support shrinks at step 10, clipping on every step) and for the
-// bucketed pipeline streamed behind the backward pass, each at trainer
-// momentum 0 and 0.9. Two identical worlds train side by side. The real
-// one runs the Trainer. The reference calls Aggregate itself, views the
-// update densely — a compact one scattered by MeanInto at p = 1, a dense
-// one as it is — and applies tensor.Clip, the momentum loop and
-// tensor.AxpyInto over the whole buffer. After every step the updates,
-// the weights and the velocity must agree, bit for bit; every sparse
+// TestSparseUpdateViewsMatchEveryAlgorithm holds the one momentum rule
+// to what it replaced, step by step, for every algorithm algo.Build makes
+// (a warmup whose support shrinks at step 10, clipping on every step) and
+// for the bucketed pipeline streamed behind the backward pass. Two
+// identical worlds train side by side, at momentum 0 and 0.9; the real
+// one runs the Trainer at TrainConfig.Momentum. For a sparse algorithm
+// the trainer lends its velocity to the aggregator's select, and the
+// reference is the benchmark's entry point: SetMomentumCorrection on the
+// aggregator and a trainer without momentum; updates, weights and
+// residuals must agree after every step, bit for bit. For the dense,
+// signSGD and TernGrad baselines the reference calls Aggregate itself
+// and applies tensor.Clip, the momentum loop and tensor.AxpyInto over
+// the whole buffer, and the velocity must agree too. Every sparse
 // algorithm's update must be compact and every other one dense.
 func TestSparseUpdateViewsMatchEveryAlgorithm(t *testing.T) {
 	const p, dim, steps = 4, 600, 24
@@ -35,7 +37,7 @@ func TestSparseUpdateViewsMatchEveryAlgorithm(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, mu := range []float32{0, 0.9} {
 				t.Run(fmt.Sprintf("mu=%v", mu), func(t *testing.T) {
-					spec := algo.Spec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.05}, ItersPerEpoch: 10, Momentum: 0.9, Seed: 3}
+					spec := algo.Spec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.05}, ItersPerEpoch: 10, Seed: 3}
 					streamed := name == "gtopk-bucketed/streamed"
 					if streamed {
 						spec.Algo = "gtopk-bucketed"
@@ -43,24 +45,25 @@ func TestSparseUpdateViewsMatchEveryAlgorithm(t *testing.T) {
 					if name == "gtopk-hier" {
 						spec.HierGroup = 2 // the default group of 4 is the whole world
 					}
-					wantUpd, wantW, wantV := tailWorld(t, spec, p, dim, steps, layers, mu, streamed, true)
-					gotUpd, gotW, gotV := tailWorld(t, spec, p, dim, steps, layers, mu, streamed, false)
+					want := tailWorld(t, spec, p, dim, steps, layers, mu, streamed, true)
+					got := tailWorld(t, spec, p, dim, steps, layers, mu, streamed, false)
 					shrank := false
 					for s := 0; s < steps; s++ {
-						if s > 0 && nnz(wantUpd[0][s].Values) < nnz(wantUpd[0][s-1].Values) {
+						if s > 0 && nnz(want.updates[0][s].Values) < nnz(want.updates[0][s-1].Values) {
 							shrank = true
 						}
 						for r := 0; r < p; r++ {
 							label := fmt.Sprintf("step %d rank %d", s, r)
-							if compact := gotUpd[r][s].At != nil; compact == dense[spec.Algo] {
+							if compact := got.updates[r][s].At != nil; compact == dense[spec.Algo] {
 								t.Fatalf("%s: compact update %v from %s", label, compact, spec.Algo)
 							}
-							sameBits(t, label+" update", core.DenseUpdate(wantUpd[r][s], dim), core.DenseUpdate(gotUpd[r][s], dim))
-							sameBits(t, label+" weights", wantW[r][s], gotW[r][s])
-							sameBits(t, label+" velocity", wantV[r][s], gotV[r][s])
+							sameBits(t, label+" update", core.DenseUpdate(want.updates[r][s], dim), core.DenseUpdate(got.updates[r][s], dim))
+							sameBits(t, label+" weights", want.weights[r][s], got.weights[r][s])
+							sameBits(t, label+" velocity", want.velocity[r][s], got.velocity[r][s])
+							sameBits(t, label+" residual", want.residual[r][s], got.residual[r][s])
 						}
 					}
-					if !shrank && !dense[spec.Algo] {
+					if !dense[spec.Algo] && !shrank {
 						t.Fatal("no step's support shrank: the warmup's end went untested")
 					}
 				})
@@ -69,11 +72,18 @@ func TestSparseUpdateViewsMatchEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// tailRun is what one world of TestSparseUpdateViewsMatchEveryAlgorithm
+// leaves behind per rank: the update of every step (copied before any
+// clipping), and the weights, the trainer's dense-tail velocity and the
+// residual (empty for the dense baselines) after it.
+type tailRun struct {
+	updates                     [][]core.Update
+	weights, velocity, residual [][][]float32
+}
+
 // tailWorld trains spec on p ranks for steps iterations — the reference
-// dense tail when ref is set, the real Trainer otherwise — and returns
-// per rank the update of every step (copied before any clipping) and the
-// weights and velocity after it.
-func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu float32, streamed, ref bool) (updates [][]core.Update, weights, velocity [][][]float32) {
+// when ref is set, the real Trainer at momentum mu otherwise.
+func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu float32, streamed, ref bool) tailRun {
 	t.Helper()
 	const lr, clip = 0.05, 0.02
 	gradFn := func(rank int) core.GradFn {
@@ -89,9 +99,12 @@ func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu
 		t.Fatal(err)
 	}
 	defer fab.Close() //nolint:errcheck // in-process close never fails
-	updates, weights, velocity = make([][]core.Update, p), make([][][]float32, p), make([][][]float32, p)
+	run := tailRun{
+		updates: make([][]core.Update, p), weights: make([][][]float32, p),
+		velocity: make([][][]float32, p), residual: make([][][]float32, p),
+	}
 	keep := func(r int, u core.Update) {
-		updates[r] = append(updates[r], core.Update{
+		run.updates[r] = append(run.updates[r], core.Update{
 			At:     append([]int32(nil), u.At...),
 			Values: append([]float32(nil), u.Values...),
 		})
@@ -103,12 +116,23 @@ func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu
 		go func() {
 			defer wg.Done()
 			errs[r] = func() error {
-				agg, _, err := algo.Build(spec, collective.New(fab.Conn(r)), dim, layers)
+				agg, err := algo.Build(spec, collective.New(fab.Conn(r)), dim, layers)
 				if err != nil {
 					return err
 				}
+				sp, sparse := agg.(interface{ Sparsifier() *core.Sparsifier })
+				after := func(w, v []float32) {
+					run.weights[r] = append(run.weights[r], append([]float32(nil), w...))
+					run.velocity[r] = append(run.velocity[r], append([]float32(nil), v...))
+					if sparse {
+						run.residual[r] = append(run.residual[r], append([]float32(nil), sp.Sparsifier().Residual()...))
+					} else {
+						run.residual[r] = append(run.residual[r], nil)
+					}
+				}
 				w := make([]float32, dim)
-				if ref {
+				cfg := core.TrainConfig{LR: lr, GradClip: clip, Momentum: mu}
+				if ref && !sparse {
 					var v []float32 // the trainer holds no velocity at momentum 0
 					if mu > 0 {
 						v = make([]float32, dim)
@@ -131,13 +155,18 @@ func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu
 							g = v
 						}
 						tensor.AxpyInto(w, -lr, g)
-						weights[r] = append(weights[r], append([]float32(nil), w...))
-						velocity[r] = append(velocity[r], append([]float32(nil), v...))
+						after(w, v)
 					}
 					return nil
 				}
-				rec := &core.UpdateRecorder{Aggregator: agg, Keep: func(u core.Update) { keep(r, u) }}
-				tr, err := core.NewTrainer(core.TrainConfig{LR: lr, GradClip: clip, Momentum: mu}, rec, w, gradFn(r))
+				if ref {
+					// The benchmark's entry point: the aggregator corrects
+					// momentum in a velocity of its own.
+					agg.(interface{ SetMomentumCorrection(float32) }).SetMomentumCorrection(mu)
+					cfg.Momentum = 0
+				}
+				rec := core.NewUpdateRecorder(agg, func(u core.Update) { keep(r, u) })
+				tr, err := core.NewTrainer(cfg, rec, w, gradFn(r))
 				if err != nil {
 					return err
 				}
@@ -157,8 +186,14 @@ func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu
 					if _, err := tr.Step(context.Background()); err != nil {
 						return err
 					}
-					weights[r] = append(weights[r], append([]float32(nil), w...))
-					velocity[r] = append(velocity[r], append([]float32(nil), tr.Velocity()...))
+					if sparse {
+						after(w, nil) // the lent velocity belongs to the select
+					} else {
+						after(w, tr.Velocity())
+					}
+				}
+				if v := tr.Velocity(); sparse && !ref && mu > 0 && (len(v) != dim || tensor.L2Norm(v) == 0) {
+					return fmt.Errorf("the lent velocity has %d entries of norm %v: the select did not correct momentum in it", len(v), tensor.L2Norm(v))
 				}
 				return nil
 			}()
@@ -170,7 +205,7 @@ func tailWorld(t *testing.T, spec algo.Spec, p, dim, steps int, layers []int, mu
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return updates, weights, velocity
+	return run
 }
 
 func nnz(x []float32) (n int) {

@@ -63,8 +63,7 @@ func TestQuantizedGTopKConvergesAndCompresses(t *testing.T) {
 		}
 	}
 	byName := run(sparse.CodecV3Q8, func(comm *collective.Comm) (core.Aggregator, error) {
-		agg, _, err := algo.Build(algo.Spec{Algo: "gtopk-quant8", Density: 0.1, Seed: seed}, comm, dim, []int{0, dim})
-		return agg, err
+		return algo.Build(algo.Spec{Algo: "gtopk-quant8", Density: 0.1, Seed: seed}, comm, dim, []int{0, dim})
 	})
 	composed := run(sparse.CodecV3Q8, gtopkOver(sparse.CodecV3Q8))
 	lossless := run(sparse.CodecV3, gtopkOver(sparse.CodecV3))

@@ -82,23 +82,42 @@ func TestBenchArtifactSchema(t *testing.T) {
 		if r.FlatUS <= 0 || r.HierUS <= 0 || r.ModelFlatUS <= 0 || r.ModelHierUS <= 0 || r.Speedup <= 0 {
 			t.Fatalf("hierarchy cell with non-positive timings %+v", r)
 		}
+		// The clock the real collectives charge is the closed form's
+		// (netsim GTopKTree, HierGTopK) to the microsecond.
+		if d := r.HierUS - r.ModelHierUS; d < -1 || d > 1 {
+			t.Fatalf("hierarchy cell %+v: hier_us is %d us off model_hier_us", r, d)
+		}
+		if d := r.FlatUS - r.ModelFlatUS; d < -1 || d > 1 {
+			t.Fatalf("hierarchy cell %+v: flat_us is %d us off model_flat_us", r, d)
+		}
 		seen[[2]interface{}{r.G, r.Rho}] = true
 	}
-	// The hierarchy runs the flat tree's round count (they tie at γ=0,
-	// pinned in netsim), so under skew its smaller synchronization
-	// domains win from the smallest world each (G, rho) is swept at.
+	// The hierarchy runs 2(⌈log₂G⌉−1) rounds fewer than the flat tree but
+	// puts G−1 frames through its leader per group leg, so the closed form
+	// decides where it wins: from the smallest swept world while a frame's
+	// 2kβ is small next to α (rho=0.001: 75 us against 436 us), and
+	// nowhere once G−1 large frames cost more than the rounds saved.
 	for _, c := range h.Crossovers {
 		if !seen[[2]interface{}{c.G, c.Rho}] {
 			t.Fatalf("crossover for unswept configuration %+v", c)
 		}
-		minP := 0
+		minP, modelP := 0, 0
 		for _, r := range h.Sweep {
-			if r.G == c.G && r.Rho == c.Rho && (minP == 0 || r.P < minP) {
+			if r.G != c.G || r.Rho != c.Rho {
+				continue
+			}
+			if minP == 0 || r.P < minP {
 				minP = r.P
 			}
+			if r.ModelHierUS < r.ModelFlatUS && (modelP == 0 || r.P < modelP) {
+				modelP = r.P
+			}
 		}
-		if c.CrossP != minP {
-			t.Fatalf("crossover %+v, want the smallest swept P=%d — the hierarchy costs no extra round, so skew alone decides", c, minP)
+		if c.CrossP != modelP {
+			t.Fatalf("crossover %+v, want P=%d, the smallest swept P where the closed form has the hierarchy win", c, modelP)
+		}
+		if c.Rho == 0.001 && c.CrossP != minP {
+			t.Fatalf("crossover %+v, want the smallest swept P=%d — small frames make the saved rounds pay", c, minP)
 		}
 	}
 

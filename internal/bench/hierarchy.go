@@ -279,6 +279,6 @@ func Hierarchy(_ context.Context, opt Options) (string, *HierarchySection, error
 			fmt.Fprintf(&sb, "  G=%-3d rho=%-6g P>=%d\n", c.G, c.Rho, c.CrossP)
 		}
 	}
-	sb.WriteString("\nThe hierarchy runs as many rounds as the flat tree (a reduce-only group\nphase, the leaders' swapped tree, the group broadcast) and buys group-sized\nsynchronization domains, so under alpha-skew it wins from the smallest\nworld it applies to, most where alpha dominates (low rho, large P).\n")
+	sb.WriteString("\nThe hierarchy runs 2(log2 G - 1) rounds fewer than the flat tree (a one-round\ngroup gather, the leaders' swapped tree, a one-round fan-out) in group-sized\nsynchronization domains, but its leader moves G-1 frames per group leg: it\nwins while a frame's 2k*beta is small next to alpha (low rho), and loses once\nG-1 large frames cost more than the rounds saved (rho=0.01 at G >= 8).\n")
 	return sb.String(), section, nil
 }

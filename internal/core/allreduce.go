@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/sparse"
 )
 
@@ -177,37 +178,20 @@ func GTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Ve
 // ping-pongs between pooled scratch vectors, and dead frames return to
 // the shared buffer pool.
 func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
-	return gtopkTree(ctx, comm, local, k, chunks, true, out)
-}
-
-// gtopkTree runs the tree over comm. With swap it is the whole
-// collective above. Without it the last round is a plain reduce and
-// nothing is broadcast: rank 0 receives the reduction in out and every
-// other rank leaves out untouched — the hierarchy's group phase, whose
-// only reader is the group leader.
-func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, swap bool, out *sparse.Vector) error {
 	chunks = max(chunks, 1)
-	p := comm.Size()
-	r := comm.Rank()
-
-	rounds := 0
-	for 1<<rounds < p {
-		rounds++
-	}
+	p, r := comm.Size(), comm.Rank()
+	rounds := netsim.CeilLog2(p)
 	// Pooled scratch: cur ping-pongs across rounds; sum holds one round's
-	// union merge; catScratch (allocated lazily, multi-chunk rounds only)
-	// reassembles a partner's chunk frames. cur starts as a read-only
-	// view of the caller's local vector.
+	// union merge; peer reassembles a partner's chunk frames in
+	// multi-chunk rounds. cur starts as a read-only view of the caller's
+	// local vector.
 	curBuf := [2]*sparse.Vector{sparse.GetVector(), sparse.GetVector()}
-	sum := sparse.GetVector()
-	var catScratch *sparse.Vector
+	sum, peer := sparse.GetVector(), sparse.GetVector()
 	defer func() {
 		sparse.PutVector(curBuf[0])
 		sparse.PutVector(curBuf[1])
 		sparse.PutVector(sum)
-		if catScratch != nil {
-			sparse.PutVector(catScratch)
-		}
+		sparse.PutVector(peer)
 	}()
 	cur := local
 	ci := 0
@@ -225,9 +209,8 @@ func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector,
 
 	base := comm.ClaimTags(rounds)
 	for j := 0; j < rounds; j++ {
-		stride := 1 << j
-		group := 1 << (j + 1)
-		swapping := swap && j == rounds-1
+		stride, group := 1<<j, 1<<(j+1)
+		swapping := j == rounds-1
 		moved := 0
 		switch {
 		case r%group == 0 && r+stride < p, swapping && r == stride:
@@ -249,7 +232,6 @@ func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector,
 			// top-k re-selection. Every output index still receives exactly
 			// the same (running, peer) value pair, so the result stays
 			// bit-identical to per-chunk folding and to the unchunked merge.
-			var peer *sparse.Vector
 			for i := 0; i < chunks; i++ {
 				blob, err := comm.RecvTag(ctx, partner, base+j)
 				if err != nil {
@@ -271,12 +253,7 @@ func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector,
 					break
 				}
 				if i == 0 {
-					if peer = catScratch; peer == nil {
-						peer = sparse.GetVector()
-						catScratch = peer
-					}
-					peer.Indices = peer.Indices[:0]
-					peer.Values = peer.Values[:0]
+					peer.Indices, peer.Values = peer.Indices[:0], peer.Values[:0]
 				}
 				sparse.AppendEntries(peer, &view)
 				// The frame is dead once copied (tree receivers never
@@ -294,11 +271,10 @@ func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector,
 			// Sender: stream the live vector to r-stride in chunk frames,
 			// then go idle. Frames come from the shared pool and are
 			// recycled by the fabric or the receiving merge loop.
-			sent, err := sendSparseChunks(ctx, comm, codec, cur, r-stride, base+j, chunks)
-			if err != nil {
+			var err error
+			if moved, err = sendSparseChunks(ctx, comm, codec, cur, r-stride, base+j, chunks); err != nil {
 				return fmt.Errorf("core: gtopk round %d send: %w", j, err)
 			}
-			moved = sent
 			cur = nil
 		}
 		// Every rank pays the synchronous round cost. Under v1 that is
@@ -306,24 +282,14 @@ func gtopkTree(ctx context.Context, comm *collective.Comm, local *sparse.Vector,
 		// (k values + k indices) per pair; under compressed codecs
 		// participants pay the bytes they actually moved (a swap side, the
 		// bytes it received) and idle ranks pay the latency term alone.
-		if codec == sparse.CodecV1 {
-			comm.ChargeRound(2 * k)
-		} else {
-			comm.ChargeRound((moved + 3) / 4)
-		}
+		comm.ChargeRound(wireElems(codec, 2*k, moved))
 	}
 
-	if !swap {
-		if cur != nil { // rank 0: every other rank sent its partial
-			sparse.CopyInto(out, cur)
-		}
-		return nil
-	}
 	// Phase 2: broadcast the global top-k from both swap sides (Algorithm
 	// 3 line 19), chunk-pipelined down the binomial trees below them: a
 	// rank forwards chunk i to its subtree before receiving chunk i+1, so
 	// the levels of the tree work on consecutive chunks concurrently.
-	return bcastSparseChunks(ctx, comm, codec, cur, k, chunks, max(rounds-1, 0), out)
+	return bcastSparseChunks(ctx, comm, codec, cur, chunks, max(rounds-1, 0), out)
 }
 
 // sendSparseChunks streams v to dst as `chunks` wire frames under one
@@ -378,8 +344,8 @@ func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale f
 // bcastSparseChunks distributes the roots' cur to every rank's out along
 // binomial trees `rounds` deep, in chunk-pipelined frames encoded with
 // the mesh codec. The roots are the ranks whose low `rounds` bits are
-// zero — rank 0 alone when 2^rounds >= P, ranks 0 and 2^rounds after the
-// tree's swap — and each holds the same cur. Simulated-time accounting
+// zero — ranks 0 and 2^rounds after the tree's swap, rank 0 alone in a
+// one-rank world — and each holds the same cur. Simulated-time accounting
 // matches the unchunked flat-tree broadcast: every rank charges `rounds`
 // rounds, paying the full payload — modelled flat bytes under v1, actual
 // bytes under compressed codecs — from the round it first holds data
@@ -395,9 +361,8 @@ func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale f
 // child the frames it encoded and every other child a pooled copy, a
 // relay forwards pooled copies, and each receiver recycles its frames
 // once decoded.
-func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, cur *sparse.Vector, k, chunks, rounds int, out *sparse.Vector) error {
-	p := comm.Size()
-	r := comm.Rank()
+func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, cur *sparse.Vector, chunks, rounds int, out *sparse.Vector) error {
+	p, r := comm.Size(), comm.Rank()
 	base := comm.ClaimTags(rounds)
 	pos := r & (1<<rounds - 1) // position in this rank's root's tree
 
@@ -479,9 +444,7 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 			if err != nil {
 				return fmt.Errorf("core: gtopk bcast payload: %w", err)
 			}
-			out.Dim = v.Dim
-			out.Indices = append(out.Indices, v.Indices...)
-			out.Values = append(out.Values, v.Values...)
+			sparse.AppendEntries(out, &v)
 			sparse.PutBuffer(blob)
 		}
 		if err := out.Validate(); err != nil {
@@ -494,18 +457,25 @@ func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.
 	// detail the model does not see): rounds before a rank holds data
 	// cost it nothing but the synchronisation point. v1 charges the
 	// modelled flat payload; compressed codecs charge the measured payload.
-	elems := sparse.EncodedSize(out.NNZ()) / 4
-	if codec != sparse.CodecV1 {
-		elems = (wireBytes + 3) / 4
+	elems := wireElems(codec, sparse.EncodedSize(out.NNZ())/4, wireBytes)
+	for j := 0; j < recvRound; j++ {
+		comm.ChargeRound(0)
 	}
-	for j := 0; j < rounds; j++ {
-		if pos == 0 || j >= recvRound {
-			comm.ChargeRound(elems)
-		} else {
-			comm.ChargeRound(0)
-		}
+	for j := recvRound; j < rounds; j++ {
+		comm.ChargeRound(elems)
 	}
 	return nil
+}
+
+// wireElems is the element count a leg charges on the α-β clock: the
+// modelled count under v1 — the paper's 2k per reduce frame, the flat
+// frame size per broadcast frame — and the bytes actually moved under
+// compressed codecs, so the clock agrees with the WireTally.
+func wireElems(codec sparse.Codec, modelled, moved int) int {
+	if codec == sparse.CodecV1 {
+		return modelled
+	}
+	return (moved + 3) / 4
 }
 
 // sendCopies sends dst a pooled copy of every frame under one tag, for a

@@ -252,18 +252,19 @@ func TestHierarchicalSimulatedTime(t *testing.T) {
 		return err
 	})
 
-	// Rank 0's charge sequence: intra reduce (no group broadcast), the
-	// leader tree (reduce rounds, the last one the swap, then broadcast
-	// rounds of the global payload), final intra bcast (global payload).
+	// Rank 0's charge sequence: one group gather round (the g−1 member
+	// frames it receives), the leader tree (reduce rounds, the last one
+	// the swap, then broadcast rounds of the global payload), one group
+	// fan-out round (the g−1 copies of the global payload it sends).
 	// Payload element counts follow the flat collective's v1 accounting:
-	// 2k modelled elements per reduce round, EncodedSize(nnz)/4 per
-	// broadcast round. 2·lgG + 2·lgL − 1 rounds in all.
-	lgG, lgL := netsim.CeilLog2(g), netsim.CeilLog2(leaders)
+	// 2k modelled elements per reduce frame, EncodedSize(nnz)/4 per
+	// broadcast frame. 2 + 2·lgL − 1 rounds in all.
+	lgL := netsim.CeilLog2(leaders)
 	bcast := sparse.EncodedSize(globalWant.NNZ()) / 4
-	want := time.Duration(lgG)*model.Round(g, 2*k) +
+	want := model.Round(g, (g-1)*2*k) +
 		time.Duration(lgL)*model.Round(leaders, 2*k) +
 		time.Duration(lgL-1)*model.Round(leaders, bcast) +
-		time.Duration(lgG)*model.Round(g, bcast)
+		model.Round(g, (g-1)*bcast)
 	if got := clocks[0].Now(); got != want {
 		t.Fatalf("rank 0 simulated time %v, want %v", got, want)
 	}

@@ -47,11 +47,16 @@ import (
 // selected mass to its residual (the round's Refund path), which is
 // the conservation story that makes the miss convergence-safe.
 //
-// Determinism is inherited the way the hierarchy inherited it from the
-// flat tree: at q_g = G and q_l = ⌈P/G⌉ every fold sees the exact ⊕
-// sequence of HierarchicalGTopKAllReduceInto, so full-quorum rounds are
-// bit-identical to it under lossless codecs on every fabric, and any
-// partial round's bits are a pure function of the straggler schedule.
+// Phase 1 is the same code in both hierarchies: every member's frame
+// comes from memberFrame and the leader folds the group with
+// foldQuorumFrames; the leader's relay in phase 3 is fanOut in both.
+// HierarchicalGTopKAllReduceInto's group legs are these legs at q_g = G
+// without a deadline. The leader level folds with the binomial position
+// schedule the plain hierarchy's leader tree follows, so at q_g = G and
+// q_l = ⌈P/G⌉ every fold sees the exact ⊕ sequence of
+// HierarchicalGTopKAllReduceInto: full-quorum rounds are bit-identical
+// to it under lossless codecs on every fabric, and any partial round's
+// bits are a pure function of the straggler schedule.
 
 // HierQuorumGTopKAllReduceInto runs one quorum gTop-k round: over the
 // caller-owned GroupComms (ForkHier with group size g from comm), or flat
@@ -87,9 +92,7 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	// that rewrites the sender's values pins them in place first — the
 	// caller snapshots originals before this collective, exactly like the
 	// full-sync path.
-	scale, lev := transformForWire(mcomm, codec, local.Values)
-	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
-	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
+	frame := memberFrame(mcomm, codec, local)
 	ground, err := mcomm.QuorumGather(ctx, 0, q, levels.Group, frame)
 	if err != nil {
 		return false, nil, fmt.Errorf("core: quorum gather: %w", err)
@@ -125,10 +128,7 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	// modelled flat size under v1 but its MEASURED encoded size under
 	// v3 — the same raw-vs-compressed rule every other codec-aware leg
 	// follows, so the clock agrees with the WireTally across codecs.
-	verdictElems := sparse.EncodedSize(out.NNZ()) / 4
-	if codec != sparse.CodecV1 {
-		verdictElems = (len(verdict) + 3) / 4
-	}
+	verdictElems := wireElems(codec, sparse.EncodedSize(out.NNZ())/4, len(verdict))
 	if gc == nil {
 		comm.ChargeQuorumRound(quorumRoot, participants, 2*k, verdictElems)
 	} else {
@@ -146,7 +146,7 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 	// Fold this group's participating member frames into the group
 	// aggregate and lift member ranks to world ranks — groups are
 	// contiguous, so the lifted set stays strictly ascending.
-	merged, _, err := foldQuorumFrames(codec, ground, k, p, false)
+	merged, _, err := foldQuorumFrames(codec, ground.Blobs, k, p, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,7 +174,7 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 		if root = lcomm.Rank() == quorumRoot; root {
 			// Fold the group aggregates over leader positions and union the
 			// participating groups' member sets into the world set.
-			if merged, participants, err = foldQuorumFrames(lcodec, lround, k, p, true); err != nil {
+			if merged, participants, err = foldQuorumFrames(lcodec, lround.Blobs, k, p, true); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -191,10 +191,8 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 		mcomm.TallyWire(sparse.EncodedSize(out.NNZ()), len(verdict))
 		sparse.PutVector(merged)
 		if gc != nil {
-			for dst := 1; dst < gc.Leaders.Size(); dst++ {
-				if err := gc.Leaders.SendTag(ctx, dst, ltag, verdict); err != nil {
-					return nil, nil, fmt.Errorf("core: quorum verdict send to leader %d: %w", dst, err)
-				}
+			if err := fanOut(ctx, gc.Leaders, ltag, verdict); err != nil {
+				return nil, nil, fmt.Errorf("core: quorum verdict send to the leaders: %w", err)
 			}
 		}
 	} else if verdict, participants, err = recvVerdict(ctx, gc.Leaders, quorumRoot, ltag, bcodec, p, levels, out); err != nil {
@@ -203,11 +201,8 @@ func quorumLeader(ctx context.Context, mcomm *collective.Comm, gc *collective.Gr
 
 	// Phase 3: relay the verdict bytes down the group unmodified, so every
 	// member decodes exactly the root's bits.
-	mtag := mcomm.ClaimTags(1)
-	for dst := 1; dst < mcomm.Size(); dst++ {
-		if err := mcomm.SendTag(ctx, dst, mtag, verdict); err != nil {
-			return nil, nil, fmt.Errorf("core: quorum verdict relay to member %d: %w", dst, err)
-		}
+	if err := fanOut(ctx, mcomm, mcomm.ClaimTags(1), verdict); err != nil {
+		return nil, nil, fmt.Errorf("core: quorum verdict relay: %w", err)
 	}
 	return verdict, participants, nil
 }

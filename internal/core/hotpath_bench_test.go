@@ -194,20 +194,24 @@ func TestAggregateAllocCeiling(t *testing.T) {
 }
 
 // TestCollectiveAllocFree pins the steady state of the whole flat
-// collective at zero allocations on both fabrics: reduce frames go back
-// to the pool at their receiver, and so does every broadcast frame — a
-// root ships its last child the frames it encoded and each other child a
-// pooled copy, a relay forwards pooled copies. P=8 with three chunks per
-// payload exercises the swap, both roots, a root with several children
-// and a relay.
+// collective and of the hierarchy (G=4) at zero allocations on both
+// fabrics: reduce frames go back to the pool at their receiver, and so
+// does every broadcast frame — a root ships its last child the frames it
+// encoded and each other child a pooled copy, a relay forwards pooled
+// copies. P=8 with three chunks per payload exercises the swap, both
+// roots, a root with several children and a relay; the hierarchy adds
+// the group gather, its fold and the leader's fan-out.
 func TestCollectiveAllocFree(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
 	}
 	const p, dim, k, chunks = 8, 4096, 300, 3
 	_, vecs := makeWorkerVectors(9, p, dim, k)
-	for _, fabric := range []string{"inproc", "tcp"} {
-		t.Run(fabric, func(t *testing.T) {
+	for _, tc := range []struct{ name, fabric string }{
+		{"inproc", "inproc"}, {"tcp", "tcp"}, {"hier-inproc", "inproc"}, {"hier-tcp", "tcp"},
+	} {
+		fabric, hier := tc.fabric, tc.name != tc.fabric
+		t.Run(tc.name, func(t *testing.T) {
 			var f transport.Fabric
 			var err error
 			if fabric == "tcp" {
@@ -228,10 +232,15 @@ func TestCollectiveAllocFree(t *testing.T) {
 				start[r] = make(chan struct{})
 				go func(rank int) {
 					comm, out := collective.New(f.Conn(rank)), &sparse.Vector{}
+					var gc *collective.GroupComms
+					if hier {
+						gc, errs[rank] = ForkHier(comm, 4)
+					}
 					for range start[rank] {
-						if err := GTopKAllReduceInto(context.Background(), comm, vecs[rank], k, chunks, out); err != nil {
+						if err := HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, chunks, out); err != nil {
 							errs[rank] = err
 						}
+						foldHierStats(comm, gc)
 						wg.Done()
 					}
 				}(r)
@@ -261,7 +270,7 @@ func TestCollectiveAllocFree(t *testing.T) {
 				}
 			}
 			if allocs > 0 {
-				t.Fatalf("a steady-state P=%d collective allocates %v times", p, allocs)
+				t.Fatalf("a steady-state P=%d %s collective allocates %v times", p, tc.name, allocs)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 
 	"gtopkssgd/internal/collective"
@@ -214,9 +215,10 @@ func missedFrom(participants []int, p int) []int {
 	return missed
 }
 
-// foldQuorumFrames merges a closed gather's participant frames on its
-// root with the generalized binomial-tree schedule over participant
-// POSITIONS (rank-ascending): in round j, position i with
+// foldQuorumFrames merges a closed gather's frames on its root — blobs
+// indexed by rank, nil where a rank missed the round — with the
+// generalized binomial-tree schedule over participant POSITIONS
+// (rank-ascending): in round j, position i with
 // i mod 2^(j+1) == 0 absorbs position i+2^j via the ⊕ operator of
 // Definition 1 (top-k of the sum). With every rank participating,
 // positions coincide with ranks and every accumulator sees the exact ⊕
@@ -229,20 +231,14 @@ func missedFrom(participants []int, p int) []int {
 // index and each set ascends within its contiguous rank range, so the
 // world set stays strictly ascending. The returned vector is pooled; the
 // caller releases it.
-func foldQuorumFrames(codec sparse.Codec, round *collective.QuorumRound, k, p int, withSets bool) (*sparse.Vector, []int, error) {
-	m := len(round.Participants)
-	vecs := make([]*sparse.Vector, m)
-	owned := make([]bool, m)
-	defer func() {
-		for i, v := range vecs {
-			if owned[i] && v != nil {
-				sparse.PutVector(v)
-			}
-		}
-	}()
+func foldQuorumFrames(codec sparse.Codec, blobs [][]byte, k, p int, withSets bool) (*sparse.Vector, []int, error) {
+	fs := foldPool.Get().(*foldScratch)
+	defer fs.release()
 	var sets []int
-	for i, pos := range round.Participants {
-		frame := round.Blobs[pos]
+	for pos, frame := range blobs {
+		if frame == nil {
+			continue // missed the round
+		}
 		if withSets {
 			set, rest, err := splitVerdict(frame, p)
 			if err != nil {
@@ -250,63 +246,66 @@ func foldQuorumFrames(codec sparse.Codec, round *collective.QuorumRound, k, p in
 			}
 			sets, frame = append(sets, set...), rest
 		}
-		// v1 frames fold as zero-copy views of the blob; v3 frames
-		// materialise into pooled vectors the deferred cleanup releases.
-		if codec != sparse.CodecV1 {
-			vecs[i], owned[i] = sparse.GetVector(), true
-		}
-		v, err := codec.DecodeFrame(frame, vecs[i])
-		if err != nil {
+		fs.vecs = append(fs.vecs, sparse.GetVector())
+		if err := decodeInto(codec, frame, fs.vecs[len(fs.vecs)-1]); err != nil {
 			return nil, nil, fmt.Errorf("core: quorum frame from %d: %w", pos, err)
 		}
-		if !owned[i] {
-			vecs[i] = &v
-		}
 	}
-	res, err := binomialPositionFold(vecs, owned, k)
+	res, err := binomialPositionFold(fs.vecs, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The gathered blobs are dead once merged; recycle them (the root's
+	// The gathered blobs are dead once decoded; recycle them (the root's
 	// own frame came from the encoder, received frames follow the same
 	// receiver-recycles convention as the flat tree).
-	for _, pos := range round.Participants {
-		sparse.PutBuffer(round.Blobs[pos])
+	for _, b := range blobs {
+		sparse.PutBuffer(b)
 	}
 	return res, sets, nil
 }
 
+// foldScratch is a fold's pooled working set, so a steady-state gather
+// and fold allocate nothing: the plain hierarchy's gathered frames and
+// the fold's decoded vectors.
+type foldScratch struct {
+	blobs [][]byte
+	vecs  []*sparse.Vector
+}
+
+var foldPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+// release recycles the scratch's vectors and returns it to the pool
+// holding no frame and no vector.
+func (fs *foldScratch) release() {
+	for _, v := range fs.vecs {
+		if v != nil {
+			sparse.PutVector(v)
+		}
+	}
+	clear(fs.blobs)
+	clear(fs.vecs)
+	fs.blobs, fs.vecs = fs.blobs[:0], fs.vecs[:0]
+	foldPool.Put(fs)
+}
+
 // binomialPositionFold runs the position-binomial ⊕ schedule over vecs
-// (participant-position order): in round j, position i with
-// i mod 2^(j+1) == 0 absorbs position i+2^j via top-k of the sum. The
-// result is always a fresh pooled vector (a sole v1 participant's
-// blob-aliasing view is copied out); absorbed intermediates stay in vecs
-// for the caller's deferred cleanup, and vecs[0] is cleared so the
-// cleanup never releases the result.
-func binomialPositionFold(vecs []*sparse.Vector, owned []bool, k int) (*sparse.Vector, error) {
-	m := len(vecs)
-	for stride := 1; stride < m; stride <<= 1 {
-		for i := 0; i+stride < m; i += 2 * stride {
-			sum := sparse.GetVector()
+// (participant-position order, every vector pooled): in round j,
+// position i with i mod 2^(j+1) == 0 absorbs position i+2^j via top-k of
+// the sum. The result is vecs[0], which is cleared so the caller's
+// cleanup of vecs never releases it.
+func binomialPositionFold(vecs []*sparse.Vector, k int) (*sparse.Vector, error) {
+	sum := sparse.GetVector()
+	defer sparse.PutVector(sum)
+	for stride := 1; stride < len(vecs); stride <<= 1 {
+		for i := 0; i+stride < len(vecs); i += 2 * stride {
 			if err := sparse.AddInto(sum, vecs[i], vecs[i+stride]); err != nil {
-				sparse.PutVector(sum)
 				return nil, fmt.Errorf("core: quorum merge: %w", err)
 			}
-			dst := sparse.GetVector()
-			sparse.TopKSparseInto(dst, sum, k)
-			sparse.PutVector(sum)
-			if owned[i] {
-				sparse.PutVector(vecs[i])
-			}
-			vecs[i], owned[i] = dst, true
+			sparse.TopKSparseInto(vecs[i], sum, k)
 		}
 	}
 	res := vecs[0]
-	if !owned[0] {
-		res = sparse.GetVector()
-		sparse.CopyInto(res, vecs[0])
-	}
-	vecs[0], owned[0] = nil, false
+	vecs[0] = nil
 	return res, nil
 }
 
@@ -359,15 +358,15 @@ func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) (
 	if err != nil {
 		return nil, err
 	}
-	var scratch *sparse.Vector
-	if codec != sparse.CodecV1 {
-		scratch = sparse.GetVector()
-		defer sparse.PutVector(scratch)
+	return participants, decodeInto(codec, frame, out)
+}
+
+// decodeInto decodes one sparse frame under codec into out, which owns
+// its slices afterwards (the frame may be recycled at once).
+func decodeInto(codec sparse.Codec, frame []byte, out *sparse.Vector) error {
+	v, err := codec.DecodeFrame(frame, out)
+	if err == nil && codec == sparse.CodecV1 {
+		sparse.CopyInto(out, &v)
 	}
-	v, err := codec.DecodeFrame(frame, scratch)
-	if err != nil {
-		return nil, err
-	}
-	sparse.CopyInto(out, &v)
-	return participants, nil
+	return err
 }

@@ -234,11 +234,11 @@ func TestSwapTreeWall(t *testing.T) {
 }
 
 // TestSwapHierarchyHops: the hierarchy at P=8, G=4 with three chunks per
-// payload — the wan-hier shape — reduces each group in two hops, swaps
-// the two leaders' aggregates in one and broadcasts in two: 5 hops, and
-// rank 0 sends 9 frames (the swap's 3 and 3 to each of its two
-// children). Its replicas agree and the lossless result is the group
-// trees' merge folded at the leader level.
+// payload — the wan-hier shape — gathers each group at its leader in one
+// hop, swaps the two leaders' aggregates in one and fans out in one: 3
+// hops, and rank 0 sends 6 frames (the swap's 3 and one to each of its
+// three members). Its replicas agree and the lossless result is the
+// group trees' merge folded at the leader level.
 func TestSwapHierarchyHops(t *testing.T) {
 	const p, g, dim, k, chunks = 8, 4, 240, 12, 3
 	vecs := compoundVectors(808, p, dim, k, "gauss")
@@ -251,8 +251,8 @@ func TestSwapHierarchyHops(t *testing.T) {
 			}
 			assertSameVector(t, fmt.Sprintf("%s rank %d vs 0", codec, r), run.results[0], run.results[r])
 		}
-		if hops, _ := run.rec.hops(); hops != 5 || run.rec.sent[0] != 9 {
-			t.Fatalf("%s: %d hops and %d frames sent by rank 0, want 5 and 9", codec, hops, run.rec.sent[0])
+		if hops, _ := run.rec.hops(); hops != 3 || run.rec.sent[0] != 6 {
+			t.Fatalf("%s: %d hops and %d frames sent by rank 0, want 3 and 6", codec, hops, run.rec.sent[0])
 		}
 	}
 }

@@ -166,33 +166,36 @@ func (m Model) GTopKTree(p, k int) time.Duration {
 }
 
 // HierGTopK returns the modelled cost of the two-level hierarchical
-// gTop-k over groups of g (core.HierarchicalGTopKAllReduceInto): an
-// intra-group reduce to the leader (⌈log₂g⌉ rounds among g ranks), the
-// leader-level gTop-k tree over the ⌈P/g⌉ group leaders
-// (2·⌈log₂⌈P/g⌉⌉−1 rounds), and the intra-group broadcast of the
-// global result (⌈log₂g⌉ more rounds):
+// gTop-k over groups of g (core.HierarchicalGTopKAllReduceInto) on a
+// group leader's clock, the critical path: one gather round in which
+// the leader receives its g−1 members' k-entry frames, the gTop-k tree
+// over the ⌈P/g⌉ group leaders (2·⌈log₂⌈P/g⌉⌉−1 rounds), and one
+// fan-out round in which it sends each of its members the global result:
 //
-//	t = 2·⌈log₂g⌉·Round(g, 2k) + (2·⌈log₂⌈P/g⌉⌉−1)·Round(⌈P/g⌉, 2k)
+//	t = Round(g, (g−1)·2k) + (2·⌈log₂⌈P/g⌉⌉−1)·Round(⌈P/g⌉, 2k) + Round(g, (g−1)·(2k+2))
 //
-// Under γ = 0 and power-of-two sizes that is exactly the flat tree's
-// round count — the two tie — so the smaller synchronization domains
-// (g and P/g instead of P) are all the hierarchy buys: it wins once
-// straggler skew makes world-sized rounds more expensive than
-// group-sized ones.
+// A gathered frame is priced at the paper's 2k elements, as the clock
+// charges a reduce frame; a fan-out copy at its v1 size, 2k plus the
+// 2-element (8-byte) header, as the clock charges a broadcast frame —
+// times g−1, the header shows at the microsecond.
+//
+// At power-of-two sizes that is 2·(⌈log₂g⌉−1) rounds fewer than the flat
+// tree (GTopKTree), but the leader's link carries g−1 frames per group
+// leg where a tree rank carries ⌈log₂g⌉. Under γ = 0 the hierarchy is
+// therefore ahead by 2·(⌈log₂g⌉−1)·α − (2·(g−1−⌈log₂g⌉)·2k + 2·(g−1))·β: it wins
+// while a frame's transfer time is small next to α and loses at large
+// k·g. Straggler skew (SyncGamma) adds to its margin, since its rounds
+// synchronize g or ⌈P/g⌉ ranks instead of all P.
 func (m Model) HierGTopK(p, g, k int) time.Duration {
 	if p < 2 {
 		return 0
 	}
-	if g < 1 {
-		g = 1
-	}
-	if g >= p {
+	if g <= 1 || g >= p {
 		return m.GTopKTree(p, k)
 	}
 	leaders := (p + g - 1) / g
-	intra := time.Duration(2*CeilLog2(g)) * m.Round(g, 2*k)
 	inter := time.Duration(2*CeilLog2(leaders)-1) * m.Round(leaders, 2*k)
-	return intra + inter
+	return m.Round(g, (g-1)*2*k) + inter + m.Round(g, (g-1)*(2*k+2))
 }
 
 // CeilLog2 returns ⌈log₂n⌉ for n ≥ 1 — the sequential round count of a

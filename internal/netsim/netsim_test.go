@@ -192,33 +192,45 @@ func TestHierGTopKClosedForm(t *testing.T) {
 	m := Paper1GbE().WithSyncSkew(DefaultSyncGamma)
 	const p, g, k = 64, 4, 1000
 	leaders := p / g
-	want := 2*time.Duration(CeilLog2(g))*m.Round(g, 2*k) +
-		time.Duration(2*CeilLog2(leaders)-1)*m.Round(leaders, 2*k)
+	want := m.Round(g, (g-1)*2*k) +
+		time.Duration(2*CeilLog2(leaders)-1)*m.Round(leaders, 2*k) +
+		m.Round(g, (g-1)*(2*k+2))
 	if got := m.HierGTopK(p, g, k); got != want {
 		t.Fatalf("HierGTopK(%d,%d,%d) = %v, want %v", p, g, k, got, want)
 	}
 	// Degenerate groups collapse to the flat tree.
-	if m.HierGTopK(p, p, k) != m.GTopKTree(p, k) {
-		t.Fatal("g=p does not collapse to the flat tree")
+	for _, gg := range []int{0, 1, p} {
+		if m.HierGTopK(p, gg, k) != m.GTopKTree(p, k) {
+			t.Fatalf("g=%d does not collapse to the flat tree", gg)
+		}
 	}
 	if m.HierGTopK(1, 1, k) != 0 {
 		t.Fatal("single-rank world should cost nothing")
 	}
-	// With gamma=0 the hierarchy runs exactly the flat tree's rounds at
-	// power-of-two sizes, so the two tie (the crossover needs skew).
+	// With gamma=0 and power-of-two sizes the one-round group legs save
+	// 2(⌈log₂g⌉−1) rounds and put 2(g−1−⌈log₂g⌉) more frames through the
+	// leader's link, plus the g−1 fan-out headers; at g=2 only a header
+	// separates the two.
 	flat0 := Paper1GbE()
-	for _, pg := range [][2]int{{8, 4}, {64, 4}, {256, 16}} {
-		if got, want := flat0.HierGTopK(pg[0], pg[1], k), flat0.GTopKTree(pg[0], k); got != want {
-			t.Fatalf("gamma=0 P=%d G=%d: HierGTopK = %v, want the flat tree's %v", pg[0], pg[1], got, want)
+	for _, pg := range [][2]int{{8, 2}, {8, 4}, {64, 4}, {256, 16}} {
+		lg, extra := CeilLog2(pg[1]), pg[1]-1-CeilLog2(pg[1])
+		ahead := time.Duration(2*(lg-1))*flat0.Alpha - time.Duration(2*extra*2*k+2*(pg[1]-1))*flat0.Beta
+		if got := flat0.GTopKTree(pg[0], k) - flat0.HierGTopK(pg[0], pg[1], k); got != ahead {
+			t.Fatalf("gamma=0 P=%d G=%d: the hierarchy is ahead by %v, want %v", pg[0], pg[1], got, ahead)
 		}
 	}
-	// With skew, the crossover the bench records: hierarchy wins from
-	// P=16, G=4, k=1049 (rho=0.001 of 2^20) — smaller domains, same rounds.
+	// With skew, the crossover the bench records: small frames win from
+	// P=16, G=4, k=1049 (rho=0.001 of 2^20) — fewer rounds, smaller
+	// domains — and large frames through a large group's leader lose
+	// (P=32, G=16, k=10485).
 	k1 := 1049
 	for _, pp := range []int{16, 64} {
 		if m.HierGTopK(pp, 4, k1) >= m.GTopKTree(pp, k1) {
 			t.Fatalf("no crossover at P=%d: hier %v vs flat %v", pp, m.HierGTopK(pp, 4, k1), m.GTopKTree(pp, k1))
 		}
+	}
+	if m.HierGTopK(32, 16, 10485) <= m.GTopKTree(32, 10485) {
+		t.Fatalf("P=32 G=16 k=10485: hier %v beats flat %v, but its leader moves 15 frames per leg", m.HierGTopK(32, 16, 10485), m.GTopKTree(32, 10485))
 	}
 }
 

@@ -113,7 +113,7 @@ func runCollective(b *testing.B, comms []*collective.Comm, vecs []*sparse.Vector
 			if algo == "topk" {
 				_, err = core.TopKAllReduce(context.Background(), comms[rank], vecs[rank].Clone())
 			} else {
-				_, err = core.GTopKAllReduce(context.Background(), comms[rank], vecs[rank].Clone(), k)
+				err = core.GTopKAllReduceInto(context.Background(), comms[rank], vecs[rank].Clone(), k, core.ChunksFor(k), &sparse.Vector{})
 			}
 			errs[rank] = err
 		}(r)

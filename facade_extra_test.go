@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/quant"
@@ -99,12 +100,12 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestPublicTraceRecorderViaHook(t *testing.T) {
-	fabric, err := NewInProcFabric(1)
+	fabric, err := transport.NewInProc(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fabric.Close()
-	agg := NewDenseAggregator(NewComm(fabric.Conn(0)), 2)
+	agg := NewDenseAggregator(collective.New(fabric.Conn(0)), 2)
 	tr, err := NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, 2),
 		func(_ int, _, grad []float32) float64 { grad[0] = 1; return 0 })
 	if err != nil {
@@ -142,36 +143,36 @@ func TestPublicMultiProcessWorkerAPI(t *testing.T) {
 }
 
 // TestPublicHierarchicalSurface drives the hierarchical collective and
-// aggregator over facade-built communicators: the G=P degenerate must match
-// GTopKAllReduce bit for bit, and the real two-level regime must keep
+// aggregator over communicators on an in-process fabric: the G=P
+// degenerate must match GTopKAllReduceInto bit for bit, and the real two-level regime must keep
 // replicas identical.
 func TestPublicHierarchicalSurface(t *testing.T) {
 	const p, g, dim, k = 4, 2, 100, 5
-	fabric, err := NewInProcFabric(p)
+	fabric, err := transport.NewInProc(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fabric.Close()
 
-	locals := make([]*Vector, p)
+	locals := make([]*sparse.Vector, p)
 	for r := range locals {
 		src := prng.New(uint64(r + 50))
 		grad := make([]float32, dim)
 		for i := range grad {
 			grad[i] = float32(src.NormFloat64())
 		}
-		locals[r] = TopKSelect(grad, k)
+		locals[r] = sparse.TopK(grad, k)
 	}
 
-	run := func(group int) []*Vector {
-		out := make([]*Vector, p)
+	run := func(group int) []*sparse.Vector {
+		out := make([]*sparse.Vector, p)
 		errs := make([]error, p)
 		done := make(chan struct{}, p)
 		for r := 0; r < p; r++ {
 			go func(rank int) {
 				defer func() { done <- struct{}{} }()
-				comm := NewComm(fabric.Conn(rank))
-				out[rank] = &Vector{}
+				comm := collective.New(fabric.Conn(rank))
+				out[rank] = &sparse.Vector{}
 				gc, err := core.ForkHier(comm, group)
 				if err == nil {
 					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, locals[rank].Clone(), k, core.ChunksFor(k), out[rank])
@@ -193,7 +194,7 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 	flatEquiv := run(p) // degenerate: bit-identical to the flat tree
 	hier := run(g)
 	for r := 1; r < p; r++ {
-		for _, set := range [][]*Vector{flatEquiv, hier} {
+		for _, set := range [][]*sparse.Vector{flatEquiv, hier} {
 			if set[r].NNZ() != set[0].NNZ() {
 				t.Fatalf("rank %d disagrees on nnz", r)
 			}
@@ -205,7 +206,7 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 		}
 	}
 
-	if _, err := core.NewHierarchicalAggregator(NewComm(fabric.Conn(0)), dim, k, 0); err == nil {
+	if _, err := core.NewHierarchicalAggregator(collective.New(fabric.Conn(0)), dim, k, 0); err == nil {
 		t.Fatal("group 0 accepted")
 	}
 }

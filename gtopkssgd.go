@@ -18,8 +18,6 @@
 //
 // # Quick start
 //
-//	fabric, _ := gtopkssgd.NewInProcFabric(4)
-//	defer fabric.Close()
 //	results, err := gtopkssgd.RunCluster(ctx, gtopkssgd.ClusterConfig{
 //		Workers: 4, Steps: 100,
 //	}, func(rank int, comm *gtopkssgd.Comm) (*gtopkssgd.Trainer, error) {
@@ -36,23 +34,12 @@ import (
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/netsim"
-	"gtopkssgd/internal/sparse"
-	"gtopkssgd/internal/transport"
 )
 
 // Re-exported types. Aliases keep the internal packages as the single
 // source of truth while making the training surface reachable from one
 // import path.
 type (
-	// Vector is a sparse gradient slice: parallel (Indices, Values)
-	// arrays over a dense dimension.
-	Vector = sparse.Vector
-
-	// Conn is one rank's endpoint into a message-passing fabric.
-	Conn = transport.Conn
-	// Fabric is a connected set of rank endpoints.
-	Fabric = transport.Fabric
-
 	// Comm is a rank communicator providing MPI-style collectives.
 	Comm = collective.Comm
 
@@ -85,39 +72,13 @@ type (
 	CheckpointState = checkpoint.State
 )
 
-// NewInProcFabric connects n ranks through in-memory mailboxes — the
-// default substrate for simulated clusters (deterministic, race-free).
-func NewInProcFabric(n int) (Fabric, error) { return transport.NewInProc(n) }
-
-// NewComm wraps a fabric endpoint in a communicator.
-func NewComm(conn Conn) *Comm { return collective.New(conn) }
-
 // Paper1GbE returns the α-β model with the constants the paper measured
 // on its 1 Gbps Ethernet cluster (α = 0.436 ms, β = 3.6e-5 ms/element).
 func Paper1GbE() NetModel { return netsim.Paper1GbE() }
 
-// TopKSelect returns the k largest-magnitude entries of x with
-// deterministic tie-breaking (lowest index wins), the local selection
-// primitive of all sparsified algorithms.
-func TopKSelect(x []float32, k int) *Vector { return sparse.TopK(x, k) }
-
 // DensityToK converts a density ρ into the selection count k = ρ·m,
 // clamped to [1, dim].
 func DensityToK(dim int, density float64) int { return core.DensityToK(dim, density) }
-
-// GTopKAllReduce runs the paper's Algorithm 3: tree-reduce the workers'
-// sparse vectors with ⊕ and broadcast the global top-k, in
-// 2·⌈log₂P⌉−1 rounds (the top reduce round and the first broadcast
-// round are one pairwise swap), at any worker count.
-func GTopKAllReduce(ctx context.Context, comm *Comm, local *Vector, k int) (*Vector, error) {
-	return core.GTopKAllReduce(ctx, comm, local, k)
-}
-
-// PSGTopKAllReduce computes the global top-k through a parameter-server
-// star topology (works for any P; scales worse than the tree).
-func PSGTopKAllReduce(ctx context.Context, comm *Comm, local *Vector, k int) (*Vector, error) {
-	return core.PSGTopKAllReduce(ctx, comm, local, k)
-}
 
 // NewDenseAggregator builds classic S-SGD aggregation (ring AllReduce of
 // the full gradient).
@@ -142,7 +103,7 @@ func NewGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
 
 // NewBucketedAggregator builds the bucketed, overlapped gTop-k pipeline:
 // each bucket (cumulative offsets in bounds) selects density·size of its
-// gradients and aggregates them via GTopKAllReduce on a tag-isolated
+// gradients and aggregates them via GTopKAllReduceInto on a tag-isolated
 // sub-communicator, concurrently with the other buckets. Install a
 // StreamGradFn on the trainer to also overlap with the backward pass.
 func NewBucketedAggregator(comm *Comm, bounds []int, density float64) (*BucketedAggregator, error) {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"testing"
 
+	"gtopkssgd/internal/collective"
+	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/sparse"
+	"gtopkssgd/internal/transport"
 )
 
 // TestPublicAPIEndToEnd exercises the whole public surface the way the
@@ -62,32 +65,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicCollectives(t *testing.T) {
 	const p, dim, k = 4, 100, 5
-	fabric, err := NewInProcFabric(p)
+	fabric, err := transport.NewInProc(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fabric.Close()
 
-	locals := make([]*Vector, p)
+	locals := make([]*sparse.Vector, p)
 	for r := range locals {
 		src := prng.New(uint64(r + 10))
 		g := make([]float32, dim)
 		for i := range g {
 			g[i] = float32(src.NormFloat64())
 		}
-		locals[r] = TopKSelect(g, k)
+		locals[r] = sparse.TopK(g, k)
 	}
 
 	type result struct {
-		vec *Vector
+		vec *sparse.Vector
 		err error
 	}
 	results := make([]result, p)
 	done := make(chan int, p)
 	for r := 0; r < p; r++ {
 		go func(rank int) {
-			comm := NewComm(fabric.Conn(rank))
-			v, err := GTopKAllReduce(context.Background(), comm, locals[rank].Clone(), k)
+			v := &sparse.Vector{}
+			err := core.GTopKAllReduceInto(context.Background(), collective.New(fabric.Conn(rank)), locals[rank].Clone(), k, core.ChunksFor(k), v)
 			results[rank] = result{v, err}
 			done <- rank
 		}(r)
@@ -106,8 +109,8 @@ func TestPublicCollectives(t *testing.T) {
 }
 
 func TestPublicMergeAndSelect(t *testing.T) {
-	a := TopKSelect([]float32{5, 0, -3, 1}, 2)
-	bv := TopKSelect([]float32{0, 4, -3, 0}, 2)
+	a := sparse.TopK([]float32{5, 0, -3, 1}, 2)
+	bv := sparse.TopK([]float32{0, 4, -3, 0}, 2)
 	m, err := sparse.Merge(a, bv, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +129,12 @@ func TestPublicNetModel(t *testing.T) {
 }
 
 func TestPublicAggregatorConstructorsValidate(t *testing.T) {
-	fabric, err := NewInProcFabric(1)
+	fabric, err := transport.NewInProc(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fabric.Close()
-	comm := NewComm(fabric.Conn(0))
+	comm := collective.New(fabric.Conn(0))
 	if _, err := NewGTopKAggregator(comm, 10, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -150,12 +153,12 @@ func TestPublicAggregatorConstructorsValidate(t *testing.T) {
 }
 
 func TestPublicSparsifier(t *testing.T) {
-	fabric, err := NewInProcFabric(1)
+	fabric, err := transport.NewInProc(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fabric.Close()
-	agg, err := NewGTopKAggregator(NewComm(fabric.Conn(0)), 4, 1)
+	agg, err := NewGTopKAggregator(collective.New(fabric.Conn(0)), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/sparse"
 )
 
@@ -46,11 +44,8 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	}
 	acc := sparse.GetAccumulator(local.Dim)
 	defer acc.Release()
-	var scratch *sparse.Vector
-	if codec != sparse.CodecV1 {
-		scratch = sparse.GetVector()
-		defer sparse.PutVector(scratch)
-	}
+	scratch := sparse.GetVector() // v1 frames decode as views, unused
+	defer sparse.PutVector(scratch)
 	for rank, blob := range blobs {
 		// Every rank — including this one — folds in the DECODED frame,
 		// so under a lossy codec all replicas still sum identical bits.
@@ -97,7 +92,7 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *spar
 	return sparse.TopKSparse(sum, k), nil
 }
 
-// DefaultChunks is the payload chunk count GTopKAllReduce uses for large
+// DefaultChunks is the payload chunk count the gTop-k tree uses for large
 // payloads: each tree round's k-entry message is split into up to this
 // many frames so the receiver merges chunk i−1 while chunk i is still on
 // the wire. Chunking never changes the result bits (the merge order
@@ -115,36 +110,32 @@ const minChunkEntries = 256
 // least minChunkEntries entries (small payloads stay monolithic). k is
 // a shared parameter of the collective, so every rank derives the same
 // count — which chunked sends and receives require.
-func ChunksFor(k int) int {
-	c := k / minChunkEntries
-	if c < 1 {
-		return 1
-	}
-	if c > DefaultChunks {
-		return DefaultChunks
-	}
-	return c
-}
+func ChunksFor(k int) int { return min(max(k/minChunkEntries, 1), DefaultChunks) }
 
-// GTopKAllReduce is the paper's Algorithm 3: an efficient global top-k
-// aggregation in 2·ceil(log2(P))−1 communication rounds. It wraps
-// GTopKAllReduceInto with ChunksFor(k) and a fresh result vector.
+// GTopKAllReduceInto is the paper's Algorithm 3, an efficient global
+// top-k aggregation in 2·⌈log₂P⌉−1 communication rounds, written into
+// out (capacity reused across calls, so an aggregator that keeps one
+// result vector per communicator reaches a zero-allocation steady
+// state). Its schedule is ⌈log₂P⌉ radix-2 levels over comm, run by the
+// one gTop-k executor (runLevels):
 //
-// Phase 1 (tree reduction): ceil(log2(P)) rounds. In round j, every
-// rank whose index has j+1 low zero bits receives its partner's sparse
-// vector and merges it with the ⊕ operator of Definition 1 (top-k of
-// the sum); the partner goes idle. The last round is a swap: rank 0 and
-// rank h = 2^(ceil(log2(P))−1) send each other their partials and both
-// run the same merge (float addition commutes bitwise and top-k ties
-// break by index), so both hold G̃ = G̃¹ ⊕ G̃² ⊕ … ⊕ G̃ᴾ.
+// Up: in round j, every rank whose index has j+1 low zero bits receives
+// its partner's sparse vector and merges it with the ⊕ operator of
+// Definition 1 (top-k of the sum); the partner goes idle. The last round
+// is a swap: rank 0 and rank h = 2^(⌈log₂P⌉−1) send each other their
+// partials and both run the same merge (float addition commutes bitwise
+// and top-k ties break by index), so both hold G̃ = G̃¹ ⊕ G̃² ⊕ … ⊕ G̃ᴾ.
 //
-// Phase 2 (broadcast): ranks 0 and h broadcast G̃ down binomial trees
-// (the "flat-tree" of the paper) over their halves of the world,
-// ceil(log2(P))−1 more rounds.
+// Down: ranks 0 and h hand G̃ back down the binomial trees over their
+// halves of the world (the "flat-tree" of the paper), ⌈log₂P⌉−1 more
+// rounds: in each, a rank that holds G̃ sends it to the partner it
+// absorbed in that round on the way up.
 //
-// The returned vector holds the k largest-magnitude entries of the
-// element-wise sum as selected greedily by the tree (identical on every
-// rank); its Indices serve as the paper's gMask.
+// Every rank returns the same k largest-magnitude entries of the
+// element-wise sum as selected greedily by the tree; their Indices serve
+// as the paper's gMask. Each hop's payload travels as `chunks` frames
+// (values < 1 behave as 1); every rank must pass the same chunks, and
+// the result bits are independent of it.
 //
 // The paper assumes power-of-two P (Section III); this implementation
 // generalises the binomial tree to any P ≥ 1 — a receiver whose partner
@@ -154,181 +145,258 @@ func ChunksFor(k int) int {
 // resulting bits, are the paper's.
 //
 // Communication cost: 2(P−1) messages of at most k entries over
-// 2·ceil(log2(P))−1 sequential rounds — (2·log(P)−1)·α +
-// (4k·log(P)−2k)·β, one α + 2kβ below the paper's Eq. 7
-// (netsim.Model.GTopKAllReduce prices the unswapped tree).
-func GTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
-	out := &sparse.Vector{}
-	if err := GTopKAllReduceInto(ctx, comm, local, k, ChunksFor(k), out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// 2·⌈log₂P⌉−1 sequential rounds — (2·log(P)−1)·α + (4k·log(P)−2k)·β,
+// one α + 2kβ below the paper's Eq. 7 (netsim.Model.GTopKAllReduce
+// prices the unswapped tree, netsim.Model.GTopKTree this one).
+func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
+	var buf [32]level
+	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size(), chunks), local, k, out)
 }
 
-// GTopKAllReduceInto is GTopKAllReduce's allocation-free core: the global
-// top-k lands in out (capacity reused across iterations — aggregators
-// keep one result vector per communicator and reach steady states with
-// zero allocations in the whole tree phase), and each round's payload is
-// split into the given number of chunk frames (values < 1 behave as 1).
-// Every rank must pass the same chunks value; the result bits are
-// independent of it.
-//
-// The hot path never materialises a received vector: frames are merged
-// through sparse.DecodeView straight from the wire buffer, the merge
-// ping-pongs between pooled scratch vectors, and dead frames return to
-// the shared buffer pool.
-func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
-	chunks = max(chunks, 1)
-	p, r := comm.Size(), comm.Rank()
-	rounds := netsim.CeilLog2(p)
-	// Pooled scratch: cur ping-pongs across rounds; sum holds one round's
-	// union merge; peer reassembles a partner's chunk frames in
-	// multi-chunk rounds. cur starts as a read-only view of the caller's
-	// local vector.
-	curBuf := [2]*sparse.Vector{sparse.GetVector(), sparse.GetVector()}
-	sum, peer := sparse.GetVector(), sparse.GetVector()
-	defer func() {
-		sparse.PutVector(curBuf[0])
-		sparse.PutVector(curBuf[1])
-		sparse.PutVector(sum)
-		sparse.PutVector(peer)
-	}()
-	cur := local
-	ci := 0
+// level is one stage of a gTop-k schedule. On its communicator the
+// ranks at multiples of stride take part, in blocks of radix of them
+// whose first rank is the block root. On the way up each other member
+// of a block hands its partial to the root, which folds the block in
+// position order; on the way down the root hands the result to each
+// member. A hop moves frames frames. A rank outside the level — comm
+// nil, a non-leader at the hierarchy's leader levels — charges each of
+// its rounds among size ranks on the parent communicator instead.
+type level struct {
+	comm                        *collective.Comm
+	size, stride, radix, frames int
+}
 
-	// The negotiated codec shapes both the frames and the α-β byte
-	// accounting: v1 charges the paper's modelled 2k elements per round
-	// (bit-for-bit the pre-codec behaviour), compressed codecs charge the
-	// bytes their frames actually moved.
-	codec := comm.WireCodec()
-	var peerScratch *sparse.Vector
-	if codec != sparse.CodecV1 {
-		peerScratch = sparse.GetVector()
-		defer sparse.PutVector(peerScratch)
+// treeLevels appends the binomial tree over a size-rank world to
+// levels: ⌈log₂size⌉ radix-2 levels on c, each hop in frames frames.
+func treeLevels(levels []level, c *collective.Comm, size, frames int) []level {
+	for stride := 1; stride < size; stride <<= 1 {
+		levels = append(levels, level{c, size, stride, 2, max(frames, 1)})
 	}
+	return levels
+}
 
-	base := comm.ClaimTags(rounds)
-	for j := 0; j < rounds; j++ {
-		stride, group := 1<<j, 1<<(j+1)
-		swapping := j == rounds-1
-		moved := 0
+// runLevels is the one gTop-k executor, for the flat tree and the
+// hierarchy alike: one loop walks the levels up and back down. Up,
+// members hand their partials to their block roots, which fold them
+// with binomialPositionFold; at the top level — radix 2 in both
+// schedules — the two sides swap partials and both fold. The top pins
+// the result once, and on the way down every level's roots hand it to
+// their members.
+//
+// The α-β clock: up, a root charges its members' 2k elements each, a
+// member its frame and an idle rank one 2k frame; down, a root charges
+// one payload per member, a member the payload it receives and a rank
+// not yet holding the result the latency alone. v1 charges those
+// modelled counts, compressed codecs the bytes actually moved
+// (wireElems), and a one-rank level charges nothing.
+func runLevels(ctx context.Context, parent *collective.Comm, levels []level, local *sparse.Vector, k int, out *sparse.Vector) error {
+	top := len(levels) - 1
+	if top < 0 {
+		sparse.CopyInto(out, local)
+		return nil
+	}
+	cur, owned := local, false // this rank's partial, pooled once it folded
+	// held is the result's frames as this rank last encoded or received
+	// them, on heldOn: a root relays copies of them on the same
+	// communicator and encodes the result afresh on another one.
+	fp := iovecPool.Get().(*[][]byte)
+	held, heldBytes := (*fp)[:0], 0
+	var heldOn *collective.Comm
+	defer func() { releaseFrames(fp, held) }()
+	var scale float32
+	var lev []int16
+	for step := 0; step < 2*top+1; step++ {
+		i, down := step, step > top
+		if down {
+			i = 2*top - step
+		}
+		lv := levels[i]
+		if lv.comm == nil {
+			parent.ChargeRoundAmong(lv.size, 2*k)
+			continue
+		}
+		c, codec := lv.comm, lv.comm.WireCodec()
+		tag, r := c.ClaimTags(1), c.Rank()
+		span := lv.stride * lv.radix
+		root := r - r%span
+		frames, moved := 1, 0
+		var err error
 		switch {
-		case r%group == 0 && r+stride < p, swapping && r == stride:
-			// Receiver — or one side of the swap, which first pins and
-			// ships its own partial exactly as a sender does, then merges
-			// the partner's: both sides sum the same two pinned vectors.
-			partner := r ^ stride
-			if swapping {
-				if _, err := sendSparseChunks(ctx, comm, codec, cur, partner, base+j, chunks); err != nil {
-					return fmt.Errorf("core: gtopk round %d send: %w", j, err)
-				}
-			}
-			// The partner streams its live vector as chunk frames. Since
-			// the vectored sender flushes all of a round's chunks together,
-			// chunk-granular folding would re-scan the running sum once per
-			// chunk for no overlap gain; instead the chunks — contiguous
-			// ascending entry spans — are reassembled into the peer vector
-			// with cheap appends and folded with ONE union merge plus one
-			// top-k re-selection. Every output index still receives exactly
-			// the same (running, peer) value pair, so the result stays
-			// bit-identical to per-chunk folding and to the unchunked merge.
-			for i := 0; i < chunks; i++ {
-				blob, err := comm.RecvTag(ctx, partner, base+j)
-				if err != nil {
-					return fmt.Errorf("core: gtopk round %d recv: %w", j, err)
-				}
-				moved += len(blob)
-				view, err := codec.DecodeFrame(blob, peerScratch)
-				if err != nil {
-					return fmt.Errorf("core: gtopk round %d payload: %w", j, err)
-				}
-				if chunks == 1 {
-					// Single-frame rounds merge straight off the wire view
-					// (v1) or decode scratch — no reassembly copy at all.
-					err = sparse.AddInto(sum, cur, &view)
-					sparse.PutBuffer(blob)
-					if err != nil {
-						return fmt.Errorf("core: gtopk round %d merge: %w", j, err)
-					}
-					break
-				}
-				if i == 0 {
-					peer.Indices, peer.Values = peer.Indices[:0], peer.Values[:0]
-				}
-				sparse.AppendEntries(peer, &view)
-				// The frame is dead once copied (tree receivers never
-				// forward it); back to the pool it goes.
-				sparse.PutBuffer(blob)
-			}
-			if chunks > 1 {
-				if err := sparse.AddInto(sum, cur, peer); err != nil {
-					return fmt.Errorf("core: gtopk round %d merge: %w", j, err)
-				}
-			}
-			sparse.TopKSparseInto(curBuf[ci], sum, k)
-			cur, ci = curBuf[ci], ci^1
-		case r%group == stride:
-			// Sender: stream the live vector to r-stride in chunk frames,
-			// then go idle. Frames come from the shared pool and are
-			// recycled by the fabric or the receiving merge loop.
-			var err error
-			if moved, err = sendSparseChunks(ctx, comm, codec, cur, r-stride, base+j, chunks); err != nil {
-				return fmt.Errorf("core: gtopk round %d send: %w", j, err)
+		case !down && (cur == nil || r == root && r+lv.stride >= lv.size):
+			// Idle: handed up already, or a root with no member here.
+		case !down && r != root && i < top:
+			moved, err = sendSparseChunks(ctx, c, codec, cur, root, tag, lv.frames)
+			if owned {
+				sparse.PutVector(cur)
 			}
 			cur = nil
+		case !down:
+			if i == top {
+				// Each side ships its partial to the other exactly as a
+				// member does (pinned in place), so both fold the same
+				// two vectors.
+				_, err = sendSparseChunks(ctx, c, codec, cur, 2*root+lv.stride-r, tag, lv.frames)
+			}
+			if err == nil {
+				cur, frames, moved, err = foldBlock(ctx, c, codec, lv, tag, cur, owned, k)
+				owned = true
+			}
+		case r%lv.stride != 0:
+			frames = 0 // not holding the result yet
+		case r != root:
+			// A rank receives the result once, holding nothing before.
+			moved, err = recvFrames(ctx, c, codec, root, tag, lv.frames, out, &held)
+			heldOn, heldBytes = c, moved
+		default:
+			frames = 0
+			for dst := r + lv.stride; dst < min(r+span, lv.size) && err == nil; dst += lv.stride {
+				if heldOn != c {
+					enc := codec
+					if c != levels[top].comm && enc.Value().Quantized() {
+						// The top pinned the result to its quantizer's
+						// lattice; re-quantizing would redraw it, so
+						// another communicator ships it in lossless v3
+						// frames (v3 frames are self-describing).
+						enc = sparse.CodecV3
+					}
+					clearFrames(held)
+					held, heldBytes = encodeFrames(c, enc, out, lv.frames, scale, lev, held[:0])
+					heldOn = c
+				}
+				err = sendCopies(ctx, c, dst, tag, held)
+				frames++
+			}
+			moved = frames * heldBytes
 		}
-		// Every rank pays the synchronous round cost. Under v1 that is
-		// the paper's modelled bound — one message of at most 2k elements
-		// (k values + k indices) per pair; under compressed codecs
-		// participants pay the bytes they actually moved (a swap side, the
-		// bytes it received) and idle ranks pay the latency term alone.
-		comm.ChargeRound(wireElems(codec, 2*k, moved))
+		if err != nil {
+			return fmt.Errorf("core: gtopk level %d: %w", i, err)
+		}
+		if step == top && cur != nil {
+			// The top pins the result with the compressor's Shared stream,
+			// keyed by the tag its way down starts at, so both sides keep
+			// the same bits and every other rank decodes those off the wire.
+			if codec.Lossy() {
+				scale, lev = c.Compressor().Shared(uint64(c.ClaimTags(0))).Transform(cur.Values)
+			}
+			sparse.CopyInto(out, cur)
+			sparse.PutVector(cur)
+		}
+		if lv.size > 1 {
+			payload := 2 * k
+			if down {
+				payload = sparse.EncodedSize(out.NNZ()) / 4
+			}
+			c.ChargeRound(wireElems(codec, frames*payload, moved))
+		}
 	}
-
-	// Phase 2: broadcast the global top-k from both swap sides (Algorithm
-	// 3 line 19), chunk-pipelined down the binomial trees below them: a
-	// rank forwards chunk i to its subtree before receiving chunk i+1, so
-	// the levels of the tree work on consecutive chunks concurrently.
-	return bcastSparseChunks(ctx, comm, codec, cur, chunks, max(rounds-1, 0), out)
+	return nil
 }
 
-// sendSparseChunks streams v to dst as `chunks` wire frames under one
-// tag (FIFO order per (src,dst,tag) keeps them in sequence), encoded
-// with the mesh codec, and returns the bytes put on the wire. Chunks are
-// contiguous spans of the entry list, so each is itself a valid sparse
-// encoding and their concatenation reproduces v exactly.
-func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag, chunks int) (int, error) {
-	// Lossy hops transform the whole hop vector once (in place — the
-	// sender's retained copy must equal what the receiver decodes); every
-	// chunk frame then shares the hop's scale with its own level span.
-	scale, levels := transformForWire(comm, codec, v.Values)
-	nnz := v.NNZ()
-	if chunks <= 1 {
-		buf := encodeSparseChunk(codec, v, 0, nnz, scale, levels)
-		comm.TallyWire(sparse.EncodedSize(nnz), len(buf))
-		if err := comm.SendTagPooled(ctx, dst, tag, buf); err != nil {
-			return len(buf), err
+// foldBlock receives the partial of every other rank in this rank's
+// block at lv and folds them with its own partial cur, in position
+// order, by the tree's binomial schedule. It returns the pooled fold,
+// the number of partials received and their bytes; an owned cur is
+// consumed.
+func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv level, tag int, cur *sparse.Vector, owned bool, k int) (*sparse.Vector, int, int, error) {
+	fs := foldPool.Get().(*foldScratch)
+	defer fs.release()
+	r, span := c.Rank(), lv.stride*lv.radix
+	root := r - r%span
+	moved := 0
+	for src := root; src < min(root+span, lv.size); src += lv.stride {
+		if src == r {
+			if !owned {
+				own := sparse.GetVector()
+				sparse.CopyInto(own, cur)
+				cur = own
+			}
+			fs.vecs = append(fs.vecs, cur)
+			continue
 		}
-		return len(buf), nil
+		v := sparse.GetVector()
+		fs.vecs = append(fs.vecs, v)
+		n, err := recvFrames(ctx, c, codec, src, tag, lv.frames, v, nil)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		moved += n
 	}
-	// Multi-chunk rounds assemble every frame into a pooled iovec and ship
-	// the batch with ONE vectored send: on TCP the whole round coalesces
-	// into a single flush (one syscall instead of one per chunk) while the
-	// frames stay individually addressed, so the receive side still
-	// decodes and merges chunk-granularly as each frame surfaces.
-	sent := 0
+	got := len(fs.vecs) - 1
+	res, err := binomialPositionFold(fs.vecs, k)
+	return res, got, moved, err
+}
+
+// recvFrames receives n frames from src under tag and rebuilds dst from
+// their entries, returning the bytes received. keep, if non-nil,
+// collects the frames for relaying; otherwise each is recycled once
+// decoded.
+func recvFrames(ctx context.Context, c *collective.Comm, codec sparse.Codec, src, tag, n int, dst *sparse.Vector, keep *[][]byte) (int, error) {
+	scratch := sparse.GetVector()
+	defer sparse.PutVector(scratch)
+	dst.Indices, dst.Values = dst.Indices[:0], dst.Values[:0]
+	moved := 0
+	for i := 0; i < n; i++ {
+		blob, err := c.RecvTag(ctx, src, tag)
+		if err != nil {
+			return moved, fmt.Errorf("recv from %d: %w", src, err)
+		}
+		moved += len(blob)
+		v, err := codec.DecodeFrame(blob, scratch)
+		if err != nil {
+			sparse.PutBuffer(blob)
+			return moved, fmt.Errorf("payload from %d: %w", src, err)
+		}
+		sparse.AppendEntries(dst, &v)
+		if keep != nil {
+			*keep = append(*keep, blob)
+		} else {
+			sparse.PutBuffer(blob)
+		}
+	}
+	if n > 1 {
+		// Each frame decoded valid; their concatenation must be too.
+		return moved, dst.Validate()
+	}
+	return moved, nil
+}
+
+// sendSparseChunks pins v to the codec's wire precision in place — a
+// sender keeps exactly the bits its receiver decodes — and streams it to
+// dst as `chunks` frames under one tag (FIFO order per (src,dst,tag)
+// keeps them in sequence), returning the bytes put on the wire.
+func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag, chunks int) (int, error) {
+	scale, levels := transformForWire(comm, codec, v.Values)
 	fp := iovecPool.Get().(*[][]byte)
-	frames := (*fp)[:0]
-	for i := 0; i < chunks; i++ {
-		lo, hi := i*nnz/chunks, (i+1)*nnz/chunks
-		buf := encodeSparseChunk(codec, v, lo, hi, scale, levels)
-		sent += len(buf)
-		comm.TallyWire(sparse.EncodedSize(hi-lo), len(buf))
-		frames = append(frames, buf)
-	}
-	err := comm.SendTagVecPooled(ctx, dst, tag, frames)
+	frames, sent := encodeFrames(comm, codec, v, chunks, scale, levels, (*fp)[:0])
+	err := sendFrames(ctx, comm, dst, tag, frames)
 	releaseIovec(fp, frames)
 	return sent, err
+}
+
+// encodeFrames appends v to frames as n chunk frames under codec —
+// contiguous spans of the entry list, so each is itself a valid sparse
+// encoding and their concatenation reproduces v exactly — tallying each
+// on comm, and returns the frames and their bytes. Quantized codecs
+// share the hop's scale, each chunk carrying its span of the levels.
+func encodeFrames(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, n int, scale float32, levels []int16, frames [][]byte) ([][]byte, int) {
+	nnz, bytes := v.NNZ(), 0
+	for i := 0; i < n; i++ {
+		lo, hi := i*nnz/n, (i+1)*nnz/n
+		buf := encodeSparseChunk(codec, v, lo, hi, scale, levels)
+		comm.TallyWire(sparse.EncodedSize(hi-lo), len(buf))
+		frames, bytes = append(frames, buf), bytes+len(buf)
+	}
+	return frames, bytes
+}
+
+// sendFrames ships frames, which the caller relinquishes, to dst under
+// tag: one frame as a pooled send, several as one vectored send — on
+// TCP a single flush while each frame stays individually addressed.
+func sendFrames(ctx context.Context, comm *collective.Comm, dst, tag int, frames [][]byte) error {
+	if len(frames) == 1 {
+		return comm.SendTagPooled(ctx, dst, tag, frames[0])
+	}
+	return comm.SendTagVecPooled(ctx, dst, tag, frames)
 }
 
 // encodeSparseChunk encodes entries [lo,hi) of v under codec; quantized
@@ -339,132 +407,6 @@ func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale f
 		return sparse.EncodeSlicesV3(codec, v.Dim, v.Indices[lo:hi], v.Values[lo:hi], scale, levels[lo:hi])
 	}
 	return sparse.EncodeSlicesCodec(codec, v.Dim, v.Indices[lo:hi], v.Values[lo:hi])
-}
-
-// bcastSparseChunks distributes the roots' cur to every rank's out along
-// binomial trees `rounds` deep, in chunk-pipelined frames encoded with
-// the mesh codec. The roots are the ranks whose low `rounds` bits are
-// zero — ranks 0 and 2^rounds after the tree's swap, rank 0 alone in a
-// one-rank world — and each holds the same cur. Simulated-time accounting
-// matches the unchunked flat-tree broadcast: every rank charges `rounds`
-// rounds, paying the full payload — modelled flat bytes under v1, actual
-// bytes under compressed codecs — from the round it first holds data
-// (chunking is transparent to the α-β model; it reduces wall time by
-// overlap, not modelled volume).
-//
-// Under a lossy codec every root first pins its values with the
-// compressor's Shared stream for this broadcast, so the roots keep the
-// same bits, and those are the bits every other rank decodes off the
-// wire — the broadcast stays replica-exact.
-//
-// Every frame has one owner on every fabric: a root sends its last
-// child the frames it encoded and every other child a pooled copy, a
-// relay forwards pooled copies, and each receiver recycles its frames
-// once decoded.
-func bcastSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, cur *sparse.Vector, chunks, rounds int, out *sparse.Vector) error {
-	p, r := comm.Size(), comm.Rank()
-	base := comm.ClaimTags(rounds)
-	pos := r & (1<<rounds - 1) // position in this rank's root's tree
-
-	recvRound := 0 // the round in which this rank first holds data
-	wireBytes := 0 // actual encoded payload volume (one payload's worth)
-	if pos == 0 {
-		var scale float32
-		var levels []int16
-		if p > 1 && codec.Lossy() {
-			// cur is pooled scratch owned by this collective (with p > 1 a
-			// root always merged in the tree), so the in-place pinning
-			// never touches the caller's input.
-			scale, levels = comm.Compressor().Shared(uint64(base)).Transform(cur.Values)
-		}
-		sparse.CopyInto(out, cur)
-		if rounds > 0 && r+1 < p {
-			// Encode the whole payload's chunk frames up front, then ship
-			// the complete list to each child with one vectored send —
-			// child-major order: one flush per child instead of one per
-			// (chunk, child) pair. Each frame is tallied once at encode
-			// time (a compression event), not per child transmission —
-			// the tally measures codec efficiency; Stats.BytesSent tracks
-			// actual transmission volume. Per-(src,dst,tag) FIFO keeps the
-			// chunks in sequence at every child, so relays still overlap
-			// forwarding chunk i with receiving chunk i+1.
-			nnz := cur.NNZ()
-			fp := iovecPool.Get().(*[][]byte)
-			frames := (*fp)[:0]
-			for i := 0; i < chunks; i++ {
-				lo, hi := i*nnz/chunks, (i+1)*nnz/chunks
-				buf := encodeSparseChunk(codec, cur, lo, hi, scale, levels)
-				wireBytes += len(buf)
-				comm.TallyWire(sparse.EncodedSize(hi-lo), len(buf))
-				frames = append(frames, buf)
-			}
-			var err error
-			for j := 0; j < rounds && r+1<<j < p && err == nil; j++ {
-				if j+1 == rounds || r+2<<j >= p {
-					err = comm.SendTagVecPooled(ctx, r+1<<j, base+j, frames)
-				} else {
-					err = sendCopies(ctx, comm, r+1<<j, base+j, frames)
-				}
-			}
-			releaseIovec(fp, frames)
-			if err != nil {
-				return fmt.Errorf("core: gtopk bcast send: %w", err)
-			}
-		}
-	} else {
-		recvRound = bits.Len(uint(pos)) - 1 // 2^recvRound <= pos < 2^(recvRound+1)
-		parent := r - 1<<recvRound
-		// out is rebuilt from the incoming chunk frames; every frame
-		// carries dim, and chunks >= 1, so out.Dim is always set below.
-		out.Indices = out.Indices[:0]
-		out.Values = out.Values[:0]
-		var chunkScratch *sparse.Vector
-		if codec != sparse.CodecV1 {
-			chunkScratch = sparse.GetVector()
-			defer sparse.PutVector(chunkScratch)
-		}
-		for i := 0; i < chunks; i++ {
-			blob, err := comm.RecvTag(ctx, parent, base+recvRound)
-			if err != nil {
-				return fmt.Errorf("core: gtopk bcast recv: %w", err)
-			}
-			wireBytes += len(blob)
-			// Forward down the subtree before consuming: the next level
-			// starts relaying chunk i while chunk i+1 is still inbound.
-			// Frames relay as raw bytes — every rank decodes the exact
-			// same payload regardless of codec, and a relay is not a new
-			// codec event, so nothing is tallied here (Stats.BytesSent
-			// still counts the transmission).
-			for j := recvRound + 1; j < rounds && r+1<<j < p; j++ {
-				if err := comm.SendTagPooled(ctx, r+1<<j, base+j, pooledCopy(blob)); err != nil {
-					return fmt.Errorf("core: gtopk bcast forward: %w", err)
-				}
-			}
-			v, err := codec.DecodeFrame(blob, chunkScratch)
-			if err != nil {
-				return fmt.Errorf("core: gtopk bcast payload: %w", err)
-			}
-			sparse.AppendEntries(out, &v)
-			sparse.PutBuffer(blob)
-		}
-		if err := out.Validate(); err != nil {
-			return fmt.Errorf("core: gtopk bcast result: %w", err)
-		}
-	}
-
-	// α-β accounting, mirroring the flat-tree broadcast exactly (one
-	// monolithic payload per round — chunk framing is an implementation
-	// detail the model does not see): rounds before a rank holds data
-	// cost it nothing but the synchronisation point. v1 charges the
-	// modelled flat payload; compressed codecs charge the measured payload.
-	elems := wireElems(codec, sparse.EncodedSize(out.NNZ())/4, wireBytes)
-	for j := 0; j < recvRound; j++ {
-		comm.ChargeRound(0)
-	}
-	for j := recvRound; j < rounds; j++ {
-		comm.ChargeRound(elems)
-	}
-	return nil
 }
 
 // wireElems is the element count a leg charges on the α-β clock: the
@@ -478,15 +420,15 @@ func wireElems(codec sparse.Codec, modelled, moved int) int {
 	return (moved + 3) / 4
 }
 
-// sendCopies sends dst a pooled copy of every frame under one tag, for a
-// sender that still needs the frames afterwards.
+// sendCopies sends dst a pooled copy of every frame under one tag, for
+// a sender that still needs the frames afterwards.
 func sendCopies(ctx context.Context, comm *collective.Comm, dst, tag int, frames [][]byte) error {
 	fp := iovecPool.Get().(*[][]byte)
 	copies := (*fp)[:0]
 	for _, f := range frames {
 		copies = append(copies, pooledCopy(f))
 	}
-	err := comm.SendTagVecPooled(ctx, dst, tag, copies)
+	err := sendFrames(ctx, comm, dst, tag, copies)
 	releaseIovec(fp, copies)
 	return err
 }
@@ -506,4 +448,18 @@ func releaseIovec(fp *[][]byte, frames [][]byte) {
 	}
 	*fp = frames[:0]
 	iovecPool.Put(fp)
+}
+
+// clearFrames recycles every frame in frames and nils its slot.
+func clearFrames(frames [][]byte) {
+	for i, f := range frames {
+		sparse.PutBuffer(f)
+		frames[i] = nil
+	}
+}
+
+// releaseFrames recycles every frame and then the iovec holding them.
+func releaseFrames(fp *[][]byte, frames [][]byte) {
+	clearFrames(frames)
+	releaseIovec(fp, frames)
 }

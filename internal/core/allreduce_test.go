@@ -41,6 +41,16 @@ func spmd(t *testing.T, p int, body func(c *collective.Comm) error) {
 	}
 }
 
+// gtopk runs GTopKAllReduceInto with the default chunking into a fresh
+// result vector.
+func gtopk(ctx context.Context, c *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
+	out := &sparse.Vector{}
+	if err := GTopKAllReduceInto(ctx, c, local, k, ChunksFor(k), out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // makeWorkerVectors builds deterministic per-rank sparse top-k vectors
 // from per-rank dense gradients, returning both.
 func makeWorkerVectors(seed uint64, p, dim, k int) ([][]float32, []*sparse.Vector) {
@@ -89,7 +99,7 @@ func TestGTopKAllReduceBasicInvariants(t *testing.T) {
 			results := make([]*sparse.Vector, p)
 			var mu sync.Mutex
 			spmd(t, p, func(c *collective.Comm) error {
-				got, err := GTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
+				got, err := gtopk(context.Background(), c, vecs[c.Rank()].Clone(), k)
 				if err != nil {
 					return err
 				}
@@ -133,7 +143,7 @@ func TestGTopKAllReduceTwoWorkersEqualsNaive(t *testing.T) {
 	want := sparse.TopKSparse(sum, k)
 
 	spmd(t, 2, func(c *collective.Comm) error {
-		got, err := GTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
+		got, err := gtopk(context.Background(), c, vecs[c.Rank()].Clone(), k)
 		if err != nil {
 			return err
 		}
@@ -168,7 +178,7 @@ func TestGTopKAllReduceIdenticalSupports(t *testing.T) {
 	}
 	want := sparse.TopK(sumDense, k)
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := GTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
+		got, err := gtopk(context.Background(), c, vecs[c.Rank()].Clone(), k)
 		if err != nil {
 			return err
 		}
@@ -188,7 +198,7 @@ func TestGTopKAllReduceIdenticalSupports(t *testing.T) {
 }
 
 // serialTreeMerge folds worker vectors with the exact binomial schedule
-// GTopKAllReduce uses, serving as the single-threaded reference for
+// GTopKAllReduceInto uses, serving as the single-threaded reference for
 // non-power-of-two worlds.
 func serialTreeMerge(t *testing.T, vecs []*sparse.Vector, k int) *sparse.Vector {
 	t.Helper()
@@ -218,7 +228,7 @@ func TestGTopKAllReduceNonPow2Worlds(t *testing.T) {
 		_, vecs := makeWorkerVectors(uint64(40+p), p, dim, k)
 		want := serialTreeMerge(t, vecs, k)
 		spmd(t, p, func(c *collective.Comm) error {
-			got, err := GTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
+			got, err := gtopk(context.Background(), c, vecs[c.Rank()].Clone(), k)
 			if err != nil {
 				return err
 			}
@@ -293,7 +303,7 @@ func TestGTopKCommunicationCostMatchesEq7(t *testing.T) {
 			defer wg.Done()
 			var clock netsim.Clock
 			c := collective.New(f.Conn(rank)).WithClock(&clock, model)
-			_, err := GTopKAllReduce(context.Background(), c, vecs[rank].Clone(), k)
+			_, err := gtopk(context.Background(), c, vecs[rank].Clone(), k)
 			errs[rank] = err
 			times[rank] = clock.Now()
 		}(r)
@@ -332,7 +342,7 @@ func TestQuickGTopKAgreement(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				got, err := GTopKAllReduce(context.Background(), collective.New(fab.Conn(rank)), vecs[rank].Clone(), k)
+				got, err := gtopk(context.Background(), collective.New(fab.Conn(rank)), vecs[rank].Clone(), k)
 				if err != nil {
 					errsCh <- err
 					return

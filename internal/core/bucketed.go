@@ -78,7 +78,7 @@ type bucketDone struct {
 
 // BucketedAggregator runs gTop-k S-SGD per layer-aligned bucket with
 // overlapped communication: bucket b selects k_b = max(1, ρ·m_b) of its
-// m_b gradients and aggregates them with GTopKAllReduce concurrently with
+// m_b gradients and aggregates them with GTopKAllReduceInto concurrently with
 // the other buckets (and, through the BucketStreamer interface, with the
 // backward pass still producing earlier buckets).
 //

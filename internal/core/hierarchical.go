@@ -5,23 +5,24 @@ import (
 	"fmt"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/netsim"
 	"gtopkssgd/internal/sparse"
 )
 
 // This file implements the two-level hierarchical gTop-k collective for
 // large worlds. Ranks are partitioned into contiguous groups of G, and
-// the first rank of each group is its leader. One step runs three
-// phases: every member ships its local top-k to its leader as one frame
-// and the leader folds the group's frames; the leaders run the full
-// gTop-k tree over the G-fold smaller leader world; every leader sends
-// the merged global top-k to each of its members as one frame. The
-// leader folds its group with the binomial position schedule of the
-// tree (foldQuorumFrames), so it computes the tree's exact ⊕ sequence,
-// and the leader phase is the pinned flat tree: the result inherits the
-// tree's determinism. Replicas are bitwise-consistent on every fabric,
-// and the bits depend only on (P, G, k), never on goroutine or leader
-// arrival order.
+// the first rank of each group is its leader. The hierarchy is not a
+// second collective: it is a second list of levels for the one gTop-k
+// executor (runLevels in allreduce.go), which the flat tree runs too.
+// The first level is the group, one radix-G block per group rooted at
+// its leader: each member hands its local top-k to the leader as one
+// frame, and the leader folds the group with the tree's binomial
+// position schedule (binomialPositionFold), so it computes the tree's
+// exact ⊕ sequence. The leaders' binomial tree follows, its top level
+// the pinned swap. On the way back down the leaders hand the global
+// result down their tree and then send each member one frame of it. The
+// result inherits the tree's determinism: replicas are bitwise-
+// consistent on every fabric, and the bits depend only on (P, G, k),
+// never on goroutine or leader arrival order.
 //
 // Cost shape (netsim.Model.HierGTopK): one gather round, the leaders'
 // 2⌈log₂⌈P/G⌉⌉−1 rounds and one fan-out round — at power-of-two sizes
@@ -84,122 +85,23 @@ func foldHierStats(parent *collective.Comm, gc *collective.GroupComms) {
 // GTopKAllReduceInto over comm, bit-identical to it. Statistics
 // accumulate on gc's sub-communicators; fold them into the parent with
 // foldHierStats-style AddStats calls, as the aggregators' round does.
-// chunks shapes the leader tree's frames only: each group leg moves one
-// frame per member.
 //
-// Otherwise comm is the parent communicator the groups were forked from;
-// it is used only for the non-leaders' simulated-time mirror of the
-// leader exchange (ChargeRoundAmong), never for wire traffic. Like all
+// Its schedule is the executor's second list of levels (runLevels): the
+// group level — radix G over gc.Members, one frame per member each way —
+// and then the leaders' binomial tree over gc.Leaders, whose hops move
+// `chunks` frames. A leader folds its own selection as a tree receiver
+// does, neither encoded nor pinned; under a quantized codec the group's
+// frames of the global result travel as lossless v3, since the leaders'
+// top already pinned it. On a non-leader the leader levels have no
+// communicator, and the rank charges their rounds on comm
+// (ChargeRoundAmong), which carries no wire traffic. Like all
 // collectives, every rank must call with the same group size and k.
 func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
 	if gc == nil {
 		return GTopKAllReduceInto(ctx, comm, local, k, chunks, out)
 	}
-	mcomm, n := gc.Members, gc.Members.Size()
-	codec := mcomm.WireCodec()
-	// The leader phase pins the global result to a quantizer's lattice,
-	// identical bits on every leader. Re-quantizing it in the fan-out
-	// would put each group's own draws on those values, so phase 3 ships
-	// the pinned values in lossless v3 frames instead (v3 frames are
-	// self-describing — the value codec rides in every frame — so
-	// receivers decode them without any extra negotiation).
-	bcodec := codec
-	if bcodec.Value().Quantized() {
-		bcodec = sparse.CodecV3
-	}
-	// Phase 1: every member, the leader included, pins and encodes its
-	// whole local selection as one frame for the group leader (member
-	// rank 0) — the quorum hierarchy's phase 1 at full quorum.
-	frame := memberFrame(mcomm, codec, local)
-	tag := mcomm.ClaimTags(2)
-	if mcomm.Rank() != 0 {
-		sent := len(frame)
-		if err := mcomm.SendTagPooled(ctx, 0, tag, frame); err != nil {
-			return fmt.Errorf("core: hierarchical gtopk group gather: %w", err)
-		}
-		mcomm.ChargeRound(wireElems(codec, 2*k, sent))
-		// Phase 2 (non-leaders): idle in wall time while the leaders
-		// exchange, but pay the same simulated rounds — the collective is
-		// synchronous, so every rank's clock advances through the leader
-		// phase. The modelled payload is the v1-flat 2k elements per round
-		// (k values + k indices), matching what the leaders charge under
-		// the v1 codec; under compressed codecs the leaders charge measured
-		// bytes and this mirror stays at the modelled bound.
-		for j := 0; j < 2*netsim.CeilLog2(gc.NumGroups)-1; j++ {
-			comm.ChargeRoundAmong(gc.NumGroups, 2*k)
-		}
-		// Phase 3 (non-leaders): the leader's frame of the global result.
-		blob, err := mcomm.RecvTag(ctx, 0, tag+1)
-		if err != nil {
-			return fmt.Errorf("core: hierarchical gtopk fan-out: %w", err)
-		}
-		if err := decodeInto(bcodec, blob, out); err != nil {
-			return fmt.Errorf("core: hierarchical gtopk fan-out: %w", err)
-		}
-		mcomm.ChargeRound(wireElems(bcodec, sparse.EncodedSize(out.NNZ())/4, len(blob)))
-		sparse.PutBuffer(blob)
-		return nil
-	}
-
-	// Phase 1 (leader): collect the members' frames in rank order and fold
-	// them with the tree's binomial schedule.
-	fs := foldPool.Get().(*foldScratch)
-	defer fs.release()
-	fs.blobs = append(fs.blobs, frame)
-	received := 0
-	for src := 1; src < n; src++ {
-		blob, err := mcomm.RecvTag(ctx, src, tag)
-		if err != nil {
-			return fmt.Errorf("core: hierarchical gtopk group gather: %w", err)
-		}
-		fs.blobs, received = append(fs.blobs, blob), received+len(blob)
-	}
-	groupRes, _, err := foldQuorumFrames(codec, fs.blobs, k, n, false)
-	if err != nil {
-		return fmt.Errorf("core: hierarchical gtopk group gather: %w", err)
-	}
-	// Phase 2 (leaders): gTop-k over the leader world merges the group
-	// aggregates into the global top-k, identical bits on every leader.
-	err = GTopKAllReduceInto(ctx, gc.Leaders, groupRes, k, chunks, out)
-	sparse.PutVector(groupRes)
-	if err != nil || n == 1 { // a ragged world's one-rank tail group has no group legs
-		return err
-	}
-	mcomm.ChargeRound(wireElems(codec, (n-1)*2*k, received))
-
-	// Phase 3 (leader): encode the global result once and send every
-	// member a copy. The leader tree's broadcast already pinned it to the
-	// leaders' wire precision with a shared stream, the same bits on every
-	// leader, and a frame of bcodec carries those bits exactly: fp16
-	// values are fp16 already, and lattice values ship as v3 floats.
-	bframe := encodeSparseChunk(bcodec, out, 0, out.NNZ(), 0, nil)
-	mcomm.TallyWire(sparse.EncodedSize(out.NNZ()), len(bframe))
-	err = fanOut(ctx, mcomm, tag+1, bframe)
-	mcomm.ChargeRound(wireElems(bcodec, (n-1)*sparse.EncodedSize(out.NNZ())/4, (n-1)*len(bframe)))
-	sparse.PutBuffer(bframe)
-	return err
-}
-
-// memberFrame pins local to the member codec's wire precision in place
-// and encodes it as one pooled frame: a member's whole contribution to
-// phase 1 of both hierarchies. The caller snapshots the original values
-// first when it must conserve their mass.
-func memberFrame(mcomm *collective.Comm, codec sparse.Codec, local *sparse.Vector) []byte {
-	scale, lev := transformForWire(mcomm, codec, local.Values)
-	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
-	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
-	return frame
-}
-
-// fanOut sends every rank of c but rank 0 — a group's members, or the
-// quorum root's fellow leaders — a pooled copy of frame under tag, in
-// one round: phase 3 of both hierarchies. The caller keeps frame; each
-// receiver may recycle its copy.
-func fanOut(ctx context.Context, c *collective.Comm, tag int, frame []byte) error {
-	for dst := 1; dst < c.Size(); dst++ {
-		if err := c.SendTagPooled(ctx, dst, tag, pooledCopy(frame)); err != nil {
-			return fmt.Errorf("core: fan-out to rank %d: %w", dst, err)
-		}
-	}
-	return nil
+	var buf [32]level
+	n := gc.Members.Size()
+	levels := append(buf[:0], level{gc.Members, n, 1, n, 1})
+	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups, chunks), local, k, out)
 }

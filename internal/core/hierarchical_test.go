@@ -101,7 +101,7 @@ func TestHierarchicalMatchesOracle(t *testing.T) {
 }
 
 // TestHierarchicalDegenerateGroupsMatchFlat: G >= P and G = 1 must be
-// bit-identical to the flat GTopKAllReduce.
+// bit-identical to the flat GTopKAllReduceInto.
 func TestHierarchicalDegenerateGroupsMatchFlat(t *testing.T) {
 	const p, dim, k = 8, 240, 12
 	_, vecs := makeWorkerVectors(41, p, dim, k)

@@ -47,16 +47,17 @@ import (
 // selected mass to its residual (the round's Refund path), which is
 // the conservation story that makes the miss convergence-safe.
 //
-// Phase 1 is the same code in both hierarchies: every member's frame
-// comes from memberFrame and the leader folds the group with
-// foldQuorumFrames; the leader's relay in phase 3 is fanOut in both.
-// HierarchicalGTopKAllReduceInto's group legs are these legs at q_g = G
-// without a deadline. The leader level folds with the binomial position
-// schedule the plain hierarchy's leader tree follows, so at q_g = G and
-// q_l = ⌈P/G⌉ every fold sees the exact ⊕ sequence of
+// The quorum round keeps legs of its own — a deadline-bounded gather of
+// memberFrame frames and a verdict relay (fanOut) — beside the one
+// gTop-k executor that HierarchicalGTopKAllReduceInto runs, and both
+// fold with binomialPositionFold: the quorum roots over participant
+// positions, the executor over each block's positions. So at q_g = G
+// and q_l = ⌈P/G⌉ every fold sees the exact ⊕ sequence of
 // HierarchicalGTopKAllReduceInto: full-quorum rounds are bit-identical
-// to it under lossless codecs on every fabric, and any partial round's
-// bits are a pure function of the straggler schedule.
+// to it under lossless codecs on every fabric (a lossy codec pins a
+// quorum leader's own frame, where the executor's group root folds its
+// selection as it is), and any partial round's bits are a pure function
+// of the straggler schedule.
 
 // HierQuorumGTopKAllReduceInto runs one quorum gTop-k round: over the
 // caller-owned GroupComms (ForkHier with group size g from comm), or flat
@@ -99,10 +100,11 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	}
 
 	// A hierarchy's verdict broadcast downgrades a quantized mesh codec to
-	// lossless v3 frames, mirroring the plain hierarchy's phase 3: the
-	// fold pins the global result once, and re-quantizing it per hop
-	// would break cross-group bit-agreement. The flat verdict has a single
-	// encoder — the root — and keeps the mesh codec.
+	// lossless v3 frames, as the plain hierarchy's group level does on
+	// its way down: the fold pins the global result once, and
+	// re-quantizing it per hop would break cross-group bit-agreement. The
+	// flat verdict has a single encoder — the root — and keeps the mesh
+	// codec.
 	bcodec := codec
 	if gc != nil && bcodec.Value().Quantized() {
 		bcodec = sparse.CodecV3
@@ -221,4 +223,27 @@ func recvVerdict(ctx context.Context, c *collective.Comm, src, tag int, bcodec s
 		return nil, nil, fmt.Errorf("core: quorum verdict: %w", err)
 	}
 	return blob, participants, nil
+}
+
+// memberFrame pins local to the member codec's wire precision in place
+// and encodes it as one pooled frame: a member's whole contribution to
+// phase 1. The caller snapshots the original values first when it must
+// conserve their mass.
+func memberFrame(mcomm *collective.Comm, codec sparse.Codec, local *sparse.Vector) []byte {
+	scale, lev := transformForWire(mcomm, codec, local.Values)
+	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
+	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
+	return frame
+}
+
+// fanOut sends every rank of c but rank 0 — a group's members, or the
+// root's fellow leaders — a pooled copy of frame under tag, in one
+// round. The caller keeps frame; each receiver may recycle its copy.
+func fanOut(ctx context.Context, c *collective.Comm, tag int, frame []byte) error {
+	for dst := 1; dst < c.Size(); dst++ {
+		if err := c.SendTagPooled(ctx, dst, tag, pooledCopy(frame)); err != nil {
+			return fmt.Errorf("core: fan-out to rank %d: %w", dst, err)
+		}
+	}
+	return nil
 }

@@ -264,12 +264,10 @@ func foldQuorumFrames(codec sparse.Codec, blobs [][]byte, k, p int, withSets boo
 	return res, sets, nil
 }
 
-// foldScratch is a fold's pooled working set, so a steady-state gather
-// and fold allocate nothing: the plain hierarchy's gathered frames and
-// the fold's decoded vectors.
+// foldScratch is a fold's pooled working set — the vectors it folds —
+// so a steady-state fold allocates nothing.
 type foldScratch struct {
-	blobs [][]byte
-	vecs  []*sparse.Vector
+	vecs []*sparse.Vector
 }
 
 var foldPool = sync.Pool{New: func() any { return new(foldScratch) }}
@@ -282,9 +280,8 @@ func (fs *foldScratch) release() {
 			sparse.PutVector(v)
 		}
 	}
-	clear(fs.blobs)
 	clear(fs.vecs)
-	fs.blobs, fs.vecs = fs.blobs[:0], fs.vecs[:0]
+	fs.vecs = fs.vecs[:0]
 	foldPool.Put(fs)
 }
 

@@ -146,7 +146,7 @@ func TestQuorumFullSyncBitIdenticalToFlat(t *testing.T) {
 	flat := make([]*sparse.Vector, p)
 	var mu sync.Mutex
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := GTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
+		got, err := gtopk(context.Background(), c, vecs[c.Rank()].Clone(), k)
 		if err != nil {
 			return err
 		}

@@ -228,7 +228,7 @@ func (t *Trainer) momentumStep(g []float32) {
 	}
 	mu, v := t.cfg.Momentum, t.velocity
 	for i, x := range g {
-		v[i] = mu*v[i] + x
+		v[i] = float32(mu*v[i]) + x // rounded apart: no fused multiply-add
 	}
 	tensor.AxpyInto(t.weights, -t.cfg.LR, v)
 }

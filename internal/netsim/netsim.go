@@ -148,7 +148,7 @@ func (m Model) GTopKAllReduce(p, k int) time.Duration {
 }
 
 // GTopKTree returns the discrete (integer-round) cost of the implemented
-// flat gTop-k tree (core.GTopKAllReduce) with the synchronization-skew
+// flat gTop-k tree (core.GTopKAllReduceInto) with the synchronization-skew
 // term applied: its top reduce round and first broadcast round are one
 // pairwise swap, so it runs 2·⌈log₂P⌉−1 rounds, each moving at most 2k
 // elements and synchronizing all P ranks:

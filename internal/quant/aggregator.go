@@ -114,7 +114,7 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (cor
 			return core.Update{}, fmt.Errorf("quant: terngrad rank %d: %w", rank, err)
 		}
 		for i, l := range lv {
-			a.buf[i] += s * float32(l)
+			a.buf[i] += float32(s * float32(l)) // rounded apart: no fused multiply-add
 		}
 	}
 	inv := 1 / float32(a.comm.Size())

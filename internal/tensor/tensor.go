@@ -105,7 +105,7 @@ func AxpyInto(dst []float32, alpha float32, x []float32) {
 		panic(fmt.Sprintf("tensor: AxpyInto length mismatch: %d vs %d", len(dst), len(x)))
 	}
 	for i, v := range x {
-		dst[i] += alpha * v
+		dst[i] += float32(alpha * v) // rounded apart: no fused multiply-add
 	}
 }
 
@@ -195,6 +195,6 @@ func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit flo
 			}
 			x[j] = v
 		}
-		dst[i] += alpha * v
+		dst[i] += float32(alpha * v) // rounded apart: no fused multiply-add
 	}
 }

@@ -2,9 +2,16 @@ package gtopkssgd
 
 import (
 	"bufio"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,7 +55,9 @@ func codeLines(t *testing.T, dirs ...string) int {
 // TestCodeLineCeilings holds the packages that must not grow back to
 // their ceilings: internal/core keeps one round and one gTop-k
 // executor, the bench harness reports only modelled and counted numbers,
-// internal/sparse has one kernel set and internal/tensor one GEMM set.
+// internal/sparse has one kernel set, internal/tensor one GEMM set,
+// internal/transport one mesh handshake, and internal/cluster and
+// cmd/gtopk-worker one worker path.
 func TestCodeLineCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -59,11 +68,140 @@ func TestCodeLineCeilings(t *testing.T) {
 		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1888},
 		{"internal/sparse", []string{"internal/sparse"}, 1390},
 		{"internal/tensor", []string{"internal/tensor"}, 450},
+		{"internal/transport", []string{"internal/transport"}, 1065},
+		{"internal/cluster", []string{"internal/cluster"}, 1182},
+		{"cmd/gtopk-worker", []string{"cmd/gtopk-worker"}, 258},
 	} {
 		n := codeLines(t, c.dirs...)
 		t.Logf("%s: %d non-test code lines, ceiling %d, headroom %d", c.name, n, c.ceiling, c.ceiling-n)
 		if n > c.ceiling {
 			t.Errorf("%s: %d non-test code lines exceed the ceiling of %d", c.name, n, c.ceiling)
 		}
+	}
+}
+
+// banned is the ban table: each row lists the identifiers a change
+// retired when it made two paths one, and says why they stay gone. An
+// entry matches every identifier of that name; a "*." entry matches
+// only a package-level one — declared outside any type, or selected
+// through an import — so a method or field of the same name stays
+// legal.
+var banned = []struct {
+	why   string
+	names []string
+}{
+	{"one deployment path: every TCP mesh is wired by transport.JoinMesh's handshake and every gtopk-worker runs the elastic runtime (cluster.Run); the static worker mode, NewTCPWorker, the autoscale policy knob and the caller-less DegradedGroups are gone",
+		[]string{"NewTCPWorker", "runStatic", "AutoscalePolicy", "GrowWhenHeartbeatLagged", "DegradedGroups"}},
+	{"one gTop-k executor: the flat tree and the hierarchy are two lists of levels for runLevels; the tree's own broadcast, the result-allocating GTopKAllReduce and the facade's collective re-exports are gone (call core.GTopKAllReduceInto)",
+		[]string{"*.GTopKAllReduce", "bcastSparseChunks", "NewInProcFabric", "NewComm", "TopKSelect"}},
+}
+
+// bannedHits returns one line per identifier in f that matches a row of
+// the ban table.
+func bannedHits(fset *token.FileSet, f *ast.File) []string {
+	imports := make(map[string]bool, len(f.Imports))
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		if im.Name != nil {
+			imports[im.Name.Name] = true
+		} else {
+			imports[path.Base(p)] = true
+		}
+	}
+	// members are the identifiers that name a method, a field or a
+	// selection from a value: the ones a "*." entry leaves alone.
+	members := make(map[*ast.Ident]bool)
+	markFields := func(fl *ast.FieldList) {
+		for _, field := range fl.List {
+			for _, id := range field.Names {
+				members[id] = true
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			members[n.Name] = n.Recv != nil
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); !ok || !imports[x.Name] {
+				members[n.Sel] = true
+			}
+		case *ast.StructType:
+			markFields(n.Fields)
+		case *ast.InterfaceType:
+			markFields(n.Methods)
+		}
+		return true
+	})
+	var hits []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		for _, row := range banned {
+			for _, entry := range row.names {
+				name, pkgLevel := strings.CutPrefix(entry, "*.")
+				if id.Name == name && !(pkgLevel && members[id]) {
+					hits = append(hits, fmt.Sprintf("%s: %s: %s", fset.Position(id.Pos()), id.Name, row.why))
+				}
+			}
+		}
+		return true
+	})
+	return hits
+}
+
+// TestBannedIdentifiers fails when a non-test Go file anywhere in the
+// module declares or references an identifier of the ban table. It
+// first plants every entry in scratch sources to prove the rule fires,
+// and a "*." entry's name as a method, a field and a selection from a
+// value to prove it stays quiet there.
+func TestBannedIdentifiers(t *testing.T) {
+	hits := func(src string) int {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "planted.go", "package p\n"+src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(bannedHits(fset, f))
+	}
+	for _, row := range banned {
+		for _, entry := range row.names {
+			name, pkgLevel := strings.CutPrefix(entry, "*.")
+			if hits("func "+name+"() {}") != 1 || hits("import \"gtopkssgd/internal/core\"\nvar _ = core."+name) != 1 {
+				t.Errorf("the ban rule misses a planted %s", entry)
+			}
+			member := "type T struct{ " + name + " int }\nfunc (T) " + name + "() {}\nvar _ = T{}." + name
+			if want := map[bool]int{false: 3, true: 0}[pkgLevel]; hits(member) != want {
+				t.Errorf("the ban rule finds %d of %s's methods, fields and selections, want %d", hits(member), entry, want)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, hit := range bannedHits(fset, f) {
+			t.Error(hit)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -132,7 +132,7 @@ func TestPublicTraceRecorderViaHook(t *testing.T) {
 
 func TestPublicMultiProcessWorkerAPI(t *testing.T) {
 	// Single-rank worker mesh is a degenerate but valid deployment.
-	conn, err := transport.NewTCPWorker(context.Background(), 0, []string{"127.0.0.1:0"})
+	conn, err := transport.JoinMesh(context.Background(), transport.MeshConfig{Addrs: []string{"127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}

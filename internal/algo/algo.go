@@ -116,8 +116,21 @@ func (s Spec) densityAt() func(step int) float64 {
 
 // Build constructs the aggregator spec names over comm for a
 // dim-parameter model whose cumulative layer offsets are bounds, after
-// attaching the spec's codec compressor to comm.
+// attaching the spec's codec compressor to comm. It rejects quorum sizes
+// the world cannot hold (CheckQuorum) and the AllGather baselines —
+// topk, gtopk-naive, signsgd and terngrad — on a world that is not a
+// power of two, so an elastic epoch that shrinks to such a world fails
+// at its build, not at its first step.
 func Build(spec Spec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, error) {
+	if err := spec.CheckQuorum(comm.Size(), "-hier-group"); err != nil {
+		return nil, err
+	}
+	switch p := comm.Size(); spec.Algo {
+	case "topk", "gtopk-naive", "signsgd", "terngrad":
+		if p&(p-1) != 0 {
+			return nil, fmt.Errorf("algo: %s exchanges through AllGather, which needs a power-of-two world; got %d", spec.Algo, p)
+		}
+	}
 	quant.AttachStack(comm, spec.Codec(), spec.Seed)
 	k := core.DensityToK(dim, spec.Density)
 	density := spec.densityAt()

@@ -23,12 +23,6 @@ type CoordinatorConfig struct {
 	// launch size, but the job never grows beyond it unless MaxWorld is
 	// raised explicitly.
 	MaxWorld int
-	// Autoscale decides the target world size whenever parked joiners
-	// are waiting; nil means GrowByPendingJoins (admit everything the
-	// MaxWorld bound allows). The returned target is clamped to
-	// [current world, MaxWorld]: the coordinator can only admit workers
-	// that asked to join, and policy-driven eviction is not supported.
-	Autoscale AutoscalePolicy
 	// HeartbeatInterval is pushed to every member in the welcome
 	// message; 0 means DefaultHeartbeatInterval.
 	HeartbeatInterval time.Duration
@@ -39,52 +33,6 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// AutoscaleState is the input to an autoscaler decision: what the
-// coordinator knows about the running epoch and the join queue at one
-// policy-evaluation instant.
-type AutoscaleState struct {
-	// Epoch is the running epoch the decision would grow out of.
-	Epoch uint64
-	// World is the current live worker count.
-	World int
-	// Pending counts parked joiners eligible for admission.
-	Pending int
-	// MinWorld and MaxWorld are the job's configured bounds.
-	MinWorld, MaxWorld int
-	// OldestPendingAge is how long the longest-parked joiner has waited.
-	OldestPendingAge time.Duration
-	// MaxHeartbeatAge is the staleness of the slowest live member's last
-	// heartbeat — a cheap load proxy: overloaded workers heartbeat late.
-	MaxHeartbeatAge time.Duration
-}
-
-// AutoscalePolicy maps an AutoscaleState to a target world size. It is
-// consulted on every monitor tick while joiners are parked; returning a
-// target at or below the current world admits nobody.
-type AutoscalePolicy func(AutoscaleState) int
-
-// GrowByPendingJoins is the default autoscaler: the join queue IS the
-// demand signal, so the target world is current plus everything parked
-// (the coordinator clamps to MaxWorld).
-func GrowByPendingJoins() AutoscalePolicy {
-	return func(s AutoscaleState) int { return s.World + s.Pending }
-}
-
-// GrowWhenHeartbeatLagged is a load-driven autoscaler: it admits parked
-// joiners only when the slowest member's heartbeat is staler than lag —
-// the signature of workers too busy to keep the control plane fresh —
-// and otherwise holds the world steady. Joiners parked longer than
-// maxWait are admitted regardless, so a miscalibrated lag threshold
-// cannot starve the queue forever.
-func GrowWhenHeartbeatLagged(lag, maxWait time.Duration) AutoscalePolicy {
-	return func(s AutoscaleState) int {
-		if s.MaxHeartbeatAge >= lag || (maxWait > 0 && s.OldestPendingAge >= maxWait) {
-			return s.World + s.Pending
-		}
-		return s.World
-	}
-}
-
 func (c *CoordinatorConfig) withDefaults() CoordinatorConfig {
 	out := *c
 	if out.MinWorld < 1 {
@@ -92,9 +40,6 @@ func (c *CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if out.MaxWorld < 1 {
 		out.MaxWorld = out.World
-	}
-	if out.Autoscale == nil {
-		out.Autoscale = GrowByPendingJoins()
 	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = DefaultHeartbeatInterval
@@ -130,7 +75,7 @@ func (m *memberState) send(msg *message) error {
 // job: workers join by name, the coordinator freezes epoch 1 when the
 // configured world size is reached, every detected failure advances the
 // job to a new epoch with the survivors re-ranked, and late joiners are
-// parked until the autoscaler admits them into a grown epoch.
+// parked until the next epoch boundary admits them into a grown epoch.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
@@ -185,20 +130,6 @@ func (c *Coordinator) Degraded() map[string]int {
 	out := make(map[string]int, len(c.degraded))
 	for name, n := range c.degraded {
 		out[name] = n
-	}
-	return out
-}
-
-// DegradedGroups returns a copy of the per-group degraded-report
-// counters: how many degraded reports arrived from members of each
-// hierarchy group (flat-quorum reports carry no group and are not
-// counted here).
-func (c *Coordinator) DegradedGroups() map[int]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]int, len(c.degradedGroups))
-	for g, n := range c.degradedGroups {
-		out[g] = n
 	}
 	return out
 }
@@ -371,7 +302,7 @@ func (c *Coordinator) admit(m *memberState) (parked bool, reason string) {
 		return false, ""
 	}
 	// Late join (or a pre-start surplus beyond World): park until the
-	// autoscaler admits it at the next epoch boundary.
+	// next epoch boundary admits it.
 	if len(c.members)+len(c.pending) >= c.cfg.MaxWorld {
 		return false, fmt.Sprintf("world full (%d live + %d parked at max %d); late join refused",
 			len(c.members), len(c.pending), c.cfg.MaxWorld)
@@ -387,7 +318,7 @@ func (c *Coordinator) admit(m *memberState) (parked bool, reason string) {
 // has been welcomed — the welcomed gate guarantees no member can read
 // an epoch config before its welcome, even with concurrent joins.
 // Parked joiners only have their welcomed flag recorded here; admission
-// happens on the monitor's autoscale tick.
+// happens on the monitor's tick.
 func (c *Coordinator) maybeStart(m *memberState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -406,57 +337,27 @@ func (c *Coordinator) maybeStart(m *memberState) {
 	c.formEpochLocked()
 }
 
-// maybeGrowLocked consults the autoscale policy and, when it raises the
-// target world size, admits parked joiners (welcomed ones only, in name
-// order — the deterministic boundary) and declares the grown epoch.
-// Caller holds c.mu.
+// maybeGrowLocked admits every welcomed parked joiner the MaxWorld
+// bound allows, in name order — the deterministic boundary — and
+// declares the grown epoch. Caller holds c.mu.
 func (c *Coordinator) maybeGrowLocked() {
 	if !c.started || c.done || c.abortErr != nil || len(c.pending) == 0 {
 		return
 	}
-	now := time.Now()
 	var ready []*memberState
-	var oldest time.Duration
 	for _, p := range c.pending {
-		if !p.welcomed {
-			continue
-		}
-		ready = append(ready, p)
-		if age := now.Sub(p.parkedAt); age > oldest {
-			oldest = age
+		if p.welcomed {
+			ready = append(ready, p)
 		}
 	}
-	if len(ready) == 0 {
-		return
-	}
-	var hbAge time.Duration
-	for _, m := range c.members {
-		if age := now.Sub(m.lastHB); age > hbAge {
-			hbAge = age
-		}
-	}
-	target := c.cfg.Autoscale(AutoscaleState{
-		Epoch:            c.epoch,
-		World:            len(c.members),
-		Pending:          len(ready),
-		MinWorld:         c.cfg.MinWorld,
-		MaxWorld:         c.cfg.MaxWorld,
-		OldestPendingAge: oldest,
-		MaxHeartbeatAge:  hbAge,
-	})
-	if target > c.cfg.MaxWorld {
-		target = c.cfg.MaxWorld
-	}
-	n := target - len(c.members)
+	n := min(c.cfg.MaxWorld-len(c.members), len(ready))
 	if n <= 0 {
 		return
-	}
-	if n > len(ready) {
-		n = len(ready)
 	}
 	// Admit in name order so which joiners enter a partially-admitting
 	// epoch is a pure function of the queue contents, not arrival order.
 	sort.Slice(ready, func(i, j int) bool { return ready[i].name < ready[j].name })
+	now := time.Now()
 	for _, p := range ready[:n] {
 		delete(c.pending, p.name)
 		c.members[p.name] = p
@@ -630,7 +531,7 @@ func (c *Coordinator) monitor(done <-chan struct{}) {
 			c.reportDown(m, fmt.Sprintf("missed heartbeats for %v", c.cfg.HeartbeatTimeout))
 		}
 		// The monitor tick is the epoch boundary at which parked joiners
-		// are admitted; the autoscale policy decides whether to grow.
+		// are admitted.
 		c.mu.Lock()
 		c.maybeGrowLocked()
 		c.mu.Unlock()

@@ -8,10 +8,12 @@
 // the shrink. The momentum is the trainer's velocity, which a sparse
 // aggregator corrects in place (core.TrainConfig.Momentum), and the
 // residual is the aggregator's whole Sparsifier, the bucketed
-// pipeline's included, so both reach snapshots and donor broadcasts. The job is elastic in both directions: a worker joining
-// a running job is parked and admitted at the next epoch boundary (up
-// to CoordinatorConfig.MaxWorld, gated by a pluggable AutoscalePolicy),
-// adopting the cluster's weights and momentum from a donor rank.
+// pipeline's included, so both reach snapshots and donor broadcasts.
+// The job is elastic in both directions: a worker joining a running job
+// is parked and admitted, by name, at the next epoch boundary (every
+// welcomed joiner up to CoordinatorConfig.MaxWorld), adopting the
+// cluster's weights and momentum from a donor rank. A fixed-membership
+// job is the special case in which nobody dies and nobody joins.
 //
 // # Roles
 //
@@ -42,8 +44,8 @@
 //	               admitted up to max-world)
 //
 //	worker:  join ─▶ wait config(e) ─▶ mesh(e) ─▶ sync resume
-//	              ▲                                iteration ─▶ train
-//	              │                                   │
+//	              ▲                                iteration ─▶ train ─▶ sync
+//	              │                                   │         (replica check)
 //	              └── step error / new config ────────┘
 //
 // A worker whose training step fails (a peer died mid-collective) does
@@ -58,10 +60,12 @@
 // checkpoint, a rejoiner with a stale one — adopt the donor's weights
 // and momentum over two broadcasts and restart their error-feedback
 // residual at zero (a sparse aggregator's momentum is per rank, like the
-// residual, so the donor's is a warm start). Rank assignment is a pure function of the
-// name-sorted member set (Reshard), so every member independently
-// derives the same data shard (ShardRange) regardless of arrival
-// order.
+// residual, so the donor's is a warm start). The same round runs once
+// more after the last step, where every member is at the final
+// iteration: a checksum mismatch there fails the job with both ranks
+// named. Rank assignment is a pure function of the name-sorted member
+// set (Reshard), so every member independently derives the same data
+// shard (ShardRange) regardless of arrival order.
 //
 // # What a failure costs
 //

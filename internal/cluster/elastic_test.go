@@ -365,3 +365,57 @@ func TestElasticResumeAgreementCatchesForeignCheckpoint(t *testing.T) {
 		t.Fatalf("err = %v, want foreign-snapshot rejection", err)
 	}
 }
+
+// TestElasticCompletionCatchesDivergedReplica: the agreement run after
+// the last step is the job's replica check — a rank whose weights move
+// after its final step fails Run on every rank, naming both ranks, and
+// at once: no reconfiguration can mend diverged replicas, so no rank
+// waits out the failure-detection grace (1.5 s under fastHB).
+func TestElasticCompletionCatchesDivergedReplica(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	ds := elasticDataset(t)
+	dir := t.TempDir()
+	addr, _, _ := startCoordinator(t, ctx, fastHB(CoordinatorConfig{World: 2}))
+
+	const steps = 6
+	names := []string{"w0", "w1"} // name order makes w1 rank 1
+	start := time.Now()
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		var params []float32
+		build := elasticBuild(ds)
+		cfg := RuntimeConfig{
+			Name: name, Coordinator: addr, Steps: steps,
+			CheckpointPath: filepath.Join(dir, name+".gtkc"),
+			Build: func(rank, world int, comm *collective.Comm) (*Session, error) {
+				sess, err := build(rank, world, comm)
+				if err == nil {
+					params = sess.Params
+				}
+				return sess, err
+			},
+			OnStep: func(info StepInfo) error {
+				if info.Rank == 1 && info.Iter == steps {
+					params[0] += 1 // diverge after the last step
+				}
+				return nil
+			},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Run(ctx, cfg)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "rank 1 weights diverge from rank 0 at iteration 6") {
+			t.Errorf("%s: err = %v, want the completion check to name ranks 1 and 0", names[i], err)
+		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the failed check took %v to surface, want it terminal without the grace wait", took)
+	}
+}

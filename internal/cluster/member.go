@@ -99,7 +99,7 @@ func (m *Member) Name() string { return m.name }
 
 // Parked reports whether the coordinator parked this join: the member
 // was accepted into a running job and will receive its first epoch
-// configuration when the autoscaler admits it at an epoch boundary.
+// configuration when the coordinator admits it at an epoch boundary.
 func (m *Member) Parked() bool { return m.parked }
 
 // HeartbeatTimeout returns the coordinator's failure-detection window —

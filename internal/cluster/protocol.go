@@ -54,7 +54,7 @@ type message struct {
 	HBMs   int64 `json:"hb_ms,omitempty"`
 	DeadMs int64 `json:"dead_ms,omitempty"`
 	// Parked marks a welcome to a late joiner: the join is accepted but
-	// the worker is held outside the running epoch until the autoscaler
+	// the worker is held outside the running epoch until the coordinator
 	// admits it at the next epoch boundary (its first config message).
 	Parked bool    `json:"parked,omitempty"`
 	Config *Config `json:"config,omitempty"`

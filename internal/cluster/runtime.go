@@ -153,6 +153,12 @@ var errEpochSuperseded = errors.New("cluster: epoch superseded")
 // never reinterpreted as a reconfiguration.
 var errHardAbort = errors.New("cluster: hard abort")
 
+// errVerdict marks a failed resume agreement (diverged replicas or a
+// malformed sync round). Every rank receives the same verdict, so it is
+// terminal for all of them: no reconfiguration can make the replicas
+// agree again.
+var errVerdict = errors.New("cluster: replica agreement")
+
 // Run executes one elastic worker from join to job completion. It
 // opens the data-plane listener, joins the coordinator, and then loops:
 // wire the epoch's mesh, agree on the resume iteration, train, and on
@@ -283,9 +289,9 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 	defer conn.Close() //nolint:errcheck // epoch teardown
 
 	// The rebuilt parent communicator carries the communication totals
-	// of earlier epochs; training runs on a fork so control traffic
-	// (resume agreement, completion barrier) never shares tag space
-	// with the aggregator's collectives.
+	// of earlier epochs; training runs on a fork so control traffic (the
+	// resume agreement, run at the start and at the end of the epoch)
+	// never shares tag space with the aggregator's collectives.
 	comm := collective.Rebuild(conn, r.carried)
 	kids, err := comm.Fork(1)
 	if err != nil {
@@ -333,13 +339,16 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 		return nil, r.classify(epochCtx, err)
 	}
 
-	// Completion: final snapshot, then a barrier so nobody's leave can
-	// race a peer still inside its last collective, then a graceful
-	// leave that tells the coordinator the job is done.
+	// Completion: final snapshot, then the resume agreement once more —
+	// every rank is at Steps, so it is the replica check (a weight-CRC
+	// mismatch fails the job with the ranks named), and its Gather and
+	// Bcast keep anyone's leave from racing a peer still inside its last
+	// collective — then a graceful leave that tells the coordinator the
+	// job is done.
 	if err := r.snapshot(sess, conf); err != nil {
 		return nil, err
 	}
-	if err := comm.Barrier(epochCtx); err != nil {
+	if _, err := r.syncResume(epochCtx, comm, conf, sess.Trainer.Iter(), sess); err != nil {
 		return nil, r.classify(epochCtx, err)
 	}
 	foldStats()
@@ -510,6 +519,8 @@ const syncVerdictLen = 17
 // steady-state epoch costs exactly what the old agreement did: one
 // 12-byte Gather and one verdict Bcast. Returns the agreed resume
 // iteration, which for a laggard exceeds what restore() reported.
+// runEpoch calls it again at completion, where every rank is at Steps
+// and the agreement is the job's replica check.
 func (r *runtime) syncResume(ctx context.Context, comm *collective.Comm, conf *Config, iter int, sess *Session) (int, error) {
 	blob := make([]byte, 12)
 	binary.LittleEndian.PutUint64(blob[0:8], uint64(iter))
@@ -527,7 +538,7 @@ func (r *runtime) syncResume(ctx context.Context, comm *collective.Comm, conf *C
 		return 0, fmt.Errorf("cluster: epoch %d resume verdict: %w", conf.Epoch, err)
 	}
 	if len(out) != syncVerdictLen || out[0] != 'K' {
-		return 0, fmt.Errorf("cluster: epoch %d resume sync failed: %s", conf.Epoch, out)
+		return 0, fmt.Errorf("%w: epoch %d resume sync failed: %s", errVerdict, conf.Epoch, out)
 	}
 	resume := int(binary.LittleEndian.Uint64(out[1:9]))
 	donor := int(binary.LittleEndian.Uint32(out[9:13]))
@@ -603,9 +614,13 @@ func resumeVerdict(blobs [][]byte) []byte {
 
 // classify decides whether an epoch error is a reconfiguration (a newer
 // config arrived — or will shortly, once the coordinator's failure
-// detector fires) or a genuine failure. On a bare error it waits up to
-// the failure-detection window for the coordinator's verdict.
+// detector fires) or a genuine failure; a failed replica agreement is
+// always the latter. On a bare error it waits up to the
+// failure-detection window for the coordinator's verdict.
 func (r *runtime) classify(epochCtx context.Context, err error) error {
+	if errors.Is(err, errVerdict) {
+		return err
+	}
 	conf, changed := r.member.Config()
 	latest := uint64(0)
 	if conf != nil {

@@ -74,9 +74,6 @@ func (c WireCounters) Ratio() float64 {
 	return float64(c.RawBytes) / float64(c.WireBytes)
 }
 
-// SavedBytes returns how many bytes the codec kept off the wire.
-func (c WireCounters) SavedBytes() int64 { return c.RawBytes - c.WireBytes }
-
 // String renders the counters the way gtopk-worker logs them.
 func (c WireCounters) String() string {
 	return fmt.Sprintf("frames=%d raw=%dB wire=%dB ratio=%.2fx", c.Frames, c.RawBytes, c.WireBytes, c.Ratio())

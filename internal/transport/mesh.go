@@ -11,12 +11,13 @@ import (
 	"time"
 )
 
-// MeshConfig describes one rank's view of a multi-process TCP mesh for
-// a single cluster epoch. Unlike the static NewTCPWorker wire-up, a
-// MeshConfig supports elastic clusters: the caller may own the data
-// listener (so the same host:port survives across epochs) and every
-// connection handshake is stamped with the epoch, so stragglers from a
-// previous epoch can never join the wrong mesh.
+// MeshConfig describes one rank's view of a TCP mesh for a single
+// cluster epoch. Every TCP mesh is wired from one: each process of an
+// elastic cluster joins with its own, and NewTCPWithOptions joins all n
+// ranks of an in-process fabric. The caller may own the data listener
+// (so the same host:port survives across epochs) and every connection
+// handshake is stamped with the epoch, so stragglers from a previous
+// epoch can never join the wrong mesh.
 type MeshConfig struct {
 	// Rank is this worker's rank in [0, len(Addrs)).
 	Rank int
@@ -67,12 +68,13 @@ const helloAck = 0x06
 // Wire-up protocol: rank r listens on Addrs[r], accepts connections
 // from every higher rank and dials every lower rank, retrying until the
 // peer listens or ctx expires (process start order is arbitrary). Each
-// dialled connection opens with a 12-byte hello carrying the dialler's
-// rank and epoch; the acceptor answers with a 1-byte ack once it admits
-// the link. Hellos from a different epoch are dropped without an ack —
-// the dialler redials — and a redial from an already-admitted rank
-// replaces the earlier link, so the handshake converges even when
-// workers enter the new epoch at very different times.
+// dialled connection opens with a 13-byte hello carrying the dialler's
+// rank, epoch and wire-codec offer; the acceptor answers with a 2-byte
+// ack (admission plus the link's wire version) once it admits the
+// link. Hellos from a different epoch are dropped without an ack — the
+// dialler redials — and a redial from an already-admitted rank replaces
+// the earlier link, so the handshake converges even when workers enter
+// the new epoch at very different times.
 func JoinMesh(ctx context.Context, cfg MeshConfig) (Conn, error) {
 	n := len(cfg.Addrs)
 	if n < 1 {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -243,5 +244,135 @@ func TestInProcWireVersion(t *testing.T) {
 	defer f1.Close() //nolint:errcheck // test teardown
 	if got := NegotiatedWireVersion(f1.Conn(0)); got != WireV1 {
 		t.Fatalf("default inproc wire v%d, want v1", got)
+	}
+}
+
+// freePorts reserves n distinct loopback ports by briefly listening and
+// releasing them (standard test trick; a tiny race window is acceptable).
+func freePorts(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	listeners := make([]net.Listener, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	for _, ln := range listeners {
+		ln.Close() //nolint:errcheck // releasing reserved ports
+	}
+	return addrs
+}
+
+// TestJoinMeshStaggeredPingAll: ranks that start at different times
+// still wire a full mesh (the dial side retries until its peer listens),
+// and every ordered pair then exchanges a message.
+func TestJoinMeshStaggeredPingAll(t *testing.T) {
+	const n = 4
+	addrs := freePorts(t, n)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	conns := make([]Conn, n)
+	var setup sync.WaitGroup
+	errs := make([]error, n)
+	for r := 0; r < n; r++ {
+		setup.Add(1)
+		go func(rank int) {
+			defer setup.Done()
+			// Stagger start-up to exercise the dial retry path.
+			time.Sleep(time.Duration(rank) * 15 * time.Millisecond)
+			c, err := JoinMesh(ctx, MeshConfig{Rank: rank, Addrs: addrs})
+			conns[rank], errs[rank] = c, err
+		}(r)
+	}
+	setup.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	defer func() {
+		for _, c := range conns {
+			c.Close() //nolint:errcheck // test teardown
+		}
+	}()
+
+	// All-to-all exchange over the mesh.
+	var wg sync.WaitGroup
+	opErrs := make([]error, n)
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for dst := 0; dst < n; dst++ {
+				if dst == rank {
+					continue
+				}
+				if err := conns[rank].Send(ctx, dst, 1, []byte{byte(rank)}); err != nil {
+					opErrs[rank] = err
+					return
+				}
+			}
+			for src := 0; src < n; src++ {
+				if src == rank {
+					continue
+				}
+				msg, err := conns[rank].Recv(ctx, src, 1)
+				if err != nil {
+					opErrs[rank] = err
+					return
+				}
+				if len(msg) != 1 || int(msg[0]) != src {
+					opErrs[rank] = fmt.Errorf("bad payload %v from %d", msg, src)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range opErrs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+func TestJoinMeshSingleRank(t *testing.T) {
+	c, err := JoinMesh(context.Background(), MeshConfig{Addrs: []string{"127.0.0.1:0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Size() != 1 || c.Rank() != 0 {
+		t.Fatalf("size=%d rank=%d", c.Size(), c.Rank())
+	}
+}
+
+func TestJoinMeshValidation(t *testing.T) {
+	ctx := context.Background()
+	if _, err := JoinMesh(ctx, MeshConfig{}); err == nil {
+		t.Error("empty address list accepted")
+	}
+	if _, err := JoinMesh(ctx, MeshConfig{Rank: 5, Addrs: []string{"a", "b"}}); err == nil {
+		t.Error("out-of-range rank accepted")
+	}
+}
+
+func TestJoinMeshDialTimeout(t *testing.T) {
+	// Rank 1 dials rank 0 which never listens: must give up on ctx expiry.
+	addrs := freePorts(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := JoinMesh(ctx, MeshConfig{Rank: 1, Addrs: addrs})
+	if err == nil {
+		t.Fatal("mesh setup succeeded without peer")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) && time.Since(start) > 5*time.Second {
+		t.Fatalf("did not fail promptly: %v after %v", err, time.Since(start))
 	}
 }

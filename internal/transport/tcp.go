@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"gtopkssgd/internal/bufpool"
 )
@@ -32,7 +33,7 @@ import (
 //     hands them to the application, which releases them after the merge
 //     consumes them (sparse.PutBuffer) — closing the buffer cycle.
 type TCPFabric struct {
-	conns []*tcpConn
+	conns []Conn
 }
 
 var _ Fabric = (*TCPFabric)(nil)
@@ -50,10 +51,10 @@ type TCPOptions struct {
 	WriteBufBytes int
 	// WireVersion is the sparse wire-codec version this endpoint offers
 	// (0 or WireV1 = flat frames, WireV3 = delta/varint compound frames).
-	// Meshes built by JoinMesh carry the offer in the handshake and
-	// settle on the minimum any member offers; fabrics built in-process
-	// (NewTCPWithOptions) simply adopt the configured version, since all
-	// ranks share one options value.
+	// JoinMesh carries the offer in the handshake and the mesh settles
+	// on the minimum any member offers; every rank of an in-process
+	// fabric (NewTCPWithOptions) offers the same version, so the fabric
+	// settles on it.
 	WireVersion byte
 }
 
@@ -76,100 +77,57 @@ func (o TCPOptions) apply(sock net.Conn) {
 
 // NewTCP creates a TCP fabric with n ranks listening on ephemeral
 // loopback ports and fully meshed, with default options (TCP_NODELAY
-// on). A rank dials every lower-numbered rank and identifies itself with
-// a 4-byte hello, mirroring how MPI wires up a communicator over sockets.
+// on).
 func NewTCP(n int) (*TCPFabric, error) { return NewTCPWithOptions(n, TCPOptions{}) }
 
-// NewTCPWithOptions is NewTCP with explicit socket options.
+// fabricSetupTimeout bounds an in-process fabric's wire-up, so a
+// handshake that cannot complete returns an error instead of hanging.
+const fabricSetupTimeout = 10 * time.Second
+
+// NewTCPWithOptions is NewTCP with explicit socket options. It binds n
+// loopback listeners and wires them with n concurrent JoinMesh calls —
+// the handshake every multi-process mesh runs — so the fabric settles
+// on opts.WireVersion exactly as a deployed mesh would.
 func NewTCPWithOptions(n int, opts TCPOptions) (*TCPFabric, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: fabric size %d < 1", n)
 	}
 	listeners := make([]net.Listener, n)
+	defer closeAll(listeners)
+	addrs := make([]string, n)
 	for i := range listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			closeAll(listeners[:i])
 			return nil, fmt.Errorf("transport: listen for rank %d: %w", i, err)
 		}
-		listeners[i] = ln
+		listeners[i], addrs[i] = ln, ln.Addr().String()
 	}
 
-	f := &TCPFabric{conns: make([]*tcpConn, n)}
-	for i := range f.conns {
-		f.conns[i] = &tcpConn{
-			rank:  i,
-			size:  n,
-			opts:  opts,
-			peers: make([]*peerLink, n),
-			box:   newMailbox(n),
-			wire:  normalizeWire(opts.WireVersion),
-		}
-	}
-
+	ctx, cancel := context.WithTimeout(context.Background(), fabricSetupTimeout)
+	defer cancel()
+	f := &TCPFabric{conns: make([]Conn, n)}
 	var (
-		wg       sync.WaitGroup
-		acceptMu sync.Mutex
-		errs     []error
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
 	)
-	// Accept side: rank i accepts n-1-i connections from higher ranks.
-	for i := 0; i < n; i++ {
+	for i := range listeners {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			for a := 0; a < n-1-i; a++ {
-				sock, err := listeners[i].Accept()
-				if err != nil {
-					acceptMu.Lock()
-					errs = append(errs, fmt.Errorf("rank %d accept: %w", i, err))
-					acceptMu.Unlock()
-					return
-				}
-				var hello [4]byte
-				if _, err := io.ReadFull(sock, hello[:]); err != nil {
-					acceptMu.Lock()
-					errs = append(errs, fmt.Errorf("rank %d hello: %w", i, err))
-					acceptMu.Unlock()
-					return
-				}
-				peer := int(binary.LittleEndian.Uint32(hello[:]))
-				f.conns[i].attach(peer, sock)
+			conn, err := JoinMesh(ctx, MeshConfig{Rank: i, Addrs: addrs, Listener: listeners[i], TCP: opts})
+			if err != nil {
+				// The first failure cancels the other ranks' wire-up.
+				once.Do(func() { first = err; cancel() })
+				return
 			}
-		}(i)
-	}
-	// Dial side: rank j dials all ranks i < j.
-	for j := 0; j < n; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			for i := 0; i < j; i++ {
-				sock, err := net.Dial("tcp", listeners[i].Addr().String())
-				if err != nil {
-					acceptMu.Lock()
-					errs = append(errs, fmt.Errorf("rank %d dial %d: %w", j, i, err))
-					acceptMu.Unlock()
-					return
-				}
-				var hello [4]byte
-				binary.LittleEndian.PutUint32(hello[:], uint32(j))
-				if _, err := sock.Write(hello[:]); err != nil {
-					acceptMu.Lock()
-					errs = append(errs, fmt.Errorf("rank %d hello to %d: %w", j, i, err))
-					acceptMu.Unlock()
-					return
-				}
-				f.conns[j].attach(i, sock)
-			}
-		}(j)
+			f.conns[i] = conn
+		}()
 	}
 	wg.Wait()
-	closeAll(listeners)
-	if len(errs) > 0 {
+	if first != nil {
 		f.Close() //nolint:errcheck // already failing; best-effort cleanup
-		return nil, fmt.Errorf("transport: mesh setup: %v", errs[0])
-	}
-	for _, c := range f.conns {
-		c.startReaders()
+		return nil, first
 	}
 	return f, nil
 }
@@ -184,6 +142,9 @@ func (f *TCPFabric) Size() int { return len(f.conns) }
 func (f *TCPFabric) Close() error {
 	var first error
 	for _, c := range f.conns {
+		if c == nil {
+			continue // a rank whose wire-up failed
+		}
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}

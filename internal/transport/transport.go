@@ -6,9 +6,10 @@
 //   - an in-process fabric (NewInProc) where each worker is a goroutine
 //     and messages travel through shared mailboxes — fast, deterministic,
 //     race-detector friendly; used by all experiments; and
-//   - a TCP fabric (NewTCP) establishing a full mesh of loopback (or real)
-//     sockets — demonstrates that the collectives run unchanged over a
-//     real network stack.
+//   - a TCP fabric (NewTCP) establishing a full mesh of loopback sockets
+//     through JoinMesh, the handshake every multi-process mesh runs —
+//     demonstrates that the collectives run unchanged over a real
+//     network stack.
 //
 // Semantics mirror MPI two-sided communication: Send(dst, tag) blocks
 // until the message is accepted by the fabric, Recv(src, tag) blocks until

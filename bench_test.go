@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/bench"
 	"gtopkssgd/internal/checkpoint"
 	"gtopkssgd/internal/collective"
@@ -158,13 +159,13 @@ func BenchmarkFig11Breakdown(b *testing.B) {
 // trainingStepBench benchmarks one distributed S-SGD iteration of the
 // named model/algorithm on 4 workers — the unit of work behind the
 // convergence figures.
-func trainingStepBench(b *testing.B, modelName, algo string, density float64) {
+func trainingStepBench(b *testing.B, modelName, algoName string, density float64) {
 	b.Helper()
 	const workers, batch = 4, 8
 	spec := bench.TrainSpec{
-		Model: modelName, Algo: algo, Workers: workers, Batch: batch,
-		Epochs: 1, ItersPerEpoch: 1, Density: density,
-		LR: 0.05, Momentum: 0.9, Seed: 1,
+		Spec:  algo.Spec{Algo: algoName, Density: density, ItersPerEpoch: 1, Seed: 1},
+		Model: modelName, Workers: workers, Batch: batch,
+		Epochs: 1, LR: 0.05, Momentum: 0.9,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -234,9 +235,9 @@ func BenchmarkFig13BatchSizes(b *testing.B) {
 	for _, batch := range []int{4, 32} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			spec := bench.TrainSpec{
-				Model: "resnet20sim", Algo: "gtopk", Workers: 4, Batch: batch,
-				Epochs: 1, ItersPerEpoch: 1, Density: 0.001,
-				LR: 0.05, Momentum: 0.9, Seed: 1,
+				Spec:  algo.Spec{Algo: "gtopk", Density: 0.001, ItersPerEpoch: 1, Seed: 1},
+				Model: "resnet20sim", Workers: 4, Batch: batch,
+				Epochs: 1, LR: 0.05, Momentum: 0.9,
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -268,15 +269,6 @@ func BenchmarkQuantizers(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, _ = quant.Ternary(g, rng)
-		}
-	})
-	b.Run("uniform8", func(b *testing.B) {
-		rng := prng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := quant.Uniform(g, 8, rng); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -34,12 +34,12 @@ func TestFlagValidation(t *testing.T) {
 		{"bad-lr", []string{"-lr", "0"}, "-lr 0 out of range"},
 		{"bad-eval", []string{"-eval", "-1"}, "-eval -1 out of range"},
 		{"bad-hier-group", []string{"-hier-group", "-2"}, "-hier-group -2 out of range"},
-		{"hier-group-needs-hier-algo", []string{"-algo", "gtopk", "-hier-group", "4"}, "-hier-group requires -algo gtopk-hier"},
+		{"hier-group-needs-hier-algo", []string{"-algo", "dense", "-hier-group", "4"}, "-hier-group requires -algo gtopk, gtopk-hier or gtopk-quant8"},
 		{"negative-quorum", []string{"-quorum", "-3"}, "-quorum -3 out of range"},
 		{"quorum-needs-gtopk", []string{"-algo", "dense", "-quorum", "3", "-round-timeout", "50ms"}, "-quorum requires -algo gtopk"},
 		{"negative-leader-quorum", []string{"-leader-quorum", "-1"}, "-leader-quorum -1 out of range"},
-		{"leader-quorum-needs-hier-algo", []string{"-algo", "gtopk", "-workers", "8", "-quorum", "5", "-leader-quorum", "3", "-round-timeout", "50ms"}, "-leader-quorum requires -quorum and -algo gtopk-hier"},
-		{"hier-quorum-below-group-majority", []string{"-algo", "gtopk-hier", "-workers", "8", "-hier-group", "4", "-quorum", "2", "-round-timeout", "50ms"}, "-quorum 2 out of range [3,4] for groups of 4"},
+		{"leader-quorum-needs-hier-algo", []string{"-algo", "gtopk", "-workers", "8", "-quorum", "5", "-leader-quorum", "3", "-round-timeout", "50ms"}, "-leader-quorum requires -quorum and -hier-group"},
+		{"hier-quorum-below-group-majority", []string{"-algo", "gtopk-hier", "-workers", "8", "-hier-group", "4", "-quorum", "2", "-round-timeout", "50ms"}, "-quorum 2 out of range [3,4] for -hier-group 4"},
 		{"leader-quorum-below-majority", []string{"-algo", "gtopk-hier", "-workers", "8", "-hier-group", "2", "-quorum", "2", "-leader-quorum", "2", "-round-timeout", "50ms"}, "-leader-quorum 2 out of range [3,4] for 4 groups"},
 		{"degenerate-hier-rejects-leader-quorum", []string{"-algo", "gtopk-hier", "-workers", "4", "-hier-group", "4", "-quorum", "3", "-leader-quorum", "1", "-round-timeout", "50ms"}, "degenerates to the flat tree"},
 		{"quorum-below-majority", []string{"-workers", "4", "-quorum", "2", "-round-timeout", "50ms"}, "-quorum 2 out of range [3,4]"},
@@ -50,6 +50,7 @@ func TestFlagValidation(t *testing.T) {
 		{"retired-wire-v2", []string{"-wire", "v2"}, "want v1, v3 or v3-<value codec>"},
 		{"retired-value-codec-flag", []string{"-wire", "v3", "-value-codec", "qsgd8"}, "flag provided but not defined: -value-codec"},
 		{"retired-kernels", []string{"-kernels", "pure"}, "flag provided but not defined: -kernels"},
+		{"bad-wire", []string{"-wire", "v9"}, `invalid value "v9" for flag -wire`},
 		{"unknown-flag", []string{"-warp-speed"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
@@ -93,6 +94,34 @@ func TestHierQuorumTrainingSmoke(t *testing.T) {
 	}
 	if !strings.Contains(res.Stdout, "algo=gtopk-hier") || !strings.Contains(res.Stdout, "epoch   1") {
 		t.Fatalf("stdout missing training output:\n%s", res.Stdout)
+	}
+}
+
+// TestFlatAlgoHierGroupTrainingSmoke: -hier-group runs the hierarchy
+// under -algo gtopk too, as it does in gtopk-worker — the same losses
+// and modelled time as gtopk-hier at the same group size, and at P=8,
+// G=4 a modelled time the flat tree does not have.
+func TestFlatAlgoHierGroupTrainingSmoke(t *testing.T) {
+	run := func(name, workers string, flags ...string) string {
+		res := clitest.Run(t, append([]string{"-model", "mlp", "-algo", name, "-workers", workers,
+			"-epochs", "1", "-iters", "2", "-batch", "2", "-density", "0.05"}, flags...)...)
+		if res.Code != 0 {
+			t.Fatalf("%s %v: exit %d (stderr: %s)", name, flags, res.Code, res.Stderr)
+		}
+		if !strings.Contains(res.Stdout, "algo="+name+" ") || !strings.Contains(res.Stdout, "epoch   1") {
+			t.Fatalf("%s %v: stdout missing training output:\n%s", name, flags, res.Stdout)
+		}
+		_, curve, _ := strings.Cut(res.Stdout, "\n")
+		return curve
+	}
+	for _, tc := range []struct{ workers, group string }{{"4", "2"}, {"8", "4"}} {
+		flat, hier := run("gtopk", tc.workers, "-hier-group", tc.group), run("gtopk-hier", tc.workers, "-hier-group", tc.group)
+		if flat != hier {
+			t.Fatalf("P=%s: gtopk -hier-group %s printed\n%s\nwant gtopk-hier's\n%s", tc.workers, tc.group, flat, hier)
+		}
+	}
+	if run("gtopk", "8") == run("gtopk", "8", "-hier-group", "4") {
+		t.Fatal("P=8: gtopk -hier-group 4 printed the flat tree's modelled time")
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"time"
 
 	"gtopkssgd/internal/algo"
@@ -58,62 +56,29 @@ type options struct {
 	ckptDir     string
 	ckptEvery   int
 	traceCSV    string
-	// training parameters
-	algo         string
-	steps        int
-	batch        int
-	density      float64
-	lr           float64
-	seed         uint64
-	timeout      time.Duration
-	tcpNoDelay   bool
-	wire         string
-	hierGroup    int
-	quorum       int
-	leaderQuorum int
-	roundTimeout time.Duration
-	groupTO      time.Duration
-	leaderTO     time.Duration
-	verdictTO    time.Duration
-
-	// wireCodec is the parsed -wire flag.
-	wireCodec sparse.Codec
-}
-
-// tcpOptions maps the -tcp-nodelay and -wire flags onto the transport
-// options; the mesh handshake offers the codec's wire version and
-// settles on the minimum any member offers.
-func (o *options) tcpOptions() transport.TCPOptions {
-	return transport.TCPOptions{
-		DisableNoDelay: !o.tcpNoDelay,
-		WireVersion:    o.wireCodec.WireVersion(),
-	}
+	// training parameters; spec holds the algorithm flags, which
+	// algo.Spec registers and validates
+	spec    algo.Spec
+	steps   int
+	batch   int
+	lr      float64
+	timeout time.Duration
 }
 
 func main() {
-	var o options
+	o := options{spec: algo.Spec{Algo: "gtopk", Density: 0.01, Wire: sparse.CodecV3}}
+	o.spec.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&o.coordinator, "coordinator", "", "gtopk-coordinator control address (required)")
 	flag.StringVar(&o.name, "name", "", "stable worker name (required)")
 	flag.StringVar(&o.dataAddr, "data-addr", "127.0.0.1:0", "data-plane listen address")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "directory for per-worker snapshots; a restarted worker resumes from its own (required)")
 	flag.IntVar(&o.ckptEvery, "checkpoint-every", 10, "snapshot cadence in iterations")
 	flag.StringVar(&o.traceCSV, "trace", "", "write per-iteration phase timings CSV to this file when training completes")
-	flag.StringVar(&o.algo, "algo", "gtopk", "algorithm: "+strings.Join(algo.Names(), "|")+" (gtopk-quant8 is gtopk over -wire v3-qsgd8, which it forces; the AllGather-based topk, gtopk-naive, signsgd and terngrad need a power-of-two world)")
 	flag.IntVar(&o.steps, "steps", 50, "training steps")
 	flag.IntVar(&o.batch, "batch", 16, "mini-batch size per worker")
-	flag.Float64Var(&o.density, "density", 0.01, "gradient density rho in (0,1]")
 	flag.Float64Var(&o.lr, "lr", 0.05, "learning rate")
-	flag.Uint64Var(&o.seed, "seed", 42, "shared model/data seed")
+	flag.Uint64Var(&o.spec.Seed, "seed", 42, "shared model/data seed")
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "per-epoch mesh wire-up bound")
-	flag.BoolVar(&o.tcpNoDelay, "tcp-nodelay", true, "enable TCP_NODELAY on mesh sockets (false re-enables Nagle's algorithm)")
-	flag.StringVar(&o.wire, "wire", "v3", "sparse wire codec: v1 (flat), v3 (delta/varint indices, lossless fp32 values; non-finite values are rejected at decode) or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (lossy; the rounding/quantization error folds into the error-feedback residual); meshes settle on the lowest version any worker offers")
-	flag.IntVar(&o.hierGroup, "hier-group", 0, "hierarchical gTop-k group size G: workers aggregate within groups of G, leaders exchange globally (0 disables; requires -algo gtopk; G >= world degenerates to the flat tree)")
-	flag.IntVar(&o.quorum, "quorum", 0, "straggler-tolerant quorum size q: each aggregation round closes after q contributions under the -round-timeout deadline, refunding stragglers' blocks to their residuals (0 disables; requires -algo gtopk and a strict majority; with -hier-group, q is the intra-group quorum q_g over each group of G)")
-	flag.IntVar(&o.leaderQuorum, "leader-quorum", 0, "hierarchical quorum's leader-level quorum q_l over the group aggregates: a wholly slow group misses the round as a unit and refunds to residual (0 = wait for every group; requires -quorum and -hier-group)")
-	flag.DurationVar(&o.roundTimeout, "round-timeout", 0, "per-round gather deadline for -quorum (must be > 0 when -quorum is set; with -hier-group it is the whole-round budget the per-level deadlines split)")
-	flag.DurationVar(&o.groupTO, "group-timeout", 0, "hierarchical quorum's intra-group gather budget (set all three level budgets or none; zero = the default 1/4:1/2:1/4 split of -round-timeout; requires -quorum and -hier-group)")
-	flag.DurationVar(&o.leaderTO, "leader-timeout", 0, "hierarchical quorum's leader-level gather budget (see -group-timeout)")
-	flag.DurationVar(&o.verdictTO, "verdict-timeout", 0, "hierarchical quorum's per-attempt verdict broadcast budget (see -group-timeout)")
 	flag.Parse()
 
 	if err := o.validate(); err != nil {
@@ -133,70 +98,18 @@ func main() {
 // configuration carries, so each epoch's algo.Build checks them against
 // its world (Spec.CheckQuorum).
 func (o *options) validate() error {
-	if !slices.Contains(algo.Names(), o.algo) {
-		return fmt.Errorf("unknown -algo %q (want %s)", o.algo, strings.Join(algo.Names(), ", "))
-	}
-	if o.steps < 1 {
-		return fmt.Errorf("-steps %d out of range: need >= 1", o.steps)
-	}
-	if o.batch < 1 {
-		return fmt.Errorf("-batch %d out of range: need >= 1", o.batch)
-	}
-	if o.density <= 0 || o.density > 1 {
-		return fmt.Errorf("-density %v out of range: need 0 < rho <= 1", o.density)
-	}
-	if o.lr <= 0 {
-		return fmt.Errorf("-lr %v out of range: need > 0", o.lr)
-	}
-	if o.timeout <= 0 {
-		return fmt.Errorf("-timeout %v out of range: need > 0", o.timeout)
-	}
-	codec, err := sparse.ParseCodec(o.wire)
-	if err != nil {
-		return fmt.Errorf("-wire: %w", err)
-	}
-	o.wireCodec = algo.Spec{Algo: o.algo, Wire: codec}.Codec()
-	if o.hierGroup < 0 {
-		return fmt.Errorf("-hier-group %d out of range: need >= 0", o.hierGroup)
-	}
-	if o.algo == "gtopk-hier" && o.hierGroup == 0 {
-		o.hierGroup = algo.Spec{Algo: o.algo}.Group()
-	}
-	if o.hierGroup > 0 && !algo.Tree(o.algo) {
-		return fmt.Errorf("-hier-group requires -algo gtopk, gtopk-hier or gtopk-quant8 (hierarchical aggregation is a gTop-k topology)")
-	}
-	if o.quorum < 0 {
-		return fmt.Errorf("-quorum %d out of range: need >= 0", o.quorum)
-	}
-	if o.quorum > 0 {
-		if !algo.Tree(o.algo) {
-			return fmt.Errorf("-quorum requires -algo gtopk, gtopk-hier or gtopk-quant8 (quorum rounds are a gTop-k collective mode)")
-		}
-		if o.roundTimeout <= 0 {
-			return fmt.Errorf("-quorum requires -round-timeout > 0 (got %v): a quorum without a deadline never closes early", o.roundTimeout)
-		}
-	} else if o.roundTimeout != 0 {
-		return fmt.Errorf("-round-timeout requires -quorum (a deadline only bounds quorum rounds)")
-	}
-	if o.leaderQuorum < 0 {
-		return fmt.Errorf("-leader-quorum %d out of range: need >= 0", o.leaderQuorum)
-	}
-	if o.leaderQuorum > 0 && (o.quorum == 0 || o.hierGroup == 0) {
-		return fmt.Errorf("-leader-quorum requires -quorum and -hier-group (the leader level only exists in the hierarchical quorum collective)")
-	}
-	if o.groupTO != 0 || o.leaderTO != 0 || o.verdictTO != 0 {
-		if o.quorum == 0 || o.hierGroup == 0 {
-			return fmt.Errorf("-group-timeout/-leader-timeout/-verdict-timeout require -quorum and -hier-group (per-level budgets only exist in the hierarchical quorum collective)")
-		}
-		if o.groupTO <= 0 || o.leaderTO <= 0 || o.verdictTO <= 0 {
-			return fmt.Errorf("per-level budgets must all be set and positive (got -group-timeout %v, -leader-timeout %v, -verdict-timeout %v; zero all three for the default 1/4:1/2:1/4 split)",
-				o.groupTO, o.leaderTO, o.verdictTO)
-		}
-		if sum := o.groupTO + o.leaderTO + o.verdictTO; sum > o.roundTimeout {
-			return fmt.Errorf("per-level budgets %v + %v + %v = %v exceed -round-timeout %v", o.groupTO, o.leaderTO, o.verdictTO, sum, o.roundTimeout)
-		}
+	if err := o.spec.Validate(); err != nil {
+		return err
 	}
 	switch {
+	case o.steps < 1:
+		return fmt.Errorf("-steps %d out of range: need >= 1", o.steps)
+	case o.batch < 1:
+		return fmt.Errorf("-batch %d out of range: need >= 1", o.batch)
+	case o.lr <= 0:
+		return fmt.Errorf("-lr %v out of range: need > 0", o.lr)
+	case o.timeout <= 0:
+		return fmt.Errorf("-timeout %v out of range: need > 0", o.timeout)
 	case o.coordinator == "":
 		return fmt.Errorf("need -coordinator (the gtopk-coordinator control address the worker joins)")
 	case o.name == "":
@@ -209,23 +122,6 @@ func (o *options) validate() error {
 	return nil
 }
 
-// spec assembles the parsed flags into the aggregator specification.
-// Zero level budgets select the default split, and without -quorum the
-// quorum configuration is zero. Momentum is not the spec's: the trainer
-// runs at TrainConfig.Momentum 0.9, which a sparse aggregator corrects
-// (DGC) in the velocity the trainer lends it.
-func (o *options) spec() algo.Spec {
-	return algo.Spec{
-		Algo: o.algo, Density: o.density, HierGroup: o.hierGroup, Wire: o.wireCodec, Seed: o.seed,
-		Quorum: core.QuorumConfig{
-			Q:       o.quorum,
-			LeaderQ: o.leaderQuorum,
-			Timeout: o.roundTimeout,
-			Levels:  core.LevelTimeouts{Group: o.groupTO, Leader: o.leaderTO, Broadcast: o.verdictTO},
-		},
-	}
-}
-
 // degradeAfter is the consecutive-missed-round streak at which a
 // worker reports itself degraded to the coordinator (telemetry
 // only; the epoch is never reformed for a slow rank).
@@ -234,7 +130,7 @@ const degradeAfter = 3
 // run joins a coordinator and trains until the job completes,
 // surviving membership changes.
 func run(o *options) error {
-	ds, err := data.NewImages(o.seed+1, 10, 3, 8, 8, 0.4)
+	ds, err := data.NewImages(o.spec.Seed+1, 10, 3, 8, 8, 0.4)
 	if err != nil {
 		return err
 	}
@@ -252,8 +148,10 @@ func run(o *options) error {
 		CheckpointPath:  filepath.Join(o.ckptDir, o.name+".gtkc"),
 		CheckpointEvery: o.ckptEvery,
 		MeshTimeout:     o.timeout,
-		TCP:             o.tcpOptions(),
-		DegradeAfter:    degradeAfter,
+		// The mesh handshake offers the codec's wire version and settles
+		// on the minimum any member offers.
+		TCP:          transport.TCPOptions{WireVersion: o.spec.Codec().WireVersion()},
+		DegradeAfter: degradeAfter,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -267,11 +165,14 @@ func run(o *options) error {
 		Build: func(rank, world int, comm *collective.Comm) (*cluster.Session, error) {
 			comm.SetWireTally(tally)
 			cls := models.MLP(ds.Dim(), 64, 10)
-			cls.Net.Init(o.seed)
+			cls.Net.Init(o.spec.Seed)
 			// An illegal (quorum, group, world) combination, or an
 			// AllGather baseline at a world that is not a power of two,
 			// fails the epoch build loudly instead of wedging a round.
-			agg, err := algo.Build(o.spec(), comm, cls.Net.ParamCount(), cls.Net.LayerBounds())
+			// Momentum is not the spec's: the trainer runs at
+			// TrainConfig.Momentum 0.9, which a sparse aggregator corrects
+			// (DGC) in the velocity the trainer lends it.
+			agg, err := algo.Build(o.spec, comm, cls.Net.ParamCount(), cls.Net.LayerBounds())
 			if err != nil {
 				return nil, err
 			}
@@ -294,10 +195,10 @@ func run(o *options) error {
 			if sp, ok := agg.(interface{ Sparsifier() *core.Sparsifier }); ok {
 				sess.Sparsifier = sp.Sparsifier()
 			}
-			if q, ok := agg.(interface{ QuorumMissStreak() int }); ok && o.quorum > 0 {
+			if q, ok := agg.(interface{ QuorumMissStreak() int }); ok && o.spec.Quorum.Q > 0 {
 				sess.QuorumMisses = q.QuorumMissStreak
 			}
-			if g, ok := agg.(interface{ QuorumGroup() int }); ok && o.quorum > 0 {
+			if g, ok := agg.(interface{ QuorumGroup() int }); ok && o.spec.Quorum.Q > 0 {
 				// Group-granular degraded telemetry: a wholly partitioned
 				// hierarchy group streaks — and reports — as a unit.
 				sess.QuorumGroup = g.QuorumGroup

@@ -57,9 +57,11 @@ func TestFlagValidation(t *testing.T) {
 		{"negative-quorum", join("-quorum", "-1"), "-quorum -1 out of range"},
 		{"quorum-needs-gtopk", join("-algo", "dense", "-quorum", "2", "-round-timeout", "100ms"), "-quorum requires -algo gtopk"},
 		{"leader-quorum-needs-hier", join("-quorum", "3", "-leader-quorum", "2", "-round-timeout", "100ms"), "-leader-quorum requires -quorum and -hier-group"},
-		{"level-budgets-need-hier", join("-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "20ms"), "require -quorum and -hier-group"},
-		{"level-budgets-all-or-none", join("-hier-group", "4", "-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "20ms"), "per-level budgets must all be set and positive"},
-		{"level-budgets-exceed-round", join("-hier-group", "4", "-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "50ms", "-leader-timeout", "50ms", "-verdict-timeout", "50ms"), "exceed -round-timeout 100ms"},
+		// Level budgets are not flags: a hierarchical quorum splits
+		// -round-timeout 1/4:1/2:1/4 across its levels.
+		{"level-budgets-need-hier", join("-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "20ms"), "flag provided but not defined: -group-timeout"},
+		{"level-budgets-all-or-none", join("-hier-group", "4", "-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "20ms"), "flag provided but not defined: -group-timeout"},
+		{"level-budgets-exceed-round", join("-hier-group", "4", "-quorum", "3", "-round-timeout", "100ms", "-group-timeout", "50ms", "-leader-timeout", "50ms", "-verdict-timeout", "50ms"), "flag provided but not defined: -group-timeout"},
 		{"quorum-needs-timeout", join("-quorum", "3"), "-quorum requires -round-timeout > 0"},
 		{"negative-round-timeout", join("-quorum", "3", "-round-timeout", "-1s"), "-quorum requires -round-timeout > 0"},
 		{"round-timeout-needs-quorum", join("-round-timeout", "100ms"), "-round-timeout requires -quorum"},
@@ -71,6 +73,7 @@ func TestFlagValidation(t *testing.T) {
 		{"rank-out-of-range", join("-rank", "2"), "flag provided but not defined: -rank"},
 		{"retired-checkpoint", join("-checkpoint", "w0.gtkc"), "flag provided but not defined: -checkpoint"},
 		{"retired-kernels", join("-kernels", "pure"), "flag provided but not defined: -kernels"},
+		{"retired-tcp-nodelay", join("-tcp-nodelay=false"), "flag provided but not defined: -tcp-nodelay"},
 		{"unknown-flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

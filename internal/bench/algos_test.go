@@ -27,7 +27,7 @@ func TestSparseAlgorithmsCorrectMomentumAndFollowWarmup(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fab.Close() //nolint:errcheck // in-process close never fails
-			spec := TrainSpec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.25}, ItersPerEpoch: 1, LR: 0.01, Momentum: 0.9, Seed: 1}
+			spec := TrainSpec{Spec: algo.Spec{Algo: name, Density: 0.01, WarmupDensities: []float64{0.25}, ItersPerEpoch: 1, Seed: 1}, LR: 0.01, Momentum: 0.9}
 			agg, cfg, err := newAggregator(spec, collective.New(fab.Conn(0)), dim, layers)
 			if err != nil {
 				t.Fatal(err)

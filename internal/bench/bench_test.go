@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/netsim"
 )
 
@@ -137,8 +138,8 @@ func TestExperimentIDsUniqueAndSorted(t *testing.T) {
 }
 
 func TestTrainSpecValidate(t *testing.T) {
-	good := TrainSpec{Model: "mlp", Algo: "gtopk", Workers: 2, Batch: 4,
-		Epochs: 1, ItersPerEpoch: 2, Density: 0.1, LR: 0.1}
+	good := TrainSpec{Spec: algo.Spec{Algo: "gtopk", Density: 0.1, ItersPerEpoch: 2},
+		Model: "mlp", Workers: 2, Batch: 4, Epochs: 1, LR: 0.1}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
@@ -159,12 +160,12 @@ func TestTrainSpecValidate(t *testing.T) {
 }
 
 func TestRunTrainingMLPAllAlgos(t *testing.T) {
-	for _, algo := range []string{"dense", "topk", "gtopk", "gtopk-naive", "gtopk-ps", "gtopk-layerwise"} {
-		t.Run(algo, func(t *testing.T) {
+	for _, name := range []string{"dense", "topk", "gtopk", "gtopk-naive", "gtopk-ps", "gtopk-layerwise"} {
+		t.Run(name, func(t *testing.T) {
 			spec := TrainSpec{
-				Model: "mlp", Algo: algo, Workers: 4, Batch: 8,
-				Epochs: 2, ItersPerEpoch: 5, Density: 0.01,
-				LR: 0.1, Momentum: 0.9, Seed: 7,
+				Spec:  algo.Spec{Algo: name, Density: 0.01, ItersPerEpoch: 5, Seed: 7},
+				Model: "mlp", Workers: 4, Batch: 8,
+				Epochs: 2, LR: 0.1, Momentum: 0.9,
 			}
 			curve, err := RunTraining(context.Background(), spec)
 			if err != nil {
@@ -184,8 +185,8 @@ func TestRunTrainingMLPAllAlgos(t *testing.T) {
 }
 
 func TestRunTrainingUnknownModelAndAlgo(t *testing.T) {
-	spec := TrainSpec{Model: "nope", Algo: "gtopk", Workers: 2, Batch: 2,
-		Epochs: 1, ItersPerEpoch: 1, Density: 0.1, LR: 0.1}
+	spec := TrainSpec{Spec: algo.Spec{Algo: "gtopk", Density: 0.1, ItersPerEpoch: 1},
+		Model: "nope", Workers: 2, Batch: 2, Epochs: 1, LR: 0.1}
 	if _, err := RunTraining(context.Background(), spec); err == nil {
 		t.Error("unknown model accepted")
 	}
@@ -234,8 +235,8 @@ func TestQuickTrainingExperiments(t *testing.T) {
 }
 
 func TestCurveTableAlignsRaggedCurves(t *testing.T) {
-	c1 := &TrainCurve{Spec: TrainSpec{Algo: "a"}, EpochLoss: []float64{1, 2}}
-	c2 := &TrainCurve{Spec: TrainSpec{Algo: "b"}, EpochLoss: []float64{3}}
+	c1 := &TrainCurve{Spec: TrainSpec{Spec: algo.Spec{Algo: "a"}}, EpochLoss: []float64{1, 2}}
+	c2 := &TrainCurve{Spec: TrainSpec{Spec: algo.Spec{Algo: "b"}}, EpochLoss: []float64{3}}
 	out := CurveTable("t", []*TrainCurve{c1, c2})
 	if !strings.Contains(out, "2.0000") {
 		t.Fatalf("missing epoch 2 for curve a:\n%s", out)

@@ -22,51 +22,24 @@ import (
 // follow the paper; model sizes and epoch lengths are CPU-scaled so a
 // full curve runs in CPU-minutes (the *Sim models of internal/nn/models
 // keep each paper model's fc- or conv-dominated character at ~100-1000x
-// fewer parameters; an epoch is a fixed ItersPerEpoch).
+// fewer parameters; an epoch is a fixed ItersPerEpoch). The embedded
+// algo.Spec holds the algorithm settings; its Seed also seeds the model
+// and the data, and its ItersPerEpoch is the epoch length.
 type TrainSpec struct {
+	algo.Spec
 	Model string // vgg16sim | resnet20sim | alexnetsim | resnet50sim | lstm | mlp
-	Algo  string // one of algo.Names()
 
-	Workers       int
-	Batch         int
-	Epochs        int
-	ItersPerEpoch int
-
-	Density float64
-	// WarmupDensities are per-epoch densities applied before Density
-	// takes over (the paper uses [0.25, 0.0725, 0.015, 0.004]).
-	WarmupDensities []float64
+	Workers int
+	Batch   int
+	Epochs  int
 
 	LR       float32
 	Momentum float32
 	GradClip float32
 
-	Seed uint64
 	// EvalBatches > 0 evaluates held-out accuracy after every epoch
 	// (classifier models only).
 	EvalBatches int
-	// DisablePutBack turns off Algorithm 4 line 10 for the residual
-	// ablation.
-	DisablePutBack bool
-	// HierGroup is the gTop-k hierarchy's group size (see
-	// algo.Spec.HierGroup).
-	HierGroup int
-	// Wire, when non-zero, selects the sparse wire codec the simulated
-	// cluster's fabric negotiates (e.g. sparse.CodecV3Q8 trains through
-	// the compound quantized pipeline, its error folded into the
-	// residual). Zero keeps the v1 default.
-	Wire sparse.Codec
-	// Quorum, when > 0, runs the gtopk algorithm in straggler-tolerant
-	// quorum mode: each round closes after Quorum of Workers
-	// contributions under the RoundTimeout deadline, and a straggler's
-	// block is refunded to its residual. Under gtopk-hier, Quorum is the
-	// intra-group quorum q_g over each group of HierGroup members and
-	// LeaderQuorum the leader-level quorum q_l over the group aggregates
-	// (0 waits for every group); the RoundTimeout budget splits across
-	// the levels per core.QuorumConfig.SplitLevels.
-	Quorum       int
-	LeaderQuorum int
-	RoundTimeout time.Duration
 	// FaultDelay, when > 0, wraps the cluster's fabric in a seeded
 	// FaultInjector that delays SlowRank's outgoing frames by FaultDelay
 	// — the straggler the quorum rides out.
@@ -74,15 +47,13 @@ type TrainSpec struct {
 	SlowRank   int
 }
 
-// Validate rejects malformed specifications.
+// Validate rejects malformed specifications: the run's own sizes here,
+// the algorithm settings through algo.Spec.Validate.
 func (s TrainSpec) Validate() error {
 	if s.Workers < 1 || s.Batch < 1 || s.Epochs < 1 || s.ItersPerEpoch < 1 {
 		return fmt.Errorf("bench: non-positive workers/batch/epochs/iters in %+v", s)
 	}
-	if s.Algo != "dense" && (s.Density <= 0 || s.Density > 1) {
-		return fmt.Errorf("bench: density %v out of (0,1]", s.Density)
-	}
-	return nil
+	return s.Spec.Validate()
 }
 
 // TrainCurve is the result of one training run.
@@ -188,7 +159,7 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 		Steps:   steps,
 		Model:   &simModel,
 	}
-	if wire := spec.algoSpec().Codec(); wire != 0 || spec.FaultDelay > 0 {
+	if wire := spec.Codec(); wire != 0 || spec.FaultDelay > 0 {
 		if wire == 0 {
 			wire = sparse.CodecV1
 		}
@@ -234,20 +205,8 @@ func RunTraining(ctx context.Context, spec TrainSpec) (*TrainCurve, error) {
 // (global momentum on spiky sparse updates is unstable — the problem the
 // paper's reference [12] identifies and fixes).
 func newAggregator(spec TrainSpec, comm *collective.Comm, dim int, bounds []int) (core.Aggregator, core.TrainConfig, error) {
-	agg, err := algo.Build(spec.algoSpec(), comm, dim, bounds)
+	agg, err := algo.Build(spec.Spec, comm, dim, bounds)
 	return agg, core.TrainConfig{LR: spec.LR, Momentum: spec.Momentum, GradClip: spec.GradClip}, err
-}
-
-// algoSpec is the aggregator half of the spec.
-func (s TrainSpec) algoSpec() algo.Spec {
-	spec := algo.Spec{
-		Algo: s.Algo, Density: s.Density, WarmupDensities: s.WarmupDensities, ItersPerEpoch: s.ItersPerEpoch,
-		HierGroup: s.HierGroup, DisablePutBack: s.DisablePutBack, Wire: s.Wire, Seed: s.Seed,
-	}
-	if s.Quorum > 0 {
-		spec.Quorum = core.QuorumConfig{Q: s.Quorum, LeaderQ: s.LeaderQuorum, Timeout: s.RoundTimeout}
-	}
-	return spec
 }
 
 // CurveTable renders several training curves side by side, one row per

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/core"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/netsim"
@@ -108,9 +109,9 @@ func BucketedOverlap(model netsim.Model) string {
 func bucketedConvergence(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "vgg16sim", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.001, LR: 0.05, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.05, Momentum: 0.9, GradClip: 1,
 	}
 	curves, err := runAlgos(ctx, base, "gtopk", "gtopk-bucketed")
 	if err != nil {

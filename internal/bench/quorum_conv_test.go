@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"gtopkssgd/internal/algo"
+	"gtopkssgd/internal/core"
 )
 
 // quorumConvSpec is the shared workload of the quorum convergence tests:
@@ -11,9 +14,9 @@ import (
 // refunded rank visibly matters if the conservation law were broken.
 func quorumConvSpec() TrainSpec {
 	return TrainSpec{
-		Model: "mlp", Algo: "gtopk", Workers: 4, Batch: 8,
-		Epochs: 2, ItersPerEpoch: 6,
-		Density: 0.01, LR: 0.05, Momentum: 0.9, GradClip: 1, Seed: 42,
+		Spec:  algo.Spec{Algo: "gtopk", ItersPerEpoch: 6, Density: 0.01, Seed: 42},
+		Model: "mlp", Workers: 4, Batch: 8,
+		Epochs: 2, LR: 0.05, Momentum: 0.9, GradClip: 1,
 	}
 }
 
@@ -28,8 +31,7 @@ func TestQuorumFullSyncTrainingBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := quorumConvSpec()
-	spec.Quorum = spec.Workers
-	spec.RoundTimeout = 5 * time.Second
+	spec.Quorum = core.QuorumConfig{Q: spec.Workers, Timeout: 5 * time.Second}
 	qp, err := RunTraining(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +61,7 @@ func TestQuorumDegradedConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := quorumConvSpec()
-	spec.Quorum = spec.Workers - 1
-	spec.RoundTimeout = 40 * time.Millisecond
+	spec.Quorum = core.QuorumConfig{Q: spec.Workers - 1, Timeout: 40 * time.Millisecond}
 	spec.SlowRank = spec.Workers - 1
 	spec.FaultDelay = 250 * time.Millisecond
 	deg, err := RunTraining(context.Background(), spec)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"gtopkssgd/internal/algo"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/netsim"
 )
@@ -210,9 +211,9 @@ func ids() []string {
 func fig1(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(16, 20)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "resnet20sim", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.001, LR: 0.02, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.02, Momentum: 0.9, GradClip: 1,
 	}
 	curves, err := runAlgos(ctx, base, "dense", "gtopk-naive")
 	if err != nil {
@@ -226,10 +227,9 @@ func fig5(ctx context.Context, opt Options) (string, error) {
 	var out []string
 	for _, model := range []string{"vgg16sim", "resnet20sim"} {
 		base := TrainSpec{
+			Spec:  algo.Spec{Density: 0.001, WarmupDensities: PaperWarmup(), ItersPerEpoch: iters, Seed: opt.seed()},
 			Model: model, Workers: 4, Batch: 16,
-			Epochs: epochs, ItersPerEpoch: iters,
-			Density: 0.001, WarmupDensities: PaperWarmup(),
-			LR: modelLR(model), Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+			Epochs: epochs, LR: modelLR(model), Momentum: 0.9, GradClip: 1,
 		}
 		curves, err := runAlgos(ctx, base, "dense", "gtopk")
 		if err != nil {
@@ -246,10 +246,9 @@ func fig6(ctx context.Context, opt Options) (string, error) {
 	var out []string
 	for _, model := range []string{"alexnetsim", "resnet50sim"} {
 		base := TrainSpec{
+			Spec:  algo.Spec{Density: 0.001, WarmupDensities: PaperWarmup(), ItersPerEpoch: iters, Seed: opt.seed()},
 			Model: model, Workers: 4, Batch: 8,
-			Epochs: epochs, ItersPerEpoch: iters,
-			Density: 0.001, WarmupDensities: PaperWarmup(),
-			LR: 0.02, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+			Epochs: epochs, LR: 0.02, Momentum: 0.9, GradClip: 1,
 		}
 		curves, err := runAlgos(ctx, base, "dense", "gtopk")
 		if err != nil {
@@ -264,9 +263,9 @@ func fig6(ctx context.Context, opt Options) (string, error) {
 func fig7(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.005, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "lstm", Workers: 4, Batch: 8,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.005, LR: 1.0, GradClip: 0.25, Seed: opt.seed(),
+		Epochs: epochs, LR: 1.0, GradClip: 0.25,
 	}
 	curves, err := runAlgos(ctx, base, "dense", "gtopk")
 	if err != nil {
@@ -282,14 +281,14 @@ func fig12(ctx context.Context, opt Options) (string, error) {
 		var curves []*TrainCurve
 		for _, rho := range []float64{0.001, 0.0005, 0.0001} {
 			spec := TrainSpec{
+				Spec:  algo.Spec{Algo: "gtopk", Density: rho, ItersPerEpoch: iters, Seed: opt.seed()},
 				Model: model, Workers: 4, Batch: 16,
-				Epochs: epochs, ItersPerEpoch: iters,
-				Density: rho, Algo: "gtopk",
+				Epochs: epochs,
 				// Very low densities defer coordinates for thousands of
 				// steps in the residual; the effective step grows with the
 				// staleness, so fig12 trains with a smaller LR plus the
 				// DGC-style gradient clipping the paper cites [12].
-				LR: modelLR(model) / 2, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+				LR: modelLR(model) / 2, Momentum: 0.9, GradClip: 1,
 			}
 			curve, err := RunTraining(ctx, spec)
 			if err != nil {
@@ -312,12 +311,11 @@ func fig13(ctx context.Context, opt Options) (string, error) {
 	tb := metrics.NewTable("model", "batch/worker", "algo", "final loss", "final accuracy")
 	for _, model := range []string{"resnet20sim", "vgg16sim"} {
 		for _, batch := range []int{4, 32} {
-			for _, algo := range []string{"topk", "gtopk"} {
+			for _, name := range []string{"topk", "gtopk"} {
 				spec := TrainSpec{
+					Spec:  algo.Spec{Algo: name, Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 					Model: model, Workers: 8, Batch: batch,
-					Epochs: epochs, ItersPerEpoch: iters,
-					Density: 0.001, Algo: algo,
-					LR: modelLR(model), Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+					Epochs: epochs, LR: modelLR(model), Momentum: 0.9, GradClip: 1,
 					EvalBatches: 4,
 				}
 				curve, err := RunTraining(ctx, spec)
@@ -328,7 +326,7 @@ func fig13(ctx context.Context, opt Options) (string, error) {
 				if len(curve.EpochAcc) > 0 {
 					acc = fmt.Sprintf("%.3f", curve.EpochAcc[len(curve.EpochAcc)-1])
 				}
-				tb.AddRow(model, fmt.Sprintf("%d", batch), algo,
+				tb.AddRow(model, fmt.Sprintf("%d", batch), name,
 					fmt.Sprintf("%.4f", curve.EpochLoss[len(curve.EpochLoss)-1]), acc)
 			}
 		}
@@ -339,9 +337,9 @@ func fig13(ctx context.Context, opt Options) (string, error) {
 func ablationTree(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "resnet20sim", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.001, LR: 0.02, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.02, Momentum: 0.9, GradClip: 1,
 	}
 	curves, err := runAlgos(ctx, base, "gtopk", "gtopk-naive")
 	if err != nil {
@@ -358,10 +356,9 @@ func ablationResidual(ctx context.Context, opt Options) (string, error) {
 	var curves []*TrainCurve
 	for _, putBack := range []bool{true, false} {
 		spec := TrainSpec{
+			Spec:  algo.Spec{Algo: "gtopk", Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 			Model: "resnet20sim", Workers: 4, Batch: 16,
-			Epochs: epochs, ItersPerEpoch: iters,
-			Density: 0.001, Algo: "gtopk",
-			LR: 0.02, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+			Epochs: epochs, LR: 0.02, Momentum: 0.9, GradClip: 1,
 		}
 		spec.DisablePutBack = !putBack
 		curve, err := RunTraining(ctx, spec)
@@ -381,9 +378,9 @@ func ablationResidual(ctx context.Context, opt Options) (string, error) {
 func ablationQuant(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.01, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "mlp", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.01, LR: 0.05, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.05, Momentum: 0.9, GradClip: 1,
 	}
 	curves, err := runAlgos(ctx, base, "dense", "gtopk", "gtopk-quant8", "terngrad")
 	if err != nil {
@@ -412,9 +409,9 @@ func ablationQuant(ctx context.Context, opt Options) (string, error) {
 func ablationLayerwise(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "vgg16sim", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.001, LR: 0.05, Momentum: 0.9, GradClip: 1, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.05, Momentum: 0.9, GradClip: 1,
 	}
 	curves, err := runAlgos(ctx, base, "gtopk", "gtopk-layerwise")
 	if err != nil {
@@ -426,9 +423,9 @@ func ablationLayerwise(ctx context.Context, opt Options) (string, error) {
 func psMode(ctx context.Context, opt Options) (string, error) {
 	epochs, iters := opt.scale(12, 16)
 	base := TrainSpec{
+		Spec:  algo.Spec{Density: 0.01, ItersPerEpoch: iters, Seed: opt.seed()},
 		Model: "mlp", Workers: 4, Batch: 16,
-		Epochs: epochs, ItersPerEpoch: iters,
-		Density: 0.01, LR: 0.1, Momentum: 0.9, Seed: opt.seed(),
+		Epochs: epochs, LR: 0.1, Momentum: 0.9,
 	}
 	curves, err := runAlgos(ctx, base, "gtopk", "gtopk-ps")
 	if err != nil {

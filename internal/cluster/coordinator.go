@@ -270,6 +270,12 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			c.depart(m, msg.Done)
 			conn.Close() //nolint:errcheck // graceful end of control stream
 			return
+		case msgFail:
+			c.mu.Lock()
+			if c.members[m.name] == m {
+				c.abortLocked(fmt.Errorf("cluster: %s failed the job: %s", m.name, msg.Reason))
+			}
+			c.mu.Unlock()
 		default:
 			c.reportDown(m, fmt.Sprintf("unexpected %q message", msg.T))
 			conn.Close() //nolint:errcheck // protocol violation
@@ -404,7 +410,7 @@ func (c *Coordinator) reportDown(m *memberState, reason string) {
 	}
 	delete(c.members, m.name)
 	c.cfg.Logf("cluster: %s is down (%s); %d remain", m.name, reason, len(c.members))
-	if c.done || !c.started {
+	if c.done || !c.started || c.abortErr != nil {
 		c.maybeFinishLocked()
 		return
 	}

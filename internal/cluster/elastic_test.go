@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -417,5 +418,77 @@ func TestElasticCompletionCatchesDivergedReplica(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("the failed check took %v to surface, want it terminal without the grace wait", took)
+	}
+}
+
+// TestElasticFailedAgreementAbortsJob forces the ordering in which a
+// failed replica agreement used to end in a job that reported success:
+// rank 1 sends a malformed sync blob and does not read rank 0's verdict
+// until rank 0's Run has returned. Rank 0 must report the verdict to the
+// coordinator before it leaves, so the coordinator aborts the job —
+// rank 1's control plane ends with the verdict — instead of treating
+// rank 0's departure as a death and re-forming the epoch around rank 1.
+func TestElasticFailedAgreementAbortsJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr, _, served := startCoordinator(t, ctx, fastHB(CoordinatorConfig{World: 2}))
+
+	cfg := RuntimeConfig{
+		Name: "w0", Coordinator: addr, Steps: 6,
+		CheckpointPath: filepath.Join(t.TempDir(), "w0.gtkc"),
+		Build:          elasticBuild(elasticDataset(t)),
+	}
+	ran := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, cfg)
+		ran <- err
+	}()
+
+	// Rank 1 by hand: join, wire the epoch's mesh and send a blob the
+	// agreement cannot parse.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck // test teardown
+	m, err := Join(ctx, addr, "w1", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close() //nolint:errcheck // test teardown
+	conf := awaitConfig(t, ctx, m, 1)
+	_, changed := m.Config() // closed if the coordinator forms epoch 2
+	conn, err := transport.JoinMesh(ctx, transport.MeshConfig{
+		Rank: conf.Rank, Addrs: conf.Addrs, Epoch: conf.Epoch, Listener: ln,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+	comm := collective.New(conn)
+	if _, err := comm.Fork(1); err != nil { // the runtime's training fork
+		t.Fatal(err)
+	}
+	if _, err := comm.Gather(ctx, 0, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+
+	const verdict = "rank 1 sent malformed sync blob"
+	if err := <-ran; err == nil || !strings.Contains(err.Error(), verdict) {
+		t.Fatalf("w0: err = %v, want the failed agreement", err)
+	}
+	select {
+	case <-m.Done():
+		if err := m.Err(); err == nil || !strings.Contains(err.Error(), "job aborted by coordinator") || !strings.Contains(err.Error(), verdict) {
+			t.Fatalf("w1's control plane ended with %v, want the abort naming the verdict", err)
+		}
+	case <-changed:
+		latest, _ := m.Config()
+		t.Fatalf("the coordinator re-formed epoch %d around w1 after a failed agreement", latest.Epoch)
+	case <-ctx.Done():
+		t.Fatal("timeout waiting for the abort")
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), verdict) {
+		t.Fatalf("Serve = %v, want the failed agreement", err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 // name, streams heartbeats, and surfaces each declared epoch Config.
 // The zero value is not usable; construct with Join.
 type Member struct {
-	name  string
 	codec *connCodec
 
 	hbInterval time.Duration
@@ -49,7 +48,6 @@ func Join(ctx context.Context, coordAddr, name, dataAddr string) (*Member, error
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", coordAddr, err)
 	}
 	m := &Member{
-		name:    name,
 		codec:   newCodec(conn),
 		changed: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -94,9 +92,6 @@ func Join(ctx context.Context, coordAddr, name, dataAddr string) (*Member, error
 	return m, nil
 }
 
-// Name returns the member's stable cluster name.
-func (m *Member) Name() string { return m.name }
-
 // Parked reports whether the coordinator parked this join: the member
 // was accepted into a running job and will receive its first epoch
 // configuration when the coordinator admits it at an epoch boundary.
@@ -127,15 +122,11 @@ func (m *Member) Err() error {
 	return m.err
 }
 
-// ReportDegraded tells the coordinator this worker is alive but
+// ReportDegradedGroup tells the coordinator this worker is alive but
 // persistently missing quorum deadlines. Informational only: the
 // coordinator logs and counts the report without reconfiguring the job.
-func (m *Member) ReportDegraded(reason string) error {
-	return m.ReportDegradedGroup(reason, -1)
-}
-
-// ReportDegradedGroup is ReportDegraded with the reporter's hierarchy
-// group index attached (pass a negative group for a flat quorum). Under
+// The reporter's hierarchy group index rides along (pass a negative
+// group for a flat quorum). Under
 // the hierarchical quorum a wholly partitioned group misses the leader
 // deadline as a unit, so every member streaks — and reports — together;
 // the group index lets the coordinator aggregate those reports
@@ -145,9 +136,19 @@ func (m *Member) ReportDegradedGroup(reason string, group int) error {
 	if group >= 0 {
 		wire = group + 1
 	}
+	return m.send(&message{T: msgDegraded, Reason: reason, Group: wire})
+}
+
+// Fail tells the coordinator this worker hit a failure no
+// reconfiguration can mend, with reason as the verdict; the coordinator
+// aborts the job for every member.
+func (m *Member) Fail(reason string) error { return m.send(&message{T: msgFail, Reason: reason}) }
+
+// send writes one message to the coordinator.
+func (m *Member) send(msg *message) error {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
-	return m.codec.write(&message{T: msgDegraded, Reason: reason, Group: wire})
+	return m.codec.write(msg)
 }
 
 // Leave departs gracefully. jobDone=true tells the coordinator the
@@ -157,9 +158,7 @@ func (m *Member) Leave(jobDone bool) error {
 	m.mu.Lock()
 	m.leaving = true
 	m.mu.Unlock()
-	m.sendMu.Lock()
-	err := m.codec.write(&message{T: msgLeave, Done: jobDone})
-	m.sendMu.Unlock()
+	err := m.send(&message{T: msgLeave, Done: jobDone})
 	m.Close()
 	return err
 }
@@ -233,10 +232,7 @@ func (m *Member) heartbeatLoop() {
 		if paused {
 			continue
 		}
-		m.sendMu.Lock()
-		err := m.codec.write(&message{T: msgHeartbeat})
-		m.sendMu.Unlock()
-		if err != nil {
+		if err := m.send(&message{T: msgHeartbeat}); err != nil {
 			m.finish(fmt.Errorf("cluster: heartbeat write: %w", err))
 			return
 		}

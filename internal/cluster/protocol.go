@@ -27,6 +27,12 @@ const (
 	// the epoch — a slow rank under quorum aggregation costs staleness,
 	// not correctness, so tearing the job down would be strictly worse.
 	msgDegraded = "degraded"
+	// msgFail (worker→coordinator) reports a failure no reconfiguration
+	// can mend — the worker's replica agreement failed; Reason carries
+	// the verdict. The coordinator aborts the job: re-forming the epoch
+	// without the reporter would let a peer that has not yet read the
+	// same verdict resume alone.
+	msgFail = "fail"
 	// msgWelcome (coordinator→worker) accepts a join and sets the
 	// heartbeat contract.
 	msgWelcome = "welcome"

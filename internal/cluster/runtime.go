@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"gtopkssgd/internal/checkpoint"
@@ -99,9 +100,8 @@ type RuntimeConfig struct {
 	DegradeAfter int
 	// MeshTimeout bounds one mesh wire-up attempt; 0 means 30s.
 	MeshTimeout time.Duration
-	// TCP tunes the data-plane sockets of every epoch's mesh; the zero
-	// value enables TCP_NODELAY (right for the small synchronous
-	// collective frames).
+	// TCP carries this worker's sparse wire-version offer to every
+	// epoch's mesh handshake (transport.TCPOptions.WireVersion).
 	TCP transport.TCPOptions
 	// Logf, when non-nil, receives progress events.
 	Logf func(format string, args ...any)
@@ -156,7 +156,8 @@ var errHardAbort = errors.New("cluster: hard abort")
 // errVerdict marks a failed resume agreement (diverged replicas or a
 // malformed sync round). Every rank receives the same verdict, so it is
 // terminal for all of them: no reconfiguration can make the replicas
-// agree again.
+// agree again. A rank that fails with it reports it to the coordinator
+// (Member.Fail), which aborts the job.
 var errVerdict = errors.New("cluster: replica agreement")
 
 // Run executes one elastic worker from join to job completion. It
@@ -233,6 +234,14 @@ func (r *runtime) run(ctx context.Context) (*RunResult, error) {
 			r.cfg.Logf("%s: epoch %d superseded, reconfiguring", r.cfg.Name, conf.Epoch)
 			continue
 		default:
+			if errors.Is(err, errVerdict) {
+				// Every rank gets the same verdict, but a peer may not
+				// have read it yet. Closing the control connection first
+				// would read as a death, and the coordinator would
+				// re-form the epoch around that peer; failing the job
+				// aborts it for every rank.
+				r.member.Fail(err.Error()) //nolint:errcheck // best effort: this rank fails either way
+			}
 			return nil, err
 		}
 	}
@@ -448,7 +457,7 @@ func (r *runtime) restore(sess *Session, conf *Config) (int, error) {
 			return 0, fmt.Errorf("cluster: restore residual: %w", err)
 		}
 	}
-	if members, ok := st.Members(); ok && !sameMembers(members, conf.Names) {
+	if members, ok := st.Members(); ok && !slices.Equal(members, conf.Names) {
 		// The deterministic re-shard moved this worker's data slice:
 		// the epoch's member set differs from the snapshot's. Purely
 		// informational — Build already derived the shard from the new
@@ -457,19 +466,6 @@ func (r *runtime) restore(sess *Session, conf *Config) (int, error) {
 			r.cfg.Name, conf.Epoch, members, conf.Names, conf.Rank, conf.World)
 	}
 	return int(st.Iter), nil
-}
-
-// sameMembers reports whether two rank-ordered member lists coincide.
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // snapshot atomically persists the session's full optimizer state —

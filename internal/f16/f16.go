@@ -92,10 +92,9 @@ func From(h uint16) float32 {
 func Round(f float32) float32 { return From(Bits(f)) }
 
 // RoundSlice applies Round to every element of xs in place. It is THE
-// shared rounding loop: the gTop-k broadcast root uses it to pre-round
-// its own copy under an fp16 wire codec (replica agreement depends on
-// it matching the codec's per-value conversion exactly) and
-// quant.RoundTripF16 wraps it for the quantizer-family API.
+// shared rounding loop: the fp16 value codec's transform (quant.Stack)
+// rounds a sender's own copy with it, and replica agreement depends on
+// it matching the codec's per-value conversion exactly.
 func RoundSlice(xs []float32) {
 	for i, v := range xs {
 		xs[i] = Round(v)

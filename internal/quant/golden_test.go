@@ -43,34 +43,6 @@ func eqI16(t *testing.T, name string, got, want []int16) {
 	}
 }
 
-// TestGoldenUniform pins the exact QSGD output — scale, stochastic
-// levels under the seeded rng, and bit-exact dequantized values — so any
-// drift in the rounding arithmetic or rng consumption order shows up as
-// a diff against these vectors, not as a silent convergence regression.
-func TestGoldenUniform(t *testing.T) {
-	scale, levels, err := Uniform(goldenInput(), 8, prng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float32bits(scale) != 0x3fc00000 { // 1.5
-		t.Fatalf("scale = %v (%#08x), want 1.5", scale, math.Float32bits(scale))
-	}
-	eqI16(t, "levels8", levels, []int16{128, -43, 10, -255, 0, 0, -149, 56})
-	eqF32(t, "dequant8", DequantizeUniform(scale, levels, 8),
-		[]float32{0.7529412, -0.2529412, 0.05882353, -1.5, 0, 0, -0.87647057, 0.32941177})
-
-	scale4, levels4, err := Uniform(goldenInput(), 4, prng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale4 != 1.5 {
-		t.Fatalf("scale4 = %v, want 1.5", scale4)
-	}
-	eqI16(t, "levels4", levels4, []int16{8, -3, 0, -15, 0, 0, -9, 3})
-	eqF32(t, "dequant4", DequantizeUniform(scale4, levels4, 4),
-		[]float32{0.8, -0.3, 0, -1.5, 0, 0, -0.9, 0.3})
-}
-
 // TestGoldenTernary pins the exact TernGrad output under the seeded rng.
 func TestGoldenTernary(t *testing.T) {
 	scale, levels := Ternary(goldenInput(), prng.New(42))
@@ -83,24 +55,20 @@ func TestGoldenTernary(t *testing.T) {
 			t.Fatalf("level[%d] = %d, want %d", i, levels[i], want[i])
 		}
 	}
-	eqF32(t, "dequant", Dequantize(scale, levels),
-		[]float32{1.5, 0, 0, -1.5, 0, 0, 0, 0})
 }
 
-// TestGoldenSign pins the signSGD sign vector, its bit-packed wire byte
-// and the unpack round trip (zero maps to +1, matching the wire codec).
+// TestGoldenSign pins the signSGD bit-packed wire byte and the unpacked
+// sign vector (zero maps to +1, matching the wire codec).
 func TestGoldenSign(t *testing.T) {
-	signs := Sign(goldenInput())
-	eqF32(t, "signs", signs, []float32{1, -1, 1, -1, 1, 1, -1, 1})
-	packed := PackSigns(signs)
+	packed := PackSigns(goldenInput())
 	if !bytes.Equal(packed, []byte{0xb5}) {
 		t.Fatalf("packed = %#v, want []byte{0xb5}", packed)
 	}
-	back, err := UnpackSigns(packed, len(signs))
+	back, err := UnpackSigns(packed, len(goldenInput()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqF32(t, "unpacked", back, signs)
+	eqF32(t, "unpacked", back, []float32{1, -1, 1, -1, 1, 1, -1, 1})
 	if _, err := UnpackSigns(packed, 42); err == nil {
 		t.Fatalf("UnpackSigns accepted a mismatched length")
 	}

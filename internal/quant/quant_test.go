@@ -13,16 +13,6 @@ import (
 	"gtopkssgd/internal/transport"
 )
 
-func TestSignBasics(t *testing.T) {
-	got := Sign([]float32{-3, 0, 2.5})
-	want := []float32{-1, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sign = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPackUnpackSignsRoundTrip(t *testing.T) {
 	src := prng.New(1)
 	for _, n := range []int{1, 7, 8, 9, 63, 64, 100} {
@@ -82,51 +72,6 @@ func TestTernaryZeroVector(t *testing.T) {
 		if l != 0 {
 			t.Fatal("nonzero level for zero input")
 		}
-	}
-	deq := Dequantize(scale, levels)
-	for _, v := range deq {
-		if v != 0 {
-			t.Fatal("nonzero dequantized value")
-		}
-	}
-}
-
-func TestUniformQuantizationErrorBound(t *testing.T) {
-	// 8-bit quantization error per element is at most scale/(2^8-1).
-	src := prng.New(3)
-	x := make([]float32, 500)
-	for i := range x {
-		x[i] = float32(src.NormFloat64())
-	}
-	scale, levels, err := Uniform(x, 8, prng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deq := DequantizeUniform(scale, levels, 8)
-	bound := float64(scale) / 255
-	for i := range x {
-		if diff := math.Abs(float64(deq[i] - x[i])); diff > bound+1e-6 {
-			t.Fatalf("elem %d: error %v exceeds bound %v", i, diff, bound)
-		}
-	}
-}
-
-func TestUniformValidatesBits(t *testing.T) {
-	if _, _, err := Uniform([]float32{1}, 0, prng.New(1)); err == nil {
-		t.Error("bits=0 accepted")
-	}
-	if _, _, err := Uniform([]float32{1}, 16, prng.New(1)); err == nil {
-		t.Error("bits=16 accepted")
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	// Dense m=1000 floats = 4000 bytes; 40-byte wire -> 100x.
-	if got := CompressionRatio(1000, 40); got != 100 {
-		t.Fatalf("ratio = %v", got)
-	}
-	if CompressionRatio(10, 0) != 0 {
-		t.Fatal("zero wire bytes should yield 0")
 	}
 }
 
@@ -256,23 +201,22 @@ func TestQuickPackSignsRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: uniform quantization never exceeds its error bound.
+// Property: the QSGD transform never moves a value by more than one
+// level step, scale/steps, at any of its bit widths.
 func TestQuickUniformErrorBound(t *testing.T) {
-	fn := func(seed uint64, bitsRaw uint8) bool {
-		bits := int(bitsRaw%8) + 1
+	fn := func(seed uint64, codec uint8) bool {
+		vc := []sparse.ValueCodec{sparse.ValueQ8, sparse.ValueQ4, sparse.ValueQ2}[codec%3]
 		src := prng.New(seed)
 		x := make([]float32, 50)
 		for i := range x {
 			x[i] = float32(src.NormFloat64())
 		}
-		scale, levels, err := Uniform(x, bits, prng.New(seed+1))
-		if err != nil {
-			return false
-		}
-		deq := DequantizeUniform(scale, levels, bits)
-		bound := float64(scale)/float64(int(1)<<bits-1) + 1e-5
+		vals := append([]float32(nil), x...)
+		s := NewStack(vc, seed+1)
+		scale, _ := s.Transform(vals)
+		bound := float64(scale)/float64(s.steps()) + 1e-5
 		for i := range x {
-			if math.Abs(float64(deq[i]-x[i])) > bound {
+			if math.Abs(float64(vals[i]-x[i])) > bound {
 				return false
 			}
 		}
@@ -311,43 +255,5 @@ func TestDimValidation(t *testing.T) {
 	}
 	if _, err := NewTernGradAggregator(comm, 4, 1).Aggregate(ctx, make([]float32, 5)); err == nil {
 		t.Error("terngrad dim mismatch accepted")
-	}
-}
-
-// TestQuantizeSparseF16 pins the half-precision compressor: exact
-// indices, values equal to the binary16 round trip (idempotent), and a
-// wire cost matching the v3-fp16 codec's actual frame.
-func TestQuantizeSparseF16(t *testing.T) {
-	v := &sparse.Vector{
-		Dim:     1000,
-		Indices: []int32{1, 40, 41, 999},
-		Values:  []float32{0.333333, -1e-9, 70000, -2.5},
-	}
-	q, wire := QuantizeSparseF16(v)
-	if wire != len(sparse.EncodeCodec(sparse.CodecV3F16, v)) {
-		t.Fatalf("reported wire %d bytes, actual v3-fp16 frame %d", wire, len(sparse.EncodeCodec(sparse.CodecV3F16, v)))
-	}
-	for i, idx := range v.Indices {
-		if q.Indices[i] != idx {
-			t.Fatalf("index %d changed: %d -> %d", i, idx, q.Indices[i])
-		}
-		want := Float16(v.Values[i])
-		if math.Float32bits(q.Values[i]) != math.Float32bits(want) {
-			t.Fatalf("value %d: got %v want %v", i, q.Values[i], want)
-		}
-		if math.Float32bits(Float16(q.Values[i])) != math.Float32bits(q.Values[i]) {
-			t.Fatalf("value %d not idempotent under Float16", i)
-		}
-	}
-	if v.Values[0] == q.Values[0] {
-		t.Fatal("0.333333 should not be exactly representable in binary16")
-	}
-	// RoundTripF16 matches element-wise application.
-	xs := append([]float32(nil), v.Values...)
-	RoundTripF16(xs)
-	for i := range xs {
-		if math.Float32bits(xs[i]) != math.Float32bits(q.Values[i]) {
-			t.Fatalf("RoundTripF16 element %d differs from QuantizeSparseF16", i)
-		}
 	}
 }

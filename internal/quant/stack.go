@@ -93,9 +93,11 @@ func forkSeed(seed, stream uint64) uint64 {
 
 // Transform quantizes values in place onto s's lattice and returns the
 // frame scale plus one level per entry for the v3 encoder. The level
-// slice aliases internal scratch, valid until the next Transform. The
-// arithmetic mirrors Uniform/Ternary/Sign exactly; reconstruction goes
-// through sparse.DequantLevel so sender and receivers agree bit-exact.
+// slice aliases internal scratch, valid until the next Transform: QSGD
+// stochastic rounding (transformUniform), TernGrad's Bernoulli sampling
+// (transformTernary, the arithmetic of Ternary) or the scaled sign
+// (transformSign). Reconstruction goes through sparse.DequantLevel so
+// sender and receivers agree bit-exact.
 func (s *Stack) Transform(values []float32) (float32, []int16) {
 	switch s.vc {
 	case sparse.ValueF32:
@@ -118,14 +120,17 @@ func (s *Stack) Transform(values []float32) (float32, []int16) {
 	}
 }
 
-// transformUniform is Uniform's QSGD stochastic rounding, writing into
-// reusable scratch and pinning values to the decoder's lattice. Its loop
-// takes no data-dependent branch, and produces Uniform's levels and
-// DequantLevel's values bit for bit: t = |v|/scale·steps lies in
-// [0, steps], where truncation is floor; the round-up compare selects
-// 0 or 1; the sign goes back on the integer level, where -0 cannot
-// arise; and the value is DequantLevel's QSGD expression. A non-finite
-// input makes t NaN and its level 0, as before.
+// transformUniform is the QSGD scheme (PAPERS.md): each value becomes
+// scale·sign(v)·ξ(|v|/scale) on 2·steps+1 uniform levels, where ξ rounds
+// stochastically to a neighbouring level with probability proportional
+// to proximity, keeping the estimator unbiased. It writes into reusable
+// scratch and pins values to the decoder's lattice. Its loop takes no
+// data-dependent branch, and produces the levels of the branchy
+// reference loop kept in transform_test.go and DequantLevel's values bit
+// for bit: t = |v|/scale·steps lies in [0, steps], where truncation is
+// floor; the round-up compare selects 0 or 1; the sign goes back on the
+// integer level, where -0 cannot arise; and the value is DequantLevel's
+// QSGD expression. A non-finite input makes t NaN and its level 0.
 func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 	var scale float32
 	for _, v := range values {
@@ -186,8 +191,8 @@ func (s *Stack) transformTernary(values []float32, levels []int16) float32 {
 	return scale
 }
 
-// transformSign is Sign's element-wise sign with the mean magnitude as
-// the shared scale (the scaled-sign estimator), deterministic — no rng.
+// transformSign is the element-wise sign (zero counts as positive, as in
+// PackSigns) with the mean magnitude as the shared scale (the scaled-sign estimator), deterministic — no rng.
 func transformSign(values []float32, levels []int16) float32 {
 	var sum float64
 	for _, v := range values {

@@ -77,24 +77,3 @@ func TestSendPooledRoundTrip(t *testing.T) {
 		fab.Close()
 	}
 }
-
-// TestTCPOptionsNagle exercises the DisableNoDelay path end to end (the
-// socket option must not break framing).
-func TestTCPOptionsNagle(t *testing.T) {
-	fab, err := NewTCPWithOptions(2, TCPOptions{DisableNoDelay: true, WriteBufBytes: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	ctx := context.Background()
-	if err := fab.Conn(0).Send(ctx, 1, 3, []byte("nagle on")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fab.Conn(1).Recv(ctx, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "nagle on" {
-		t.Fatalf("got %q", got)
-	}
-}

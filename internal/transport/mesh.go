@@ -33,8 +33,6 @@ type MeshConfig struct {
 	// JoinMesh listens on Addrs[Rank] itself and closes the listener
 	// once the mesh is wired.
 	Listener net.Listener
-	// TCP tunes the mesh's data-plane sockets; the zero value enables
-	// TCP_NODELAY, which the small synchronous collective frames want.
 	// TCP.WireVersion is this worker's sparse wire-codec offer: the
 	// handshake carries it and the mesh settles on the minimum version
 	// offered by any member, so a v1 peer still decodes every frame.
@@ -86,7 +84,6 @@ func JoinMesh(ctx context.Context, cfg MeshConfig) (Conn, error) {
 	c := &tcpConn{
 		rank:  cfg.Rank,
 		size:  n,
-		opts:  cfg.TCP,
 		peers: make([]*peerLink, n),
 		box:   newMailbox(n),
 		wire:  normalizeWire(cfg.TCP.WireVersion),

@@ -26,8 +26,8 @@ import (
 //     writes plus one explicit flush (one syscall) instead of a
 //     frame-assembly copy — and a sender streaming chunked payloads
 //     coalesces them into few syscalls;
-//   - TCP_NODELAY is enabled by default (TCPOptions.DisableNoDelay turns
-//     Nagle back on): the collectives exchange small latency-critical
+//   - TCP_NODELAY is always on (the net package's default for every TCP
+//     connection): the collectives exchange small latency-critical
 //     frames, exactly the traffic Nagle's algorithm penalises;
 //   - the read loop draws its payload frames from the shared bufpool and
 //     hands them to the application, which releases them after the merge
@@ -38,17 +38,9 @@ type TCPFabric struct {
 
 var _ Fabric = (*TCPFabric)(nil)
 
-// TCPOptions tunes the socket behaviour of a TCP fabric or mesh.
+// TCPOptions configures a TCP fabric or mesh endpoint. Every socket
+// runs with TCP_NODELAY on and a linkBuf-sized writer and reader.
 type TCPOptions struct {
-	// DisableNoDelay re-enables Nagle's algorithm (TCP_NODELAY off).
-	// The zero value — NoDelay on — is right for the collectives' small
-	// synchronous frames; disabling is exposed for bandwidth experiments
-	// over links where coalescing wins.
-	DisableNoDelay bool
-	// WriteBufBytes sizes each link's buffered writer; 0 means the
-	// 64 KiB default, which holds a full rho=0.001 frame for models up to
-	// ~8M parameters.
-	WriteBufBytes int
 	// WireVersion is the sparse wire-codec version this endpoint offers
 	// (0 or WireV1 = flat frames, WireV3 = delta/varint compound frames).
 	// JoinMesh carries the offer in the handshake and the mesh settles
@@ -58,33 +50,19 @@ type TCPOptions struct {
 	WireVersion byte
 }
 
-// defaultWriteBuf is the per-link write-buffer size when unset.
-const defaultWriteBuf = 64 << 10
-
-func (o TCPOptions) writeBuf() int {
-	if o.WriteBufBytes > 0 {
-		return o.WriteBufBytes
-	}
-	return defaultWriteBuf
-}
-
-// apply sets the per-socket options on a freshly established connection.
-func (o TCPOptions) apply(sock net.Conn) {
-	if tc, ok := sock.(*net.TCPConn); ok {
-		tc.SetNoDelay(!o.DisableNoDelay) //nolint:errcheck // best-effort socket tuning
-	}
-}
+// linkBuf is each link's buffered writer and reader size: it holds a
+// full rho=0.001 v1 frame for models up to ~8M parameters.
+const linkBuf = 64 << 10
 
 // NewTCP creates a TCP fabric with n ranks listening on ephemeral
-// loopback ports and fully meshed, with default options (TCP_NODELAY
-// on).
+// loopback ports and fully meshed, offering wire version 1.
 func NewTCP(n int) (*TCPFabric, error) { return NewTCPWithOptions(n, TCPOptions{}) }
 
 // fabricSetupTimeout bounds an in-process fabric's wire-up, so a
 // handshake that cannot complete returns an error instead of hanging.
 const fabricSetupTimeout = 10 * time.Second
 
-// NewTCPWithOptions is NewTCP with explicit socket options. It binds n
+// NewTCPWithOptions is NewTCP with explicit options. It binds n
 // loopback listeners and wires them with n concurrent JoinMesh calls —
 // the handshake every multi-process mesh runs — so the fabric settles
 // on opts.WireVersion exactly as a deployed mesh would.
@@ -183,7 +161,6 @@ func (l *peerLink) writeFrame(tag int, payload []byte) error {
 
 type tcpConn struct {
 	rank, size int
-	opts       TCPOptions
 	peers      []*peerLink
 	box        *mailbox
 
@@ -204,12 +181,11 @@ var (
 )
 
 func (c *tcpConn) attach(peer int, sock net.Conn) {
-	c.opts.apply(sock)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.peers[peer] = &peerLink{
 		sock: sock,
-		w:    bufio.NewWriterSize(sock, c.opts.writeBuf()),
+		w:    bufio.NewWriterSize(sock, linkBuf),
 	}
 }
 
@@ -229,7 +205,7 @@ func (c *tcpConn) startReaders() {
 // exits on any read error (remote close, local close, corrupt frame).
 func (c *tcpConn) readLoop(peer int, sock net.Conn) {
 	defer c.readers.Done()
-	rd := bufio.NewReaderSize(sock, defaultWriteBuf)
+	rd := bufio.NewReaderSize(sock, linkBuf)
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(rd, hdr[:]); err != nil {

@@ -204,14 +204,17 @@ func TestSendVecFallbackThroughFaultInjector(t *testing.T) {
 // the bufio path has to spill mid-batch, verifying frame integrity when
 // one flush cannot cover the whole batch.
 func TestSendVecLargeBatchTCP(t *testing.T) {
-	f, err := NewTCPWithOptions(2, TCPOptions{WriteBufBytes: 4 << 10})
+	f, err := NewTCP(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	ctx := context.Background()
 
-	const frames, frameLen = 6, 3 << 10 // 18 KiB total through a 4 KiB buffer
+	const frames, frameLen = 6, 24 << 10 // 144 KiB total through a 64 KiB buffer
+	if frames*frameLen <= 2*linkBuf {
+		t.Fatalf("a %d-byte batch does not spill the %d-byte buffer twice", frames*frameLen, linkBuf)
+	}
 	batch := make([][]byte, frames)
 	for i := range batch {
 		batch[i] = bytes.Repeat([]byte{byte('A' + i)}, frameLen)

@@ -66,16 +66,16 @@ func TestCodeLineCeilings(t *testing.T) {
 		dirs    []string
 		ceiling int
 	}{
-		{"internal/core", []string{"internal/core"}, 1498},
+		{"internal/core", []string{"internal/core"}, 1495},
 		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1863},
-		{"internal/sparse", []string{"internal/sparse"}, 1390},
-		{"internal/tensor", []string{"internal/tensor"}, 450},
+		{"internal/sparse", []string{"internal/sparse"}, 1366},
+		{"internal/tensor", []string{"internal/tensor"}, 449},
 		{"internal/transport", []string{"internal/transport"}, 1049},
 		{"internal/cluster", []string{"internal/cluster"}, 1175},
 		{"cmd/gtopk-worker", []string{"cmd/gtopk-worker"}, 165},
 		{"cmd/gtopk-train", []string{"cmd/gtopk-train"}, 82},
 		{"internal/algo", []string{"internal/algo"}, 193},
-		{"internal/quant", []string{"internal/quant"}, 329},
+		{"internal/quant", []string{"internal/quant"}, 318},
 	} {
 		n := codeLines(t, c.dirs...)
 		t.Logf("%s: %d non-test code lines, ceiling %d, headroom %d", c.name, n, c.ceiling, c.ceiling-n)
@@ -109,6 +109,8 @@ var banned = []struct {
 		[]string{"*QuantizedGTopKAggregator*"}},
 	{"one select path: the sparsifier accumulates and collects the candidates in one pass (sparse.TopKAccumulateInto); sharded selection and the separate momentum fold are gone",
 		[]string{"*ShardSelector*", "*SetShards*", "*MomentumAddInto*"}},
+	{"a frame's size is what encoding it writes (sparse.EncodedSize for v1): the exact-size predictors that only their own tests called are gone",
+		[]string{"*.EncodedSizeCodec", "*.encodedSizeV3"}},
 }
 
 // bannedMatch reports whether an identifier called name matches a ban

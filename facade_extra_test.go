@@ -107,7 +107,7 @@ func TestPublicTraceRecorderViaHook(t *testing.T) {
 	defer fabric.Close()
 	agg := NewDenseAggregator(collective.New(fabric.Conn(0)), 2)
 	tr, err := NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, 2),
-		func(_ int, _, grad []float32) float64 { grad[0] = 1; return 0 })
+		func(_ int, _, grad []float32) float64 { grad[0], grad[1] = 1, 0; return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,11 +47,13 @@ type (
 	NetModel = netsim.Model
 
 	// Aggregator converts a local dense gradient into the replicated
-	// global update (the algorithm under study).
+	// global update (the algorithm under study); a dense one reduces in
+	// the gradient buffer and returns it.
 	Aggregator = core.Aggregator
 	// Sparsifier owns a worker's error-feedback residual.
 	Sparsifier = core.Sparsifier
-	// GradFn computes a worker's mini-batch gradient.
+	// GradFn computes a worker's mini-batch gradient, writing every
+	// entry of the buffer it is given: the trainer does not zero it.
 	GradFn = core.GradFn
 	// TrainConfig holds SGD hyper-parameters.
 	TrainConfig = core.TrainConfig

@@ -10,11 +10,13 @@ import (
 // Update is one iteration's globally agreed model update: the MEAN
 // gradient contribution (already divided by P), Values[j] belonging to
 // model position At[j], positions ascending. At == nil means dense:
-// Values holds all dim entries. A sparse aggregator's At is never nil —
-// every round agrees on at least one position — so its update is the
-// round's k (index, mean) pairs and no dim-length buffer exists. The
-// trainer applies a compact update at its positions alone: its momentum
-// was already corrected in the velocity the trainer lent the round.
+// Values holds all dim entries, and it is the gradient buffer the
+// aggregator consumed, reduced in place. A sparse aggregator's At is
+// never nil — every round agrees on at least one position — so its
+// update is the round's k (index, mean) pairs and no dim-length buffer
+// exists. The trainer applies a compact update at its positions alone:
+// its momentum was already corrected in the velocity the trainer lent
+// the round.
 type Update struct {
 	At     []int32
 	Values []float32
@@ -24,47 +26,48 @@ type Update struct {
 // agreed model update for this iteration. Implementations differ in what
 // they communicate; all must produce bit-identical updates on every rank
 // so replicas never diverge: the dense, signSGD and TernGrad aggregators
-// return their whole buffer (At == nil), the sparse ones the round's
-// compact update. Under momentum the trainer lends its velocity to a
-// sparse aggregator of this package and runs momentum over a dense
-// update itself; it refuses a compact update from any other aggregator.
+// write their mean into grad and return it (At == nil), the sparse ones
+// the round's compact update. Under momentum the trainer lends its
+// velocity to a sparse aggregator of this package and runs momentum over
+// a dense update itself; it refuses a compact update from any other
+// aggregator.
 //
-// The update belongs to the aggregator and is valid until its next
-// Aggregate. A caller may rewrite values in place (the trainer clips
-// them).
+// A dense update is valid until the caller writes grad again, a compact
+// one until the aggregator's next Aggregate. The trainer only reads it.
 type Aggregator interface {
-	// Aggregate consumes grad (not retained) and returns the update.
+	// Aggregate consumes grad and returns the update. A dense aggregator
+	// overwrites grad with its update; a sparse one does not write it.
+	// Neither retains grad past the call.
 	Aggregate(ctx context.Context, grad []float32) (Update, error)
 	// Name identifies the algorithm in logs and experiment tables.
 	Name() string
 }
 
 // DenseAggregator implements classic S-SGD: ring AllReduce over the full
-// dense gradient (Eq. 3 + Eq. 5).
+// dense gradient (Eq. 3 + Eq. 5), run in the gradient buffer itself.
 type DenseAggregator struct {
 	comm *collective.Comm
-	buf  []float32
+	dim  int
 }
 
 // NewDenseAggregator creates a dense-gradient aggregator for a
 // dim-parameter model.
 func NewDenseAggregator(comm *collective.Comm, dim int) *DenseAggregator {
-	return &DenseAggregator{comm: comm, buf: make([]float32, dim)}
+	return &DenseAggregator{comm: comm, dim: dim}
 }
 
 // Name implements Aggregator.
 func (a *DenseAggregator) Name() string { return "dense" }
 
-// Aggregate implements Aggregator.
+// Aggregate implements Aggregator: grad becomes the mean gradient.
 func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update, error) {
-	if len(grad) != len(a.buf) {
-		return Update{}, fmt.Errorf("core: dense aggregate: dim %d, want %d", len(grad), len(a.buf))
+	if len(grad) != a.dim {
+		return Update{}, fmt.Errorf("core: dense aggregate: dim %d, want %d", len(grad), a.dim)
 	}
-	copy(a.buf, grad)
-	if err := a.comm.RingAllReduceMean(ctx, a.buf); err != nil {
+	if err := a.comm.RingAllReduceMean(ctx, grad); err != nil {
 		return Update{}, fmt.Errorf("core: dense aggregate: %w", err)
 	}
-	return Update{Values: a.buf}, nil
+	return Update{Values: grad}, nil
 }
 
 // GTopKAggregator implements gTop-k S-SGD (Algorithm 4) and, over other

@@ -24,9 +24,11 @@ import (
 // StreamGradFn computes one worker's mini-batch gradient like GradFn, but
 // additionally invokes ready(lo, hi) the moment the flat-gradient range
 // [lo, hi) is final (typically once per layer, tail-first, as the
-// backward pass retires layers). Ranges must be disjoint and must jointly
-// cover [0, len(grad)) by the time the function returns; the trainer
-// treats anything not announced as ready at return.
+// backward pass retires layers). Like a GradFn it writes every entry of
+// grad, which the trainer does not zero between steps. Ranges must be
+// disjoint and must jointly cover [0, len(grad)) by the time the
+// function returns; the trainer treats anything not announced as ready
+// at return.
 type StreamGradFn func(iter int, weights, grad []float32, ready func(lo, hi int)) float64
 
 // BucketStreamer is the streaming aggregation contract: a sparse

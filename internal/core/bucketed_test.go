@@ -359,11 +359,11 @@ func TestTrainerStreamRequiresStreamer(t *testing.T) {
 	spmd(t, 1, func(c *collective.Comm) error {
 		agg := NewDenseAggregator(c, 8)
 		tr, err := NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, 8),
-			func(iter int, w, g []float32) float64 { return 0 })
+			func(iter int, w, g []float32) float64 { clear(g); return 0 })
 		if err != nil {
 			return err
 		}
-		if err := tr.SetStreamGradFn(func(int, []float32, []float32, func(int, int)) float64 { return 0 }); err == nil {
+		if err := tr.SetStreamGradFn(func(_ int, _, g []float32, _ func(int, int)) float64 { clear(g); return 0 }); err == nil {
 			return fmt.Errorf("expected error installing stream fn on dense aggregator")
 		}
 		return nil

@@ -19,6 +19,7 @@ func TestPhaseHookReceivesEveryIteration(t *testing.T) {
 	tr, err := NewTrainer(TrainConfig{LR: 0.1, Momentum: 0.9}, agg, make([]float32, 8),
 		func(_ int, _, grad []float32) float64 {
 			time.Sleep(time.Millisecond) // make compute measurable
+			clear(grad)
 			grad[0] = 1
 			return 0
 		})

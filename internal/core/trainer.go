@@ -10,8 +10,10 @@ import (
 
 // GradFn computes one worker's mini-batch gradient for iteration iter at
 // the given weights, writing it into grad (len(grad) == len(weights)),
-// and returns the mini-batch training loss. The weights slice must not be
-// mutated.
+// and returns the mini-batch training loss. It must write every entry of
+// grad: the trainer does not zero the buffer between steps, and a dense
+// aggregator leaves the last step's mean update in it. The weights slice
+// must not be mutated.
 type GradFn func(iter int, weights, grad []float32) float64
 
 // TrainConfig holds the optimizer hyper-parameters shared by all S-SGD
@@ -55,11 +57,12 @@ type PhaseTimes struct {
 // ranks (all aggregators guarantee this), replicas never diverge and no
 // parameter re-synchronisation is needed.
 //
-// Besides the weights a trainer holds the gradient and, only under
-// momentum, the one velocity buffer. It lends that buffer to a sparse
-// aggregator, whose fused select corrects momentum in it, and applies
-// the k (index, mean) pairs at their positions alone; Velocity and
-// Restore read and write the same buffer, so checkpoints carry it.
+// Besides the weights a trainer holds the gradient — the one working
+// buffer of a step, in which a dense aggregator also reduces — and,
+// only under momentum, the one velocity buffer. It lends that buffer to
+// a sparse aggregator, whose fused select corrects momentum in it, and
+// applies the k (index, mean) pairs at their positions alone; Velocity
+// and Restore read and write the same buffer, so checkpoints carry it.
 type Trainer struct {
 	cfg      TrainConfig
 	agg      Aggregator
@@ -171,7 +174,6 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	if t.streamFn != nil {
 		bs, _ = t.agg.(BucketStreamer)
 	}
-	clear(t.grad)
 	var (
 		pt   PhaseTimes
 		loss float64
@@ -220,15 +222,16 @@ func (t *Trainer) Step(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// momentumStep is the tail over a dense update g under momentum:
-// v ← µ·v + g, then w ← w − lr·v, with g clipped in place first.
+// momentumStep is the tail over a dense update g under momentum, one
+// pass: each g[i] clipped, then v ← µ·v + g and w ← w − lr·v. It gives
+// the bits of tensor.Clip, the momentum loop and tensor.AxpyInto run
+// one after another, and leaves g as it was.
 func (t *Trainer) momentumStep(g []float32) {
-	if t.cfg.GradClip > 0 {
-		tensor.Clip(g, t.cfg.GradClip)
-	}
-	mu, v := t.cfg.Momentum, t.velocity
+	alpha, mu, limit := -t.cfg.LR, t.cfg.Momentum, t.cfg.GradClip
+	v, w := t.velocity[:len(g)], t.weights[:len(g)]
 	for i, x := range g {
-		v[i] = float32(mu*v[i]) + x // rounded apart: no fused multiply-add
+		vi := float32(mu*v[i]) + tensor.Clamp(x, limit) // rounded apart: no fused multiply-add
+		v[i] = vi
+		w[i] += float32(alpha * vi)
 	}
-	tensor.AxpyInto(t.weights, -t.cfg.LR, v)
 }

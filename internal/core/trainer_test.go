@@ -193,7 +193,7 @@ func TestClusterErrorPropagation(t *testing.T) {
 			}
 			agg := NewDenseAggregator(comm, 4)
 			return NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, 4),
-				func(_ int, _, grad []float32) float64 { return 0 })
+				func(_ int, _, grad []float32) float64 { clear(grad); return 0 })
 		})
 	if err == nil {
 		t.Fatal("setup failure not propagated")
@@ -461,5 +461,76 @@ func TestRestoreWithoutMomentum(t *testing.T) {
 	}
 	if err := mom.Restore(1, nonZero); err != nil || mom.Velocity()[dim-1] != 1e-30 {
 		t.Fatalf("momentum trainer restore: %v, velocity %v", err, mom.Velocity())
+	}
+}
+
+// TestStepIgnoresStaleGradient: the trainer does not zero its gradient
+// between steps — a gradient function writes every entry — so nothing
+// the buffer holds when a step starts may reach the step. Garbage
+// planted in it before every step (NaN, ±Inf, huge values) leaves the
+// weights, the velocity and the residual bit-identical to a clean run:
+// over the dense aggregator, which leaves its mean update in the buffer
+// and takes the trainer's momentum, over gTop-k, which borrows the
+// velocity, and over the bucketed pipeline streamed behind the backward
+// pass.
+func TestStepIgnoresStaleGradient(t *testing.T) {
+	const p, dim, steps = 2, 64, 6
+	layers := []int{0, 16, 40, 64}
+	target := makeTarget(dim)
+	garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), -3e38, float32(math.Inf(-1)), 7}
+	for _, tc := range []struct {
+		name     string
+		streamed bool
+		build    func(c *collective.Comm) (Aggregator, error)
+	}{
+		{"dense", false, func(c *collective.Comm) (Aggregator, error) { return NewDenseAggregator(c, dim), nil }},
+		{"gtopk", false, func(c *collective.Comm) (Aggregator, error) { return NewGTopKAggregator(c, dim, 4) }},
+		{"bucketed-streamed", true, func(c *collective.Comm) (Aggregator, error) { return NewBucketedAggregator(c, layers, 0.1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(poison bool) [][]float32 {
+				states := make([][]float32, p)
+				spmd(t, p, func(c *collective.Comm) error {
+					agg, err := tc.build(c)
+					if err != nil {
+						return err
+					}
+					grad := quadGrad(target, uint64(c.Rank()))
+					tr, err := NewTrainer(TrainConfig{LR: 0.1, Momentum: 0.9, GradClip: 0.5}, agg, make([]float32, dim), grad)
+					if err != nil {
+						return err
+					}
+					if tc.streamed {
+						if err := tr.SetStreamGradFn(func(iter int, w, g []float32, ready func(lo, hi int)) float64 {
+							loss := grad(iter, w, g)
+							for l := len(layers) - 2; l >= 0; l-- {
+								ready(layers[l], layers[l+1])
+							}
+							return loss
+						}); err != nil {
+							return err
+						}
+					}
+					for s := 0; s < steps; s++ {
+						if poison {
+							for i := range tr.grad {
+								tr.grad[i] = garbage[(i+s)%len(garbage)]
+							}
+						}
+						if _, err := tr.Step(context.Background()); err != nil {
+							return err
+						}
+					}
+					state := append(append([]float32(nil), tr.Weights()...), tr.Velocity()...)
+					if sp, ok := agg.(interface{ Sparsifier() *Sparsifier }); ok {
+						state = append(state, sp.Sparsifier().Residual()...)
+					}
+					states[c.Rank()] = state
+					return nil
+				})
+				return states
+			}
+			requireBitwiseEqual(t, run(false), run(true), "poisoned gradient buffer vs clean")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package models
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"gtopkssgd/internal/collective"
@@ -265,5 +266,67 @@ func TestGradFnStepAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 			t.Errorf("%s: %v allocations per warmed-up step, want 0", name, allocs)
 		}
+	}
+}
+
+// TestGradFnsWriteEveryEntry holds the adapters to the contract the
+// trainer relies on, since it does not zero the gradient between steps:
+// over a gradient buffer filled with NaN, GradFn, StreamGradFn and
+// LSTMGradFn leave no NaN behind, and StreamGradFn announces ranges that
+// tile [0, dim) exactly, each written by the time it is announced.
+func TestGradFnsWriteEveryEntry(t *testing.T) {
+	ds, err := data.NewImages(5, 10, 3, 8, 8, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := data.NewText(3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := func(n int) []float32 {
+		g := make([]float32, n)
+		for i := range g {
+			g[i] = float32(math.NaN())
+		}
+		return g
+	}
+	written := func(label string, g []float32, off int) {
+		t.Helper()
+		for i, v := range g {
+			if math.IsNaN(float64(v)) {
+				t.Fatalf("%s left grad[%d] unwritten", label, off+i)
+			}
+		}
+	}
+	for _, mk := range []func() *Classifier{VGG16Sim, ResNet20Sim, func() *Classifier { return MLP(ds.Dim(), 32, 10) }} {
+		cls := mk()
+		cls.Net.Init(42)
+		w, dim := cls.Net.Parameters(), cls.Net.ParamCount()
+		for iter := 0; iter < 2; iter++ {
+			g := poisoned(dim)
+			GradFn(cls, ds, 0, 1, 4)(iter, w, g)
+			written(cls.Name+" GradFn", g, 0)
+
+			g = poisoned(dim)
+			covered := make([]int, dim)
+			StreamGradFn(cls, ds, 0, 1, 4)(iter, w, g, func(lo, hi int) {
+				written(cls.Name+" StreamGradFn at its announcement", g[lo:hi], lo)
+				for i := lo; i < hi; i++ {
+					covered[i]++
+				}
+			})
+			for i, n := range covered {
+				if n != 1 {
+					t.Fatalf("%s StreamGradFn announced grad[%d] %d times, want once", cls.Name, i, n)
+				}
+			}
+		}
+	}
+	m := LSTMPTBSim()
+	m.Init(11)
+	for iter := 0; iter < 2; iter++ {
+		g := poisoned(len(m.Parameters()))
+		LSTMGradFn(m, corpus, 0, 1, 8, 12)(iter, m.Parameters(), g)
+		written("LSTMGradFn", g, 0)
 	}
 }

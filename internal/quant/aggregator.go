@@ -19,18 +19,19 @@ import (
 type SignSGDAggregator struct {
 	comm *collective.Comm
 	dim  int
-	buf  []float32
 }
 
 // NewSignSGDAggregator creates the aggregator.
 func NewSignSGDAggregator(comm *collective.Comm, dim int) *SignSGDAggregator {
-	return &SignSGDAggregator{comm: comm, dim: dim, buf: make([]float32, dim)}
+	return &SignSGDAggregator{comm: comm, dim: dim}
 }
 
 // Name implements core.Aggregator.
 func (a *SignSGDAggregator) Name() string { return "signsgd" }
 
-// Aggregate implements core.Aggregator.
+// Aggregate implements core.Aggregator. Once the signs are packed grad
+// holds the vote, counted exactly in float32 (|vote| <= P), and then the
+// update.
 func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) (core.Update, error) {
 	if len(grad) != a.dim {
 		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: dim %d, want %d", len(grad), a.dim)
@@ -40,32 +41,26 @@ func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) (core
 	if err != nil {
 		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: %w", err)
 	}
-	votes := make([]int, a.dim)
+	clear(grad)
 	for rank, blob := range blobs {
 		signs, err := UnpackSigns(blob, a.dim)
 		if err != nil {
 			return core.Update{}, fmt.Errorf("quant: signsgd rank %d: %w", rank, err)
 		}
 		for i, s := range signs {
-			if s > 0 {
-				votes[i]++
-			} else {
-				votes[i]--
-			}
+			grad[i] += s
 		}
 	}
 	inv := 1 / float32(a.comm.Size())
-	for i, v := range votes {
+	for i, v := range grad {
 		switch {
 		case v > 0:
-			a.buf[i] = inv
+			grad[i] = inv
 		case v < 0:
-			a.buf[i] = -inv
-		default:
-			a.buf[i] = 0
+			grad[i] = -inv
 		}
 	}
-	return core.Update{Values: a.buf}, nil
+	return core.Update{Values: grad}, nil
 }
 
 // TernGradAggregator implements TernGrad-style aggregation (cited as
@@ -76,7 +71,6 @@ type TernGradAggregator struct {
 	comm *collective.Comm
 	dim  int
 	rng  *prng.Source
-	buf  []float32
 }
 
 // NewTernGradAggregator creates the aggregator. Each rank must use a
@@ -87,14 +81,14 @@ func NewTernGradAggregator(comm *collective.Comm, dim int, seed uint64) *TernGra
 		comm: comm,
 		dim:  dim,
 		rng:  prng.New(seed ^ uint64(comm.Rank())*0x9e3779b97f4a7c15),
-		buf:  make([]float32, dim),
 	}
 }
 
 // Name implements core.Aggregator.
 func (a *TernGradAggregator) Name() string { return "terngrad" }
 
-// Aggregate implements core.Aggregator.
+// Aggregate implements core.Aggregator. Once grad is quantized it holds
+// the sum of the dequantized gradients, and then their mean.
 func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (core.Update, error) {
 	if len(grad) != a.dim {
 		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: dim %d, want %d", len(grad), a.dim)
@@ -105,23 +99,21 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (cor
 	if err != nil {
 		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: %w", err)
 	}
-	for i := range a.buf {
-		a.buf[i] = 0
-	}
+	clear(grad)
 	for rank, blob := range blobs {
 		s, lv, err := decodeTernary(blob, a.dim)
 		if err != nil {
 			return core.Update{}, fmt.Errorf("quant: terngrad rank %d: %w", rank, err)
 		}
 		for i, l := range lv {
-			a.buf[i] += float32(s * float32(l)) // rounded apart: no fused multiply-add
+			grad[i] += float32(s * float32(l)) // rounded apart: no fused multiply-add
 		}
 	}
 	inv := 1 / float32(a.comm.Size())
-	for i := range a.buf {
-		a.buf[i] *= inv
+	for i := range grad {
+		grad[i] *= inv
 	}
-	return core.Update{Values: a.buf}, nil
+	return core.Update{Values: grad}, nil
 }
 
 // encodeTernary packs (scale, int8 levels) for the wire.

@@ -93,26 +93,6 @@ func ParseCodec(s string) (Codec, error) {
 	return 0, fmt.Errorf("sparse: unknown wire codec %q (want v1, v3 or v3-<value codec>)", s)
 }
 
-// uvarintLen returns the number of bytes PutUvarint emits for v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// EncodedSizeCodec returns the exact number of bytes EncodeSlicesCodec
-// will produce for the given codec and entries. For CodecV1 this is the
-// flat EncodedSize; for v3 it walks the index gaps (O(nnz)).
-func EncodedSizeCodec(c Codec, dim int, indices []int32) int {
-	if c == CodecV1 {
-		return EncodedSize(len(indices))
-	}
-	return encodedSizeV3(c.Value(), dim, indices)
-}
-
 // EncodeCodec serialises v under the given codec into a pooled wire
 // buffer (ownership passes to the caller, and onward to the transport
 // when sent). CodecV1 produces exactly Encode's bytes.

@@ -52,16 +52,12 @@ func finite(v *Vector) bool {
 var v2Frame = []byte{0xA7, 2, 0, 4, 2, 1, 1, 0, 0, 0, 0xC0, 0, 0, 0, 0x3F}
 
 // TestCodecRoundTrip: encode→decode is the identity for CodecV1 and
-// CodecV3 (bit-exact values) and the f16.Round image for CodecV3F16;
-// EncodedSizeCodec matches the produced frame exactly for all codecs.
+// CodecV3 (bit-exact values) and the f16.Round image for CodecV3F16.
 // The v3 codecs reject the non-finite test vector at decode instead.
 func TestCodecRoundTrip(t *testing.T) {
 	for vi, v := range codecTestVectors() {
 		for _, c := range []Codec{CodecV1, CodecV3, CodecV3F16} {
 			buf := EncodeCodec(c, v)
-			if want := EncodedSizeCodec(c, v.Dim, v.Indices); len(buf) != want {
-				t.Fatalf("vec %d codec %s: frame %d bytes, EncodedSizeCodec says %d", vi, c, len(buf), want)
-			}
 			got, err := DecodeCodec(c, buf)
 			if c != CodecV1 && !finite(v) {
 				if err == nil {

@@ -300,19 +300,6 @@ const (
 	v3ScaleBytes = 4
 )
 
-// encodedSizeV3 returns the exact v3 frame size for the given value
-// codec and entries (O(nnz) for the gap walk).
-func encodedSizeV3(vc ValueCodec, dim int, indices []int32) int {
-	nnz := len(indices)
-	n := v3HeaderFixed + uvarintLen(uint64(dim)) + uvarintLen(uint64(nnz)) + vc.scaleBytes()
-	prev := int32(-1)
-	for _, idx := range indices {
-		n += uvarintLen(uint64(idx - prev - 1))
-		prev = idx
-	}
-	return n + vc.valueSectionBytes(nnz)
-}
-
 // maxEncodedSizeV3 bounds the v3 frame size for nnz entries, used to
 // draw a pooled buffer before the exact varint widths are known.
 func maxEncodedSizeV3(vc ValueCodec, nnz int) int {

@@ -188,8 +188,7 @@ func FuzzDecodeV3(f *testing.F) {
 // FuzzV3RoundTrip builds structurally valid vectors from fuzzed raw
 // material and asserts the v3 encode→decode round trip for every value
 // codec: bit-exact for fp32, the f16.Round image for fp16, the
-// DequantLevel lattice point for quantized codecs — and that
-// EncodedSizeCodec predicts every frame size exactly.
+// DequantLevel lattice point for quantized codecs.
 func FuzzV3RoundTrip(f *testing.F) {
 	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
 	f.Add(uint16(1), []byte{})
@@ -204,9 +203,6 @@ func FuzzV3RoundTrip(f *testing.F) {
 		}
 		for _, codec := range []Codec{CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
 			buf := fuzzEncodeV3(codec, v)
-			if want := EncodedSizeCodec(codec, v.Dim, v.Indices); len(buf) != want {
-				t.Fatalf("codec %s: frame %d bytes, EncodedSizeCodec says %d", codec, len(buf), want)
-			}
 			got, err := DecodeCodec(codec, buf)
 			if err != nil {
 				t.Fatalf("codec %s round trip failed: %v", codec, err)

@@ -167,34 +167,35 @@ func Clip(x []float32, limit float32) {
 	}
 }
 
-// ClipAxpyAt applies a compact vector — x[j] at position at[j] — as
-// Clip followed by AxpyInto over its dense scatter: x is clipped in place
-// (limit <= 0 disables clipping) and dst[at[j]] += alpha*x[j]. Every
-// position outside at would receive w + alpha*0, which is w, so dst ends
-// bit-identical to the two dense passes over a buffer that is zero
-// everywhere else. A nil at means x is dense: it runs those two passes,
-// and len(x) must equal len(dst).
+// Clamp bounds v to [-limit, limit] as Clip does; limit <= 0 disables
+// the bound and returns v.
+func Clamp(v, limit float32) float32 {
+	if limit > 0 && v > limit {
+		return limit
+	}
+	if limit > 0 && v < -limit {
+		return -limit
+	}
+	return v
+}
+
+// ClipAxpyAt applies a compact vector — x[j] at position at[j] — in one
+// pass: dst[at[j]] += alpha*Clamp(x[j], limit); x itself is not written.
+// Every position outside at would receive w + alpha*0, which is w, so
+// dst ends bit-identical to Clip followed by AxpyInto over the dense
+// scatter. A nil at means x is dense — x[j] belongs to position j — and
+// len(x) must equal len(dst).
 func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit float32) {
+	if at == nil && len(x) != len(dst) || at != nil && len(at) != len(x) {
+		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d values, %d positions, %d weights", len(x), len(at), len(dst)))
+	}
 	if at == nil {
-		if limit > 0 {
-			Clip(x, limit)
+		for i, v := range x {
+			dst[i] += float32(alpha * Clamp(v, limit)) // rounded apart: no fused multiply-add
 		}
-		AxpyInto(dst, alpha, x)
 		return
 	}
-	if len(at) != len(x) {
-		panic(fmt.Sprintf("tensor: ClipAxpyAt length mismatch: %d positions, %d values", len(at), len(x)))
-	}
 	for j, i := range at {
-		v := x[j]
-		if limit > 0 {
-			if v > limit {
-				v = limit
-			} else if v < -limit {
-				v = -limit
-			}
-			x[j] = v
-		}
-		dst[i] += float32(alpha * v) // rounded apart: no fused multiply-add
+		dst[i] += float32(alpha * Clamp(x[j], limit)) // rounded apart: no fused multiply-add
 	}
 }

@@ -19,7 +19,7 @@ var replicatedFuncs = []string{
 	"gtopkssgd/internal/tensor.AxpyInto",
 	"gtopkssgd/internal/tensor.ClipAxpyAt",
 	"gtopkssgd/internal/core.(*Trainer).momentumStep",
-	"gtopkssgd/internal/quant.(*TernGradAggregator).Aggregate",
+	"gtopkssgd/internal/quant.addTernary",
 }
 
 // fusedOp matches the fused multiply-add mnemonics arm64, ppc64le and

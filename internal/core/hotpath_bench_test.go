@@ -110,7 +110,9 @@ func BenchmarkTopKAllReduce(b *testing.B) {
 // momentum fold, residual add and top-k select at dim 10^6, k = 1000 —
 // through Sparsifier.SelectMomentum, with a put-back of every other
 // selected entry so the residual evolves as it does in training. The
-// dense-selection kernel alone is sparse's BenchmarkTopK1M.
+// dense-selection kernel alone is sparse's BenchmarkTopK1M; comm-tcp's
+// select (n = 10^5, k = 2 000) with its candidate count is sparse's
+// BenchmarkTopKAccumulate100k.
 func BenchmarkSelectStep1M(b *testing.B) {
 	const dim, k, mu = 1_000_000, 1000, 0.9
 	src := prng.New(1)

@@ -2,9 +2,7 @@ package quant
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
@@ -17,8 +15,9 @@ import (
 // ±1/P so its magnitude is comparable to an averaged gradient step under
 // the same learning rate.
 type SignSGDAggregator struct {
-	comm *collective.Comm
-	dim  int
+	comm   *collective.Comm
+	dim    int
+	packed []byte // this rank's frame, reused
 }
 
 // NewSignSGDAggregator creates the aggregator.
@@ -36,19 +35,15 @@ func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) (core
 	if len(grad) != a.dim {
 		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: dim %d, want %d", len(grad), a.dim)
 	}
-	packed := PackSigns(grad)
-	blobs, err := a.comm.AllGather(ctx, packed)
+	a.packed = PackSigns(a.packed, grad)
+	blobs, err := a.comm.AllGather(ctx, a.packed)
 	if err != nil {
 		return core.Update{}, fmt.Errorf("quant: signsgd aggregate: %w", err)
 	}
 	clear(grad)
 	for rank, blob := range blobs {
-		signs, err := UnpackSigns(blob, a.dim)
-		if err != nil {
+		if err := addSigns(grad, blob); err != nil {
 			return core.Update{}, fmt.Errorf("quant: signsgd rank %d: %w", rank, err)
-		}
-		for i, s := range signs {
-			grad[i] += s
 		}
 	}
 	inv := 1 / float32(a.comm.Size())
@@ -68,9 +63,10 @@ func (a *SignSGDAggregator) Aggregate(ctx context.Context, grad []float32) (core
 // stochastic unbiased rounding, workers exchange (scale, levels), and
 // the update is the average of the dequantized gradients.
 type TernGradAggregator struct {
-	comm *collective.Comm
-	dim  int
-	rng  *prng.Source
+	comm  *collective.Comm
+	dim   int
+	rng   *prng.Source
+	frame []byte // this rank's (scale, levels) frame, reused
 }
 
 // NewTernGradAggregator creates the aggregator. Each rank must use a
@@ -93,20 +89,15 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (cor
 	if len(grad) != a.dim {
 		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: dim %d, want %d", len(grad), a.dim)
 	}
-	scale, levels := Ternary(grad, a.rng)
-	payload := encodeTernary(scale, levels)
-	blobs, err := a.comm.AllGather(ctx, payload)
+	a.frame = Ternary(a.frame, grad, a.rng)
+	blobs, err := a.comm.AllGather(ctx, a.frame)
 	if err != nil {
 		return core.Update{}, fmt.Errorf("quant: terngrad aggregate: %w", err)
 	}
 	clear(grad)
 	for rank, blob := range blobs {
-		s, lv, err := decodeTernary(blob, a.dim)
-		if err != nil {
+		if err := addTernary(grad, blob); err != nil {
 			return core.Update{}, fmt.Errorf("quant: terngrad rank %d: %w", rank, err)
-		}
-		for i, l := range lv {
-			grad[i] += float32(s * float32(l)) // rounded apart: no fused multiply-add
 		}
 	}
 	inv := 1 / float32(a.comm.Size())
@@ -114,34 +105,4 @@ func (a *TernGradAggregator) Aggregate(ctx context.Context, grad []float32) (cor
 		grad[i] *= inv
 	}
 	return core.Update{Values: grad}, nil
-}
-
-// encodeTernary packs (scale, int8 levels) for the wire.
-func encodeTernary(scale float32, levels []int8) []byte {
-	buf := make([]byte, 4+len(levels))
-	putF32(buf, scale)
-	for i, l := range levels {
-		buf[4+i] = byte(l)
-	}
-	return buf
-}
-
-func decodeTernary(buf []byte, n int) (float32, []int8, error) {
-	if len(buf) != 4+n {
-		return 0, nil, fmt.Errorf("quant: ternary payload %d bytes for n=%d", len(buf), n)
-	}
-	scale := getF32(buf)
-	levels := make([]int8, n)
-	for i := range levels {
-		levels[i] = int8(buf[4+i])
-	}
-	return scale, levels, nil
-}
-
-func putF32(buf []byte, v float32) {
-	binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-}
-
-func getF32(buf []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(buf))
 }

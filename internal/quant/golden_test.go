@@ -45,7 +45,7 @@ func eqI16(t *testing.T, name string, got, want []int16) {
 
 // TestGoldenTernary pins the exact TernGrad output under the seeded rng.
 func TestGoldenTernary(t *testing.T) {
-	scale, levels := Ternary(goldenInput(), prng.New(42))
+	scale, levels := splitTernary(Ternary(nil, goldenInput(), prng.New(42)), len(goldenInput()))
 	if scale != 1.5 {
 		t.Fatalf("scale = %v, want 1.5", scale)
 	}
@@ -57,20 +57,20 @@ func TestGoldenTernary(t *testing.T) {
 	}
 }
 
-// TestGoldenSign pins the signSGD bit-packed wire byte and the unpacked
+// TestGoldenSign pins the signSGD bit-packed wire byte and the folded
 // sign vector (zero maps to +1, matching the wire codec).
 func TestGoldenSign(t *testing.T) {
-	packed := PackSigns(goldenInput())
+	packed := PackSigns([]byte{0xff, 0xff}, goldenInput())
 	if !bytes.Equal(packed, []byte{0xb5}) {
 		t.Fatalf("packed = %#v, want []byte{0xb5}", packed)
 	}
-	back, err := UnpackSigns(packed, len(goldenInput()))
-	if err != nil {
+	back := make([]float32, len(goldenInput()))
+	if err := addSigns(back, packed); err != nil {
 		t.Fatal(err)
 	}
 	eqF32(t, "unpacked", back, []float32{1, -1, 1, -1, 1, 1, -1, 1})
-	if _, err := UnpackSigns(packed, 42); err == nil {
-		t.Fatalf("UnpackSigns accepted a mismatched length")
+	if err := addSigns(make([]float32, 42), packed); err == nil {
+		t.Fatalf("addSigns accepted a mismatched length")
 	}
 }
 

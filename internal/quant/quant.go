@@ -22,65 +22,96 @@
 package quant
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"gtopkssgd/internal/prng"
 )
 
-// PackSigns bit-packs the signs of x (1 bit per element; zero counts as
-// positive), the wire format that gives signSGD its 32x compression.
-func PackSigns(x []float32) []byte {
-	out := make([]byte, (len(x)+7)/8)
+// PackSigns bit-packs the signs of x into dst, grown to (len(x)+7)/8
+// bytes, and returns it (1 bit per element; zero counts as positive):
+// the wire format that gives signSGD its 32x compression.
+func PackSigns(dst []byte, x []float32) []byte {
+	dst = slices.Grow(dst[:0], (len(x)+7)/8)[:(len(x)+7)/8]
+	clear(dst)
 	for i, v := range x {
 		if v >= 0 {
-			out[i/8] |= 1 << (i % 8)
+			dst[i/8] |= 1 << (i % 8)
 		}
 	}
-	return out
+	return dst
 }
 
-// UnpackSigns reverses PackSigns for n elements.
-func UnpackSigns(buf []byte, n int) ([]float32, error) {
-	if len(buf) != (n+7)/8 {
-		return nil, fmt.Errorf("quant: %d bytes for %d signs", len(buf), n)
+// addSigns adds the ±1 signs a PackSigns frame holds to acc, one per
+// entry; the frame must be exactly as long as len(acc) signs pack to.
+func addSigns(acc []float32, frame []byte) error {
+	if len(frame) != (len(acc)+7)/8 {
+		return fmt.Errorf("quant: %d bytes for %d signs", len(frame), len(acc))
 	}
-	out := make([]float32, n)
-	for i := range out {
-		if buf[i/8]&(1<<(i%8)) != 0 {
-			out[i] = 1
+	for i := range acc {
+		if frame[i/8]&(1<<(i%8)) != 0 {
+			acc[i]++
 		} else {
-			out[i] = -1
+			acc[i]--
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// Ternary quantizes x TernGrad-style: each element becomes
-// s·sign(x_i)·b_i where s = max|x| and b_i is a Bernoulli variable with
-// probability |x_i|/s — an unbiased estimator. The rng must be shared
+// Ternary quantizes x TernGrad-style into a frame written over dst and
+// returned: the scale s = max|x| as a little-endian float32, then one
+// level per element, sign(x_i)·b_i with b_i a Bernoulli variable of
+// probability |x_i|/s, so s·level is an unbiased estimator of x_i. Each
+// level is a 2-bit code, four to a byte from the low bits up: 0 for 0,
+// 1 for +1, 2 for −1; the padding bits are 0. The rng must be shared
 // state per worker (deterministic experiments) but NOT shared across
 // workers.
-func Ternary(x []float32, rng *prng.Source) (scale float32, levels []int8) {
-	levels = make([]int8, len(x))
+func Ternary(dst []byte, x []float32, rng *prng.Source) []byte {
+	dst = slices.Grow(dst[:0], 4+(len(x)+3)/4)[:4+(len(x)+3)/4]
+	var scale float32
 	for _, v := range x {
 		if a := abs32(v); a > scale {
 			scale = a
 		}
 	}
+	putF32(dst, scale)
+	levels := dst[4:]
+	clear(levels)
 	if scale == 0 {
-		return 0, levels
+		return dst
 	}
 	for i, v := range x {
-		p := abs32(v) / scale
-		if rng.Float32() < p {
+		if rng.Float32() < abs32(v)/scale {
+			code := byte(2)
 			if v >= 0 {
-				levels[i] = 1
-			} else {
-				levels[i] = -1
+				code = 1
 			}
+			levels[i/4] |= code << (2 * (i % 4))
 		}
 	}
-	return scale, levels
+	return dst
+}
+
+// addTernary adds the dequantized values s·level of a Ternary frame to
+// acc. The frame must hold exactly len(acc) levels; a code 3 or a set
+// padding bit is an error, found after acc was written.
+func addTernary(acc []float32, frame []byte) error {
+	if len(frame) != 4+(len(acc)+3)/4 {
+		return fmt.Errorf("quant: ternary frame %d bytes for n=%d", len(frame), len(acc))
+	}
+	s, levels := getF32(frame), frame[4:]
+	var bad byte
+	for i := range acc {
+		code := levels[i/4] >> (2 * (i % 4)) & 3
+		bad |= code & (code >> 1)
+		acc[i] += float32(s * float32(int8(code&1)-int8(code>>1))) // rounded apart: no fused multiply-add
+	}
+	if tail := len(acc) % 4; bad != 0 || (tail != 0 && levels[len(levels)-1]>>(2*tail) != 0) {
+		return fmt.Errorf("quant: ternary frame holds a level code 3 or a set padding bit")
+	}
+	return nil
 }
 
 func abs32(v float32) float32 {
@@ -88,4 +119,12 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
+}
+
+func putF32(buf []byte, v float32) {
+	binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
+}
+
+func getF32(buf []byte) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(buf))
 }

@@ -3,6 +3,7 @@ package quant
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -20,12 +21,12 @@ func TestPackUnpackSignsRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = float32(src.NormFloat64())
 		}
-		packed := PackSigns(x)
+		packed := PackSigns(nil, x)
 		if len(packed) != (n+7)/8 {
 			t.Fatalf("n=%d: packed %d bytes", n, len(packed))
 		}
-		got, err := UnpackSigns(packed, n)
-		if err != nil {
+		got := make([]float32, n)
+		if err := addSigns(got, packed); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
@@ -38,9 +39,19 @@ func TestPackUnpackSignsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := UnpackSigns([]byte{0}, 100); err == nil {
+	if err := addSigns(make([]float32, 100), []byte{0}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
+}
+
+// splitTernary reads the scale and the n levels of a Ternary frame.
+func splitTernary(frame []byte, n int) (float32, []int8) {
+	levels := make([]int8, n)
+	for i := range levels {
+		code := frame[4+i/4] >> (2 * (i % 4)) & 3
+		levels[i] = int8(code&1) - int8(code>>1)
+	}
+	return getF32(frame), levels
 }
 
 func TestTernaryUnbiased(t *testing.T) {
@@ -49,8 +60,10 @@ func TestTernaryUnbiased(t *testing.T) {
 	rng := prng.New(7)
 	const trials = 20000
 	sums := make([]float64, len(x))
+	var frame []byte
 	for trial := 0; trial < trials; trial++ {
-		scale, levels := Ternary(x, rng)
+		frame = Ternary(frame, x, rng)
+		scale, levels := splitTernary(frame, len(x))
 		for i, l := range levels {
 			sums[i] += float64(scale) * float64(l)
 		}
@@ -64,13 +77,44 @@ func TestTernaryUnbiased(t *testing.T) {
 }
 
 func TestTernaryZeroVector(t *testing.T) {
-	scale, levels := Ternary(make([]float32, 5), prng.New(1))
+	scale, levels := splitTernary(Ternary([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9}, make([]float32, 5), prng.New(1)), 5)
 	if scale != 0 {
 		t.Fatalf("scale = %v", scale)
 	}
 	for _, l := range levels {
 		if l != 0 {
 			t.Fatal("nonzero level for zero input")
+		}
+	}
+}
+
+// TestTernaryFrameFold folds a Ternary frame with padding back into a
+// zero vector as s·level, and refuses the frame with a level code 3 or a
+// padding bit set.
+func TestTernaryFrameFold(t *testing.T) {
+	x := []float32{0.5, -1.5, 1.0, -0.25, 1.5}
+	frame := Ternary(nil, x, prng.New(3))
+	if len(frame) != 4+2 {
+		t.Fatalf("frame %d bytes for 5 levels, want 6", len(frame))
+	}
+	scale, levels := splitTernary(frame, len(x))
+	acc := make([]float32, len(x))
+	if err := addTernary(acc, frame); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range levels {
+		if acc[i] != scale*float32(l) {
+			t.Fatalf("entry %d folded to %v, want %v·%d", i, acc[i], scale, l)
+		}
+	}
+	for _, bad := range []struct {
+		at   int
+		bits byte
+	}{{4, 3}, {5, 1 << 2}} {
+		planted := append([]byte(nil), frame...)
+		planted[bad.at] |= bad.bits
+		if err := addTernary(make([]float32, len(x)), planted); err == nil {
+			t.Errorf("byte %d |= %#x accepted", bad.at, bad.bits)
 		}
 	}
 }
@@ -154,8 +198,8 @@ func TestTernGradDifferentSeedsPerRank(t *testing.T) {
 	same := 0
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		_, l0 := Ternary(x, a0.rng)
-		_, l1 := Ternary(x, a1.rng)
+		_, l0 := splitTernary(Ternary(nil, x, a0.rng), len(x))
+		_, l1 := splitTernary(Ternary(nil, x, a1.rng), len(x))
 		equal := true
 		for j := range l0 {
 			if l0[j] != l1[j] {
@@ -181,8 +225,8 @@ func TestQuickPackSignsRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = float32(src.NormFloat64())
 		}
-		got, err := UnpackSigns(PackSigns(x), n)
-		if err != nil {
+		got := make([]float32, n)
+		if err := addSigns(got, PackSigns(nil, x)); err != nil {
 			return false
 		}
 		for i := range x {
@@ -256,4 +300,81 @@ func TestDimValidation(t *testing.T) {
 	if _, err := NewTernGradAggregator(comm, 4, 1).Aggregate(ctx, make([]float32, 5)); err == nil {
 		t.Error("terngrad dim mismatch accepted")
 	}
+}
+
+// TestAggregateAllocFree holds each quantized baseline's steady-state
+// Aggregate (P=1) to no dim-length allocation: the rank's frame is
+// reused and every gathered frame folds straight into grad. What is left
+// is the AllGather's list of per-rank frames.
+func TestAggregateAllocFree(t *testing.T) {
+	const dim, steps = 1 << 16, 50
+	for _, tc := range []struct {
+		name  string
+		build func(c *collective.Comm) core.Aggregator
+	}{
+		{"signsgd", func(c *collective.Comm) core.Aggregator { return NewSignSGDAggregator(c, dim) }},
+		{"terngrad", func(c *collective.Comm) core.Aggregator { return NewTernGradAggregator(c, dim, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := transport.NewInProc(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			agg := tc.build(collective.New(f.Conn(0)))
+			src := prng.New(8)
+			grad := make([]float32, dim)
+			step := func() {
+				for i := range grad {
+					grad[i] = float32(src.NormFloat64())
+				}
+				if _, err := agg.Aggregate(context.Background(), grad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // the frame grows once
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+			t.Logf("%s: %d bytes allocated per step at dim %d", tc.name, perStep, dim)
+			if perStep >= dim/8 {
+				t.Errorf("%s allocates %d bytes per step, a dim-length buffer (dim/8 = %d)", tc.name, perStep, dim/8)
+			}
+		})
+	}
+}
+
+// FuzzFrameFolds feeds the sign and ternary frame folds arbitrary bytes
+// at an arbitrary length and at the lengths the frame fits: a frame that
+// does not fit ends in an error, a sign frame that fits folds to ±1 per
+// entry, and neither fold panics.
+func FuzzFrameFolds(f *testing.F) {
+	f.Add(uint16(8), []byte{0xb5})
+	f.Add(uint16(3), []byte{0, 0, 0xc0, 0x3f, 0x19})
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(1000), []byte{0, 0, 0xc0, 0x7f, 0xff})
+	f.Fuzz(func(t *testing.T, n uint16, frame []byte) {
+		for _, m := range []int{int(n), 8*len(frame) - int(n%8), 4*(len(frame)-4) - int(n%4)} {
+			if m < 0 {
+				continue
+			}
+			signs, levels := make([]float32, m), make([]float32, m)
+			if err := addSigns(signs, frame); (err == nil) != (len(frame) == (m+7)/8) {
+				t.Fatalf("addSigns(%d entries, %d bytes): err = %v", m, len(frame), err)
+			} else if err == nil {
+				for i, v := range signs {
+					if v != 1 && v != -1 {
+						t.Fatalf("addSigns: entry %d = %v, want ±1", i, v)
+					}
+				}
+			}
+			if err := addTernary(levels, frame); err == nil && len(frame) != 4+(m+3)/4 {
+				t.Fatalf("addTernary(%d entries, %d bytes) accepted a frame that does not fit", m, len(frame))
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gtopkssgd/internal/prng"
@@ -222,4 +223,87 @@ func FuzzTopKAccumulate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// selectStream is a training-shaped select input at dim n: each step a
+// Gaussian gradient times a fixed exponential scale per coordinate,
+// drawn from seed.
+func selectStream(seed uint64, n, steps int) [][]float32 {
+	src := prng.New(seed)
+	scale := make([]float32, n)
+	for i := range scale {
+		scale[i] = float32(-math.Log(1 - src.Float64()))
+	}
+	grads := make([][]float32, steps)
+	for s := range grads {
+		grads[s] = make([]float32, n)
+		for i := range scale {
+			grads[s][i] = float32(src.NormFloat64()) * scale[i]
+		}
+	}
+	return grads
+}
+
+// consumeHalf zeroes every other selected entry of the residual: the
+// half of the selection the global top-k kept, the other half put back.
+func consumeHalf(residual []float32, sel *Vector) {
+	for i := 0; i < len(sel.Indices); i += 2 {
+		residual[sel.Indices[i]] = 0
+	}
+}
+
+// TestTopKAccumulateCost pins what the carried hint costs at comm-tcp's
+// shape (n = 10^5, k = 2 000, mu = 0.9): once the fitted factor has
+// settled, every select takes the candidates and the median candidate
+// set holds at most 2·k entries. The fixed factor 0.9 collected a
+// median of about 2.2·k on this stream (and 3.5·k on comm-tcp itself).
+func TestTopKAccumulateCost(t *testing.T) {
+	const n, k, steps, settle = 100_000, 2000, 40, 10
+	residual, vel := make([]float32, n), make([]float32, n)
+	var sel Vector
+	var h SelectHint
+	var counts []int
+	for step, grad := range selectStream(5, n, steps) {
+		taken := TopKAccumulateInto(&sel, residual, vel, 0.9, grad, k, &h)
+		consumeHalf(residual, &sel)
+		if step < settle {
+			continue
+		}
+		if !taken {
+			t.Fatalf("step %d declined the carried hint", step)
+		}
+		counts = append(counts, len(h.cand.Indices))
+	}
+	slices.Sort(counts)
+	med := counts[len(counts)/2]
+	t.Logf("candidates per select after step %d: min %d, median %d, max %d (k = %d)", settle, counts[0], med, counts[len(counts)-1], k)
+	if med > 2*k {
+		t.Errorf("median candidate count %d exceeds 2·k = %d", med, 2*k)
+	}
+}
+
+// BenchmarkTopKAccumulate100k is the select of one comm-tcp rank-step —
+// momentum fold, residual add and top-k at n = 10^5, k = 2 000 — over
+// selectStream with half of each selection consumed. cand/op is the mean
+// candidate count of the selects that took the carried hint.
+func BenchmarkTopKAccumulate100k(b *testing.B) {
+	const n, k = 100_000, 2000
+	grads := selectStream(5, n, 16)
+	residual, vel := make([]float32, n), make([]float32, n)
+	var sel Vector
+	var h SelectHint
+	for _, grad := range grads { // settle the hint outside the timing
+		TopKAccumulateInto(&sel, residual, vel, 0.9, grad, k, &h)
+		consumeHalf(residual, &sel)
+	}
+	cand := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if TopKAccumulateInto(&sel, residual, vel, 0.9, grads[i%len(grads)], k, &h) {
+			cand += len(h.cand.Indices)
+		}
+		consumeHalf(residual, &sel)
+	}
+	b.ReportMetric(float64(cand)/float64(b.N), "cand/op")
 }

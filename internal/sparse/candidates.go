@@ -15,8 +15,9 @@ import (
 //
 //   - TopKAccumulateInto, the training step's selection, collects them
 //     inside the pass that accumulates the gradient into the residual, at
-//     a τ carried over from the previous selection of the same residual
-//     (its k-th magnitude times a factor that adapts to the declines);
+//     a τ carried over from the previous selection of the same residual:
+//     its k-th magnitude times a factor fitted so that about 1.5·k
+//     entries reach τ (see fitFrac);
 //   - TopKInto estimates τ from a small strided sample, as the rank that
 //     about 2.5·k entries reach, and collects in a second, read-only scan.
 //     It serves every other caller, the first step of a residual and
@@ -139,11 +140,20 @@ func topKCandidates(dst *Vector, x []float32, k int) bool {
 const (
 	// hintFrac is the factor a fresh SelectHint starts at: τ sits a tenth
 	// below the last k-th magnitude, so a residual whose top moves a little
-	// between steps still yields at least k candidates.
+	// between steps still yields at least k candidates. Every selection
+	// that takes the candidates refits the factor (fitFrac).
 	hintFrac = 0.9
 	// hintShrink multiplies the factor after a "fewer than k" decline; a
-	// cap overflow moves it halfway to 1 instead.
+	// cap overflow moves it halfway to 1 instead. A fit through an
+	// overflow's count aims lower and, measured on model-overlap's
+	// buckets, overflowed again more often.
 	hintShrink = 0.9
+	// hintAim is the candidate count, in units of k, the fitted factor aims
+	// τ at: half a k of head-room over the k the selection needs.
+	hintAim = 1.5
+	// hintMinFrac and hintMaxFrac clamp the fitted factor: τ never drops
+	// below half the last k-th magnitude or rises to it.
+	hintMinFrac, hintMaxFrac = 0.5, 0.995
 	// noCollect is a threshold no sign-free bit pattern reaches: with it
 	// the accumulate pass only accumulates.
 	noCollect = signMask32
@@ -227,9 +237,29 @@ func TopKAccumulateInto(dst *Vector, residual, vel []float32, mu float32, grad [
 	}
 	h.tau = 0
 	if len(dst.Values) > 0 {
+		if taken {
+			h.frac = fitFrac(h.frac, tau, kth, c, k)
+		}
 		h.tau = math.Float32bits(math.Float32frombits(kth) * h.frac)
 	}
 	return taken
+}
+
+// fitFrac refits the factor f after a selection that took the
+// candidates: c entries of the updated residual reached τ (c >= k) and k
+// reached its new k-th magnitude mk (mk >= τ). It takes the residual's
+// magnitude tail as a power law through those two points, count(≥ t) =
+// k·(mk/t)^a with a = ln(c/k)/ln(mk/τ), and returns the factor at which
+// about hintAim·k entries reach mk·f, exp(−ln(hintAim)·ln(mk/τ)/ln(c/k)),
+// clamped to [hintMinFrac, hintMaxFrac]. When the points give no slope
+// (c = k, or τ = mk) it returns f unchanged. The fit runs per rank in
+// float64 and decides only what the next selection costs.
+func fitFrac(f float32, tau, mk uint32, c, k int) float32 {
+	slope := math.Log(float64(math.Float32frombits(mk))/float64(math.Float32frombits(tau))) / math.Log(float64(c)/float64(k))
+	if !(slope > 0 && slope < math.Inf(1)) {
+		return f
+	}
+	return float32(min(max(math.Exp(-math.Log(hintAim)*slope), hintMinFrac), hintMaxFrac))
 }
 
 // accumulate is TopKAccumulateInto's pass without momentum: residual +=

@@ -103,30 +103,3 @@ func Decode(buf []byte) (*Vector, error) {
 	}
 	return v, nil
 }
-
-// EncodeDense serialises a dense float32 vector (uint32 length prefix then
-// raw little-endian float32s). Used by the dense AllReduce wire path.
-func EncodeDense(x []float32) []byte {
-	buf := make([]byte, 4+4*len(x))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(x)))
-	for i, v := range x {
-		binary.LittleEndian.PutUint32(buf[4+4*i:8+4*i], math.Float32bits(v))
-	}
-	return buf
-}
-
-// DecodeDense parses the EncodeDense format.
-func DecodeDense(buf []byte) ([]float32, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("sparse: decode dense: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if len(buf) != 4+4*n {
-		return nil, fmt.Errorf("sparse: decode dense: %d bytes for n=%d", len(buf), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4+4*i : 8+4*i]))
-	}
-	return out, nil
-}

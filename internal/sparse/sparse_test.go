@@ -320,26 +320,6 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeDenseRoundTrip(t *testing.T) {
-	src := prng.New(9)
-	x := randDense(src, 33)
-	got, err := DecodeDense(EncodeDense(x))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("dense round trip mismatch at %d", i)
-		}
-	}
-	if _, err := DecodeDense([]byte{1, 2}); err == nil {
-		t.Error("DecodeDense(short) accepted")
-	}
-	if _, err := DecodeDense(EncodeDense(x)[:10]); err == nil {
-		t.Error("DecodeDense(truncated) accepted")
-	}
-}
-
 // Property: TopK output always validates, has min(k, n) entries, and its
 // smallest magnitude is >= the largest magnitude it excluded.
 func TestQuickTopKInvariants(t *testing.T) {

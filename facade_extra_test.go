@@ -175,7 +175,7 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 				out[rank] = &sparse.Vector{}
 				gc, err := core.ForkHier(comm, group)
 				if err == nil {
-					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, locals[rank].Clone(), k, core.ChunksFor(k), out[rank])
+					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, locals[rank].Clone(), k, 1, out[rank])
 				}
 				errs[rank] = err
 			}(r)

@@ -90,7 +90,7 @@ func TestPublicCollectives(t *testing.T) {
 	for r := 0; r < p; r++ {
 		go func(rank int) {
 			v := &sparse.Vector{}
-			err := core.GTopKAllReduceInto(context.Background(), collective.New(fabric.Conn(rank)), locals[rank].Clone(), k, core.ChunksFor(k), v)
+			err := core.GTopKAllReduceInto(context.Background(), collective.New(fabric.Conn(rank)), locals[rank].Clone(), k, 1, v)
 			results[rank] = result{v, err}
 			done <- rank
 		}(r)

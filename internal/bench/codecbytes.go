@@ -118,8 +118,9 @@ func onRanks(p int, fn func(rank int) error) error {
 // codecBytesRows counts one density's row per codec: the unchanged
 // collective runs codecBytesRounds rounds over the same seeded per-rank
 // top-k vectors on an in-process mesh negotiated to the codec. (The TCP
-// fabric frames the same bytes — it moved 16 832 / 10 802 / 6 610 B in
-// every cell the in-process mesh did — so one fabric is the table.)
+// fabric frames the same bytes — at ρ = 0.001 it moved 16 784 / 10 745 /
+// 6 554 B for v1 / v3 / v3-fp16, and every other cell matched the
+// in-process mesh too — so one fabric is the table.)
 func codecBytesRows(dim int, rho float64, seed uint64) ([]WireCodecResult, error) {
 	p := codecBytesWorkers
 	k := core.DensityToK(dim, rho)
@@ -149,7 +150,7 @@ func codecBytesRows(dim int, rho float64, seed uint64) ([]WireCodecResult, error
 			var out sparse.Vector
 			for i := 0; i < codecBytesRounds; i++ {
 				if err := core.GTopKAllReduceInto(context.Background(), comms[rank],
-					vecs[rank], k, core.ChunksFor(k), &out); err != nil {
+					vecs[rank], k, 1, &out); err != nil {
 					return err
 				}
 			}

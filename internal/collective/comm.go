@@ -172,26 +172,6 @@ func (c *Comm) SendTagPooled(ctx context.Context, dst, tag int, payload []byte) 
 	return nil
 }
 
-// SendTagVecPooled sends a batch of frames drawn from the shared
-// wire-buffer pool to dst in order under one tag: on fabrics with a
-// vectored capability the whole batch coalesces into one wire
-// operation, elsewhere it degrades to per-frame sends with identical
-// delivery order. The caller relinquishes every frame, and each is
-// recycled at the earliest safe point (see transport.SendVecPooled).
-// Statistics count each frame as one message.
-func (c *Comm) SendTagVecPooled(ctx context.Context, dst, tag int, frames [][]byte) error {
-	var bytes int64
-	for _, payload := range frames {
-		bytes += int64(len(payload))
-	}
-	if err := transport.SendVecPooled(ctx, c.conn, dst, tag, frames); err != nil {
-		return err
-	}
-	c.stats.MsgsSent += len(frames)
-	c.stats.BytesSent += bytes
-	return nil
-}
-
 // RecvTag receives the payload sent by src under a tag claimed via
 // ClaimTags, updating the statistics counters.
 func (c *Comm) RecvTag(ctx context.Context, src, tag int) ([]byte, error) {

@@ -3,21 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
 )
-
-// iovecPool recycles the frame-pointer slices (iovecs) the chunked send
-// paths assemble for vectored sends, keeping the steady-state tree phase
-// allocation-free. Slices returned to the pool must have every element
-// nilled first — the frames they pointed at were relinquished to the
-// fabric or the buffer pool, and a pooled iovec must not pin them.
-var iovecPool = sync.Pool{New: func() any {
-	s := make([][]byte, 0, DefaultChunks)
-	return &s
-}}
 
 // TopKAllReduce aggregates per-worker sparse top-k gradients with the
 // AllGather method of Algorithm 1 (lines 12-21), the baseline the paper
@@ -35,9 +24,7 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	// Compound pipeline: a lossy codec pins the selected values in place
 	// (the caller's copy now equals what every decoder reconstructs; the
 	// aggregator folds the difference into its residual).
-	scale, levels := transformForWire(comm, codec, local.Values)
-	own := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, levels)
-	comm.TallyWire(sparse.EncodedSize(local.NNZ()), len(own))
+	own := wireFrame(comm, codec, local)
 	blobs, err := comm.AllGather(ctx, own)
 	if err != nil {
 		return nil, fmt.Errorf("core: topk allreduce: %w", err)
@@ -92,25 +79,10 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *spar
 	return sparse.TopKSparse(sum, k), nil
 }
 
-// DefaultChunks is the payload chunk count the gTop-k tree uses for large
-// payloads: each tree round's k-entry message is split into up to this
-// many frames so the receiver merges chunk i−1 while chunk i is still on
-// the wire. Chunking never changes the result bits (the merge order
-// within a round is unchanged); it only overlaps transfer with merge
-// work inside a round.
-const DefaultChunks = 4
-
-// minChunkEntries is the smallest payload span worth its own frame:
-// below ~2 KiB on the wire, the per-frame header and flush cost more
-// than the overlap buys back.
-const minChunkEntries = 256
-
-// ChunksFor returns the chunk count the default pipeline uses for a
-// k-entry payload: DefaultChunks, bounded so every chunk carries at
-// least minChunkEntries entries (small payloads stay monolithic). k is
-// a shared parameter of the collective, so every rank derives the same
-// count — which chunked sends and receives require.
-func ChunksFor(k int) int { return min(max(k/minChunkEntries, 1), DefaultChunks) }
+// ChunksFor returns 1 for every k: each gTop-k hop is one frame. It
+// remains because the benchmark's decomposed step passes it as the
+// entry points' chunks argument.
+func ChunksFor(int) int { return 1 }
 
 // GTopKAllReduceInto is the paper's Algorithm 3, an efficient global
 // top-k aggregation in 2·⌈log₂P⌉−1 communication rounds, written into
@@ -133,9 +105,9 @@ func ChunksFor(k int) int { return min(max(k/minChunkEntries, 1), DefaultChunks)
 //
 // Every rank returns the same k largest-magnitude entries of the
 // element-wise sum as selected greedily by the tree; their Indices serve
-// as the paper's gMask. Each hop's payload travels as `chunks` frames
-// (values < 1 behave as 1); every rank must pass the same chunks, and
-// the result bits are independent of it.
+// as the paper's gMask. Each hop moves one frame, so chunks must be 1;
+// the parameter remains because the benchmark's decomposed step passes
+// ChunksFor(k).
 //
 // The paper assumes power-of-two P (Section III); this implementation
 // generalises the binomial tree to any P ≥ 1 — a receiver whose partner
@@ -149,8 +121,19 @@ func ChunksFor(k int) int { return min(max(k/minChunkEntries, 1), DefaultChunks)
 // one α + 2kβ below the paper's Eq. 7 (netsim.Model.GTopKAllReduce
 // prices the unswapped tree, netsim.Model.GTopKTree this one).
 func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
+	if err := oneFrame(chunks); err != nil {
+		return err
+	}
 	var buf [32]level
-	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size(), chunks), local, k, out)
+	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size()), local, k, out)
+}
+
+// oneFrame refuses a chunks argument other than 1.
+func oneFrame(chunks int) error {
+	if chunks != 1 {
+		return fmt.Errorf("core: gtopk: chunks=%d, but every hop is one frame (pass 1)", chunks)
+	}
+	return nil
 }
 
 // level is one stage of a gTop-k schedule. On its communicator the
@@ -158,19 +141,19 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 // whose first rank is the block root. On the way up each other member
 // of a block hands its partial to the root, which folds the block in
 // position order; on the way down the root hands the result to each
-// member. A hop moves frames frames. A rank outside the level — comm
-// nil, a non-leader at the hierarchy's leader levels — charges each of
-// its rounds among size ranks on the parent communicator instead.
+// member. A hop moves one frame. A rank outside the level — comm nil, a
+// non-leader at the hierarchy's leader levels — charges each of its
+// rounds among size ranks on the parent communicator instead.
 type level struct {
-	comm                        *collective.Comm
-	size, stride, radix, frames int
+	comm                *collective.Comm
+	size, stride, radix int
 }
 
 // treeLevels appends the binomial tree over a size-rank world to
-// levels: ⌈log₂size⌉ radix-2 levels on c, each hop in frames frames.
-func treeLevels(levels []level, c *collective.Comm, size, frames int) []level {
+// levels: ⌈log₂size⌉ radix-2 levels on c.
+func treeLevels(levels []level, c *collective.Comm, size int) []level {
 	for stride := 1; stride < size; stride <<= 1 {
-		levels = append(levels, level{c, size, stride, 2, max(frames, 1)})
+		levels = append(levels, level{c, size, stride, 2})
 	}
 	return levels
 }
@@ -196,13 +179,12 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 		return nil
 	}
 	cur, owned := local, false // this rank's partial, pooled once it folded
-	// held is the result's frames as this rank last encoded or received
-	// them, on heldOn: a root relays copies of them on the same
-	// communicator and encodes the result afresh on another one.
-	fp := iovecPool.Get().(*[][]byte)
-	held, heldBytes := (*fp)[:0], 0
+	// held is the result's frame as this rank last encoded or received
+	// it, on heldOn: a root relays copies of it on the same communicator
+	// and encodes the result afresh on another one.
+	var held []byte
 	var heldOn *collective.Comm
-	defer func() { releaseFrames(fp, held) }()
+	defer func() { sparse.PutBuffer(held) }()
 	var scale float32
 	var lev []int16
 	for step := 0; step < 2*top+1; step++ {
@@ -225,7 +207,7 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 		case !down && (cur == nil || r == root && r+lv.stride >= lv.size):
 			// Idle: handed up already, or a root with no member here.
 		case !down && r != root && i < top:
-			moved, err = sendSparseChunks(ctx, c, codec, cur, root, tag, lv.frames)
+			moved, err = sendSparse(ctx, c, codec, cur, root, tag)
 			if owned {
 				sparse.PutVector(cur)
 			}
@@ -235,7 +217,7 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 				// Each side ships its partial to the other exactly as a
 				// member does (pinned in place), so both fold the same
 				// two vectors.
-				_, err = sendSparseChunks(ctx, c, codec, cur, 2*root+lv.stride-r, tag, lv.frames)
+				_, err = sendSparse(ctx, c, codec, cur, 2*root+lv.stride-r, tag)
 			}
 			if err == nil {
 				cur, frames, moved, err = foldBlock(ctx, c, codec, lv, tag, cur, owned, k)
@@ -245,8 +227,8 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 			frames = 0 // not holding the result yet
 		case r != root:
 			// A rank receives the result once, holding nothing before.
-			moved, err = recvFrames(ctx, c, codec, root, tag, lv.frames, out, &held)
-			heldOn, heldBytes = c, moved
+			moved, err = recvFrame(ctx, c, codec, root, tag, out, &held)
+			heldOn = c
 		default:
 			frames = 0
 			for dst := r + lv.stride; dst < min(r+span, lv.size) && err == nil; dst += lv.stride {
@@ -259,14 +241,13 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 						// frames (v3 frames are self-describing).
 						enc = sparse.CodecV3
 					}
-					clearFrames(held)
-					held, heldBytes = encodeFrames(c, enc, out, lv.frames, scale, lev, held[:0])
-					heldOn = c
+					sparse.PutBuffer(held)
+					held, heldOn = encodeFrame(c, enc, out, scale, lev), c
 				}
-				err = sendCopies(ctx, c, dst, tag, held)
+				err = c.SendTagPooled(ctx, dst, tag, pooledCopy(held))
 				frames++
 			}
-			moved = frames * heldBytes
+			moved = frames * len(held)
 		}
 		if err != nil {
 			return fmt.Errorf("core: gtopk level %d: %w", i, err)
@@ -315,7 +296,7 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 		}
 		v := sparse.GetVector()
 		fs.vecs = append(fs.vecs, v)
-		n, err := recvFrames(ctx, c, codec, src, tag, lv.frames, v, nil)
+		n, err := recvFrame(ctx, c, codec, src, tag, v, nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -326,87 +307,61 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 	return res, got, moved, err
 }
 
-// recvFrames receives n frames from src under tag and rebuilds dst from
-// their entries, returning the bytes received. keep, if non-nil,
-// collects the frames for relaying; otherwise each is recycled once
-// decoded.
-func recvFrames(ctx context.Context, c *collective.Comm, codec sparse.Codec, src, tag, n int, dst *sparse.Vector, keep *[][]byte) (int, error) {
+// recvFrame receives one frame from src under tag and decodes it into
+// dst, returning its bytes. keep, if non-nil, takes the frame for
+// relaying; otherwise it is recycled once decoded.
+func recvFrame(ctx context.Context, c *collective.Comm, codec sparse.Codec, src, tag int, dst *sparse.Vector, keep *[]byte) (int, error) {
+	blob, err := c.RecvTag(ctx, src, tag)
+	if err != nil {
+		return 0, fmt.Errorf("recv from %d: %w", src, err)
+	}
 	scratch := sparse.GetVector()
 	defer sparse.PutVector(scratch)
-	dst.Indices, dst.Values = dst.Indices[:0], dst.Values[:0]
-	moved := 0
-	for i := 0; i < n; i++ {
-		blob, err := c.RecvTag(ctx, src, tag)
-		if err != nil {
-			return moved, fmt.Errorf("recv from %d: %w", src, err)
-		}
-		moved += len(blob)
-		v, err := codec.DecodeFrame(blob, scratch)
-		if err != nil {
-			sparse.PutBuffer(blob)
-			return moved, fmt.Errorf("payload from %d: %w", src, err)
-		}
-		sparse.AppendEntries(dst, &v)
-		if keep != nil {
-			*keep = append(*keep, blob)
-		} else {
-			sparse.PutBuffer(blob)
-		}
+	v, err := codec.DecodeFrame(blob, scratch)
+	if err != nil {
+		sparse.PutBuffer(blob)
+		return len(blob), fmt.Errorf("payload from %d: %w", src, err)
 	}
-	if n > 1 {
-		// Each frame decoded valid; their concatenation must be too.
-		return moved, dst.Validate()
+	sparse.CopyInto(dst, &v)
+	if keep != nil {
+		*keep = blob
+	} else {
+		sparse.PutBuffer(blob)
 	}
-	return moved, nil
+	return len(blob), nil
 }
 
-// sendSparseChunks pins v to the codec's wire precision in place — a
-// sender keeps exactly the bits its receiver decodes — and streams it to
-// dst as `chunks` frames under one tag (FIFO order per (src,dst,tag)
-// keeps them in sequence), returning the bytes put on the wire.
-func sendSparseChunks(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag, chunks int) (int, error) {
+// sendSparse sends v to dst under tag as one wireFrame, returning its
+// bytes.
+func sendSparse(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag int) (int, error) {
+	frame := wireFrame(comm, codec, v)
+	return len(frame), comm.SendTagPooled(ctx, dst, tag, frame)
+}
+
+// wireFrame pins v to the codec's wire precision in place — a sender
+// keeps exactly the bits its receivers decode — and encodes it as one
+// pooled frame, tallied on comm.
+func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector) []byte {
 	scale, levels := transformForWire(comm, codec, v.Values)
-	fp := iovecPool.Get().(*[][]byte)
-	frames, sent := encodeFrames(comm, codec, v, chunks, scale, levels, (*fp)[:0])
-	err := sendFrames(ctx, comm, dst, tag, frames)
-	releaseIovec(fp, frames)
-	return sent, err
+	return encodeFrame(comm, codec, v, scale, levels)
 }
 
-// encodeFrames appends v to frames as n chunk frames under codec —
-// contiguous spans of the entry list, so each is itself a valid sparse
-// encoding and their concatenation reproduces v exactly — tallying each
-// on comm, and returns the frames and their bytes. Quantized codecs
-// share the hop's scale, each chunk carrying its span of the levels.
-func encodeFrames(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, n int, scale float32, levels []int16, frames [][]byte) ([][]byte, int) {
-	nnz, bytes := v.NNZ(), 0
-	for i := 0; i < n; i++ {
-		lo, hi := i*nnz/n, (i+1)*nnz/n
-		buf := encodeSparseChunk(codec, v, lo, hi, scale, levels)
-		comm.TallyWire(sparse.EncodedSize(hi-lo), len(buf))
-		frames, bytes = append(frames, buf), bytes+len(buf)
-	}
-	return frames, bytes
+// encodeFrame encodes v under codec as one pooled frame and tallies it
+// on comm.
+func encodeFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16) []byte {
+	buf := encodeSparse(codec, v, scale, levels)
+	comm.TallyWire(sparse.EncodedSize(v.NNZ()), len(buf))
+	return buf
 }
 
-// sendFrames ships frames, which the caller relinquishes, to dst under
-// tag: one frame as a pooled send, several as one vectored send — on
-// TCP a single flush while each frame stays individually addressed.
-func sendFrames(ctx context.Context, comm *collective.Comm, dst, tag int, frames [][]byte) error {
-	if len(frames) == 1 {
-		return comm.SendTagPooled(ctx, dst, tag, frames[0])
-	}
-	return comm.SendTagVecPooled(ctx, dst, tag, frames)
-}
-
-// encodeSparseChunk encodes entries [lo,hi) of v under codec; quantized
-// v3 codecs carry the hop's scale plus the chunk's span of the hop
-// levels, everything else encodes the float values directly.
-func encodeSparseChunk(codec sparse.Codec, v *sparse.Vector, lo, hi int, scale float32, levels []int16) []byte {
+// encodeSparse encodes v under codec; quantized v3 codecs carry the
+// scale and levels their Transform returned, everything else encodes the
+// float values directly.
+func encodeSparse(codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16) []byte {
 	if codec.Value().Quantized() {
-		return sparse.EncodeSlicesV3(codec, v.Dim, v.Indices[lo:hi], v.Values[lo:hi], scale, levels[lo:hi])
+		return sparse.EncodeSlicesV3(codec, v.Dim, v.Indices, v.Values, scale, levels)
 	}
-	return sparse.EncodeSlicesCodec(codec, v.Dim, v.Indices[lo:hi], v.Values[lo:hi])
+	return sparse.EncodeCodec(codec, v)
 }
 
 // wireElems is the element count a leg charges on the α-β clock: the
@@ -420,46 +375,9 @@ func wireElems(codec sparse.Codec, modelled, moved int) int {
 	return (moved + 3) / 4
 }
 
-// sendCopies sends dst a pooled copy of every frame under one tag, for
-// a sender that still needs the frames afterwards.
-func sendCopies(ctx context.Context, comm *collective.Comm, dst, tag int, frames [][]byte) error {
-	fp := iovecPool.Get().(*[][]byte)
-	copies := (*fp)[:0]
-	for _, f := range frames {
-		copies = append(copies, pooledCopy(f))
-	}
-	err := sendFrames(ctx, comm, dst, tag, copies)
-	releaseIovec(fp, copies)
-	return err
-}
-
 // pooledCopy returns a copy of frame in a buffer from the wire pool.
 func pooledCopy(frame []byte) []byte {
 	c := sparse.GetBuffer(len(frame))
 	copy(c, frame)
 	return c
-}
-
-// releaseIovec returns a frame-pointer slice to iovecPool, nilling every
-// element first so the pooled slice pins no frame.
-func releaseIovec(fp *[][]byte, frames [][]byte) {
-	for i := range frames {
-		frames[i] = nil
-	}
-	*fp = frames[:0]
-	iovecPool.Put(fp)
-}
-
-// clearFrames recycles every frame in frames and nils its slot.
-func clearFrames(frames [][]byte) {
-	for i, f := range frames {
-		sparse.PutBuffer(f)
-		frames[i] = nil
-	}
-}
-
-// releaseFrames recycles every frame and then the iovec holding them.
-func releaseFrames(fp *[][]byte, frames [][]byte) {
-	clearFrames(frames)
-	releaseIovec(fp, frames)
 }

@@ -41,11 +41,10 @@ func spmd(t *testing.T, p int, body func(c *collective.Comm) error) {
 	}
 }
 
-// gtopk runs GTopKAllReduceInto with the default chunking into a fresh
-// result vector.
+// gtopk runs GTopKAllReduceInto into a fresh result vector.
 func gtopk(ctx context.Context, c *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
-	if err := GTopKAllReduceInto(ctx, c, local, k, ChunksFor(k), out); err != nil {
+	if err := GTopKAllReduceInto(ctx, c, local, k, 1, out); err != nil {
 		return nil, err
 	}
 	return out, nil

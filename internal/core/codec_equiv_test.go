@@ -29,10 +29,10 @@ func (h halfValues) Fork(uint64) sparse.Compressor { return h }
 
 func (h halfValues) Shared(uint64) sparse.Compressor { return h }
 
-// runChunkedWire executes GTopKAllReduceInto on every rank of an
+// runWire executes GTopKAllReduceInto on every rank of an
 // in-process fabric negotiated to the given wire version (with an
 // optional fp16 value preference) and returns the per-rank results.
-func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byte, fp16 bool) []*sparse.Vector {
+func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, fp16 bool) []*sparse.Vector {
 	t.Helper()
 	p := len(vecs)
 	f, err := transport.NewInProcWire(p, wire)
@@ -52,7 +52,7 @@ func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byt
 				comm.SetCompressor(halfValues{})
 			}
 			out := &sparse.Vector{}
-			errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, chunks, out)
+			errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
 			results[rank] = out
 		}(r)
 	}
@@ -66,10 +66,9 @@ func runChunkedWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, wire byt
 }
 
 // TestGTopKCodecV3BitEquivalence is the codec acceptance test: the
-// lossless v3 wire format must produce results bit-identical to v1
-// across the full chunk-test matrix — every world size the chunk tests
-// cover (including non-powers of two and 16), massive threshold ties,
-// and empty supports — at several chunk counts.
+// lossless v3 wire format must produce results bit-identical to v1 at
+// every world size the tree tests cover (including non-powers of two
+// and 16), with massive threshold ties and with empty supports.
 func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 	const dim, k = 240, 12
 	for _, p := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
@@ -86,13 +85,10 @@ func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 					vecs[r] = &sparse.Vector{Dim: dim}
 				}
 			}
-			for _, chunks := range []int{1, 3, DefaultChunks} {
-				v1 := runChunkedWire(t, vecs, k, chunks, transport.WireV1, false)
-				v3 := runChunkedWire(t, vecs, k, chunks, transport.WireV3, false)
-				for r := range v1 {
-					assertVecEqual(t, fmt.Sprintf("p=%d %s chunks=%d rank %d v3-vs-v1", p, mode, chunks, r),
-						v1[r], v3[r])
-				}
+			v1 := runWire(t, vecs, k, transport.WireV1, false)
+			v3 := runWire(t, vecs, k, transport.WireV3, false)
+			for r := range v1 {
+				assertVecEqual(t, fmt.Sprintf("p=%d %s rank %d v3-vs-v1", p, mode, r), v1[r], v3[r])
 			}
 		}
 	}
@@ -104,7 +100,7 @@ func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 func TestGTopKCodecV3OverTCP(t *testing.T) {
 	const p, dim, k = 4, 5000, 50
 	_, vecs := makeWorkerVectors(7, p, dim, k)
-	want := runChunkedWire(t, vecs, k, 3, transport.WireV1, false)
+	want := runWire(t, vecs, k, transport.WireV1, false)
 
 	bytesSent := make([]int64, 2)
 	for vi, wire := range []byte{transport.WireV1, transport.WireV3} {
@@ -122,7 +118,7 @@ func TestGTopKCodecV3OverTCP(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				out := &sparse.Vector{}
-				errs[rank] = GTopKAllReduceInto(context.Background(), comms[rank], vecs[rank].Clone(), k, 3, out)
+				errs[rank] = GTopKAllReduceInto(context.Background(), comms[rank], vecs[rank].Clone(), k, 1, out)
 				results[rank] = out
 			}(r)
 		}
@@ -151,7 +147,7 @@ func TestGTopKCodecF16ReplicaAgreement(t *testing.T) {
 	const dim, k = 300, 15
 	for _, p := range []int{2, 3, 4, 5, 8} {
 		_, vecs := makeWorkerVectors(uint64(40+p), p, dim, k)
-		results := runChunkedWire(t, vecs, k, DefaultChunks, transport.WireV3, true)
+		results := runWire(t, vecs, k, transport.WireV3, true)
 		for r := 1; r < p; r++ {
 			assertVecEqual(t, fmt.Sprintf("p=%d fp16 rank %d vs rank 0", p, r), results[0], results[r])
 		}
@@ -172,12 +168,12 @@ func TestGTopKCodecF16ReplicaAgreement(t *testing.T) {
 func TestGTopKCodecMixedMeshFallsBack(t *testing.T) {
 	const p, dim, k = 3, 240, 12
 	_, vecs := makeWorkerVectors(9, p, dim, k)
-	want := runChunkedWire(t, vecs, k, 2, transport.WireV1, false)
+	want := runWire(t, vecs, k, transport.WireV1, false)
 
 	// Simulate the negotiated outcome: the fabric settled on v1 while
 	// the application still asks for fp16 — the preference must be
 	// silently ineffective (v1 has no fp16 mode).
-	got := runChunkedWire(t, vecs, k, 2, transport.WireV1, true)
+	got := runWire(t, vecs, k, transport.WireV1, true)
 	for r := range want {
 		assertVecEqual(t, fmt.Sprintf("mixed mesh rank %d", r), want[r], got[r])
 	}
@@ -204,7 +200,7 @@ func TestGTopKWireTally(t *testing.T) {
 				comm := collective.New(f.Conn(rank))
 				comm.SetWireTally(tallies[rank])
 				out := &sparse.Vector{}
-				errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 2, out)
+				errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
 			}(r)
 		}
 		wg.Wait()

@@ -62,7 +62,7 @@ func compoundVectors(seed uint64, p, dim, k int, mode string) []*sparse.Vector {
 // runCompoundWire executes GTopKAllReduceInto on every rank of an
 // in-process fabric negotiated to the codec's wire version, with each
 // rank's comm configured exactly as the CLI does it: quant.AttachStack.
-func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, codec sparse.Codec, seed uint64) []*sparse.Vector {
+func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Codec, seed uint64) []*sparse.Vector {
 	t.Helper()
 	p := len(vecs)
 	f, err := transport.NewInProcWire(p, codec.WireVersion())
@@ -80,7 +80,7 @@ func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k, chunks int, codec s
 			comm := collective.New(f.Conn(rank))
 			quant.AttachStack(comm, codec, seed)
 			out := &sparse.Vector{}
-			errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, chunks, out)
+			errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
 			results[rank] = out
 		}(r)
 	}
@@ -114,26 +114,20 @@ func assertSameVector(t *testing.T, name string, a, b *sparse.Vector) {
 // every v3 value codec — including the stochastic quantizers, whose
 // rank-forked rngs draw independently — every rank must hold the
 // bit-identical aggregate, across world sizes 2..8 and 16, tie-heavy
-// and empty-support inputs, and several chunk counts. Agreement is
+// and empty-support inputs. Agreement is
 // structural (receivers decode the sender's bytes; the bcast root pins
 // its own copy through its quantizer), so no rng coordination exists to
 // save a buggy implementation.
 func TestCompoundReplicaBitAgreement(t *testing.T) {
 	const dim, k = 240, 12
 	for _, p := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
-		chunkSet := []int{3}
-		if p <= 5 {
-			chunkSet = []int{1, 3, core.DefaultChunks}
-		}
 		for _, mode := range []string{"gauss", "ties", "empty"} {
 			vecs := compoundVectors(uint64(60+p), p, dim, k, mode)
 			for _, codec := range compoundCodecs() {
-				for _, chunks := range chunkSet {
-					results := runCompoundWire(t, vecs, k, chunks, codec, uint64(7*p))
-					for r := 1; r < p; r++ {
-						assertSameVector(t, fmt.Sprintf("p=%d %s %s chunks=%d rank %d vs 0", p, mode, codec, chunks, r),
-							results[0], results[r])
-					}
+				results := runCompoundWire(t, vecs, k, codec, uint64(7*p))
+				for r := 1; r < p; r++ {
+					assertSameVector(t, fmt.Sprintf("p=%d %s %s rank %d vs 0", p, mode, codec, r),
+						results[0], results[r])
 				}
 			}
 		}
@@ -149,8 +143,8 @@ func TestCompoundLosslessMatchesV1(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 8} {
 		for _, mode := range []string{"gauss", "ties", "empty"} {
 			vecs := compoundVectors(uint64(200+p), p, dim, k, mode)
-			v1 := runCompoundWire(t, vecs, k, 3, sparse.CodecV1, 1)
-			v3 := runCompoundWire(t, vecs, k, 3, sparse.CodecV3, 1)
+			v1 := runCompoundWire(t, vecs, k, sparse.CodecV1, 1)
+			v3 := runCompoundWire(t, vecs, k, sparse.CodecV3, 1)
 			for r := range v1 {
 				assertSameVector(t, fmt.Sprintf("p=%d %s v3-vs-v1 rank %d", p, mode, r), v1[r], v3[r])
 			}
@@ -166,7 +160,7 @@ func TestCompoundLosslessMatchesV1(t *testing.T) {
 func TestCompoundValuesOnLattice(t *testing.T) {
 	const dim, k = 300, 15
 	vecs := compoundVectors(31, 4, dim, k, "gauss")
-	results := runCompoundWire(t, vecs, k, core.DefaultChunks, sparse.CodecV3F16, 5)
+	results := runCompoundWire(t, vecs, k, sparse.CodecV3F16, 5)
 	for i, v := range results[0].Values {
 		if math.Float32bits(f16.Round(v)) != math.Float32bits(v) {
 			t.Fatalf("fp16 value %d (%v) is not fp16-representable", i, v)

@@ -2,7 +2,7 @@ package core_test
 
 // The collective's golden wall: every gTop-k schedule — the flat tree
 // and the two-level hierarchy at each legal group size — over world
-// sizes 1..9, 12 and 16, four wire codecs and two chunk counts, hashed
+// sizes 1..9, 12 and 16 and four wire codecs, one frame per hop, hashed
 // four ways: every rank's result, every rank's local selection after
 // the call (lossy codecs pin it in place), the slowest rank's α-β clock
 // and the WireTally totals. A refactor of the collective must leave
@@ -50,7 +50,6 @@ type goldenRow struct {
 	fabric string
 	p, g   int
 	codec  sparse.Codec
-	chunks int
 }
 
 func (r goldenRow) name() string {
@@ -58,11 +57,12 @@ func (r goldenRow) name() string {
 	if r.g > 1 {
 		topo = fmt.Sprintf("g=%d", r.g)
 	}
-	return fmt.Sprintf("%s/p=%d/%s/%s/c=%d", r.fabric, r.p, topo, r.codec, r.chunks)
+	// "c=1": one frame per hop, the suffix the rows were recorded under.
+	return fmt.Sprintf("%s/p=%d/%s/%s/c=1", r.fabric, r.p, topo, r.codec)
 }
 
-// goldenRows lists the wall: inproc rows for every (P, schedule, codec,
-// chunks) and four loopback TCP rows.
+// goldenRows lists the wall: inproc rows for every (P, schedule, codec)
+// and four loopback TCP rows.
 func goldenRows() []goldenRow {
 	codecs := []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3F16, sparse.CodecV3Q8}
 	var rows []goldenRow
@@ -72,15 +72,13 @@ func goldenRows() []goldenRow {
 				continue
 			}
 			for _, codec := range codecs {
-				for _, chunks := range []int{1, 3} {
-					rows = append(rows, goldenRow{"inproc", p, g, codec, chunks})
-				}
+				rows = append(rows, goldenRow{"inproc", p, g, codec})
 			}
 		}
 	}
 	for _, g := range []int{0, 4} {
 		for _, codec := range []sparse.Codec{sparse.CodecV1, sparse.CodecV3Q8} {
-			rows = append(rows, goldenRow{"tcp", 8, g, codec, 3})
+			rows = append(rows, goldenRow{"tcp", 8, g, codec})
 		}
 	}
 	return rows
@@ -148,11 +146,11 @@ func runGoldenRow(t *testing.T, row goldenRow) goldenHashes {
 			if row.g > 1 {
 				gc, err := core.ForkHier(comm, row.g)
 				if err == nil {
-					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, row.chunks, out)
+					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, 1, out)
 				}
 				errs[rank] = err
 			} else {
-				errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank], k, row.chunks, out)
+				errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank], k, 1, out)
 			}
 			outs[rank], clocks[rank] = out, clock.Now()
 		}(r)
@@ -218,287 +216,147 @@ func TestCollectiveGolden(t *testing.T) {
 // collectiveGolden is the recorded wall: result, local, clock, tally.
 var collectiveGolden = map[string]goldenHashes{
 	"inproc/p=1/flat/v1/c=1":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
-	"inproc/p=1/flat/v1/c=3":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
 	"inproc/p=1/flat/v3/c=1":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
-	"inproc/p=1/flat/v3/c=3":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
 	"inproc/p=1/flat/v3-fp16/c=1":   {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
-	"inproc/p=1/flat/v3-fp16/c=3":   {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
 	"inproc/p=1/flat/v3-qsgd8/c=1":  {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
-	"inproc/p=1/flat/v3-qsgd8/c=3":  {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
 	"inproc/p=2/flat/v1/c=1":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0x0eb88c7111387f36, 0x4f35120a916c8247},
-	"inproc/p=2/flat/v1/c=3":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0x0eb88c7111387f36, 0xf838baa6cf93d383},
 	"inproc/p=2/flat/v3/c=1":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0xba8a7965fd1c237f, 0x0444a43458d17393},
-	"inproc/p=2/flat/v3/c=3":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0xa096eb399a0ddec6, 0xee629b198fe6b2cc},
 	"inproc/p=2/flat/v3-fp16/c=1":   {0x848de6cef2c71d75, 0xbee4afa5d9cef9a8, 0xc284819b7a5c028c, 0x50ad7a6bdd546a43},
-	"inproc/p=2/flat/v3-fp16/c=3":   {0x848de6cef2c71d75, 0xbee4afa5d9cef9a8, 0xa9a29f9067deabb3, 0x7c19af0e5897213c},
 	"inproc/p=2/flat/v3-qsgd8/c=1":  {0x31de0d191bb5f901, 0x60cb2c110126a60e, 0x0d0e3331b7a01724, 0xb41b3f690f8085df},
-	"inproc/p=2/flat/v3-qsgd8/c=3":  {0x31de0d191bb5f901, 0x60cb2c110126a60e, 0x04027edae9cf4a37, 0xd28c94476806c266},
 	"inproc/p=3/flat/v1/c=1":        {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x27c984d651705c35, 0x87791cb5339cc521},
-	"inproc/p=3/flat/v1/c=3":        {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x27c984d651705c35, 0x43b82940ae895ea9},
 	"inproc/p=3/flat/v3/c=1":        {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0xc94f3552fa4085b0, 0xe144b199715b49c9},
-	"inproc/p=3/flat/v3/c=3":        {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x08c4ca172b49b5e7, 0xce03ea338ae4589a},
 	"inproc/p=3/flat/v3-fp16/c=1":   {0x53a72186578a85c8, 0x89b354705072d8fa, 0x847992a58480fdff, 0xb9fcd9733943434e},
-	"inproc/p=3/flat/v3-fp16/c=3":   {0x53a72186578a85c8, 0x89b354705072d8fa, 0x85d5143d944f37a9, 0x369a00170729d6d5},
 	"inproc/p=3/flat/v3-qsgd8/c=1":  {0xe1e95c78715ec945, 0xdf05ca5178b3ce97, 0x4f57a333090dba8c, 0x912bf2dceea6d876},
-	"inproc/p=3/flat/v3-qsgd8/c=3":  {0xe1e95c78715ec945, 0xdf05ca5178b3ce97, 0x03b0b4444ce9abed, 0xe37fca8926091929},
 	"inproc/p=3/g=2/v1/c=1":         {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x86f1a71fcf7ef2de, 0x87791cb5339cc521},
-	"inproc/p=3/g=2/v1/c=3":         {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x86f1a71fcf7ef2de, 0xdfd72e3b8a5f032d},
 	"inproc/p=3/g=2/v3/c=1":         {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0xe16ab1ca33491ff4, 0xe144b199715b49c9},
-	"inproc/p=3/g=2/v3/c=3":         {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0xe16ab1ca33491ff4, 0xbd4fc81305e14bcb},
 	"inproc/p=3/g=2/v3-fp16/c=1":    {0x53a72186578a85c8, 0x89b354705072d8fa, 0x103617cf4c819232, 0xb9fcd9733943434e},
-	"inproc/p=3/g=2/v3-fp16/c=3":    {0x53a72186578a85c8, 0x89b354705072d8fa, 0x103617cf4c819232, 0xdc8f249f22ac9c10},
 	"inproc/p=3/g=2/v3-qsgd8/c=1":   {0x7b95f67bd523142a, 0x57da6d8998afc144, 0xc9e687293244a639, 0x001c2f3cf7a78688},
-	"inproc/p=3/g=2/v3-qsgd8/c=3":   {0x7b95f67bd523142a, 0x57da6d8998afc144, 0xc9e687293244a639, 0xe4b8ec56cb324b08},
 	"inproc/p=4/flat/v1/c=1":        {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0x76d2e460b23f0401, 0x0a8906226318abe3},
-	"inproc/p=4/flat/v1/c=3":        {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0x76d2e460b23f0401, 0x1075ee8f38d28377},
 	"inproc/p=4/flat/v3/c=1":        {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xf2239b1f031e40f4, 0x439cd6193823f84a},
-	"inproc/p=4/flat/v3/c=3":        {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xbeac04ebe1436593, 0x8791efeee1c2f521},
 	"inproc/p=4/flat/v3-fp16/c=1":   {0xbde2ab32873e1ae5, 0x636df1b661e21347, 0x3e67ca8e5e5428c3, 0x96a6659852a83995},
-	"inproc/p=4/flat/v3-fp16/c=3":   {0xbde2ab32873e1ae5, 0x636df1b661e21347, 0xd8b4804b838312d5, 0xf9dadbfa191286b1},
 	"inproc/p=4/flat/v3-qsgd8/c=1":  {0x806ce959d7d37b9d, 0xff788f9b9aacd800, 0x9a424d45466b26eb, 0x3b626852c901ccf1},
-	"inproc/p=4/flat/v3-qsgd8/c=3":  {0x806ce959d7d37b9d, 0xff788f9b9aacd800, 0x7b3f024e91fe7111, 0x504dc133288227db},
 	"inproc/p=4/g=2/v1/c=1":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0x86f1a71fcf7ef2de, 0x0a8906226318abe3},
-	"inproc/p=4/g=2/v1/c=3":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0x86f1a71fcf7ef2de, 0xba27adf1a6b2b08f},
 	"inproc/p=4/g=2/v3/c=1":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xe16ab1ca33491ff4, 0x439cd6193823f84a},
-	"inproc/p=4/g=2/v3/c=3":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xe16ab1ca33491ff4, 0x51d82ad933b34d18},
 	"inproc/p=4/g=2/v3-fp16/c=1":    {0xbde2ab32873e1ae5, 0x636df1b661e21347, 0x103617cf4c819232, 0x96a6659852a83995},
-	"inproc/p=4/g=2/v3-fp16/c=3":    {0xbde2ab32873e1ae5, 0x636df1b661e21347, 0x103617cf4c819232, 0xc42116e46b02dea8},
 	"inproc/p=4/g=2/v3-qsgd8/c=1":   {0xa7aa9486b9285605, 0xdd25356e4ea20f25, 0xc9e687293244a639, 0xadbbfa6cc6eddae2},
-	"inproc/p=4/g=2/v3-qsgd8/c=3":   {0xa7aa9486b9285605, 0xdd25356e4ea20f25, 0xc9e687293244a639, 0xb074d7c9eba89d3a},
 	"inproc/p=4/g=3/v1/c=1":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xb0ce6e0e2eb35780, 0xf9cbe4ea4a1e52e0},
-	"inproc/p=4/g=3/v1/c=3":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xb0ce6e0e2eb35780, 0x1aaadd1239377f1c},
 	"inproc/p=4/g=3/v3/c=1":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xcc64f64fb0ab59d2, 0x4d1c07346de8aeef},
-	"inproc/p=4/g=3/v3/c=3":         {0x8d97d1615084286d, 0x1229cf4ba6d528fd, 0xe6e8a6849c1f1e36, 0x316b3654d5049de4},
 	"inproc/p=4/g=3/v3-fp16/c=1":    {0xbde2ab32873e1ae5, 0xe5d0aab58314428c, 0x3ce2272f1a4dfeb6, 0x128fcedc4cf57a8c},
-	"inproc/p=4/g=3/v3-fp16/c=3":    {0xbde2ab32873e1ae5, 0xe5d0aab58314428c, 0x8cae34a2b7aa3542, 0x8183f51157b90f37},
 	"inproc/p=4/g=3/v3-qsgd8/c=1":   {0x111841255826da85, 0x32e272b64e798c2b, 0x8a8dfeabf4b3d2ff, 0x128fcedc4cf57a8c},
-	"inproc/p=4/g=3/v3-qsgd8/c=3":   {0x111841255826da85, 0x32e272b64e798c2b, 0x1b5967ef706197b7, 0x53e1f66e92e5d8e5},
 	"inproc/p=5/flat/v1/c=1":        {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x2b5d260ad93faace, 0x0a8906226318abe3},
-	"inproc/p=5/flat/v1/c=3":        {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x2b5d260ad93faace, 0x1075ee8f38d28377},
 	"inproc/p=5/flat/v3/c=1":        {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xc876c4b951582b94, 0x8192642b4e028c8c},
-	"inproc/p=5/flat/v3/c=3":        {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xbefd16e6e3650a45, 0xcdb145b8a027385b},
 	"inproc/p=5/flat/v3-fp16/c=1":   {0x799c1bf43b3a2394, 0x2efe17fd4513cc34, 0xcc71f12f3a5bed68, 0xd49bf3aa6886cdd7},
-	"inproc/p=5/flat/v3-fp16/c=3":   {0x799c1bf43b3a2394, 0x2efe17fd4513cc34, 0x3718792e736a6c62, 0x3ffa31c3d776c9eb},
 	"inproc/p=5/flat/v3-qsgd8/c=1":  {0x04c7f9f59e3a52d2, 0x9f16c0b880829720, 0x0dc99d8405bf6f99, 0x7957f664dee06133},
-	"inproc/p=5/flat/v3-qsgd8/c=3":  {0x04c7f9f59e3a52d2, 0x9f16c0b880829720, 0x77a2a559b8582949, 0x8e434f453e60bc1d},
 	"inproc/p=5/g=2/v1/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xad1b811179ed40f9, 0xa0839e0a486ff1ed},
-	"inproc/p=5/g=2/v1/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xad1b811179ed40f9, 0xd4ed38262a4bbcf5},
 	"inproc/p=5/g=2/v3/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x316c6e21c4dfe070, 0x557e8f955a643d98},
-	"inproc/p=5/g=2/v3/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x316c6e21c4dfe070, 0xb48aaeca9a110739},
 	"inproc/p=5/g=2/v3-fp16/c=1":    {0x799c1bf43b3a2394, 0x2efe17fd4513cc34, 0xdea284a5d3992225, 0x6427c4770bb23e69},
-	"inproc/p=5/g=2/v3-fp16/c=3":    {0x799c1bf43b3a2394, 0x2efe17fd4513cc34, 0xdea284a5d3992225, 0xa0a882f3d80d2768},
 	"inproc/p=5/g=2/v3-qsgd8/c=1":   {0x53c4d6bb8550d130, 0x575a30747558f110, 0xb44500f61afe52b1, 0xf066700a887ac4dd},
-	"inproc/p=5/g=2/v3-qsgd8/c=3":   {0x53c4d6bb8550d130, 0x575a30747558f110, 0xb44500f61afe52b1, 0xb0fc126329188558},
 	"inproc/p=5/g=3/v1/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xb0ce6e0e2eb35780, 0x2241aec05dbae2d2},
-	"inproc/p=5/g=3/v1/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xb0ce6e0e2eb35780, 0xc26e635aaf60de8e},
 	"inproc/p=5/g=3/v3/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xcc64f64fb0ab59d2, 0x2f4d34934713d9a5},
-	"inproc/p=5/g=3/v3/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xe6e8a6849c1f1e36, 0xa1c5473415e00e0e},
 	"inproc/p=5/g=3/v3-fp16/c=1":    {0xe56e8fafcad5cb74, 0x326f9c1cbd17f629, 0x3ce2272f1a4dfeb6, 0x581e1b2991b0447d},
-	"inproc/p=5/g=3/v3-fp16/c=3":    {0xe56e8fafcad5cb74, 0x326f9c1cbd17f629, 0x8cae34a2b7aa3542, 0x0be46b87a4a9f0a6},
 	"inproc/p=5/g=3/v3-qsgd8/c=1":   {0x5a94a6e22ded268a, 0x66a095f2467c8062, 0x8a8dfeabf4b3d2ff, 0x7d965214adfdcbd7},
-	"inproc/p=5/g=3/v3-qsgd8/c=3":   {0x5a94a6e22ded268a, 0x66a095f2467c8062, 0x1b5967ef706197b7, 0xa876a68a727dd50a},
 	"inproc/p=5/g=4/v1/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x6f7e948efa2156ed, 0x0a8906226318abe3},
-	"inproc/p=5/g=4/v1/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x6f7e948efa2156ed, 0xba27adf1a6b2b08f},
 	"inproc/p=5/g=4/v3/c=1":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0xaf5a4a908009f241, 0xaf470624d0dc53df},
-	"inproc/p=5/g=4/v3/c=3":         {0x3bf796a0778afaff, 0xcdf5c1519f0daaa6, 0x44559d867b4e380d, 0xbd825ae4cc6ba8ad},
 	"inproc/p=5/g=4/v3-fp16/c=1":    {0xe56e8fafcad5cb74, 0x702b067322c9eeaf, 0xe1ee978e657160f7, 0x77ab9e8f47b8ef74},
-	"inproc/p=5/g=4/v3-fp16/c=3":    {0xe56e8fafcad5cb74, 0x702b067322c9eeaf, 0xf06c6744bea01fc3, 0x2fcb46f003bb3a3d},
 	"inproc/p=5/g=4/v3-qsgd8/c=1":   {0x726b069413942ba3, 0xde9819b6c865eb16, 0x6237654e7e6afcc5, 0xad7764e9b511d4be},
-	"inproc/p=5/g=4/v3-qsgd8/c=3":   {0x726b069413942ba3, 0xde9819b6c865eb16, 0xe575fc7e970370e8, 0xbc09f2838083c0b1},
 	"inproc/p=6/flat/v1/c=1":        {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0xd3ff76c434bd45ea, 0xa0839e0a486ff1ed},
-	"inproc/p=6/flat/v1/c=3":        {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0xd3ff76c434bd45ea, 0x0956d2420c2787fd},
 	"inproc/p=6/flat/v3/c=1":        {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x73cc423172c2ba38, 0x2cd2efac8bd4f4c2},
-	"inproc/p=6/flat/v3/c=3":        {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x43b5d5d2c545b526, 0x5b09457d67fcda0e},
 	"inproc/p=6/flat/v3-fp16/c=1":   {0x560beea92679c425, 0x0b2adf7f452a9824, 0x777e4c07d1e84184, 0x26323664f5d3aa27},
-	"inproc/p=6/flat/v3-fp16/c=3":   {0x560beea92679c425, 0x0b2adf7f452a9824, 0xd5c26c8078bf71ea, 0x54688c35d1fb8f73},
 	"inproc/p=6/flat/v3-qsgd8/c=1":  {0xeb4ebe7617321939, 0x0f29d6824c28813e, 0x9922ebfeda4d3621, 0x3685c5d446df0817},
-	"inproc/p=6/flat/v3-qsgd8/c=3":  {0xeb4ebe7617321939, 0x0f29d6824c28813e, 0xc5a09631b8a5b805, 0x0af086c0e54868bb},
 	"inproc/p=6/g=2/v1/c=1":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0xad1b811179ed40f9, 0x9248cd917131874f},
-	"inproc/p=6/g=2/v1/c=3":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0xad1b811179ed40f9, 0x65fa92b47af66ab7},
 	"inproc/p=6/g=2/v3/c=1":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x316c6e21c4dfe070, 0x062b6e1b81a1f99d},
-	"inproc/p=6/g=2/v3/c=3":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x316c6e21c4dfe070, 0x9544ee9ce81ce988},
 	"inproc/p=6/g=2/v3-fp16/c=1":    {0x560beea92679c425, 0x0b2adf7f452a9824, 0xdea284a5d3992225, 0x85394d2e9904673c},
-	"inproc/p=6/g=2/v3-fp16/c=3":    {0x560beea92679c425, 0x0b2adf7f452a9824, 0xdea284a5d3992225, 0xf58ff0ab2ea3c009},
 	"inproc/p=6/g=2/v3-qsgd8/c=1":   {0x924bfb68cce40da5, 0xd8af36b5b253a387, 0x4ff92a413c768c35, 0xaab18419b551ee96},
-	"inproc/p=6/g=2/v3-qsgd8/c=3":   {0x924bfb68cce40da5, 0xd8af36b5b253a387, 0x4ff92a413c768c35, 0x3b9ea066266b86e2},
 	"inproc/p=6/g=3/v1/c=1":         {0xca356ea7f595fcdd, 0x5e9aeec6ccabc857, 0xb0ce6e0e2eb35780, 0xa0839e0a486ff1ed},
-	"inproc/p=6/g=3/v1/c=3":         {0xca356ea7f595fcdd, 0x5e9aeec6ccabc857, 0xb0ce6e0e2eb35780, 0x064ed0fc57820c69},
 	"inproc/p=6/g=3/v3/c=1":         {0xca356ea7f595fcdd, 0x5e9aeec6ccabc857, 0xcc64f64fb0ab59d2, 0x2cd2efac8bd4f4c2},
-	"inproc/p=6/g=3/v3/c=3":         {0xca356ea7f595fcdd, 0x5e9aeec6ccabc857, 0xe6e8a6849c1f1e36, 0x8a745ae6f2616046},
 	"inproc/p=6/g=3/v3-fp16/c=1":    {0x560a87b9c4f52de5, 0x83ab594e30cadba0, 0x3ce2272f1a4dfeb6, 0x26323664f5d3aa27},
-	"inproc/p=6/g=3/v3-fp16/c=3":    {0x560a87b9c4f52de5, 0x83ab594e30cadba0, 0x8cae34a2b7aa3542, 0x83d3a19f5c6015ab},
 	"inproc/p=6/g=3/v3-qsgd8/c=1":   {0x1630c65e5f8aeae9, 0x19fcc8b66991ed13, 0x8a8dfeabf4b3d2ff, 0xb270e1f8729c309b},
-	"inproc/p=6/g=3/v3-qsgd8/c=3":   {0x1630c65e5f8aeae9, 0x19fcc8b66991ed13, 0x1b5967ef706197b7, 0xd8ce1e771fe7ced9},
 	"inproc/p=6/g=4/v1/c=1":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x6f7e948efa2156ed, 0xa0839e0a486ff1ed},
-	"inproc/p=6/g=4/v1/c=3":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x6f7e948efa2156ed, 0x064ed0fc57820c69},
 	"inproc/p=6/g=4/v3/c=1":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0xaf5a4a908009f241, 0x2cd2efac8bd4f4c2},
-	"inproc/p=6/g=4/v3/c=3":         {0xb5dc429113f6a865, 0x5e9aeec6ccabc857, 0x44559d867b4e380d, 0x8a745ae6f2616046},
 	"inproc/p=6/g=4/v3-fp16/c=1":    {0x57f55a3b266c98a5, 0xd2505afaf4375404, 0xe1ee978e657160f7, 0x26323664f5d3aa27},
-	"inproc/p=6/g=4/v3-fp16/c=3":    {0x57f55a3b266c98a5, 0xd2505afaf4375404, 0xf06c6744bea01fc3, 0x83d3a19f5c6015ab},
 	"inproc/p=6/g=4/v3-qsgd8/c=1":   {0x8b681b196dd1102d, 0x8d1adf6f120c38fc, 0x96b179bd8da30c89, 0xb270e1f8729c309b},
-	"inproc/p=6/g=4/v3-qsgd8/c=3":   {0x8b681b196dd1102d, 0x8d1adf6f120c38fc, 0x1208e5e73767b681, 0xd8ce1e771fe7ced9},
 	"inproc/p=7/flat/v1/c=1":        {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x22283e4046adccb6, 0x23f46f046efa42cc},
-	"inproc/p=7/flat/v1/c=3":        {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x22283e4046adccb6, 0x9bb8e40a151dc89e},
 	"inproc/p=7/flat/v3/c=1":        {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x439bbbc3c301c6ad, 0xb6f91a8cfdd135dd},
-	"inproc/p=7/flat/v3/c=3":        {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x5e506b2f5e7e4077, 0x90a2461fc39c72ee},
 	"inproc/p=7/flat/v3-fp16/c=1":   {0xd6d9bbbc6b44fb25, 0x52f933198a92662c, 0x278fc835587837e4, 0x3e30c157bdb95274},
-	"inproc/p=7/flat/v3-fp16/c=3":   {0xd6d9bbbc6b44fb25, 0x52f933198a92662c, 0x8eb9a99aed643a5b, 0x0474409b0d7068db},
 	"inproc/p=7/flat/v3-qsgd8/c=1":  {0xf9b561f394328630, 0x1c295f0d69308da1, 0xdcab9db621a4453b, 0x9ccd6e4875aea296},
-	"inproc/p=7/flat/v3-qsgd8/c=3":  {0xf9b561f394328630, 0x1c295f0d69308da1, 0x643233455857111f, 0xa592fe27439f1295},
 	"inproc/p=7/g=2/v1/c=1":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x4a620b7537ebf46e, 0x8ac06fff6ae5df09},
-	"inproc/p=7/g=2/v1/c=3":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x4a620b7537ebf46e, 0xd4752ffaeba434bd},
 	"inproc/p=7/g=2/v3/c=1":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x2c3647d1c06ea070, 0xfb804d9a8fb10c3c},
-	"inproc/p=7/g=2/v3/c=3":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x2c3647d1c06ea070, 0xf6a36001a8d5405a},
 	"inproc/p=7/g=2/v3-fp16/c=1":    {0xd6d9bbbc6b44fb25, 0x52f933198a92662c, 0xd793028586a4895a, 0xe2e1aa5608e70692},
-	"inproc/p=7/g=2/v3-fp16/c=3":    {0xd6d9bbbc6b44fb25, 0x52f933198a92662c, 0xd793028586a4895a, 0x9b4ebcad58925755},
 	"inproc/p=7/g=2/v3-qsgd8/c=1":   {0xfd7a3dcf8d233805, 0x125a44077863ba39, 0xda9017ed66606a6a, 0x03beb5f0eda760d5},
-	"inproc/p=7/g=2/v3-qsgd8/c=3":   {0xfd7a3dcf8d233805, 0x125a44077863ba39, 0xda9017ed66606a6a, 0xc0d59c5f44124670},
 	"inproc/p=7/g=3/v1/c=1":         {0x399f519459488513, 0xac4320fdadd6e8aa, 0xea34074d5a7f4d24, 0x9248cd917131874f},
-	"inproc/p=7/g=3/v1/c=3":         {0x399f519459488513, 0xac4320fdadd6e8aa, 0xea34074d5a7f4d24, 0x65fa92b47af66ab7},
 	"inproc/p=7/g=3/v3/c=1":         {0x399f519459488513, 0xac4320fdadd6e8aa, 0x63f6b092e7684158, 0x062b6e1b81a1f99d},
-	"inproc/p=7/g=3/v3/c=3":         {0x399f519459488513, 0xac4320fdadd6e8aa, 0xa8f064a9c7b92392, 0x21839a3064e56ffc},
 	"inproc/p=7/g=3/v3-fp16/c=1":    {0x3c4425e043dba3b2, 0xe6890a8878569861, 0xcba6a0b79f38628d, 0x85394d2e9904673c},
-	"inproc/p=7/g=3/v3-fp16/c=3":    {0x3c4425e043dba3b2, 0xe6890a8878569861, 0xcba6a0b79f38628d, 0x81ce9c3eab6c467d},
 	"inproc/p=7/g=3/v3-qsgd8/c=1":   {0xc5b91b9920964822, 0x34e2cb9a2ea086df, 0x9546134e76f59586, 0x85394d2e9904673c},
-	"inproc/p=7/g=3/v3-qsgd8/c=3":   {0xc5b91b9920964822, 0x34e2cb9a2ea086df, 0x9546134e76f59586, 0x1e60d74179402ae1},
 	"inproc/p=7/g=4/v1/c=1":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x6f7e948efa2156ed, 0x23f46f046efa42cc},
-	"inproc/p=7/g=4/v1/c=3":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x6f7e948efa2156ed, 0x88a919cb9c982648},
 	"inproc/p=7/g=4/v3/c=1":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0xaf5a4a908009f241, 0xb6f91a8cfdd135dd},
-	"inproc/p=7/g=4/v3/c=3":         {0x9de34455bf8a80ad, 0xac4320fdadd6e8aa, 0x44559d867b4e380d, 0x637972f380face52},
 	"inproc/p=7/g=4/v3-fp16/c=1":    {0xd6d9bbbc6b44fb25, 0x62fd3f1b868e160a, 0xe1ee978e657160f7, 0x3e30c157bdb95274},
-	"inproc/p=7/g=4/v3-fp16/c=3":    {0xd6d9bbbc6b44fb25, 0x62fd3f1b868e160a, 0xf06c6744bea01fc3, 0xd2127679ba18e53f},
 	"inproc/p=7/g=4/v3-qsgd8/c=1":   {0x3c39d445dfa712f2, 0x53738d7617fc2f0e, 0x96b179bd8da30c89, 0xd76a4caf5d3e535a},
-	"inproc/p=7/g=4/v3-qsgd8/c=3":   {0x3c39d445dfa712f2, 0x53738d7617fc2f0e, 0x1208e5e73767b681, 0x6e920e25c9e638a2},
 	"inproc/p=8/flat/v1/c=1":        {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x9150ac468047ebc3, 0x9248cd917131874f},
-	"inproc/p=8/flat/v1/c=3":        {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x9150ac468047ebc3, 0x6af367c4e12359bb},
 	"inproc/p=8/flat/v3/c=1":        {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x299bcc6c36958850, 0x062b6e1b81a1f99d},
-	"inproc/p=8/flat/v3/c=3":        {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x01f8ada9e5351fb2, 0x7cc15cdd7580b447},
 	"inproc/p=8/flat/v3-fp16/c=1":   {0xf1b7efb579140ba5, 0x116116ec83863eb7, 0xc01a5ca053f3d6bc, 0x85394d2e9904673c},
-	"inproc/p=8/flat/v3-fp16/c=3":   {0xf1b7efb579140ba5, 0x116116ec83863eb7, 0xa58eca7de5696196, 0xc7c270c274b83f5c},
 	"inproc/p=8/flat/v3-qsgd8/c=1":  {0x8c50ef669e140825, 0x77619e5adde73cdf, 0x634d4f9c71a410ae, 0x3d39b01af8392880},
-	"inproc/p=8/flat/v3-qsgd8/c=3":  {0x8c50ef669e140825, 0x77619e5adde73cdf, 0x052f9aea59361892, 0x3ba90bdc73fcdaea},
 	"inproc/p=8/g=2/v1/c=1":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x4a620b7537ebf46e, 0x5dc8b894dc78778b},
-	"inproc/p=8/g=2/v1/c=3":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x4a620b7537ebf46e, 0xd6262590a0f277ff},
 	"inproc/p=8/g=2/v3/c=1":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x2c3647d1c06ea070, 0x694f2a87a2213341},
-	"inproc/p=8/g=2/v3/c=3":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x2c3647d1c06ea070, 0xd110780114dfa661},
 	"inproc/p=8/g=2/v3-fp16/c=1":    {0xf1b7efb579140ba5, 0x116116ec83863eb7, 0xd793028586a4895a, 0xf59e7c29e5863616},
-	"inproc/p=8/g=2/v3-fp16/c=3":    {0xf1b7efb579140ba5, 0x116116ec83863eb7, 0xd793028586a4895a, 0x3cb8aac4b62ded56},
 	"inproc/p=8/g=2/v3-qsgd8/c=1":   {0x1969879c1979cc15, 0x84ebb7db3ae0391a, 0xda9017ed66606a6a, 0x79b36005b9c90d92},
-	"inproc/p=8/g=2/v3-qsgd8/c=3":   {0x1969879c1979cc15, 0x84ebb7db3ae0391a, 0xda9017ed66606a6a, 0x3c9364173a20cb54},
 	"inproc/p=8/g=3/v1/c=1":         {0x6877cdfe121ea525, 0x6e74791168772ad1, 0xea34074d5a7f4d24, 0x8ac06fff6ae5df09},
-	"inproc/p=8/g=3/v1/c=3":         {0x6877cdfe121ea525, 0x6e74791168772ad1, 0xea34074d5a7f4d24, 0x67d0426d7f94dfb1},
 	"inproc/p=8/g=3/v3/c=1":         {0x6877cdfe121ea525, 0x6e74791168772ad1, 0x63f6b092e7684158, 0xfb804d9a8fb10c3c},
-	"inproc/p=8/g=3/v3/c=3":         {0x6877cdfe121ea525, 0x6e74791168772ad1, 0xa8f064a9c7b92392, 0xdeb65710e5dbb2f8},
 	"inproc/p=8/g=3/v3-fp16/c=1":    {0x807d2f73b2119525, 0x83fe20c721e27a77, 0xcba6a0b79f38628d, 0xe2e1aa5608e70692},
-	"inproc/p=8/g=3/v3-fp16/c=3":    {0x807d2f73b2119525, 0x83fe20c721e27a77, 0xcba6a0b79f38628d, 0x05fe2f371df3b973},
 	"inproc/p=8/g=3/v3-qsgd8/c=1":   {0x5e3df3c2795ea3d5, 0x76cf52c8b81bec8e, 0x9546134e76f59586, 0x03beb5f0eda760d5},
-	"inproc/p=8/g=3/v3-qsgd8/c=3":   {0x5e3df3c2795ea3d5, 0x76cf52c8b81bec8e, 0x9546134e76f59586, 0x2019356cdf79d059},
 	"inproc/p=8/g=4/v1/c=1":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x6f7e948efa2156ed, 0x9248cd917131874f},
-	"inproc/p=8/g=4/v1/c=3":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x6f7e948efa2156ed, 0x7ab498fe8914b92b},
 	"inproc/p=8/g=4/v3/c=1":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0xaf5a4a908009f241, 0x062b6e1b81a1f99d},
-	"inproc/p=8/g=4/v3/c=3":         {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x44559d867b4e380d, 0xd63f290f1c014093},
 	"inproc/p=8/g=4/v3-fp16/c=1":    {0xf1b7efb579140ba5, 0xed97b43e8bfee951, 0xe1ee978e657160f7, 0x85394d2e9904673c},
-	"inproc/p=8/g=4/v3-fp16/c=3":    {0xf1b7efb579140ba5, 0xed97b43e8bfee951, 0xf06c6744bea01fc3, 0x8b3e152a1cc9b57e},
 	"inproc/p=8/g=4/v3-qsgd8/c=1":   {0x2128149d365c0ea5, 0x4816a9aee76f33ea, 0x96b179bd8da30c89, 0x85394d2e9904673c},
-	"inproc/p=8/g=4/v3-qsgd8/c=3":   {0x2128149d365c0ea5, 0x4816a9aee76f33ea, 0x1208e5e73767b681, 0x2ca1683964d4655c},
 	"inproc/p=9/flat/v1/c=1":        {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x0d793da8d715dacb, 0x9248cd917131874f},
-	"inproc/p=9/flat/v1/c=3":        {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x0d793da8d715dacb, 0x6af367c4e12359bb},
 	"inproc/p=9/flat/v3/c=1":        {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x117d50e5fb69b9cf, 0x062b6e1b81a1f99d},
-	"inproc/p=9/flat/v3/c=3":        {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x82978a88875f5bd8, 0x4f0cbae3f2a6ecf4},
 	"inproc/p=9/flat/v3-fp16/c=1":   {0x3ae0993f67a45751, 0x14cffaea6a759c29, 0x0aa1beaad642dce1, 0x85394d2e9904673c},
-	"inproc/p=9/flat/v3-fp16/c=3":   {0x3ae0993f67a45751, 0x14cffaea6a759c29, 0xff5497b3557b64c2, 0x24b2c5dd95861dbf},
 	"inproc/p=9/flat/v3-qsgd8/c=1":  {0xea0ebf2222b77423, 0x34f5e82bae98dd4a, 0x4cbfd8f46cc9ee17, 0x3d39b01af8392880},
-	"inproc/p=9/flat/v3-qsgd8/c=3":  {0xea0ebf2222b77423, 0x34f5e82bae98dd4a, 0x6bb498b1f4424a85, 0x989960f794cab94d},
 	"inproc/p=9/g=2/v1/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0xcc8f9ada2d4b507e, 0x5dc8b894dc78778b},
-	"inproc/p=9/g=2/v1/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0xcc8f9ada2d4b507e, 0xd6262590a0f277ff},
 	"inproc/p=9/g=2/v3/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x5be1c6f691cecbc5, 0x694f2a87a2213341},
-	"inproc/p=9/g=2/v3/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x5be1c6f691cecbc5, 0x6d7d6c5666a668c3},
 	"inproc/p=9/g=2/v3-fp16/c=1":    {0x3ae0993f67a45751, 0x14cffaea6a759c29, 0x8b40c727462430b7, 0xf59e7c29e5863616},
-	"inproc/p=9/g=2/v3-fp16/c=3":    {0x3ae0993f67a45751, 0x14cffaea6a759c29, 0x8b40c727462430b7, 0xd9259f1a07f4afb8},
 	"inproc/p=9/g=2/v3-qsgd8/c=1":   {0x2e19bbcf23fcf400, 0x50c99b1bc52fafe6, 0xed9b617e7ab3bf8a, 0x79b36005b9c90d92},
-	"inproc/p=9/g=2/v3-qsgd8/c=3":   {0x2e19bbcf23fcf400, 0x50c99b1bc52fafe6, 0xed9b617e7ab3bf8a, 0x13e7c42e6b91827e},
 	"inproc/p=9/g=3/v1/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0xea34074d5a7f4d24, 0xc2c3b307cdd15888},
-	"inproc/p=9/g=3/v1/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0xea34074d5a7f4d24, 0x7ba61412cd4c0510},
 	"inproc/p=9/g=3/v3/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x63f6b092e7684158, 0xff1f8c9b0a8f0c0c},
-	"inproc/p=9/g=3/v3/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0xa8f064a9c7b92392, 0xf60a1f0eddeeddd7},
 	"inproc/p=9/g=3/v3-fp16/c=1":    {0x3ae0993f67a45751, 0x4430c8c2151de832, 0xcba6a0b79f38628d, 0x3ee4bbe83c381f6f},
-	"inproc/p=9/g=3/v3-fp16/c=3":    {0x3ae0993f67a45751, 0x4430c8c2151de832, 0xcba6a0b79f38628d, 0xf7932d7ef0734234},
 	"inproc/p=9/g=3/v3-qsgd8/c=1":   {0x8499085db7af64e1, 0xe6c8e4e691654f0c, 0x9546134e76f59586, 0xbacfd80c67f547f3},
-	"inproc/p=9/g=3/v3-qsgd8/c=3":   {0x8499085db7af64e1, 0xe6c8e4e691654f0c, 0x9546134e76f59586, 0x288ddbcce3955c04},
 	"inproc/p=9/g=4/v1/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x0dcec793a0aa77fc, 0x8ac06fff6ae5df09},
-	"inproc/p=9/g=4/v1/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x0dcec793a0aa77fc, 0x67d0426d7f94dfb1},
 	"inproc/p=9/g=4/v3/c=1":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x2683d35ca329a74f, 0xfb804d9a8fb10c3c},
-	"inproc/p=9/g=4/v3/c=3":         {0xfa829d1e023ce848, 0xd088fb3a32338527, 0x27df54f4b2f7e0f9, 0x5faa7545c5e359f9},
 	"inproc/p=9/g=4/v3-fp16/c=1":    {0x3ae0993f67a45751, 0x4528b06c62e373a7, 0x97ddc819dd5156d2, 0xe2e1aa5608e70692},
-	"inproc/p=9/g=4/v3-fp16/c=3":    {0x3ae0993f67a45751, 0x4528b06c62e373a7, 0xa705cf366e9f1d79, 0xfc4d56575a53babe},
 	"inproc/p=9/g=4/v3-qsgd8/c=1":   {0x09c3f48d14bb21d8, 0x1c6d4406b057acb4, 0x6ab5c3fb4cb88931, 0x56a2fec28c1e801e},
-	"inproc/p=9/g=4/v3-qsgd8/c=3":   {0x09c3f48d14bb21d8, 0x1c6d4406b057acb4, 0x57b859832a90d8ef, 0xa281c1731c953616},
 	"inproc/p=12/flat/v1/c=1":       {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x711a649aced15bfe, 0x5dc8b894dc78778b},
-	"inproc/p=12/flat/v1/c=3":       {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x711a649aced15bfe, 0x59639bf1db71a10f},
 	"inproc/p=12/flat/v3/c=1":       {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x42e39d9b08ef48e2, 0x694f2a87a2213341},
-	"inproc/p=12/flat/v3/c=3":       {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x03f35fb1c1ed3f2f, 0x012312c5a7a19564},
 	"inproc/p=12/flat/v3-fp16/c=1":  {0x7353e19b89d3cec5, 0x0e71dab9a9a90d8f, 0xe7ef5671cc293398, 0xf59e7c29e5863616},
-	"inproc/p=12/flat/v3-fp16/c=3":  {0x7353e19b89d3cec5, 0x0e71dab9a9a90d8f, 0xc8cb5cfcbd44fe15, 0x8d726467eb069839},
 	"inproc/p=12/flat/v3-qsgd8/c=1": {0xeb95f7853a9d1845, 0x49ef9af3e8278db8, 0xde5e98cc77eba80a, 0x39ee30b8881ffa2f},
-	"inproc/p=12/flat/v3-qsgd8/c=3": {0xeb95f7853a9d1845, 0x49ef9af3e8278db8, 0x07b3f2bba5fb297c, 0xdeeeeae704324be7},
 	"inproc/p=12/g=2/v1/c=1":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x2bd1b54417ba856d, 0x36adfb9bd5022e91},
-	"inproc/p=12/g=2/v1/c=3":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x2bd1b54417ba856d, 0x342736f28e115d21},
 	"inproc/p=12/g=2/v3/c=1":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0xc2420882cda5e3ae, 0xb963124501a1ecf2},
-	"inproc/p=12/g=2/v3/c=3":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0xc2420882cda5e3ae, 0x9e5ef674c1200e9a},
 	"inproc/p=12/g=2/v3-fp16/c=1":   {0x7353e19b89d3cec5, 0x0e71dab9a9a90d8f, 0x4961da287939e464, 0x3a1b4be5b8c1b7b0},
-	"inproc/p=12/g=2/v3-fp16/c=3":   {0x7353e19b89d3cec5, 0x0e71dab9a9a90d8f, 0x4961da287939e464, 0x1f173015783fd958},
 	"inproc/p=12/g=2/v3-qsgd8/c=1":  {0x6b1e0e06239e9945, 0x90397990d955c92d, 0x5d3625f3b3e0aaf9, 0xe9f1e71a6f70c9fc},
-	"inproc/p=12/g=2/v3-qsgd8/c=3":  {0x6b1e0e06239e9945, 0x90397990d955c92d, 0x5d3625f3b3e0aaf9, 0x584c4c29da841e81},
 	"inproc/p=12/g=3/v1/c=1":        {0x298179140f4a964d, 0x9664da0ae1e3f74e, 0x8bd974454f2baae9, 0xc28d515758d91417},
-	"inproc/p=12/g=3/v1/c=3":        {0x298179140f4a964d, 0x9664da0ae1e3f74e, 0x8bd974454f2baae9, 0x8637e8aa7ad88b5b},
 	"inproc/p=12/g=3/v3/c=1":        {0x298179140f4a964d, 0x9664da0ae1e3f74e, 0xd50edc721deef925, 0x7450df54c9b77506},
-	"inproc/p=12/g=3/v3/c=3":        {0x298179140f4a964d, 0x9664da0ae1e3f74e, 0x9ad5d1a1faac8dc7, 0xd667454daa67b6ef},
 	"inproc/p=12/g=3/v3-fp16/c=1":   {0x53d5364b00cf1565, 0x8336f3b54bc368d6, 0xe29c4512083be570, 0xcdfb281b7a3d00ec},
-	"inproc/p=12/g=3/v3-fp16/c=3":   {0x53d5364b00cf1565, 0x8336f3b54bc368d6, 0xe29c4512083be570, 0x1426e6a37d9cacce},
 	"inproc/p=12/g=3/v3-qsgd8/c=1":  {0x7b6bd766200df465, 0x4f38e3360072e151, 0x2b6d225abe12e9bb, 0xde3e117c04abe27b},
-	"inproc/p=12/g=3/v3-qsgd8/c=3":  {0x7b6bd766200df465, 0x4f38e3360072e151, 0x2b6d225abe12e9bb, 0x0235a825649c44e0},
 	"inproc/p=12/g=4/v1/c=1":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x0dcec793a0aa77fc, 0xc46df332a1599fd5},
-	"inproc/p=12/g=4/v1/c=3":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x0dcec793a0aa77fc, 0xf8d78d4e83356add},
 	"inproc/p=12/g=4/v3/c=1":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x2683d35ca329a74f, 0x968561c4d3404ebf},
-	"inproc/p=12/g=4/v3/c=3":        {0xce89c337c6496925, 0x9664da0ae1e3f74e, 0x27df54f4b2f7e0f9, 0x4d40ea00455cc543},
 	"inproc/p=12/g=4/v3-fp16/c=1":   {0x7353e19b89d3cec5, 0x56617ef78f22529d, 0x97ddc819dd5156d2, 0x8e7ce62ab7f39889},
-	"inproc/p=12/g=4/v3-fp16/c=3":   {0x7353e19b89d3cec5, 0x56617ef78f22529d, 0xa705cf366e9f1d79, 0x6fcc4ab8b8aea5e5},
 	"inproc/p=12/g=4/v3-qsgd8/c=1":  {0xcd16e027d34f3665, 0x3fac56633f4ef6fa, 0x6ab5c3fb4cb88931, 0x640e5085a56223b3},
-	"inproc/p=12/g=4/v3-qsgd8/c=3":  {0xcd16e027d34f3665, 0x3fac56633f4ef6fa, 0x57b859832a90d8ef, 0x7ffa937a8dace1d3},
 	"inproc/p=16/flat/v1/c=1":       {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0xc1b55e41a704565d, 0xc28d515758d91417},
-	"inproc/p=16/flat/v1/c=3":       {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0xc1b55e41a704565d, 0xe3fff0f92f2a2f33},
 	"inproc/p=16/flat/v3/c=1":       {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0xd9e8280da87b1f41, 0x7450df54c9b77506},
-	"inproc/p=16/flat/v3/c=3":       {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x6068f244c89267ba, 0x2f0bb3150ebff8c9},
 	"inproc/p=16/flat/v3-fp16/c=1":  {0x6e4a95852f90a925, 0x6541f3d1d4009eee, 0xd8431b83e1981123, 0xcdfb281b7a3d00ec},
-	"inproc/p=16/flat/v3-fp16/c=3":  {0x6e4a95852f90a925, 0x6541f3d1d4009eee, 0x745ad78ff708e034, 0x680edcfd1d2ec8cf},
 	"inproc/p=16/flat/v3-qsgd8/c=1": {0x5238acdf94c3bb05, 0x30b37cfa010f86d4, 0x7be55e15ef470479, 0x935e49b492ad5028},
-	"inproc/p=16/flat/v3-qsgd8/c=3": {0x5238acdf94c3bb05, 0x30b37cfa010f86d4, 0xa941b68804fe03bf, 0x25124a224a6fcab0},
 	"inproc/p=16/g=2/v1/c=1":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0xd2f00a241daac2fb, 0x3fa274b58982479f},
-	"inproc/p=16/g=2/v1/c=3":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0xd2f00a241daac2fb, 0xf665f66db02c236b},
 	"inproc/p=16/g=2/v3/c=1":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x18231c689d6e8a8a, 0x8dc64b89745f17cf},
-	"inproc/p=16/g=2/v3/c=3":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x18231c689d6e8a8a, 0x3e6d88a12e9fb4a7},
 	"inproc/p=16/g=2/v3-fp16/c=1":   {0x6e4a95852f90a925, 0x6541f3d1d4009eee, 0x5729955eff789d07, 0x0d50aa23d7b13e95},
-	"inproc/p=16/g=2/v3-fp16/c=3":   {0x6e4a95852f90a925, 0x6541f3d1d4009eee, 0x5729955eff789d07, 0xb21e36feeb3ab1d2},
 	"inproc/p=16/g=2/v3-qsgd8/c=1":  {0x36cbdf1a60a805c5, 0xdb815c3966674b0f, 0xba6a192b68260d17, 0x92936905ffc1ba09},
-	"inproc/p=16/g=2/v3-qsgd8/c=3":  {0x36cbdf1a60a805c5, 0xdb815c3966674b0f, 0xba6a192b68260d17, 0x48564b852c53665f},
 	"inproc/p=16/g=3/v1/c=1":        {0x2546615d2206d605, 0x7d2b7ea1e5fe3989, 0xe409e393fbea6952, 0x9cd93e86ade63122},
-	"inproc/p=16/g=3/v1/c=3":        {0x2546615d2206d605, 0x7d2b7ea1e5fe3989, 0xe409e393fbea6952, 0x5f7abab841ab12f2},
 	"inproc/p=16/g=3/v3/c=1":        {0x2546615d2206d605, 0x7d2b7ea1e5fe3989, 0xff53dfcf1c9e6c88, 0x4d1fadc3d8bca974},
-	"inproc/p=16/g=3/v3/c=3":        {0x2546615d2206d605, 0x7d2b7ea1e5fe3989, 0xe246edd7b7e83d52, 0x2cd5b1dcaecb9c03},
 	"inproc/p=16/g=3/v3-fp16/c=1":   {0x719a7926c21a23a5, 0x15f9925270ae2a4b, 0x9b0c0e1aa031ed4e, 0x99a9d018ea7898e6},
-	"inproc/p=16/g=3/v3-fp16/c=3":   {0x719a7926c21a23a5, 0x15f9925270ae2a4b, 0x9b0c0e1aa031ed4e, 0x4d5b849dc3a95f21},
 	"inproc/p=16/g=3/v3-qsgd8/c=1":  {0xb04ff33864859665, 0xa71886257c2f2dcc, 0x6c53d2d0f8fff7d5, 0x05415ccdc52a637a},
-	"inproc/p=16/g=3/v3-qsgd8/c=3":  {0xb04ff33864859665, 0xa71886257c2f2dcc, 0x6c53d2d0f8fff7d5, 0x8ef44fb5fff11ae5},
 	"inproc/p=16/g=4/v1/c=1":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x3ac13f1883df8c8f, 0xbf01bf27f690e253},
-	"inproc/p=16/g=4/v1/c=3":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x3ac13f1883df8c8f, 0x8190dd7957eea747},
 	"inproc/p=16/g=4/v3/c=1":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x6dfa9f6c9f2a5613, 0x0cebaeafafefeae0},
-	"inproc/p=16/g=4/v3/c=3":        {0x366e38ed5892a6e5, 0x7d2b7ea1e5fe3989, 0x2aa796f56451f642, 0x9f4f20b53fdde5af},
 	"inproc/p=16/g=4/v3-fp16/c=1":   {0x0927f8fbacaddd25, 0x830094f96376df8a, 0x4814c0c7eda231e6, 0x7bdfe59fa7c4c232},
-	"inproc/p=16/g=4/v3-fp16/c=3":   {0x0927f8fbacaddd25, 0x830094f96376df8a, 0xa769b0f28a001da5, 0x04569a314b2ae209},
 	"inproc/p=16/g=4/v3-qsgd8/c=1":  {0xbefb27e6c2f412c5, 0x3e33ced3f1da541d, 0x9996a57fb8543aed, 0xf7cb01c3d381eab6},
-	"inproc/p=16/g=4/v3-qsgd8/c=3":  {0xbefb27e6c2f412c5, 0x3e33ced3f1da541d, 0x37f3bd3950bee30b, 0xc17f4e03f47905ec},
-	"tcp/p=8/flat/v1/c=3":           {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x9150ac468047ebc3, 0x6af367c4e12359bb},
-	"tcp/p=8/flat/v3-qsgd8/c=3":     {0x8c50ef669e140825, 0x77619e5adde73cdf, 0x052f9aea59361892, 0x3ba90bdc73fcdaea},
-	"tcp/p=8/g=4/v1/c=3":            {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x6f7e948efa2156ed, 0x7ab498fe8914b92b},
-	"tcp/p=8/g=4/v3-qsgd8/c=3":      {0x2128149d365c0ea5, 0x4816a9aee76f33ea, 0x1208e5e73767b681, 0x2ca1683964d4655c},
+	"tcp/p=8/flat/v1/c=1":           {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x9150ac468047ebc3, 0x9248cd917131874f},
+	"tcp/p=8/flat/v3-qsgd8/c=1":     {0x8c50ef669e140825, 0x77619e5adde73cdf, 0x634d4f9c71a410ae, 0x3d39b01af8392880},
+	"tcp/p=8/g=4/v1/c=1":            {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x6f7e948efa2156ed, 0x9248cd917131874f},
+	"tcp/p=8/g=4/v3-qsgd8/c=1":      {0x2128149d365c0ea5, 0x4816a9aee76f33ea, 0x96b179bd8da30c89, 0x85394d2e9904673c},
 }

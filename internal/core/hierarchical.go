@@ -87,9 +87,10 @@ func foldHierStats(parent *collective.Comm, gc *collective.GroupComms) {
 // foldHierStats-style AddStats calls, as the aggregators' round does.
 //
 // Its schedule is the executor's second list of levels (runLevels): the
-// group level — radix G over gc.Members, one frame per member each way —
-// and then the leaders' binomial tree over gc.Leaders, whose hops move
-// `chunks` frames. A leader folds its own selection as a tree receiver
+// group level — radix G over gc.Members — and then the leaders' binomial
+// tree over gc.Leaders, one frame per hop throughout, so chunks must be
+// 1; the parameter stays because the benchmark's decomposed step passes
+// ChunksFor(k). A leader folds its own selection as a tree receiver
 // does, neither encoded nor pinned; under a quantized codec the group's
 // frames of the global result travel as lossless v3, since the leaders'
 // top already pinned it. On a non-leader the leader levels have no
@@ -100,8 +101,11 @@ func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, 
 	if gc == nil {
 		return GTopKAllReduceInto(ctx, comm, local, k, chunks, out)
 	}
+	if err := oneFrame(chunks); err != nil {
+		return err
+	}
 	var buf [32]level
 	n := gc.Members.Size()
-	levels := append(buf[:0], level{gc.Members, n, 1, n, 1})
-	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups, chunks), local, k, out)
+	levels := append(buf[:0], level{gc.Members, n, 1, n})
+	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups), local, k, out)
 }

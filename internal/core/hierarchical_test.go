@@ -44,7 +44,7 @@ func hierOnce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, 
 	if qc.Q > 0 {
 		participated, missed, err = HierQuorumGTopKAllReduceInto(ctx, comm, gc, local, k, g, qc, out)
 	} else {
-		err = HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, k, ChunksFor(k), out)
+		err = HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, k, 1, out)
 	}
 	if err != nil {
 		return nil, false, nil, err
@@ -105,7 +105,7 @@ func TestHierarchicalMatchesOracle(t *testing.T) {
 func TestHierarchicalDegenerateGroupsMatchFlat(t *testing.T) {
 	const p, dim, k = 8, 240, 12
 	_, vecs := makeWorkerVectors(41, p, dim, k)
-	flat := runChunked(t, vecs, k, ChunksFor(k))
+	flat := runFlat(t, vecs, k)
 	for _, g := range []int{1, p, p + 3} {
 		results := runHierarchical(t, vecs, k, g)
 		for r, got := range results {

@@ -48,7 +48,7 @@ import (
 // the conservation story that makes the miss convergence-safe.
 //
 // The quorum round keeps legs of its own — a deadline-bounded gather of
-// memberFrame frames and a verdict relay (fanOut) — beside the one
+// one wireFrame per member and a verdict relay (fanOut) — beside the one
 // gTop-k executor that HierarchicalGTopKAllReduceInto runs, and both
 // fold with binomialPositionFold: the quorum roots over participant
 // positions, the executor over each block's positions. So at q_g = G
@@ -93,7 +93,7 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	// that rewrites the sender's values pins them in place first — the
 	// caller snapshots originals before this collective, exactly like the
 	// full-sync path.
-	frame := memberFrame(mcomm, codec, local)
+	frame := wireFrame(mcomm, codec, local)
 	ground, err := mcomm.QuorumGather(ctx, 0, q, levels.Group, frame)
 	if err != nil {
 		return false, nil, fmt.Errorf("core: quorum gather: %w", err)
@@ -223,17 +223,6 @@ func recvVerdict(ctx context.Context, c *collective.Comm, src, tag int, bcodec s
 		return nil, nil, fmt.Errorf("core: quorum verdict: %w", err)
 	}
 	return blob, participants, nil
-}
-
-// memberFrame pins local to the member codec's wire precision in place
-// and encodes it as one pooled frame: a member's whole contribution to
-// phase 1. The caller snapshots the original values first when it must
-// conserve their mass.
-func memberFrame(mcomm *collective.Comm, codec sparse.Codec, local *sparse.Vector) []byte {
-	scale, lev := transformForWire(mcomm, codec, local.Values)
-	frame := encodeSparseChunk(codec, local, 0, local.NNZ(), scale, lev)
-	mcomm.TallyWire(sparse.EncodedSize(local.NNZ()), len(frame))
-	return frame
 }
 
 // fanOut sends every rank of c but rank 0 — a group's members, or the

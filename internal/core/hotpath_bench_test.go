@@ -60,7 +60,7 @@ func BenchmarkGTopKAllReduce(b *testing.B) {
 						go func(rank int) {
 							defer wg.Done()
 							if err := GTopKAllReduceInto(context.Background(), comms[rank],
-								vecs[rank], k, ChunksFor(k), &outs[rank]); err != nil {
+								vecs[rank], k, 1, &outs[rank]); err != nil {
 								b.Error(err)
 							}
 						}(r)
@@ -198,16 +198,15 @@ func TestAggregateAllocCeiling(t *testing.T) {
 // TestCollectiveAllocFree pins the steady state of the whole flat
 // collective and of the hierarchy (G=4) at zero allocations on both
 // fabrics: reduce frames go back to the pool at their receiver, and so
-// does every broadcast frame — a root ships its last child the frames it
-// encoded and each other child a pooled copy, a relay forwards pooled
-// copies. P=8 with three chunks per payload exercises the swap, both
-// roots, a root with several children and a relay; the hierarchy adds
-// the group gather, its fold and the leader's fan-out.
+// does every broadcast frame — a root keeps the one frame it encoded or
+// received and sends each child a pooled copy. P=8 exercises the swap,
+// both roots, a root with several children and a relay; the hierarchy
+// adds the group gather, its fold and the leader's fan-out.
 func TestCollectiveAllocFree(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
 	}
-	const p, dim, k, chunks = 8, 4096, 300, 3
+	const p, dim, k = 8, 4096, 300
 	_, vecs := makeWorkerVectors(9, p, dim, k)
 	for _, tc := range []struct{ name, fabric string }{
 		{"inproc", "inproc"}, {"tcp", "tcp"}, {"hier-inproc", "inproc"}, {"hier-tcp", "tcp"},
@@ -239,7 +238,7 @@ func TestCollectiveAllocFree(t *testing.T) {
 						gc, errs[rank] = ForkHier(comm, 4)
 					}
 					for range start[rank] {
-						if err := HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, chunks, out); err != nil {
+						if err := HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, 1, out); err != nil {
 							errs[rank] = err
 						}
 						foldHierStats(comm, gc)

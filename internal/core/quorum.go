@@ -309,7 +309,7 @@ func binomialPositionFold(vecs []*sparse.Vector, k int) (*sparse.Vector, error) 
 // encodeVerdict serializes the round verdict: a participant-set header
 // followed by the merged global top-k in the mesh codec.
 func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, scale float32, levels []int16) []byte {
-	frame := encodeSparseChunk(codec, v, 0, v.NNZ(), scale, levels)
+	frame := encodeSparse(codec, v, scale, levels)
 	buf := make([]byte, 4+4*len(participants)+len(frame))
 	binary.LittleEndian.PutUint32(buf, uint32(len(participants)))
 	for i, p := range participants {

@@ -235,7 +235,7 @@ func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sp
 	case r.quorum.Q > 0:
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
 	default:
-		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, ChunksFor(r.k), global)
+		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, 1, global)
 	}
 	if err == nil {
 		foldHierStats(r.comm, r.gc)

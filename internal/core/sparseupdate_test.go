@@ -74,9 +74,9 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 	case "quorum":
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, nil, local, k, 0, r.spec.quorum, global)
 	case "hier":
-		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, k, ChunksFor(k), global)
+		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, k, 1, global)
 	default:
-		err = GTopKAllReduceInto(ctx, r.comm, local, k, ChunksFor(k), global)
+		err = GTopKAllReduceInto(ctx, r.comm, local, k, 1, global)
 	}
 	if err != nil {
 		return false, err

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
@@ -54,14 +55,12 @@ func newHopFabric(f transport.Fabric) ([]transport.Conn, *hopRecorder) {
 	return conns, rec
 }
 
-func (c *hopConn) stamp(dst, tag, frames int) {
+func (c *hopConn) stamp(dst, tag int) {
 	c.rec.mu.Lock()
 	defer c.rec.mu.Unlock()
 	key := [3]int{c.Rank(), dst, tag}
-	for i := 0; i < frames; i++ {
-		c.rec.flight[key] = append(c.rec.flight[key], c.rec.depth[c.Rank()]+1)
-	}
-	c.rec.sent[c.Rank()] += frames
+	c.rec.flight[key] = append(c.rec.flight[key], c.rec.depth[c.Rank()]+1)
+	c.rec.sent[c.Rank()]++
 }
 
 func (c *hopConn) Rank() int    { return c.inner.Rank() }
@@ -69,18 +68,13 @@ func (c *hopConn) Size() int    { return c.inner.Size() }
 func (c *hopConn) Close() error { return c.inner.Close() }
 
 func (c *hopConn) Send(ctx context.Context, dst, tag int, payload []byte) error {
-	c.stamp(dst, tag, 1)
+	c.stamp(dst, tag)
 	return c.inner.Send(ctx, dst, tag, payload)
 }
 
 func (c *hopConn) SendPooled(ctx context.Context, dst, tag int, payload []byte) error {
-	c.stamp(dst, tag, 1)
+	c.stamp(dst, tag)
 	return transport.SendPooled(ctx, c.inner, dst, tag, payload)
-}
-
-func (c *hopConn) SendVec(ctx context.Context, dst, tag int, frames [][]byte) error {
-	c.stamp(dst, tag, len(frames))
-	return transport.SendVec(ctx, c.inner, dst, tag, frames)
 }
 
 func (c *hopConn) Recv(ctx context.Context, src, tag int) ([]byte, error) {
@@ -122,9 +116,10 @@ type swapRun struct {
 
 // runSwapWorld runs one collective on every rank of a fresh fabric
 // ("inproc" or "tcp", negotiated to the codec's wire version) whose
-// comms carry the codec's stack exactly as the CLI attaches it. g > 1
-// runs the hierarchy over groups of g with the given chunk count.
-func runSwapWorld(t *testing.T, fabric string, codec sparse.Codec, vecs []*sparse.Vector, k, g, chunks int) swapRun {
+// comms carry the codec's stack exactly as the CLI attaches it, passing
+// the chunks argument the benchmark's decomposed step passes,
+// core.ChunksFor(k). g > 1 runs the hierarchy over groups of g.
+func runSwapWorld(t *testing.T, fabric string, codec sparse.Codec, vecs []*sparse.Vector, k, g int) swapRun {
 	t.Helper()
 	p := len(vecs)
 	var f transport.Fabric
@@ -155,7 +150,7 @@ func runSwapWorld(t *testing.T, fabric string, codec sparse.Codec, vecs []*spars
 					errs[rank] = err
 					return
 				}
-				errs[rank] = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, chunks, out)
+				errs[rank] = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, core.ChunksFor(k), out)
 			} else {
 				errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, core.ChunksFor(k), out)
 			}
@@ -195,65 +190,106 @@ func serialBinomial(t *testing.T, vecs []*sparse.Vector, k int) *sparse.Vector {
 // TestSwapTreeWall is the table test of the swapped tree: every world
 // size 1..9 and 16 × the lossless, fp16 and both stochastic codec
 // families on the in-process fabric, and P ∈ {3, 4, 8} over loopback
-// TCP, which must reproduce the in-process bits.
+// TCP, which must reproduce the in-process bits. A second shape, k =
+// 2 000 of 4 000 at P ∈ {4, 8}, is large enough that a hop once went as
+// four frames: every hop is one message, so the count stays 2(P−1).
 func TestSwapTreeWall(t *testing.T) {
-	const dim, k = 240, 12
 	codecs := []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3F16, sparse.CodecV3Q8, sparse.CodecV3T}
-	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
-		vecs := compoundVectors(uint64(500+p), p, dim, k, "gauss")
-		want := serialBinomial(t, vecs, k)
-		for _, codec := range codecs {
-			name := fmt.Sprintf("p=%d/%s", p, codec)
-			inproc := runSwapWorld(t, "inproc", codec, vecs, k, 0, 0)
-			for r := 1; r < p; r++ {
-				assertSameVector(t, fmt.Sprintf("%s rank %d vs 0", name, r), inproc.results[0], inproc.results[r])
-			}
-			if !codec.Lossy() {
-				assertSameVector(t, name+" vs serial binomial merge", want, inproc.results[0])
-			}
-			// 2⌈log₂P⌉−1 rounds; below a power of two the idle ranks
-			// shorten the longest chain by at most the one round rank 0
-			// idles through waiting for the shallower half.
-			hops, msgs := inproc.rec.hops()
-			rounds := max(2*netsim.CeilLog2(p)-1, 0)
-			if hops > rounds || (p&(p-1) == 0 && hops != rounds) || hops < rounds-1 || msgs != 2*(p-1) {
-				t.Fatalf("%s: %d hops over %d messages, want %d over %d", name, hops, msgs, rounds, 2*(p-1))
-			}
-			if p != 3 && p != 4 && p != 8 {
-				continue
-			}
-			tcp := runSwapWorld(t, "tcp", codec, vecs, k, 0, 0)
-			for r := 0; r < p; r++ {
-				assertSameVector(t, fmt.Sprintf("%s tcp rank %d vs inproc", name, r), inproc.results[r], tcp.results[r])
-			}
-			if h, m := tcp.rec.hops(); h != hops || m != msgs {
-				t.Fatalf("%s tcp: %d hops over %d messages, inproc %d over %d", name, h, m, hops, msgs)
+	for _, shape := range []struct {
+		dim, k int
+		ps     []int
+	}{
+		{240, 12, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16}},
+		{4000, 2000, []int{4, 8}},
+	} {
+		k := shape.k
+		for _, p := range shape.ps {
+			vecs := compoundVectors(uint64(500+p), p, shape.dim, k, "gauss")
+			want := serialBinomial(t, vecs, k)
+			for _, codec := range codecs {
+				name := fmt.Sprintf("k=%d/p=%d/%s", k, p, codec)
+				inproc := runSwapWorld(t, "inproc", codec, vecs, k, 0)
+				for r := 1; r < p; r++ {
+					assertSameVector(t, fmt.Sprintf("%s rank %d vs 0", name, r), inproc.results[0], inproc.results[r])
+				}
+				if !codec.Lossy() {
+					assertSameVector(t, name+" vs serial binomial merge", want, inproc.results[0])
+				}
+				// 2⌈log₂P⌉−1 rounds; below a power of two the idle ranks
+				// shorten the longest chain by at most the one round rank 0
+				// idles through waiting for the shallower half.
+				hops, msgs := inproc.rec.hops()
+				rounds := max(2*netsim.CeilLog2(p)-1, 0)
+				if hops > rounds || (p&(p-1) == 0 && hops != rounds) || hops < rounds-1 || msgs != 2*(p-1) {
+					t.Fatalf("%s: %d hops over %d messages, want %d over %d", name, hops, msgs, rounds, 2*(p-1))
+				}
+				if p != 3 && p != 4 && p != 8 {
+					continue
+				}
+				tcp := runSwapWorld(t, "tcp", codec, vecs, k, 0)
+				for r := 0; r < p; r++ {
+					assertSameVector(t, fmt.Sprintf("%s tcp rank %d vs inproc", name, r), inproc.results[r], tcp.results[r])
+				}
+				if h, m := tcp.rec.hops(); h != hops || m != msgs {
+					t.Fatalf("%s tcp: %d hops over %d messages, inproc %d over %d", name, h, m, hops, msgs)
+				}
 			}
 		}
 	}
 }
 
-// TestSwapHierarchyHops: the hierarchy at P=8, G=4 with three chunks per
-// payload — the wan-hier shape — gathers each group at its leader in one
-// hop, swaps the two leaders' aggregates in one and fans out in one: 3
-// hops, and rank 0 sends 6 frames (the swap's 3 and one to each of its
-// three members). Its replicas agree and the lossless result is the
-// group trees' merge folded at the leader level.
+// TestSwapHierarchyHops: the hierarchy at P=8, G=4 — the wan-hier shape,
+// at a k large enough that a leader hop once went as three frames —
+// gathers each group at its leader in one hop, swaps the two leaders'
+// aggregates in one and fans out in one: 3 hops, and rank 0 sends 4
+// frames (one for the swap and one to each of its three members). Its
+// replicas agree and the lossless result is the group trees' merge
+// folded at the leader level.
 func TestSwapHierarchyHops(t *testing.T) {
-	const p, g, dim, k, chunks = 8, 4, 240, 12, 3
+	const p, g, dim, k = 8, 4, 4000, 800
 	vecs := compoundVectors(808, p, dim, k, "gauss")
 	want := serialBinomial(t, []*sparse.Vector{serialBinomial(t, vecs[:g], k), serialBinomial(t, vecs[g:], k)}, k)
 	for _, codec := range []sparse.Codec{sparse.CodecV3, sparse.CodecV3Q8} {
-		run := runSwapWorld(t, "inproc", codec, vecs, k, g, chunks)
+		run := runSwapWorld(t, "inproc", codec, vecs, k, g)
 		for r := 0; r < p; r++ {
 			if !codec.Lossy() {
 				assertSameVector(t, fmt.Sprintf("%s rank %d vs oracle", codec, r), want, run.results[r])
 			}
 			assertSameVector(t, fmt.Sprintf("%s rank %d vs 0", codec, r), run.results[0], run.results[r])
 		}
-		if hops, _ := run.rec.hops(); hops != 3 || run.rec.sent[0] != 6 {
-			t.Fatalf("%s: %d hops and %d frames sent by rank 0, want 3 and 6", codec, hops, run.rec.sent[0])
+		if hops, _ := run.rec.hops(); hops != 3 || run.rec.sent[0] != 4 {
+			t.Fatalf("%s: %d hops and %d frames sent by rank 0, want 3 and 4", codec, hops, run.rec.sent[0])
 		}
+	}
+}
+
+// TestGTopKRefusesChunks: both entry points return an error, and send
+// nothing, for any chunks argument but 1.
+func TestGTopKRefusesChunks(t *testing.T) {
+	f, err := transport.NewInProc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck // test teardown
+	comm := collective.New(f.Conn(0))
+	gc, err := comm.ForkGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 never calls, so an accepted call fails on the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	local := &sparse.Vector{Dim: 8}
+	for _, chunks := range []int{0, 3} {
+		if err := core.GTopKAllReduceInto(ctx, comm, local, 1, chunks, &sparse.Vector{}); err == nil || ctx.Err() != nil {
+			t.Errorf("flat: chunks=%d accepted", chunks)
+		}
+		if err := core.HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, 1, chunks, &sparse.Vector{}); err == nil || ctx.Err() != nil {
+			t.Errorf("hierarchical: chunks=%d accepted", chunks)
+		}
+	}
+	if s := comm.Stats(); s.MsgsSent != 0 {
+		t.Errorf("a refused call sent %d messages", s.MsgsSent)
 	}
 }
 

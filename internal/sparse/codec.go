@@ -101,12 +101,12 @@ func EncodeCodec(c Codec, v *Vector) []byte {
 }
 
 // EncodeSlicesCodec serialises one contiguous span of a sparse vector
-// under the given codec — the codec-aware sibling of EncodeSlices, used
-// by the chunked gTop-k tree exchange. Indices must be strictly
-// ascending (every constructor in this package guarantees it).
+// under the given codec — the codec-aware sibling of EncodeSlices.
+// Indices must be strictly ascending (every constructor in this package
+// guarantees it).
 func EncodeSlicesCodec(c Codec, dim int, indices []int32, values []float32) []byte {
 	if c == CodecV1 {
-		return encodeParts(GetBuffer(EncodedSize(len(indices))), dim, indices, values)
+		return EncodeSlices(dim, indices, values)
 	}
 	// Float-valued v3 frames only: quantized codecs need the
 	// Compressor's (scale, levels) and go through EncodeSlicesV3.

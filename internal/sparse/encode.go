@@ -58,10 +58,7 @@ func EncodeTo(buf []byte, v *Vector) []byte {
 }
 
 // EncodeSlices serialises one contiguous span of a sparse vector — dim
-// plus parallel index/value slices — into a pooled wire buffer. This is
-// the chunking entry point: the gTop-k tree splits a k-entry payload
-// into C spans and encodes each as its own frame so the receiver can
-// start merging before the full payload has arrived.
+// plus parallel index/value slices — into a pooled wire buffer.
 func EncodeSlices(dim int, indices []int32, values []float32) []byte {
 	return encodeParts(GetBuffer(EncodedSize(len(indices))), dim, indices, values)
 }

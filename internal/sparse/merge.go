@@ -78,18 +78,6 @@ func TopKSparseInto(dst, v *Vector, k int) {
 	}
 }
 
-// AppendEntries appends v's stored entries to dst, adopting v's
-// dimension and growing dst's capacity as needed. It is the chunk
-// reassembly primitive: a vector split into contiguous entry spans
-// (core's chunked wire frames) is reproduced exactly by appending the
-// spans back in order. Indices are not re-validated — callers append
-// spans that are disjoint and ascending by construction.
-func AppendEntries(dst, v *Vector) {
-	dst.Dim = v.Dim
-	dst.Indices = append(dst.Indices, v.Indices...)
-	dst.Values = append(dst.Values, v.Values...)
-}
-
 // MergeInto writes TopK(a+b, k) — the paper's ⊕ operator — into dst,
 // reusing dst's capacity. The intermediate sum lives in a pooled scratch
 // vector, so a warmed-up steady state performs zero allocations. dst

@@ -88,17 +88,6 @@ func (g *groupView) SendPooled(ctx context.Context, dst, tag int, payload []byte
 	return SendPooled(ctx, g.parent, w, tag, payload)
 }
 
-// SendVec forwards a frame batch to the parent's vectored path when it
-// has one (and a plain per-frame Send loop otherwise, exactly like the
-// package-level SendVec helper), translating dst to the world rank.
-func (g *groupView) SendVec(ctx context.Context, dst, tag int, frames [][]byte) error {
-	w, err := g.world(dst)
-	if err != nil {
-		return err
-	}
-	return SendVec(ctx, g.parent, w, tag, frames)
-}
-
 // Recv implements Conn, translating src to the parent's world rank.
 func (g *groupView) Recv(ctx context.Context, src, tag int) ([]byte, error) {
 	w, err := g.world(src)

@@ -61,23 +61,6 @@ func (mb *mailbox) deposit(key mailKey, payload []byte) error {
 	return nil
 }
 
-// depositBatch appends a whole batch of frames to one queue under a
-// single lock acquisition and wake-up — the mailbox half of a vectored
-// send. Frame order within the batch is preserved.
-func (mb *mailbox) depositBatch(key mailKey, frames [][]byte) error {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return ErrClosed
-	}
-	q := &mb.queues[key.src]
-	for _, payload := range frames {
-		q.entries = append(q.entries, mailEntry{tag: key.tag, payload: payload})
-	}
-	mb.cond.Broadcast()
-	return nil
-}
-
 func (mb *mailbox) collect(ctx context.Context, key mailKey) ([]byte, error) {
 	// Fast path: the message already arrived (pipelined receives hit this
 	// constantly) — pop it without spawning the cancellation watcher.
@@ -215,10 +198,7 @@ type inProcConn struct {
 	wire  byte
 }
 
-var (
-	_ Conn           = (*inProcConn)(nil)
-	_ VectoredSender = (*inProcConn)(nil)
-)
+var _ Conn = (*inProcConn)(nil)
 
 func (c *inProcConn) Rank() int { return c.rank }
 func (c *inProcConn) Size() int { return len(c.boxes) }
@@ -234,19 +214,6 @@ func (c *inProcConn) Send(ctx context.Context, dst, tag int, payload []byte) err
 		return err
 	}
 	return c.boxes[dst].deposit(mailKey{src: c.rank, tag: tag}, payload)
-}
-
-// SendVec implements the VectoredSender capability: the whole batch is
-// deposited into the destination mailbox under one lock acquisition —
-// zero-copy, like Send, with the receiver aliasing the sender's slices.
-func (c *inProcConn) SendVec(ctx context.Context, dst, tag int, frames [][]byte) error {
-	if err := validatePeer(c.rank, dst, len(c.boxes)); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.boxes[dst].depositBatch(mailKey{src: c.rank, tag: tag}, frames)
 }
 
 func (c *inProcConn) Recv(ctx context.Context, src, tag int) ([]byte, error) {

@@ -24,8 +24,7 @@ import (
 // Hot-path properties:
 //   - each link owns a buffered writer, so a frame costs two buffer
 //     writes plus one explicit flush (one syscall) instead of a
-//     frame-assembly copy — and a sender streaming chunked payloads
-//     coalesces them into few syscalls;
+//     frame-assembly copy;
 //   - TCP_NODELAY is always on (the net package's default for every TCP
 //     connection): the collectives exchange small latency-critical
 //     frames, exactly the traffic Nagle's algorithm penalises;
@@ -176,7 +175,6 @@ type tcpConn struct {
 var (
 	_ Conn            = (*tcpConn)(nil)
 	_ PooledSender    = (*tcpConn)(nil)
-	_ VectoredSender  = (*tcpConn)(nil)
 	_ privateReceiver = (*tcpConn)(nil)
 )
 
@@ -271,50 +269,9 @@ func (c *tcpConn) Send(ctx context.Context, dst, tag int, payload []byte) error 
 
 	// Header and payload go through the link's buffered writer; the
 	// explicit flush bounds Send ("delivered to the fabric") while
-	// coalescing header+payload — and back-to-back chunk frames — into
-	// single socket writes.
+	// coalescing header and payload into one socket write.
 	link.mu.Lock()
 	err := link.writeFrame(tag, payload)
-	if err == nil {
-		err = link.w.Flush()
-	}
-	link.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("transport: send %d->%d: %w", c.rank, dst, err)
-	}
-	return nil
-}
-
-// SendVec implements the VectoredSender capability: every frame's
-// header+payload goes through the link's buffered writer under ONE lock
-// acquisition with ONE flush at the end, so a whole round's chunk frames
-// coalesce into a single socket write (barring buffer overflow) instead
-// of one flush — often one syscall — per frame.
-func (c *tcpConn) SendVec(ctx context.Context, dst, tag int, frames [][]byte) error {
-	if err := validatePeer(c.rank, dst, c.size); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	link := c.peers[dst]
-	c.mu.Unlock()
-	if link == nil {
-		return fmt.Errorf("transport: rank %d has no link to %d", c.rank, dst)
-	}
-
-	link.mu.Lock()
-	var err error
-	for _, payload := range frames {
-		if err = link.writeFrame(tag, payload); err != nil {
-			break
-		}
-	}
 	if err == nil {
 		err = link.w.Flush()
 	}

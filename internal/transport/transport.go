@@ -21,8 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"gtopkssgd/internal/bufpool"
 )
 
 // Conn is one rank's endpoint into a fabric of Size() ranks.
@@ -80,56 +78,12 @@ func SendPooled(ctx context.Context, c Conn, dst, tag int, payload []byte) error
 	return c.Send(ctx, dst, tag, payload)
 }
 
-// VectoredSender is an optional Conn capability for scatter-gather
-// sends: the frames of one logical round travel to the same (dst, tag)
-// stream, in slice order, indistinguishable on the receive side from
-// len(frames) consecutive Sends — but assembled into as few wire
-// operations as the fabric allows (one buffered write sequence plus a
-// single flush on TCP; one batched mailbox deposit in-process). Each
-// frame carries plain-Send ownership semantics: the fabric owns every
-// frame after the call returns, success or error.
-type VectoredSender interface {
-	// SendVec delivers frames to dst in order under one tag.
-	SendVec(ctx context.Context, dst, tag int, frames [][]byte) error
-}
-
-// SendVec sends a batch of frames to one (dst, tag) stream through c's
-// vectored capability when present, falling back to one plain Send per
-// frame otherwise (same delivery order, more wire operations). The
-// fallback keeps per-frame semantics intact on wrappers that meter or
-// perturb individual frames — the fault injector counts ordinals per
-// frame, so it deliberately does not implement VectoredSender.
+// SendVec sends frames to one (dst, tag) stream as one plain Send per
+// frame, in slice order. Every gTop-k hop is one frame, so no engine
+// path calls it; the benchmark's traced and shaped conns still do.
 func SendVec(ctx context.Context, c Conn, dst, tag int, frames [][]byte) error {
-	if vs, ok := c.(VectoredSender); ok {
-		return vs.SendVec(ctx, dst, tag, frames)
-	}
 	for _, payload := range frames {
 		if err := c.Send(ctx, dst, tag, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SendVecPooled is SendVec for bufpool-owned frames: the caller
-// relinquishes every frame, and each is recycled at the earliest safe
-// point — immediately after a consuming-on-return vectored send (TCP
-// copies all frames into the link buffer before returning), at the
-// receiver on aliasing fabrics (in-process mailboxes), or per frame via
-// the pooled single-send path on fabrics without the capability.
-func SendVecPooled(ctx context.Context, c Conn, dst, tag int, frames [][]byte) error {
-	if vs, ok := c.(VectoredSender); ok {
-		err := vs.SendVec(ctx, dst, tag, frames)
-		if SendConsumedOnReturn(c) {
-			// Mirrors SendPooled: buffers are dead even on error.
-			for _, payload := range frames {
-				bufpool.Put(payload)
-			}
-		}
-		return err
-	}
-	for _, payload := range frames {
-		if err := SendPooled(ctx, c, dst, tag, payload); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,12 +68,12 @@ func TestCodeLineCeilings(t *testing.T) {
 		dirs    []string
 		ceiling int
 	}{
-		{"internal/core", []string{"internal/core"}, 1444},
+		{"internal/core", []string{"internal/core"}, 1387},
 		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1863},
 		{"internal/sparse", []string{"internal/sparse"}, 1351},
 		{"internal/tensor", []string{"internal/tensor"}, 449},
-		{"internal/transport", []string{"internal/transport"}, 959},
-		{"internal/collective", []string{"internal/collective"}, 690},
+		{"internal/transport", []string{"internal/transport"}, 914},
+		{"internal/collective", []string{"internal/collective"}, 678},
 		{"internal/cluster", []string{"internal/cluster"}, 1175},
 		{"cmd/gtopk-worker", []string{"cmd/gtopk-worker"}, 165},
 		{"cmd/gtopk-train", []string{"cmd/gtopk-train"}, 82},
@@ -119,6 +120,8 @@ var banned = []struct {
 		[]string{"*.UnpackSigns", "*.encodeTernary", "*.decodeTernary"}},
 	{"one frame per hop (the paper's one message per tree hop, Eq. 7): the chunk pipeline, whose frames were sent in one vectored send and folded only after the last arrived, and the vectored-send capability only it used are gone",
 		[]string{"DefaultChunks", "VectoredSender", "SendVecPooled", "SendTagVecPooled", "depositBatch", "iovecPool", "sendSparseChunks", "*.AppendEntries"}},
+	{"quorum rounds run on the one gTop-k executor: a quorum is a level's participation rule (level.quorum), the verdict wait is one deadline (verdictWait) — a frame waits queued under its (src, tag), so a retried receive is one longer wait — and the quorum collective's own legs, the retry receive, the allocating flat wrapper and the accessors only their tests called are gone (call core.HierQuorumGTopKAllReduceInto with nil groups)",
+		[]string{"quorumLeader", "recvVerdict", "fanOut", "foldQuorumFrames", "splitVerdict", "verdictRetryPolicy", "verdictAttempts", "minVerdictBackoff", "RecvTagRetry", "RecvTagContext", "RetryPolicy", "ErrDeadline", "QuorumGTopKAllReduce", "Links", "IsLeader"}},
 	{"two wire formats, one value preference: wire format v2 and the fp16 toggle are gone; a codec is v1 or v3 × value codec, attached with quant.AttachStack",
 		[]string{"CodecV2", "WireV2", "SetFP16Values", "RewritesSender"}},
 }
@@ -246,5 +249,93 @@ func TestBannedIdentifiers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sparseCtors are the sparse aggregators' constructors; each must exist
+// in internal/core and allocate no dim-length buffer.
+var sparseCtors = []string{"newGTopKAggregator", "NewBucketedAggregator"}
+
+// ctorFaults returns one line per constructor of sparseCtors that files
+// lack, and per make([]float32, …) in one's body.
+func ctorFaults(fset *token.FileSet, files []*ast.File) []string {
+	var faults []string
+	found := make(map[string]bool)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Body == nil || !slices.Contains(sparseCtors, fd.Name.Name) {
+				continue
+			}
+			found[fd.Name.Name] = true
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "make" {
+					return true
+				}
+				if at, ok := call.Args[0].(*ast.ArrayType); ok && at.Len == nil {
+					if elt, ok := at.Elt.(*ast.Ident); ok && elt.Name == "float32" {
+						faults = append(faults, fmt.Sprintf("%s: %s allocates a []float32", fset.Position(call.Pos()), fd.Name.Name))
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, c := range sparseCtors {
+		if !found[c] {
+			faults = append(faults, c+": not found: point the rule at the renamed constructor")
+		}
+	}
+	return faults
+}
+
+// TestSparseConstructorsAllocateNoDenseBuffer holds the sparse
+// aggregators' constructors in internal/core to allocating no
+// dim-length buffer — a sparse aggregator's update is the round's k
+// (index, mean) pairs — and fails when either constructor is missing.
+// It first plants a constructor that allocates one and a package that
+// lacks one to prove the rule fires.
+func TestSparseConstructorsAllocateNoDenseBuffer(t *testing.T) {
+	faults := func(src string) int {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "planted.go", "package p\n"+src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ctorFaults(fset, []*ast.File{f}))
+	}
+	for src, want := range map[string]int{
+		"func newGTopKAggregator() {}\nfunc NewBucketedAggregator() {}":                                              0,
+		"func newGTopKAggregator() { _ = make([]float32, 8) }\nfunc NewBucketedAggregator() {}":                      1,
+		"func newGTopKAggregator() {}\nfunc NewBucketedAggregator() { _ = make([][]float32, 2) }":                    0,
+		"func newGTopKAggregator() {}\nfunc NewBucketedAggregator() { f := func() { _ = make([]float32, 8) }; f() }": 1,
+		"func newGTopKAggregator() {}": 1,
+	} {
+		if got := faults(src); got != want {
+			t.Errorf("the constructor rule finds %d faults in %q, want %d", got, src, want)
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("internal", "core", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	for _, fault := range ctorFaults(fset, files) {
+		t.Errorf("%s: a sparse aggregator allocates no dim-length buffer at construction: its update is the round's k (index, mean) pairs", fault)
 	}
 }

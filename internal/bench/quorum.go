@@ -137,12 +137,12 @@ func runQuorumConfig(vecs []*sparse.Vector, k, q, rounds, slow int, lm *netsim.L
 			var clock netsim.Clock
 			comm := collective.New(fab.Conn(rank)).WithClock(&clock, lm.Intra).WithLinks(lm)
 			for rd := 0; rd < rounds; rd++ {
-				out, _, miss, err := core.QuorumGTopKAllReduce(context.Background(), comm, vecs[rank].Clone(), k, qc)
+				outs[rd][rank] = &sparse.Vector{}
+				_, miss, err := core.HierQuorumGTopKAllReduceInto(context.Background(), comm, nil, vecs[rank].Clone(), k, 0, qc, outs[rd][rank])
 				if err != nil {
 					errs[rank] = fmt.Errorf("round %d: %w", rd, err)
 					return
 				}
-				outs[rd][rank] = out
 				missed[rd][rank] = miss
 			}
 			clocks[rank] = clock.Now()

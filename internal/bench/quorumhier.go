@@ -43,9 +43,10 @@ const (
 
 // quorumHierLevels pins the per-level deadline budgets: gather levels
 // small enough that the 300ms injected delay misses them by >10x, and a
-// broadcast budget generous enough that the verdict retry window (8
-// attempts of 2x the budget) comfortably survives the anchor rows'
-// full-sync waits.
+// broadcast budget generous enough that the verdict wait it sizes
+// (core's verdictWait: 16 budgets plus 7 pauses of a quarter budget,
+// ≈ 800ms at 45ms) comfortably survives the anchor rows' full-sync
+// waits.
 func quorumHierLevels() core.LevelTimeouts {
 	return core.LevelTimeouts{
 		Group:     15 * time.Millisecond,

@@ -35,9 +35,6 @@ type GroupComms struct {
 	NumGroups int
 }
 
-// IsLeader reports whether this rank leads its group.
-func (g *GroupComms) IsLeader() bool { return g.Leaders != nil }
-
 // ForkGroup partitions the communicator's world into contiguous groups
 // of size g (the final group takes the remainder of a non-divisible
 // world) and returns this rank's member and leader sub-communicators.

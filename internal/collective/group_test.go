@@ -61,8 +61,8 @@ func TestForkGroupTopology(t *testing.T) {
 				t.Fatalf("p=%d g=%d rank %d: member rank %d, want %d", tc.p, tc.g, r, got, want)
 			}
 			isLeader := r%tc.g == 0
-			if gc.IsLeader() != isLeader {
-				t.Fatalf("p=%d g=%d rank %d: IsLeader %v", tc.p, tc.g, r, gc.IsLeader())
+			if (gc.Leaders != nil) != isLeader {
+				t.Fatalf("p=%d g=%d rank %d: leader communicator %v", tc.p, tc.g, r, gc.Leaders != nil)
 			}
 			if isLeader {
 				if gc.Leaders.Size() != tc.numGroups || gc.Leaders.Rank() != group {
@@ -117,7 +117,7 @@ func TestForkGroupCollectivesIsolated(t *testing.T) {
 			}
 			// Leaders agree on a value via their own comm first.
 			val := []float32{0}
-			if gc.IsLeader() {
+			if gc.Leaders != nil {
 				val[0] = float32(100 + gc.Group)
 				if err := gc.Leaders.RingAllReduceSum(context.Background(), val); err != nil {
 					errs[rank] = err

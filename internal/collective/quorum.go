@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"gtopkssgd/internal/netsim"
-	"gtopkssgd/internal/transport"
 )
 
 // This file implements the straggler-tolerant quorum primitives: a
-// deadline-bounded gather that closes after q of P contributions, the
-// deadline/retry receive custom collectives arm for verdict frames, and
+// deadline-bounded gather that closes after q of P contributions, and
 // heterogeneous per-link round charging (netsim.LinkModel).
 
 // QuorumRound reports one quorum gather: which ranks contributed before
@@ -36,9 +34,6 @@ func (c *Comm) WithLinks(lm *netsim.LinkModel) *Comm {
 	c.links = lm
 	return c
 }
-
-// Links returns the attached per-link model (nil when none).
-func (c *Comm) Links() *netsim.LinkModel { return c.links }
 
 // QuorumGather is the straggler-tolerant gather primitive: every
 // non-root rank sends frame to root; the root collects contributions
@@ -126,21 +121,6 @@ func (c *Comm) QuorumGather(ctx context.Context, root, q int, timeout time.Durat
 		}
 	}
 	return res, nil
-}
-
-// RecvTagRetry is the deadline-aware receive for custom collectives: it
-// wraps transport.RecvTagContext over this communicator's endpoint (per
-// attempt timeout, bounded retries with backoff — transient delays and
-// retransmitted drops are survived by re-arming), updating the
-// statistics counters on success.
-func (c *Comm) RecvTagRetry(ctx context.Context, src, tag int, pol transport.RetryPolicy) ([]byte, error) {
-	payload, err := transport.RecvTagContext(ctx, c.conn, src, tag, pol)
-	if err != nil {
-		return nil, err
-	}
-	c.stats.MsgsRecv++
-	c.stats.BytesRecv += int64(len(payload))
-	return payload, nil
 }
 
 // ChargeQuorumRound accounts one quorum round (gather + verdict

@@ -152,8 +152,8 @@ func TestChargeQuorumRoundUniformAndLinks(t *testing.T) {
 	}
 	clock.Reset()
 	comm.WithLinks(lm)
-	if comm.Links() != lm {
-		t.Fatal("Links accessor lost the model")
+	if comm.links != lm {
+		t.Fatal("WithLinks lost the model")
 	}
 	comm.ChargeQuorumRound(0, parts, 100, 200)
 	want = lm.QuorumRound(4, 0, 1, parts, 100, 200)
@@ -166,7 +166,7 @@ func TestChargeQuorumRoundUniformAndLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kids[0].Links() != lm {
+	if kids[0].links != lm {
 		t.Fatal("fork dropped the link model")
 	}
 
@@ -221,33 +221,5 @@ func TestChargeHierQuorumRoundUniformAndLinks(t *testing.T) {
 	untimed.ChargeHierQuorumRound(0, 4, parts, 100, 200)
 	if untimed.Stats().Rounds != 4 {
 		t.Fatalf("untimed rounds %d want 4", untimed.Stats().Rounds)
-	}
-}
-
-func TestRecvTagRetryCountsStats(t *testing.T) {
-	fab, err := transport.NewInProc(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close() //nolint:errcheck // in-process close never fails
-	a, b := New(fab.Conn(0)), New(fab.Conn(1))
-	tagA, tagB := a.ClaimTags(1), b.ClaimTags(1)
-	if tagA != tagB {
-		t.Fatalf("tag drift %d vs %d", tagA, tagB)
-	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		_ = b.SendTag(context.Background(), 0, tagB, []byte("slowish"))
-	}()
-	pol := transport.RetryPolicy{Timeout: 20 * time.Millisecond, Attempts: 20, Backoff: time.Millisecond}
-	payload, err := a.RecvTagRetry(context.Background(), 1, tagA, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(payload) != "slowish" {
-		t.Fatalf("payload %q", payload)
-	}
-	if st := a.Stats(); st.MsgsRecv != 1 || st.BytesRecv != int64(len(payload)) {
-		t.Fatalf("stats %+v", st)
 	}
 }

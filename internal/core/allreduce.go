@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"time"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
@@ -24,7 +26,7 @@ func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vec
 	// Compound pipeline: a lossy codec pins the selected values in place
 	// (the caller's copy now equals what every decoder reconstructs; the
 	// aggregator folds the difference into its residual).
-	own := wireFrame(comm, codec, local)
+	own := wireFrame(comm, codec, local, nil)
 	blobs, err := comm.AllGather(ctx, own)
 	if err != nil {
 		return nil, fmt.Errorf("core: topk allreduce: %w", err)
@@ -124,8 +126,8 @@ func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *spars
 	if err := oneFrame(chunks); err != nil {
 		return err
 	}
-	var buf [32]level
-	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size()), local, k, out)
+	var buf [16]level // a world of up to 2¹⁶ ranks (groups) plans on the stack
+	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size()), local, k, out, nil)
 }
 
 // oneFrame refuses a chunks argument other than 1.
@@ -143,36 +145,61 @@ func oneFrame(chunks int) error {
 // position order; on the way down the root hands the result to each
 // member. A hop moves one frame. A rank outside the level — comm nil, a
 // non-leader at the hierarchy's leader levels — charges each of its
-// rounds among size ranks on the parent communicator instead.
+// rounds among size ranks on the parent communicator instead, unless
+// the plan is a quorum round.
+//
+// quorum, when positive, is the level's participation rule: the level
+// is one block, and its gather (collective.Comm.QuorumGather) closes
+// once wait has passed with quorum contributions in, the root's own
+// included. A rank that misses the gather still receives the result.
 type level struct {
 	comm                *collective.Comm
 	size, stride, radix int
+	quorum              int
+	wait                time.Duration
+}
+
+// verdict is the bookkeeping of a quorum round, a plan whose every level
+// has a participation rule: the world ranks whose selections made the
+// round, ascending, and the bytes of the last frame of the result this
+// rank held. The round's frames above its first level and on the way
+// down carry the participant set in a header (encodeVerdict); a member
+// waits at most wait for the result on the way down.
+type verdict struct {
+	world, lo    int // the parent's size; the world rank of the first level's rank 0
+	wait         time.Duration
+	participants []int
+	bytes        int
 }
 
 // treeLevels appends the binomial tree over a size-rank world to
 // levels: ⌈log₂size⌉ radix-2 levels on c.
 func treeLevels(levels []level, c *collective.Comm, size int) []level {
 	for stride := 1; stride < size; stride <<= 1 {
-		levels = append(levels, level{c, size, stride, 2})
+		levels = append(levels, level{comm: c, size: size, stride: stride, radix: 2})
 	}
 	return levels
 }
 
-// runLevels is the one gTop-k executor, for the flat tree and the
-// hierarchy alike: one loop walks the levels up and back down. Up,
-// members hand their partials to their block roots, which fold them
-// with binomialPositionFold; at the top level — radix 2 in both
-// schedules — the two sides swap partials and both fold. The top pins
-// the result once, and on the way down every level's roots hand it to
-// their members.
+// runLevels is the one gTop-k executor, for the flat tree, the
+// hierarchy and the quorum round alike: one loop walks the levels up
+// and back down. Up, members hand their partials to their block roots,
+// which fold them with binomialPositionFold. At the top level of the
+// tree and the hierarchy — radix 2 in both schedules — the two sides
+// swap partials and both fold; the top of a quorum round (vd non-nil)
+// is a gather, whose root hands the result back down that level too.
+// The top pins the result once, and on the way down every level's roots
+// hand it to their members.
 //
 // The α-β clock: up, a root charges its members' 2k elements each, a
 // member its frame and an idle rank one 2k frame; down, a root charges
 // one payload per member, a member the payload it receives and a rank
 // not yet holding the result the latency alone. v1 charges those
 // modelled counts, compressed codecs the bytes actually moved
-// (wireElems), and a one-rank level charges nothing.
-func runLevels(ctx context.Context, parent *collective.Comm, levels []level, local *sparse.Vector, k int, out *sparse.Vector) error {
+// (wireElems), and a one-rank level charges nothing. A quorum round
+// charges no level: its caller charges the round once, from the
+// participant set.
+func runLevels(ctx context.Context, parent *collective.Comm, levels []level, local *sparse.Vector, k int, out *sparse.Vector, vd *verdict) error {
 	top := len(levels) - 1
 	if top < 0 {
 		sparse.CopyInto(out, local)
@@ -187,47 +214,66 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 	defer func() { sparse.PutBuffer(held) }()
 	var scale float32
 	var lev []int16
-	for step := 0; step < 2*top+1; step++ {
+	steps := 2*top + 1
+	if vd != nil {
+		steps++ // the gather at the top hands its result down too
+	}
+	for step := 0; step < steps; step++ {
 		i, down := step, step > top
 		if down {
-			i = 2*top - step
+			i = steps - 1 - step
 		}
 		lv := levels[i]
 		if lv.comm == nil {
-			parent.ChargeRoundAmong(lv.size, 2*k)
+			if vd == nil {
+				parent.ChargeRoundAmong(lv.size, 2*k)
+			}
 			continue
 		}
 		c, codec := lv.comm, lv.comm.WireCodec()
-		tag, r := c.ClaimTags(1), c.Rank()
+		r := c.Rank()
+		tag := 0
+		if down || lv.quorum == 0 {
+			tag = c.ClaimTags(1) // a quorum gather claims its own
+		}
 		span := lv.stride * lv.radix
 		root := r - r%span
 		frames, moved := 1, 0
 		var err error
 		switch {
-		case !down && (cur == nil || r == root && r+lv.stride >= lv.size):
+		case !down && (cur == nil || r == root && r+lv.stride >= lv.size && lv.quorum == 0):
 			// Idle: handed up already, or a root with no member here.
-		case !down && r != root && i < top:
-			moved, err = sendSparse(ctx, c, codec, cur, root, tag)
+		case !down && r != root && (i < top || lv.quorum > 0):
+			if lv.quorum == 0 {
+				moved, err = sendSparse(ctx, c, codec, cur, root, tag)
+			} else {
+				// Above the first level the frame carries the ranks it holds.
+				hdr := vd
+				if i == 0 {
+					hdr = nil
+				}
+				_, err = c.QuorumGather(ctx, root, lv.quorum, lv.wait, wireFrame(c, codec, cur, hdr))
+			}
 			if owned {
 				sparse.PutVector(cur)
 			}
 			cur = nil
 		case !down:
-			if i == top {
+			if i == top && lv.quorum == 0 {
 				// Each side ships its partial to the other exactly as a
 				// member does (pinned in place), so both fold the same
 				// two vectors.
 				_, err = sendSparse(ctx, c, codec, cur, 2*root+lv.stride-r, tag)
 			}
 			if err == nil {
-				cur, frames, moved, err = foldBlock(ctx, c, codec, lv, tag, cur, owned, k)
+				cur, frames, moved, err = foldBlock(ctx, c, codec, lv, tag, cur, owned, k, vd, i == 0)
 				owned = true
 			}
 		case r%lv.stride != 0:
 			frames = 0 // not holding the result yet
 		case r != root:
 			// A rank receives the result once, holding nothing before.
-			moved, err = recvFrame(ctx, c, codec, root, tag, out, &held)
+			moved, err = recvFrame(ctx, c, codec, root, tag, out, vd, &held)
 			heldOn = c
 		default:
 			frames = 0
@@ -242,7 +288,7 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 						enc = sparse.CodecV3
 					}
 					sparse.PutBuffer(held)
-					held, heldOn = encodeFrame(c, enc, out, scale, lev), c
+					held, heldOn = encodeFrame(c, enc, out, scale, lev, vd), c
 				}
 				err = c.SendTagPooled(ctx, dst, tag, pooledCopy(held))
 				frames++
@@ -262,13 +308,16 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 			sparse.CopyInto(out, cur)
 			sparse.PutVector(cur)
 		}
-		if lv.size > 1 {
+		if lv.size > 1 && vd == nil {
 			payload := 2 * k
 			if down {
 				payload = sparse.EncodedSize(out.NNZ()) / 4
 			}
 			c.ChargeRound(wireElems(codec, frames*payload, moved))
 		}
+	}
+	if vd != nil {
+		vd.bytes = len(held)
 	}
 	return nil
 }
@@ -277,12 +326,28 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 // block at lv and folds them with its own partial cur, in position
 // order, by the tree's binomial schedule. It returns the pooled fold,
 // the number of partials received and their bytes; an owned cur is
-// consumed.
-func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv level, tag int, cur *sparse.Vector, owned bool, k int) (*sparse.Vector, int, int, error) {
+// consumed. At a quorum level the partials are those its gather closed
+// with, and they extend vd's participant set: at the first level by the
+// gathered ranks, above it by each frame's header.
+func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv level, tag int, cur *sparse.Vector, owned bool, k int, vd *verdict, first bool) (*sparse.Vector, int, int, error) {
 	fs := foldPool.Get().(*foldScratch)
 	defer fs.release()
 	r, span := c.Rank(), lv.stride*lv.radix
 	root := r - r%span
+	var blobs [][]byte
+	if lv.quorum > 0 {
+		qr, err := c.QuorumGather(ctx, root, lv.quorum, lv.wait, nil)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("quorum gather: %w", err)
+		}
+		if blobs = qr.Blobs; first {
+			vd.participants = vd.participants[:0]
+			for _, m := range qr.Participants {
+				vd.participants = append(vd.participants, vd.lo+m)
+			}
+			vd = nil // the first level's frames carry no header
+		}
+	}
 	moved := 0
 	for src := root; src < min(root+span, lv.size); src += lv.stride {
 		if src == r {
@@ -294,9 +359,18 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 			fs.vecs = append(fs.vecs, cur)
 			continue
 		}
+		if blobs != nil && blobs[src] == nil {
+			continue // missed the gather
+		}
 		v := sparse.GetVector()
 		fs.vecs = append(fs.vecs, v)
-		n, err := recvFrame(ctx, c, codec, src, tag, v, nil)
+		var n int
+		var err error
+		if blobs == nil {
+			n, err = recvFrame(ctx, c, codec, src, tag, v, nil, nil)
+		} else if n, err = takeFrame(codec, blobs[src], v, vd, nil); err != nil {
+			err = fmt.Errorf("payload from %d: %w", src, err)
+		}
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -308,48 +382,77 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 }
 
 // recvFrame receives one frame from src under tag and decodes it into
-// dst, returning its bytes. keep, if non-nil, takes the frame for
-// relaying; otherwise it is recycled once decoded.
-func recvFrame(ctx context.Context, c *collective.Comm, codec sparse.Codec, src, tag int, dst *sparse.Vector, keep *[]byte) (int, error) {
-	blob, err := c.RecvTag(ctx, src, tag)
+// dst, returning its bytes. With vd non-nil the frame is a quorum
+// round's result: it is waited for at most vd.wait, and its participant
+// set replaces vd's. keep, if non-nil, takes the frame for relaying;
+// otherwise it is recycled once decoded.
+func recvFrame(ctx context.Context, c *collective.Comm, codec sparse.Codec, src, tag int, dst *sparse.Vector, vd *verdict, keep *[]byte) (int, error) {
+	rctx := ctx
+	if vd != nil {
+		var cancel context.CancelFunc
+		rctx, cancel = context.WithTimeout(ctx, vd.wait)
+		defer cancel()
+		vd.participants = vd.participants[:0]
+	}
+	blob, err := c.RecvTag(rctx, src, tag)
 	if err != nil {
+		if vd != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+			return 0, fmt.Errorf("no verdict from %d within the %v verdict wait: %w", src, vd.wait, err)
+		}
 		return 0, fmt.Errorf("recv from %d: %w", src, err)
 	}
-	scratch := sparse.GetVector()
-	defer sparse.PutVector(scratch)
-	v, err := codec.DecodeFrame(blob, scratch)
+	n, err := takeFrame(codec, blob, dst, vd, keep)
 	if err != nil {
-		sparse.PutBuffer(blob)
-		return len(blob), fmt.Errorf("payload from %d: %w", src, err)
+		return n, fmt.Errorf("payload from %d: %w", src, err)
 	}
-	sparse.CopyInto(dst, &v)
-	if keep != nil {
+	return n, nil
+}
+
+// takeFrame decodes a received frame straight into dst, appending its
+// participant-set header to vd's set when vd is non-nil, and returns
+// its bytes. keep, if non-nil, takes the frame; otherwise, and on
+// error, it is recycled.
+func takeFrame(codec sparse.Codec, blob []byte, dst *sparse.Vector, vd *verdict, keep *[]byte) (int, error) {
+	var err error
+	if vd == nil {
+		err = decodeInto(codec, blob, dst)
+	} else {
+		var set []int
+		set, err = decodeVerdict(codec, blob, vd.world, dst)
+		vd.participants = append(vd.participants, set...)
+	}
+	if keep != nil && err == nil {
 		*keep = blob
 	} else {
 		sparse.PutBuffer(blob)
 	}
-	return len(blob), nil
+	return len(blob), err
 }
 
 // sendSparse sends v to dst under tag as one wireFrame, returning its
 // bytes.
 func sendSparse(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag int) (int, error) {
-	frame := wireFrame(comm, codec, v)
+	frame := wireFrame(comm, codec, v, nil)
 	return len(frame), comm.SendTagPooled(ctx, dst, tag, frame)
 }
 
 // wireFrame pins v to the codec's wire precision in place — a sender
 // keeps exactly the bits its receivers decode — and encodes it as one
-// pooled frame, tallied on comm.
-func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector) []byte {
+// pooled frame (see encodeFrame), tallied on comm.
+func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, vd *verdict) []byte {
 	scale, levels := transformForWire(comm, codec, v.Values)
-	return encodeFrame(comm, codec, v, scale, levels)
+	return encodeFrame(comm, codec, v, scale, levels, vd)
 }
 
-// encodeFrame encodes v under codec as one pooled frame and tallies it
-// on comm.
-func encodeFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16) []byte {
-	buf := encodeSparse(codec, v, scale, levels)
+// encodeFrame encodes v under codec as one pooled frame, behind vd's
+// participant-set header when vd is non-nil, and tallies it on comm.
+func encodeFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16, vd *verdict) []byte {
+	var buf []byte
+	if vd != nil {
+		buf = encodeVerdict(codec, vd.participants, v, scale, levels)
+	} else {
+		buf = encodeSparse(codec, v, scale, levels)
+	}
 	comm.TallyWire(sparse.EncodedSize(v.NNZ()), len(buf))
 	return buf
 }

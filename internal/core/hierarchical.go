@@ -104,8 +104,8 @@ func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, 
 	if err := oneFrame(chunks); err != nil {
 		return err
 	}
-	var buf [32]level
+	var buf [16]level // a world of up to 2¹⁶ ranks (groups) plans on the stack
 	n := gc.Members.Size()
-	levels := append(buf[:0], level{gc.Members, n, 1, n})
-	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups), local, k, out)
+	levels := append(buf[:0], level{comm: gc.Members, size: n, stride: 1, radix: n})
+	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups), local, k, out, nil)
 }

@@ -245,8 +245,8 @@ func TestHierQuorumSlowMemberAgreement(t *testing.T) {
 // links misses the leader-level deadline. Its aggregate never enters the
 // world fold, every one of its members — leader included, whose frame
 // DID close its own intra gather — is reported missed, and the verdict
-// still reaches the partitioned members through the retry-hardened
-// relay, so replicas never diverge.
+// still reaches the partitioned members inside their verdict wait, so
+// replicas never diverge.
 func TestHierQuorumPartitionedGroupAgreement(t *testing.T) {
 	const p, dim, k, g = 8, 300, 12, 2
 	_, vecs := makeWorkerVectors(909, p, dim, k)
@@ -355,10 +355,10 @@ func TestChaosHierQuorumRefundConservation(t *testing.T) {
 	planMember := transport.FaultPlan{Seed: 78, StallEvery: 2, StallFor: 800 * time.Millisecond, SlowRanks: []int{slowMember}}
 	qc := QuorumConfig{
 		Q: 3, LeaderQ: 3, Timeout: 400 * time.Millisecond,
-		// The broadcast budget sizes the verdict retry window: a
-		// partitioned member's verdict arrives only after its leader has
-		// drained the delayed intra gather AND the delayed relay link —
-		// about two link delays — which 8 attempts x 2 x 200ms survives.
+		// The broadcast budget sizes the verdict wait: a partitioned
+		// member's verdict arrives only after its leader has drained the
+		// delayed intra gather AND the delayed relay link — about two
+		// link delays — well inside verdictWait(200ms) ≈ 3.55s.
 		Levels: LevelTimeouts{Group: 100 * time.Millisecond, Leader: 100 * time.Millisecond, Broadcast: 200 * time.Millisecond},
 	}
 
@@ -467,7 +467,7 @@ func TestChaosHierQuorumRefundConservation(t *testing.T) {
 		}
 	}
 	// Replica agreement every round: missed ranks still decode the
-	// verdict through the retry-hardened relay, so updates never diverge.
+	// verdict inside their verdict wait, so updates never diverge.
 	for round := 0; round < 3; round++ {
 		for r := 1; r < p; r++ {
 			for i := range updates[0][round] {

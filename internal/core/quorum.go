@@ -1,39 +1,26 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
-	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
-	"gtopkssgd/internal/transport"
 )
 
-// This file implements the straggler-tolerant quorum variant of the
-// gTop-k collective: a round gathers every rank's local top-k at rank 0
-// under a per-round deadline, closes once a quorum has contributed, and
-// broadcasts a verdict (participant set + merged global top-k) to every
-// rank. Stragglers' blocks are never lost — the owner refunds the full
-// selected mass to its error-feedback residual, so the missing gradient
-// signal rides into a later round exactly like any residual mass
-// (DGC's momentum-correction argument makes this convergence-safe).
+// This file holds the quorum gTop-k round's configuration, its verdict
+// wire format and the position fold: a round gathers every rank's local
+// top-k under a per-level deadline, closes once a quorum has
+// contributed, and hands a verdict (participant set + merged global
+// top-k) back to every rank; hierquorum.go builds its plan for the one
+// gTop-k executor. Stragglers' blocks are never lost — the owner refunds
+// the full selected mass to its error-feedback residual, so the missing
+// gradient signal rides into a later round exactly like any residual
+// mass (DGC's momentum-correction argument makes this convergence-safe).
 
 // quorumRoot is the gathering rank of every quorum round.
 const quorumRoot = 0
-
-// verdictAttempts bounds the non-root ranks' deadline-aware wait for the
-// root's verdict frame: each attempt spans two round timeouts (the root
-// may spend a full deadline gathering before it merges and sends).
-const verdictAttempts = 8
-
-// minVerdictBackoff floors the pause between verdict-receive attempts.
-// The natural backoff is a quarter of the round deadline, but test-scale
-// deadlines (nanoseconds) would truncate that to zero and turn the
-// bounded retry loop into a hot spin against the fabric.
-const minVerdictBackoff = 200 * time.Microsecond
 
 // LevelTimeouts splits one round deadline into per-level budgets for the
 // hierarchical quorum collective: the intra-group gather, the
@@ -44,9 +31,8 @@ type LevelTimeouts struct {
 	Group time.Duration
 	// Leader bounds the leader-level gather (group aggregates at rank 0).
 	Leader time.Duration
-	// Broadcast sizes each verdict-receive attempt on the way back down
-	// (the retry loop spans several attempts, so a late verdict is
-	// survived, not lost).
+	// Broadcast sizes the verdict wait on the way back down
+	// (verdictWait), so a late verdict is survived, not lost.
 	Broadcast time.Duration
 }
 
@@ -163,27 +149,13 @@ func groupQuorum(q, groupSize int) int {
 	return max(min(q, groupSize), lo)
 }
 
-// verdictRetryPolicy sizes the deadline-aware verdict receive: each
-// attempt spans two deadlines (the sender may spend a full deadline
-// gathering before it merges and forwards), retried with a backoff of a
-// quarter deadline clamped to minVerdictBackoff.
-func verdictRetryPolicy(deadline time.Duration) transport.RetryPolicy {
-	return transport.RetryPolicy{
-		Timeout:  2 * deadline,
-		Attempts: verdictAttempts,
-		Backoff:  max(deadline/4, minVerdictBackoff),
-	}
-}
-
-// QuorumGTopKAllReduce runs one flat quorum gTop-k round into a fresh
-// result vector: the hierarchical collective over a single group.
-func QuorumGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int, qc QuorumConfig) (*sparse.Vector, bool, []int, error) {
-	out := &sparse.Vector{}
-	participated, missed, err := HierQuorumGTopKAllReduceInto(ctx, comm, nil, local, k, 0, qc, out)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	return out, participated, missed, nil
+// verdictWait is how long a rank waits for its root's verdict under the
+// broadcast budget b: sixteen budgets — a root may spend whole gather
+// deadlines, and a relaying leader a delayed gather of its own, before
+// the verdict leaves — plus seven pauses of max(b/4, 200 µs), so a
+// nanosecond test budget still leaves the root milliseconds.
+func verdictWait(b time.Duration) time.Duration {
+	return 16*b + 7*max(b/4, 200*time.Microsecond)
 }
 
 // rankIn reports whether rank r is in the ascending participant set.
@@ -215,55 +187,6 @@ func missedFrom(participants []int, p int) []int {
 	return missed
 }
 
-// foldQuorumFrames merges a closed gather's frames on its root — blobs
-// indexed by rank, nil where a rank missed the round — with the
-// generalized binomial-tree schedule over participant POSITIONS
-// (rank-ascending): in round j, position i with
-// i mod 2^(j+1) == 0 absorbs position i+2^j via the ⊕ operator of
-// Definition 1 (top-k of the sum). With every rank participating,
-// positions coincide with ranks and every accumulator sees the exact ⊕
-// sequence of the distributed tree — which is what makes full-quorum
-// rounds bit-identical to the full-sync collectives.
-//
-// With withSets the frames are leader frames in the verdict wire format:
-// each group's participant set rides ahead of its aggregate, and the
-// sets are returned concatenated — leader positions ascend with group
-// index and each set ascends within its contiguous rank range, so the
-// world set stays strictly ascending. The returned vector is pooled; the
-// caller releases it.
-func foldQuorumFrames(codec sparse.Codec, blobs [][]byte, k, p int, withSets bool) (*sparse.Vector, []int, error) {
-	fs := foldPool.Get().(*foldScratch)
-	defer fs.release()
-	var sets []int
-	for pos, frame := range blobs {
-		if frame == nil {
-			continue // missed the round
-		}
-		if withSets {
-			set, rest, err := splitVerdict(frame, p)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: quorum frame from %d: %w", pos, err)
-			}
-			sets, frame = append(sets, set...), rest
-		}
-		fs.vecs = append(fs.vecs, sparse.GetVector())
-		if err := decodeInto(codec, frame, fs.vecs[len(fs.vecs)-1]); err != nil {
-			return nil, nil, fmt.Errorf("core: quorum frame from %d: %w", pos, err)
-		}
-	}
-	res, err := binomialPositionFold(fs.vecs, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The gathered blobs are dead once decoded; recycle them (the root's
-	// own frame came from the encoder, received frames follow the same
-	// receiver-recycles convention as the flat tree).
-	for _, b := range blobs {
-		sparse.PutBuffer(b)
-	}
-	return res, sets, nil
-}
-
 // foldScratch is a fold's pooled working set — the vectors it folds —
 // so a steady-state fold allocates nothing.
 type foldScratch struct {
@@ -288,8 +211,10 @@ func (fs *foldScratch) release() {
 // binomialPositionFold runs the position-binomial ⊕ schedule over vecs
 // (participant-position order, every vector pooled): in round j,
 // position i with i mod 2^(j+1) == 0 absorbs position i+2^j via top-k of
-// the sum. The result is vecs[0], which is cleared so the caller's
-// cleanup of vecs never releases it.
+// the sum. With every member of a block present, positions are the
+// block's ranks, so a quorum round's fold at full participation is the
+// tree's exact ⊕ sequence. The result is vecs[0], which is cleared so
+// the caller's cleanup of vecs never releases it.
 func binomialPositionFold(vecs []*sparse.Vector, k int) (*sparse.Vector, error) {
 	sum := sparse.GetVector()
 	defer sparse.PutVector(sum)
@@ -306,11 +231,11 @@ func binomialPositionFold(vecs []*sparse.Vector, k int) (*sparse.Vector, error) 
 	return res, nil
 }
 
-// encodeVerdict serializes the round verdict: a participant-set header
-// followed by the merged global top-k in the mesh codec.
+// encodeVerdict serializes a verdict frame into a pooled buffer: a
+// participant-set header followed by the sparse frame of v.
 func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, scale float32, levels []int16) []byte {
 	frame := encodeSparse(codec, v, scale, levels)
-	buf := make([]byte, 4+4*len(participants)+len(frame))
+	buf := sparse.GetBuffer(4 + 4*len(participants) + len(frame))
 	binary.LittleEndian.PutUint32(buf, uint32(len(participants)))
 	for i, p := range participants {
 		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(p))
@@ -320,42 +245,32 @@ func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, sca
 	return buf
 }
 
-// splitVerdict parses a verdict frame's participant-set header and
-// returns the set plus the sparse frame behind it. The set must be
-// strictly ascending ranks inside [0, p) — the canonical form every
-// encoder produces and the sorted-merge missed-set derivation relies on —
-// so a frame that violates it is rejected rather than silently producing
-// a wrong missed set.
-func splitVerdict(blob []byte, p int) ([]int, []byte, error) {
+// decodeVerdict parses a verdict frame's participant-set header, decodes
+// the sparse frame behind it into out and returns the set. The set must
+// be strictly ascending ranks inside [0, p) — the canonical form every
+// encoder produces and the sorted-merge missed-set derivation relies on
+// — so a frame that violates it is rejected rather than silently
+// producing a wrong missed set.
+func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) ([]int, error) {
 	if len(blob) < 4 {
-		return nil, nil, fmt.Errorf("core: verdict truncated (%d bytes)", len(blob))
+		return nil, fmt.Errorf("core: verdict truncated (%d bytes)", len(blob))
 	}
 	n := int(binary.LittleEndian.Uint32(blob))
 	if n < 1 || n > p || len(blob) < 4+4*n {
-		return nil, nil, fmt.Errorf("core: verdict header invalid (%d participants of %d ranks, %d bytes)", n, p, len(blob))
+		return nil, fmt.Errorf("core: verdict header invalid (%d participants of %d ranks, %d bytes)", n, p, len(blob))
 	}
 	participants := make([]int, n)
 	for i := range participants {
 		r := int(binary.LittleEndian.Uint32(blob[4+4*i:]))
 		if r >= p {
-			return nil, nil, fmt.Errorf("core: verdict participant %d out of range [0,%d)", r, p)
+			return nil, fmt.Errorf("core: verdict participant %d out of range [0,%d)", r, p)
 		}
 		if i > 0 && r <= participants[i-1] {
-			return nil, nil, fmt.Errorf("core: verdict participant set not strictly ascending (%d after %d)", r, participants[i-1])
+			return nil, fmt.Errorf("core: verdict participant set not strictly ascending (%d after %d)", r, participants[i-1])
 		}
 		participants[i] = r
 	}
-	return participants, blob[4+4*n:], nil
-}
-
-// decodeVerdict parses a verdict frame into out and returns the
-// participant set (see splitVerdict for what is rejected).
-func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) ([]int, error) {
-	participants, frame, err := splitVerdict(blob, p)
-	if err != nil {
-		return nil, err
-	}
-	return participants, decodeInto(codec, frame, out)
+	return participants, decodeInto(codec, blob[4+4*n:], out)
 }
 
 // decodeInto decodes one sparse frame under codec into out, which owns

@@ -104,8 +104,9 @@ func runQuorumWorld(t *testing.T, fab transport.Fabric, vecs []*sparse.Vector, k
 		go func(r int) {
 			defer wg.Done()
 			c := collective.New(fab.Conn(r))
-			outs[r], parts[r], missed[r], errs[r] =
-				QuorumGTopKAllReduce(context.Background(), c, vecs[r].Clone(), k, qc)
+			outs[r] = &sparse.Vector{}
+			parts[r], missed[r], errs[r] =
+				HierQuorumGTopKAllReduceInto(context.Background(), c, nil, vecs[r].Clone(), k, 0, qc, outs[r])
 		}(r)
 	}
 	wg.Wait()

@@ -37,7 +37,8 @@ func runQuorumClockWorld(t *testing.T, codec sparse.Codec, vecs []*sparse.Vector
 			var clock netsim.Clock
 			c := collective.New(fab.Conn(r)).WithClock(&clock, model)
 			quant.AttachStack(c, codec, 42)
-			outs[r], _, _, errs[r] = core.QuorumGTopKAllReduce(context.Background(), c, vecs[r].Clone(), k, qc)
+			outs[r] = &sparse.Vector{}
+			_, _, errs[r] = core.HierQuorumGTopKAllReduceInto(context.Background(), c, nil, vecs[r].Clone(), k, 0, qc, outs[r])
 			times[r] = clock.Now()
 		}(r)
 	}

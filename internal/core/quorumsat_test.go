@@ -1,36 +1,91 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
 
-// TestVerdictRetryPolicyBackoffClamp pins the backoff floor: the natural
-// backoff is a quarter of the deadline, but sub-4ns test deadlines used
-// to truncate it to zero and turn the bounded retry loop into a hot spin
-// against the fabric.
-func TestVerdictRetryPolicyBackoffClamp(t *testing.T) {
+// TestVerdictWaitSurvivesLateVerdict holds rank 0's verdict frames back
+// three broadcast budgets — longer than one budget, well inside the
+// verdict wait — in the flat and the grouped round. Rank 0 sends nothing
+// but verdicts, so every rank still ends with the reference fold's bits
+// and the full participant set.
+func TestVerdictWaitSurvivesLateVerdict(t *testing.T) {
+	const p, dim, k, budget = 8, 300, 12, 100 * time.Millisecond
+	_, vecs := makeWorkerVectors(4242, p, dim, k)
 	for _, tc := range []struct {
-		deadline, want time.Duration
+		name string
+		g    int
+		qc   QuorumConfig
 	}{
-		{1 * time.Nanosecond, minVerdictBackoff},
-		{3 * time.Nanosecond, minVerdictBackoff},
-		{100 * time.Microsecond, minVerdictBackoff}, // /4 below the floor
-		{4 * time.Second, time.Second},              // /4 above the floor
+		{"flat", 0, QuorumConfig{Q: p, Timeout: budget}},
+		{"grouped", 4, QuorumConfig{Q: 4, LeaderQ: 2, Timeout: 4 * budget}}, // a quarter of it broadcasts
 	} {
-		pol := verdictRetryPolicy(tc.deadline)
-		if pol.Backoff != tc.want {
-			t.Errorf("verdictRetryPolicy(%v).Backoff = %v, want %v", tc.deadline, pol.Backoff, tc.want)
-		}
-		if pol.Timeout != 2*tc.deadline || pol.Attempts != verdictAttempts {
-			t.Errorf("verdictRetryPolicy(%v) = %+v, want timeout %v attempts %d",
-				tc.deadline, pol, 2*tc.deadline, verdictAttempts)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := transport.NewInProc(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := transport.NewFaultInjector(inner, transport.FaultPlan{Seed: 1, Delay: 3 * budget, SlowRanks: []int{0}})
+			defer fab.Close() //nolint:errcheck // test fabric
+			outs, parts, missed := runHierQuorumWorld(t, fab, vecs, k, tc.g, tc.qc)
+			want := serialTreeMerge(t, vecs, k)
+			if tc.g > 0 {
+				want = hierOracle(t, vecs, k, tc.g)
+			}
+			for r := 0; r < p; r++ {
+				if !parts[r] || len(missed[r]) != 0 {
+					t.Fatalf("rank %d: participated=%v missed=%v, want every rank in", r, parts[r], missed[r])
+				}
+				requireBitIdentical(t, fmt.Sprintf("rank %d vs reference", r), outs[r], want)
+			}
+		})
+	}
+}
+
+// TestVerdictWaitEndsWithoutRoot runs one rank of a round whose root
+// never runs: after its gather frame it waits one verdict wait for a
+// verdict that never comes, and then fails with an error naming that
+// wait, long before its context's own deadline — in the flat round and
+// as a member of a group whose leader never runs.
+func TestVerdictWaitEndsWithoutRoot(t *testing.T) {
+	qc := QuorumConfig{Q: 2, Timeout: 10 * time.Millisecond}
+	for _, tc := range []struct {
+		name       string
+		p, g, rank int
+		broadcast  time.Duration
+	}{
+		{"flat", 2, 0, 1, qc.Timeout},
+		{"grouped", 4, 2, 3, qc.SplitLevels().Broadcast},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab, err := transport.NewInProc(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Close() //nolint:errcheck // test fabric
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			local := &sparse.Vector{Dim: 16, Indices: []int32{3}, Values: []float32{1}}
+			start := time.Now()
+			_, _, _, err = hierOnce(ctx, collective.New(fab.Conn(tc.rank)), local, 1, tc.g, qc)
+			took, wait := time.Since(start), verdictWait(tc.broadcast)
+			if err == nil || !strings.Contains(err.Error(), "verdict wait") || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("got %v, want an error naming the verdict wait", err)
+			}
+			if ctx.Err() != nil || took < wait || took > wait+2*time.Second {
+				t.Fatalf("gave up after %v, want the %v verdict wait (context error %v)", took, wait, ctx.Err())
+			}
+		})
 	}
 }
 

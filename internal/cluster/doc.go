@@ -64,8 +64,8 @@
 // more after the last step, where every member is at the final
 // iteration: a checksum mismatch there fails the job with both ranks
 // named. Rank assignment is a pure function of the name-sorted member
-// set (Reshard), so every member independently derives the same data
-// shard (ShardRange) regardless of arrival order.
+// set (Reshard), so every member independently derives the same rank,
+// and with it the same data shard, regardless of arrival order.
 //
 // # What a failure costs
 //

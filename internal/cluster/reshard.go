@@ -33,23 +33,3 @@ func Reshard(members []string) []string {
 	sort.Strings(ranked)
 	return ranked
 }
-
-// ShardRange partitions n items across world ranks contiguously and
-// deterministically, returning rank's half-open slice [lo, hi). When n
-// is not divisible by world, the first n%world ranks hold one extra
-// item, so sizes differ by at most one and every item belongs to
-// exactly one rank. world must be >= 1 and rank in [0, world); n < 0 is
-// treated as 0.
-func ShardRange(rank, world, n int) (lo, hi int) {
-	if world < 1 || rank < 0 || rank >= world || n <= 0 {
-		return 0, 0
-	}
-	base := n / world
-	extra := n % world
-	lo = rank*base + min(rank, extra)
-	hi = lo + base
-	if rank < extra {
-		hi++
-	}
-	return lo, hi
-}

@@ -94,59 +94,3 @@ func TestReshardGrowShrinkRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestShardRange pins the contiguous data partition: full coverage with
-// no gaps or overlaps, the remainder spread one-each over the lowest
-// ranks, and zero-width shards when ranks outnumber items.
-func TestShardRange(t *testing.T) {
-	cases := []struct {
-		name           string
-		rank, world, n int
-		lo, hi         int
-	}{
-		{"even split rank 0", 0, 4, 8, 0, 2},
-		{"even split rank 3", 3, 4, 8, 6, 8},
-		{"remainder to low ranks", 0, 3, 10, 0, 4},
-		{"remainder middle", 1, 3, 10, 4, 7},
-		{"remainder high rank", 2, 3, 10, 7, 10},
-		{"single member takes all", 0, 1, 7, 0, 7},
-		{"more ranks than items", 5, 8, 3, 3, 3},
-		{"rank under items boundary", 2, 8, 3, 2, 3},
-		{"empty dataset", 0, 4, 0, 0, 0},
-		{"invalid rank", 4, 4, 8, 0, 0},
-		{"negative rank", -1, 4, 8, 0, 0},
-		{"zero world", 0, 0, 8, 0, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			lo, hi := ShardRange(tc.rank, tc.world, tc.n)
-			if lo != tc.lo || hi != tc.hi {
-				t.Fatalf("ShardRange(%d, %d, %d) = [%d, %d), want [%d, %d)",
-					tc.rank, tc.world, tc.n, lo, hi, tc.lo, tc.hi)
-			}
-		})
-	}
-}
-
-// TestShardRangeCoversEverything: for a sweep of (world, n) shapes the
-// per-rank ranges must tile [0, n) exactly in rank order.
-func TestShardRangeCoversEverything(t *testing.T) {
-	for world := 1; world <= 7; world++ {
-		for n := 0; n <= 23; n++ {
-			next := 0
-			for rank := 0; rank < world; rank++ {
-				lo, hi := ShardRange(rank, world, n)
-				if lo != next {
-					t.Fatalf("world %d n %d rank %d starts at %d, want %d (gap or overlap)", world, n, rank, lo, next)
-				}
-				if hi < lo {
-					t.Fatalf("world %d n %d rank %d has negative range [%d, %d)", world, n, rank, lo, hi)
-				}
-				next = hi
-			}
-			if next != n {
-				t.Fatalf("world %d n %d: ranges cover [0, %d), want [0, %d)", world, n, next, n)
-			}
-		}
-	}
-}

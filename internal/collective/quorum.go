@@ -3,14 +3,17 @@ package collective
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
+	"gtopkssgd/internal/bufpool"
 	"gtopkssgd/internal/netsim"
 )
 
 // This file implements the straggler-tolerant quorum primitives: a
 // deadline-bounded gather that closes after q of P contributions, and
-// heterogeneous per-link round charging (netsim.LinkModel).
+// the per-leg charge that prices its rounds, per link when a
+// heterogeneous model (netsim.LinkModel) is attached.
 
 // QuorumRound reports one quorum gather: which ranks contributed before
 // the round closed and which missed the deadline.
@@ -28,7 +31,7 @@ type QuorumRound struct {
 }
 
 // WithLinks attaches a heterogeneous per-link α-β model used by
-// ChargeQuorumRound (nil detaches and falls back to the uniform model
+// ChargeLeg (nil detaches and falls back to the uniform model
 // attached via WithClock). Inherited by Fork. Returns c for chaining.
 func (c *Comm) WithLinks(lm *netsim.LinkModel) *Comm {
 	c.links = lm
@@ -44,9 +47,11 @@ func (c *Comm) WithLinks(lm *netsim.LinkModel) *Comm {
 // what bounds staleness: a frame is either in this round or refunded to
 // its owner's residual, never silently dropped.
 //
-// Frames from ranks that miss the deadline are left to rot under this
-// round's tag — each round claims a fresh tag, so a late frame can
-// never leak into a later round.
+// A frame that misses the deadline can never leak into a later round:
+// each round claims a fresh tag. The root still takes it when it lands
+// and recycles it to the wire-buffer pool, so a dead frame never stays
+// queued; that receive ends when the frame arrives, the fabric closes
+// or ctx ends. Non-root frames pass to the root, as with Send.
 //
 // Every rank must pass the same q and timeout (SPMD). The root returns
 // the round's blobs and participant/missed sets; non-root ranks return
@@ -72,22 +77,37 @@ func (c *Comm) QuorumGather(ctx context.Context, root, q int, timeout time.Durat
 
 	// Root: one receive goroutine per peer races the deadline. The
 	// goroutines call the raw endpoint (not c.recv) because Comm counters
-	// are not goroutine-safe; stats are settled once below.
+	// are not goroutine-safe; stats are settled once below. Once the
+	// round has closed, a goroutine recycles what it receives.
 	type arrival struct {
 		src  int
 		blob []byte
 		err  error
 	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan arrival, p-1)
+	var mu sync.Mutex
+	closed := false
+	ch := make(chan arrival, p-1) // one slot per peer: no send blocks, even under mu
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closed = true
+		for len(ch) > 0 {
+			bufpool.Put((<-ch).blob)
+		}
+	}()
 	for src := 0; src < p; src++ {
 		if src == root {
 			continue
 		}
 		go func(src int) {
-			blob, err := c.conn.Recv(rctx, src, tag)
-			ch <- arrival{src: src, blob: blob, err: err}
+			blob, err := c.conn.Recv(ctx, src, tag)
+			mu.Lock()
+			defer mu.Unlock()
+			if closed {
+				bufpool.Put(blob)
+			} else {
+				ch <- arrival{src: src, blob: blob, err: err}
+			}
 		}(src)
 	}
 
@@ -123,70 +143,23 @@ func (c *Comm) QuorumGather(ctx context.Context, root, q int, timeout time.Durat
 	return res, nil
 }
 
-// ChargeQuorumRound accounts one quorum round (gather + verdict
-// broadcast) on the simulated clock. With an attached LinkModel the
-// round is priced per link: the gather closes with the slowest
-// PARTICIPATING link — stragglers that missed the deadline charge
-// nothing, which is the whole point of the quorum — and the verdict leg
-// charges this rank's own link from the root. Without a LinkModel both
-// legs fall back to the uniform model's synchronous rounds. Every rank
-// derives participants from the root's verdict, so per-rank clocks stay
-// a pure function of the straggler schedule.
-func (c *Comm) ChargeQuorumRound(root int, participants []int, gatherElems, verdictElems int) {
-	c.stats.Rounds += 2
+// ChargeLeg accounts one leg of a round on the simulated clock. With a
+// link model attached (WithLinks) the leg lasts as long as the slowest
+// of links — (from, to) pairs of world ranks, each carrying elems
+// elements — and no link costs nothing; without one it is the uniform
+// model's round among that many ranks.
+func (c *Comm) ChargeLeg(among, elems int, links [][2]int) {
+	c.stats.Rounds++
 	if !c.timed {
 		return
 	}
-	if c.links != nil {
-		c.clock.Advance(c.links.QuorumRound(c.Size(), root, c.Rank(), participants, gatherElems, verdictElems))
+	if c.links == nil {
+		c.clock.Advance(c.model.Round(among, elems))
 		return
 	}
-	c.clock.Advance(c.model.Round(len(participants), gatherElems))
-	c.clock.Advance(c.model.Round(c.Size(), verdictElems))
-}
-
-// ChargeHierQuorumRound accounts one hierarchical quorum round — the
-// intra-group gather, the leader-level gather, and the two-hop verdict
-// relay (root→leaders, leaders→members) — on the simulated clock. With
-// an attached LinkModel each level is priced per link over the
-// PARTICIPATING links only (netsim.LinkModel.HierQuorumRound), so a
-// straggling member or a wholly partitioned group charges nothing on the
-// gather side. Without a LinkModel each level falls back to the uniform
-// model with the level's own synchronization-domain size. Every rank
-// derives participants from the root's verdict, so per-rank clocks stay
-// a pure function of the straggler schedule.
-func (c *Comm) ChargeHierQuorumRound(root, g int, participants []int, gatherElems, verdictElems int) {
-	c.stats.Rounds += 4
-	if !c.timed {
-		return
+	var worst time.Duration
+	for _, l := range links {
+		worst = max(worst, c.links.PointToPoint(l[0], l[1], elems))
 	}
-	world := c.Size()
-	if c.links != nil {
-		c.clock.Advance(c.links.HierQuorumRound(world, g, root, c.Rank(), participants, gatherElems, verdictElems))
-		return
-	}
-	// Uniform fallback: the intra level synchronizes the largest
-	// participating group, the leader level the participating groups, and
-	// the verdict legs fan out over all ⌈P/g⌉ leaders then all g members.
-	numGroups := (world + g - 1) / g
-	perGroup := make([]int, numGroups)
-	maxIntra, partGroups := 1, 0
-	for _, p := range participants {
-		grp := p / g
-		perGroup[grp]++
-		if perGroup[grp] == 1 {
-			partGroups++
-		}
-		if perGroup[grp] > maxIntra {
-			maxIntra = perGroup[grp]
-		}
-	}
-	relay := g
-	if relay > world {
-		relay = world
-	}
-	c.clock.Advance(c.model.Round(maxIntra, gatherElems))
-	c.clock.Advance(c.model.Round(partGroups, gatherElems))
-	c.clock.Advance(c.model.Round(numGroups, verdictElems))
-	c.clock.Advance(c.model.Round(relay, verdictElems))
+	c.clock.Advance(worst)
 }

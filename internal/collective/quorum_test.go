@@ -124,24 +124,22 @@ func TestQuorumGatherValidation(t *testing.T) {
 	}
 }
 
-func TestChargeQuorumRoundUniformAndLinks(t *testing.T) {
+// TestChargeLeg prices one leg: the uniform model's round among the
+// given ranks without a link model, the slowest of the given links with
+// one (an empty set costs nothing), a forked child keeps the link model,
+// and an untimed communicator only counts rounds.
+func TestChargeLeg(t *testing.T) {
 	fab, err := transport.NewInProc(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fab.Close() //nolint:errcheck // in-process close never fails
-
-	model := netsim.Model{Alpha: time.Millisecond, Beta: time.Nanosecond}
+	model := netsim.Model{Alpha: time.Millisecond, Beta: time.Nanosecond, SyncGamma: 0.5}
 	clock := &netsim.Clock{}
 	comm := New(fab.Conn(1)).WithClock(clock, model)
-	parts := []int{0, 1, 2}
-	comm.ChargeQuorumRound(0, parts, 100, 200)
-	want := model.Round(3, 100) + model.Round(4, 200)
-	if clock.Now() != want {
-		t.Fatalf("uniform charge %v want %v", clock.Now(), want)
-	}
-	if comm.Stats().Rounds != 2 {
-		t.Fatalf("rounds %d want 2", comm.Stats().Rounds)
+	comm.ChargeLeg(3, 100, [][2]int{{0, 1}})
+	if want := model.Round(3, 100); clock.Now() != want {
+		t.Fatalf("uniform leg %v, want %v", clock.Now(), want)
 	}
 
 	intra := netsim.Model{Alpha: time.Millisecond, Beta: time.Nanosecond}
@@ -150,18 +148,23 @@ func TestChargeQuorumRoundUniformAndLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Reset()
-	comm.WithLinks(lm)
-	if comm.links != lm {
-		t.Fatal("WithLinks lost the model")
+	for _, tc := range []struct {
+		pairs [][2]int
+		want  time.Duration
+	}{
+		{[][2]int{{1, 0}, {2, 0}, {3, 0}}, inter.PointToPoint(100)},
+		{[][2]int{{1, 0}, {0, 0}}, intra.PointToPoint(100)},
+		{nil, 0},
+	} {
+		clock.Reset()
+		comm.WithLinks(lm).ChargeLeg(3, 100, tc.pairs)
+		if clock.Now() != tc.want {
+			t.Fatalf("links %v: leg %v, want %v", tc.pairs, clock.Now(), tc.want)
+		}
 	}
-	comm.ChargeQuorumRound(0, parts, 100, 200)
-	want = lm.QuorumRound(4, 0, 1, parts, 100, 200)
-	if clock.Now() != want {
-		t.Fatalf("link charge %v want %v", clock.Now(), want)
+	if comm.Stats().Rounds != 4 {
+		t.Fatalf("rounds %d, want 4", comm.Stats().Rounds)
 	}
-
-	// A forked child inherits the link model.
 	kids, err := comm.Fork(1)
 	if err != nil {
 		t.Fatal(err)
@@ -169,57 +172,96 @@ func TestChargeQuorumRoundUniformAndLinks(t *testing.T) {
 	if kids[0].links != lm {
 		t.Fatal("fork dropped the link model")
 	}
-
-	// Untimed communicators only count rounds.
 	untimed := New(fab.Conn(2)).WithLinks(lm)
-	untimed.ChargeQuorumRound(0, parts, 100, 200)
-	if untimed.Stats().Rounds != 2 {
-		t.Fatalf("untimed rounds %d want 2", untimed.Stats().Rounds)
+	untimed.ChargeLeg(3, 100, [][2]int{{2, 0}})
+	if untimed.Stats().Rounds != 1 {
+		t.Fatalf("untimed rounds %d, want 1", untimed.Stats().Rounds)
 	}
 }
 
-func TestChargeHierQuorumRoundUniformAndLinks(t *testing.T) {
-	fab, err := transport.NewInProc(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close() //nolint:errcheck // in-process close never fails
+// takenConn counts, per source, the frames its Recv handed out.
+type takenConn struct {
+	transport.Conn
+	mu    sync.Mutex
+	taken map[int]int
+}
 
-	model := netsim.Model{Alpha: time.Millisecond, Beta: time.Nanosecond}
-	clock := &netsim.Clock{}
-	comm := New(fab.Conn(1)).WithClock(clock, model)
-	// g=4 over world=8: group 0 contributes 3 members, group 1 contributes
-	// 2, so the uniform fallback synchronizes maxIntra=3 at the intra
-	// level, partGroups=2 at the leader level, then fans the verdict over
-	// numGroups=2 leaders and relay=g=4 members.
-	parts := []int{0, 1, 2, 4, 5}
-	comm.ChargeHierQuorumRound(0, 4, parts, 100, 200)
-	want := model.Round(3, 100) + model.Round(2, 100) + model.Round(2, 200) + model.Round(4, 200)
-	if clock.Now() != want {
-		t.Fatalf("uniform hier charge %v want %v", clock.Now(), want)
+func (c *takenConn) Recv(ctx context.Context, src, tag int) ([]byte, error) {
+	blob, err := c.Conn.Recv(ctx, src, tag)
+	if err == nil {
+		c.mu.Lock()
+		c.taken[src]++
+		c.mu.Unlock()
 	}
-	if comm.Stats().Rounds != 4 {
-		t.Fatalf("rounds %d want 4", comm.Stats().Rounds)
-	}
+	return blob, err
+}
 
-	intra := netsim.Model{Alpha: time.Millisecond, Beta: time.Nanosecond}
-	inter := netsim.Model{Alpha: 40 * time.Millisecond, Beta: 10 * time.Nanosecond}
-	lm, err := netsim.NewLinkModel(intra, inter, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.Reset()
-	comm.WithLinks(lm)
-	comm.ChargeHierQuorumRound(0, 4, parts, 100, 200)
-	want = lm.HierQuorumRound(8, 4, 0, 1, parts, 100, 200)
-	if clock.Now() != want {
-		t.Fatalf("link hier charge %v want %v", clock.Now(), want)
-	}
+func (c *takenConn) count(src int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.taken[src]
+}
 
-	// Untimed communicators only count rounds.
-	untimed := New(fab.Conn(2))
-	untimed.ChargeHierQuorumRound(0, 4, parts, 100, 200)
-	if untimed.Stats().Rounds != 4 {
-		t.Fatalf("untimed rounds %d want 4", untimed.Stats().Rounds)
+// TestQuorumGatherTakesMissedFrames: at q = P−1 with one rank's frames
+// delayed far past the deadline, every round closes without it, and the
+// root still takes each of its frames once it lands, so none stays
+// queued — on the in-process and the TCP fabric.
+func TestQuorumGatherTakesMissedFrames(t *testing.T) {
+	const p, slow, rounds = 4, 3, 3
+	const delay, timeout = 200 * time.Millisecond, 20 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		mk   func() (transport.Fabric, error)
+	}{
+		{"inproc", func() (transport.Fabric, error) { return transport.NewInProc(p) }},
+		{"tcp", func() (transport.Fabric, error) { return transport.NewTCP(p) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := transport.NewFaultInjector(inner, transport.FaultPlan{Seed: 5, Delay: delay, SlowRanks: []int{slow}})
+			defer fab.Close() //nolint:errcheck // test fabric
+			root := &takenConn{Conn: fab.Conn(0), taken: make(map[int]int)}
+			missed := make([][]int, rounds)
+			errs := make([]error, p)
+			var wg sync.WaitGroup
+			for r := 0; r < p; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					conn := fab.Conn(r)
+					if r == 0 {
+						conn = root
+					}
+					comm := New(conn)
+					for rd := 0; rd < rounds && errs[r] == nil; rd++ {
+						var res *QuorumRound
+						res, errs[r] = comm.QuorumGather(context.Background(), 0, p-1, timeout, []byte{byte(rd)})
+						if r == 0 && errs[r] == nil {
+							missed[rd] = res.Missed
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			for rd, m := range missed {
+				if len(m) != 1 || m[0] != slow {
+					t.Fatalf("round %d missed %v, want [%d]", rd, m, slow)
+				}
+			}
+			for end := time.Now().Add(rounds*delay + 5*time.Second); root.count(slow) < rounds && time.Now().Before(end); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := root.count(slow); got != rounds {
+				t.Fatalf("the root took %d of rank %d's %d missed frames", got, slow, rounds)
+			}
+		})
 	}
 }

@@ -152,6 +152,9 @@ func oneFrame(chunks int) error {
 // is one block, and its gather (collective.Comm.QuorumGather) closes
 // once wait has passed with quorum contributions in, the root's own
 // included. A rank that misses the gather still receives the result.
+// A quorum level's radix is its world shape, not its communicator's
+// size: a hierarchy's tail group keeps radix g, so every rank prices
+// the same blocks (chargeQuorum).
 type level struct {
 	comm                *collective.Comm
 	size, stride, radix int
@@ -161,15 +164,13 @@ type level struct {
 
 // verdict is the bookkeeping of a quorum round, a plan whose every level
 // has a participation rule: the world ranks whose selections made the
-// round, ascending, and the bytes of the last frame of the result this
-// rank held. The round's frames above its first level and on the way
-// down carry the participant set in a header (encodeVerdict); a member
-// waits at most wait for the result on the way down.
+// round, ascending. The round's frames above its first level and on the
+// way down carry the participant set in a header (encodeVerdict); a
+// member waits at most wait for the result on the way down.
 type verdict struct {
 	world, lo    int // the parent's size; the world rank of the first level's rank 0
 	wait         time.Duration
 	participants []int
-	bytes        int
 }
 
 // treeLevels appends the binomial tree over a size-rank world to
@@ -197,8 +198,9 @@ func treeLevels(levels []level, c *collective.Comm, size int) []level {
 // not yet holding the result the latency alone. v1 charges those
 // modelled counts, compressed codecs the bytes actually moved
 // (wireElems), and a one-rank level charges nothing. A quorum round
-// charges no level: its caller charges the round once, from the
-// participant set.
+// charges its levels once the verdict is in, from the participant set
+// (chargeQuorum), so every clock is a pure function of the straggler
+// schedule.
 func runLevels(ctx context.Context, parent *collective.Comm, levels []level, local *sparse.Vector, k int, out *sparse.Vector, vd *verdict) error {
 	top := len(levels) - 1
 	if top < 0 {
@@ -317,9 +319,51 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 		}
 	}
 	if vd != nil {
-		vd.bytes = len(held)
+		chargeQuorum(parent, levels, vd, k, out.NNZ(), len(held))
 	}
 	return nil
+}
+
+// chargeQuorum charges a quorum plan's levels on parent's clock from
+// the verdict's participant set. In world ranks a level's ranks are the
+// multiples of unit — the world span of a block one level down — in
+// blocks of radix of them. Each level charges two legs:
+//   - the gather, of a modelled 2k elements: the slowest participating
+//     member→block-root link, or without a link model a uniform round
+//     among the most participants of one block;
+//   - the way down, this rank's own path from its block root: a root
+//     its slowest send, a member its receive and a rank outside the
+//     level its leader's receive, or without a link model a uniform
+//     round among radix ranks. It carries the result's modelled flat
+//     size under v1 and otherwise held, the bytes of the result's frame
+//     this rank last received or sent, so the clock agrees with the
+//     WireTally.
+func chargeQuorum(parent *collective.Comm, levels []level, vd *verdict, k, nnz, held int) {
+	me, unit := parent.Rank(), 1
+	down := wireElems(parent.WireCodec(), sparse.EncodedSize(nnz)/4, held)
+	for _, lv := range levels {
+		span, among, per := unit*lv.radix, 0, make(map[int]int)
+		var links [][2]int
+		for _, w := range vd.participants {
+			if w%unit == 0 {
+				per[w/span]++
+				among = max(among, per[w/span])
+				if w%span != 0 {
+					links = append(links, [2]int{w, w - w%span})
+				}
+			}
+		}
+		parent.ChargeLeg(among, 2*k, links)
+		rep, root := me-me%unit, me-me%span
+		links = links[:0]
+		for m := root + unit; m < min(root+span, vd.world); m += unit {
+			if me == root || m == rep {
+				links = append(links, [2]int{root, m})
+			}
+		}
+		parent.ChargeLeg(lv.radix, down, links)
+		unit = span
+	}
 }
 
 // foldBlock receives the partial of every other rank in this rank's
@@ -447,11 +491,9 @@ func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, vd *
 // encodeFrame encodes v under codec as one pooled frame, behind vd's
 // participant-set header when vd is non-nil, and tallies it on comm.
 func encodeFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16, vd *verdict) []byte {
-	var buf []byte
+	buf := encodeSparse(codec, v, scale, levels)
 	if vd != nil {
-		buf = encodeVerdict(codec, vd.participants, v, scale, levels)
-	} else {
-		buf = encodeSparse(codec, v, scale, levels)
+		buf = encodeVerdict(vd.participants, buf)
 	}
 	comm.TallyWire(sparse.EncodedSize(v.NNZ()), len(buf))
 	return buf

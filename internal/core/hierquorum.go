@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
@@ -37,9 +39,16 @@ import (
 // verdict that is late — e.g. because the receiving leader was still
 // draining a delayed gather — is survived, not lost.
 //
+// The simulated clock is charged by the executor level by level once
+// the verdict is in (chargeQuorum), from the participant set alone: per
+// level a gather leg and this rank's own way down. The group level keeps
+// radix G in the tail group too, so every rank prices the same world
+// shape of G-rank groups under one leader level.
+//
 // Staleness stays bounded per level: every gather claims a fresh tag, so
-// a frame that missed its level's deadline rots under a dead tag and can
-// never leak into a later round. A straggling member is simply absent
+// a frame that missed its level's deadline can never leak into a later
+// round (its root takes it when it lands and recycles it). A straggling
+// member is simply absent
 // from its group's participant set; a whole group that misses the
 // leader gather contributes nothing, so every one of its members —
 // leader included — is absent from the verdict and refunds its full
@@ -62,8 +71,8 @@ import (
 // usual; a straggler refunds its entire selected mass to the residual
 // (Sparsifier.Refund) and skips put-back. Statistics accumulate on gc's
 // sub-communicators (fold them with AddStats as the aggregators' round
-// does); simulated time is charged on comm once, as a pure function of
-// the verdict's participant set.
+// does); simulated time is charged on comm level by level once the
+// verdict is in, as a pure function of its participant set.
 func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, g int, qc QuorumConfig, out *sparse.Vector) (bool, []int, error) {
 	p := comm.Size()
 	var buf [2]level
@@ -74,8 +83,8 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 		err = qc.ValidateHier(p, g)
 		lt, n := qc.SplitLevels(), gc.Members.Size()
 		levels = append(buf[:0],
-			level{comm: gc.Members, size: n, stride: 1, radix: n, quorum: groupQuorum(qc.Q, n), wait: lt.Group},
-			level{comm: gc.Leaders, size: gc.NumGroups, stride: 1, radix: gc.NumGroups, quorum: qc.leaderQuorum(gc.NumGroups), wait: lt.Leader})
+			level{comm: gc.Members, size: n, stride: 1, radix: g, quorum: groupQuorum(qc.Q, n), wait: lt.Group},
+			level{comm: gc.Leaders, size: gc.NumGroups, stride: 1, radix: gc.NumGroups, quorum: cmp.Or(qc.LeaderQ, gc.NumGroups), wait: lt.Leader})
 		broadcast = lt.Broadcast
 	}
 	if err != nil {
@@ -85,17 +94,11 @@ func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc
 	if err := runLevels(ctx, comm, levels, local, k, out, &vd); err != nil {
 		return false, nil, err
 	}
-
-	// The round is charged once, from the verdict's participant set, so
-	// every rank's simulated clock is a pure function of the straggler
-	// schedule: a modelled 2k elements per gather contribution, and the
-	// verdict at its modelled flat size under v1 but its measured frame
-	// size under other codecs, so the clock agrees with the WireTally.
-	elems := wireElems(comm.WireCodec(), sparse.EncodedSize(out.NNZ())/4, vd.bytes)
-	if gc == nil {
-		comm.ChargeQuorumRound(quorumRoot, vd.participants, 2*k, elems)
-	} else {
-		comm.ChargeHierQuorumRound(quorumRoot, g, vd.participants, 2*k, elems)
+	var missed []int
+	for r := range p {
+		if !slices.Contains(vd.participants, r) {
+			missed = append(missed, r)
+		}
 	}
-	return rankIn(vd.participants, comm.Rank()), missedFrom(vd.participants, p), nil
+	return slices.Contains(vd.participants, comm.Rank()), missed, nil
 }

@@ -19,9 +19,6 @@ import (
 // gradient signal rides into a later round exactly like any residual
 // mass (DGC's momentum-correction argument makes this convergence-safe).
 
-// quorumRoot is the gathering rank of every quorum round.
-const quorumRoot = 0
-
 // LevelTimeouts splits one round deadline into per-level budgets for the
 // hierarchical quorum collective: the intra-group gather, the
 // leader-level gather, and the verdict broadcast each get their own
@@ -129,15 +126,6 @@ func (qc QuorumConfig) SplitLevels() LevelTimeouts {
 	return LevelTimeouts{Group: group, Leader: leader, Broadcast: qc.Timeout - group - leader}
 }
 
-// leaderQuorum resolves the leader-level quorum (LeaderQ, defaulting to
-// every leader) for a world of numGroups groups.
-func (qc QuorumConfig) leaderQuorum(numGroups int) int {
-	if qc.LeaderQ > 0 {
-		return qc.LeaderQ
-	}
-	return numGroups
-}
-
 // groupQuorum clamps the configured intra-group quorum for one concrete
 // group: the tail group of a non-divisible world is smaller than g, so
 // the quorum shrinks with it but never below that group's own strict
@@ -156,35 +144,6 @@ func groupQuorum(q, groupSize int) int {
 // nanosecond test budget still leaves the root milliseconds.
 func verdictWait(b time.Duration) time.Duration {
 	return 16*b + 7*max(b/4, 200*time.Microsecond)
-}
-
-// rankIn reports whether rank r is in the ascending participant set.
-func rankIn(participants []int, r int) bool {
-	for _, pr := range participants {
-		if pr == r {
-			return true
-		}
-	}
-	return false
-}
-
-// missedFrom derives the missed set — the complement of the ascending
-// participant set in [0, p) — with a sorted-merge walk (decodeVerdict
-// guarantees the sortedness the walk relies on).
-func missedFrom(participants []int, p int) []int {
-	if len(participants) >= p {
-		return nil
-	}
-	missed := make([]int, 0, p-len(participants))
-	j := 0
-	for rank := 0; rank < p; rank++ {
-		if j < len(participants) && participants[j] == rank {
-			j++
-			continue
-		}
-		missed = append(missed, rank)
-	}
-	return missed
 }
 
 // foldScratch is a fold's pooled working set — the vectors it folds —
@@ -231,10 +190,9 @@ func binomialPositionFold(vecs []*sparse.Vector, k int) (*sparse.Vector, error) 
 	return res, nil
 }
 
-// encodeVerdict serializes a verdict frame into a pooled buffer: a
-// participant-set header followed by the sparse frame of v.
-func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, scale float32, levels []int16) []byte {
-	frame := encodeSparse(codec, v, scale, levels)
+// encodeVerdict puts a participant-set header in front of an encoded
+// sparse frame, in a pooled buffer; frame is recycled.
+func encodeVerdict(participants []int, frame []byte) []byte {
 	buf := sparse.GetBuffer(4 + 4*len(participants) + len(frame))
 	binary.LittleEndian.PutUint32(buf, uint32(len(participants)))
 	for i, p := range participants {
@@ -248,9 +206,9 @@ func encodeVerdict(codec sparse.Codec, participants []int, v *sparse.Vector, sca
 // decodeVerdict parses a verdict frame's participant-set header, decodes
 // the sparse frame behind it into out and returns the set. The set must
 // be strictly ascending ranks inside [0, p) — the canonical form every
-// encoder produces and the sorted-merge missed-set derivation relies on
-// — so a frame that violates it is rejected rather than silently
-// producing a wrong missed set.
+// encoder produces, in which a rank appears once — so a frame that
+// violates it is rejected rather than silently producing a wrong missed
+// set or a wrong charge.
 func decodeVerdict(codec sparse.Codec, blob []byte, p int, out *sparse.Vector) ([]int, error) {
 	if len(blob) < 4 {
 		return nil, fmt.Errorf("core: verdict truncated (%d bytes)", len(blob))

@@ -275,7 +275,9 @@ func TestImagesBatchIntoWritesItsSamples(t *testing.T) {
 			}
 		}
 	}
-	tensor.Fill(x.Data, float32(math.NaN()))
+	for i := range x.Data {
+		x.Data[i] = float32(math.NaN())
+	}
 	d.BatchInto(x, labels, 7, 1, 3)
 	same("BatchInto", (7*3+1)*6)
 	d.EvalBatchInto(x, labels, 2)

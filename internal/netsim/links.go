@@ -9,9 +9,10 @@ import (
 // are partitioned into contiguous groups of GroupSize, links within a
 // group charge the Intra model (datacenter), links crossing groups
 // charge the Inter model (WAN). This is the heterogeneous-topology
-// extension the quorum collective prices rounds with — a round that
-// closes without its WAN stragglers is charged only for the links that
-// actually carried a contribution.
+// extension a quorum round's legs are priced with
+// (collective.Comm.ChargeLeg) — a round that closes without its WAN
+// stragglers is charged only for the links that actually carried a
+// contribution.
 type LinkModel struct {
 	// Intra prices links between ranks of the same group.
 	Intra Model
@@ -49,127 +50,4 @@ func (m *LinkModel) PointToPoint(a, b, n int) time.Duration {
 		return 0
 	}
 	return m.Link(a, b).PointToPoint(n)
-}
-
-// QuorumGather returns the modelled time of the gather half of one
-// quorum round: the root's gather closes when the SLOWEST participating
-// link has delivered its n-element contribution, so the round charges
-// the maximum over participant→root links — stragglers outside the
-// participant set contribute nothing, which is exactly the speedup a
-// quorum buys on heterogeneous links.
-func (m *LinkModel) QuorumGather(root int, participants []int, n int) time.Duration {
-	var worst time.Duration
-	for _, p := range participants {
-		if p == root {
-			continue
-		}
-		if d := m.PointToPoint(p, root, n); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// QuorumVerdict returns the modelled time for rank to obtain the root's
-// n-element verdict broadcast: its own root→rank link for a non-root
-// rank, and the slowest outgoing link (the root is busy until its last
-// verdict send completes) for the root itself. world is the total rank
-// count the verdict fans out to.
-func (m *LinkModel) QuorumVerdict(world, root, rank, n int) time.Duration {
-	if rank != root {
-		return m.PointToPoint(root, rank, n)
-	}
-	var worst time.Duration
-	for r := 0; r < world; r++ {
-		if r == root {
-			continue
-		}
-		if d := m.PointToPoint(root, r, n); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// QuorumRound returns the modelled time of one full quorum round for
-// rank: gather (closed by the slowest participating link) followed by
-// the verdict broadcast leg that reaches this rank.
-func (m *LinkModel) QuorumRound(world, root, rank int, participants []int, gatherElems, verdictElems int) time.Duration {
-	return m.QuorumGather(root, participants, gatherElems) +
-		m.QuorumVerdict(world, root, rank, verdictElems)
-}
-
-// hierLeader returns the leader (first rank) of rank r's hierarchy group
-// under a contiguous grouping of size g. Note the hierarchy grouping g
-// is the COLLECTIVE's partition and is independent of this model's own
-// GroupSize, which partitions ranks by link quality — a hierarchy group
-// may well straddle a WAN boundary, which is exactly the regime the
-// hierarchical quorum prices.
-func hierLeader(r, g int) int { return (r / g) * g }
-
-// HierQuorumGather returns the modelled time of the two gather levels of
-// one hierarchical quorum round: the intra-group level closes when the
-// slowest participating member→leader link has delivered, the leader
-// level when the slowest participating leader→root link has (a group
-// participates in the leader level when any of its members is in the
-// verdict's participant set). Stragglers outside the participant set —
-// a single slow member or a whole partitioned group — charge nothing.
-func (m *LinkModel) HierQuorumGather(g, root int, participants []int, n int) time.Duration {
-	var intra, leader time.Duration
-	for _, p := range participants {
-		l := hierLeader(p, g)
-		if p != l {
-			if d := m.PointToPoint(p, l, n); d > intra {
-				intra = d
-			}
-		}
-		if l != root {
-			if d := m.PointToPoint(l, root, n); d > leader {
-				leader = d
-			}
-		}
-	}
-	return intra + leader
-}
-
-// HierQuorumVerdict returns the modelled time for rank to obtain the
-// root's n-element verdict through the two-hop leader relay: the root is
-// busy until its last leader send completes, a leader waits for its own
-// root link and is then busy until its last member relay completes, and
-// a member waits for its leader's root link plus its own relay link.
-func (m *LinkModel) HierQuorumVerdict(world, g, root, rank, n int) time.Duration {
-	l := hierLeader(rank, g)
-	if rank == root {
-		var worst time.Duration
-		for lr := 0; lr < world; lr += g {
-			if lr == root {
-				continue
-			}
-			if d := m.PointToPoint(root, lr, n); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	if rank == l {
-		down := m.PointToPoint(root, rank, n)
-		var worst time.Duration
-		for r := l + 1; r < l+g && r < world; r++ {
-			if d := m.PointToPoint(rank, r, n); d > worst {
-				worst = d
-			}
-		}
-		return down + worst
-	}
-	return m.PointToPoint(root, l, n) + m.PointToPoint(l, rank, n)
-}
-
-// HierQuorumRound returns the modelled time of one full hierarchical
-// quorum round for rank: both gather levels followed by the two-hop
-// verdict leg that reaches this rank. Every term is a pure function of
-// the verdict's participant set, so per-rank clocks agree on what the
-// round cost regardless of wall-clock arrival order.
-func (m *LinkModel) HierQuorumRound(world, g, root, rank int, participants []int, gatherElems, verdictElems int) time.Duration {
-	return m.HierQuorumGather(g, root, participants, gatherElems) +
-		m.HierQuorumVerdict(world, g, root, rank, verdictElems)
 }

@@ -31,48 +31,3 @@ func TestLinkModelGrouping(t *testing.T) {
 		t.Fatalf("intra p2p %v want %v", got, want)
 	}
 }
-
-func TestLinkModelQuorumRound(t *testing.T) {
-	intra := Model{Alpha: 1 * time.Millisecond, Beta: 1 * time.Nanosecond}
-	inter := Model{Alpha: 50 * time.Millisecond, Beta: 10 * time.Nanosecond}
-	lm, err := NewLinkModel(intra, inter, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const world, root, n = 8, 0, 1000
-
-	// Full participation: the gather is closed by a WAN link.
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if got, want := lm.QuorumGather(root, all, n), inter.PointToPoint(n); got != want {
-		t.Fatalf("full gather %v want %v", got, want)
-	}
-	// Quorum excluding all WAN ranks: only intra links remain.
-	local := []int{0, 1, 2, 3}
-	if got, want := lm.QuorumGather(root, local, n), intra.PointToPoint(n); got != want {
-		t.Fatalf("local gather %v want %v", got, want)
-	}
-	// A lone root gathers nothing.
-	if got := lm.QuorumGather(root, []int{root}, n); got != 0 {
-		t.Fatalf("self-only gather %v want 0", got)
-	}
-
-	// The verdict still fans out to everyone: the root and WAN ranks pay
-	// the WAN leg, near ranks pay the intra leg.
-	if got, want := lm.QuorumVerdict(world, root, root, n), inter.PointToPoint(n); got != want {
-		t.Fatalf("root verdict %v want %v", got, want)
-	}
-	if got, want := lm.QuorumVerdict(world, root, 2, n), intra.PointToPoint(n); got != want {
-		t.Fatalf("near verdict %v want %v", got, want)
-	}
-	if got, want := lm.QuorumVerdict(world, root, 6, n), inter.PointToPoint(n); got != want {
-		t.Fatalf("far verdict %v want %v", got, want)
-	}
-
-	// A fast rank's quorum round with only local participants beats the
-	// same round at full participation — the crossover the bench maps.
-	fast := lm.QuorumRound(world, root, 1, local, n, n)
-	full := lm.QuorumRound(world, root, 1, all, n, n)
-	if fast >= full {
-		t.Fatalf("local-quorum round %v not faster than full round %v", fast, full)
-	}
-}

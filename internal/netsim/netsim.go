@@ -249,14 +249,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.now += d
 }
 
-// AdvanceTo moves the clock to t if t is later than the current time;
-// used when a worker waits for a message that arrives at absolute time t.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Now returns the current simulated time.
 func (c *Clock) Now() time.Duration { return c.now }
 

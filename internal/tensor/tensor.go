@@ -126,13 +126,6 @@ func AddInto(dst, x []float32) {
 	}
 }
 
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // L2Norm returns the Euclidean norm of x, accumulated in float64.
 func L2Norm(x []float32) float64 {
 	var s float64

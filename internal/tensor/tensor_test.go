@@ -171,8 +171,8 @@ func checkGEMMEquiv(t *testing.T, src *prng.Source, m, k, n int, zeros, specials
 	t.Helper()
 	garbage := func(rows, cols int) (got, want *Matrix) {
 		got, want = NewMatrix(rows, cols), NewMatrix(rows, cols)
-		Fill(got.Data, float32(math.NaN()))
-		Fill(want.Data, 12345)
+		fill(got.Data, float32(math.NaN()))
+		fill(want.Data, 12345)
 		return got, want
 	}
 	same := func(name string, got, want *Matrix) {
@@ -294,7 +294,7 @@ func checkGEMMRoutes(t *testing.T, src *prng.Source, batch, in, out int, xZeros,
 	run := func(name string, product func(dst *Matrix), ref *Matrix) {
 		t.Helper()
 		got := NewMatrix(ref.Rows, ref.Cols)
-		Fill(got.Data, float32(math.NaN()))
+		fill(got.Data, float32(math.NaN()))
 		product(got)
 		same(name, got, ref)
 	}
@@ -381,7 +381,7 @@ func TestAllFinite(t *testing.T) {
 			for n := 0; n <= len(buf)-off; n++ {
 				for at := -1; at < n; at++ {
 					x := buf[off : off+n]
-					Fill(x, 1.5)
+					fill(x, 1.5)
 					if at >= 0 {
 						x[at] = special
 					}
@@ -463,17 +463,11 @@ func TestDotAxpyScale(t *testing.T) {
 	}
 }
 
-func TestAddFill(t *testing.T) {
+func TestAddInto(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	AddInto(dst, []float32{1, 1, 1})
 	if dst[0] != 2 || dst[1] != 3 || dst[2] != 4 {
 		t.Fatalf("AddInto = %v, want [2 3 4]", dst)
-	}
-	Fill(dst, 7)
-	for _, v := range dst {
-		if v != 7 {
-			t.Fatalf("Fill = %v", dst)
-		}
 	}
 }
 
@@ -661,5 +655,12 @@ func BenchmarkGEMM(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// fill sets every element of x to v.
+func fill(x []float32, v float32) {
+	for i := range x {
+		x[i] = v
 	}
 }

@@ -77,3 +77,36 @@ func TestSendPooledRoundTrip(t *testing.T) {
 		fab.Close()
 	}
 }
+
+// TestDeadFrameKeepsQueueSmall: a frame nobody ever receives must not
+// pin the frames queued behind it. One dead frame, then 100 000 frames
+// each sent and received on one in-process link, leave the source
+// queue's backing array a few entries long.
+func TestDeadFrameKeepsQueueSmall(t *testing.T) {
+	fab, err := NewInProc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close() //nolint:errcheck // in-process close never fails
+	ctx := context.Background()
+	src, dst := fab.Conn(1), fab.Conn(0)
+	if err := src.Send(ctx, 0, 0, []byte("dead")); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("live")
+	for tag := 1; tag <= 100_000; tag++ {
+		if err := src.Send(ctx, 0, tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Recv(ctx, 1, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &fab.conns[0].boxes[0].queues[1]
+	if live := len(q.entries) - q.head; live != 1 {
+		t.Fatalf("%d frames queued, want the dead one", live)
+	}
+	if c := cap(q.entries); c > 8 {
+		t.Fatalf("queue capacity %d after 100 000 frames behind one dead frame, want at most 8", c)
+	}
+}

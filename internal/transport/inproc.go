@@ -19,14 +19,15 @@ type mailEntry struct {
 
 // srcQueue is the per-source arrival queue: messages from one peer in
 // arrival order. head/entries form a dequeue window over a reusable
-// backing array — popping advances head, and the array rewinds to the
-// front whenever the queue drains, so the steady state of a pipelined
-// collective enqueues and dequeues with zero allocations (the old
-// (src,tag)-keyed map allocated a map entry and a one-element slice per
-// message, because tag claims never reuse a tag). Receivers match by
-// scanning the window for the first entry with their tag, which keeps
-// FIFO-per-(src,tag) semantics; the window stays a handful of entries
-// deep, bounded by how far one collective can run ahead.
+// backing array — popping advances head, and the live entries move back
+// to the front once the consumed prefix is half the window, so the
+// steady state of a pipelined collective enqueues and dequeues with zero
+// allocations (the old (src,tag)-keyed map allocated a map entry and a
+// one-element slice per message, because tag claims never reuse a tag).
+// Receivers match by scanning the window for the first entry with their
+// tag, which keeps FIFO-per-(src,tag) semantics; the window stays a
+// handful of entries deep, bounded by how far one collective can run
+// ahead.
 type srcQueue struct {
 	head    int
 	entries []mailEntry
@@ -114,8 +115,8 @@ func (mb *mailbox) collect(ctx context.Context, key mailKey) ([]byte, error) {
 }
 
 // pop dequeues the oldest message from key.src with key.tag; callers
-// hold mb.mu. Non-head matches are removed by shifting the prefix up,
-// which preserves arrival order for the remaining entries.
+// hold mb.mu. A match is removed by shifting the entries before it up
+// one slot, which preserves arrival order for the remaining entries.
 func (mb *mailbox) pop(key mailKey) ([]byte, bool) {
 	q := &mb.queues[key.src]
 	for i := q.head; i < len(q.entries); i++ {
@@ -123,17 +124,17 @@ func (mb *mailbox) pop(key mailKey) ([]byte, bool) {
 			continue
 		}
 		payload := q.entries[i].payload
-		if i == q.head {
-			q.entries[i] = mailEntry{}
-			q.head++
-		} else {
-			copy(q.entries[q.head+1:i+1], q.entries[q.head:i])
-			q.entries[q.head] = mailEntry{}
-			q.head++
-		}
-		if q.head == len(q.entries) {
-			// Drained: rewind the window so the backing array is reused.
-			q.entries = q.entries[:0]
+		copy(q.entries[q.head+1:i+1], q.entries[q.head:i])
+		q.entries[q.head] = mailEntry{}
+		q.head++
+		if 2*q.head >= len(q.entries) {
+			// The consumed prefix is half the window or more: move the
+			// live entries to the front, so the backing array is reused
+			// and a frame nobody takes pins one slot, not the frames
+			// queued behind it.
+			n := copy(q.entries, q.entries[q.head:])
+			clear(q.entries[n:])
+			q.entries = q.entries[:n]
 			q.head = 0
 		}
 		return payload, true

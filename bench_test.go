@@ -114,7 +114,7 @@ func runCollective(b *testing.B, comms []*collective.Comm, vecs []*sparse.Vector
 			if algo == "topk" {
 				_, err = core.TopKAllReduce(context.Background(), comms[rank], vecs[rank].Clone())
 			} else {
-				err = core.GTopKAllReduceInto(context.Background(), comms[rank], vecs[rank].Clone(), k, 1, &sparse.Vector{})
+				err = core.GTopKInto(context.Background(), comms[rank], nil, vecs[rank].Clone(), k, &sparse.Vector{})
 			}
 			errs[rank] = err
 		}(r)

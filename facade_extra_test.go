@@ -144,8 +144,8 @@ func TestPublicMultiProcessWorkerAPI(t *testing.T) {
 
 // TestPublicHierarchicalSurface drives the hierarchical collective and
 // aggregator over communicators on an in-process fabric: the G=P
-// degenerate must match GTopKAllReduceInto bit for bit, and the real two-level regime must keep
-// replicas identical.
+// degenerate must match the flat tree bit for bit, and the real
+// two-level regime must keep replicas identical.
 func TestPublicHierarchicalSurface(t *testing.T) {
 	const p, g, dim, k = 4, 2, 100, 5
 	fabric, err := transport.NewInProc(p)
@@ -175,7 +175,7 @@ func TestPublicHierarchicalSurface(t *testing.T) {
 				out[rank] = &sparse.Vector{}
 				gc, err := core.ForkHier(comm, group)
 				if err == nil {
-					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, locals[rank].Clone(), k, 1, out[rank])
+					err = core.GTopKInto(context.Background(), comm, gc, locals[rank].Clone(), k, out[rank])
 				}
 				errs[rank] = err
 			}(r)

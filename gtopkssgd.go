@@ -105,7 +105,7 @@ func NewGTopKAggregator(comm *Comm, dim, k int) (Aggregator, error) {
 
 // NewBucketedAggregator builds the bucketed, overlapped gTop-k pipeline:
 // each bucket (cumulative offsets in bounds) selects density·size of its
-// gradients and aggregates them via GTopKAllReduceInto on a tag-isolated
+// gradients and aggregates them via core.GTopKInto on a tag-isolated
 // sub-communicator, concurrently with the other buckets. Install a
 // StreamGradFn on the trainer to also overlap with the backward pass.
 func NewBucketedAggregator(comm *Comm, bounds []int, density float64) (*BucketedAggregator, error) {

@@ -90,7 +90,7 @@ func TestPublicCollectives(t *testing.T) {
 	for r := 0; r < p; r++ {
 		go func(rank int) {
 			v := &sparse.Vector{}
-			err := core.GTopKAllReduceInto(context.Background(), collective.New(fabric.Conn(rank)), locals[rank].Clone(), k, 1, v)
+			err := core.GTopKInto(context.Background(), collective.New(fabric.Conn(rank)), nil, locals[rank].Clone(), k, v)
 			results[rank] = result{v, err}
 			done <- rank
 		}(r)
@@ -167,7 +167,7 @@ func TestPublicSparsifier(t *testing.T) {
 	if !ok {
 		t.Fatal("the gTop-k aggregator exposes no Sparsifier")
 	}
-	sel, err := hs.Sparsifier().Select([]float32{1, -9, 2, 0}, 1)
+	sel, err := hs.Sparsifier().SelectMomentum(0, nil, []float32{1, -9, 2, 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,8 +149,7 @@ func codecBytesRows(dim int, rho float64, seed uint64) ([]WireCodecResult, error
 		err = onRanks(p, func(rank int) error {
 			var out sparse.Vector
 			for i := 0; i < codecBytesRounds; i++ {
-				if err := core.GTopKAllReduceInto(context.Background(), comms[rank],
-					vecs[rank], k, 1, &out); err != nil {
+				if err := core.GTopKInto(context.Background(), comms[rank], nil, vecs[rank], k, &out); err != nil {
 					return err
 				}
 			}

@@ -127,7 +127,7 @@ func runHierarchyConfig(model netsim.Model, vecs []*sparse.Vector, k, g int) (ti
 			res := &sparse.Vector{}
 			gc, err := core.ForkHier(comm, g) // nil: the flat tree
 			if err == nil {
-				err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, 1, res)
+				err = core.GTopKInto(context.Background(), comm, gc, vecs[rank].Clone(), k, res)
 			}
 			if err != nil {
 				errs[rank] = err

@@ -148,7 +148,7 @@ func (c *Comm) chargeRoundAmong(participants, elems int) {
 }
 
 // ClaimTags reserves n consecutive tags for a custom collective built on
-// top of this communicator (e.g. core.GTopKAllReduceInto) and returns the
+// top of this communicator (e.g. core.GTopKInto) and returns the
 // first. Every rank must claim the same tag counts in the same order.
 func (c *Comm) ClaimTags(n int) int { return c.claimTags(n) }
 

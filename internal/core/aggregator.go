@@ -79,8 +79,9 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update
 // put-back for locally-sent-but-globally-dropped values, average by P —
 // over the whole gradient, ending on the k (index, mean) pairs
 // Aggregate returns. The embedded round carries the configuration
-// surface (SetK, SetSchedule, SetPutBack, SetMomentumCorrection,
-// SetQuorum, Sparsifier, QuorumGroup).
+// surface (SetK, SetSchedule, SetPutBack, SetQuorum, Sparsifier,
+// QuorumGroup); momentum correction is TrainConfig.Momentum, which
+// NewTrainer lends to the round.
 type GTopKAggregator struct {
 	round
 	missStreak int // this rank's consecutive missed quorum rounds

@@ -81,17 +81,16 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *spar
 	return sparse.TopKSparse(sum, k), nil
 }
 
-// ChunksFor returns 1 for every k: each gTop-k hop is one frame. It
-// remains because the benchmark's decomposed step passes it as the
-// entry points' chunks argument.
-func ChunksFor(int) int { return 1 }
-
-// GTopKAllReduceInto is the paper's Algorithm 3, an efficient global
-// top-k aggregation in 2·⌈log₂P⌉−1 communication rounds, written into
-// out (capacity reused across calls, so an aggregator that keeps one
-// result vector per communicator reaches a zero-allocation steady
-// state). Its schedule is ⌈log₂P⌉ radix-2 levels over comm, run by the
-// one gTop-k executor (runLevels):
+// GTopKInto is the paper's Algorithm 3, an efficient global top-k
+// aggregation, written into out (capacity reused across calls, so an
+// aggregator that keeps one result vector per communicator reaches a
+// zero-allocation steady state). A nil gc runs the flat tree over comm;
+// a non-nil one, from ForkHier, runs the two-level hierarchy over its
+// groups (hierarchical.go). Both are lists of levels for the one gTop-k
+// executor (runLevels), and each hop moves one frame.
+//
+// The flat tree is ⌈log₂P⌉ radix-2 levels over comm, 2·⌈log₂P⌉−1
+// communication rounds:
 //
 // Up: in round j, every rank whose index has j+1 low zero bits receives
 // its partner's sparse vector and merges it with the ⊕ operator of
@@ -107,9 +106,7 @@ func ChunksFor(int) int { return 1 }
 //
 // Every rank returns the same k largest-magnitude entries of the
 // element-wise sum as selected greedily by the tree; their Indices serve
-// as the paper's gMask. Each hop moves one frame, so chunks must be 1;
-// the parameter remains because the benchmark's decomposed step passes
-// ChunksFor(k).
+// as the paper's gMask.
 //
 // The paper assumes power-of-two P (Section III); this implementation
 // generalises the binomial tree to any P ≥ 1 — a receiver whose partner
@@ -122,20 +119,23 @@ func ChunksFor(int) int { return 1 }
 // 2·⌈log₂P⌉−1 sequential rounds — (2·log(P)−1)·α + (4k·log(P)−2k)·β,
 // one α + 2kβ below the paper's Eq. 7 (netsim.Model.GTopKAllReduce
 // prices the unswapped tree, netsim.Model.GTopKTree this one).
-func GTopKAllReduceInto(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
-	if err := oneFrame(chunks); err != nil {
-		return err
-	}
+//
+// With gc the levels are the group — radix G over gc.Members — and then
+// the leaders' binomial tree over gc.Leaders (hierarchical.go). A
+// non-leader has no communicator at the leader levels and charges their
+// rounds on comm (ChargeRoundAmong), which carries no wire traffic.
+// Statistics accumulate on gc's sub-communicators; the aggregators'
+// round folds them into comm (foldHierStats). Like all collectives,
+// every rank must call with the same groups and k.
+func GTopKInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k int, out *sparse.Vector) error {
 	var buf [16]level // a world of up to 2¹⁶ ranks (groups) plans on the stack
-	return runLevels(ctx, comm, treeLevels(buf[:0], comm, comm.Size()), local, k, out, nil)
-}
-
-// oneFrame refuses a chunks argument other than 1.
-func oneFrame(chunks int) error {
-	if chunks != 1 {
-		return fmt.Errorf("core: gtopk: chunks=%d, but every hop is one frame (pass 1)", chunks)
+	levels, tree, n := buf[:0], comm, comm.Size()
+	if gc != nil {
+		m := gc.Members.Size()
+		levels = append(levels, level{comm: gc.Members, size: m, stride: 1, radix: m})
+		tree, n = gc.Leaders, gc.NumGroups
 	}
-	return nil
+	return runLevels(ctx, comm, treeLevels(levels, tree, n), local, k, out, nil)
 }
 
 // level is one stage of a gTop-k schedule. On its communicator the

@@ -41,10 +41,10 @@ func spmd(t *testing.T, p int, body func(c *collective.Comm) error) {
 	}
 }
 
-// gtopk runs GTopKAllReduceInto into a fresh result vector.
+// gtopk runs the flat GTopKInto into a fresh result vector.
 func gtopk(ctx context.Context, c *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
-	if err := GTopKAllReduceInto(ctx, c, local, k, 1, out); err != nil {
+	if err := GTopKInto(ctx, c, nil, local, k, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -197,7 +197,7 @@ func TestGTopKAllReduceIdenticalSupports(t *testing.T) {
 }
 
 // serialTreeMerge folds worker vectors with the exact binomial schedule
-// GTopKAllReduceInto uses, serving as the single-threaded reference for
+// the flat GTopKInto uses, serving as the single-threaded reference for
 // non-power-of-two worlds.
 func serialTreeMerge(t *testing.T, vecs []*sparse.Vector, k int) *sparse.Vector {
 	t.Helper()

@@ -80,8 +80,8 @@ type bucketDone struct {
 
 // BucketedAggregator runs gTop-k S-SGD per layer-aligned bucket with
 // overlapped communication: bucket b selects k_b = max(1, ρ·m_b) of its
-// m_b gradients and aggregates them with GTopKAllReduceInto concurrently with
-// the other buckets (and, through the BucketStreamer interface, with the
+// m_b gradients and aggregates them with GTopKInto concurrently with the
+// other buckets (and, through the BucketStreamer interface, with the
 // backward pass still producing earlier buckets).
 //
 // Selection semantics are per bucket, exactly as if an independent
@@ -203,15 +203,6 @@ func (a *BucketedAggregator) Sparsifier() *Sparsifier { return a.sp }
 func (a *BucketedAggregator) lendVelocity(mu float32, v []float32) {
 	for _, b := range a.buckets {
 		b.lendVelocity(mu, v[b.lo:b.hi])
-	}
-}
-
-// SetMomentumCorrection gives every bucket a velocity of its own (see
-// GTopKAggregator.SetMomentumCorrection). Call before training, not
-// between Begin and Finish.
-func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
-	for _, b := range a.buckets {
-		b.SetMomentumCorrection(mu)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"gtopkssgd/internal/transport"
 )
 
-// runFlat executes GTopKAllReduceInto on every rank of a fresh
+// runFlat executes the flat GTopKInto on every rank of a fresh
 // in-process fabric and returns the per-rank results.
 func runFlat(t *testing.T, vecs []*sparse.Vector, k int) []*sparse.Vector {
 	t.Helper()
@@ -22,7 +22,7 @@ func runFlat(t *testing.T, vecs []*sparse.Vector, k int) []*sparse.Vector {
 	var mu sync.Mutex
 	spmd(t, p, func(c *collective.Comm) error {
 		out := &sparse.Vector{}
-		if err := GTopKAllReduceInto(context.Background(), c, vecs[c.Rank()].Clone(), k, 1, out); err != nil {
+		if err := GTopKInto(context.Background(), c, nil, vecs[c.Rank()].Clone(), k, out); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -118,8 +118,7 @@ func TestGTopKChunkedOverTCP(t *testing.T) {
 			// Two iterations through the same reused out vector: the
 			// second exercises warmed pools and capacity reuse.
 			for iter := 0; iter < 2; iter++ {
-				if err := GTopKAllReduceInto(context.Background(), collective.New(fab.Conn(rank)),
-					vecs[rank].Clone(), k, 1, out); err != nil {
+				if err := GTopKInto(context.Background(), collective.New(fab.Conn(rank)), nil, vecs[rank].Clone(), k, out); err != nil {
 					errs[rank] = err
 					return
 				}
@@ -156,7 +155,7 @@ func TestGTopKIntoReusesResult(t *testing.T) {
 	}{{big, 40}, {small, 5}} {
 		round := round
 		spmd(t, p, func(c *collective.Comm) error {
-			return GTopKAllReduceInto(context.Background(), c, round.vecs[c.Rank()].Clone(), round.k, 1, outs[c.Rank()])
+			return GTopKInto(context.Background(), c, nil, round.vecs[c.Rank()].Clone(), round.k, outs[c.Rank()])
 		})
 	}
 	for r := 0; r < p; r++ {

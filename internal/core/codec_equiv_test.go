@@ -29,7 +29,7 @@ func (h halfValues) Fork(uint64) sparse.Compressor { return h }
 
 func (h halfValues) Shared(uint64) sparse.Compressor { return h }
 
-// runWire executes GTopKAllReduceInto on every rank of an
+// runWire executes the flat GTopKInto on every rank of an
 // in-process fabric negotiated to the given wire version (with an
 // optional fp16 value preference) and returns the per-rank results.
 func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, fp16 bool) []*sparse.Vector {
@@ -52,7 +52,7 @@ func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, fp16 bool) [
 				comm.SetCompressor(halfValues{})
 			}
 			out := &sparse.Vector{}
-			errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
+			errs[rank] = GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
 			results[rank] = out
 		}(r)
 	}
@@ -118,7 +118,7 @@ func TestGTopKCodecV3OverTCP(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				out := &sparse.Vector{}
-				errs[rank] = GTopKAllReduceInto(context.Background(), comms[rank], vecs[rank].Clone(), k, 1, out)
+				errs[rank] = GTopKInto(context.Background(), comms[rank], nil, vecs[rank].Clone(), k, out)
 				results[rank] = out
 			}(r)
 		}
@@ -200,7 +200,7 @@ func TestGTopKWireTally(t *testing.T) {
 				comm := collective.New(f.Conn(rank))
 				comm.SetWireTally(tallies[rank])
 				out := &sparse.Vector{}
-				errs[rank] = GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
+				errs[rank] = GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
 			}(r)
 		}
 		wg.Wait()

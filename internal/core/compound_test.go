@@ -59,7 +59,7 @@ func compoundVectors(seed uint64, p, dim, k int, mode string) []*sparse.Vector {
 	return vecs
 }
 
-// runCompoundWire executes GTopKAllReduceInto on every rank of an
+// runCompoundWire executes the flat GTopKInto on every rank of an
 // in-process fabric negotiated to the codec's wire version, with each
 // rank's comm configured exactly as the CLI does it: quant.AttachStack.
 func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Codec, seed uint64) []*sparse.Vector {
@@ -80,7 +80,7 @@ func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Co
 			comm := collective.New(f.Conn(rank))
 			quant.AttachStack(comm, codec, seed)
 			out := &sparse.Vector{}
-			errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, 1, out)
+			errs[rank] = core.GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
 			results[rank] = out
 		}(r)
 	}
@@ -187,7 +187,7 @@ func TestCompoundResidualConservation(t *testing.T) {
 	for _, codec := range compoundCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			sp := core.NewSparsifier(dim)
-			local, err := sp.Select(grad, k)
+			local, err := sp.SelectMomentum(0, nil, grad, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func TestCompoundFoldThenPutBack(t *testing.T) {
 		grad[i] = float32(rng.NormFloat64())
 	}
 	sp := core.NewSparsifier(dim)
-	local, err := sp.Select(grad, k)
+	local, err := sp.SelectMomentum(0, nil, grad, k)
 	if err != nil {
 		t.Fatal(err)
 	}

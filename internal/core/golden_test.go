@@ -146,11 +146,11 @@ func runGoldenRow(t *testing.T, row goldenRow) goldenHashes {
 			if row.g > 1 {
 				gc, err := core.ForkHier(comm, row.g)
 				if err == nil {
-					err = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, 1, out)
+					err = core.GTopKInto(context.Background(), comm, gc, vecs[rank], k, out)
 				}
 				errs[rank] = err
 			} else {
-				errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank], k, 1, out)
+				errs[rank] = core.GTopKInto(context.Background(), comm, nil, vecs[rank], k, out)
 			}
 			outs[rank], clocks[rank] = out, clock.Now()
 		}(r)

@@ -1,28 +1,29 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/sparse"
 )
 
-// This file implements the two-level hierarchical gTop-k collective for
-// large worlds. Ranks are partitioned into contiguous groups of G, and
-// the first rank of each group is its leader. The hierarchy is not a
-// second collective: it is a second list of levels for the one gTop-k
-// executor (runLevels in allreduce.go), which the flat tree runs too.
-// The first level is the group, one radix-G block per group rooted at
-// its leader: each member hands its local top-k to the leader as one
-// frame, and the leader folds the group with the tree's binomial
-// position schedule (binomialPositionFold), so it computes the tree's
-// exact ⊕ sequence. The leaders' binomial tree follows, its top level
-// the pinned swap. On the way back down the leaders hand the global
-// result down their tree and then send each member one frame of it. The
-// result inherits the tree's determinism: replicas are bitwise-
-// consistent on every fabric, and the bits depend only on (P, G, k),
-// never on goroutine or leader arrival order.
+// This file holds the two-level hierarchical gTop-k collective for
+// large worlds, which GTopKInto (allreduce.go) runs over ForkHier's
+// groups. Ranks are partitioned into contiguous groups of G, and the
+// first rank of each group is its leader. The hierarchy is not a second
+// collective: it is a second list of levels for the one gTop-k executor
+// (runLevels in allreduce.go), which the flat tree runs too. The first
+// level is the group, one radix-G block per group rooted at its leader:
+// each member hands its local top-k to the leader as one frame, and the
+// leader folds the group with the tree's binomial position schedule
+// (binomialPositionFold), so it computes the tree's exact ⊕ sequence; it
+// folds its own selection as a tree receiver does, neither encoded nor
+// pinned. The leaders' binomial tree follows, its top level the pinned
+// swap. On the way back down the leaders hand the global result down
+// their tree and then send each member one frame of it — under a
+// quantized codec a lossless v3 frame, since the leaders' top already
+// pinned it. The result inherits the tree's determinism: replicas are
+// bitwise-consistent on every fabric, and the bits depend only on
+// (P, G, k), never on goroutine or leader arrival order.
 //
 // Cost shape (netsim.Model.HierGTopK): one gather round, the leaders'
 // 2⌈log₂⌈P/G⌉⌉−1 rounds and one fan-out round — at power-of-two sizes
@@ -77,35 +78,4 @@ func foldHierStats(parent *collective.Comm, gc *collective.GroupComms) {
 		parent.AddStats(gc.Leaders.Stats())
 		gc.Leaders.ResetStats()
 	}
-}
-
-// HierarchicalGTopKAllReduceInto runs the two-level gTop-k over the
-// caller-owned GroupComms (ForkHier) into the caller-owned result
-// vector; a nil gc — ForkHier's flat regime — runs the flat
-// GTopKAllReduceInto over comm, bit-identical to it. Statistics
-// accumulate on gc's sub-communicators; fold them into the parent with
-// foldHierStats-style AddStats calls, as the aggregators' round does.
-//
-// Its schedule is the executor's second list of levels (runLevels): the
-// group level — radix G over gc.Members — and then the leaders' binomial
-// tree over gc.Leaders, one frame per hop throughout, so chunks must be
-// 1; the parameter stays because the benchmark's decomposed step passes
-// ChunksFor(k). A leader folds its own selection as a tree receiver
-// does, neither encoded nor pinned; under a quantized codec the group's
-// frames of the global result travel as lossless v3, since the leaders'
-// top already pinned it. On a non-leader the leader levels have no
-// communicator, and the rank charges their rounds on comm
-// (ChargeRoundAmong), which carries no wire traffic. Like all
-// collectives, every rank must call with the same group size and k.
-func HierarchicalGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, chunks int, out *sparse.Vector) error {
-	if gc == nil {
-		return GTopKAllReduceInto(ctx, comm, local, k, chunks, out)
-	}
-	if err := oneFrame(chunks); err != nil {
-		return err
-	}
-	var buf [16]level // a world of up to 2¹⁶ ranks (groups) plans on the stack
-	n := gc.Members.Size()
-	levels := append(buf[:0], level{comm: gc.Members, size: n, stride: 1, radix: n})
-	return runLevels(ctx, comm, treeLevels(levels, gc.Leaders, gc.NumGroups), local, k, out, nil)
 }

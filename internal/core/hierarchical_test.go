@@ -44,7 +44,7 @@ func hierOnce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, 
 	if qc.Q > 0 {
 		participated, missed, err = HierQuorumGTopKAllReduceInto(ctx, comm, gc, local, k, g, qc, out)
 	} else {
-		err = HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, k, 1, out)
+		err = GTopKInto(ctx, comm, gc, local, k, out)
 	}
 	if err != nil {
 		return nil, false, nil, err
@@ -101,7 +101,7 @@ func TestHierarchicalMatchesOracle(t *testing.T) {
 }
 
 // TestHierarchicalDegenerateGroupsMatchFlat: G >= P and G = 1 must be
-// bit-identical to the flat GTopKAllReduceInto.
+// bit-identical to the flat GTopKInto.
 func TestHierarchicalDegenerateGroupsMatchFlat(t *testing.T) {
 	const p, dim, k = 8, 240, 12
 	_, vecs := makeWorkerVectors(41, p, dim, k)

@@ -56,10 +56,10 @@ import (
 // conservation story that makes the miss convergence-safe.
 //
 // At q_g = G and q_l = ⌈P/G⌉ every fold sees the exact ⊕ sequence of
-// HierarchicalGTopKAllReduceInto (and the flat round's that of
-// GTopKAllReduceInto), so full-quorum rounds are bit-identical to them
-// under lossless codecs on every fabric, and any partial round's bits
-// are a pure function of the straggler schedule.
+// GTopKInto over the same groups (and the flat round's that of the flat
+// tree), so full-quorum rounds are bit-identical to them under lossless
+// codecs on every fabric, and any partial round's bits are a pure
+// function of the straggler schedule.
 
 // HierQuorumGTopKAllReduceInto runs one quorum gTop-k round: over the
 // caller-owned GroupComms (ForkHier with group size g from comm), or flat

@@ -59,8 +59,7 @@ func BenchmarkGTopKAllReduce(b *testing.B) {
 						wg.Add(1)
 						go func(rank int) {
 							defer wg.Done()
-							if err := GTopKAllReduceInto(context.Background(), comms[rank],
-								vecs[rank], k, 1, &outs[rank]); err != nil {
+							if err := GTopKInto(context.Background(), comms[rank], nil, vecs[rank], k, &outs[rank]); err != nil {
 								b.Error(err)
 							}
 						}(r)
@@ -238,7 +237,7 @@ func TestCollectiveAllocFree(t *testing.T) {
 						gc, errs[rank] = ForkHier(comm, 4)
 					}
 					for range start[rank] {
-						if err := HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank], k, 1, out); err != nil {
+						if err := GTopKInto(context.Background(), comm, gc, vecs[rank], k, out); err != nil {
 							errs[rank] = err
 						}
 						foldHierStats(comm, gc)

@@ -123,17 +123,6 @@ func (r *round) SetPutBack(enabled bool) { r.noPutBack = !enabled }
 // TrainConfig.Momentum > 0.
 func (r *round) lendVelocity(mu float32, v []float32) { r.mu, r.velocity = mu, v }
 
-// SetMomentumCorrection is momentum correction for a trainer without
-// momentum: it lends the round a velocity of its own when mu > 0, which
-// no checkpoint carries. Set TrainConfig.Momentum instead.
-func (r *round) SetMomentumCorrection(mu float32) {
-	var v []float32
-	if mu > 0 {
-		v = make([]float32, r.sp.Dim())
-	}
-	r.lendVelocity(mu, v)
-}
-
 // Sparsifier exposes the residual state for diagnostics.
 func (r *round) Sparsifier() *Sparsifier { return r.sp }
 
@@ -235,7 +224,7 @@ func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sp
 	case r.quorum.Q > 0:
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
 	default:
-		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, 1, global)
+		err = GTopKInto(ctx, r.comm, r.gc, local, r.k, global)
 	}
 	if err == nil {
 		foldHierStats(r.comm, r.gc)

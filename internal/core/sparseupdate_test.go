@@ -59,7 +59,7 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 		}
 		src = r.velocity
 	}
-	local, err := r.sp.Select(src, k)
+	local, err := r.sp.SelectMomentum(0, nil, src, k)
 	if err != nil {
 		return false, err
 	}
@@ -74,9 +74,9 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 	case "quorum":
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, nil, local, k, 0, r.spec.quorum, global)
 	case "hier":
-		err = HierarchicalGTopKAllReduceInto(ctx, r.comm, r.gc, local, k, 1, global)
+		err = GTopKInto(ctx, r.comm, r.gc, local, k, global)
 	default:
-		err = GTopKAllReduceInto(ctx, r.comm, local, k, 1, global)
+		err = GTopKInto(ctx, r.comm, nil, local, k, global)
 	}
 	if err != nil {
 		return false, err

@@ -42,21 +42,17 @@ func (s *Sparsifier) Residual() []float32 { return s.residual }
 // diagnostic ("how much gradient signal is still waiting locally").
 func (s *Sparsifier) ResidualNorm() float64 { return tensor.L2Norm(s.residual) }
 
-// Select accumulates grad into the residual, extracts the k
+// SelectMomentum accumulates grad into the residual, extracts the k
 // largest-magnitude entries as a sparse vector, and leaves everything
-// else in the residual. The returned vector is owned by the sparsifier
-// and valid until its next Select or SelectMomentum; Clone it to keep it
-// longer. Callers may rewrite its Values in place (wire transforms do).
-func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
-	return s.SelectMomentum(0, nil, grad, k)
-}
-
-// SelectMomentum is Select with DGC momentum correction folded into the
-// accumulate pass: velocity ← mu·velocity + grad and residual += velocity
-// in one read-modify-write of the three arrays, which also collects the
-// selection's candidates at the threshold the previous selection left
-// (sparse.TopKAccumulateInto). With mu <= 0 it accumulates grad itself
-// and velocity is not touched.
+// else in the residual. DGC momentum correction rides in the same
+// accumulate pass: velocity ← mu·velocity + grad and residual +=
+// velocity in one read-modify-write of the three arrays, which also
+// collects the selection's candidates at the threshold the previous
+// selection left (sparse.TopKAccumulateInto). With mu <= 0 it
+// accumulates grad itself and velocity is not touched. The returned
+// vector is owned by the sparsifier and valid until its next selection;
+// Clone it to keep it longer. Callers may rewrite its Values in place
+// (wire transforms do).
 func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int) (*sparse.Vector, error) {
 	if len(grad) != s.Dim() || (mu > 0 && len(velocity) != len(grad)) {
 		return nil, fmt.Errorf("core: gradient dim %d, velocity dim %d, sparsifier dim %d", len(grad), len(velocity), s.Dim())

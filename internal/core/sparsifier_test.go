@@ -12,7 +12,7 @@ import (
 func TestSparsifierSelectBasic(t *testing.T) {
 	sp := NewSparsifier(6)
 	grad := []float32{0.1, -5, 0.2, 3, -0.3, 0.4}
-	sel, err := sp.Select(grad, 2)
+	sel, err := sp.SelectMomentum(0, nil, grad, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSparsifierAccumulatesResidual(t *testing.T) {
 	sp := NewSparsifier(2)
 	grad := []float32{1.0, 0.4}
 	for i := 0; i < 2; i++ {
-		sel, err := sp.Select(grad, 1)
+		sel, err := sp.SelectMomentum(0, nil, grad, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestSparsifierAccumulatesResidual(t *testing.T) {
 		}
 	}
 	// Residual at index 1 is now 0.8; next gradient makes it 1.2 > 1.0.
-	sel, err := sp.Select(grad, 1)
+	sel, err := sp.SelectMomentum(0, nil, grad, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSparsifierMassConservation(t *testing.T) {
 			grad[i] = float32(src.NormFloat64())
 		}
 		before := append([]float32(nil), sp.Residual()...)
-		sel, err := sp.Select(grad, 7)
+		sel, err := sp.SelectMomentum(0, nil, grad, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,13 +86,13 @@ func TestSparsifierMassConservation(t *testing.T) {
 
 func TestSparsifierDimMismatch(t *testing.T) {
 	sp := NewSparsifier(4)
-	if _, err := sp.Select(make([]float32, 5), 1); err == nil {
+	if _, err := sp.SelectMomentum(0, nil, make([]float32, 5), 1); err == nil {
 		t.Error("dim mismatch accepted")
 	}
-	if _, err := sp.Select(make([]float32, 4), 5); err == nil {
+	if _, err := sp.SelectMomentum(0, nil, make([]float32, 4), 5); err == nil {
 		t.Error("k > dim accepted")
 	}
-	if _, err := sp.Select(make([]float32, 4), -1); err == nil {
+	if _, err := sp.SelectMomentum(0, nil, make([]float32, 4), -1); err == nil {
 		t.Error("negative k accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestSelectMomentum(t *testing.T) {
 		for i, g := range grad {
 			sv[i] = mu*sv[i] + g
 		}
-		want, err := split.Select(sv, k)
+		want, err := split.SelectMomentum(0, nil, sv, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestQuickSelectConservation(t *testing.T) {
 		for i := range grad {
 			grad[i] = float32(src.NormFloat64())
 		}
-		sel, err := sp.Select(grad, k)
+		sel, err := sp.SelectMomentum(0, nil, grad, k)
 		if err != nil || sel.NNZ() != k {
 			return false
 		}

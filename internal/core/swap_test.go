@@ -15,7 +15,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/core"
@@ -116,9 +115,8 @@ type swapRun struct {
 
 // runSwapWorld runs one collective on every rank of a fresh fabric
 // ("inproc" or "tcp", negotiated to the codec's wire version) whose
-// comms carry the codec's stack exactly as the CLI attaches it, passing
-// the chunks argument the benchmark's decomposed step passes,
-// core.ChunksFor(k). g > 1 runs the hierarchy over groups of g.
+// comms carry the codec's stack exactly as the CLI attaches it. g > 1
+// runs the hierarchy over groups of g.
 func runSwapWorld(t *testing.T, fabric string, codec sparse.Codec, vecs []*sparse.Vector, k, g int) swapRun {
 	t.Helper()
 	p := len(vecs)
@@ -144,16 +142,15 @@ func runSwapWorld(t *testing.T, fabric string, codec sparse.Codec, vecs []*spars
 			comm := collective.New(conns[rank])
 			quant.AttachStack(comm, codec, 99)
 			out := &sparse.Vector{}
+			var gc *collective.GroupComms
 			if g > 1 {
-				gc, err := comm.ForkGroup(g)
-				if err != nil {
+				var err error
+				if gc, err = comm.ForkGroup(g); err != nil {
 					errs[rank] = err
 					return
 				}
-				errs[rank] = core.HierarchicalGTopKAllReduceInto(context.Background(), comm, gc, vecs[rank].Clone(), k, core.ChunksFor(k), out)
-			} else {
-				errs[rank] = core.GTopKAllReduceInto(context.Background(), comm, vecs[rank].Clone(), k, core.ChunksFor(k), out)
 			}
+			errs[rank] = core.GTopKInto(context.Background(), comm, gc, vecs[rank].Clone(), k, out)
 			run.results[rank] = out
 		}(r)
 	}
@@ -263,36 +260,6 @@ func TestSwapHierarchyHops(t *testing.T) {
 	}
 }
 
-// TestGTopKRefusesChunks: both entry points return an error, and send
-// nothing, for any chunks argument but 1.
-func TestGTopKRefusesChunks(t *testing.T) {
-	f, err := transport.NewInProc(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close() //nolint:errcheck // test teardown
-	comm := collective.New(f.Conn(0))
-	gc, err := comm.ForkGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank 1 never calls, so an accepted call fails on the deadline.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	local := &sparse.Vector{Dim: 8}
-	for _, chunks := range []int{0, 3} {
-		if err := core.GTopKAllReduceInto(ctx, comm, local, 1, chunks, &sparse.Vector{}); err == nil || ctx.Err() != nil {
-			t.Errorf("flat: chunks=%d accepted", chunks)
-		}
-		if err := core.HierarchicalGTopKAllReduceInto(ctx, comm, gc, local, 1, chunks, &sparse.Vector{}); err == nil || ctx.Err() != nil {
-			t.Errorf("hierarchical: chunks=%d accepted", chunks)
-		}
-	}
-	if s := comm.Stats(); s.MsgsSent != 0 {
-		t.Errorf("a refused call sent %d messages", s.MsgsSent)
-	}
-}
-
 // TestSwapPartnersFoldTheirError: at P=2 the whole tree is the swap, so
 // BOTH ranks ship quantized copies of their selection — rank 0 no longer
 // only receives. Each must pin its values to the lattice in place and
@@ -320,12 +287,12 @@ func TestSwapPartnersFoldTheirError(t *testing.T) {
 				comm := collective.New(f.Conn(rank))
 				quant.AttachStack(comm, sparse.CodecV3Q8, 5)
 				sp := core.NewSparsifier(dim)
-				local, err := sp.Select(grad, k)
+				local, err := sp.SelectMomentum(0, nil, grad, k)
 				if err != nil {
 					return err
 				}
 				orig := append([]float32(nil), local.Values...)
-				if err := core.GTopKAllReduceInto(context.Background(), comm, local, k, 1, &sparse.Vector{}); err != nil {
+				if err := core.GTopKInto(context.Background(), comm, nil, local, k, &sparse.Vector{}); err != nil {
 					return err
 				}
 				sp.FoldError(local.Indices, orig, local.Values)

@@ -148,7 +148,7 @@ func (m Model) GTopKAllReduce(p, k int) time.Duration {
 }
 
 // GTopKTree returns the discrete (integer-round) cost of the implemented
-// flat gTop-k tree (core.GTopKAllReduceInto) with the synchronization-skew
+// flat gTop-k tree (core.GTopKInto) with the synchronization-skew
 // term applied: its top reduce round and first broadcast round are one
 // pairwise swap, so it runs 2·⌈log₂P⌉−1 rounds, each moving at most 2k
 // elements and synchronizing all P ranks:
@@ -166,7 +166,7 @@ func (m Model) GTopKTree(p, k int) time.Duration {
 }
 
 // HierGTopK returns the modelled cost of the two-level hierarchical
-// gTop-k over groups of g (core.HierarchicalGTopKAllReduceInto) on a
+// gTop-k over groups of g (core.GTopKInto) on a
 // group leader's clock, the critical path: one gather round in which
 // the leader receives its g−1 members' k-entry frames, the gTop-k tree
 // over the ⌈P/g⌉ group leaders (2·⌈log₂⌈P/g⌉⌉−1 rounds), and one

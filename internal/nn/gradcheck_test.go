@@ -95,13 +95,6 @@ func TestGradCheckDenseReLU(t *testing.T) {
 	gradCheck(t, net, x, labels, 1e-2)
 }
 
-func TestGradCheckTanh(t *testing.T) {
-	net := NewNetwork(NewDense(4, 6), NewTanh(), NewDense(6, 3))
-	net.Init(5)
-	x, labels := randInput(6, 5, 4)
-	gradCheck(t, net, x, labels, 1e-2)
-}
-
 func TestGradCheckConv(t *testing.T) {
 	// 2-channel 4x4 images, 3 filters, 3x3 kernel, same padding.
 	conv := NewConv2D(2, 4, 4, 3, 3, 1, 1)

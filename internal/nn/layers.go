@@ -133,41 +133,3 @@ func reluGrad(din, dout, out []float32) {
 		din[i] = v
 	}
 }
-
-// Tanh is the hyperbolic tangent activation, applied element-wise.
-type Tanh struct {
-	out, din *tensor.Matrix // workspaces; Backward reads out
-}
-
-// NewTanh creates a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// ParamCount implements Layer.
-func (t *Tanh) ParamCount() int { return 0 }
-
-// Bind implements Layer.
-func (t *Tanh) Bind(_, _ []float32) {}
-
-// Init implements Layer.
-func (t *Tanh) Init(_ *prng.Source) {}
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	t.out = workspace(t.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		t.out.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	return t.out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	t.din = workspace(t.din, dout.Rows, dout.Cols)
-	for i, v := range t.out.Data {
-		t.din.Data[i] = dout.Data[i] * (1 - v*v)
-	}
-	return t.din
-}

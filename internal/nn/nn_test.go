@@ -70,7 +70,7 @@ func TestNetworkZeroGrad(t *testing.T) {
 }
 
 func TestLayerBounds(t *testing.T) {
-	net := NewNetwork(NewDense(3, 4), NewReLU(), NewDense(4, 2), NewTanh())
+	net := NewNetwork(NewDense(3, 4), NewReLU(), NewDense(4, 2), NewReLU())
 	got := net.LayerBounds()
 	want := []int{0, 16, 26}
 	if len(got) != len(want) {
@@ -272,7 +272,7 @@ func TestWorkspacesFollowBatchSize(t *testing.T) {
 			NewConv2D(2, 6, 6, 4, 3, 1, 1),
 			NewReLU(),
 			NewMaxPool2(4, 6, 6), // 4×3×3
-			NewResidual(NewConv2D(4, 3, 3, 4, 3, 1, 1), NewTanh(), NewConv2D(4, 3, 3, 4, 3, 1, 1)),
+			NewResidual(NewConv2D(4, 3, 3, 4, 3, 1, 1), NewReLU(), NewConv2D(4, 3, 3, 4, 3, 1, 1)),
 			NewGlobalAvgPool(4, 3, 3),
 			NewDense(4, 3),
 		)

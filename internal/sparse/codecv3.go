@@ -356,7 +356,7 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 		}
 	case ValueQ8, ValueQ4, ValueQ2:
 		signOff, magOff := off, off+(nnz+7)/8
-		zero(buf[off:end])
+		clear(buf[off:end])
 		for i, l := range levels {
 			mag := l
 			if l < 0 {
@@ -374,7 +374,7 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 		}
 		off = end
 	case ValueTernary:
-		zero(buf[off:end])
+		clear(buf[off:end])
 		for i, l := range levels {
 			code := byte(0)
 			switch {
@@ -387,7 +387,7 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 		}
 		off = end
 	default: // ValueSign
-		zero(buf[off:end])
+		clear(buf[off:end])
 		for i, l := range levels {
 			if l > 0 {
 				buf[off+i/8] |= 1 << (i % 8)
@@ -396,13 +396,6 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 		off = end
 	}
 	return buf[:off]
-}
-
-// zero clears a byte slice (the compiler lowers this loop to memclr).
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // DecodeV3Into parses a v3 frame into dst, reusing dst's capacity and

@@ -18,10 +18,6 @@ import (
 // quickselect, branchless vs branchy emit, memcpy vs per-word stores —
 // and the tests hold each pair to the same bits.
 
-// Kernels names the kernel set, always "fast". It exists only because
-// the benchmark records it in its run metadata; it goes with that field.
-func Kernels() string { return "fast" }
-
 // kthLargest returns the k-th largest magnitude of vals (1 <= k <=
 // len(vals)) and the count of entries whose magnitude is strictly above
 // it — the threshold and the strict-winner count every top-k emit needs.

@@ -149,19 +149,8 @@ func ArgMax(x []float32) int {
 	return best
 }
 
-// Clip bounds every element of x to [-limit, limit] in place.
-func Clip(x []float32, limit float32) {
-	for i, v := range x {
-		if v > limit {
-			x[i] = limit
-		} else if v < -limit {
-			x[i] = -limit
-		}
-	}
-}
-
-// Clamp bounds v to [-limit, limit] as Clip does; limit <= 0 disables
-// the bound and returns v.
+// Clamp bounds v to [-limit, limit]; limit <= 0 disables the bound and
+// returns v.
 func Clamp(v, limit float32) float32 {
 	if limit > 0 && v > limit {
 		return limit
@@ -175,8 +164,8 @@ func Clamp(v, limit float32) float32 {
 // ClipAxpyAt applies a compact vector — x[j] at position at[j] — in one
 // pass: dst[at[j]] += alpha*Clamp(x[j], limit); x itself is not written.
 // Every position outside at would receive w + alpha*0, which is w, so
-// dst ends bit-identical to Clip followed by AxpyInto over the dense
-// scatter. A nil at means x is dense — x[j] belongs to position j — and
+// dst ends bit-identical to clamping every element of the dense scatter
+// and then AxpyInto over it. A nil at means x is dense — x[j] belongs to position j — and
 // len(x) must equal len(dst).
 func ClipAxpyAt(dst []float32, alpha float32, x []float32, at []int32, limit float32) {
 	if at == nil && len(x) != len(dst) || at != nil && len(at) != len(x) {

@@ -484,17 +484,6 @@ func TestNormsAndStats(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	x := []float32{-10, -0.5, 0.5, 10}
-	Clip(x, 1)
-	want := []float32{-1, -0.5, 0.5, 1}
-	for i, v := range x {
-		if v != want[i] {
-			t.Fatalf("Clip = %v, want %v", x, want)
-		}
-	}
-}
-
 // TestClipAxpyAtMatchesDense holds the one-pass update to Clip followed
 // by AxpyInto over its dense scatter, bit for bit: −0 weights outside and
 // inside the support, clipped and unclipped values, and limit 0. A nil

@@ -190,7 +190,7 @@ func acceptHigherRanks(ctx context.Context, ln net.Listener, c *tcpConn, cfg Mes
 		}
 		// The link speaks the older of the two offers; the ack tells the
 		// dialler which version won so both ends agree.
-		linkWire := minWire(normalizeWire(cfg.TCP.WireVersion), normalizeWire(offered))
+		linkWire := min(normalizeWire(cfg.TCP.WireVersion), normalizeWire(offered))
 		if _, err := sock.Write([]byte{helloAck, linkWire}); err != nil {
 			sock.Close() //nolint:errcheck // dialler gave up; it will redial
 			continue

@@ -240,7 +240,7 @@ func (c *tcpConn) NegotiatedWireVersion() byte { return c.wire }
 // minimum. Called during wire-up, before the endpoint is shared.
 func (c *tcpConn) noteWire(v byte) {
 	c.mu.Lock()
-	c.wire = minWire(c.wire, normalizeWire(v))
+	c.wire = min(c.wire, normalizeWire(v))
 	c.mu.Unlock()
 }
 

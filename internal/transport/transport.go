@@ -78,18 +78,6 @@ func SendPooled(ctx context.Context, c Conn, dst, tag int, payload []byte) error
 	return c.Send(ctx, dst, tag, payload)
 }
 
-// SendVec sends frames to one (dst, tag) stream as one plain Send per
-// frame, in slice order. Every gTop-k hop is one frame, so no engine
-// path calls it; the benchmark's traced and shaped conns still do.
-func SendVec(ctx context.Context, c Conn, dst, tag int, frames [][]byte) error {
-	for _, payload := range frames {
-		if err := c.Send(ctx, dst, tag, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // syncSender is an optional Conn capability: fabrics whose plain Send
 // fully consumes the payload before returning (TCP copies it into the
 // link's write buffer and flushes) report true. Only such fabrics allow
@@ -150,16 +138,6 @@ func normalizeWire(v byte) byte {
 		return WireV1
 	}
 	return LatestWire
-}
-
-// minWire returns the older of two wire versions — the negotiation rule:
-// a mesh settles on the minimum version any member offers, so a v1 peer
-// keeps every frame decodable by everyone.
-func minWire(a, b byte) byte {
-	if b < a {
-		return b
-	}
-	return a
 }
 
 // wireVersioned is an optional Conn capability: fabrics that negotiate

@@ -58,8 +58,8 @@ func BenchmarkFig8PointToPoint(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9AllReduceScaling executes TopKAllReduce and
-// gTopKAllReduce for real over an in-process cluster at the worker
+// BenchmarkFig9AllReduceScaling executes Algorithm 1's collective
+// (core.TopKUnionInto) and gTopKAllReduce (core.GTopKInto) for real over an in-process cluster at the worker
 // counts of Fig. 9's x-axis (m scaled to 1e5 so a laptop iteration stays
 // sub-second; the simulated clock, not wall time, carries the 1GbE
 // numbers).
@@ -112,7 +112,7 @@ func runCollective(b *testing.B, comms []*collective.Comm, vecs []*sparse.Vector
 			defer wg.Done()
 			var err error
 			if algo == "topk" {
-				_, err = core.TopKAllReduce(context.Background(), comms[rank], vecs[rank].Clone())
+				err = core.TopKUnionInto(context.Background(), comms[rank], vecs[rank].Clone(), &sparse.Vector{})
 			} else {
 				err = core.GTopKInto(context.Background(), comms[rank], nil, vecs[rank].Clone(), k, &sparse.Vector{})
 			}

@@ -59,8 +59,9 @@ func codeLines(t *testing.T, dirs ...string) int {
 }
 
 // TestCodeLineCeilings holds the packages that must not grow back to
-// their ceilings: internal/core keeps one round and one gTop-k
-// executor, which prices every plan level by level, internal/netsim the
+// their ceilings: internal/core keeps one round and one sparse
+// executor, which runs every aggregator's plan and prices it level by
+// level, internal/netsim the
 // α-β models and no per-variant round price, the bench harness reports
 // only modelled and counted numbers and runs one quorum sweep,
 // internal/sparse has one kernel set, internal/tensor one GEMM set,
@@ -76,7 +77,7 @@ func TestCodeLineCeilings(t *testing.T) {
 		dirs    []string
 		ceiling int
 	}{
-		{"internal/core", []string{"internal/core"}, 1381},
+		{"internal/core", []string{"internal/core"}, 1341},
 		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1746},
 		{"internal/sparse", []string{"internal/sparse"}, 1347},
 		{"internal/tensor", []string{"internal/tensor"}, 441},
@@ -141,6 +142,8 @@ var banned = []struct {
 		[]string{"NewTanh"}},
 	{"two wire formats, one value preference: wire format v2 and the fp16 toggle are gone; a codec is v1 or v3 × value codec, attached with quant.AttachStack",
 		[]string{"CodecV2", "WireV2", "SetFP16Values", "RewritesSender"}},
+	{"every sparse aggregator is a plan for the one executor: Top-k and naive gTop-k are an exchange level (Comm.AllGather) folded by Σ, PS gTop-k a gather level at rank 0 folded by Σ then top-k, so their own collectives and the round's collective switch are gone (call core.TopKUnionInto, or build the aggregator; netsim.Model.TopKAllReduce, Eq. 6's price, stays)",
+		[]string{"*.TopKAllReduce", "*.NaiveGTopKAllReduce", "*.PSGTopKAllReduce", "collectiveKind", "unionKind", "naiveKind", "psKind", "treeKind"}},
 }
 
 // bannedMatch reports whether an identifier called name matches a ban
@@ -263,6 +266,77 @@ func TestBannedIdentifiers(t *testing.T) {
 			t.Error(hit)
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// textRule is a rule over the text of the module's non-test Go files,
+// as grep reads it (comments included): a file outside the exempt
+// directories breaks it when it matches every pattern.
+type textRule struct {
+	why    string
+	exempt []string
+	match  []*regexp.Regexp
+}
+
+var textRules = []textRule{
+	{"the dense MeanInto is the test reference: core.round takes the mean at the k global entries, and no code scatters an update into a dense buffer",
+		[]string{"internal/sparse/"}, []*regexp.Regexp{regexp.MustCompile(`\.MeanInto\(`)}},
+	{"a second algorithm-name switch building aggregators: build through algo.Build",
+		[]string{"internal/algo/", "benchmark/"}, []*regexp.Regexp{regexp.MustCompile(`case "gtopk"`), regexp.MustCompile(`New[A-Za-z]*Aggregator\(`)}},
+}
+
+// textFaults returns one line per rule of textRules that the non-test
+// Go file at p, holding src, breaks.
+func textFaults(p string, src []byte) []string {
+	var faults []string
+	for _, rule := range textRules {
+		hit := !slices.ContainsFunc(rule.exempt, func(dir string) bool { return strings.HasPrefix(filepath.ToSlash(p), dir) })
+		for _, re := range rule.match {
+			hit = hit && re.Match(src)
+		}
+		if hit {
+			faults = append(faults, p+": "+rule.why)
+		}
+	}
+	return faults
+}
+
+// TestTextRules fails when a non-test Go file anywhere in the module
+// breaks a rule of textRules. It first plants a file that breaks each
+// rule, and the same file in an exempt directory, to prove each rule
+// fires where it applies and only there.
+func TestTextRules(t *testing.T) {
+	const mean, sw = "u.MeanInto(dst, 4)\n", "switch a {\ncase \"gtopk\":\n\tcore.NewGTopKAggregator(c, 8, 1)\n}\n"
+	for _, c := range []struct {
+		path, src string
+		want      int
+	}{
+		{"internal/core/planted.go", mean, 1}, {"internal/sparse/planted.go", mean, 0}, {"cmd/x/planted.go", mean + sw, 2},
+		{"internal/bench/planted.go", sw, 1}, {"internal/bench/planted.go", "switch a {\ncase \"gtopk\":\n}\n", 0},
+		{"internal/algo/planted.go", sw, 0}, {"benchmark/planted.go", sw, 0},
+	} {
+		if got := textFaults(c.path, []byte(c.src)); len(got) != c.want {
+			t.Errorf("the text rules find %q in a planted %s, want %d faults", got, c.path, c.want)
+		}
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		for _, fault := range textFaults(p, src) {
+			t.Error(fault)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,10 @@
 //
 // It provides the paper's gTop-k gradient sparsification and the
 // gTopKAllReduce collective (O(k·logP) communication), the baselines it
-// is evaluated against (dense ring AllReduce, AllGather-based
-// TopKAllReduce), a deterministic message-passing substrate (in-process
-// and TCP fabrics), an α-β network cost model for low-bandwidth-network
+// is evaluated against (dense ring AllReduce, and Top-k, naive gTop-k
+// and parameter-server gTop-k as other plans for the same sparse
+// executor), a deterministic message-passing substrate (in-process and
+// TCP fabrics), an α-β network cost model for low-bandwidth-network
 // timing, and a compact neural-network training stack used by the
 // convergence experiments.
 //

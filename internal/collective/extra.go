@@ -33,9 +33,11 @@ func (c *Comm) BcastFloat32s(ctx context.Context, root int, vec []float32) ([]fl
 	return out, nil
 }
 
-// Gather collects every rank's payload at root (ranks send directly;
-// this is the flat star used by parameter servers). Root receives the
-// payloads indexed by rank; other ranks receive nil.
+// Gather collects every rank's payload at root, each rank sending
+// directly. Root receives the payloads indexed by rank; other ranks
+// receive nil. Its one caller is the elastic runtime's resume verdict,
+// which gathers every rank's resume iteration and weights CRC at rank
+// 0; the sparse parameter server is a gather level of core's executor.
 func (c *Comm) Gather(ctx context.Context, root int, payload []byte) ([][]byte, error) {
 	p := c.Size()
 	if root < 0 || root >= p {

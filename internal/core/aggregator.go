@@ -71,20 +71,21 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update
 }
 
 // GTopKAggregator implements gTop-k S-SGD (Algorithm 4) and, over other
-// collectives, Top-k S-SGD (Algorithm 1) and PS-mode gTop-k: one round —
-// local top-k selection with error feedback, aggregation (Algorithm 3's
-// tree, the two-level hierarchy over groups, either one's
-// straggler-tolerant quorum variant, Algorithm 2's AllGather, the
-// parameter-server star, or Algorithm 1's union AllGather), residual
-// put-back for locally-sent-but-globally-dropped values, average by P —
-// over the whole gradient, ending on the k (index, mean) pairs
-// Aggregate returns. The embedded round carries the configuration
+// plans, Top-k S-SGD (Algorithm 1) and the naive and PS-mode gTop-k: one
+// round — local top-k selection with error feedback, aggregation by the
+// round's plan (Algorithm 3's tree, the two-level hierarchy over groups,
+// either one's straggler-tolerant quorum variant, Algorithm 1's and
+// Algorithm 2's AllGather exchange, or the parameter server's gather),
+// residual put-back for locally-sent-but-globally-dropped values,
+// average by P — over the whole gradient, ending on the (index, mean)
+// pairs Aggregate returns. The embedded round carries the configuration
 // surface (SetK, SetSchedule, SetPutBack, SetQuorum, Sparsifier,
 // QuorumGroup); momentum correction is TrainConfig.Momentum, which
 // NewTrainer lends to the round.
 type GTopKAggregator struct {
 	round
-	missStreak int // this rank's consecutive missed quorum rounds
+	base       string // the name before "-hier" and "-quorum"
+	missStreak int    // this rank's consecutive missed quorum rounds
 }
 
 // HierarchicalAggregator is the GTopKAggregator constructed over groups
@@ -92,26 +93,32 @@ type GTopKAggregator struct {
 // flat tree.
 type HierarchicalAggregator = GTopKAggregator
 
-func newGTopKAggregator(comm *collective.Comm, dim, k, group int, kind collectiveKind) (*GTopKAggregator, error) {
+// newGTopKAggregator creates the aggregator named base: its round runs
+// Algorithm 3's plan over groups of group ranks, or a baseline's plan
+// when fixed has one.
+func newGTopKAggregator(comm *collective.Comm, dim, k, group int, base string, fixed plan) (*GTopKAggregator, error) {
 	r, err := newRound(comm, NewSparsifier(dim), k, group)
 	if err != nil {
 		return nil, err
 	}
-	r.kind = kind
-	return &GTopKAggregator{round: r}, nil
+	if fixed.fold != nil {
+		r.plan, r.fixed = fixed, true
+	}
+	return &GTopKAggregator{round: r, base: base}, nil
 }
 
 // NewGTopKAggregator creates a gTop-k aggregator selecting k of dim
 // gradients globally per iteration using the efficient tree algorithm.
 func NewGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	return newGTopKAggregator(comm, dim, k, 0, treeKind)
+	return newGTopKAggregator(comm, dim, k, 0, "gtopk", plan{})
 }
 
 // NewTopKAggregator creates the Top-k S-SGD aggregator (Algorithm 1):
 // each rank's k selected gradients are AllGathered and the update is the
-// mean over the union of the supports, so nothing is ever put back.
+// mean over the union of the supports (TopKUnionInto's plan), so nothing
+// is ever put back.
 func NewTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	return newGTopKAggregator(comm, dim, k, 0, unionKind)
+	return newGTopKAggregator(comm, dim, k, 0, "topk", worldPlan(nil, comm, sumFold, false))
 }
 
 // NewHierarchicalAggregator creates a gTop-k aggregator whose global
@@ -124,28 +131,30 @@ func NewHierarchicalAggregator(comm *collective.Comm, dim, k, group int) (*Hiera
 	if group < 1 {
 		return nil, fmt.Errorf("core: hierarchical group size %d out of range: need >= 1", group)
 	}
-	return newGTopKAggregator(comm, dim, k, group, treeKind)
+	return newGTopKAggregator(comm, dim, k, group, "gtopk", plan{})
 }
 
 // NewNaiveGTopKAggregator creates the Algorithm 2 variant that reaches
-// the same global top-k selection through a full AllGather — used for
-// Fig. 1 and for tree-vs-naive equivalence experiments.
+// the exact global top-k selection through the same AllGather exchange
+// as Top-k, then re-selects — used for Fig. 1 and for tree-vs-naive
+// equivalence experiments.
 func NewNaiveGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	return newGTopKAggregator(comm, dim, k, 0, naiveKind)
+	return newGTopKAggregator(comm, dim, k, 0, "gtopk-naive", worldPlan(nil, comm, topSumFold, false))
 }
 
 // NewPSGTopKAggregator creates the parameter-server variant (footnote 2):
-// the same global top-k selection reached through PSGTopKAllReduce's
-// star, rank 0 doubling as server and worker as in colocated PS
-// deployments.
+// the same exact global top-k selection reached through a star. Every
+// rank's selection is gathered at rank 0, which doubles as server and
+// worker as in colocated PS deployments, and the result is handed back
+// down the same level.
 func NewPSGTopKAggregator(comm *collective.Comm, dim, k int) (*GTopKAggregator, error) {
-	return newGTopKAggregator(comm, dim, k, 0, psKind)
+	return newGTopKAggregator(comm, dim, k, 0, "gtopk-ps", worldPlan(nil, comm, topSumFold, true))
 }
 
-// Name implements Aggregator: "topk" for the union, else "gtopk", then
-// "-naive", "-ps" or "-hier" for the collective that actually runs, then
-// "-quorum" when quorum mode is on.
-func (a *GTopKAggregator) Name() string { return a.name("gtopk") }
+// Name implements Aggregator: "topk", "gtopk-naive", "gtopk-ps" or
+// "gtopk", then "-hier" over groups, then "-quorum" when quorum mode is
+// on.
+func (a *GTopKAggregator) Name() string { return a.name(a.base) }
 
 // QuorumMissStreak returns how many consecutive rounds this rank's
 // contribution has missed a quorum deadline (0 when participating or

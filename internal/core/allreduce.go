@@ -10,75 +10,20 @@ import (
 	"gtopkssgd/internal/sparse"
 )
 
-// TopKAllReduce aggregates per-worker sparse top-k gradients with the
-// AllGather method of Algorithm 1 (lines 12-21), the baseline the paper
-// improves on: every worker gathers all P sparse vectors and scatter-adds
-// them into a pooled dense accumulator, compacting the union support once
-// at the end (O(P·k) adds + one O(u·log u) compaction instead of P
-// repeated sparse merges). The returned sparse vector is the exact
-// element-wise SUM over workers restricted to the union support (callers
-// average by 1/P as Algorithm 1 line 19 does); summation order per index
-// is rank-ascending, bit-identical to a chain of sparse Adds.
+// TopKUnionInto is Algorithm 1's collective (lines 12-21), the baseline
+// the paper improves on, written into out (capacity reused across
+// calls): every rank's selection reaches every rank through AllGather,
+// and every rank sums the decoded frames in rank order over the union of
+// their supports, keeping every touched index — the exact element-wise
+// SUM (callers average by 1/P as line 19 does). It is the Top-k
+// aggregator's plan, one exchange level over the world; the AllGather
+// requires power-of-two P.
 //
 // Communication cost (Eq. 6): log(P)·α + 2(P−1)k·β.
-func TopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector) (*sparse.Vector, error) {
-	codec := comm.WireCodec()
-	// Compound pipeline: a lossy codec pins the selected values in place
-	// (the caller's copy now equals what every decoder reconstructs; the
-	// aggregator folds the difference into its residual).
-	own := wireFrame(comm, codec, local, nil)
-	blobs, err := comm.AllGather(ctx, own)
-	if err != nil {
-		return nil, fmt.Errorf("core: topk allreduce: %w", err)
-	}
-	acc := sparse.GetAccumulator(local.Dim)
-	defer acc.Release()
-	scratch := sparse.GetVector() // v1 frames decode as views, unused
-	defer sparse.PutVector(scratch)
-	for rank, blob := range blobs {
-		// Every rank — including this one — folds in the DECODED frame,
-		// so under a lossy codec all replicas still sum identical bits.
-		v, err := codec.DecodeFrame(blob, scratch)
-		if err != nil {
-			return nil, fmt.Errorf("core: topk allreduce: rank %d payload: %w", rank, err)
-		}
-		if err := acc.Add(&v); err != nil {
-			return nil, fmt.Errorf("core: topk allreduce: rank %d: %w", rank, err)
-		}
-	}
-	// Only our own encode buffer may be recycled: the remote blobs are
-	// subslices of AllGather's round payloads and alias one another.
-	sparse.PutBuffer(own)
-	sum := &sparse.Vector{}
-	acc.CompactInto(sum)
-	return sum, nil
-}
-
-// transformForWire pins values to the codec's wire value precision IN
-// PLACE — the sender-side half of the replica-agreement contract: a
-// lossy codec's sender must keep exactly the bits its receivers decode.
-// A lossy codec only ever comes from comm's attached Compressor, whose
-// Transform lands the values on the fp16 or quantization lattice and
-// returns the (scale, levels) the v3 encoder packs for quantized codecs.
-// Lossless codecs leave values untouched.
-func transformForWire(comm *collective.Comm, codec sparse.Codec, values []float32) (float32, []int16) {
-	if !codec.Lossy() {
-		return 0, nil
-	}
-	return comm.Compressor().Transform(values)
-}
-
-// NaiveGTopKAllReduce implements Algorithm 2's aggregation: a full
-// TopKAllReduce followed by a *global* re-selection of the k
-// largest-magnitude entries of the sum. It transfers exactly as much as
-// TopKAllReduce; only the returned support shrinks to k. Used for Fig. 1
-// and as the reference the efficient tree algorithm is verified against.
-func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *sparse.Vector, k int) (*sparse.Vector, error) {
-	sum, err := TopKAllReduce(ctx, comm, local)
-	if err != nil {
-		return nil, err
-	}
-	return sparse.TopKSparse(sum, k), nil
+func TopKUnionInto(ctx context.Context, comm *collective.Comm, local, out *sparse.Vector) error {
+	var buf [1]level
+	p := worldPlan(buf[:0], comm, sumFold, false)
+	return runLevels(ctx, comm, &p, local, 0, out)
 }
 
 // GTopKInto is the paper's Algorithm 3, an efficient global top-k
@@ -86,8 +31,8 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *spar
 // aggregator that keeps one result vector per communicator reaches a
 // zero-allocation steady state). A nil gc runs the flat tree over comm;
 // a non-nil one, from ForkHier, runs the two-level hierarchy over its
-// groups (hierarchical.go). Both are lists of levels for the one gTop-k
-// executor (runLevels), and each hop moves one frame.
+// groups (hierarchical.go). Both are plans for the one sparse executor
+// (runLevels), and each hop moves one frame.
 //
 // The flat tree is ⌈log₂P⌉ radix-2 levels over comm, 2·⌈log₂P⌉−1
 // communication rounds:
@@ -129,21 +74,98 @@ func NaiveGTopKAllReduce(ctx context.Context, comm *collective.Comm, local *spar
 // every rank must call with the same groups and k.
 func GTopKInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k int, out *sparse.Vector) error {
 	var buf [16]level // a world of up to 2¹⁶ ranks (groups) plans on the stack
-	levels, tree, n := buf[:0], comm, comm.Size()
+	p := treePlan(buf[:0], comm, gc)
+	return runLevels(ctx, comm, &p, local, k, out)
+}
+
+// plan is one sparse collective for the executor: its levels, bottom
+// up; the rule by which a block root folds its block's partials, in
+// position order, into one; how the top level closes; and, for a
+// quorum round, its verdict. Every sparse aggregator's round runs one.
+//
+// The top closes in one of three ways. By default it is radix 2, and
+// its two sides swap partials and both fold (the tree, the hierarchy).
+// With gather set its root folds the block and hands the result back
+// down the same level (a quorum round, the parameter server). With
+// exchange set the plan is one level over the world on which every
+// rank's frame reaches every rank (Comm.AllGather) and every rank folds
+// them all; the result ships nowhere, so it is not pinned (the
+// AllGather baselines).
+type plan struct {
+	levels           []level
+	fold             foldRule
+	gather, exchange bool
+	vd               *verdict
+}
+
+// foldRule folds a block's pooled partials into one pooled vector,
+// leaving nil in vecs where it took the vector it returns, so the
+// caller's cleanup of vecs never releases it.
+type foldRule func(vecs []*sparse.Vector, k int) (*sparse.Vector, error)
+
+// treePlan appends to levels the tree of Algorithm 3 over comm: with gc
+// the group level, radix G over gc.Members, under the leaders' binomial
+// tree over gc.Leaders, else the binomial tree over the world; every
+// block folds by ⊕ and the top swaps.
+func treePlan(levels []level, comm *collective.Comm, gc *collective.GroupComms) plan {
+	tree, n := comm, comm.Size()
 	if gc != nil {
 		m := gc.Members.Size()
 		levels = append(levels, level{comm: gc.Members, size: m, stride: 1, radix: m})
 		tree, n = gc.Leaders, gc.NumGroups
 	}
-	return runLevels(ctx, comm, treeLevels(levels, tree, n), local, k, out, nil)
+	for stride := 1; stride < n; stride <<= 1 {
+		levels = append(levels, level{comm: tree, size: n, stride: stride, radix: 2})
+	}
+	return plan{levels: levels, fold: binomialPositionFold}
 }
 
-// level is one stage of a gTop-k schedule. On its communicator the
-// ranks at multiples of stride take part, in blocks of radix of them
-// whose first rank is the block root. On the way up each other member
-// of a block hands its partial to the root, which folds the block in
-// position order; on the way down the root hands the result to each
-// member. A hop moves one frame. A rank outside the level — comm nil, a
+// worldPlan appends to levels one level over comm's world folding by
+// fold: with gather unset an exchange — Algorithm 1 with sumFold,
+// Algorithm 2 (naive gTop-k) with topSumFold — and with it set footnote
+// 2's parameter server, a gather at rank 0 that hands the result back
+// down, the flat quorum round's shape without a participation rule. A
+// one-rank world gathers nothing, so it has no gather level.
+func worldPlan(levels []level, comm *collective.Comm, fold foldRule, gather bool) plan {
+	if n := comm.Size(); n > 1 || !gather {
+		levels = append(levels, level{comm: comm, size: n, stride: 1, radix: n})
+	}
+	return plan{levels: levels, fold: fold, gather: gather, exchange: !gather}
+}
+
+// The Σ fold rules: sumFold is the sum of the partials over the union of
+// their supports, each index summed in position order, every touched
+// index kept (an exact zero sum too); topSumFold is Σ, then the exact
+// top-k of the sum.
+var sumFold, topSumFold = unionFold(false), unionFold(true)
+
+func unionFold(top bool) foldRule {
+	return func(vecs []*sparse.Vector, k int) (*sparse.Vector, error) {
+		acc := sparse.GetAccumulator(vecs[0].Dim)
+		defer acc.Release()
+		for i, v := range vecs {
+			if err := acc.Add(v); err != nil {
+				return nil, fmt.Errorf("core: sum of partial %d: %w", i, err)
+			}
+		}
+		res := vecs[0]
+		acc.CompactInto(res)
+		if top {
+			res = sparse.GetVector() // the sum stays in vecs[0]
+			sparse.TopKSparseInto(res, vecs[0], k)
+		} else {
+			vecs[0] = nil
+		}
+		return res, nil
+	}
+}
+
+// level is one stage of a plan. On its communicator the ranks at
+// multiples of stride take part, in blocks of radix of them whose first
+// rank is the block root. On the way up each other member of a block
+// hands its partial to the root, which folds the block in position
+// order; on the way down the root hands the result to each member. A
+// hop moves one frame. A rank outside the level — comm nil, a
 // non-leader at the hierarchy's leader levels — charges each of its
 // rounds among size ranks on the parent communicator instead, unless
 // the plan is a quorum round.
@@ -173,35 +195,26 @@ type verdict struct {
 	participants []int
 }
 
-// treeLevels appends the binomial tree over a size-rank world to
-// levels: ⌈log₂size⌉ radix-2 levels on c.
-func treeLevels(levels []level, c *collective.Comm, size int) []level {
-	for stride := 1; stride < size; stride <<= 1 {
-		levels = append(levels, level{comm: c, size: size, stride: stride, radix: 2})
-	}
-	return levels
-}
-
-// runLevels is the one gTop-k executor, for the flat tree, the
-// hierarchy and the quorum round alike: one loop walks the levels up
-// and back down. Up, members hand their partials to their block roots,
-// which fold them with binomialPositionFold. At the top level of the
-// tree and the hierarchy — radix 2 in both schedules — the two sides
-// swap partials and both fold; the top of a quorum round (vd non-nil)
-// is a gather, whose root hands the result back down that level too.
-// The top pins the result once, and on the way down every level's roots
-// hand it to their members.
+// runLevels is the one sparse executor, for every plan alike: one loop
+// walks the levels up and back down. Up, members hand their partials to
+// their block roots, which fold them by the plan's rule. The top closes
+// as the plan says: the tree's and the hierarchy's two sides swap
+// partials and both fold; a gather's root hands the result back down
+// that level too; on an exchange every rank folds every rank's frame. A
+// swap or a gather pins the result once at the top, and on the way down
+// every level's roots hand it to their members.
 //
 // The α-β clock: up, a root charges its members' 2k elements each, a
 // member its frame and an idle rank one 2k frame; down, a root charges
 // one payload per member, a member the payload it receives and a rank
 // not yet holding the result the latency alone. v1 charges those
 // modelled counts, compressed codecs the bytes actually moved
-// (wireElems), and a one-rank level charges nothing. A quorum round
-// charges its levels once the verdict is in, from the participant set
-// (chargeQuorum), so every clock is a pure function of the straggler
-// schedule.
-func runLevels(ctx context.Context, parent *collective.Comm, levels []level, local *sparse.Vector, k int, out *sparse.Vector, vd *verdict) error {
+// (wireElems), and a one-rank level charges nothing. An exchange is
+// charged by the AllGather itself. A quorum round charges its levels
+// once the verdict is in, from the participant set (chargeQuorum), so
+// every clock is a pure function of the straggler schedule.
+func runLevels(ctx context.Context, parent *collective.Comm, p *plan, local *sparse.Vector, k int, out *sparse.Vector) error {
+	levels, vd := p.levels, p.vd
 	top := len(levels) - 1
 	if top < 0 {
 		sparse.CopyInto(out, local)
@@ -217,7 +230,7 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 	var scale float32
 	var lev []int16
 	steps := 2*top + 1
-	if vd != nil {
+	if p.gather {
 		steps++ // the gather at the top hands its result down too
 	}
 	for step := 0; step < steps; step++ {
@@ -235,19 +248,20 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 		c, codec := lv.comm, lv.comm.WireCodec()
 		r := c.Rank()
 		tag := 0
-		if down || lv.quorum == 0 {
-			tag = c.ClaimTags(1) // a quorum gather claims its own
+		if (down || lv.quorum == 0) && !p.exchange {
+			tag = c.ClaimTags(1) // a quorum gather and an AllGather claim their own
 		}
 		span := lv.stride * lv.radix
 		root := r - r%span
 		frames, moved := 1, 0
 		var err error
 		switch {
-		case !down && (cur == nil || r == root && r+lv.stride >= lv.size && lv.quorum == 0):
+		case !down && (cur == nil || r == root && r+lv.stride >= lv.size && lv.quorum == 0 && !p.exchange):
 			// Idle: handed up already, or a root with no member here.
-		case !down && r != root && (i < top || lv.quorum > 0):
+		case !down && r != root && (i < top || p.gather):
 			if lv.quorum == 0 {
-				moved, err = sendSparse(ctx, c, codec, cur, root, tag)
+				frame := wireFrame(c, codec, cur, nil)
+				moved, err = len(frame), c.SendTagPooled(ctx, root, tag, frame)
 			} else {
 				// Above the first level the frame carries the ranks it holds.
 				hdr := vd
@@ -261,14 +275,14 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 			}
 			cur = nil
 		case !down:
-			if i == top && lv.quorum == 0 {
+			if i == top && !p.gather && !p.exchange {
 				// Each side ships its partial to the other exactly as a
 				// member does (pinned in place), so both fold the same
 				// two vectors.
-				_, err = sendSparse(ctx, c, codec, cur, 2*root+lv.stride-r, tag)
+				err = c.SendTagPooled(ctx, 2*root+lv.stride-r, tag, wireFrame(c, codec, cur, nil))
 			}
 			if err == nil {
-				cur, frames, moved, err = foldBlock(ctx, c, codec, lv, tag, cur, owned, k, vd, i == 0)
+				cur, frames, moved, err = foldBlock(ctx, c, codec, p, i, tag, cur, owned, k)
 				owned = true
 			}
 		case r%lv.stride != 0:
@@ -292,7 +306,8 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 					sparse.PutBuffer(held)
 					held, heldOn = encodeFrame(c, enc, out, scale, lev, vd), c
 				}
-				err = c.SendTagPooled(ctx, dst, tag, pooledCopy(held))
+				// Each member gets a pooled copy, recycled at its receiver.
+				err = c.SendTagPooled(ctx, dst, tag, append(sparse.GetBuffer(len(held))[:0], held...))
 				frames++
 			}
 			moved = frames * len(held)
@@ -304,13 +319,13 @@ func runLevels(ctx context.Context, parent *collective.Comm, levels []level, loc
 			// The top pins the result with the compressor's Shared stream,
 			// keyed by the tag its way down starts at, so both sides keep
 			// the same bits and every other rank decodes those off the wire.
-			if codec.Lossy() {
+			if codec.Lossy() && !p.exchange {
 				scale, lev = c.Compressor().Shared(uint64(c.ClaimTags(0))).Transform(cur.Values)
 			}
 			sparse.CopyInto(out, cur)
 			sparse.PutVector(cur)
 		}
-		if lv.size > 1 && vd == nil {
+		if lv.size > 1 && vd == nil && !p.exchange {
 			payload := 2 * k
 			if down {
 				payload = sparse.EncodedSize(out.NNZ()) / 4
@@ -367,29 +382,44 @@ func chargeQuorum(parent *collective.Comm, levels []level, vd *verdict, k, nnz, 
 }
 
 // foldBlock receives the partial of every other rank in this rank's
-// block at lv and folds them with its own partial cur, in position
-// order, by the tree's binomial schedule. It returns the pooled fold,
-// the number of partials received and their bytes; an owned cur is
+// block at level i of p and folds them with its own partial cur, in
+// position order, by the plan's rule. It returns the pooled fold, the
+// number of partials received and their bytes; an owned cur is
 // consumed. At a quorum level the partials are those its gather closed
-// with, and they extend vd's participant set: at the first level by the
-// gathered ranks, above it by each frame's header.
-func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv level, tag int, cur *sparse.Vector, owned bool, k int, vd *verdict, first bool) (*sparse.Vector, int, int, error) {
+// with, and they extend the verdict's participant set: at the first
+// level by the gathered ranks, above it by each frame's header. On an
+// exchange they are the AllGather's, which alias one another, so only
+// this rank's own frame is recycled.
+func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, p *plan, i, tag int, cur *sparse.Vector, owned bool, k int) (*sparse.Vector, int, int, error) {
 	fs := foldPool.Get().(*foldScratch)
 	defer fs.release()
+	lv, vd := p.levels[i], p.vd
 	r, span := c.Rank(), lv.stride*lv.radix
 	root := r - r%span
 	var blobs [][]byte
-	if lv.quorum > 0 {
+	var keep *[]byte // AllGather's blobs alias one another: none is recycled
+	switch {
+	case lv.quorum > 0:
 		qr, err := c.QuorumGather(ctx, root, lv.quorum, lv.wait, nil)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("quorum gather: %w", err)
 		}
-		if blobs = qr.Blobs; first {
+		if blobs = qr.Blobs; i == 0 {
 			vd.participants = vd.participants[:0]
 			for _, m := range qr.Participants {
 				vd.participants = append(vd.participants, vd.lo+m)
 			}
 			vd = nil // the first level's frames carry no header
+		}
+	case p.exchange:
+		own := wireFrame(c, codec, cur, nil)
+		defer sparse.PutBuffer(own)
+		keep = new([]byte)
+		if lv.size > 1 { // a one-rank AllGather moves nothing
+			var err error
+			if blobs, err = c.AllGather(ctx, own); err != nil {
+				return nil, 0, 0, fmt.Errorf("allgather: %w", err)
+			}
 		}
 	}
 	moved := 0
@@ -412,7 +442,7 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 		var err error
 		if blobs == nil {
 			n, err = recvFrame(ctx, c, codec, src, tag, v, nil, nil)
-		} else if n, err = takeFrame(codec, blobs[src], v, vd, nil); err != nil {
+		} else if n, err = takeFrame(codec, blobs[src], v, vd, keep); err != nil {
 			err = fmt.Errorf("payload from %d: %w", src, err)
 		}
 		if err != nil {
@@ -421,7 +451,7 @@ func foldBlock(ctx context.Context, c *collective.Comm, codec sparse.Codec, lv l
 		moved += n
 	}
 	got := len(fs.vecs) - 1
-	res, err := binomialPositionFold(fs.vecs, k)
+	res, err := p.fold(fs.vecs, k)
 	return res, got, moved, err
 }
 
@@ -454,8 +484,8 @@ func recvFrame(ctx context.Context, c *collective.Comm, codec sparse.Codec, src,
 
 // takeFrame decodes a received frame straight into dst, appending its
 // participant-set header to vd's set when vd is non-nil, and returns
-// its bytes. keep, if non-nil, takes the frame; otherwise, and on
-// error, it is recycled.
+// its bytes. With keep nil the frame is recycled; otherwise it is
+// never recycled here, and keep takes it once it decoded.
 func takeFrame(codec sparse.Codec, blob []byte, dst *sparse.Vector, vd *verdict, keep *[]byte) (int, error) {
 	var err error
 	if vd == nil {
@@ -465,26 +495,27 @@ func takeFrame(codec sparse.Codec, blob []byte, dst *sparse.Vector, vd *verdict,
 		set, err = decodeVerdict(codec, blob, vd.world, dst)
 		vd.participants = append(vd.participants, set...)
 	}
-	if keep != nil && err == nil {
-		*keep = blob
-	} else {
+	if keep == nil {
 		sparse.PutBuffer(blob)
+	} else if err == nil {
+		*keep = blob
 	}
 	return len(blob), err
 }
 
-// sendSparse sends v to dst under tag as one wireFrame, returning its
-// bytes.
-func sendSparse(ctx context.Context, comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, dst, tag int) (int, error) {
-	frame := wireFrame(comm, codec, v, nil)
-	return len(frame), comm.SendTagPooled(ctx, dst, tag, frame)
-}
-
 // wireFrame pins v to the codec's wire precision in place — a sender
 // keeps exactly the bits its receivers decode — and encodes it as one
-// pooled frame (see encodeFrame), tallied on comm.
+// pooled frame (see encodeFrame), tallied on comm. A lossy codec only
+// ever comes from comm's attached Compressor, whose Transform lands the
+// values on the fp16 or quantization lattice and returns the (scale,
+// levels) the v3 encoder packs for quantized codecs; lossless codecs
+// leave the values untouched.
 func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, vd *verdict) []byte {
-	scale, levels := transformForWire(comm, codec, v.Values)
+	var scale float32
+	var levels []int16
+	if codec.Lossy() {
+		scale, levels = comm.Compressor().Transform(v.Values)
+	}
 	return encodeFrame(comm, codec, v, scale, levels, vd)
 }
 
@@ -518,11 +549,4 @@ func wireElems(codec sparse.Codec, modelled, moved int) int {
 		return modelled
 	}
 	return (moved + 3) / 4
-}
-
-// pooledCopy returns a copy of frame in a buffer from the wire pool.
-func pooledCopy(frame []byte) []byte {
-	c := sparse.GetBuffer(len(frame))
-	copy(c, frame)
-	return c
 }

@@ -75,8 +75,8 @@ func TestTopKAllReduceEqualsSequentialSum(t *testing.T) {
 		v.ScatterAdd(want)
 	}
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := TopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone())
-		if err != nil {
+		got := &sparse.Vector{}
+		if err := TopKUnionInto(context.Background(), c, vecs[c.Rank()].Clone(), got); err != nil {
 			return err
 		}
 		gd := got.Dense()
@@ -254,8 +254,8 @@ func TestNaiveGTopKAllReduceMatchesGlobalTopK(t *testing.T) {
 	}
 	want := sparse.TopK(sumDense, k)
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := NaiveGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
-		if err != nil {
+		got := &sparse.Vector{}
+		if err := BaselineInto(context.Background(), c, "gtopk-naive", vecs[c.Rank()].Clone(), k, got); err != nil {
 			return err
 		}
 		if got.NNZ() != want.NNZ() {

@@ -20,6 +20,12 @@ import (
 // wait-free-backpropagation direction the paper sketches in Section VII
 // ("pipelining the gradient exchange with backward propagation"), applied
 // to gTop-k.
+//
+// With one bucket per layer the pipeline is also the layer-wise
+// sparsification the paper leaves to future work (Section VII: "we
+// would like to investigate layer-wise sparsification"): every layer
+// selects its own top-k, so no layer is starved by another's larger
+// gradients. The layer-wise ablation in internal/bench measures it.
 
 // StreamGradFn computes one worker's mini-batch gradient like GradFn, but
 // additionally invokes ready(lo, hi) the moment the flat-gradient range

@@ -64,6 +64,13 @@ func compoundVectors(seed uint64, p, dim, k int, mode string) []*sparse.Vector {
 // rank's comm configured exactly as the CLI does it: quant.AttachStack.
 func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Codec, seed uint64) []*sparse.Vector {
 	t.Helper()
+	return runCompoundPlan(t, vecs, k, codec, seed, "")
+}
+
+// runCompoundPlan is runCompoundWire over the plan of the named baseline
+// aggregator (core.BaselineInto), or the flat tree for "".
+func runCompoundPlan(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Codec, seed uint64, baseline string) []*sparse.Vector {
+	t.Helper()
 	p := len(vecs)
 	f, err := transport.NewInProcWire(p, codec.WireVersion())
 	if err != nil {
@@ -80,7 +87,11 @@ func runCompoundWire(t *testing.T, vecs []*sparse.Vector, k int, codec sparse.Co
 			comm := collective.New(f.Conn(rank))
 			quant.AttachStack(comm, codec, seed)
 			out := &sparse.Vector{}
-			errs[rank] = core.GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
+			if baseline != "" {
+				errs[rank] = core.BaselineInto(context.Background(), comm, baseline, vecs[rank].Clone(), k, out)
+			} else {
+				errs[rank] = core.GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
+			}
 			results[rank] = out
 		}(r)
 	}
@@ -114,7 +125,8 @@ func assertSameVector(t *testing.T, name string, a, b *sparse.Vector) {
 // every v3 value codec — including the stochastic quantizers, whose
 // rank-forked rngs draw independently — every rank must hold the
 // bit-identical aggregate, across world sizes 2..8 and 16, tie-heavy
-// and empty-support inputs. Agreement is
+// and empty-support inputs, for the flat tree and for the parameter
+// server's plan, whose root folds Σ and re-selects. Agreement is
 // structural (receivers decode the sender's bytes; the bcast root pins
 // its own copy through its quantizer), so no rng coordination exists to
 // save a buggy implementation.
@@ -124,10 +136,12 @@ func TestCompoundReplicaBitAgreement(t *testing.T) {
 		for _, mode := range []string{"gauss", "ties", "empty"} {
 			vecs := compoundVectors(uint64(60+p), p, dim, k, mode)
 			for _, codec := range compoundCodecs() {
-				results := runCompoundWire(t, vecs, k, codec, uint64(7*p))
-				for r := 1; r < p; r++ {
-					assertSameVector(t, fmt.Sprintf("p=%d %s %s rank %d vs 0", p, mode, codec, r),
-						results[0], results[r])
+				for _, baseline := range []string{"", "gtopk-ps"} {
+					results := runCompoundPlan(t, vecs, k, codec, uint64(7*p), baseline)
+					for r := 1; r < p; r++ {
+						assertSameVector(t, fmt.Sprintf("p=%d %s %s %q rank %d vs 0", p, mode, codec, baseline, r),
+							results[0], results[r])
+					}
 				}
 			}
 		}
@@ -225,8 +239,8 @@ func TestCompoundResidualConservation(t *testing.T) {
 }
 
 // TestCompoundAllGatherResidualConservation pins the same identity end
-// to end on the AllGather path, which has no tree hop to transform for
-// it: one Aggregate of the top-k and the naive gTop-k aggregator (put-back
+// to end on the exchange plan, whose result ships nowhere and so is never
+// pinned again: one Aggregate of the top-k and the naive gTop-k aggregator (put-back
 // off, so only the fold can restore mass) at P=2 under every lossy codec.
 // The two ranks' gradients live on disjoint halves, so P·update[i] is
 // exactly the value rank r shipped for its own index i, and on every

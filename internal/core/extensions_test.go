@@ -18,7 +18,7 @@ func newInProcFabric(n int) (*transport.InProcFabric, error) {
 
 func TestPSGTopKMatchesNaive(t *testing.T) {
 	// The star topology computes the exact global top-k of the sum, so it
-	// must agree with NaiveGTopKAllReduce bit for bit.
+	// must agree with the naive gTop-k bit for bit.
 	const p, dim, k = 4, 150, 8
 	_, vecs := makeWorkerVectors(321, p, dim, k)
 	sumDense := make([]float32, dim)
@@ -27,8 +27,8 @@ func TestPSGTopKMatchesNaive(t *testing.T) {
 	}
 	want := sparse.TopK(sumDense, k)
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := PSGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
-		if err != nil {
+		got := &sparse.Vector{}
+		if err := BaselineInto(context.Background(), c, "gtopk-ps", vecs[c.Rank()].Clone(), k, got); err != nil {
 			return err
 		}
 		if got.NNZ() != want.NNZ() {
@@ -51,8 +51,8 @@ func TestPSGTopKWorksOnNonPow2(t *testing.T) {
 	const p, dim, k = 3, 60, 5
 	_, vecs := makeWorkerVectors(55, p, dim, k)
 	spmd(t, p, func(c *collective.Comm) error {
-		got, err := PSGTopKAllReduce(context.Background(), c, vecs[c.Rank()].Clone(), k)
-		if err != nil {
+		got := &sparse.Vector{}
+		if err := BaselineInto(context.Background(), c, "gtopk-ps", vecs[c.Rank()].Clone(), k, got); err != nil {
 			return err
 		}
 		if got.NNZ() > k {

@@ -2,7 +2,9 @@ package core_test
 
 // The collective's golden wall: every gTop-k schedule — the flat tree
 // and the two-level hierarchy at each legal group size — over world
-// sizes 1..9, 12 and 16 and four wire codecs, one frame per hop, hashed
+// sizes 1..9, 12 and 16 and four wire codecs, one frame per hop, and
+// the baselines' collectives (Top-k and naive gTop-k at the
+// power-of-two sizes, PS gTop-k at every size), hashed
 // four ways: every rank's result, every rank's local selection after
 // the call (lossy codecs pin it in place), the slowest rank's α-β clock
 // and the WireTally totals. A refactor of the collective must leave
@@ -45,16 +47,22 @@ func (h goldenHashes) String() string {
 	return fmt.Sprintf("{%#016x, %#016x, %#016x, %#016x}", h.result, h.local, h.clock, h.tally)
 }
 
-// goldenRow is one configuration of the wall; g <= 1 is the flat tree.
+// goldenRow is one configuration of the wall; g <= 1 is the flat tree,
+// and a non-empty baseline names the baseline aggregator whose
+// collective runs instead.
 type goldenRow struct {
-	fabric string
-	p, g   int
-	codec  sparse.Codec
+	fabric   string
+	p, g     int
+	codec    sparse.Codec
+	baseline string
 }
 
 func (r goldenRow) name() string {
 	topo := "flat"
-	if r.g > 1 {
+	switch {
+	case r.baseline != "":
+		topo = r.baseline
+	case r.g > 1:
 		topo = fmt.Sprintf("g=%d", r.g)
 	}
 	// "c=1": one frame per hop, the suffix the rows were recorded under.
@@ -62,24 +70,37 @@ func (r goldenRow) name() string {
 }
 
 // goldenRows lists the wall: inproc rows for every (P, schedule, codec)
-// and four loopback TCP rows.
+// and four loopback TCP rows, then every baseline's inproc rows — the
+// AllGather's at power-of-two P only — and one v1 TCP row each.
 func goldenRows() []goldenRow {
 	codecs := []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3F16, sparse.CodecV3Q8}
+	worlds := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16}
 	var rows []goldenRow
-	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
+	for _, p := range worlds {
 		for _, g := range []int{0, 2, 3, 4} {
 			if g > 1 && g >= p {
 				continue
 			}
 			for _, codec := range codecs {
-				rows = append(rows, goldenRow{"inproc", p, g, codec})
+				rows = append(rows, goldenRow{"inproc", p, g, codec, ""})
 			}
 		}
 	}
 	for _, g := range []int{0, 4} {
 		for _, codec := range []sparse.Codec{sparse.CodecV1, sparse.CodecV3Q8} {
-			rows = append(rows, goldenRow{"tcp", 8, g, codec})
+			rows = append(rows, goldenRow{"tcp", 8, g, codec, ""})
 		}
+	}
+	for _, baseline := range []string{"topk", "gtopk-naive", "gtopk-ps"} {
+		for _, p := range worlds {
+			if baseline != "gtopk-ps" && p&(p-1) != 0 {
+				continue
+			}
+			for _, codec := range codecs {
+				rows = append(rows, goldenRow{"inproc", p, 0, codec, baseline})
+			}
+		}
+		rows = append(rows, goldenRow{"tcp", 8, 0, sparse.CodecV1, baseline})
 	}
 	return rows
 }
@@ -143,7 +164,9 @@ func runGoldenRow(t *testing.T, row goldenRow) goldenHashes {
 			quant.AttachStack(comm, row.codec, 31)
 			comm.SetWireTally(tally)
 			out := &sparse.Vector{}
-			if row.g > 1 {
+			if row.baseline != "" {
+				errs[rank] = core.BaselineInto(context.Background(), comm, row.baseline, vecs[rank], k, out)
+			} else if row.g > 1 {
 				gc, err := core.ForkHier(comm, row.g)
 				if err == nil {
 					err = core.GTopKInto(context.Background(), comm, gc, vecs[rank], k, out)
@@ -359,4 +382,94 @@ var collectiveGolden = map[string]goldenHashes{
 	"tcp/p=8/flat/v3-qsgd8/c=1":     {0x8c50ef669e140825, 0x77619e5adde73cdf, 0x634d4f9c71a410ae, 0x3d39b01af8392880},
 	"tcp/p=8/g=4/v1/c=1":            {0x6f4f4d9e3f34a805, 0x6e74791168772ad1, 0x6f7e948efa2156ed, 0x9248cd917131874f},
 	"tcp/p=8/g=4/v3-qsgd8/c=1":      {0x2128149d365c0ea5, 0x4816a9aee76f33ea, 0x96b179bd8da30c89, 0x85394d2e9904673c},
+
+	// The baselines' collectives: Top-k and naive gTop-k exchange through
+	// AllGather, PS gTop-k gathers at rank 0.
+	"inproc/p=1/topk/v1/c=1":               {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0xdbaee47488ba6da4},
+	"inproc/p=1/topk/v3/c=1":               {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x3221c9ad982a0ece},
+	"inproc/p=1/topk/v3-fp16/c=1":          {0x18fc51de2e945857, 0x18fc51de2e945857, 0xa8c7f832281a39c5, 0xd85634c95a6b8a26},
+	"inproc/p=1/topk/v3-qsgd8/c=1":         {0x6988946f89e74b17, 0x6988946f89e74b17, 0xa8c7f832281a39c5, 0x164bc2db704a1e68},
+	"inproc/p=2/topk/v1/c=1":               {0x612019154e2b7779, 0x24a321d6de3e623f, 0x8f7229ba8b0a760d, 0x4f35120a916c8247},
+	"inproc/p=2/topk/v3/c=1":               {0x612019154e2b7779, 0x24a321d6de3e623f, 0xea1fab3dee1418aa, 0x0444a43458d17393},
+	"inproc/p=2/topk/v3-fp16/c=1":          {0x9dc042ddf11f8b9d, 0xbee4afa5d9cef9a8, 0xf9ed4ddcb21ea80f, 0x50ad7a6bdd546a43},
+	"inproc/p=2/topk/v3-qsgd8/c=1":         {0x3d18445882a0d4d9, 0x60cb2c110126a60e, 0xf31aa5055491d26b, 0xb41b3f690f8085df},
+	"inproc/p=4/topk/v1/c=1":               {0xe92257dcf776f265, 0x1229cf4ba6d528fd, 0x871cf6208fcf285c, 0x87791cb5339cc521},
+	"inproc/p=4/topk/v3/c=1":               {0xe92257dcf776f265, 0x1229cf4ba6d528fd, 0xa2cc4be57e596df3, 0xe144b199715b49c9},
+	"inproc/p=4/topk/v3-fp16/c=1":          {0x8c35fc9f33c028ad, 0x14377fed7bcc18f9, 0x56abe4df6a17acda, 0xb9fcd9733943434e},
+	"inproc/p=4/topk/v3-qsgd8/c=1":         {0xf092e42f14d8af4d, 0x367cf6d6838172c3, 0x3b05cdf9c6bfe76a, 0x912bf2dceea6d876},
+	"inproc/p=8/topk/v1/c=1":               {0x13ae81523e6a0895, 0x6e74791168772ad1, 0x3e2520cae0690b3d, 0xa0839e0a486ff1ed},
+	"inproc/p=8/topk/v3/c=1":               {0x13ae81523e6a0895, 0x6e74791168772ad1, 0x36d97dfd3ed0a8e3, 0x2cd2efac8bd4f4c2},
+	"inproc/p=8/topk/v3-fp16/c=1":          {0x5efd33d5b06b0995, 0x1d366b90c2250a4d, 0x7950b58c4cf0bdd2, 0x26323664f5d3aa27},
+	"inproc/p=8/topk/v3-qsgd8/c=1":         {0x738f8d9c320f7655, 0xd2225fb63f6eb917, 0x69f77068e3518857, 0x3685c5d446df0817},
+	"inproc/p=16/topk/v1/c=1":              {0x4154945133182ba5, 0x7d2b7ea1e5fe3989, 0x479911904db4e6eb, 0xc46df332a1599fd5},
+	"inproc/p=16/topk/v3/c=1":              {0x4154945133182ba5, 0x7d2b7ea1e5fe3989, 0x8e15ea79dcfa5bd3, 0x968561c4d3404ebf},
+	"inproc/p=16/topk/v3-fp16/c=1":         {0x46b37f81ba311d85, 0xab6c02982bfddb31, 0xdb8207936b152400, 0x8e7ce62ab7f39889},
+	"inproc/p=16/topk/v3-qsgd8/c=1":        {0x4a95df968ad167e5, 0x4a224bda8549f036, 0x7e79b0e8daba5f43, 0x6dd5c74c15dcdca9},
+	"tcp/p=8/topk/v1/c=1":                  {0x13ae81523e6a0895, 0x6e74791168772ad1, 0x3e2520cae0690b3d, 0xa0839e0a486ff1ed},
+	"inproc/p=1/gtopk-naive/v1/c=1":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0xdbaee47488ba6da4},
+	"inproc/p=1/gtopk-naive/v3/c=1":        {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x3221c9ad982a0ece},
+	"inproc/p=1/gtopk-naive/v3-fp16/c=1":   {0x18fc51de2e945857, 0x18fc51de2e945857, 0xa8c7f832281a39c5, 0xd85634c95a6b8a26},
+	"inproc/p=1/gtopk-naive/v3-qsgd8/c=1":  {0x6988946f89e74b17, 0x6988946f89e74b17, 0xa8c7f832281a39c5, 0x164bc2db704a1e68},
+	"inproc/p=2/gtopk-naive/v1/c=1":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0x8f7229ba8b0a760d, 0x4f35120a916c8247},
+	"inproc/p=2/gtopk-naive/v3/c=1":        {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0xea1fab3dee1418aa, 0x0444a43458d17393},
+	"inproc/p=2/gtopk-naive/v3-fp16/c=1":   {0x848de6cef2c71d75, 0xbee4afa5d9cef9a8, 0xf9ed4ddcb21ea80f, 0x50ad7a6bdd546a43},
+	"inproc/p=2/gtopk-naive/v3-qsgd8/c=1":  {0x30ba5c530978fc05, 0x60cb2c110126a60e, 0xf31aa5055491d26b, 0xb41b3f690f8085df},
+	"inproc/p=4/gtopk-naive/v1/c=1":        {0x9eac706eaa1375ed, 0x1229cf4ba6d528fd, 0x871cf6208fcf285c, 0x87791cb5339cc521},
+	"inproc/p=4/gtopk-naive/v3/c=1":        {0x9eac706eaa1375ed, 0x1229cf4ba6d528fd, 0xa2cc4be57e596df3, 0xe144b199715b49c9},
+	"inproc/p=4/gtopk-naive/v3-fp16/c=1":   {0xb432f8d354059985, 0x14377fed7bcc18f9, 0x56abe4df6a17acda, 0xb9fcd9733943434e},
+	"inproc/p=4/gtopk-naive/v3-qsgd8/c=1":  {0xfda519820ec6f18d, 0x367cf6d6838172c3, 0x3b05cdf9c6bfe76a, 0x912bf2dceea6d876},
+	"inproc/p=8/gtopk-naive/v1/c=1":        {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x3e2520cae0690b3d, 0xa0839e0a486ff1ed},
+	"inproc/p=8/gtopk-naive/v3/c=1":        {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x36d97dfd3ed0a8e3, 0x2cd2efac8bd4f4c2},
+	"inproc/p=8/gtopk-naive/v3-fp16/c=1":   {0x3fb07349596d6025, 0x1d366b90c2250a4d, 0x7950b58c4cf0bdd2, 0x26323664f5d3aa27},
+	"inproc/p=8/gtopk-naive/v3-qsgd8/c=1":  {0xcf5f0ed189205f75, 0xd2225fb63f6eb917, 0x69f77068e3518857, 0x3685c5d446df0817},
+	"inproc/p=16/gtopk-naive/v1/c=1":       {0x45bd3036669f4de5, 0x7d2b7ea1e5fe3989, 0x479911904db4e6eb, 0xc46df332a1599fd5},
+	"inproc/p=16/gtopk-naive/v3/c=1":       {0x45bd3036669f4de5, 0x7d2b7ea1e5fe3989, 0x8e15ea79dcfa5bd3, 0x968561c4d3404ebf},
+	"inproc/p=16/gtopk-naive/v3-fp16/c=1":  {0xdbf7fc2b75805525, 0xab6c02982bfddb31, 0xdb8207936b152400, 0x8e7ce62ab7f39889},
+	"inproc/p=16/gtopk-naive/v3-qsgd8/c=1": {0x7f9268b0dbb68b25, 0x4a224bda8549f036, 0x7e79b0e8daba5f43, 0x6dd5c74c15dcdca9},
+	"tcp/p=8/gtopk-naive/v1/c=1":           {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x3e2520cae0690b3d, 0xa0839e0a486ff1ed},
+	"inproc/p=1/gtopk-ps/v1/c=1":           {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
+	"inproc/p=1/gtopk-ps/v3/c=1":           {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
+	"inproc/p=1/gtopk-ps/v3-fp16/c=1":      {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
+	"inproc/p=1/gtopk-ps/v3-qsgd8/c=1":     {0x7ef35898120588ca, 0x7ef35898120588ca, 0xa8c7f832281a39c5, 0x81d23fd7003c2305},
+	"inproc/p=2/gtopk-ps/v1/c=1":           {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0x8aa2d42b22a6c6f4, 0x4f35120a916c8247},
+	"inproc/p=2/gtopk-ps/v3/c=1":           {0xddd8e059862f23dd, 0x24a321d6de3e623f, 0xeab29a00b04f582e, 0x0444a43458d17393},
+	"inproc/p=2/gtopk-ps/v3-fp16/c=1":      {0x848de6cef2c71d75, 0xdb61243194052d10, 0xcca911859768dd88, 0x50ad7a6bdd546a43},
+	"inproc/p=2/gtopk-ps/v3-qsgd8/c=1":     {0x27772ee62face72d, 0x5e458916c34100b5, 0x5f991c6f70cf2af8, 0xb41b3f690f8085df},
+	"inproc/p=3/gtopk-ps/v1/c=1":           {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0xdceeca3ce7f7690a, 0xc6406f7a9e87bd86},
+	"inproc/p=3/gtopk-ps/v3/c=1":           {0x8793d742f554af44, 0xcfc905e9ce28ab8c, 0x6f3eef4332cad54b, 0xcb00e17852220c9f},
+	"inproc/p=3/gtopk-ps/v3-fp16/c=1":      {0x53a72186578a85c8, 0x89b354705072d8fa, 0x9b7818f558a12a1a, 0x86c1d2f87624c4e7},
+	"inproc/p=3/gtopk-ps/v3-qsgd8/c=1":     {0x36b5e6f1fef08fd7, 0xdf05ca5178b3ce97, 0xc0659accd9613597, 0x3878b5770f3ad2b5},
+	"inproc/p=4/gtopk-ps/v1/c=1":           {0x9eac706eaa1375ed, 0x1229cf4ba6d528fd, 0x5991d08b0e612539, 0x87791cb5339cc521},
+	"inproc/p=4/gtopk-ps/v3/c=1":           {0x9eac706eaa1375ed, 0x1229cf4ba6d528fd, 0x71d54065d6746a7e, 0xe144b199715b49c9},
+	"inproc/p=4/gtopk-ps/v3-fp16/c=1":      {0x418b3e3d9bc125e5, 0xe5d0aab58314428c, 0xef91bfe67edbadd5, 0xb9fcd9733943434e},
+	"inproc/p=4/gtopk-ps/v3-qsgd8/c=1":     {0x74cb2b4b1301209d, 0x238334c2b26da4ad, 0xcf401d290039550f, 0x912bf2dceea6d876},
+	"inproc/p=5/gtopk-ps/v1/c=1":           {0x20146889e9af1eb8, 0xcdf5c1519f0daaa6, 0x0ca17f8ab2991142, 0xf9cbe4ea4a1e52e0},
+	"inproc/p=5/gtopk-ps/v3/c=1":           {0x20146889e9af1eb8, 0xcdf5c1519f0daaa6, 0x88f425a1f965b7f4, 0xe171d728d530535a},
+	"inproc/p=5/gtopk-ps/v3-fp16/c=1":      {0x56822ae608bc7ca7, 0x702b067322c9eeaf, 0x862f9c3e7a2444de, 0x318a95e557e4c4ad},
+	"inproc/p=5/gtopk-ps/v3-qsgd8/c=1":     {0xdb09ca3606d808b9, 0x55f85e5bb5b700a5, 0x671f2bbd0381581c, 0x919fab375bc1fccb},
+	"inproc/p=6/gtopk-ps/v1/c=1":           {0x32b3d4eac972e509, 0x5e9aeec6ccabc857, 0x005cb1a491da8242, 0x0a8906226318abe3},
+	"inproc/p=6/gtopk-ps/v3/c=1":           {0x32b3d4eac972e509, 0x5e9aeec6ccabc857, 0xba4ad50ccaf7163b, 0x439cd6193823f84a},
+	"inproc/p=6/gtopk-ps/v3-fp16/c=1":      {0x5e7243232ca4e265, 0x85ed66fdb576f409, 0x0367a717f8f37c8e, 0x96a6659852a83995},
+	"inproc/p=6/gtopk-ps/v3-qsgd8/c=1":     {0x19dbdacc033e0a15, 0xfaef62861bbdc328, 0x9350906338a66564, 0x3b626852c901ccf1},
+	"inproc/p=7/gtopk-ps/v1/c=1":           {0x47688232e6b8aefe, 0xac4320fdadd6e8aa, 0xb8dd44547d68cc70, 0x2241aec05dbae2d2},
+	"inproc/p=7/gtopk-ps/v3/c=1":           {0x47688232e6b8aefe, 0xac4320fdadd6e8aa, 0x5ec16563f7dc3ed2, 0x2f4d34934713d9a5},
+	"inproc/p=7/gtopk-ps/v3-fp16/c=1":      {0xf8945e49a6ee323f, 0x9555a5733cded03b, 0x083345b42656ff30, 0x581e1b2991b0447d},
+	"inproc/p=7/gtopk-ps/v3-qsgd8/c=1":     {0x720a69a24503c1cf, 0x76f057d6ea5caef7, 0x41bd1450faa395fb, 0xfb0a7ca8ec3f58b8},
+	"inproc/p=8/gtopk-ps/v1/c=1":           {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x9b29e2151ab37307, 0xa0839e0a486ff1ed},
+	"inproc/p=8/gtopk-ps/v3/c=1":           {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x90bda759263d9fb8, 0x2cd2efac8bd4f4c2},
+	"inproc/p=8/gtopk-ps/v3-fp16/c=1":      {0xd3fd1a51f35a6c25, 0x8245fe7b0aa70be4, 0x5045d329301ff48c, 0x26323664f5d3aa27},
+	"inproc/p=8/gtopk-ps/v3-qsgd8/c=1":     {0x1de1ecbb0cc19485, 0x9691ba4029e06508, 0xc2dcd7e4ccd2dee7, 0x3685c5d446df0817},
+	"inproc/p=9/gtopk-ps/v1/c=1":           {0xa76f87eb107db946, 0xd088fb3a32338527, 0xa2e444fed09cd072, 0x23f46f046efa42cc},
+	"inproc/p=9/gtopk-ps/v3/c=1":           {0xa76f87eb107db946, 0xd088fb3a32338527, 0x61023d02045b5b05, 0xb6f91a8cfdd135dd},
+	"inproc/p=9/gtopk-ps/v3-fp16/c=1":      {0xa613ecab5427e84f, 0x6e95bd5269ab4858, 0xe9397f23dffbdf9f, 0x3e30c157bdb95274},
+	"inproc/p=9/gtopk-ps/v3-qsgd8/c=1":     {0x7778da92ffa52fe4, 0x5533912f7a6bba44, 0x0ddec1dddd71c07e, 0x9ccd6e4875aea296},
+	"inproc/p=12/gtopk-ps/v1/c=1":          {0xc0081fe65fc1bbbd, 0x9664da0ae1e3f74e, 0x0698deb9c8ca8ddf, 0x8ac06fff6ae5df09},
+	"inproc/p=12/gtopk-ps/v3/c=1":          {0xc0081fe65fc1bbbd, 0x9664da0ae1e3f74e, 0xdac16567dbea8911, 0xfb804d9a8fb10c3c},
+	"inproc/p=12/gtopk-ps/v3-fp16/c=1":     {0xe301765d88835105, 0xb941c790aa6dce4f, 0xd86c47e4facf44eb, 0xe2e1aa5608e70692},
+	"inproc/p=12/gtopk-ps/v3-qsgd8/c=1":    {0x51ce1e7c8e9fa345, 0x961d1e4b1621c5ff, 0x105a31f559b53fda, 0x2c59afcaf59a2d4a},
+	"inproc/p=16/gtopk-ps/v1/c=1":          {0x45bd3036669f4de5, 0x7d2b7ea1e5fe3989, 0xf1b7356012a523a4, 0xc46df332a1599fd5},
+	"inproc/p=16/gtopk-ps/v3/c=1":          {0x45bd3036669f4de5, 0x7d2b7ea1e5fe3989, 0x0297dfc3a9377b41, 0x968561c4d3404ebf},
+	"inproc/p=16/gtopk-ps/v3-fp16/c=1":     {0x387007cdfcbff7a5, 0x26afdf5aec4187f0, 0x6f85d9cfdfa802f4, 0x8e7ce62ab7f39889},
+	"inproc/p=16/gtopk-ps/v3-qsgd8/c=1":    {0x43d3b45b2aa65d25, 0x543747e2efbdd86a, 0x0df6abdf436ff3d9, 0x6dd5c74c15dcdca9},
+	"tcp/p=8/gtopk-ps/v1/c=1":              {0x034dab69fc85eca5, 0x6e74791168772ad1, 0x9b29e2151ab37307, 0xa0839e0a486ff1ed},
 }

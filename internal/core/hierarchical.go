@@ -10,7 +10,7 @@ import (
 // large worlds, which GTopKInto (allreduce.go) runs over ForkHier's
 // groups. Ranks are partitioned into contiguous groups of G, and the
 // first rank of each group is its leader. The hierarchy is not a second
-// collective: it is a second list of levels for the one gTop-k executor
+// collective: it is a second plan for the one sparse executor
 // (runLevels in allreduce.go), which the flat tree runs too. The first
 // level is the group, one radix-G block per group rooted at its leader:
 // each member hands its local top-k to the leader as one frame, and the

@@ -16,7 +16,7 @@ import (
 // synchronization-domain size, and a per-level deadline keeps one slow
 // member (or one wholly partitioned group) from stalling the whole
 // world. The round is not a collective of its own: it is a plan for the
-// one gTop-k executor (runLevels in allreduce.go) whose levels carry a
+// one sparse executor (runLevels in allreduce.go) whose levels carry a
 // participation rule, and whose top is a gather rather than a swap.
 //
 // The flat round is one level, the world, gathered at rank 0 under the
@@ -74,31 +74,42 @@ import (
 // does); simulated time is charged on comm level by level once the
 // verdict is in, as a pure function of its participant set.
 func HierQuorumGTopKAllReduceInto(ctx context.Context, comm *collective.Comm, gc *collective.GroupComms, local *sparse.Vector, k, g int, qc QuorumConfig, out *sparse.Vector) (bool, []int, error) {
-	p := comm.Size()
 	var buf [2]level
-	levels := append(buf[:0], level{comm: comm, size: p, stride: 1, radix: p, quorum: qc.Q, wait: qc.Timeout})
-	broadcast := qc.Timeout
-	err := qc.Validate(p)
-	if gc != nil {
+	p, err := quorumPlan(buf[:0], comm, gc, g, qc)
+	if err != nil {
+		return false, nil, err
+	}
+	if err := runLevels(ctx, comm, &p, local, k, out); err != nil {
+		return false, nil, err
+	}
+	var missed []int
+	for r := range comm.Size() {
+		if !slices.Contains(p.vd.participants, r) {
+			missed = append(missed, r)
+		}
+	}
+	return slices.Contains(p.vd.participants, comm.Rank()), missed, nil
+}
+
+// quorumPlan appends to levels the quorum round's levels, gathers that
+// fold by ⊕: the world under the whole round deadline, or with gc the
+// group and the leaders under their own budgets.
+func quorumPlan(levels []level, comm *collective.Comm, gc *collective.GroupComms, g int, qc QuorumConfig) (plan, error) {
+	p := comm.Size()
+	err, broadcast := qc.Validate(p), qc.Timeout
+	if gc == nil {
+		levels = append(levels, level{comm: comm, size: p, stride: 1, radix: p, quorum: qc.Q, wait: qc.Timeout})
+	} else {
 		err = qc.ValidateHier(p, g)
 		lt, n := qc.SplitLevels(), gc.Members.Size()
-		levels = append(buf[:0],
+		levels = append(levels,
 			level{comm: gc.Members, size: n, stride: 1, radix: g, quorum: groupQuorum(qc.Q, n), wait: lt.Group},
 			level{comm: gc.Leaders, size: gc.NumGroups, stride: 1, radix: gc.NumGroups, quorum: cmp.Or(qc.LeaderQ, gc.NumGroups), wait: lt.Leader})
 		broadcast = lt.Broadcast
 	}
 	if err != nil {
-		return false, nil, err
+		return plan{}, err
 	}
 	vd := verdict{world: p, lo: comm.Rank() - levels[0].comm.Rank(), wait: verdictWait(broadcast)}
-	if err := runLevels(ctx, comm, levels, local, k, out, &vd); err != nil {
-		return false, nil, err
-	}
-	var missed []int
-	for r := range p {
-		if !slices.Contains(vd.participants, r) {
-			missed = append(missed, r)
-		}
-	}
-	return slices.Contains(vd.participants, comm.Rank()), missed, nil
+	return plan{levels: levels, fold: binomialPositionFold, gather: true, vd: &vd}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,6 +84,7 @@ func BenchmarkTopKAllReduce(b *testing.B) {
 			}
 			defer fab.Close()
 			comms := make([]*collective.Comm, p)
+			outs := make([]sparse.Vector, p)
 			for r := range comms {
 				comms[r] = collective.New(fab.Conn(r))
 			}
@@ -94,7 +96,7 @@ func BenchmarkTopKAllReduce(b *testing.B) {
 					wg.Add(1)
 					go func(rank int) {
 						defer wg.Done()
-						if _, err := TopKAllReduce(context.Background(), comms[rank], vecs[rank]); err != nil {
+						if err := TopKUnionInto(context.Background(), comms[rank], vecs[rank], &outs[rank]); err != nil {
 							b.Error(err)
 						}
 					}(r)
@@ -154,11 +156,12 @@ func poolDropsPuts() bool {
 
 // TestAggregateAllocCeiling is the aggregator-level companion of
 // sparse's TestMergeLoopZeroAlloc: one steady-state Aggregate (P=1, v1)
-// allocates nothing for the flat and the hierarchical aggregator — the
-// selection lands in the sparsifier's reused result vector, the mean
-// update is rebuilt in place — and twice for a two-bucket pipeline (the
-// two bucket goroutines). The shared round must not add a per-step
-// allocation to any of them.
+// allocates nothing for the flat and the hierarchical aggregator and the
+// three baselines — the selection lands in the sparsifier's reused
+// result vector, the plan's result in the round's, the mean update is
+// rebuilt in place — and twice for a two-bucket pipeline (the two bucket
+// goroutines). The shared round must not add a per-step allocation to
+// any of them.
 func TestAggregateAllocCeiling(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
@@ -172,6 +175,9 @@ func TestAggregateAllocCeiling(t *testing.T) {
 	}{
 		{"gtopk", 0, func(c *collective.Comm) (Aggregator, error) { return NewGTopKAggregator(c, dim, k) }},
 		{"hierarchical", 0, func(c *collective.Comm) (Aggregator, error) { return NewHierarchicalAggregator(c, dim, k, 1) }},
+		{"topk", 0, func(c *collective.Comm) (Aggregator, error) { return NewTopKAggregator(c, dim, k) }},
+		{"gtopk-naive", 0, func(c *collective.Comm) (Aggregator, error) { return NewNaiveGTopKAggregator(c, dim, k) }},
+		{"gtopk-ps", 0, func(c *collective.Comm) (Aggregator, error) { return NewPSGTopKAggregator(c, dim, k) }},
 		{"bucketed-2", 2, func(c *collective.Comm) (Aggregator, error) {
 			return NewBucketedAggregator(c, []int{0, dim / 2, dim}, float64(k)/dim)
 		}},
@@ -195,12 +201,14 @@ func TestAggregateAllocCeiling(t *testing.T) {
 }
 
 // TestCollectiveAllocFree pins the steady state of the whole flat
-// collective and of the hierarchy (G=4) at zero allocations on both
-// fabrics: reduce frames go back to the pool at their receiver, and so
-// does every broadcast frame — a root keeps the one frame it encoded or
-// received and sends each child a pooled copy. P=8 exercises the swap,
-// both roots, a root with several children and a relay; the hierarchy
-// adds the group gather, its fold and the leader's fan-out.
+// collective, of the hierarchy (G=4) and of the parameter server's plan
+// at zero allocations on both fabrics: reduce frames go back to the pool
+// at their receiver, and so does every broadcast frame — a root keeps
+// the one frame it encoded or received and sends each child a pooled
+// copy. P=8 exercises the swap, both roots, a root with several
+// children and a relay; the hierarchy adds the group gather, its fold
+// and the leader's fan-out; the parameter server a gather of every rank
+// at one root, its Σ fold and a fan-out to every rank.
 func TestCollectiveAllocFree(t *testing.T) {
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops puts (race mode); allocation counts are not deterministic")
@@ -209,8 +217,9 @@ func TestCollectiveAllocFree(t *testing.T) {
 	_, vecs := makeWorkerVectors(9, p, dim, k)
 	for _, tc := range []struct{ name, fabric string }{
 		{"inproc", "inproc"}, {"tcp", "tcp"}, {"hier-inproc", "inproc"}, {"hier-tcp", "tcp"},
+		{"ps-inproc", "inproc"}, {"ps-tcp", "tcp"},
 	} {
-		fabric, hier := tc.fabric, tc.name != tc.fabric
+		fabric, hier, ps := tc.fabric, strings.HasPrefix(tc.name, "hier"), strings.HasPrefix(tc.name, "ps")
 		t.Run(tc.name, func(t *testing.T) {
 			var f transport.Fabric
 			var err error
@@ -233,11 +242,21 @@ func TestCollectiveAllocFree(t *testing.T) {
 				go func(rank int) {
 					comm, out := collective.New(f.Conn(rank)), &sparse.Vector{}
 					var gc *collective.GroupComms
+					var star *GTopKAggregator
 					if hier {
 						gc, errs[rank] = ForkHier(comm, 4)
 					}
+					if ps {
+						star, errs[rank] = NewPSGTopKAggregator(comm, dim, k)
+					}
 					for range start[rank] {
-						if err := GTopKInto(context.Background(), comm, gc, vecs[rank], k, out); err != nil {
+						var err error
+						if ps {
+							err = runLevels(context.Background(), comm, &star.plan, vecs[rank], k, out)
+						} else {
+							err = GTopKInto(context.Background(), comm, gc, vecs[rank], k, out)
+						}
+						if err != nil {
 							errs[rank] = err
 						}
 						foldHierStats(comm, gc)

@@ -14,7 +14,7 @@ import (
 // top-k under a per-level deadline, closes once a quorum has
 // contributed, and hands a verdict (participant set + merged global
 // top-k) back to every rank; hierquorum.go builds its plan for the one
-// gTop-k executor. Stragglers' blocks are never lost — the owner refunds
+// sparse executor. Stragglers' blocks are never lost — the owner refunds
 // the full selected mass to its error-feedback residual, so the missing
 // gradient signal rides into a later round exactly like any residual
 // mass (DGC's momentum-correction argument makes this convergence-safe).

@@ -3,31 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gtopkssgd/internal/collective"
 	"gtopkssgd/internal/sparse"
 )
 
-// collectiveKind names the wire a round aggregates over. The paper's
-// Algorithm 1 (Top-k), Algorithm 4 (gTop-k) and footnote 2's
-// parameter-server variant are the same round over different
-// collectives.
-type collectiveKind uint8
-
-const (
-	treeKind  collectiveKind = iota // Algorithm 3's tree: flat, hierarchical (gc != nil) or quorum
-	naiveKind                       // Algorithm 2: AllGather + global re-selection
-	psKind                          // footnote 2: star through rank 0 + global re-selection
-	unionKind                       // Algorithm 1: AllGather, the union of the local supports
-)
-
 // round is one sparse round — select with error feedback, aggregate,
 // put back, take the mean — over one contiguous gradient range, written
 // once for every sparse aggregator: GTopKAggregator runs one round over
-// the whole gradient (Top-k, gTop-k or PS), each bucket of the
-// BucketedAggregator runs one over its slice. The round is the only code
-// that refunds, folds or puts mass back into the range's error-feedback
-// residual, and it corrects momentum in the velocity it is lent.
+// the whole gradient, each bucket of the BucketedAggregator runs one
+// over its slice. What differs between the aggregators is the plan the
+// round's collective runs (Algorithm 3's tree, its hierarchy or quorum
+// round, or a baseline's exchange or star), and the round never asks
+// which. The round is the only code that refunds, folds or puts mass
+// back into the range's error-feedback residual, and it corrects
+// momentum in the velocity it is lent.
 type round struct {
 	comm  *collective.Comm
 	gc    *collective.GroupComms // non-nil: two-level hierarchy over groups of `group` ranks
@@ -35,7 +26,9 @@ type round struct {
 	sp    *Sparsifier
 	k     int
 
-	kind      collectiveKind
+	plan  plan // the collective the round aggregates over
+	fixed bool // a baseline's plan, which takes no quorum
+
 	schedule  func(step int) int
 	step      int
 	noPutBack bool
@@ -52,7 +45,7 @@ type round struct {
 // splits the world into groups of that many ranks (forking the group
 // sub-communicators from comm, so every rank must construct at the same
 // point of its collective sequence); group <= 1 or >= world is the flat
-// tree.
+// tree. Its plan is Algorithm 3's.
 func newRound(comm *collective.Comm, sp *Sparsifier, k, group int) (round, error) {
 	if err := validateK(sp.Dim(), k); err != nil {
 		return round{}, err
@@ -61,21 +54,12 @@ func newRound(comm *collective.Comm, sp *Sparsifier, k, group int) (round, error
 	if err != nil {
 		return round{}, err
 	}
-	return round{comm: comm, gc: gc, group: group, sp: sp, k: k}, nil
+	return round{comm: comm, gc: gc, group: group, sp: sp, k: k, plan: treePlan(nil, comm, gc)}, nil
 }
 
-// name derives the algorithm name from what the round runs: "topk" for
-// the union, else base, then "-naive", "-ps" or "-hier" for the
-// collective, then "-quorum".
+// name is base, then "-hier" over groups, then "-quorum" in quorum mode.
 func (r *round) name(base string) string {
-	switch {
-	case r.kind == unionKind:
-		return "topk"
-	case r.kind == naiveKind:
-		base += "-naive"
-	case r.kind == psKind:
-		base += "-ps"
-	case r.gc != nil:
+	if r.gc != nil {
 		base += "-hier"
 	}
 	if r.quorum.Q > 0 {
@@ -133,22 +117,21 @@ func (r *round) Sparsifier() *Sparsifier { return r.sp }
 // is refunded to its residual instead of entering the round. In the
 // grouped regime cfg.Q is the intra-group quorum and cfg.LeaderQ the
 // leader-level one; in the flat regime (group <= 1 or >= world) cfg must
-// be a flat configuration validated against the world. Incompatible with
-// the AllGather and star collectives. A zero cfg disables quorum mode.
+// be a flat configuration validated against the world. It rebuilds the
+// round's plan; a baseline's plan takes no quorum. A zero cfg disables
+// quorum mode.
 func (r *round) SetQuorum(cfg QuorumConfig) error {
-	if cfg != (QuorumConfig{}) {
-		if r.kind != treeKind {
-			return fmt.Errorf("core: quorum mode requires the tree collective, not %s", r.name("gtopk"))
-		}
-		err := cfg.Validate(r.comm.Size())
-		if r.gc != nil {
-			err = cfg.ValidateHier(r.comm.Size(), r.group)
-		}
-		if err != nil {
-			return err
-		}
+	if r.fixed && cfg != (QuorumConfig{}) {
+		return fmt.Errorf("core: quorum mode needs Algorithm 3's plan, not a baseline's")
 	}
-	r.quorum = cfg
+	p, err := treePlan(nil, r.comm, r.gc), error(nil)
+	if cfg != (QuorumConfig{}) {
+		p, err = quorumPlan(nil, r.comm, r.gc, r.group, cfg)
+	}
+	if err != nil || r.fixed { // a baseline keeps its plan
+		return err
+	}
+	r.plan, r.quorum = p, cfg
 	return nil
 }
 
@@ -177,10 +160,11 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 	if fold || r.quorum.Q > 0 {
 		r.orig = append(r.orig[:0], local.Values...)
 	}
-	global, participated, err := r.allReduce(ctx, local)
+	participated, err := r.allReduce(ctx, local)
 	if err != nil {
 		return nil, false, err
 	}
+	global := &r.global
 	if !participated {
 		// Nothing of this rank entered the aggregate: conservation refunds
 		// the whole selection, and the update below is built purely from
@@ -189,13 +173,13 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 	} else {
 		// Quantization error first, then Algorithm 4 line 10: a globally
 		// dropped index gets lattice value + error = its full original
-		// mass back, a survivor keeps exactly the error. The union keeps
-		// every sent index (CompactInto keeps touched zeros), so there
-		// put-back would add nothing.
+		// mass back, a survivor keeps exactly the error. A union keeps
+		// every sent index (sumFold keeps touched zeros), so there
+		// put-back adds nothing.
 		if fold {
 			r.sp.FoldError(local.Indices, r.orig, local.Values)
 		}
-		if !r.noPutBack && r.kind != unionKind {
+		if !r.noPutBack {
 			r.sp.PutBack(local, global.Indices)
 		}
 	}
@@ -209,27 +193,16 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 	return global, !participated, nil
 }
 
-// allReduce is the round's one way onto the wire: it picks the union,
-// naive, PS, quorum (flat or hierarchical) or tree (flat or
-// hierarchical) collective from the state the round holds.
-func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (global *sparse.Vector, participated bool, err error) {
-	global, participated = &r.global, true
-	switch {
-	case r.kind == unionKind:
-		global, err = TopKAllReduce(ctx, r.comm, local)
-	case r.kind == naiveKind:
-		global, err = NaiveGTopKAllReduce(ctx, r.comm, local, r.k)
-	case r.kind == psKind:
-		global, err = PSGTopKAllReduce(ctx, r.comm, local, r.k)
-	case r.quorum.Q > 0:
-		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, r.gc, local, r.k, r.group, r.quorum, global)
-	default:
-		err = GTopKInto(ctx, r.comm, r.gc, local, r.k, global)
+// allReduce is the round's one way onto the wire: the executor runs the
+// round's plan into r.global. It reports whether this rank's selection
+// made the round: a quorum round's verdict says; any other plan takes
+// every rank's.
+func (r *round) allReduce(ctx context.Context, local *sparse.Vector) (bool, error) {
+	if err := runLevels(ctx, r.comm, &r.plan, local, r.k, &r.global); err != nil {
+		return false, err
 	}
-	if err == nil {
-		foldHierStats(r.comm, r.gc)
-	}
-	return global, participated, err
+	foldHierStats(r.comm, r.gc)
+	return r.plan.vd == nil || slices.Contains(r.plan.vd.participants, r.comm.Rank()), nil
 }
 
 func validateK(dim, k int) error {

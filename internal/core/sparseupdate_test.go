@@ -66,11 +66,11 @@ func (r *refRound) run(ctx context.Context, grad, dst []float32) (missed bool, e
 	global, participated := &r.global, true
 	switch r.spec.kind {
 	case "naive":
-		global, err = NaiveGTopKAllReduce(ctx, r.comm, local, k)
+		err = BaselineInto(ctx, r.comm, "gtopk-naive", local, k, global)
 	case "topk":
-		global, err = TopKAllReduce(ctx, r.comm, local)
+		err = TopKUnionInto(ctx, r.comm, local, global)
 	case "ps":
-		global, err = PSGTopKAllReduce(ctx, r.comm, local, k)
+		err = BaselineInto(ctx, r.comm, "gtopk-ps", local, k, global)
 	case "quorum":
 		participated, _, err = HierQuorumGTopKAllReduceInto(ctx, r.comm, nil, local, k, 0, r.spec.quorum, global)
 	case "hier":

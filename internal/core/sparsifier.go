@@ -1,8 +1,10 @@
 // Package core implements the paper's contribution: the gTop-k
 // sparsification mechanism, the gTopKAllReduce collective (Algorithm 3),
-// the TopKAllReduce baseline (Algorithm 1 lines 12-21), and the four
+// the TopK-AllReduce baseline (Algorithm 1 lines 12-21), and the
 // distributed S-SGD variants built on them (dense S-SGD, Top-k S-SGD,
-// naive gTop-k S-SGD of Algorithm 2, and gTop-k S-SGD of Algorithm 4).
+// naive gTop-k S-SGD of Algorithm 2, gTop-k S-SGD of Algorithm 4 and its
+// parameter-server form). Every sparse collective is a plan — levels and
+// a fold rule — for one executor (runLevels).
 package core
 
 import (

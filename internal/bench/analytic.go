@@ -249,53 +249,6 @@ func AblationPSMode(model netsim.Model) string {
 	return sb.String()
 }
 
-// AblationPipeline models the paper's Section VII future-work idea:
-// overlapping gradient communication with backward computation. The
-// upper bound of pipelining is t_iter = max(t_f+t_b, t_comm) + t_compr
-// instead of their sum; the table reports how much headroom each model
-// has at P=32 under gTop-k.
-func AblationPipeline(model netsim.Model) string {
-	var sb strings.Builder
-	sb.WriteString("Ablation: pipelining headroom (perfect comm/compute overlap, gTop-k, P=32)\n\n")
-	tb := metrics.NewTable("Model", "serial iter", "pipelined iter", "speedup")
-	for _, pm := range models.PaperModels() {
-		bd := iterBreakdown(model, pm, "gtopk", 32)
-		serial := bd.Total()
-		overlapped := bd.Compute
-		if bd.Comm > overlapped {
-			overlapped = bd.Comm
-		}
-		pipelined := overlapped + bd.Compress
-		tb.AddRowf(pm.Name, serial, pipelined, float64(serial)/float64(pipelined))
-	}
-	sb.WriteString(tb.String())
-	sb.WriteString("\nCompute-bound models (ResNets) already hide most communication;\n")
-	sb.WriteString("fc-heavy models gain up to the comm/compute ratio.\n")
-	return sb.String()
-}
-
-// AblationBandwidth shows how the dense/gTop-k gap closes on faster
-// networks (the paper's motivation is specifically LOW bandwidth).
-func AblationBandwidth() string {
-	var sb strings.Builder
-	sb.WriteString("Ablation: gTop-k advantage vs network speed (VGG-16, P=32)\n\n")
-	tb := metrics.NewTable("Network", "dense iter", "gtopk iter", "g/d speedup")
-	pm := models.PaperModels()[0]
-	for _, net := range []struct {
-		name  string
-		model netsim.Model
-	}{
-		{"1GbE (paper)", netsim.Paper1GbE()},
-		{"10GbE", netsim.TenGbE()},
-	} {
-		d := iterBreakdown(net.model, pm, "dense", 32).Total()
-		g := iterBreakdown(net.model, pm, "gtopk", 32).Total()
-		tb.AddRowf(net.name, d, g, float64(d)/float64(g))
-	}
-	sb.WriteString(tb.String())
-	return sb.String()
-}
-
 func sqrt(v float64) float64 {
 	if v <= 0 {
 		return 0

@@ -104,13 +104,6 @@ func TestFig11FractionsPresent(t *testing.T) {
 	}
 }
 
-func TestAblationBandwidthClosesGap(t *testing.T) {
-	out := AblationBandwidth()
-	if !strings.Contains(out, "1GbE") || !strings.Contains(out, "10GbE") {
-		t.Fatalf("missing networks:\n%s", out)
-	}
-}
-
 func TestLookupKnownAndUnknown(t *testing.T) {
 	if _, err := Lookup("fig9"); err != nil {
 		t.Fatalf("fig9 not found: %v", err)
@@ -200,7 +193,7 @@ func TestRunTrainingUnknownModelAndAlgo(t *testing.T) {
 func TestQuickExperimentsSmoke(t *testing.T) {
 	// Every analytic experiment must run instantly; training-based ones
 	// are covered by the quick profile in TestQuickTrainingExperiments.
-	for _, id := range []string{"table1", "fig8", "fig9", "fig10", "table4", "fig11", "ablation-bandwidth"} {
+	for _, id := range []string{"table1", "fig8", "fig9", "fig10", "table4", "fig11"} {
 		exp, err := Lookup(id)
 		if err != nil {
 			t.Fatal(err)

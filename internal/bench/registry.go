@@ -132,23 +132,9 @@ func Experiments() []Experiment {
 			Run:         psMode,
 		},
 		{
-			ID:          "ablation-bandwidth",
-			Description: "Ablation: gTop-k advantage on 1GbE vs 10GbE",
-			Run: func(_ context.Context, _ Options) (string, error) {
-				return AblationBandwidth(), nil
-			},
-		},
-		{
 			ID:          "ablation-quant",
 			Description: "Baseline family: gTop-k vs signSGD/TernGrad/quantized-gTop-k (paper Sec. VI)",
 			Run:         ablationQuant,
-		},
-		{
-			ID:          "ablation-pipeline",
-			Description: "Extension: comm/compute pipelining headroom (paper future work)",
-			Run: func(_ context.Context, _ Options) (string, error) {
-				return AblationPipeline(netsim.Paper1GbE()), nil
-			},
 		},
 		{
 			ID:          "bucketed-overlap",

@@ -35,13 +35,37 @@
 // handshakes are epoch-stamped so stragglers can never leak frames
 // across epochs.
 //
-//	coordinator:  gathering ──(world full)──▶ running(e=1)
-//	                 ▲                          │   ▲ member dies (missed
-//	                 │                          │   │ heartbeats / conn
-//	              (late join:                   ▼   │ lost), or parked
-//	               parked until the           running(e±1)  … until a
-//	               next epoch boundary,       worker reports completion
-//	               admitted up to max-world)
+// The coordinator's side is one pure state machine, coordState.apply
+// (membership.go): an event in, actions out — send(member, msg),
+// close(member), finish(err). The Coordinator only moves bytes: each
+// connection's reader and the heartbeat ticker post events to the one
+// loop that owns the state, and each member's writes leave that loop
+// in order on their own goroutines.
+//
+//	event (posted by)          applies when                 actions
+//	join (reader)              before epoch 1               welcome; at the World-th, config(1) to all
+//	join                       running, room under MaxWorld welcome(parked)
+//	join                       name held, world full, done  reject, close
+//	heartbeat(now) (reader)    a counted connection         none (its deadline moves)
+//	heartbeat                  declared dead                abort, close
+//	degraded (reader)          a counted connection         none (counted and logged)
+//	tick(now) (ticker)         running, not done            members and parked joiners silent past
+//	                                                        HeartbeatTimeout are down; the boundary
+//	closed (reader)            a member                     close; the boundary
+//	closed                     a parked joiner              close; dropped from the queue
+//	leave(done) (reader)       a member                     close; done: the job is complete, else
+//	                                                        the boundary
+//	fail (reader)              a member                     abort to every member and parked joiner,
+//	                                                        close each, finish(err)
+//	any                        finished                     none
+//
+// The boundary forms at most one epoch: below MinWorld the job aborts;
+// otherwise every parked joiner MaxWorld allows is admitted, in name
+// order, and when anyone left or entered, config(e+1) goes to every
+// member. After any event, a done job with no member left closes its
+// parked joiners and finishes. TestMembershipExplored runs every
+// interleaving of a few such events for jobs of up to four workers and
+// checks the invariants at every state.
 //
 //	worker:  join ─▶ wait config(e) ─▶ mesh(e) ─▶ sync resume
 //	              ▲                                iteration ─▶ train ─▶ sync

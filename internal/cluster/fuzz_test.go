@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,4 +126,46 @@ func TestCoordinatorSurvivesGarbageConn(t *testing.T) {
 	if conf.World != 2 {
 		t.Fatalf("epoch-1 world %d, want 2 (garbage conns must not occupy slots)", conf.World)
 	}
+}
+
+// FuzzResumeVerdict feeds readVerdict the two kinds of bytes a rank
+// reads from rank 0: the verdict resumeVerdict folds from gathered
+// (iteration, checksum) blobs cut from the input, and the raw input
+// itself. Decoding never panics; it accepts every fold of well-formed
+// blobs whose iterations fit the job and refuses one whose iterations
+// do not; and whatever it accepts is in range — a resume iteration in
+// [0, steps], a donor and a laggard count below the world.
+func FuzzResumeVerdict(f *testing.F) {
+	blob := func(iter uint64, crc uint32) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, iter)
+		return binary.LittleEndian.AppendUint32(b, crc)
+	}
+	f.Add(slices.Concat(blob(10, 7), blob(10, 7)), uint8(1), uint16(10))
+	f.Add(slices.Concat(blob(0, 1), blob(20, 9), blob(20, 9)), uint8(2), uint16(20))
+	f.Add(slices.Concat(blob(5, 1), blob(5, 2)), uint8(1), uint16(10))
+	f.Add(append([]byte{'K'}, make([]byte, 16)...), uint8(0), uint16(0))
+	f.Add([]byte("Kxxxxxxxxxxxxxxxx"), uint8(3), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, world uint8, steps uint16) {
+		w := int(world%8) + 1
+		decode := func(v []byte) error {
+			resume, donor, laggards, err := readVerdict(v, w, int(steps))
+			if err == nil && (resume < 0 || resume > int(steps) || donor < 0 || donor >= w || laggards < 0 || laggards >= w) {
+				t.Fatalf("readVerdict(%x) accepted resume %d, donor %d, %d laggards at world %d, %d steps", v, resume, donor, laggards, w, steps)
+			}
+			return err
+		}
+		decode(data) //nolint:errcheck // raw peer bytes: only the range holds
+		if len(data) < 12*w {
+			return
+		}
+		blobs, top := make([][]byte, w), uint64(0)
+		for r := range blobs {
+			blobs[r] = data[12*r : 12*r+12]
+			top = max(top, binary.LittleEndian.Uint64(blobs[r]))
+		}
+		v := resumeVerdict(blobs)
+		if err := decode(v); v[0] == 'K' && (err == nil) != (top <= uint64(steps)) {
+			t.Fatalf("the fold of %x (top iteration %d, %d steps) decodes with %v", blobs, top, steps, err)
+		}
+	})
 }

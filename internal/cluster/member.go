@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,17 +30,14 @@ type Member struct {
 	done    chan struct{}
 	doneOne sync.Once
 
-	hbStop    chan struct{}
-	hbOne     sync.Once
-	hbPauseMu sync.Mutex
-	hbPaused  bool // test hook, see pauseHeartbeats
+	hbPaused atomic.Bool // test hook, see pauseHeartbeats
 }
 
 // Join connects to the coordinator at coordAddr and registers name with
 // the given data-plane address. It returns once the coordinator has
 // welcomed the member; epoch configurations arrive asynchronously via
 // Config.
-func Join(ctx context.Context, coordAddr, name, dataAddr string) (*Member, error) {
+func Join(ctx context.Context, coordAddr, name, dataAddr string) (_ *Member, err error) {
 	if name == "" {
 		return nil, fmt.Errorf("cluster: empty member name")
 	}
@@ -47,44 +46,33 @@ func Join(ctx context.Context, coordAddr, name, dataAddr string) (*Member, error
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", coordAddr, err)
 	}
-	m := &Member{
-		codec:   newCodec(conn),
-		changed: make(chan struct{}),
-		done:    make(chan struct{}),
-		hbStop:  make(chan struct{}),
+	defer func() {
+		if err != nil {
+			conn.Close() //nolint:errcheck // the handshake failed
+		}
+	}()
+	dl, ok := ctx.Deadline()
+	if !ok {
+		dl = time.Now().Add(10 * time.Second)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl) //nolint:errcheck // bound the join handshake
-	} else {
-		conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // bound the join handshake
-	}
+	conn.SetDeadline(dl) //nolint:errcheck // bound the join handshake
+	m := &Member{codec: newCodec(conn), changed: make(chan struct{}), done: make(chan struct{})}
 	if err := m.codec.write(&message{T: msgJoin, Name: name, Addr: dataAddr}); err != nil {
-		conn.Close() //nolint:errcheck // handshake failed
 		return nil, fmt.Errorf("cluster: join: %w", err)
 	}
 	resp, err := m.codec.read()
-	if err != nil {
-		conn.Close() //nolint:errcheck // handshake failed
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("cluster: join %q: %w", name, err)
-	}
-	switch resp.T {
-	case msgWelcome:
-		m.parked = resp.Parked
-		m.hbInterval = time.Duration(resp.HBMs) * time.Millisecond
-		m.hbTimeout = time.Duration(resp.DeadMs) * time.Millisecond
-		if m.hbInterval <= 0 {
-			m.hbInterval = DefaultHeartbeatInterval
-		}
-		if m.hbTimeout <= 0 {
-			m.hbTimeout = DefaultHeartbeatTimeout
-		}
-	case msgReject:
-		conn.Close() //nolint:errcheck // rejected
+	case resp.T == msgReject:
 		return nil, fmt.Errorf("cluster: join %q rejected: %s", name, resp.Reason)
-	default:
-		conn.Close() //nolint:errcheck // protocol violation
+	case resp.T != msgWelcome:
 		return nil, fmt.Errorf("cluster: join %q: unexpected %q response", name, resp.T)
 	}
+	// A heartbeat value below its floor means its default.
+	m.parked = resp.Parked
+	m.hbInterval = cmp.Or(max(time.Duration(resp.HBMs)*time.Millisecond, 0), DefaultHeartbeatInterval)
+	m.hbTimeout = cmp.Or(max(time.Duration(resp.DeadMs)*time.Millisecond, 0), DefaultHeartbeatTimeout)
 	conn.SetDeadline(time.Time{}) //nolint:errcheck // handshake complete
 
 	go m.readLoop()
@@ -167,7 +155,6 @@ func (m *Member) Leave(jobDone bool) error {
 // from the coordinator's perspective this is indistinguishable from the
 // process being SIGKILLed.
 func (m *Member) Close() error {
-	m.hbOne.Do(func() { close(m.hbStop) })
 	err := m.codec.conn.Close()
 	m.finish(nil)
 	return err
@@ -220,16 +207,11 @@ func (m *Member) heartbeatLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-m.hbStop:
-			return
 		case <-m.done:
 			return
 		case <-tick.C:
 		}
-		m.hbPauseMu.Lock()
-		paused := m.hbPaused
-		m.hbPauseMu.Unlock()
-		if paused {
+		if m.hbPaused.Load() {
 			continue
 		}
 		if err := m.send(&message{T: msgHeartbeat}); err != nil {
@@ -242,8 +224,4 @@ func (m *Member) heartbeatLoop() {
 // pauseHeartbeats is a test hook that silences the heartbeat stream
 // while keeping the control connection open — simulating a network
 // partition rather than a process death.
-func (m *Member) pauseHeartbeats(paused bool) {
-	m.hbPauseMu.Lock()
-	m.hbPaused = paused
-	m.hbPauseMu.Unlock()
-}
+func (m *Member) pauseHeartbeats(paused bool) { m.hbPaused.Store(paused) }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -169,19 +170,12 @@ func Run(ctx context.Context, cfg RuntimeConfig) (*RunResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 10
-	}
-	if cfg.MeshTimeout <= 0 {
-		cfg.MeshTimeout = 30 * time.Second
-	}
+	cfg.CheckpointEvery = cmp.Or(cfg.CheckpointEvery, 10)
+	cfg.MeshTimeout = cmp.Or(max(cfg.MeshTimeout, 0), 30*time.Second)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	dataAddr := cfg.DataAddr
-	if dataAddr == "" {
-		dataAddr = "127.0.0.1:0"
-	}
+	dataAddr := cmp.Or(cfg.DataAddr, "127.0.0.1:0")
 	ln, err := net.Listen("tcp", dataAddr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: data listener on %s: %w", dataAddr, err)
@@ -310,15 +304,13 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 	// Fold this epoch's traffic into the carried totals on EVERY exit —
 	// an epoch ended by supersession did real communication too, and
 	// the next epoch's Rebuild must inherit it.
-	folded := false
-	foldStats := func() {
-		if !folded {
-			folded = true
-			comm.AddStats(train.Stats())
-			r.carried = comm.Stats()
+	defer func() {
+		comm.AddStats(train.Stats())
+		r.carried = comm.Stats()
+		if res != nil {
+			res.Stats = r.carried
 		}
-	}
-	defer foldStats()
+	}()
 
 	sess, err := r.cfg.Build(conf.Rank, conf.World, train)
 	if err != nil {
@@ -341,9 +333,6 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 	}
 
 	lastLoss, err := r.trainLoop(epochCtx, conf, sess)
-	if errors.Is(err, errHardAbort) {
-		return nil, err
-	}
 	if err != nil {
 		return nil, r.classify(epochCtx, err)
 	}
@@ -360,7 +349,6 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 	if _, err := r.syncResume(epochCtx, comm, conf, sess.Trainer.Iter(), sess); err != nil {
 		return nil, r.classify(epochCtx, err)
 	}
-	foldStats()
 	if err := r.member.Leave(true); err != nil {
 		r.cfg.Logf("%s: leave after completion: %v (job already done; ignoring)", r.cfg.Name, err)
 	}
@@ -372,7 +360,6 @@ func (r *runtime) runEpoch(ctx context.Context, conf *Config) (res *RunResult, e
 		FinalWorld:   conf.World,
 		FinalWeights: append([]float32(nil), sess.Params...),
 		LastLoss:     lastLoss,
-		Stats:        r.carried,
 	}, nil
 }
 
@@ -533,12 +520,10 @@ func (r *runtime) syncResume(ctx context.Context, comm *collective.Comm, conf *C
 	if err != nil {
 		return 0, fmt.Errorf("cluster: epoch %d resume verdict: %w", conf.Epoch, err)
 	}
-	if len(out) != syncVerdictLen || out[0] != 'K' {
-		return 0, fmt.Errorf("%w: epoch %d resume sync failed: %s", errVerdict, conf.Epoch, out)
+	resume, donor, laggards, err := readVerdict(out, conf.World, r.cfg.Steps)
+	if err != nil {
+		return 0, fmt.Errorf("%w: epoch %d resume sync failed: %v", errVerdict, conf.Epoch, err)
 	}
-	resume := int(binary.LittleEndian.Uint64(out[1:9]))
-	donor := int(binary.LittleEndian.Uint32(out[9:13]))
-	laggards := int(binary.LittleEndian.Uint32(out[13:17]))
 	if laggards == 0 {
 		return resume, nil
 	}
@@ -608,13 +593,30 @@ func resumeVerdict(blobs [][]byte) []byte {
 	return verdict
 }
 
+// readVerdict decodes rank 0's resume verdict, peer bytes, against the
+// epoch's world and the job's Steps: a verdict that is an error text,
+// or whose resume iteration, donor rank or laggard count is out of
+// range, is an error.
+func readVerdict(out []byte, world, steps int) (resume, donor, laggards int, err error) {
+	if len(out) != syncVerdictLen || out[0] != 'K' {
+		return 0, 0, 0, errors.New(string(out))
+	}
+	it := binary.LittleEndian.Uint64(out[1:9])
+	d, l := binary.LittleEndian.Uint32(out[9:13]), binary.LittleEndian.Uint32(out[13:17])
+	if it > uint64(steps) || d >= uint32(world) || l >= uint32(world) {
+		return 0, 0, 0, fmt.Errorf("verdict out of range: resume iteration %d of %d steps, donor %d and %d laggards in a world of %d",
+			it, steps, d, l, world)
+	}
+	return int(it), int(d), int(l), nil
+}
+
 // classify decides whether an epoch error is a reconfiguration (a newer
 // config arrived — or will shortly, once the coordinator's failure
-// detector fires) or a genuine failure; a failed replica agreement is
-// always the latter. On a bare error it waits up to the
+// detector fires) or a genuine failure; a failed replica agreement and
+// a hard abort are always the latter. On a bare error it waits up to the
 // failure-detection window for the coordinator's verdict.
 func (r *runtime) classify(epochCtx context.Context, err error) error {
-	if errors.Is(err, errVerdict) {
+	if errors.Is(err, errVerdict) || errors.Is(err, errHardAbort) {
 		return err
 	}
 	conf, changed := r.member.Config()

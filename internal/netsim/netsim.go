@@ -68,17 +68,6 @@ func Paper1GbE() Model {
 	}
 }
 
-// TenGbE returns an illustrative 10 Gbps Ethernet model: one tenth the
-// per-element time and a lower (switch-bound) startup latency. Used by
-// the bandwidth-sensitivity ablation, not by the paper.
-func TenGbE() Model {
-	return Model{
-		Alpha: 100 * time.Microsecond,
-		Beta:  4 * time.Nanosecond, // ~3.6ns rounded to the ns grid
-
-	}
-}
-
 // PointToPoint returns the modelled time to transfer n elements between
 // two nodes: α + nβ. It never applies the synchronization-skew term —
 // a point-to-point transfer has exactly two participants and no

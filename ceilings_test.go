@@ -77,18 +77,18 @@ func TestCodeLineCeilings(t *testing.T) {
 		dirs    []string
 		ceiling int
 	}{
-		{"internal/core", []string{"internal/core"}, 1341},
-		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1694},
-		{"internal/sparse", []string{"internal/sparse"}, 1347},
+		{"internal/core", []string{"internal/core"}, 1323},
+		{"internal/bench + cmd/gtopk-bench", []string{"internal/bench", "cmd/gtopk-bench"}, 1660},
+		{"internal/sparse", []string{"internal/sparse"}, 1310},
 		{"internal/tensor", []string{"internal/tensor"}, 441},
-		{"internal/transport", []string{"internal/transport"}, 907},
-		{"internal/collective", []string{"internal/collective"}, 665},
+		{"internal/transport", []string{"internal/transport"}, 902},
+		{"internal/collective", []string{"internal/collective"}, 641},
 		{"internal/netsim", []string{"internal/netsim"}, 138},
 		{"internal/cluster", []string{"internal/cluster"}, 1112},
 		{"cmd/gtopk-worker", []string{"cmd/gtopk-worker"}, 165},
 		{"cmd/gtopk-train", []string{"cmd/gtopk-train"}, 82},
-		{"internal/algo", []string{"internal/algo"}, 193},
-		{"internal/quant", []string{"internal/quant"}, 312},
+		{"internal/algo", []string{"internal/algo"}, 191},
+		{"internal/quant", []string{"internal/quant"}, 300},
 	} {
 		n := codeLines(t, c.dirs...)
 		t.Logf("%s: %d non-test code lines, ceiling %d, headroom %d", c.name, n, c.ceiling, c.ceiling-n)
@@ -146,6 +146,10 @@ var banned = []struct {
 		[]string{"*.TopKAllReduce", "*.NaiveGTopKAllReduce", "*.PSGTopKAllReduce", "collectiveKind", "unionKind", "naiveKind", "psKind", "treeKind"}},
 	{"one membership state machine: every coordinator decision is coordState.apply's, an event in and actions out, and the Coordinator only moves bytes; the locked membership methods and the welcome gate are gone with the state mutex (Coordinator.Epoch, which nothing called, is gone too; Epoch is not listed: Config.Epoch stays)",
 		[]string{"formEpochLocked", "abortLocked", "maybeGrowLocked", "maybeFinishLocked", "maybeStart", "reportDown", "closeAllConns"}},
+	{"a lossy value codec ships only where its bytes fall: fp16 moved more bytes than qsgd8 and qsgd4 fewer than 25 % less, so both left the v3 frame (value bytes 1 and 3 are refused), the quantizer and -wire, and the binary16 package f16 went with them; every lossy codec is a quantizer that ships (scale, levels)",
+		[]string{"ValueF16", "ValueQ4", "CodecV3F16", "CodecV3Q4", "f16", "halfValues", "valueCodecCount"}},
+	{"code with no caller goes: the put-back switch only the residual ablation set, the fault plan's drop knobs (the stall knobs are the same arithmetic), the barrier and the quorum's explicit per-level budgets (one round deadline splits by SplitLevels) are gone (metrics.Speedup is gone too; Speedup is not listed: the bench rows keep a Speedup field)",
+		[]string{"DisablePutBack", "SetPutBack", "noPutBack", "ablationResidual", "DropEvery", "DropPenalty", "Barrier", "quorumHierLevels"}},
 }
 
 // bannedMatch reports whether an identifier called name matches a ban

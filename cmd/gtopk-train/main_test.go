@@ -48,6 +48,8 @@ func TestFlagValidation(t *testing.T) {
 		{"zero-round-timeout", []string{"-workers", "4", "-quorum", "3", "-round-timeout", "0s"}, "-quorum requires -round-timeout > 0"},
 		{"round-timeout-needs-quorum", []string{"-round-timeout", "50ms"}, "-round-timeout requires -quorum"},
 		{"retired-wire-v2", []string{"-wire", "v2"}, "want v1, v3 or v3-<value codec>"},
+		{"retired-wire-fp16", []string{"-wire", "v3-fp16"}, `invalid value "v3-fp16" for flag -wire`},
+		{"retired-wire-qsgd4", []string{"-wire", "v3-qsgd4"}, `invalid value "v3-qsgd4" for flag -wire`},
 		{"retired-value-codec-flag", []string{"-wire", "v3", "-value-codec", "qsgd8"}, "flag provided but not defined: -value-codec"},
 		{"retired-kernels", []string{"-kernels", "pure"}, "flag provided but not defined: -kernels"},
 		{"bad-wire", []string{"-wire", "v9"}, `invalid value "v9" for flag -wire`},

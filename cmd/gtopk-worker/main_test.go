@@ -51,6 +51,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad-timeout", join("-timeout", "-1s"), "-timeout -1s out of range"},
 		{"bad-wire", join("-wire", "v9"), "-wire"},
 		{"retired-wire-v2", join("-wire", "v2-fp16"), "want v1, v3 or v3-<value codec>"},
+		{"retired-wire-fp16", join("-wire", "v3-fp16"), `invalid value "v3-fp16" for flag -wire`},
+		{"retired-wire-qsgd4", join("-wire", "v3-qsgd4"), `invalid value "v3-qsgd4" for flag -wire`},
 		{"retired-value-codec-flag", join("-wire", "v3", "-value-codec", "qsgd8"), "flag provided but not defined: -value-codec"},
 		{"bad-hier-group", join("-hier-group", "-1"), "-hier-group -1 out of range"},
 		{"hier-group-needs-gtopk", join("-algo", "dense", "-hier-group", "4"), "-hier-group requires -algo gtopk"},

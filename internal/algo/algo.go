@@ -48,9 +48,6 @@ type Spec struct {
 	// when it is 0, and gtopk or gtopk-quant8 run the hierarchy when it
 	// is > 0.
 	HierGroup int
-	// DisablePutBack turns off Algorithm 4 line 10 (the residual
-	// ablation).
-	DisablePutBack bool
 	// Quorum, when Quorum.Q > 0, runs the straggler-tolerant quorum
 	// collective (-quorum, -leader-quorum and -round-timeout).
 	Quorum core.QuorumConfig
@@ -87,7 +84,7 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 		" (gtopk-quant8 is gtopk over -wire v3-qsgd8, which it forces; the AllGather-based topk, gtopk-naive, signsgd and terngrad need a power-of-two world)")
 	fs.Float64Var(&s.Density, "density", s.Density, "gradient density rho in (0,1] (dense ignores it)")
 	fs.IntVar(&s.HierGroup, "hier-group", s.HierGroup, "hierarchical gTop-k group size G: ranks aggregate within groups of G and the group leaders exchange globally (0: the flat tree, or G=4 under gtopk-hier; requires -algo gtopk, gtopk-hier or gtopk-quant8; G >= world degenerates to the flat tree)")
-	fs.Var((*codecFlag)(&s.Wire), "wire", "sparse wire `codec`: v1 (flat), v3 (delta/varint indices, lossless fp32 values; non-finite values are rejected at decode) or v3-<value> for value codec fp16, qsgd8, qsgd4, qsgd2, ternary or sign (lossy; the rounding/quantization error folds into the error-feedback residual); a mesh settles on the lowest version any rank offers")
+	fs.Var((*codecFlag)(&s.Wire), "wire", "sparse wire `codec`: v1 (flat), v3 (delta/varint indices, lossless fp32 values; non-finite values are rejected at decode) or v3-<value> for value codec qsgd8, qsgd2, ternary or sign (lossy; the quantization error folds into the error-feedback residual); a mesh settles on the lowest version any rank offers")
 	fs.IntVar(&s.Quorum.Q, "quorum", s.Quorum.Q, "straggler-tolerant quorum size q: each aggregation round closes after q contributions under the -round-timeout deadline, refunding stragglers' blocks to their residuals (0 disables; requires -algo gtopk, gtopk-hier or gtopk-quant8 and a strict majority; with a hierarchy, q is the intra-group quorum q_g over each group of G)")
 	fs.IntVar(&s.Quorum.LeaderQ, "leader-quorum", s.Quorum.LeaderQ, "hierarchical quorum's leader-level quorum q_l over the group aggregates: a wholly slow group misses the round as a unit and refunds to residual (0 = wait for every group; requires -quorum and a hierarchy, -hier-group or -algo gtopk-hier)")
 	fs.DurationVar(&s.Quorum.Timeout, "round-timeout", s.Quorum.Timeout, "per-round gather deadline for -quorum (must be > 0 when -quorum is set; with a hierarchy the budget splits 1/4:1/2:1/4 across the intra-group, leader and broadcast levels)")
@@ -158,8 +155,8 @@ func (s Spec) CheckQuorum(world int) error {
 		if lo := core.QuorumMin(numGroups); q.LeaderQ > 0 && (q.LeaderQ < lo || q.LeaderQ > numGroups) {
 			return fmt.Errorf("-leader-quorum %d out of range [%d,%d] for %d groups", q.LeaderQ, lo, numGroups, numGroups)
 		}
-	case q.LeaderQ > 0 || q.Levels != (core.LevelTimeouts{}):
-		return fmt.Errorf("group size %d does not split a world of %d into groups (it degenerates to the flat tree), so -leader-quorum and per-level budgets do not apply", g, world)
+	case q.LeaderQ > 0:
+		return fmt.Errorf("group size %d does not split a world of %d into groups (it degenerates to the flat tree), so -leader-quorum does not apply", g, world)
 	default:
 		if lo := core.QuorumMin(world); q.Q < lo || q.Q > world {
 			return fmt.Errorf("-quorum %d out of range [%d,%d] for a world of %d (a quorum must be a strict majority)", q.Q, lo, world, world)
@@ -253,7 +250,6 @@ func Build(spec Spec, comm *collective.Comm, dim int, bounds []int) (core.Aggreg
 	if density != nil {
 		a.SetSchedule(func(step int) int { return core.DensityToK(dim, density(step)) })
 	}
-	a.SetPutBack(!spec.DisablePutBack)
 	if err := a.SetQuorum(spec.Quorum); err != nil {
 		return nil, err
 	}

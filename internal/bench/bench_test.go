@@ -245,7 +245,7 @@ func TestHotPathMeasuresThePrintedCodec(t *testing.T) {
 	// Half the -quick size keeps the race-detector run short; the committed
 	// full-size rows are held to the same order by TestBenchArtifactSchema.
 	const dim = codecBytesQuickDim / 2
-	want := []string{"v1", "v3", "v3-fp16", "v3-qsgd8", "v3-qsgd4", "v3-qsgd2", "v3-ternary", "v3-sign"}
+	want := []string{"v1", "v3", "v3-qsgd8", "v3-qsgd2", "v3-ternary", "v3-sign"}
 	for _, rho := range []float64{0.001, 0.01} {
 		t.Run(fmt.Sprintf("rho=%g", rho), func(t *testing.T) {
 			rows, err := codecBytesRows(dim, rho, 42)

@@ -54,6 +54,12 @@ const (
 	// split G ways.
 	quorumHierP = 64
 	quorumHierG = 4
+	// quorumHierTimeout is quorum_hier's round deadline. Its default
+	// split (core.QuorumConfig.SplitLevels) gives the gathers 30ms and
+	// 60ms, which the 300ms injected delay misses by far, and the
+	// broadcast 30ms, whose verdict wait (16 budgets plus 7 pauses of a
+	// quarter budget, ≈ 530ms) survives the anchor rows' full-sync waits.
+	quorumHierTimeout = 120 * time.Millisecond
 )
 
 // quorumWAN returns the inter-group (WAN) α-β model: ~100x the
@@ -61,20 +67,6 @@ const (
 // where closing a round without the WAN straggler pays off.
 func quorumWAN() netsim.Model {
 	return netsim.Model{Alpha: 40 * time.Millisecond, Beta: 400 * time.Nanosecond}
-}
-
-// quorumHierLevels pins quorum_hier's per-level deadline budgets: gather
-// levels small enough that the 300ms injected delay misses them by
-// >10x, and a broadcast budget generous enough that the verdict wait it
-// sizes (core's verdictWait: 16 budgets plus 7 pauses of a quarter
-// budget, ≈ 800ms at 45ms) comfortably survives the anchor rows'
-// full-sync waits.
-func quorumHierLevels() core.LevelTimeouts {
-	return core.LevelTimeouts{
-		Group:     15 * time.Millisecond,
-		Leader:    15 * time.Millisecond,
-		Broadcast: 45 * time.Millisecond,
-	}
 }
 
 // QuorumResult is one swept quorum size.
@@ -266,7 +258,7 @@ func runQuorum(vecs []*sparse.Vector, k, rounds int, c quorumCase, lm *netsim.Li
 			}
 			if fmt.Sprint(missed[rd][r]) != fmt.Sprint(c.miss) {
 				return 0, fmt.Errorf("round %d: rank %d saw missed %v, want %v (the delay is %dx the deadline, the schedule must be deterministic)",
-					rd, r, missed[rd][r], c.miss, quorumDelay/quorumTimeout)
+					rd, r, missed[rd][r], c.miss, quorumDelay/c.qc.Timeout)
 			}
 		}
 	}
@@ -356,7 +348,7 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 	numGroups := (p + g - 1) / g
 	k := core.DensityToK(dim, quorumRho)
 	slow := p - 1 // last member of the last hierarchy group, never a leader
-	levels := quorumHierLevels()
+	levels := core.QuorumConfig{Timeout: quorumHierTimeout}.SplitLevels()
 	// The slow member's whole group, missed as a unit when its leader —
 	// stuck waiting out a full intra gather — misses the leader deadline.
 	var slowGroup []int
@@ -379,7 +371,7 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 		// closes the leader round without the whole group.
 		{g, numGroups - 1, slowGroup},
 	} {
-		qc := core.QuorumConfig{Q: c.qg, LeaderQ: c.ql, Timeout: quorumTimeout, Levels: levels}
+		qc := core.QuorumConfig{Q: c.qg, LeaderQ: c.ql, Timeout: quorumHierTimeout}
 		cases = append(cases, quorumCase{qc: qc, g: g, miss: c.miss})
 	}
 	rows, err := sweepQuorum(opt.seed(), p, dim, k, rounds, cases)
@@ -390,7 +382,7 @@ func QuorumHier(_ context.Context, opt Options) (string, *QuorumHierSection, err
 	section := &QuorumHierSection{
 		Dim: dim, Rho: quorumRho, K: k, P: p, G: g, NumGroups: numGroups,
 		SlowRank: slow, Rounds: rounds,
-		TimeoutMS:    quorumTimeout.Milliseconds(),
+		TimeoutMS:    quorumHierTimeout.Milliseconds(),
 		GroupMS:      levels.Group.Milliseconds(),
 		LeaderMS:     levels.Leader.Milliseconds(),
 		BroadcastMS:  levels.Broadcast.Milliseconds(),

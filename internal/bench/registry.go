@@ -117,11 +117,6 @@ func Experiments() []Experiment {
 			Run:         ablationTree,
 		},
 		{
-			ID:          "ablation-residual",
-			Description: "Ablation: gTop-k with and without residual put-back",
-			Run:         ablationResidual,
-		},
-		{
 			ID:          "ablation-layerwise",
 			Description: "Extension: layer-wise gTop-k sparsification (paper future work)",
 			Run:         ablationLayerwise,
@@ -335,30 +330,6 @@ func ablationTree(ctx context.Context, opt Options) (string, error) {
 		"top-k (coordinates dropped at inner merge levels cannot resurface);\n" +
 		"matching loss curves show the approximation is benign.\n"
 	return CurveTable("Ablation: tree gTop-k vs exact global top-k (ResNet-20, P=4)", curves) + note, nil
-}
-
-func ablationResidual(ctx context.Context, opt Options) (string, error) {
-	epochs, iters := opt.scale(12, 16)
-	var curves []*TrainCurve
-	for _, putBack := range []bool{true, false} {
-		spec := TrainSpec{
-			Spec:  algo.Spec{Algo: "gtopk", Density: 0.001, ItersPerEpoch: iters, Seed: opt.seed()},
-			Model: "resnet20sim", Workers: 4, Batch: 16,
-			Epochs: epochs, LR: 0.02, Momentum: 0.9, GradClip: 1,
-		}
-		spec.DisablePutBack = !putBack
-		curve, err := RunTraining(ctx, spec)
-		if err != nil {
-			return "", err
-		}
-		if putBack {
-			curve.Spec.Algo = "with put-back"
-		} else {
-			curve.Spec.Algo = "without put-back"
-		}
-		curves = append(curves, curve)
-	}
-	return CurveTable("Ablation: residual put-back of globally-dropped values (Alg. 4 line 10)", curves), nil
 }
 
 func ablationQuant(ctx context.Context, opt Options) (string, error) {

@@ -44,43 +44,6 @@ func runSPMDOn(t *testing.T, f transport.Fabric, body func(c *Comm) error) {
 	}
 }
 
-func TestBarrierAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 8, 13} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			runSPMD(t, p, func(c *Comm) error {
-				for i := 0; i < 3; i++ {
-					if err := c.Barrier(context.Background()); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestBarrierActuallySynchronises(t *testing.T) {
-	// A counter incremented before the barrier must be complete when any
-	// rank exits the barrier.
-	const p = 8
-	var mu sync.Mutex
-	arrived := 0
-	runSPMD(t, p, func(c *Comm) error {
-		mu.Lock()
-		arrived++
-		mu.Unlock()
-		if err := c.Barrier(context.Background()); err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if arrived != p {
-			return fmt.Errorf("rank %d exited barrier with only %d arrivals", c.Rank(), arrived)
-		}
-		return nil
-	})
-}
-
 func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8, 16} {
 		for root := 0; root < p; root++ {
@@ -358,9 +321,6 @@ func TestSequentialCollectivesDoNotInterfere(t *testing.T) {
 		}
 		if got[0] != 9 {
 			return fmt.Errorf("bcast corrupted: %v", got)
-		}
-		if err := c.Barrier(ctx); err != nil {
-			return err
 		}
 		all, err := c.AllGather(ctx, []byte{byte(c.Rank())})
 		if err != nil {

@@ -83,30 +83,6 @@ func TestBcastCancelledMidway(t *testing.T) {
 	}
 }
 
-func TestBarrierCancelledMidway(t *testing.T) {
-	const p = 3
-	f, err := transport.NewInProc(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- New(f.Conn(0)).Barrier(ctx)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled barrier returned nil error")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("barrier did not unblock on cancellation")
-	}
-}
-
 func TestAllGatherCorruptPayloadRejected(t *testing.T) {
 	// A malformed block payload injected at the transport level must be
 	// reported as an error by AllGather, not crash or corrupt state.

@@ -258,12 +258,12 @@ func TestForkGroupTagSpansFitInForkedChild(t *testing.T) {
 					return
 				}
 				// The child must still have tag room of its own.
-				if err := kid.Barrier(context.Background()); err != nil {
-					errs[rank] = fmt.Errorf("kid %d barrier: %w", i, err)
+				if _, err := kid.Bcast(context.Background(), 0, []byte{1}); err != nil {
+					errs[rank] = fmt.Errorf("kid %d bcast: %w", i, err)
 					return
 				}
-				if err := gc.Members.Barrier(context.Background()); err != nil {
-					errs[rank] = fmt.Errorf("kid %d member barrier: %w", i, err)
+				if _, err := gc.Members.Bcast(context.Background(), 0, []byte{1}); err != nil {
+					errs[rank] = fmt.Errorf("kid %d member bcast: %w", i, err)
 					return
 				}
 			}

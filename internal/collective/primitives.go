@@ -5,34 +5,6 @@ import (
 	"fmt"
 )
 
-// Barrier blocks until every rank has entered it, using the dissemination
-// algorithm: ceil(log2 P) rounds where rank r signals (r+2^j) mod P and
-// waits for (r-2^j) mod P. Works for any P >= 1.
-func (c *Comm) Barrier(ctx context.Context) error {
-	p := c.Size()
-	if p == 1 {
-		return nil
-	}
-	rounds := log2(p)
-	if 1<<rounds < p {
-		rounds++
-	}
-	base := c.claimTags(rounds)
-	r := c.Rank()
-	for j := 0; j < rounds; j++ {
-		dst := (r + (1 << j)) % p
-		src := (r - (1 << j) + p) % p
-		if err := c.send(ctx, dst, base+j, nil); err != nil {
-			return fmt.Errorf("barrier round %d: %w", j, err)
-		}
-		if _, err := c.recv(ctx, src, base+j); err != nil {
-			return fmt.Errorf("barrier round %d: %w", j, err)
-		}
-		c.chargeRound(0)
-	}
-	return nil
-}
-
 // Bcast distributes root's payload to all ranks along a binomial tree,
 // taking ceil(log2 P) rounds. Non-root ranks pass nil data and receive
 // the payload as the return value; the root's payload is returned as-is.

@@ -79,7 +79,7 @@ func (a *DenseAggregator) Aggregate(ctx context.Context, grad []float32) (Update
 // residual put-back for locally-sent-but-globally-dropped values,
 // average by P — over the whole gradient, ending on the (index, mean)
 // pairs Aggregate returns. The embedded round carries the configuration
-// surface (SetK, SetSchedule, SetPutBack, SetQuorum, Sparsifier,
+// surface (SetK, SetSchedule, SetQuorum, Sparsifier,
 // QuorumGroup); momentum correction is TrainConfig.Momentum, which
 // NewTrainer lends to the round.
 type GTopKAggregator struct {

@@ -296,7 +296,7 @@ func runLevels(ctx context.Context, parent *collective.Comm, p *plan, local *spa
 			for dst := r + lv.stride; dst < min(r+span, lv.size) && err == nil; dst += lv.stride {
 				if heldOn != c {
 					enc := codec
-					if c != levels[top].comm && enc.Value().Quantized() {
+					if c != levels[top].comm && enc.Lossy() {
 						// The top pinned the result to its quantizer's
 						// lattice; re-quantizing would redraw it, so
 						// another communicator ships it in lossless v3
@@ -507,9 +507,8 @@ func takeFrame(codec sparse.Codec, blob []byte, dst *sparse.Vector, vd *verdict,
 // keeps exactly the bits its receivers decode — and encodes it as one
 // pooled frame (see encodeFrame), tallied on comm. A lossy codec only
 // ever comes from comm's attached Compressor, whose Transform lands the
-// values on the fp16 or quantization lattice and returns the (scale,
-// levels) the v3 encoder packs for quantized codecs; lossless codecs
-// leave the values untouched.
+// values on the quantization lattice and returns the (scale, levels) the
+// v3 encoder packs; lossless codecs leave the values untouched.
 func wireFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, vd *verdict) []byte {
 	var scale float32
 	var levels []int16
@@ -530,11 +529,11 @@ func encodeFrame(comm *collective.Comm, codec sparse.Codec, v *sparse.Vector, sc
 	return buf
 }
 
-// encodeSparse encodes v under codec; quantized v3 codecs carry the
-// scale and levels their Transform returned, everything else encodes the
-// float values directly.
+// encodeSparse encodes v under codec; lossy codecs carry the scale and
+// levels their Transform returned, lossless ones encode the float values
+// directly.
 func encodeSparse(codec sparse.Codec, v *sparse.Vector, scale float32, levels []int16) []byte {
-	if codec.Value().Quantized() {
+	if codec.Lossy() {
 		return sparse.EncodeSlicesV3(codec, v.Dim, v.Indices, v.Values, scale, levels)
 	}
 	return sparse.EncodeCodec(codec, v)

@@ -39,7 +39,8 @@ type ClusterConfig struct {
 
 // RunCluster spawns cfg.Workers goroutine workers, runs cfg.Steps
 // synchronous S-SGD steps on each, and returns per-rank results ordered
-// by rank. The first worker error cancels all others.
+// by rank. The first worker error cancels all others and is the one
+// returned, with its rank: the peers it cancels fail after it.
 func RunCluster(ctx context.Context, cfg ClusterConfig, setup WorkerSetup) ([]*WorkerResult, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("core: cluster needs >= 1 worker, got %d", cfg.Workers)
@@ -63,15 +64,18 @@ func RunCluster(ctx context.Context, cfg ClusterConfig, setup WorkerSetup) ([]*W
 	defer cancel()
 
 	results := make([]*WorkerResult, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
+	var (
+		first error
+		once  sync.Once
+		wg    sync.WaitGroup
+	)
 	for r := 0; r < cfg.Workers; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			res, err := runWorker(ctx, rank, cfg, fabric, setup)
 			if err != nil {
-				errs[rank] = err
+				once.Do(func() { first = fmt.Errorf("core: worker %d: %w", rank, err) })
 				cancel() // unblock peers waiting in collectives
 				return
 			}
@@ -79,10 +83,8 @@ func RunCluster(ctx context.Context, cfg ClusterConfig, setup WorkerSetup) ([]*W
 		}(r)
 	}
 	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: worker %d: %w", rank, err)
-		}
+	if first != nil {
+		return nil, first
 	}
 	return results, nil
 }

@@ -3,36 +3,36 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/f16"
 	"gtopkssgd/internal/metrics"
 	"gtopkssgd/internal/sparse"
 	"gtopkssgd/internal/transport"
 )
 
-// halfValues is the fp16 value preference — quant.NewStack(ValueF16, …)
-// without the import cycle (quant imports core).
-type halfValues struct{}
+// signValues is a quantized value preference — the sign codec — for a
+// mesh that must never act on it: quant's Stack would be an import cycle
+// (quant imports core), and a transform here means the preference took
+// effect.
+type signValues struct{}
 
-func (halfValues) ValueCodec() sparse.ValueCodec { return sparse.ValueF16 }
+func (signValues) ValueCodec() sparse.ValueCodec { return sparse.ValueSign }
 
-func (halfValues) Transform(values []float32) (float32, []int16) {
-	f16.RoundSlice(values)
-	return 0, nil
+func (signValues) Transform([]float32) (float32, []int16) {
+	panic("core: a v1 mesh transformed values")
 }
 
-func (h halfValues) Fork(uint64) sparse.Compressor { return h }
+func (s signValues) Fork(uint64) sparse.Compressor { return s }
 
-func (h halfValues) Shared(uint64) sparse.Compressor { return h }
+func (s signValues) Shared(uint64) sparse.Compressor { return s }
 
 // runWire executes the flat GTopKInto on every rank of an
-// in-process fabric negotiated to the given wire version (with an
-// optional fp16 value preference) and returns the per-rank results.
-func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, fp16 bool) []*sparse.Vector {
+// in-process fabric negotiated to the given wire version (with pref,
+// when non-nil, as every rank's value preference) and returns the
+// per-rank results.
+func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, pref sparse.Compressor) []*sparse.Vector {
 	t.Helper()
 	p := len(vecs)
 	f, err := transport.NewInProcWire(p, wire)
@@ -48,8 +48,8 @@ func runWire(t *testing.T, vecs []*sparse.Vector, k int, wire byte, fp16 bool) [
 		go func(rank int) {
 			defer wg.Done()
 			comm := collective.New(f.Conn(rank))
-			if fp16 {
-				comm.SetCompressor(halfValues{})
+			if pref != nil {
+				comm.SetCompressor(pref)
 			}
 			out := &sparse.Vector{}
 			errs[rank] = GTopKInto(context.Background(), comm, nil, vecs[rank].Clone(), k, out)
@@ -85,8 +85,8 @@ func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 					vecs[r] = &sparse.Vector{Dim: dim}
 				}
 			}
-			v1 := runWire(t, vecs, k, transport.WireV1, false)
-			v3 := runWire(t, vecs, k, transport.WireV3, false)
+			v1 := runWire(t, vecs, k, transport.WireV1, nil)
+			v3 := runWire(t, vecs, k, transport.WireV3, nil)
 			for r := range v1 {
 				assertVecEqual(t, fmt.Sprintf("p=%d %s rank %d v3-vs-v1", p, mode, r), v1[r], v3[r])
 			}
@@ -100,7 +100,7 @@ func TestGTopKCodecV3BitEquivalence(t *testing.T) {
 func TestGTopKCodecV3OverTCP(t *testing.T) {
 	const p, dim, k = 4, 5000, 50
 	_, vecs := makeWorkerVectors(7, p, dim, k)
-	want := runWire(t, vecs, k, transport.WireV1, false)
+	want := runWire(t, vecs, k, transport.WireV1, nil)
 
 	bytesSent := make([]int64, 2)
 	for vi, wire := range []byte{transport.WireV1, transport.WireV3} {
@@ -139,41 +139,18 @@ func TestGTopKCodecV3OverTCP(t *testing.T) {
 	}
 }
 
-// TestGTopKCodecF16ReplicaAgreement: under the lossy fp16 codec every
-// rank must still hold the bit-identical result (the root rounds its own
-// copy through the codec before broadcasting), and every surviving value
-// must be an fp16-representable number.
-func TestGTopKCodecF16ReplicaAgreement(t *testing.T) {
-	const dim, k = 300, 15
-	for _, p := range []int{2, 3, 4, 5, 8} {
-		_, vecs := makeWorkerVectors(uint64(40+p), p, dim, k)
-		results := runWire(t, vecs, k, transport.WireV3, true)
-		for r := 1; r < p; r++ {
-			assertVecEqual(t, fmt.Sprintf("p=%d fp16 rank %d vs rank 0", p, r), results[0], results[r])
-		}
-		for i, v := range results[0].Values {
-			if math.Float32bits(f16.Round(v)) != math.Float32bits(v) {
-				t.Fatalf("p=%d: value %d (%v) is not fp16-representable", p, i, v)
-			}
-		}
-		if results[0].NNZ() == 0 {
-			t.Fatalf("p=%d: fp16 aggregation lost the whole payload", p)
-		}
-	}
-}
-
 // TestGTopKCodecMixedMeshFallsBack: a mesh where one member offers only
 // v1 must settle on v1 frames everywhere and still produce the v1 bits,
-// even when other members ask for fp16.
+// even when other members ask for a quantized value codec.
 func TestGTopKCodecMixedMeshFallsBack(t *testing.T) {
 	const p, dim, k = 3, 240, 12
 	_, vecs := makeWorkerVectors(9, p, dim, k)
-	want := runWire(t, vecs, k, transport.WireV1, false)
+	want := runWire(t, vecs, k, transport.WireV1, nil)
 
 	// Simulate the negotiated outcome: the fabric settled on v1 while
-	// the application still asks for fp16 — the preference must be
-	// silently ineffective (v1 has no fp16 mode).
-	got := runWire(t, vecs, k, transport.WireV1, true)
+	// the application still asks for sign values — the preference must
+	// be silently ineffective (v1 frames carry only float32 values).
+	got := runWire(t, vecs, k, transport.WireV1, signValues{})
 	for r := range want {
 		assertVecEqual(t, fmt.Sprintf("mixed mesh rank %d", r), want[r], got[r])
 	}

@@ -195,42 +195,6 @@ func TestHierarchicalLeaderArrivalOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestHierarchicalFP16ReplicasAgree: under the lossy v3-fp16 codec every
-// rank must still hold bit-identical results — the broadcast roots round
-// through binary16 before encoding at both levels.
-func TestHierarchicalFP16ReplicasAgree(t *testing.T) {
-	const p, g, dim, k = 8, 4, 300, 10
-	_, vecs := makeWorkerVectors(23, p, dim, k)
-
-	fab, err := transport.NewInProcWire(p, transport.WireV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, p)
-	results := make([]*sparse.Vector, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			comm := collective.New(fab.Conn(rank))
-			comm.SetCompressor(halfValues{})
-			res, _, _, err := hierOnce(context.Background(), comm, vecs[rank].Clone(), k, g, QuorumConfig{})
-			errs[rank], results[rank] = err, res
-		}(r)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	for r := 1; r < p; r++ {
-		assertVecEqual(t, fmt.Sprintf("fp16 rank %d vs rank 0", r), results[0], results[r])
-	}
-}
-
 // TestHierarchicalSimulatedTime replays the implementation's α-β charges
 // for world rank 0 (group leader and global root) and requires the
 // simulated clock to match exactly, with the synchronization-skew term

@@ -19,8 +19,6 @@ func TestHierQuorumConfigValidation(t *testing.T) {
 	legal := []QuorumConfig{
 		{Q: 3, Timeout: time.Second},
 		{Q: 4, Timeout: time.Second, LeaderQ: 2},
-		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{
-			Group: 200 * time.Millisecond, Leader: 500 * time.Millisecond, Broadcast: 200 * time.Millisecond}},
 	}
 	for _, qc := range legal {
 		if err := qc.ValidateHier(p, g); err != nil {
@@ -28,15 +26,11 @@ func TestHierQuorumConfigValidation(t *testing.T) {
 		}
 	}
 	bad := []QuorumConfig{
-		{Q: 2, Timeout: time.Second},                                            // below the group's strict majority
-		{Q: 5, Timeout: time.Second},                                            // above the group size
-		{Q: 3, Timeout: 0},                                                      // no deadline
-		{Q: 3, Timeout: time.Second, LeaderQ: 1},                                // below the leader-level majority
-		{Q: 3, Timeout: time.Second, LeaderQ: 3},                                // above the group count
-		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{Group: time.Second}}, // partial budgets
-		{Q: 3, Timeout: time.Second, Levels: LevelTimeouts{Group: -1, Leader: 1, Broadcast: 1}}, // negative budget
-		{Q: 3, Timeout: 100 * time.Millisecond, Levels: LevelTimeouts{ // budgets exceed the round deadline
-			Group: 50 * time.Millisecond, Leader: 50 * time.Millisecond, Broadcast: 50 * time.Millisecond}},
+		{Q: 2, Timeout: time.Second},             // below the group's strict majority
+		{Q: 5, Timeout: time.Second},             // above the group size
+		{Q: 3, Timeout: 0},                       // no deadline
+		{Q: 3, Timeout: time.Second, LeaderQ: 1}, // below the leader-level majority
+		{Q: 3, Timeout: time.Second, LeaderQ: 3}, // above the group count
 	}
 	for _, qc := range bad {
 		if err := qc.ValidateHier(p, g); err == nil {
@@ -48,12 +42,9 @@ func TestHierQuorumConfigValidation(t *testing.T) {
 			t.Errorf("group size %d accepted for p=%d", tc.g, p)
 		}
 	}
-	// The flat validator must reject the hierarchical fields.
+	// The flat validator must reject the hierarchical field.
 	if err := (QuorumConfig{Q: 5, Timeout: time.Second, LeaderQ: 2}).Validate(p); err == nil {
 		t.Error("flat Validate accepted a leader quorum")
-	}
-	if err := (QuorumConfig{Q: 5, Timeout: time.Second, Levels: LevelTimeouts{Group: 1, Leader: 1, Broadcast: 1}}).Validate(p); err == nil {
-		t.Error("flat Validate accepted per-level budgets")
 	}
 }
 
@@ -72,11 +63,6 @@ func TestSplitLevels(t *testing.T) {
 	lt = qc.SplitLevels()
 	if sum := lt.Group + lt.Leader + lt.Broadcast; sum != qc.Timeout {
 		t.Fatalf("odd split sums to %v, want %v", sum, qc.Timeout)
-	}
-	explicit := LevelTimeouts{Group: 1, Leader: 2, Broadcast: 3}
-	qc.Levels = explicit
-	if got := qc.SplitLevels(); got != explicit {
-		t.Fatalf("explicit levels not passed through: %+v", got)
 	}
 }
 
@@ -252,10 +238,10 @@ func TestHierQuorumPartitionedGroupAgreement(t *testing.T) {
 	_, vecs := makeWorkerVectors(909, p, dim, k)
 	participants := []int{0, 1, 2, 3, 4, 5} // group {6,7} partitioned away
 	want := serialHierMerge(t, vecs, k, g, participants)
-	qc := QuorumConfig{
-		Q: 2, LeaderQ: 3, Timeout: 800 * time.Millisecond,
-		Levels: LevelTimeouts{Group: 150 * time.Millisecond, Leader: 150 * time.Millisecond, Broadcast: 400 * time.Millisecond},
-	}
+	// Budgets of 200/400/200ms: the 1.5s delay misses both gathers, and
+	// the verdict wait the broadcast budget sizes (≈ 3.55s) survives the
+	// delayed relay to the partitioned member.
+	qc := QuorumConfig{Q: 2, LeaderQ: 3, Timeout: 800 * time.Millisecond}
 	plan := transport.FaultPlan{Seed: 23, Delay: 1500 * time.Millisecond, SlowRanks: []int{6, 7}}
 
 	inner, err := transport.NewInProc(p)
@@ -354,12 +340,13 @@ func TestChaosHierQuorumRefundConservation(t *testing.T) {
 	planGroup := transport.FaultPlan{Seed: 77, Delay: 800 * time.Millisecond, SlowRanks: partitioned}
 	planMember := transport.FaultPlan{Seed: 78, StallEvery: 2, StallFor: 800 * time.Millisecond, SlowRanks: []int{slowMember}}
 	qc := QuorumConfig{
-		Q: 3, LeaderQ: 3, Timeout: 400 * time.Millisecond,
-		// The broadcast budget sizes the verdict wait: a partitioned
-		// member's verdict arrives only after its leader has drained the
-		// delayed intra gather AND the delayed relay link — about two
-		// link delays — well inside verdictWait(200ms) ≈ 3.55s.
-		Levels: LevelTimeouts{Group: 100 * time.Millisecond, Leader: 100 * time.Millisecond, Broadcast: 200 * time.Millisecond},
+		Q: 3, LeaderQ: 3,
+		// Budgets of 200/400/200ms. The broadcast budget sizes the verdict
+		// wait: a partitioned member's verdict arrives only after its
+		// leader has drained the delayed intra gather AND the delayed
+		// relay link — about two link delays — well inside
+		// verdictWait(200ms) ≈ 3.55s.
+		Timeout: 800 * time.Millisecond,
 	}
 
 	inner, err := transport.NewInProc(p)

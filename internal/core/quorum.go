@@ -19,10 +19,10 @@ import (
 // gradient signal rides into a later round exactly like any residual
 // mass (DGC's momentum-correction argument makes this convergence-safe).
 
-// LevelTimeouts splits one round deadline into per-level budgets for the
-// hierarchical quorum collective: the intra-group gather, the
-// leader-level gather, and the verdict broadcast each get their own
-// deadline, and the three must fit inside the round's Timeout.
+// LevelTimeouts is one round deadline split into per-level budgets for
+// the hierarchical quorum collective (SplitLevels): the intra-group
+// gather, the leader-level gather, and the verdict broadcast each get
+// their own deadline, and the three sum to the round's Timeout.
 type LevelTimeouts struct {
 	// Group bounds the intra-group gather (member frames at the leader).
 	Group time.Duration
@@ -44,19 +44,13 @@ type QuorumConfig struct {
 	Q int
 	// Timeout is the per-round gather deadline (must be > 0). The
 	// hierarchical collective treats it as the whole-round budget that
-	// the per-level deadlines split (see Levels and SplitLevels).
+	// the per-level deadlines split (see SplitLevels).
 	Timeout time.Duration
 	// LeaderQ is the hierarchical collective's leader-level quorum q_l
 	// over the ⌈P/G⌉ group aggregates; valid values are
 	// [QuorumMin(⌈P/G⌉), ⌈P/G⌉]. Zero defaults to a full leader quorum.
 	// Must be zero for the flat collective.
 	LeaderQ int
-	// Levels optionally pins the per-level deadline budgets. The zero
-	// value applies the default split policy (SplitLevels): the
-	// leader-level gather — the level that crosses the slow links — gets
-	// half the round budget, the intra gather and the broadcast a
-	// quarter each. Must be zero for the flat collective.
-	Levels LevelTimeouts
 }
 
 // QuorumMin returns the smallest legal quorum for a P-rank world:
@@ -65,7 +59,7 @@ type QuorumConfig struct {
 func QuorumMin(p int) int { return (p+1)/2 + 1 }
 
 // Validate checks the configuration against a P-rank world for the FLAT
-// quorum collective; the hierarchical fields must be unset.
+// quorum collective; the hierarchical field LeaderQ must be unset.
 func (qc QuorumConfig) Validate(p int) error { return qc.validate(p, p) }
 
 // ValidateHier checks the configuration against a P-rank world split
@@ -87,10 +81,9 @@ func (qc QuorumConfig) validate(p, g int) error {
 	if lo := QuorumMin(g); qc.Q < lo || qc.Q > g {
 		return fmt.Errorf("core: quorum %d out of range [%d,%d] for groups of %d (of %d workers)", qc.Q, lo, g, g, p)
 	}
-	lt := qc.Levels
 	if g == p {
-		if qc.LeaderQ != 0 || lt != (LevelTimeouts{}) {
-			return fmt.Errorf("core: leader quorum %d / per-level deadline budgets set, but the collective is flat (both need a hierarchy)", qc.LeaderQ)
+		if qc.LeaderQ != 0 {
+			return fmt.Errorf("core: leader quorum %d set, but the collective is flat (it needs a hierarchy)", qc.LeaderQ)
 		}
 		return nil
 	}
@@ -98,29 +91,16 @@ func (qc QuorumConfig) validate(p, g int) error {
 	if lo := QuorumMin(numGroups); qc.LeaderQ != 0 && (qc.LeaderQ < lo || qc.LeaderQ > numGroups) {
 		return fmt.Errorf("core: leader quorum %d out of range [%d,%d] for %d groups", qc.LeaderQ, lo, numGroups, numGroups)
 	}
-	if lt != (LevelTimeouts{}) {
-		if lt.Group <= 0 || lt.Leader <= 0 || lt.Broadcast <= 0 {
-			return fmt.Errorf("core: per-level deadline budgets must all be positive (got group %v, leader %v, broadcast %v)",
-				lt.Group, lt.Leader, lt.Broadcast)
-		}
-		if sum := lt.Group + lt.Leader + lt.Broadcast; sum > qc.Timeout {
-			return fmt.Errorf("core: per-level deadline budgets %v + %v + %v = %v exceed the %v round deadline",
-				lt.Group, lt.Leader, lt.Broadcast, sum, qc.Timeout)
-		}
-	}
 	return nil
 }
 
-// SplitLevels resolves the per-level deadline budgets: explicit Levels
-// win; otherwise the round deadline splits 1/4 : 1/2 : 1/4 across
-// intra-group gather, leader gather, and broadcast. The leader level —
-// the one whose links cross groups and carry the WAN latency — gets the
-// largest slice, and the exact remainder lands on the broadcast so the
-// three budgets always sum to the round deadline.
+// SplitLevels resolves the per-level deadline budgets: the round
+// deadline splits 1/4 : 1/2 : 1/4 across intra-group gather, leader
+// gather, and broadcast. The leader level — the one whose links cross
+// groups and carry the WAN latency — gets the largest slice, and the
+// exact remainder lands on the broadcast so the three budgets always sum
+// to the round deadline.
 func (qc QuorumConfig) SplitLevels() LevelTimeouts {
-	if qc.Levels != (LevelTimeouts{}) {
-		return qc.Levels
-	}
 	group := qc.Timeout / 4
 	leader := qc.Timeout / 2
 	return LevelTimeouts{Group: group, Leader: leader, Broadcast: qc.Timeout - group - leader}

@@ -29,12 +29,11 @@ type round struct {
 	plan  plan // the collective the round aggregates over
 	fixed bool // a baseline's plan, which takes no quorum
 
-	schedule  func(step int) int
-	step      int
-	noPutBack bool
-	mu        float32   // DGC momentum-correction coefficient (0 disables)
-	velocity  []float32 // the lent momentum-correction buffer (nil while mu is 0)
-	quorum    QuorumConfig
+	schedule func(step int) int
+	step     int
+	mu       float32   // DGC momentum-correction coefficient (0 disables)
+	velocity []float32 // the lent momentum-correction buffer (nil while mu is 0)
+	quorum   QuorumConfig
 
 	orig   []float32     // pre-transform snapshot of the selected values (reused)
 	global sparse.Vector // reused collective result (zero steady-state allocs)
@@ -92,11 +91,6 @@ func (r *round) SetK(k int) error {
 // target density). The schedule overrides the static k; it must return
 // values in [1, dim] and must be identical on every rank.
 func (r *round) SetSchedule(f func(step int) int) { r.schedule = f }
-
-// SetPutBack toggles Algorithm 4 line 10 (returning globally-dropped
-// values to the residual). Disabling it isolates the contribution of
-// the extra-residual mechanism — the reproduction's residual ablation.
-func (r *round) SetPutBack(enabled bool) { r.noPutBack = !enabled }
 
 // lendVelocity is how the round learns the momentum: DGC-style
 // correction (Lin et al., cited as [12]) accumulates it LOCALLY before
@@ -179,9 +173,7 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 		if fold {
 			r.sp.FoldError(local.Indices, r.orig, local.Values)
 		}
-		if !r.noPutBack {
-			r.sp.PutBack(local, global.Indices)
-		}
+		r.sp.PutBack(local, global.Indices)
 	}
 	// The mean in place, with the additions and the multiplication
 	// MeanInto performs at the support (so a −0 becomes +0): the result is

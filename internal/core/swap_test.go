@@ -185,13 +185,13 @@ func serialBinomial(t *testing.T, vecs []*sparse.Vector, k int) *sparse.Vector {
 }
 
 // TestSwapTreeWall is the table test of the swapped tree: every world
-// size 1..9 and 16 × the lossless, fp16 and both stochastic codec
-// families on the in-process fabric, and P ∈ {3, 4, 8} over loopback
+// size 1..9 and 16 × the lossless and both stochastic codec families
+// on the in-process fabric, and P ∈ {3, 4, 8} over loopback
 // TCP, which must reproduce the in-process bits. A second shape, k =
 // 2 000 of 4 000 at P ∈ {4, 8}, is large enough that a hop once went as
 // four frames: every hop is one message, so the count stays 2(P−1).
 func TestSwapTreeWall(t *testing.T) {
-	codecs := []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3F16, sparse.CodecV3Q8, sparse.CodecV3T}
+	codecs := []sparse.Codec{sparse.CodecV1, sparse.CodecV3, sparse.CodecV3Q8, sparse.CodecV3T}
 	for _, shape := range []struct {
 		dim, k int
 		ps     []int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -185,18 +186,22 @@ func TestClusterSimulatedTimeOrdering(t *testing.T) {
 	}
 }
 
+// TestClusterErrorPropagation: the error RunCluster returns is the
+// first failure, with its rank, not a peer's cancellation that follows
+// it (the lowest-ranked error is usually a context.Canceled).
 func TestClusterErrorPropagation(t *testing.T) {
-	_, err := RunCluster(context.Background(), ClusterConfig{Workers: 2, Steps: 1},
+	boom := errors.New("boom")
+	_, err := RunCluster(context.Background(), ClusterConfig{Workers: 4, Steps: 3},
 		func(rank int, comm *collective.Comm) (*Trainer, error) {
-			if rank == 1 {
-				return nil, fmt.Errorf("boom")
+			if rank == 2 {
+				return nil, boom
 			}
 			agg := NewDenseAggregator(comm, 4)
 			return NewTrainer(TrainConfig{LR: 0.1}, agg, make([]float32, 4),
 				func(_ int, _, grad []float32) float64 { clear(grad); return 0 })
 		})
-	if err == nil {
-		t.Fatal("setup failure not propagated")
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "worker 2") {
+		t.Fatalf("RunCluster returned %v, want rank 2's setup failure", err)
 	}
 }
 

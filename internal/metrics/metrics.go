@@ -51,15 +51,6 @@ func Throughput(p, batch int, iterTime time.Duration) float64 {
 	return float64(p*batch) / iterTime.Seconds()
 }
 
-// Speedup returns a/b as a "g/d"-style multiplier (Table IV), guarding
-// against a zero denominator.
-func Speedup(fast, slow float64) float64 {
-	if fast == 0 {
-		return 0
-	}
-	return slow / fast
-}
-
 // EpochMeans folds a per-iteration loss series into per-epoch means with
 // the given number of iterations per epoch, mirroring how the paper plots
 // training loss against epochs.

@@ -51,15 +51,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(100, 1280); got != 12.8 {
-		t.Fatalf("speedup = %v, want 12.8", got)
-	}
-	if Speedup(0, 5) != 0 {
-		t.Fatal("zero denominator should yield 0")
-	}
-}
-
 func TestEpochMeans(t *testing.T) {
 	losses := []float64{4, 2, 3, 1, 5}
 	got := EpochMeans(losses, 2)

@@ -14,8 +14,6 @@
 package nn
 
 import (
-	"fmt"
-
 	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/tensor"
 )
@@ -197,14 +195,4 @@ func (n *Network) LayerBounds() []int {
 		bounds = append(bounds, off)
 	}
 	return bounds
-}
-
-// Summary returns a human-readable per-layer parameter breakdown.
-func (n *Network) Summary() string {
-	s := ""
-	for _, l := range n.layers {
-		s += fmt.Sprintf("%-24s %8d params\n", l.Name(), l.ParamCount())
-	}
-	s += fmt.Sprintf("%-24s %8d params total\n", "", n.ParamCount())
-	return s
 }

@@ -98,10 +98,6 @@ func TestGoldenStack(t *testing.T) {
 			[]int16{127, -43, 10, -255, 0, 0, -149, 56},
 			[]uint32{0x3f3f3f3f, 0xbe818182, 0x3d70f0f1, 0xbfc00000, 0, 0, 0xbf606060, 0x3ea8a8a9},
 			[]byte{0xb3, 0x3, 0x2, 0x80, 0x4, 0x8, 0x0, 0x0, 0xc0, 0x3f, 0x0, 0x2, 0x3, 0x4, 0x57, 0x0, 0x94, 0x1, 0x84, 0x2, 0x4a, 0x7f, 0x2b, 0xa, 0xff, 0x0, 0x0, 0x95, 0x38}},
-		{sparse.ValueQ4, 1.5,
-			[]int16{7, -3, 0, -15, 0, 0, -9, 4},
-			[]uint32{0x3f333333, 0xbe99999a, 0, 0xbfc00000, 0, 0, 0xbf666666, 0x3ecccccd},
-			[]byte{0xb3, 0x3, 0x3, 0x80, 0x4, 0x8, 0x0, 0x0, 0xc0, 0x3f, 0x0, 0x2, 0x3, 0x4, 0x57, 0x0, 0x94, 0x1, 0x84, 0x2, 0x4a, 0x37, 0xf0, 0x0, 0x49}},
 		{sparse.ValueQ2, 1.5,
 			[]int16{1, -1, 0, -3, 0, 0, -2, 1},
 			[]uint32{0x3f000000, 0xbf000000, 0, 0xbfc00000, 0, 0, 0xbf800000, 0x3f000000},
@@ -154,29 +150,12 @@ func TestGoldenStack(t *testing.T) {
 	}
 }
 
-// TestGoldenStackLossless pins the pass-through contract of the two
-// float-valued stacks: fp32 transforms nothing, fp16 rounds in place and
-// neither returns levels.
-func TestGoldenStackLossless(t *testing.T) {
-	in := goldenInput()
-	vals := append([]float32(nil), in...)
-	if scale, levels := NewStack(sparse.ValueF32, 7).Transform(vals); scale != 0 || levels != nil {
-		t.Fatalf("fp32 Transform returned (%v, %v), want (0, nil)", scale, levels)
-	}
-	eqF32(t, "fp32 values", vals, in)
-	scale, levels := NewStack(sparse.ValueF16, 7).Transform(vals)
-	if scale != 0 || levels != nil {
-		t.Fatalf("fp16 Transform returned (%v, %v), want (0, nil)", scale, levels)
-	}
-	eqF32(t, "fp16 values", vals, []float32{0.75, -0.25, 0.0625, -1.5, 0.0010004044, 0, -0.875, 0.33007812})
-}
-
 // TestStackZeroScale pins the all-zero input: every quantized stack must
 // emit scale 0 with all-zero levels (sign excepted — its levels are
 // ±1 by construction), the one form the decoder accepts under a zero
 // scale.
 func TestStackZeroScale(t *testing.T) {
-	for _, vc := range []sparse.ValueCodec{sparse.ValueQ8, sparse.ValueQ4, sparse.ValueQ2, sparse.ValueTernary} {
+	for _, vc := range []sparse.ValueCodec{sparse.ValueQ8, sparse.ValueQ2, sparse.ValueTernary} {
 		vals := make([]float32, 5)
 		scale, levels := NewStack(vc, 3).Transform(vals)
 		if scale != 0 {

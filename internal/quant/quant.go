@@ -16,7 +16,7 @@
 // aggregator.go quantize whole gradients with PackSigns (signSGD) and
 // Ternary (TernGrad). Stack (stack.go) is the sparse.Compressor — the
 // transform stage of the compound pipeline (select → transform →
-// encode) that carries the fp16, QSGD, ternary and sign value codecs,
+// encode) that carries the QSGD, ternary and sign value codecs,
 // whose levels the wire format v3 encoder packs after gTop-k selection;
 // see internal/sparse/codecv3.go and docs/ARCHITECTURE.md §Wire formats.
 package quant

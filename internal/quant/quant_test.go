@@ -249,7 +249,7 @@ func TestQuickPackSignsRoundTrip(t *testing.T) {
 // level step, scale/steps, at any of its bit widths.
 func TestQuickUniformErrorBound(t *testing.T) {
 	fn := func(seed uint64, codec uint8) bool {
-		vc := []sparse.ValueCodec{sparse.ValueQ8, sparse.ValueQ4, sparse.ValueQ2}[codec%3]
+		vc := []sparse.ValueCodec{sparse.ValueQ8, sparse.ValueQ2}[codec%2]
 		src := prng.New(seed)
 		x := make([]float32, 50)
 		for i := range x {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"gtopkssgd/internal/collective"
-	"gtopkssgd/internal/f16"
 	"gtopkssgd/internal/prng"
 	"gtopkssgd/internal/sparse"
 )
@@ -15,7 +14,7 @@ import (
 // codec's lattice after selection. Indices stay exact — a wrong index
 // corrupts an unrelated parameter — so the compression compounds:
 // sparsification removes entries, the stack then shrinks what survives
-// (QSGD 8/4/2-bit, TernGrad ternary, or signSGD sign bits), which is
+// (QSGD 8- or 2-bit, TernGrad ternary, or signSGD sign bits), which is
 // how the pipeline passes the 32× ceiling quantization alone caps at.
 //
 // Transform replaces every value with its dequantized lattice point
@@ -32,7 +31,8 @@ type Stack struct {
 	shared *Stack // Shared's reused compressor (nil until first asked for)
 }
 
-// NewStack builds a Compressor for one value codec. The seed drives the
+// NewStack builds a Compressor for one quantized value codec (every one
+// but fp32, whose values need no transform). The seed drives the
 // stochastic rounding (QSGD) and Bernoulli sampling (ternary) and must
 // be the SAME on every rank: the gTop-k broadcast roots quantize the
 // global result with Shared, whose draws come from this seed. Each rank
@@ -99,19 +99,12 @@ func forkSeed(seed, stream uint64) uint64 {
 // (transformSign). Reconstruction goes through sparse.DequantLevel so
 // sender and receivers agree bit-exact.
 func (s *Stack) Transform(values []float32) (float32, []int16) {
-	switch s.vc {
-	case sparse.ValueF32:
-		return 0, nil
-	case sparse.ValueF16:
-		f16.RoundSlice(values)
-		return 0, nil
-	}
 	if cap(s.levels) < len(values) {
 		s.levels = make([]int16, len(values))
 	}
 	levels := s.levels[:len(values)]
 	switch s.vc {
-	case sparse.ValueQ8, sparse.ValueQ4, sparse.ValueQ2:
+	case sparse.ValueQ8, sparse.ValueQ2:
 		return s.transformUniform(values, levels), levels
 	case sparse.ValueTernary:
 		return s.transformTernary(values, levels), levels
@@ -215,12 +208,8 @@ func transformSign(values []float32, levels []int16) float32 {
 
 // steps returns the per-codec positive level count for the QSGD family.
 func (s *Stack) steps() int16 {
-	switch s.vc {
-	case sparse.ValueQ8:
+	if s.vc == sparse.ValueQ8 {
 		return 255
-	case sparse.ValueQ4:
-		return 15
-	default: // sparse.ValueQ2
-		return 3
 	}
+	return 3 // sparse.ValueQ2
 }

@@ -38,13 +38,13 @@ func (c Codec) WireVersion() byte {
 	return 1
 }
 
-// Lossy reports whether shipping values through c changes value bits.
-// A lossy codec's wire transform rewrites the SENDER's in-memory copy
-// too — pinning it to the fp16 / quantization lattice points its
-// receivers decode — so a sender that must conserve gradient mass
-// snapshots its values first and folds original−shipped back into its
-// residual.
-func (c Codec) Lossy() bool { return c.Value().Lossy() }
+// Lossy reports whether shipping values through c changes value bits:
+// whether its value codec is quantized. A lossy codec's wire transform
+// rewrites the SENDER's in-memory copy too — pinning it to the
+// quantization lattice points its receivers decode — so a sender that
+// must conserve gradient mass snapshots its values first and folds
+// original−shipped back into its residual.
+func (c Codec) Lossy() bool { return c.Value().Quantized() }
 
 // DecodeFrame parses one received frame under c on the hot path: a v1
 // frame comes back as a zero-copy view aliasing buf (scratch is untouched
@@ -68,7 +68,7 @@ func (c Codec) String() string {
 		return "v1"
 	case c == CodecV3:
 		return "v3"
-	case c > CodecV3 && c <= CodecV3S:
+	case c > CodecV3 && c.Value().known():
 		return "v3-" + c.Value().String()
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
@@ -76,8 +76,7 @@ func (c Codec) String() string {
 }
 
 // ParseCodec parses the -wire flag spellings: v1, v3 and the compound
-// forms v3-<value codec> (v3-fp16, v3-qsgd8, v3-qsgd4, v3-qsgd2,
-// v3-ternary, v3-sign).
+// forms v3-<value codec> (v3-qsgd8, v3-qsgd2, v3-ternary, v3-sign).
 func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "v1":
@@ -108,8 +107,8 @@ func EncodeSlicesCodec(c Codec, dim int, indices []int32, values []float32) []by
 	if c == CodecV1 {
 		return EncodeSlices(dim, indices, values)
 	}
-	// Float-valued v3 frames only: quantized codecs need the
-	// Compressor's (scale, levels) and go through EncodeSlicesV3.
+	// fp32 v3 frames only: quantized codecs need the Compressor's
+	// (scale, levels) and go through EncodeSlicesV3.
 	return EncodeSlicesV3(c, dim, indices, values, 0, nil)
 }
 

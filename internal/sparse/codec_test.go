@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"gtopkssgd/internal/f16"
 	"gtopkssgd/internal/prng"
 )
 
@@ -52,11 +51,11 @@ func finite(v *Vector) bool {
 var v2Frame = []byte{0xA7, 2, 0, 4, 2, 1, 1, 0, 0, 0, 0xC0, 0, 0, 0, 0x3F}
 
 // TestCodecRoundTrip: encode→decode is the identity for CodecV1 and
-// CodecV3 (bit-exact values) and the f16.Round image for CodecV3F16.
-// The v3 codecs reject the non-finite test vector at decode instead.
+// CodecV3 (bit-exact values). CodecV3 rejects the non-finite test vector
+// at decode instead.
 func TestCodecRoundTrip(t *testing.T) {
 	for vi, v := range codecTestVectors() {
-		for _, c := range []Codec{CodecV1, CodecV3, CodecV3F16} {
+		for _, c := range []Codec{CodecV1, CodecV3} {
 			buf := EncodeCodec(c, v)
 			got, err := DecodeCodec(c, buf)
 			if c != CodecV1 && !finite(v) {
@@ -75,17 +74,13 @@ func TestCodecRoundTrip(t *testing.T) {
 				if got.Indices[i] != v.Indices[i] {
 					t.Fatalf("vec %d codec %s: index %d: %d != %d", vi, c, i, got.Indices[i], v.Indices[i])
 				}
-				want := v.Values[i]
-				if c == CodecV3F16 {
-					want = f16.Round(want)
-				}
-				if math.Float32bits(got.Values[i]) != math.Float32bits(want) {
+				if math.Float32bits(got.Values[i]) != math.Float32bits(v.Values[i]) {
 					t.Fatalf("vec %d codec %s: value %d: %x != %x", vi, c, i,
-						math.Float32bits(got.Values[i]), math.Float32bits(want))
+						math.Float32bits(got.Values[i]), math.Float32bits(v.Values[i]))
 				}
 			}
 			// Accepted frames re-encode byte-identically (minimal
-			// varints, exact length), including fp16 frames.
+			// varints, exact length).
 			if !bytes.Equal(EncodeCodec(c, got), buf) {
 				t.Fatalf("vec %d codec %s: re-encode differs", vi, c)
 			}
@@ -114,13 +109,11 @@ func TestCodecCrossVersionRejection(t *testing.T) {
 				t.Fatalf("vec %d: v3 decoder accepted a v1 frame", vi)
 			}
 		}
-		for _, c := range []Codec{CodecV3, CodecV3F16} {
-			if _, err := Decode(EncodeCodec(c, v)); err == nil {
-				t.Fatalf("vec %d: v1 decoder accepted a %s frame", vi, c)
-			}
-			if _, err := DecodeView(EncodeCodec(c, v)); err == nil {
-				t.Fatalf("vec %d: v1 DecodeView accepted a %s frame", vi, c)
-			}
+		if _, err := Decode(EncodeCodec(CodecV3, v)); err == nil {
+			t.Fatalf("vec %d: v1 decoder accepted a v3 frame", vi)
+		}
+		if _, err := DecodeView(EncodeCodec(CodecV3, v)); err == nil {
+			t.Fatalf("vec %d: v1 DecodeView accepted a v3 frame", vi)
 		}
 	}
 	if _, err := Decode(v2Frame); err == nil {
@@ -134,8 +127,9 @@ func TestCodecCrossVersionRejection(t *testing.T) {
 }
 
 // TestCodecV3RejectsCorruption walks systematic corruptions of a valid
-// frame: truncation at every length, an unknown value codec, padded
-// varints, trailing bytes, out-of-range indices.
+// frame: truncation at every length, value codec bytes that name no
+// codec (1 and 3 among them), padded varints, trailing bytes,
+// out-of-range indices.
 func TestCodecV3RejectsCorruption(t *testing.T) {
 	v := &Vector{Dim: 1000, Indices: []int32{3, 250, 999}, Values: []float32{1, -2, 3}}
 	buf := EncodeCodec(CodecV3, v)
@@ -144,10 +138,12 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 			t.Fatalf("accepted truncation to %d of %d bytes", cut, len(buf))
 		}
 	}
-	bad := append([]byte(nil), buf...)
-	bad[2] = valueCodecCount
-	if err := DecodeV3Into(&Vector{}, bad); err == nil {
-		t.Fatal("accepted an unknown value codec byte")
+	for _, vc := range []byte{1, 3, 7, 0xff} {
+		bad := append([]byte(nil), buf...)
+		bad[2] = vc
+		if err := DecodeV3Into(&Vector{}, bad); err == nil {
+			t.Fatalf("accepted value codec byte %d", vc)
+		}
 	}
 	// Padded (non-minimal) varint for dim: 0x80 0x00 still means 0.
 	padded := append([]byte{V3Magic, v3Version, 0, 0x80, 0x00}, buf[4:]...)
@@ -169,8 +165,8 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 
 // TestCodecV3CompressionWins quantifies the point of delta/varint index
 // coding: on a clustered 0.1%-density support the lossless v3 frame is
-// at least 1.4x smaller than v1 and the fp16 frame at least 2.2x (the
-// bench harness measures the precise ratios on the realistic workload).
+// at least 1.4x smaller than v1 (the bench harness measures the precise
+// ratios on the realistic workload).
 func TestCodecV3CompressionWins(t *testing.T) {
 	src := prng.New(5)
 	const dim = 1 << 20
@@ -183,25 +179,22 @@ func TestCodecV3CompressionWins(t *testing.T) {
 	v := FromDense(g)
 	v1 := len(Encode(v))
 	v3 := len(EncodeCodec(CodecV3, v))
-	vh := len(EncodeCodec(CodecV3F16, v))
 	if r := float64(v1) / float64(v3); r < 1.4 {
 		t.Errorf("lossless v3 ratio %.2f < 1.4 (v1=%d v3=%d nnz=%d)", r, v1, v3, v.NNZ())
-	}
-	if r := float64(v1) / float64(vh); r < 2.2 {
-		t.Errorf("fp16 v3 ratio %.2f < 2.2 (v1=%d v3fp16=%d nnz=%d)", r, v1, vh, v.NNZ())
 	}
 }
 
 // TestParseCodecSpellings: every codec's String parses back to itself,
-// and the retired v2 spellings are rejected with the list of what is.
+// and the spellings of no codec — v2's, the fp16 and 4-bit value codecs'
+// — are rejected with the list of what is.
 func TestParseCodecSpellings(t *testing.T) {
-	for _, c := range []Codec{CodecV1, CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
+	for _, c := range []Codec{CodecV1, CodecV3, CodecV3Q8, CodecV3Q2, CodecV3T, CodecV3S} {
 		got, err := ParseCodec(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseCodec(%q) = %v, %v; want %v", c.String(), got, err, c)
 		}
 	}
-	for _, s := range []string{"v2", "v2-fp16", "v3-fp32", ""} {
+	for _, s := range []string{"v2", "v2-fp16", "v3-fp32", "v3-fp16", "v3-qsgd4", ""} {
 		if _, err := ParseCodec(s); err == nil {
 			t.Errorf("ParseCodec(%q) accepted", s)
 		}

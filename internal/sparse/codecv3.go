@@ -4,16 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"gtopkssgd/internal/f16"
 )
 
 // This file is wire format v3: the compound frame. Sorted indices are
 // delta-coded as varint gaps — at the paper's densities the index stream
 // is what dominates — and the value stream has a per-frame value codec,
-// so gTop-k's surviving values can travel as raw fp32, rounded fp16,
-// QSGD-style stochastically quantized levels (8/4/2 bit), TernGrad-style
-// ternary codes, or signSGD-style sign bits. Sparsification compounds
+// so gTop-k's surviving values can travel as raw fp32, QSGD-style
+// stochastically quantized levels (8 or 2 bit), TernGrad-style ternary
+// codes, or signSGD-style sign bits. Sparsification compounds
 // with quantization: top-k removes entries, the value codec then shrinks
 // what survives, which is the >32× regime the paper's Section VI argues
 // quantization alone cannot reach.
@@ -22,7 +20,8 @@ import (
 //
 //	byte 0          magic 0xB3
 //	byte 1          version (3)
-//	byte 2          value codec (one ValueCodec byte; others rejected)
+//	byte 2          value codec (one ValueCodec byte: 0, 2, 4, 5 or 6;
+//	                others, 1 and 3 included, rejected)
 //	uvarint         dim
 //	uvarint         nnz
 //	4 bytes         float32 scale — quantized value codecs only
@@ -32,10 +31,7 @@ import (
 // Value sections:
 //
 //	fp32     nnz × 4 bytes float32 (non-finite values rejected)
-//	fp16     nnz × 2 bytes binary16 (Inf/NaN rejected)
 //	qsgd8    ⌈nnz/8⌉ sign bitmap (bit set = negative), nnz magnitude bytes
-//	qsgd4    ⌈nnz/8⌉ sign bitmap, ⌈nnz/2⌉ nibble-packed magnitudes
-//	         (entry 2j in the low nibble of byte j)
 //	qsgd2    ⌈nnz/8⌉ sign bitmap, ⌈nnz/4⌉ 2-bit-packed magnitudes
 //	         (entry e at bits 2·(e mod 4) of byte ⌊e/4⌋)
 //	ternary  ⌈nnz/4⌉ 2-bit codes: 0 → 0, 1 → +1, 2 → −1 (3 rejected)
@@ -59,19 +55,14 @@ import (
 // its own value codec.
 type ValueCodec uint8
 
-// The v3 value codecs, in the order of their wire bytes.
+// The v3 value codecs, in the order of their wire bytes; bytes 1 and 3
+// name no codec.
 const (
 	// ValueF32 carries raw float32 values. Lossless.
 	ValueF32 ValueCodec = 0
-	// ValueF16 carries binary16 values (round-to-nearest-even, the
-	// internal/f16 rounding; relative error ≤ 2^-11).
-	ValueF16 ValueCodec = 1
 	// ValueQ8 carries QSGD-style 8-bit levels: a sign bitmap plus one
 	// magnitude byte per entry, dequantized as scale·level/255.
 	ValueQ8 ValueCodec = 2
-	// ValueQ4 carries QSGD-style 4-bit levels, dequantized as
-	// scale·level/15.
-	ValueQ4 ValueCodec = 3
 	// ValueQ2 carries QSGD-style 2-bit levels, dequantized as
 	// scale·level/3.
 	ValueQ2 ValueCodec = 4
@@ -83,21 +74,14 @@ const (
 	ValueSign ValueCodec = 6
 )
 
-// valueCodecCount bounds the valid ValueCodec wire bytes.
-const valueCodecCount = 7
-
 // String names the value codec the way the -wire v3-<value codec> flags
 // spell it.
 func (vc ValueCodec) String() string {
 	switch vc {
 	case ValueF32:
 		return "fp32"
-	case ValueF16:
-		return "fp16"
 	case ValueQ8:
 		return "qsgd8"
-	case ValueQ4:
-		return "qsgd4"
 	case ValueQ2:
 		return "qsgd2"
 	case ValueTernary:
@@ -109,18 +93,14 @@ func (vc ValueCodec) String() string {
 	}
 }
 
-// ParseValueCodec parses the value-codec spellings fp32, fp16, qsgd8,
-// qsgd4, qsgd2, ternary and sign.
+// ParseValueCodec parses the value-codec spellings fp32, qsgd8, qsgd2,
+// ternary and sign.
 func ParseValueCodec(s string) (ValueCodec, error) {
 	switch s {
 	case "fp32":
 		return ValueF32, nil
-	case "fp16":
-		return ValueF16, nil
 	case "qsgd8":
 		return ValueQ8, nil
-	case "qsgd4":
-		return ValueQ4, nil
 	case "qsgd2":
 		return ValueQ2, nil
 	case "ternary":
@@ -128,17 +108,24 @@ func ParseValueCodec(s string) (ValueCodec, error) {
 	case "sign":
 		return ValueSign, nil
 	default:
-		return 0, fmt.Errorf("sparse: unknown value codec %q (want fp32, fp16, qsgd8, qsgd4, qsgd2, ternary or sign)", s)
+		return 0, fmt.Errorf("sparse: unknown value codec %q (want fp32, qsgd8, qsgd2, ternary or sign)", s)
 	}
 }
 
-// Lossy reports whether the value codec can change value bits.
-func (vc ValueCodec) Lossy() bool { return vc != ValueF32 }
-
 // Quantized reports whether the value codec carries (scale, level)
-// pairs rather than floating-point values — i.e. whether its frames
-// have a scale field and its encoder needs a Compressor's levels.
-func (vc ValueCodec) Quantized() bool { return vc >= ValueQ8 }
+// pairs rather than float32 values — whether its frames have a scale
+// field and its encoder needs a Compressor's levels. Every value codec
+// but the lossless fp32 does.
+func (vc ValueCodec) Quantized() bool { return vc != ValueF32 }
+
+// known reports whether vc is a value codec of this format.
+func (vc ValueCodec) known() bool {
+	switch vc {
+	case ValueF32, ValueQ8, ValueQ2, ValueTernary, ValueSign:
+		return true
+	}
+	return false
+}
 
 // steps returns the number of positive quantization steps of a QSGD
 // value codec (the maximum magnitude a level may take).
@@ -146,8 +133,6 @@ func (vc ValueCodec) steps() int16 {
 	switch vc {
 	case ValueQ8:
 		return 255
-	case ValueQ4:
-		return 15
 	case ValueQ2:
 		return 3
 	default:
@@ -161,12 +146,8 @@ func (vc ValueCodec) valueSectionBytes(nnz int) int {
 	switch vc {
 	case ValueF32:
 		return 4 * nnz
-	case ValueF16:
-		return 2 * nnz
 	case ValueQ8:
 		return (nnz+7)/8 + nnz
-	case ValueQ4:
-		return (nnz+7)/8 + (nnz+1)/2
 	case ValueQ2:
 		return (nnz+7)/8 + (nnz+3)/4
 	case ValueTernary:
@@ -192,7 +173,7 @@ func (vc ValueCodec) scaleBytes() int {
 // order is what pins replicas (and the bcast root) bit-identical.
 func DequantLevel(vc ValueCodec, scale float32, level int16) float32 {
 	switch vc {
-	case ValueQ8, ValueQ4, ValueQ2:
+	case ValueQ8, ValueQ2:
 		return scale * float32(level) / float32(vc.steps())
 	default: // ValueTernary, ValueSign
 		return scale * float32(level)
@@ -215,8 +196,7 @@ type Compressor interface {
 	// after Transform the slice holds exactly what every decoder will
 	// reconstruct. It returns the frame scale plus one level per entry
 	// for the encoder. The returned slice may alias internal scratch,
-	// valid until the next Transform on the same Compressor; for
-	// non-quantized codecs (fp32, fp16) it returns (0, nil).
+	// valid until the next Transform on the same Compressor.
 	Transform(values []float32) (scale float32, levels []int16)
 	// Fork derives an independent child compressor for a tag-isolated
 	// sub-communicator. The child's randomness is a pure function of
@@ -242,13 +222,8 @@ const (
 	// CodecV3 is delta/varint indices with raw float32 values. Lossless:
 	// decodes bit-identically to the encoded vector.
 	CodecV3 Codec = 2
-	// CodecV3F16 is v3 frames with binary16 values (round-to-nearest-
-	// even; relative value error ≤ 2^-11).
-	CodecV3F16 = CodecV3 + Codec(ValueF16)
 	// CodecV3Q8 is v3 frames with QSGD 8-bit stochastic quantization.
 	CodecV3Q8 = CodecV3 + Codec(ValueQ8)
-	// CodecV3Q4 is v3 frames with QSGD 4-bit stochastic quantization.
-	CodecV3Q4 = CodecV3 + Codec(ValueQ4)
 	// CodecV3Q2 is v3 frames with QSGD 2-bit stochastic quantization.
 	CodecV3Q2 = CodecV3 + Codec(ValueQ2)
 	// CodecV3T is v3 frames with TernGrad-style ternary values.
@@ -312,7 +287,7 @@ func maxEncodedSizeV3(vc ValueCodec, nnz int) int {
 // Indices must be strictly ascending. For quantized value codecs the
 // caller supplies the Compressor's (scale, levels) — one level per
 // entry, |level| ≤ the codec's step count — and values is unused; for
-// fp32/fp16 codecs values is encoded and scale/levels are ignored.
+// fp32 values is encoded and scale/levels are ignored.
 func EncodeSlicesV3(c Codec, dim int, indices []int32, values []float32, scale float32, levels []int16) []byte {
 	vc := c.Value()
 	if vc.Quantized() && len(levels) != len(indices) {
@@ -349,12 +324,7 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 			binary.LittleEndian.PutUint32(buf[off:off+4], math.Float32bits(v))
 			off += 4
 		}
-	case ValueF16:
-		for _, v := range values {
-			binary.LittleEndian.PutUint16(buf[off:off+2], f16.Bits(v))
-			off += 2
-		}
-	case ValueQ8, ValueQ4, ValueQ2:
+	case ValueQ8, ValueQ2:
 		signOff, magOff := off, off+(nnz+7)/8
 		clear(buf[off:end])
 		for i, l := range levels {
@@ -363,12 +333,9 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 				mag = -l
 				buf[signOff+i/8] |= 1 << (i % 8)
 			}
-			switch vc {
-			case ValueQ8:
+			if vc == ValueQ8 {
 				buf[magOff+i] = byte(mag)
-			case ValueQ4:
-				buf[magOff+i/2] |= byte(mag) << (4 * (i % 2))
-			default: // ValueQ2
+			} else {
 				buf[magOff+i/4] |= byte(mag) << (2 * (i % 4))
 			}
 		}
@@ -437,7 +404,7 @@ type V3Frame struct {
 	// Levels are the quantized levels, one per index (quantized value
 	// codecs only).
 	Levels []int16
-	// Values are the float values, one per index (fp32/fp16 only).
+	// Values are the float values, one per index (fp32 only).
 	Values []float32
 }
 
@@ -482,7 +449,7 @@ func parseV3Prefix(buf []byte) (vc ValueCodec, dim, nnz int, scale float32, off 
 	if buf[0] != V3Magic || buf[1] != v3Version {
 		return 0, 0, 0, 0, 0, fmt.Errorf("sparse: decode v3: not a v3 frame (header %#02x %#02x)", buf[0], buf[1])
 	}
-	if buf[2] >= valueCodecCount {
+	if !ValueCodec(buf[2]).known() {
 		return 0, 0, 0, 0, 0, fmt.Errorf("sparse: decode v3: unknown value codec %#02x", buf[2])
 	}
 	vc = ValueCodec(buf[2])
@@ -572,28 +539,16 @@ func decodeV3Values(buf []byte, off int, vc ValueCodec, nnz int, scale float32, 
 			}
 			vals[i] = math.Float32frombits(bits)
 		}
-	case ValueF16:
-		for i := 0; i < nnz; i++ {
-			h := binary.LittleEndian.Uint16(buf[off : off+2])
-			off += 2
-			if h&0x7c00 == 0x7c00 {
-				return fmt.Errorf("sparse: decode v3: non-finite binary16 value %#04x", h)
-			}
-			vals[i] = f16.From(h)
-		}
-	case ValueQ8, ValueQ4, ValueQ2:
+	case ValueQ8, ValueQ2:
 		signOff, magOff := off, off+(nnz+7)/8
 		if nnz%8 != 0 && buf[signOff+nnz/8]>>(nnz%8) != 0 {
 			return fmt.Errorf("sparse: decode v3: nonzero sign-bitmap padding")
 		}
 		for i := 0; i < nnz; i++ {
 			var mag byte
-			switch vc {
-			case ValueQ8:
+			if vc == ValueQ8 {
 				mag = buf[magOff+i]
-			case ValueQ4:
-				mag = buf[magOff+i/2] >> (4 * (i % 2)) & 0x0f
-			default: // ValueQ2
+			} else {
 				mag = buf[magOff+i/4] >> (2 * (i % 4)) & 0x03
 			}
 			neg := buf[signOff+i/8]&(1<<(i%8)) != 0
@@ -609,10 +564,7 @@ func decodeV3Values(buf []byte, off int, vc ValueCodec, nnz int, scale float32, 
 			}
 			emit(i, level)
 		}
-		switch {
-		case vc == ValueQ4 && nnz%2 != 0 && buf[magOff+nnz/2]>>4 != 0:
-			return fmt.Errorf("sparse: decode v3: nonzero magnitude padding")
-		case vc == ValueQ2 && nnz%4 != 0 && buf[magOff+nnz/4]>>(2*(nnz%4)) != 0:
+		if vc == ValueQ2 && nnz%4 != 0 && buf[magOff+nnz/4]>>(2*(nnz%4)) != 0 {
 			return fmt.Errorf("sparse: decode v3: nonzero magnitude padding")
 		}
 	case ValueTernary:

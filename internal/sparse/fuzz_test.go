@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-
-	"gtopkssgd/internal/f16"
 )
 
 // fuzzBuildVector constructs a structurally valid vector from fuzzed raw
@@ -127,15 +125,18 @@ func fuzzEncodeV3(c Codec, v *Vector) []byte {
 // panic (transport payloads are untrusted), must agree with each other on
 // accept/reject, and anything accepted must re-encode to the exact same
 // bytes through V3Frame.Encode — the compound wire format is canonical,
-// which is what lets replicas compare frames byte-for-byte.
+// which is what lets replicas compare frames byte-for-byte. A frame whose
+// value byte names no codec (1 and 3 among them) is always refused.
 func FuzzDecodeV3(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{V3Magic, 3, 0, 1, 0})
 	f.Add(v2Frame)
 	f.Add(EncodeSlicesV3(CodecV3, 4, []int32{1, 3}, []float32{-2, 0.5}, 0, nil))
-	f.Add(EncodeSlicesV3(CodecV3F16, 300, []int32{0, 299}, []float32{0.25, 1e-4}, 0, nil))
 	f.Add(EncodeSlicesV3(CodecV3Q8, 8, []int32{0, 2, 7}, nil, 1.5, []int16{-3, 0, 255}))
-	f.Add(EncodeSlicesV3(CodecV3Q4, 9, []int32{1, 4, 8}, nil, 0.75, []int16{15, -1, 0}))
+	// Value byte 1 with two binary16 values, and value byte 3 with a
+	// scale, a sign bitmap and nibble-packed magnitudes.
+	f.Add([]byte{V3Magic, 3, 1, 0xac, 0x02, 2, 0, 0xaa, 0x02, 0x00, 0x34, 0x8f, 0x06})
+	f.Add([]byte{V3Magic, 3, 3, 9, 3, 0, 0, 0x40, 0x3f, 1, 2, 3, 0x02, 0x1f, 0x00})
 	f.Add(EncodeSlicesV3(CodecV3Q2, 5, []int32{0, 1, 2, 3, 4}, nil, 2, []int16{3, -3, 0, 1, -2}))
 	f.Add(EncodeSlicesV3(CodecV3T, 5, []int32{1, 4}, nil, 0.25, []int16{1, -1}))
 	f.Add(EncodeSlicesV3(CodecV3S, 9, []int32{0, 8}, nil, 2, []int16{1, -1}))
@@ -151,6 +152,9 @@ func FuzzDecodeV3(f *testing.F) {
 				t.Fatalf("DecodeV3Frame accepted what DecodeV3Into rejected: %v", err)
 			}
 			return
+		}
+		if vc := ValueCodec(data[2]); !vc.known() {
+			t.Fatalf("DecodeV3Into accepted value codec byte %d", vc)
 		}
 		if err := v.Validate(); err != nil {
 			t.Fatalf("DecodeV3Into accepted an invalid vector: %v", err)
@@ -187,8 +191,8 @@ func FuzzDecodeV3(f *testing.F) {
 
 // FuzzV3RoundTrip builds structurally valid vectors from fuzzed raw
 // material and asserts the v3 encode→decode round trip for every value
-// codec: bit-exact for fp32, the f16.Round image for fp16, the
-// DequantLevel lattice point for quantized codecs.
+// codec: bit-exact for fp32, the DequantLevel lattice point for
+// quantized codecs.
 func FuzzV3RoundTrip(f *testing.F) {
 	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
 	f.Add(uint16(1), []byte{})
@@ -196,12 +200,11 @@ func FuzzV3RoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dim16 uint16, raw []byte) {
 		v := fuzzBuildVector(dim16, raw)
 		// v3 float sections reject non-finite values (they never occur in
-		// gradients), so clamp the fuzzed bits to finite floats small
-		// enough that even binary16 rounding stays finite.
+		// gradients), so clamp the fuzzed bits to finite floats.
 		for i, val := range v.Values {
 			v.Values[i] = math.Float32frombits(math.Float32bits(val) & 0xBFFFFFFF)
 		}
-		for _, codec := range []Codec{CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
+		for _, codec := range []Codec{CodecV3, CodecV3Q8, CodecV3Q2, CodecV3T, CodecV3S} {
 			buf := fuzzEncodeV3(codec, v)
 			got, err := DecodeCodec(codec, buf)
 			if err != nil {
@@ -221,11 +224,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 					t.Fatalf("codec %s index %d: %d != %d", codec, i, got.Indices[i], v.Indices[i])
 				}
 				want := v.Values[i]
-				switch codec.Value() {
-				case ValueF16:
-					want = f16.Round(want)
-				case ValueF32:
-				default:
+				if codec.Value().Quantized() {
 					want = DequantLevel(codec.Value(), scale, levels[i])
 				}
 				if math.Float32bits(got.Values[i]) != math.Float32bits(want) {
@@ -254,7 +253,7 @@ func FuzzV3CrossDecode(f *testing.F) {
 				t.Fatalf("v3 decoder accepted a v1 frame (dim=%d nnz=%d)", v.Dim, v.NNZ())
 			}
 		}
-		for _, codec := range []Codec{CodecV3, CodecV3F16, CodecV3Q8, CodecV3Q4, CodecV3Q2, CodecV3T, CodecV3S} {
+		for _, codec := range []Codec{CodecV3, CodecV3Q8, CodecV3Q2, CodecV3T, CodecV3S} {
 			v3buf := fuzzEncodeV3(codec, v)
 			if _, err := Decode(v3buf); err == nil {
 				t.Fatalf("v1 decoder accepted a %s frame (dim=%d nnz=%d)", codec, v.Dim, v.NNZ())

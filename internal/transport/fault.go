@@ -17,12 +17,9 @@ import (
 // The zero value injects nothing. A plan afflicts the OUTGOING links of
 // the ranks in SlowRanks (every link when SlowRanks is empty); frames on
 // afflicted links are delayed by Delay, jittered by ±Jitter·Delay, and
-// every StallEvery-th / DropEvery-th frame additionally pays StallFor /
-// DropPenalty. A "drop" models one-shot frame loss recovered by
-// link-level retransmission: the frame is lost once and its retransmitted
-// copy arrives DropPenalty later, preserving per-(src,dst,tag) FIFO
-// order — which is what lets a deadline-bounded receiver recover it with
-// a retry instead of deadlocking.
+// every StallEvery-th frame additionally pays StallFor. Delays preserve
+// per-(src,dst,tag) FIFO order, so a frame a deadline-bounded receiver
+// gave up on waits queued for its next receive.
 type FaultPlan struct {
 	// Seed derives every link's private fault stream.
 	Seed uint64
@@ -35,11 +32,6 @@ type FaultPlan struct {
 	StallEvery int
 	// StallFor is the extra stall duration.
 	StallFor time.Duration
-	// DropEvery, when > 0, drops every DropEvery-th frame once; the
-	// retransmitted copy arrives DropPenalty later.
-	DropEvery int
-	// DropPenalty is the retransmission penalty of a dropped frame.
-	DropPenalty time.Duration
 	// SlowRanks lists the ranks whose outgoing links are afflicted; an
 	// empty list afflicts every link.
 	SlowRanks []int
@@ -71,9 +63,6 @@ func (p FaultPlan) delayFor(rng *prng.Source, n int) time.Duration {
 	}
 	if p.StallEvery > 0 && n%p.StallEvery == p.StallEvery-1 {
 		d += p.StallFor
-	}
-	if p.DropEvery > 0 && n%p.DropEvery == p.DropEvery-1 {
-		d += p.DropPenalty
 	}
 	if d < 0 {
 		d = 0

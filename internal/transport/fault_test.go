@@ -9,17 +9,15 @@ import (
 
 // TestFaultPlanDeterministicSchedule pins that a plan's per-link fault
 // schedule is a pure function of (seed, ordinal): two links with the
-// same identity replay identical delay sequences, and the stall/drop
+// same identity replay identical delay sequences, and the stall
 // ordinals fire exactly where the plan says.
 func TestFaultPlanDeterministicSchedule(t *testing.T) {
 	plan := FaultPlan{
-		Seed:        0xD15EA5E,
-		Delay:       10 * time.Millisecond,
-		Jitter:      0.5,
-		StallEvery:  3,
-		StallFor:    time.Second,
-		DropEvery:   5,
-		DropPenalty: 2 * time.Second,
+		Seed:       0xD15EA5E,
+		Delay:      10 * time.Millisecond,
+		Jitter:     0.5,
+		StallEvery: 3,
+		StallFor:   time.Second,
 	}
 	a := newFaultLink(plan.Seed, 1, 0)
 	b := newFaultLink(plan.Seed, 1, 0)
@@ -36,9 +34,6 @@ func TestFaultPlanDeterministicSchedule(t *testing.T) {
 		base := da
 		if n%3 == 2 {
 			base -= plan.StallFor
-		}
-		if n%5 == 4 {
-			base -= plan.DropPenalty
 		}
 		if base > plan.Delay+plan.Delay/2 || base < plan.Delay/2 {
 			t.Fatalf("ordinal %d: jittered base delay %v outside ±50%% of %v", n, base, plan.Delay)
@@ -123,20 +118,20 @@ func TestFaultInjectorSlowRankOnly(t *testing.T) {
 	}
 }
 
-// TestDroppedFrameWaitsQueued models a one-shot drop: the frame arrives
-// only after the link's retransmission penalty. A receive whose deadline
-// falls before it expires, and the frame then waits queued under its
-// (src, tag) for a later receive, so a receiver that gave up once can
-// still land it — retrying a receive is one longer wait.
-func TestDroppedFrameWaitsQueued(t *testing.T) {
+// TestStalledFrameWaitsQueued: a stalled frame arrives only after the
+// stall. A receive whose deadline falls before it expires, and the frame
+// then waits queued under its (src, tag) for a later receive, so a
+// receiver that gave up once can still land it — retrying a receive is
+// one longer wait.
+func TestStalledFrameWaitsQueued(t *testing.T) {
 	inner, err := NewInProc(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := NewFaultInjector(inner, FaultPlan{
-		Seed:        3,
-		DropEvery:   1, // every frame is "dropped" once
-		DropPenalty: 120 * time.Millisecond,
+		Seed:       3,
+		StallEvery: 1, // every frame stalls
+		StallFor:   120 * time.Millisecond,
 	})
 	defer fab.Close() //nolint:errcheck // test shutdown
 

@@ -121,7 +121,7 @@ const (
 	// WireV1 is the flat sparse frame format.
 	WireV1 byte = 1
 	// WireV3 is the compound frame format: delta/varint indices plus a
-	// per-frame value codec (fp32, fp16, or quantized levels — see
+	// per-frame value codec (fp32 or quantized levels — see
 	// internal/sparse codec v3). Negotiates down like every version:
 	// one v1 peer keeps the whole mesh on v1 frames.
 	WireV3 byte = 3

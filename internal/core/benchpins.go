@@ -56,3 +56,17 @@ func (a *BucketedAggregator) SetMomentumCorrection(mu float32) {
 func (s *Sparsifier) Select(grad []float32, k int) (*sparse.Vector, error) {
 	return s.SelectMomentum(0, nil, grad, k)
 }
+
+// PutBack is Settle of a lossless round: the entries of local that
+// global, the ascending surviving support, dropped return to the
+// residual. For benchmark/ only; delete with ROADMAP item 1(a).
+func (s *Sparsifier) PutBack(local *sparse.Vector, global []int32) {
+	s.Settle(local, nil, global)
+}
+
+// FoldError is Settle's fold alone: for each selected index the
+// residual gains orig−sent, the compression error of the value the wire
+// transform shipped. For benchmark/ only; delete with ROADMAP item 1(a).
+func (s *Sparsifier) FoldError(indices []int32, orig, sent []float32) {
+	s.Settle(&sparse.Vector{Indices: indices, Values: sent}, orig, indices)
+}

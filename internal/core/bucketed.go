@@ -247,11 +247,9 @@ func (a *BucketedAggregator) Begin(ctx context.Context, grad []float32) error {
 	if len(grad) != a.sp.Dim() {
 		return fmt.Errorf("core: bucketed aggregate: dim %d, want %d", len(grad), a.sp.Dim())
 	}
-	a.ctx = ctx
-	a.grad = grad
+	a.ctx, a.grad = ctx, grad
 	for _, b := range a.buckets {
-		b.remaining = b.hi - b.lo
-		b.launched = false
+		b.remaining, b.launched = b.hi-b.lo, false
 	}
 	return nil
 }
@@ -290,15 +288,12 @@ func (a *BucketedAggregator) Finish() (Update, error) {
 		if d.err != nil && firstErr == nil {
 			firstErr = d.err
 		}
-		if d.missed {
-			anyMissed = true
-		}
+		anyMissed = anyMissed || d.missed
 		a.lastComm[d.idx] = d.comm
 		slowest = max(slowest, d.comm)
 		a.parent.AddStats(d.stats)
 	}
-	a.grad = nil
-	a.ctx = nil
+	a.grad, a.ctx = nil, nil
 	if firstErr != nil {
 		return Update{}, firstErr
 	}

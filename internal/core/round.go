@@ -150,9 +150,12 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 	// its lattice points in place (on ranks whose tree role never sends,
 	// the fold below then adds exact zeros), and a quorum round this rank
 	// misses must refund the FULL mass, whatever the codec.
-	fold := r.comm.WireCodec().Lossy()
-	if fold || r.quorum.Q > 0 {
+	var fold []float32 // the snapshot, where the transform rewrites what was selected
+	if lossy := r.comm.WireCodec().Lossy(); lossy || r.quorum.Q > 0 {
 		r.orig = append(r.orig[:0], local.Values...)
+		if lossy {
+			fold = r.orig
+		}
 	}
 	participated, err := r.allReduce(ctx, local)
 	if err != nil {
@@ -165,15 +168,12 @@ func (r *round) run(ctx context.Context, grad []float32) (update *sparse.Vector,
 		// the other ranks' verdict.
 		r.sp.Refund(local.Indices, r.orig)
 	} else {
-		// Quantization error first, then Algorithm 4 line 10: a globally
-		// dropped index gets lattice value + error = its full original
-		// mass back, a survivor keeps exactly the error. A union keeps
-		// every sent index (sumFold keeps touched zeros), so there
+		// Quantization error, then Algorithm 4 line 10, in one pass: a
+		// globally dropped index gets lattice value + error = its full
+		// original mass back, a survivor keeps exactly the error. A union
+		// keeps every sent index (sumFold keeps touched zeros), so there
 		// put-back adds nothing.
-		if fold {
-			r.sp.FoldError(local.Indices, r.orig, local.Values)
-		}
-		r.sp.PutBack(local, global.Indices)
+		r.sp.Settle(local, fold, global.Indices)
 	}
 	// The mean in place, with the additions and the multiplication
 	// MeanInto performs at the support (so a −0 becomes +0): the result is

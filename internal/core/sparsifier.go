@@ -70,35 +70,31 @@ func (s *Sparsifier) SelectMomentum(mu float32, velocity, grad []float32, k int)
 	return selected, nil
 }
 
-// PutBack re-deposits entries of local that did NOT survive the global
-// selection (Algorithm 4 line 10: G^g_i += G̃^g_i ⊙ ¬gMask ⊙ Mask).
-// globalIndices are the dense indices that survived; they must be sorted
-// ascending (as produced by every constructor in package sparse).
-func (s *Sparsifier) PutBack(local *sparse.Vector, globalIndices []int32) {
+// Settle returns the round's unsent mass to the residual in one pass
+// over the local selection, one residual write per entry. global is the
+// ascending support that survived the round. Each selected index's
+// entry — zero since the selection — first gains orig−sent, the
+// rounding a lossy wire transform left behind (sent is local.Values,
+// which the transform pinned to its lattice in place; a lossless round
+// passes a nil orig and folds nothing), then gains sent where global
+// dropped the index (Algorithm 4 line 10: G^g_i += G̃^g_i ⊙ ¬gMask ⊙
+// Mask). So a dropped index gets its full original mass back and a
+// survivor keeps exactly the error: the error-feedback identity of DGC
+// and QSGD, extended to the transform stage.
+func (s *Sparsifier) Settle(local *sparse.Vector, orig []float32, global []int32) {
 	j := 0
 	for i, idx := range local.Indices {
-		for j < len(globalIndices) && globalIndices[j] < idx {
+		r, sent := s.residual[idx], local.Values[i]
+		if orig != nil {
+			r += orig[i] - sent
+		}
+		for j < len(global) && global[j] < idx {
 			j++
 		}
-		if j < len(globalIndices) && globalIndices[j] == idx {
-			continue // survived globally: consumed by the update
+		if j == len(global) || global[j] != idx {
+			r += sent
 		}
-		s.residual[idx] += local.Values[i]
-	}
-}
-
-// FoldError re-deposits per-entry compression error into the residual:
-// for each selected index, orig holds the value the sparsifier selected
-// and sent the value the wire transform actually shipped (the
-// quantization lattice point every replica decoded), so the residual
-// absorbs orig−sent and no gradient mass is lost to the value codec —
-// the same error-feedback identity the selection step maintains,
-// extended to the compound pipeline's transform stage. Call it before
-// PutBack: for an index the global selection then drops, PutBack adds
-// the sent value on top, restoring exactly the original mass.
-func (s *Sparsifier) FoldError(indices []int32, orig, sent []float32) {
-	for i, idx := range indices {
-		s.residual[idx] += orig[i] - sent[i]
+		s.residual[idx] = r
 	}
 }
 
@@ -107,7 +103,7 @@ func (s *Sparsifier) FoldError(indices []int32, orig, sent []float32) {
 // whose frame missed the round's deadline contributed nothing to the
 // aggregate, so its entire selected mass (the pre-transform values)
 // returns to the residual and rides into a later round. Call it INSTEAD
-// of FoldError+PutBack for a missed round; the applied update is built
+// of Settle for a missed round; the applied update is built
 // purely from the other ranks' contributions.
 func (s *Sparsifier) Refund(indices []int32, values []float32) {
 	for i, idx := range indices {

@@ -51,11 +51,6 @@ func NewConv2D(inC, h, w, outC, k, stride, pad int) *Conv2D {
 	return &Conv2D{InC: inC, H: h, W: w, OutC: outC, K: k, Stride: stride, Pad: pad, OH: oh, OW: ow}
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string {
-	return fmt.Sprintf("conv %dx%dx%d→%dx%dx%d k=%d", c.InC, c.H, c.W, c.OutC, c.OH, c.OW, c.K)
-}
-
 // ParamCount implements Layer.
 func (c *Conv2D) ParamCount() int { return c.InC*c.K*c.K*c.OutC + c.OutC }
 
@@ -214,9 +209,6 @@ func NewMaxPool2(c, h, w int) *MaxPool2 {
 	return &MaxPool2{C: c, H: h, W: w, OH: h / 2, OW: w / 2}
 }
 
-// Name implements Layer.
-func (m *MaxPool2) Name() string { return fmt.Sprintf("maxpool2 %dx%dx%d", m.C, m.H, m.W) }
-
 // ParamCount implements Layer.
 func (m *MaxPool2) ParamCount() int { return 0 }
 
@@ -289,9 +281,6 @@ type GlobalAvgPool struct {
 func NewGlobalAvgPool(c, h, w int) *GlobalAvgPool {
 	return &GlobalAvgPool{C: c, H: h, W: w}
 }
-
-// Name implements Layer.
-func (g *GlobalAvgPool) Name() string { return fmt.Sprintf("gap %dx%dx%d", g.C, g.H, g.W) }
 
 // ParamCount implements Layer.
 func (g *GlobalAvgPool) ParamCount() int { return 0 }

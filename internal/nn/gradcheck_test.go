@@ -229,7 +229,7 @@ func inputGradCheck(t *testing.T, l Layer, rows, cols int, seed uint64) {
 	}
 	din := l.Backward(r)
 	if din == nil || din.Rows != rows || din.Cols != cols {
-		t.Fatalf("%s on its own: input gradient %v, want %dx%d", l.Name(), din, rows, cols)
+		t.Fatalf("%T on its own: input gradient %v, want %dx%d", l, din, rows, cols)
 	}
 	analytic := append([]float32(nil), din.Data...)
 	loss := func() float64 {
@@ -249,7 +249,7 @@ func inputGradCheck(t *testing.T, l Layer, rows, cols int, seed uint64) {
 		x.Data[i] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if diff := math.Abs(numeric - float64(analytic[i])); diff > 1e-2*math.Max(1, math.Abs(numeric)) {
-			t.Fatalf("%s: input %d: analytic %v, numeric %v", l.Name(), i, analytic[i], numeric)
+			t.Fatalf("%T: input %d: analytic %v, numeric %v", l, i, analytic[i], numeric)
 		}
 	}
 }

@@ -29,9 +29,6 @@ func NewDense(in, out int) *Dense {
 	return &Dense{In: in, Out: out}
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("dense %d→%d", d.In, d.Out) }
-
 // ParamCount implements Layer.
 func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
 
@@ -86,9 +83,6 @@ type ReLU struct {
 
 // NewReLU creates a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return "relu" }
 
 // ParamCount implements Layer.
 func (r *ReLU) ParamCount() int { return 0 }

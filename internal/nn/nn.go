@@ -48,8 +48,6 @@ type Layer interface {
 	Bind(params, grads []float32)
 	// Init writes initial parameter values through the bound views.
 	Init(src *prng.Source)
-	// Name describes the layer for summaries.
-	Name() string
 }
 
 // Network is a sequential container owning flat parameter/gradient

@@ -28,9 +28,6 @@ func NewResidual(body ...Layer) *Residual {
 	return &Residual{body: body, n: n}
 }
 
-// Name implements Layer.
-func (r *Residual) Name() string { return fmt.Sprintf("residual (%d inner)", len(r.body)) }
-
 // ParamCount implements Layer.
 func (r *Residual) ParamCount() int { return r.n }
 

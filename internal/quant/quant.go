@@ -114,11 +114,10 @@ func addTernary(acc []float32, frame []byte) error {
 	return nil
 }
 
+// abs32 is mask-abs: clearing the sign bit, branch-free, is |v| for
+// every float32, −0 and NaN included (internal/sparse's abs32).
 func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 }
 
 func putF32(buf []byte, v float32) {

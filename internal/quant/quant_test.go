@@ -258,7 +258,7 @@ func TestQuickUniformErrorBound(t *testing.T) {
 		vals := append([]float32(nil), x...)
 		s := NewStack(vc, seed+1)
 		scale, _ := s.Transform(vals)
-		bound := float64(scale)/float64(s.steps()) + 1e-5
+		bound := float64(scale)/float64(s.vc.Steps()) + 1e-5
 		for i := range x {
 			if math.Abs(float64(vals[i]-x[i])) > bound {
 				return false

@@ -122,8 +122,9 @@ func (s *Stack) Transform(values []float32) (float32, []int16) {
 // reference loop kept in transform_test.go and DequantLevel's values bit
 // for bit: t = |v|/scale·steps lies in [0, steps], where truncation is
 // floor; the round-up compare selects 0 or 1; the sign goes back on the
-// integer level, where -0 cannot arise; and the value is DequantLevel's
-// QSGD expression. A non-finite input makes t NaN and its level 0.
+// integer level, where -0 cannot arise; and the value is DequantLevel's,
+// from the step count every decoder's level table is built with. A
+// non-finite input makes t NaN and its level 0.
 func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 	var scale float32
 	for _, v := range values {
@@ -137,7 +138,7 @@ func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 		}
 		return 0
 	}
-	steps := float32(s.steps())
+	steps := float32(s.vc.Steps())
 	levels = levels[:len(values)]
 	for i, v := range values {
 		u := math.Float32bits(v)
@@ -150,7 +151,7 @@ func (s *Stack) transformUniform(values []float32, levels []int16) float32 {
 		neg := int32(u) >> 31 // -1 when the sign bit is set, else 0
 		level := int16(((lo + up) ^ neg) - neg)
 		levels[i] = level
-		values[i] = scale * float32(level) / steps
+		values[i] = sparse.DequantLevel(s.vc, scale, level)
 	}
 	return scale
 }
@@ -204,12 +205,4 @@ func transformSign(values []float32, levels []int16) float32 {
 		values[i] = sparse.DequantLevel(sparse.ValueSign, scale, levels[i])
 	}
 	return scale
-}
-
-// steps returns the per-codec positive level count for the QSGD family.
-func (s *Stack) steps() int16 {
-	if s.vc == sparse.ValueQ8 {
-		return 255
-	}
-	return 3 // sparse.ValueQ2
 }

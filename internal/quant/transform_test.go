@@ -25,7 +25,7 @@ func refTransformUniform(s *Stack, values []float32, levels []int16) float32 {
 		}
 		return 0
 	}
-	steps := float32(s.steps())
+	steps := float32(s.vc.Steps())
 	for i, v := range values {
 		t := abs32(v) / scale * steps
 		lo := float32(math.Floor(float64(t)))

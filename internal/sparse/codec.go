@@ -126,17 +126,3 @@ func readUvarint(buf []byte) (uint64, int, error) {
 	}
 	return v, n, nil
 }
-
-// DecodeCodec parses buf under the given codec into a fresh vector —
-// the convenience sibling of DecodeV3Into/Decode for non-hot-path
-// callers and tests.
-func DecodeCodec(c Codec, buf []byte) (*Vector, error) {
-	if c == CodecV1 {
-		return Decode(buf)
-	}
-	v := &Vector{}
-	if err := DecodeV3Into(v, buf); err != nil {
-		return nil, err
-	}
-	return v, nil
-}

@@ -8,6 +8,18 @@ import (
 	"gtopkssgd/internal/prng"
 )
 
+// decodeCodec parses buf under the given codec into a fresh vector.
+func decodeCodec(c Codec, buf []byte) (*Vector, error) {
+	if c == CodecV1 {
+		return Decode(buf)
+	}
+	v := &Vector{}
+	if err := DecodeV3Into(v, buf); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // codecTestVectors builds a spread of shapes: empty support, singletons,
 // dense-ish, clustered, adversarial values (zeros, ±Inf, NaN, subnormals).
 func codecTestVectors() []*Vector {
@@ -57,7 +69,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for vi, v := range codecTestVectors() {
 		for _, c := range []Codec{CodecV1, CodecV3} {
 			buf := EncodeCodec(c, v)
-			got, err := DecodeCodec(c, buf)
+			got, err := decodeCodec(c, buf)
 			if c != CodecV1 && !finite(v) {
 				if err == nil {
 					t.Fatalf("vec %d codec %s: accepted non-finite values", vi, c)
@@ -129,7 +141,8 @@ func TestCodecCrossVersionRejection(t *testing.T) {
 // TestCodecV3RejectsCorruption walks systematic corruptions of a valid
 // frame: truncation at every length, value codec bytes that name no
 // codec (1 and 3 among them), padded varints, trailing bytes,
-// out-of-range indices.
+// out-of-range indices; then the frames at the edges of the reader's
+// fast paths (v3EdgeFrames), accepted or refused as the format says.
 func TestCodecV3RejectsCorruption(t *testing.T) {
 	v := &Vector{Dim: 1000, Indices: []int32{3, 250, 999}, Values: []float32{1, -2, 3}}
 	buf := EncodeCodec(CodecV3, v)
@@ -161,6 +174,88 @@ func TestCodecV3RejectsCorruption(t *testing.T) {
 	if err := DecodeV3Into(&Vector{}, oobBuf); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
+	// The fast paths' edges: both decoders accept or refuse each frame
+	// as the format says, and an accepted one re-encodes to its bytes.
+	for _, e := range v3EdgeFrames() {
+		err := DecodeV3Into(&Vector{}, e.frame)
+		fr, errFrame := DecodeV3Frame(e.frame)
+		switch {
+		case (err == nil) != e.accept:
+			t.Errorf("%s: DecodeV3Into error %v, want accepted %v", e.name, err, e.accept)
+		case (errFrame == nil) != e.accept:
+			t.Errorf("%s: DecodeV3Frame error %v, want accepted %v", e.name, errFrame, e.accept)
+		case e.accept && !bytes.Equal(fr.Encode(), e.frame):
+			t.Errorf("%s: re-encode differs from the frame", e.name)
+		}
+	}
+}
+
+// v3EdgeFrame is a frame at an edge of the v3 reader's fast paths and
+// whether the format accepts it.
+type v3EdgeFrame struct {
+	name   string
+	frame  []byte
+	accept bool
+}
+
+// v3EdgeFrames builds frames at the edges of the one-byte gap path, the
+// per-frame level table and the once-per-frame canonical-form flags.
+func v3EdgeFrames() []v3EdgeFrame {
+	// Gaps 127, 128, 16 383 and 16 384.
+	gaps := []int32{127, 256, 16640, 33025}
+	levels := func(nnz int, zeros ...int) []int16 {
+		l := make([]int16, nnz)
+		for i := range l {
+			l[i] = int16(i%5 + 1)
+			if i%3 == 0 {
+				l[i] = -l[i]
+			}
+		}
+		for _, z := range zeros {
+			l[z] = 0
+		}
+		return l
+	}
+	ascending := func(nnz int) []int32 {
+		idx := make([]int32, nnz)
+		for i := range idx {
+			idx[i] = int32(3 * i)
+		}
+		return idx
+	}
+	q8 := func(nnz int, scale float32, l []int16) []byte {
+		return EncodeSlicesV3(CodecV3Q8, 3*nnz, ascending(nnz), nil, scale, l)
+	}
+	// signBit sets entry e's sign bit in a qsgd8 frame of nnz entries.
+	signBit := func(frame []byte, nnz, e int) []byte {
+		frame = bytes.Clone(frame)
+		frame[len(frame)-nnz-(nnz+7)/8+e/8] |= 1 << (e % 8)
+		return frame
+	}
+	oneLevel := make([]int16, 10)
+	oneLevel[9] = 1
+	frames := []v3EdgeFrame{
+		{"gaps 127/128/16383/16384 fp32", EncodeSlicesV3(CodecV3, 40000, gaps, []float32{1, -2, 3, -4}, 0, nil), true},
+		{"gaps 127/128/16383/16384 qsgd8", EncodeSlicesV3(CodecV3Q8, 40000, gaps, nil, 1, []int16{255, -1, 0, 7}), true},
+		// dim 10, nnz 1, gap 5 as the padded two bytes 0x85 0x00.
+		{"gap below 128 as two bytes", []byte{V3Magic, v3Version, 0, 10, 1, 0x85, 0x00, 0, 0, 0x80, 0x3f}, false},
+		{"nnz 8 qsgd8", q8(8, 2, levels(8)), true},
+		{"nnz 16 qsgd8", q8(16, 2, levels(16)), true},
+		{"nnz 9 qsgd8", q8(9, 2, levels(9)), true},
+		{"nnz 10 qsgd2", EncodeSlicesV3(CodecV3Q2, 30, ascending(10), nil, 2, []int16{3, -3, 0, 1, -2, 2, -1, 0, 3, -3}), true},
+		{"negative zero at the last entry", signBit(q8(10, 2, levels(10, 9)), 10, 9), false},
+		{"negative zero inside the second sign byte", signBit(q8(20, 2, levels(20, 12)), 20, 12), false},
+		{"negative zero at the last entry, nnz 16", signBit(q8(16, 2, levels(16, 15)), 16, 15), false},
+		{"zero scale, one nonzero level at entry nnz-1", q8(10, 0, oneLevel), false},
+		{"zero scale, all levels zero", q8(10, 0, make([]int16, 10)), true},
+		{"sign padding bit set, nnz 9", signBit(q8(9, 2, levels(9)), 9, 12), false},
+	}
+	// A set magnitude padding bit: nnz 5 qsgd2 leaves six bits of the
+	// last magnitude byte unused.
+	q2 := EncodeSlicesV3(CodecV3Q2, 15, ascending(5), nil, 2, []int16{3, -3, 1, 1, -2})
+	q2 = bytes.Clone(q2)
+	q2[len(q2)-1] |= 0x80
+	return append(frames, v3EdgeFrame{"qsgd2 magnitude padding bit set", q2, false})
 }
 
 // TestCodecV3CompressionWins quantifies the point of delta/varint index

@@ -127,9 +127,11 @@ func (vc ValueCodec) known() bool {
 	return false
 }
 
-// steps returns the number of positive quantization steps of a QSGD
-// value codec (the maximum magnitude a level may take).
-func (vc ValueCodec) steps() int16 {
+// Steps returns the number of positive quantization steps of a QSGD
+// value codec (the maximum magnitude a level may take), and 1 for the
+// others. It is the one count: the sender's transform pins its values
+// with it and every decoder's level table is built from it.
+func (vc ValueCodec) Steps() int16 {
 	switch vc {
 	case ValueQ8:
 		return 255
@@ -174,7 +176,7 @@ func (vc ValueCodec) scaleBytes() int {
 func DequantLevel(vc ValueCodec, scale float32, level int16) float32 {
 	switch vc {
 	case ValueQ8, ValueQ2:
-		return scale * float32(level) / float32(vc.steps())
+		return scale * float32(level) / float32(vc.Steps())
 	default: // ValueTernary, ValueSign
 		return scale * float32(level)
 	}
@@ -325,18 +327,16 @@ func encodeV3(buf []byte, vc ValueCodec, dim int, indices []int32, values []floa
 			off += 4
 		}
 	case ValueQ8, ValueQ2:
-		signOff, magOff := off, off+(nnz+7)/8
+		signs, mags := buf[off:off+(nnz+7)/8], buf[off+(nnz+7)/8:end]
 		clear(buf[off:end])
 		for i, l := range levels {
-			mag := l
-			if l < 0 {
-				mag = -l
-				buf[signOff+i/8] |= 1 << (i % 8)
-			}
+			neg := l >> 15 // −1 for a negative level, else 0
+			mag := byte((l ^ neg) - neg)
+			signs[i>>3] |= byte(neg&1) << (uint(i) & 7)
 			if vc == ValueQ8 {
-				buf[magOff+i] = byte(mag)
+				mags[i] = mag
 			} else {
-				buf[magOff+i/4] |= byte(mag) << (2 * (i % 4))
+				mags[i>>2] |= mag << (2 * (uint(i) & 3))
 			}
 		}
 		off = end
@@ -383,7 +383,7 @@ func DecodeV3Into(dst *Vector, buf []byte) error {
 	if off, err = parseV3Gaps(buf, off, dim, nnz, dst.Indices); err != nil {
 		return err
 	}
-	return decodeV3Values(buf, off, vc, nnz, scale, nil, dst.Values)
+	return decodeV3Values(buf, off, vc, nnz, scale, false, dst.Values)
 }
 
 // V3Frame is the decoded representation of one v3 frame, preserving the
@@ -419,14 +419,17 @@ func DecodeV3Frame(buf []byte) (*V3Frame, error) {
 	if off, err = parseV3Gaps(buf, off, dim, nnz, f.Indices); err != nil {
 		return nil, err
 	}
-	if vc.Quantized() {
-		f.Scale = scale
-		f.Levels = make([]int16, nnz)
-	} else {
-		f.Values = make([]float32, nnz)
-	}
-	if err := decodeV3Values(buf, off, vc, nnz, scale, f.Levels, f.Values); err != nil {
+	vals := make([]float32, nnz)
+	if err := decodeV3Values(buf, off, vc, nnz, scale, true, vals); err != nil {
 		return nil, err
+	}
+	if !vc.Quantized() {
+		f.Values = vals
+		return f, nil
+	}
+	f.Scale, f.Levels = scale, make([]int16, nnz)
+	for i, l := range vals {
+		f.Levels[i] = int16(l)
 	}
 	return f, nil
 }
@@ -493,112 +496,114 @@ func parseV3Prefix(buf []byte) (vc ValueCodec, dim, nnz int, scale float32, off 
 // parseV3Gaps materialises nnz delta-coded indices into indices,
 // returning the offset just past the gap stream.
 func parseV3Gaps(buf []byte, off, dim, nnz int, indices []int32) (int, error) {
-	prev := -1
-	for i := 0; i < nnz; i++ {
-		gap, n, err := readUvarint(buf[off:])
-		if err != nil {
-			return 0, err
+	idx := int64(-1)
+	for i := range indices[:nnz] {
+		// A gap below 128 is one byte; anything longer goes through
+		// readUvarint's minimal-varint check. A gap of dim or more puts
+		// the index out of range wherever the walk stands, so checking it
+		// first keeps the sum from overflowing.
+		if off < len(buf) && buf[off] < 0x80 {
+			idx += 1 + int64(buf[off])
+			off++
+		} else {
+			gap, n, err := readUvarint(buf[off:])
+			if err != nil {
+				return 0, err
+			}
+			if gap >= uint64(dim) {
+				return 0, fmt.Errorf("sparse: decode v3: gap %d out of range [0,%d)", gap, dim)
+			}
+			idx += 1 + int64(gap)
+			off += n
 		}
-		off += n
-		idx := int64(prev) + 1 + int64(gap)
-		if gap > math.MaxInt32 || idx >= int64(dim) {
+		if idx >= int64(dim) {
 			return 0, fmt.Errorf("sparse: decode v3: index %d out of range [0,%d)", idx, dim)
 		}
 		indices[i] = int32(idx)
-		prev = int(idx)
 	}
 	return off, nil
 }
 
-// decodeV3Values parses the value section at buf[off:]. Exactly one
-// destination receives the result: when levels is non-nil the raw
-// levels are kept (DecodeV3Frame); otherwise vals receives the decoded
-// floats, dequantizing through DequantLevel (DecodeV3Into). All
+// decodeV3Values parses the value section at buf[off:] into vals. A
+// quantized entry's value is read from a per-frame table of its
+// magnitude m — DequantLevel(vc, scale, m) (DecodeV3Into), or m itself
+// when levels is set (DecodeV3Frame keeps levels) — and takes its sign
+// as a bit: IEEE rounding is symmetric in sign, so that is DequantLevel
+// of the signed level bit for bit. All
 // canonical-form checks — exact section length, no trailing bytes, zero
 // padding bits, finite floats, no negative-zero levels, zero scale
-// forcing zero levels — live here so both decoders enforce them.
-func decodeV3Values(buf []byte, off int, vc ValueCodec, nnz int, scale float32, levels []int16, vals []float32) error {
+// forcing zero levels — live here so both decoders enforce them; each
+// gathers into a flag over the loop and is tested once per frame.
+func decodeV3Values(buf []byte, off int, vc ValueCodec, nnz int, scale float32, levels bool, vals []float32) error {
 	if len(buf)-off != vc.valueSectionBytes(nnz) {
 		return fmt.Errorf("sparse: decode v3: %d value bytes for nnz=%d %s, want %d",
 			len(buf)-off, nnz, vc, vc.valueSectionBytes(nnz))
 	}
-	emit := func(i int, level int16) {
-		if levels != nil {
-			levels[i] = level
-		} else {
-			vals[i] = DequantLevel(vc, scale, level)
+	var table [256]float32
+	for m := range vc.Steps() + 1 {
+		table[m] = DequantLevel(vc, scale, m)
+		if levels {
+			table[m] = float32(m)
 		}
 	}
+	sec, vals := buf[off:], vals[:nnz]
+	signed := func(m, neg uint32) float32 { return math.Float32frombits(math.Float32bits(table[uint8(m)]) | neg<<31) }
+	var bad, set uint32 // a broken rule; the OR of every magnitude
 	switch vc {
 	case ValueF32:
-		for i := 0; i < nnz; i++ {
-			bits := binary.LittleEndian.Uint32(buf[off : off+4])
-			off += 4
-			if bits&0x7f800000 == 0x7f800000 {
-				return fmt.Errorf("sparse: decode v3: non-finite float32 value %#08x", bits)
-			}
+		for i := range vals {
+			bits := binary.LittleEndian.Uint32(sec[4*i:])
+			bad |= (bits&0x7f800000 + 0x00800000) >> 31 // exponent all ones
 			vals[i] = math.Float32frombits(bits)
 		}
 	case ValueQ8, ValueQ2:
-		signOff, magOff := off, off+(nnz+7)/8
-		if nnz%8 != 0 && buf[signOff+nnz/8]>>(nnz%8) != 0 {
-			return fmt.Errorf("sparse: decode v3: nonzero sign-bitmap padding")
-		}
-		for i := 0; i < nnz; i++ {
-			var mag byte
+		signs, mags := sec[:(nnz+7)/8], sec[(nnz+7)/8:]
+		var sb uint32 // the sign byte of entry i, shifted down to its bit
+		for i := range vals {
+			if i&7 == 0 {
+				sb = uint32(signs[i>>3])
+			}
+			var mag uint32
 			if vc == ValueQ8 {
-				mag = buf[magOff+i]
+				mag = uint32(mags[i])
 			} else {
-				mag = buf[magOff+i/4] >> (2 * (i % 4)) & 0x03
+				mag = uint32(mags[i>>2]>>(2*(uint(i)&3))) & 3
 			}
-			neg := buf[signOff+i/8]&(1<<(i%8)) != 0
-			switch {
-			case mag == 0 && neg:
-				return fmt.Errorf("sparse: decode v3: negative zero level at entry %d", i)
-			case scale == 0 && mag != 0:
-				return fmt.Errorf("sparse: decode v3: nonzero level under zero scale at entry %d", i)
-			}
-			level := int16(mag)
-			if neg {
-				level = -level
-			}
-			emit(i, level)
+			neg := sb & 1
+			sb >>= 1
+			bad |= neg & ((mag - 1) >> 31) // a negative zero
+			set |= mag
+			vals[i] = signed(mag, neg)
 		}
-		if vc == ValueQ2 && nnz%4 != 0 && buf[magOff+nnz/4]>>(2*(nnz%4)) != 0 {
-			return fmt.Errorf("sparse: decode v3: nonzero magnitude padding")
+		if pad := uint(nnz) % 4 * 2; vc == ValueQ2 && pad != 0 {
+			bad |= uint32(mags[len(mags)-1] >> pad)
+		}
+		if nnz%8 != 0 {
+			bad |= uint32(signs[nnz/8] >> (nnz % 8))
 		}
 	case ValueTernary:
-		if nnz%4 != 0 && buf[off+nnz/4]>>(2*(nnz%4)) != 0 {
-			return fmt.Errorf("sparse: decode v3: nonzero ternary padding")
+		for i := range vals {
+			code := uint32(sec[i>>2]>>(2*(uint(i)&3))) & 3
+			bad |= code & (code >> 1) // code 3
+			set |= code
+			vals[i] = signed(code&1|code>>1, code>>1)
 		}
-		for i := 0; i < nnz; i++ {
-			code := buf[off+i/4] >> (2 * (i % 4)) & 0x03
-			if code == 3 {
-				return fmt.Errorf("sparse: decode v3: invalid ternary code at entry %d", i)
-			}
-			if scale == 0 && code != 0 {
-				return fmt.Errorf("sparse: decode v3: nonzero level under zero scale at entry %d", i)
-			}
-			level := int16(0)
-			switch code {
-			case 1:
-				level = 1
-			case 2:
-				level = -1
-			}
-			emit(i, level)
+		if nnz%4 != 0 {
+			bad |= uint32(sec[nnz/4] >> (2 * (nnz % 4)))
 		}
 	default: // ValueSign
-		if nnz%8 != 0 && buf[off+nnz/8]>>(nnz%8) != 0 {
-			return fmt.Errorf("sparse: decode v3: nonzero sign padding")
+		for i := range vals {
+			vals[i] = signed(1, uint32(sec[i>>3]>>(uint(i)&7))&1^1)
 		}
-		for i := 0; i < nnz; i++ {
-			level := int16(-1)
-			if buf[off+i/8]&(1<<(i%8)) != 0 {
-				level = 1
-			}
-			emit(i, level)
+		if nnz%8 != 0 {
+			bad |= uint32(sec[nnz/8] >> (nnz % 8))
 		}
+	}
+	switch {
+	case bad != 0:
+		return fmt.Errorf("sparse: decode v3: %s value section breaks the canonical form (non-finite value, negative zero, invalid code or set padding bit)", vc)
+	case scale == 0 && set != 0:
+		return fmt.Errorf("sparse: decode v3: nonzero level under zero scale")
 	}
 	return nil
 }

@@ -8,7 +8,10 @@ import (
 
 // fuzzBuildVector constructs a structurally valid vector from fuzzed raw
 // material: each 8-byte chunk of raw proposes one (index delta, value)
-// entry, with strictly ascending indices enforced by construction.
+// entry, with strictly ascending indices enforced by construction. The
+// delta is raw[off] mod 7, plus 128·raw[off+1] − 2 when raw[off+1] is
+// set, so a chunk can put its v3 gap on either side of each varint
+// width (127/128, 16 383/16 384).
 func fuzzBuildVector(dim16 uint16, raw []byte) *Vector {
 	dim := int(dim16)
 	if dim == 0 {
@@ -17,7 +20,7 @@ func fuzzBuildVector(dim16 uint16, raw []byte) *Vector {
 	v := &Vector{Dim: dim}
 	next := int32(0)
 	for off := 0; off+8 <= len(raw) && int(next) < dim; off += 8 {
-		delta := int32(raw[off]) % 7
+		delta := int32(raw[off])%7 + max(int32(raw[off+1])<<7-2, 0)
 		idx := next + delta
 		if int(idx) >= dim {
 			break
@@ -96,7 +99,7 @@ func fuzzV3Levels(vc ValueCodec, v *Vector) (float32, []int16) {
 	levels := make([]int16, v.NNZ())
 	for i, val := range v.Values {
 		bits := math.Float32bits(val)
-		l := int16(bits % uint32(vc.steps()+1))
+		l := int16(bits % uint32(vc.Steps()+1))
 		switch {
 		case vc == ValueSign:
 			l = 1
@@ -145,6 +148,9 @@ func FuzzDecodeV3(f *testing.F) {
 	flipped := bytes.Clone(truncated)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
+	for _, e := range v3EdgeFrames() {
+		f.Add(e.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := &Vector{}
 		if err := DecodeV3Into(v, data); err != nil {
@@ -197,6 +203,16 @@ func FuzzV3RoundTrip(f *testing.F) {
 	f.Add(uint16(8), []byte{1, 0, 0, 0, 63, 2, 128, 191})
 	f.Add(uint16(1), []byte{})
 	f.Add(uint16(300), []byte{0, 0, 192, 127, 10, 0, 128, 255, 20, 1, 2, 3})
+	// Gaps 1, 127, 128, 16 383 and 16 384: both sides of the one-byte
+	// gap path and of the two-byte varint; then four entries of negative
+	// levels, so one sits at the last bit of the first sign byte and one
+	// in the second.
+	f.Add(uint16(40000), []byte{
+		1, 0, 0, 0, 0, 0, 128, 63, 1, 1, 0, 0, 0, 0, 128, 191,
+		2, 1, 0, 0, 0, 0, 0, 64, 1, 128, 0, 0, 0, 0, 0, 0,
+		2, 128, 0, 0, 0, 0, 0, 192, 1, 0, 0, 0, 3, 0, 128, 191,
+		1, 0, 0, 0, 5, 0, 128, 191, 1, 0, 0, 0, 7, 0, 128, 191,
+		1, 0, 0, 0, 9, 0, 128, 191})
 	f.Fuzz(func(t *testing.T, dim16 uint16, raw []byte) {
 		v := fuzzBuildVector(dim16, raw)
 		// v3 float sections reject non-finite values (they never occur in
@@ -206,7 +222,7 @@ func FuzzV3RoundTrip(f *testing.F) {
 		}
 		for _, codec := range []Codec{CodecV3, CodecV3Q8, CodecV3Q2, CodecV3T, CodecV3S} {
 			buf := fuzzEncodeV3(codec, v)
-			got, err := DecodeCodec(codec, buf)
+			got, err := decodeCodec(codec, buf)
 			if err != nil {
 				t.Fatalf("codec %s round trip failed: %v", codec, err)
 			}
